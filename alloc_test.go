@@ -20,6 +20,7 @@ import (
 	"repro/internal/goals/transfer"
 	"repro/internal/goals/treasure"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/system"
 	"repro/internal/universal"
@@ -394,6 +395,55 @@ func TestMetricsInstrumentationAllocFree(t *testing.T) {
 	// per execution; any per-round metric allocation would add +1000.
 	if allocs >= 100 {
 		t.Errorf("instrumented batch allocates %.1f times per 1000-round execution, ceiling is <100 — metrics must be alloc-free on the hot path", allocs)
+	}
+}
+
+// sweepAllocBudgets pins whole builtin sweeps — scenario binding, the
+// universal user, server and adversary stacks, the live judge and the
+// per-scenario fold together — in allocations per executed round at
+// -parallel 1. Measured: default 0.156, adversarial 0.206 (71,832 and
+// 16,790 allocations over 460,800 and 81,600 rounds). Budgets carry
+// ~1.3x slack; one allocation per round anywhere in the stack adds 1.0.
+var sweepAllocBudgets = map[string]float64{
+	"default":     0.20,
+	"adversarial": 0.27,
+}
+
+// TestSweepAllocsPerRound gates allocation growth across whole sweeps,
+// where the per-goal pins above see only one party stack at a time.
+func TestSweepAllocsPerRound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are not meaningful under -race (the race runtime allocates)")
+	}
+	if testing.Short() {
+		t.Skip("allocation pins are not meaningful under -short")
+	}
+	for name, budget := range sweepAllocBudgets {
+		t.Run(name, func(t *testing.T) {
+			spec, err := scenario.BuiltinSpec(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := scenario.NewMatrix(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rounds int64
+			run := func() {
+				sum, err := m.Sweep(nil, scenario.SweepConfig{Parallel: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rounds = sum.TotalRounds
+			}
+			run() // warm caches and pools outside the measurement
+			perRound := testing.AllocsPerRun(3, run) / float64(rounds)
+			t.Logf("%s sweep: %.4f allocs per round over %d rounds", name, perRound, rounds)
+			if perRound > budget {
+				t.Errorf("%s sweep allocates %.4f times per round, budget %.2f — an allocation crept into the sweep hot path",
+					name, perRound, budget)
+			}
+		})
 	}
 }
 

@@ -3,23 +3,20 @@ package main
 import (
 	_ "embed"
 	"net/http"
-	"os"
 )
 
 // dashboardHTML is the entire dashboard: one self-contained page, no
 // external assets, that polls the coordinator's /status and /metrics
-// endpoints and (when served) the /bench-history trajectory.
+// endpoints.
 //
 //go:embed dashboard.html
 var dashboardHTML []byte
 
 // serveHandler wraps the coordinator handler with the optional dashboard
-// routes. Without -dashboard the coordinator serves alone, byte-for-byte
+// route. Without -dashboard the coordinator serves alone, byte-for-byte
 // the pre-dashboard behavior. With it, the exact root path serves the
-// embedded page and /bench-history re-serves the named JSONL file on
-// every request (CI appends to it between runs; re-reading keeps the
-// charts live without a restart).
-func serveHandler(coord http.Handler, dashboard bool, benchHistoryPath string) http.Handler {
+// embedded page.
+func serveHandler(coord http.Handler, dashboard bool) http.Handler {
 	if !dashboard {
 		return coord
 	}
@@ -28,19 +25,6 @@ func serveHandler(coord http.Handler, dashboard bool, benchHistoryPath string) h
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Write(dashboardHTML)
-	})
-	mux.HandleFunc("GET /bench-history", func(w http.ResponseWriter, r *http.Request) {
-		if benchHistoryPath == "" {
-			http.Error(w, "no -bench-history file configured", http.StatusNotFound)
-			return
-		}
-		data, err := os.ReadFile(benchHistoryPath)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		w.Write(data)
 	})
 	return mux
 }

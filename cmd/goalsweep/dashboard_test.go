@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -26,29 +25,20 @@ func getBody(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
-// TestServeDashboardEndpoints drives goalsweep serve -dashboard
-// -bench-history end to end: while the coordinator waits for workers,
-// the root path serves the embedded page, /metrics serves the
-// Prometheus exposition, and /bench-history re-serves the trajectory
-// file; the protocol endpoints keep working underneath, and -v surfaces
-// the structured lease lifecycle on stderr.
+// TestServeDashboardEndpoints drives goalsweep serve -dashboard end to
+// end: while the coordinator waits for workers, the root path serves the
+// embedded page and /metrics serves the Prometheus exposition; the
+// protocol endpoints keep working underneath, and -v surfaces the
+// structured lease lifecycle on stderr.
 func TestServeDashboardEndpoints(t *testing.T) {
 	t.Parallel()
-
-	dir := t.TempDir()
-	history := filepath.Join(dir, "bench-history.jsonl")
-	line1 := `{"spec":"quick sweep","roundsPerSec":100000,"commit":"aaaaaaa1"}`
-	line2 := `{"spec":"quick sweep","roundsPerSec":120000,"commit":"bbbbbbb2"}`
-	if err := os.WriteFile(history, []byte(line1+"\n"+line2+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
 	serveStderr := &syncBuffer{}
 	serveDone := make(chan error, 1)
 	go func() {
 		var b strings.Builder
 		serveDone <- run([]string{"serve", "-builtin", "quick", "-shards", "2",
-			"-listen", "127.0.0.1:0", "-dashboard", "-bench-history", history, "-v",
+			"-listen", "127.0.0.1:0", "-dashboard", "-v",
 			"-out", os.DevNull}, &b, serveStderr)
 	}()
 	url := waitForURL(t, serveStderr)
@@ -58,7 +48,7 @@ func TestServeDashboardEndpoints(t *testing.T) {
 	if status != http.StatusOK || !strings.HasPrefix(ctype, "text/html") {
 		t.Fatalf("GET / = %d %q, want 200 text/html", status, ctype)
 	}
-	if !strings.Contains(body, "goalsweep") || !strings.Contains(body, "/bench-history") {
+	if !strings.Contains(body, "goalsweep") || !strings.Contains(body, `fetch("/status")`) {
 		t.Fatal("dashboard page missing expected content")
 	}
 
@@ -76,15 +66,6 @@ func TestServeDashboardEndpoints(t *testing.T) {
 		if !strings.Contains(body, fam) {
 			t.Errorf("/metrics missing %q", fam)
 		}
-	}
-
-	// The trajectory file, byte for byte.
-	status, ctype, body = getBody(t, url+"/bench-history")
-	if status != http.StatusOK || !strings.HasPrefix(ctype, "application/jsonl") {
-		t.Fatalf("GET /bench-history = %d %q, want 200 application/jsonl", status, ctype)
-	}
-	if body != line1+"\n"+line2+"\n" {
-		t.Fatalf("/bench-history served %q", body)
 	}
 
 	// The protocol endpoints still work underneath the dashboard mux,
@@ -113,72 +94,5 @@ func TestServeDashboardEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "2 shards from 1 workers") {
 		t.Fatalf("serve accounting missing:\n%s", stderr)
-	}
-}
-
-// TestServeDashboardFlagValidation pins the flag contract: -bench-history
-// is a dashboard feature and is refused without it.
-func TestServeDashboardFlagValidation(t *testing.T) {
-	t.Parallel()
-
-	var b strings.Builder
-	err := run([]string{"serve", "-builtin", "quick", "-bench-history", "x.jsonl"}, &b, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-dashboard") {
-		t.Fatalf("serve -bench-history without -dashboard accepted: %v", err)
-	}
-}
-
-// TestBenchcmpHistory exercises benchcmp -history: a well-formed
-// trajectory passes with a summary, while duplicate commits and
-// unparseable lines fail naming the offending line.
-func TestBenchcmpHistory(t *testing.T) {
-	t.Parallel()
-
-	dir := t.TempDir()
-	write := func(name, content string) string {
-		t.Helper()
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	good := write("good.jsonl",
-		`{"spec":"quick sweep","roundsPerSec":100000,"commit":"aaaaaaa1"}`+"\n"+
-			"\n"+ // blank lines are tolerated
-			`{"spec":"quick sweep","roundsPerSec":120000,"commit":"bbbbbbb2"}`+"\n")
-	dup := write("dup.jsonl",
-		`{"spec":"quick sweep","roundsPerSec":100000,"commit":"aaaaaaa1"}`+"\n"+
-			`{"spec":"quick sweep","roundsPerSec":120000,"commit":"aaaaaaa1"}`+"\n")
-	garbage := write("garbage.jsonl",
-		`{"spec":"quick sweep","roundsPerSec":100000,"commit":"aaaaaaa1"}`+"\n"+
-			"not json\n")
-	empty := write("empty.jsonl", "\n")
-
-	var out strings.Builder
-	if err := run([]string{"benchcmp", "-history", good}, &out, io.Discard); err != nil {
-		t.Fatalf("valid history rejected: %v", err)
-	}
-	if got := out.String(); !strings.Contains(got, "2 records, 2 unique commits") ||
-		!strings.Contains(got, `spec "quick sweep"`) {
-		t.Fatalf("summary line wrong: %q", got)
-	}
-
-	var b strings.Builder
-	if err := run([]string{"benchcmp", "-history", dup}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), ":2:") || !strings.Contains(err.Error(), "line 1") {
-		t.Fatalf("duplicate commit not caught with both lines: %v", err)
-	}
-	if err := run([]string{"benchcmp", "-history", garbage}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), ":2:") || !strings.Contains(err.Error(), "bad record") {
-		t.Fatalf("garbage line not caught with line number: %v", err)
-	}
-	if err := run([]string{"benchcmp", "-history", empty}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "no bench history records") {
-		t.Fatalf("empty history accepted: %v", err)
-	}
-	if err := run([]string{"benchcmp", "-history", good, "somefile.json"}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "no artifact arguments") {
-		t.Fatalf("-history with artifact arguments accepted: %v", err)
 	}
 }

@@ -88,9 +88,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		jsonOut      = fs.Bool("json", false, "emit the merged aggregates and summary as JSON")
 		csvOut       = fs.Bool("csv", false, "emit the merged aggregates as CSV")
 		outPath      = fs.String("out", "", "write output to this file instead of stdout")
-		benchPath    = fs.String("bench", "", "also write a throughput artifact (JSON with timings and the worker count) to this file; skipped with a warning if workers served trials from a warm cache")
 		dashboard    = fs.Bool("dashboard", false, "serve a live HTML dashboard at / that polls /status and /metrics")
-		benchHistory = fs.String("bench-history", "", "bench-history.jsonl file to serve at /bench-history for the dashboard's trajectory charts (requires -dashboard)")
 		maxInflight  = fs.Int("max-inflight-leases", 0, "shed lease requests with 429 + Retry-After beyond this many concurrently served ones (0 = default bound, negative = unbounded)")
 		speculate    = fs.Duration("speculate-after", 0, "re-lease a straggling shard to a second worker once its lease is this old (0 = only after the full lease timeout); safe because shards are deterministic and the first submit wins")
 		chaosSpec    = fs.String("chaos", "", "inject accept-side faults from this schedule, e.g. \"adrop=2,adelay=3:20ms\" (see goalsweep chaostest)")
@@ -114,9 +112,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
 	}
-	if *benchHistory != "" && !*dashboard {
-		return fmt.Errorf("-bench-history only makes sense with -dashboard")
-	}
 
 	if *service {
 		// A service has no spec of its own (jobs arrive over the API) and
@@ -126,7 +121,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 			*seeds != 0 || *window != 0 || *baseSeed != 0 || *shardsFlag != "2" {
 			return fmt.Errorf("serve -service takes no sweep flags: submit specs with `goalsweep submit` (per-job -shards/-seeds/... live there)")
 		}
-		if *jsonOut || *csvOut || *outPath != "" || *benchPath != "" {
+		if *jsonOut || *csvOut || *outPath != "" {
 			return fmt.Errorf("serve -service writes no report: render a job with `goalsweep watch`")
 		}
 		events := eventLogger(stderr, *verbose)
@@ -155,7 +150,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		// after "at ".
 		fmt.Fprintf(stderr, "goalsweep: sweep service at http://%s (%d jobs recovered)\n",
 			ln.Addr(), len(coord.Jobs()))
-		srv := &http.Server{Handler: serveHandler(coord, *dashboard, *benchHistory)}
+		srv := &http.Server{Handler: serveHandler(coord, *dashboard)}
 		go srv.Serve(ln)
 		<-ctx.Done()
 		fmt.Fprintln(stderr, "goalsweep: sweep service shutting down")
@@ -207,7 +202,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	// it carries the resolved address when the port was 0.
 	fmt.Fprintf(stderr, "goalsweep: serving %d shards of spec %q (fingerprint %s) at http://%s\n",
 		plan.Shards, spec.Name, plan.Fingerprint, ln.Addr())
-	srv := &http.Server{Handler: serveHandler(coord, *dashboard, *benchHistory)}
+	srv := &http.Server{Handler: serveHandler(coord, *dashboard)}
 	go srv.Serve(ln)
 	defer srv.Close()
 
@@ -227,32 +222,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	}
 	fmt.Fprintf(stderr, "goalsweep: distributed sweep complete: %d shards from %d workers in %v\n",
 		plan.Shards, coord.Workers(), elapsed.Round(time.Millisecond))
-	if *benchPath != "" {
-		// Mirror the local CLI's -bench/-cache refusal: if the fleet
-		// served scenarios from warm caches (or a worker did not report
-		// its executed-trial count), the artifact would divide all rounds
-		// by a fraction of the work and poison benchcmp gates. Skip it
-		// loudly instead of writing a lie.
-		executed, known := coord.ExecutedTrials()
-		if !known || executed != int64(sum.Trials) {
-			fmt.Fprintf(stderr, "goalsweep: warning: -bench artifact skipped: workers executed %d of %d trials (warm result cache?) — the artifact would lie about throughput\n",
-				executed, sum.Trials)
-		} else {
-			// The distributed artifact's effective parallelism is the
-			// fleet's: the sum of the submitting workers' trial pools.
-			// Mallocs is the fleet's summed heap-allocation delta, as
-			// reported by each shard's executing worker at submit time
-			// (0 only if some worker failed to report one).
-			submitters, totalParallel := coord.Submitters()
-			mallocs, mallocsKnown := coord.Mallocs()
-			if !mallocsKnown {
-				mallocs = 0
-			}
-			if err := writeBench(*benchPath, sum, elapsed, totalParallel, submitters, mallocs, nil); err != nil {
-				return err
-			}
-		}
-	}
 
 	out, closeOut, err := openOut(*outPath, stdout)
 	if err != nil {

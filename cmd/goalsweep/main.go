@@ -11,12 +11,10 @@
 //	goalsweep -filter goal=transfer -filter noise=0,0.3
 //	goalsweep -builtin default -json -out sweep.json
 //	goalsweep -builtin default -csv
-//	goalsweep -builtin quick -bench BENCH_sweep.json
 //	goalsweep -builtin default -list             # print scenarios, don't run
 //	goalsweep -builtin default -cache DIR        # skip already-stored scenarios
 //	goalsweep -builtin default -shard 2/3 -json -out shard-2.json
 //	goalsweep merge -json -out full.json shard-*.json
-//	goalsweep benchcmp old.json new.json         # throughput regression check
 //	goalsweep -builtin default -fingerprint      # print the sweep fingerprint
 //	goalsweep serve -builtin default -shards 3 -listen :8077 -json -out report.json
 //	goalsweep serve -service -state DIR -listen :8077
@@ -27,9 +25,9 @@
 // Sweeps are deterministic per spec and seed: -parallel bounds the worker
 // pool without changing a byte of -json/-csv output, and every scenario
 // carries a stable content-derived ID, so sampled sweeps report exactly
-// what a full enumeration would report for the same scenarios. -bench
-// additionally writes a small throughput artifact (the only output with
-// timings in it).
+// what a full enumeration would report for the same scenarios. No report
+// carries a timing; performance is measured from outside, by the
+// repository's benchmark (bench/README.md).
 //
 // The same determinism makes sweeps distributed-by-construction: -shard
 // i/n runs the i-th of n contiguous partitions of the selection (with
@@ -56,7 +54,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/csv"
 	"encoding/json"
@@ -70,7 +67,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/scenario"
@@ -108,8 +104,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		switch args[0] {
 		case "merge":
 			return runMerge(args[1:], stdout)
-		case "benchcmp":
-			return runBenchcmp(args[1:], stdout)
 		case "serve":
 			return runServe(ctx, args[1:], stdout, stderr)
 		case "work":
@@ -138,7 +132,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		csvOut      = fs.Bool("csv", false, "emit per-scenario aggregates as CSV")
 		list        = fs.Bool("list", false, "list the selected scenarios without executing them")
 		outPath     = fs.String("out", "", "write output to this file instead of stdout")
-		benchPath   = fs.String("bench", "", "also write a throughput artifact (JSON with timings) to this file")
 		shardSpec   = fs.String("shard", "", "run only shard i/n of the selection (1-based, e.g. 2/3); with -json, emits a mergeable shard envelope")
 		cacheDir    = fs.String("cache", "", "content-addressed result cache directory; stored scenarios skip execution, byte-identically")
 		fingerprint = fs.Bool("fingerprint", false, "print the sweep fingerprint (cache/merge identity) and exit without executing")
@@ -151,6 +144,11 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		// Flag parsing stops at the first non-flag, so a mistyped
+		// subcommand would otherwise run the default sweep.
+		return fmt.Errorf("unexpected argument %q: the subcommands are merge, serve, work, submit, watch and chaostest", fs.Arg(0))
+	}
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
 	}
@@ -159,12 +157,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	}
 	if *trialBatch < 1 {
 		return fmt.Errorf("-trialbatch must be at least 1, got %d", *trialBatch)
-	}
-	if *benchPath != "" && (*cacheDir != "" || *shardSpec != "") {
-		// A warm cache would divide unexecuted rounds by near-zero
-		// elapsed time, and a shard's throughput is not the sweep's;
-		// either artifact would poison benchcmp comparisons.
-		return fmt.Errorf("-bench measures fresh full-selection execution and cannot combine with -cache or -shard")
 	}
 	var shard scenario.Shard
 	sharded := *shardSpec != ""
@@ -270,27 +262,12 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		// stop is a no-op then and only matters on error paths.
 		defer pprof.StopCPUProfile()
 	}
-	// Allocation accounting for the -bench artifact: a MemStats snapshot
-	// on either side of the sweep. Only taken when asked — ReadMemStats
-	// stops the world.
-	var memBefore runtime.MemStats
-	if *benchPath != "" {
-		runtime.ReadMemStats(&memBefore)
-	}
-	start := time.Now()
 	sum, err := m.Sweep(indices, cfg)
 	if err != nil {
 		return err
 	}
-	elapsed := time.Since(start)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
-	}
-	var mallocs int64
-	if *benchPath != "" {
-		var memAfter runtime.MemStats
-		runtime.ReadMemStats(&memAfter)
-		mallocs = int64(memAfter.Mallocs - memBefore.Mallocs)
 	}
 	if memProfileFile != nil {
 		runtime.GC() // settle the heap so the profile shows live objects
@@ -307,15 +284,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		if sum.CacheWriteError != nil {
 			fmt.Fprintf(stderr, "goalsweep: warning: result cache disabled mid-sweep (results unaffected): %v\n",
 				sum.CacheWriteError)
-		}
-	}
-	if *benchPath != "" {
-		perGoal, err := benchPerGoal(*specPath, *builtin, filters, spec, cfg, *sample)
-		if err != nil {
-			return err
-		}
-		if err := writeBench(*benchPath, sum, elapsed, *parallel, 1, mallocs, perGoal); err != nil {
-			return err
 		}
 	}
 
@@ -456,165 +424,6 @@ func runMerge(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 	return trialFailures(sum, stats)
-}
-
-// runBenchcmp compares two throughput artifacts (goalsweep -bench) and
-// fails when the fresh one regresses beyond the tolerance: goalsweep
-// benchcmp [-maxdrop F] baseline.json fresh.json
-func runBenchcmp(args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("goalsweep benchcmp", flag.ContinueOnError)
-	maxDrop := fs.Float64("maxdrop", 0.5, "fail when roundsPerSec drops by more than this fraction of the baseline")
-	maxAllocGrow := fs.Float64("maxallocgrow", 0.5, "fail when allocsPerRound grows by more than this fraction of the baseline (checked only when both artifacts carry allocation counts)")
-	history := fs.String("history", "", "validate a bench-history.jsonl trajectory (every record parses, commits unique) instead of comparing two artifacts")
-	fs.SetOutput(stdout)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	files := fs.Args()
-	if *history != "" {
-		if len(files) != 0 {
-			return fmt.Errorf("benchcmp -history takes no artifact arguments")
-		}
-		return checkBenchHistory(*history, stdout)
-	}
-	if len(files) != 2 {
-		return fmt.Errorf("benchcmp needs exactly two artifacts: baseline.json fresh.json")
-	}
-	readBench := func(path string) (*harness.SweepBench, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var b harness.SweepBench
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &b, nil
-	}
-	baseline, err := readBench(files[0])
-	if err != nil {
-		return err
-	}
-	fresh, err := readBench(files[1])
-	if err != nil {
-		return err
-	}
-	if baseline.Spec != fresh.Spec {
-		return fmt.Errorf("artifacts cover different specs: %q vs %q", baseline.Spec, fresh.Spec)
-	}
-	if baseline.Scenarios != fresh.Scenarios || baseline.Trials != fresh.Trials {
-		return fmt.Errorf("artifacts cover different workloads: %d scenarios/%d trials vs %d/%d — spec %q changed shape, refresh the baseline",
-			baseline.Scenarios, baseline.Trials, fresh.Scenarios, fresh.Trials, baseline.Spec)
-	}
-	if baseline.RoundsPerSec <= 0 {
-		return fmt.Errorf("%s has no roundsPerSec baseline", files[0])
-	}
-	if baseline.Parallel < 1 || fresh.Parallel < 1 {
-		return fmt.Errorf("artifact without effective parallelism (parallel %d vs %d) — regenerate with current goalsweep",
-			baseline.Parallel, fresh.Parallel)
-	}
-	// Artifacts from pools of different sizes are compared per worker,
-	// so a wider host cannot mask a per-core regression (nor a narrower
-	// one fake it). Same-size pools compare raw throughput.
-	baseRate, freshRate := baseline.RoundsPerSec, fresh.RoundsPerSec
-	unit := "roundsPerSec"
-	if baseline.Parallel != fresh.Parallel {
-		baseRate /= float64(baseline.Parallel)
-		freshRate /= float64(fresh.Parallel)
-		unit = "roundsPerSec/worker"
-	}
-	change := freshRate/baseRate - 1
-	fmt.Fprintf(stdout, "spec %q: %s %.0f -> %.0f (%+.1f%%), trialsPerSec %.0f -> %.0f, parallel %d -> %d\n",
-		baseline.Spec, unit, baseRate, freshRate, 100*change,
-		baseline.TrialsPerSec, fresh.TrialsPerSec, baseline.Parallel, fresh.Parallel)
-	// Allocation discipline line: allocs/round is host-independent, so
-	// unlike the throughput check it is meaningful across machines. Only
-	// present when both artifacts carry counts — artifacts predating
-	// allocation accounting (and distributed ones) compare on rate alone.
-	allocChange := 0.0
-	allocChecked := baseline.AllocsPerRound > 0 && fresh.AllocsPerRound > 0
-	if allocChecked {
-		allocChange = fresh.AllocsPerRound/baseline.AllocsPerRound - 1
-		fmt.Fprintf(stdout, "spec %q: allocsPerRound %.2f -> %.2f (%+.1f%%)\n",
-			baseline.Spec, baseline.AllocsPerRound, fresh.AllocsPerRound, 100*allocChange)
-	}
-	// Throughput is judged first: when both regress, the rate collapse
-	// is the headline, not the allocation growth that likely caused it.
-	if drop := -change; drop > *maxDrop {
-		return fmt.Errorf("%s regression: %.1f%% drop exceeds -maxdrop %.0f%%",
-			unit, 100*drop, 100**maxDrop)
-	}
-	if allocChecked && allocChange > *maxAllocGrow {
-		return fmt.Errorf("allocation regression: allocsPerRound grew %.1f%%, exceeds -maxallocgrow %.0f%%",
-			100*allocChange, 100**maxAllocGrow)
-	}
-	return nil
-}
-
-// benchHistoryRecord is one line of CI's bench-history.jsonl: a bench
-// artifact stamped with its commit and workflow run.
-type benchHistoryRecord struct {
-	harness.SweepBench
-	Commit string `json:"commit"`
-	Ref    string `json:"ref"`
-	Run    string `json:"run"`
-}
-
-// checkBenchHistory is benchcmp's -history sanity mode: the trajectory
-// file the dashboard charts is append-only and machine-written, so the
-// invariants are structural — every line parses as a stamped bench
-// artifact and no commit appears twice (a duplicate would mean CI
-// double-appended and every chart would kink).
-func checkBenchHistory(path string, stdout io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	seen := make(map[string]int)
-	var first, last *benchHistoryRecord
-	n := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for line := 1; sc.Scan(); line++ {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec benchHistoryRecord
-		dec := json.NewDecoder(strings.NewReader(text))
-		if err := dec.Decode(&rec); err != nil {
-			return fmt.Errorf("%s:%d: bad record: %v", path, line, err)
-		}
-		if rec.Commit == "" {
-			return fmt.Errorf("%s:%d: record has no commit stamp", path, line)
-		}
-		if rec.Spec == "" {
-			return fmt.Errorf("%s:%d: record has no spec", path, line)
-		}
-		if rec.RoundsPerSec <= 0 {
-			return fmt.Errorf("%s:%d: record has no roundsPerSec", path, line)
-		}
-		if prev, dup := seen[rec.Commit]; dup {
-			return fmt.Errorf("%s:%d: commit %s already recorded at line %d", path, line, rec.Commit, prev)
-		}
-		seen[rec.Commit] = line
-		r := rec
-		if first == nil {
-			first = &r
-		}
-		last = &r
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if n == 0 {
-		return fmt.Errorf("%s: no bench history records", path)
-	}
-	fmt.Fprintf(stdout, "bench history OK: %d records, %d unique commits, spec %q, roundsPerSec %.0f -> %.0f\n",
-		n, len(seen), last.Spec, first.RoundsPerSec, last.RoundsPerSec)
-	return nil
 }
 
 // resolveSpec loads the spec and applies -filter restrictions.
@@ -760,115 +569,4 @@ func writeTable(out io.Writer, m *scenario.Matrix, spec *scenario.Spec,
 		sum.Scenarios, sum.Trials, sum.Successes,
 		harness.Percent(sum.Successes, sum.Trials), sum.Errors, sum.TotalRounds)
 	return err
-}
-
-// benchPerGoal measures each goal's slice of the sweep as its own timed
-// sub-sweep over the goal's restriction of the spec — the per-goal
-// rounds/s and allocs/round breakdown of the -bench artifact. The spec
-// is re-resolved per goal because Restrict mutates it. Sampled
-// selections are skipped (a goal restriction cannot reproduce a random
-// subset), as are specs without at least two goal values (the breakdown
-// would restate the aggregate).
-func benchPerGoal(specPath, builtin string, filters filterFlags, spec *scenario.Spec,
-	cfg scenario.SweepConfig, sample int) ([]harness.GoalBench, error) {
-	if sample > 0 {
-		return nil, nil
-	}
-	var goals []string
-	for _, ax := range spec.AxesUnion() {
-		if ax.Name == "goal" {
-			goals = ax.Values
-		}
-	}
-	if len(goals) < 2 {
-		return nil, nil
-	}
-	out := make([]harness.GoalBench, 0, len(goals))
-	for _, g := range goals {
-		gspec, err := resolveSpec(specPath, builtin, filters)
-		if err != nil {
-			return nil, err
-		}
-		if err := gspec.Restrict("goal", g); err != nil {
-			return nil, err
-		}
-		gm, err := scenario.NewMatrix(gspec)
-		if err != nil {
-			return nil, err
-		}
-		gcfg := cfg
-		gcfg.OnStats = nil
-		gcfg.Cache = nil
-		var memBefore, memAfter runtime.MemStats
-		runtime.ReadMemStats(&memBefore)
-		start := time.Now()
-		gsum, err := gm.Sweep(nil, gcfg)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&memAfter)
-		gb := harness.GoalBench{
-			Goal:        g,
-			Scenarios:   gsum.Scenarios,
-			Trials:      gsum.Trials,
-			TotalRounds: gsum.TotalRounds,
-			ElapsedNs:   elapsed.Nanoseconds(),
-			Mallocs:     int64(memAfter.Mallocs - memBefore.Mallocs),
-		}
-		if secs := elapsed.Seconds(); secs > 0 {
-			gb.RoundsPerSec = float64(gsum.TotalRounds) / secs
-		}
-		if gb.Mallocs > 0 && gsum.TotalRounds > 0 {
-			gb.AllocsPerRound = float64(gb.Mallocs) / float64(gsum.TotalRounds)
-		}
-		out = append(out, gb)
-	}
-	return out, nil
-}
-
-// writeBench writes the throughput artifact — deliberately the only
-// goalsweep output that contains timings. A defaulted worker pool is
-// recorded as its effective size (GOMAXPROCS), not 0, so artifacts are
-// comparable across hosts. workers is the number of worker processes that
-// produced the sweep: 1 for a local run, the coordinator's distinct
-// submitter count for a distributed one (with parallel then totalling the
-// fleet's pools). mallocs is the process's heap-allocation count over the
-// sweep (0 = unmeasured, e.g. a coordinator whose allocations happened in
-// worker processes); unlike timings it is host-independent, which makes
-// allocsPerRound the most portable regression signal in the artifact.
-func writeBench(path string, sum *scenario.Summary, elapsed time.Duration, parallel, workers int, mallocs int64, perGoal []harness.GoalBench) error {
-	if parallel < 1 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	secs := elapsed.Seconds()
-	b := harness.SweepBench{
-		Spec:        sum.Spec,
-		Scenarios:   sum.Scenarios,
-		Trials:      sum.Trials,
-		TotalRounds: sum.TotalRounds,
-		Parallel:    parallel,
-		Workers:     workers,
-		ElapsedNs:   elapsed.Nanoseconds(),
-		Mallocs:     mallocs,
-		PerGoal:     perGoal,
-	}
-	if secs > 0 {
-		b.TrialsPerSec = float64(sum.Trials) / secs
-		b.RoundsPerSec = float64(sum.TotalRounds) / secs
-	}
-	if mallocs > 0 && sum.TotalRounds > 0 {
-		b.AllocsPerRound = float64(mallocs) / float64(sum.TotalRounds)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
 }

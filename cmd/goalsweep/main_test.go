@@ -1,14 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
-
 	"io"
 	"os"
 	"path/filepath"
-	"repro/internal/harness"
 	"strings"
 	"testing"
 )
@@ -166,34 +162,6 @@ func TestSpecFileAndOverrides(t *testing.T) {
 	}
 }
 
-func TestBenchArtifact(t *testing.T) {
-	t.Parallel()
-
-	path := filepath.Join(t.TempDir(), "bench.json")
-	runSweep(t, "-builtin", "quick", "-bench", path, "-json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"spec": "quick"`, `"roundsPerSec"`, `"trials": 12`, `"mallocs"`, `"allocsPerRound"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("bench artifact missing %s:\n%s", want, data)
-		}
-	}
-	var b harness.SweepBench
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Mallocs <= 0 || b.AllocsPerRound <= 0 {
-		t.Fatalf("bench artifact without allocation accounting: mallocs=%d allocsPerRound=%g", b.Mallocs, b.AllocsPerRound)
-	}
-	// No magnitude ceiling here: mallocs is a process-wide MemStats
-	// delta, and this package's tests run in parallel (the dist tests
-	// sweep whole matrices concurrently), so any tight bound would be
-	// flaky. The precise per-goal allocation gates live in the root
-	// alloc_test.go, measured with testing.AllocsPerRun.
-}
-
 // TestProfileFlags pins the -cpuprofile/-memprofile surface: a local
 // sweep writes both profiles; serve and work refuse them.
 func TestProfileFlags(t *testing.T) {
@@ -231,12 +199,13 @@ func TestMutuallyExclusiveOutputs(t *testing.T) {
 	if err := run([]string{"-builtin", "nosuch"}, &b, io.Discard); err == nil {
 		t.Fatal("unknown builtin accepted")
 	}
-	// A warm cache or a shard would make the throughput artifact lie.
-	if err := run([]string{"-builtin", "quick", "-bench", "b.json", "-cache", t.TempDir()}, &b, io.Discard); err == nil {
-		t.Fatal("-bench -cache accepted together")
-	}
-	if err := run([]string{"-builtin", "quick", "-bench", "b.json", "-shard", "1/2"}, &b, io.Discard); err == nil {
-		t.Fatal("-bench -shard accepted together")
+	// A word the sweep mode cannot place — an unknown subcommand, or an
+	// argument after the flags — must not end flag parsing and sweep the
+	// default matrix.
+	for _, args := range [][]string{{"benchcmp", "old.json", "new.json"}, {"-builtin", "quick", "extra"}} {
+		if err := run(args, &b, io.Discard); err == nil || !strings.Contains(err.Error(), "unexpected argument") {
+			t.Fatalf("goalsweep %v: err = %v, want an unexpected-argument refusal", args, err)
+		}
 	}
 }
 
@@ -383,148 +352,5 @@ func TestFingerprintFlag(t *testing.T) {
 	}
 	if other := strings.TrimSpace(runSweep(t, "-builtin", "quick", "-filter", "goal=printing", "-fingerprint")); other == fp {
 		t.Fatal("-filter restriction did not change the fingerprint")
-	}
-}
-
-// TestBenchRecordsEffectiveParallelism pins the fix for bench artifacts
-// reporting "parallel": 0 when the pool defaults to GOMAXPROCS.
-func TestBenchRecordsEffectiveParallelism(t *testing.T) {
-	t.Parallel()
-
-	read := func(args ...string) harness.SweepBench {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "bench.json")
-		runSweep(t, append(args, "-bench", path, "-out", os.DevNull, "-json")...)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b harness.SweepBench
-		if err := json.Unmarshal(data, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if b := read("-builtin", "quick"); b.Parallel != runtime.GOMAXPROCS(0) {
-		t.Fatalf("defaulted pool recorded parallel=%d, want GOMAXPROCS=%d", b.Parallel, runtime.GOMAXPROCS(0))
-	}
-	if b := read("-builtin", "quick", "-parallel", "3"); b.Parallel != 3 {
-		t.Fatalf("explicit pool recorded parallel=%d, want 3", b.Parallel)
-	}
-}
-
-func TestBenchcmp(t *testing.T) {
-	t.Parallel()
-
-	dir := t.TempDir()
-	write := func(name string, b harness.SweepBench) string {
-		t.Helper()
-		data, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	mk := func(rps float64, parallel int) harness.SweepBench {
-		return harness.SweepBench{Spec: "default", Scenarios: 288, Trials: 576,
-			RoundsPerSec: rps, TrialsPerSec: rps / 1000, Parallel: parallel}
-	}
-	base := write("base.json", mk(1e6, 1))
-	ok := write("ok.json", mk(8e5, 1))
-	slow := write("slow.json", mk(4e5, 1))
-	other := write("other.json", harness.SweepBench{Spec: "quick", Scenarios: 12, Trials: 12, RoundsPerSec: 1e6, Parallel: 1})
-	reshaped := write("reshaped.json", harness.SweepBench{Spec: "default", Scenarios: 100, Trials: 200, RoundsPerSec: 1e6, Parallel: 1})
-	unparallel := write("unparallel.json", harness.SweepBench{Spec: "default", Scenarios: 288, Trials: 576, RoundsPerSec: 1e6})
-	// Twice the workers, same total throughput: per-worker rate halved.
-	wide := write("wide.json", mk(1e6, 2))
-
-	out := runSweep(t, "benchcmp", base, ok)
-	if !strings.Contains(out, "1000000 -> 800000") || !strings.Contains(out, "-20.0%") {
-		t.Fatalf("benchcmp output wrong: %q", out)
-	}
-	var b strings.Builder
-	if err := run([]string{"benchcmp", base, slow}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "regression") {
-		t.Fatalf("60%% drop passed the default gate: %v", err)
-	}
-	runSweep(t, "benchcmp", "-maxdrop", "0.7", base, slow) // loosened gate passes
-	// Pools of different sizes are compared per worker, so a wider host
-	// cannot mask a per-core regression.
-	out = runSweep(t, "benchcmp", "-maxdrop", "0.6", base, wide)
-	if !strings.Contains(out, "roundsPerSec/worker") || !strings.Contains(out, "-50.0%") {
-		t.Fatalf("per-worker normalization missing: %q", out)
-	}
-	if err := run([]string{"benchcmp", "-maxdrop", "0.4", base, wide}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "regression") {
-		t.Fatalf("halved per-worker rate passed a 40%% gate: %v", err)
-	}
-	if err := run([]string{"benchcmp", base, other}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "different specs") {
-		t.Fatalf("cross-spec comparison accepted: %v", err)
-	}
-	if err := run([]string{"benchcmp", base, reshaped}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "different workloads") {
-		t.Fatalf("reshaped-spec comparison accepted: %v", err)
-	}
-	if err := run([]string{"benchcmp", base, unparallel}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "parallelism") {
-		t.Fatalf("parallel=0 artifact accepted: %v", err)
-	}
-	if err := run([]string{"benchcmp", base}, &b, io.Discard); err == nil {
-		t.Fatal("benchcmp with one file accepted")
-	}
-}
-
-// TestBenchcmpAllocGate pins the allocation half of the gate: growth in
-// allocsPerRound beyond -maxallocgrow fails even when throughput held,
-// and artifacts without counts (pre-accounting or distributed) are
-// compared on rate alone.
-func TestBenchcmpAllocGate(t *testing.T) {
-	t.Parallel()
-
-	dir := t.TempDir()
-	write := func(name string, b harness.SweepBench) string {
-		t.Helper()
-		data, err := json.Marshal(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	mk := func(rps, apr float64) harness.SweepBench {
-		b := harness.SweepBench{Spec: "default", Scenarios: 288, Trials: 576,
-			RoundsPerSec: rps, Parallel: 1, AllocsPerRound: apr}
-		if apr > 0 {
-			b.Mallocs = int64(apr * 460800)
-		}
-		return b
-	}
-	base := write("base.json", mk(1e6, 0.6))
-	lean := write("lean.json", mk(1e6, 0.7))       // +17%: fine
-	bloated := write("bloated.json", mk(1e6, 1.2)) // +100%: regression despite equal rate
-	uncounted := write("uncounted.json", mk(1e6, 0))
-
-	out := runSweep(t, "benchcmp", base, lean)
-	if !strings.Contains(out, "allocsPerRound 0.60 -> 0.70") {
-		t.Fatalf("alloc comparison missing from output: %q", out)
-	}
-	var b strings.Builder
-	if err := run([]string{"benchcmp", base, bloated}, &b, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "allocation regression") {
-		t.Fatalf("doubled allocsPerRound passed the gate: %v", err)
-	}
-	runSweep(t, "benchcmp", "-maxallocgrow", "1.5", base, bloated) // loosened gate passes
-	// No counts on one side: rate-only comparison, no alloc line.
-	out = runSweep(t, "benchcmp", base, uncounted)
-	if strings.Contains(out, "allocsPerRound") {
-		t.Fatalf("alloc comparison printed for an uncounted artifact: %q", out)
 	}
 }

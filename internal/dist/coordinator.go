@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -333,7 +332,6 @@ func (c *Coordinator) completeJobLocked(j *job) {
 		obs.String("spec", j.plan.Spec.Name),
 		obs.String("fingerprint", j.plan.Fingerprint),
 		obs.Int("shards", j.plan.Shards),
-		obs.Int64("executed", j.executed),
 		obs.String("job", j.id))
 	c.publishLocked(j, completeFrame(j))
 	c.closeSubsLocked(j)
@@ -894,8 +892,7 @@ func (c *Coordinator) submitCommon(w http.ResponseWriter, r *http.Request, lease
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	q := r.URL.Query()
-	ack, herr := c.submitLocked(leaseID, sr, q.Get("executed"), q.Get("mallocs"))
+	ack, herr := c.submitLocked(leaseID, sr)
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
@@ -912,7 +909,7 @@ func (c *Coordinator) rejectSubmit(reason, detail string) {
 		obs.String("detail", detail))
 }
 
-func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, executed, mallocs string) (SubmitResponse, *httpErr) {
+func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (SubmitResponse, *httpErr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	li, ok := c.leases[leaseID]
@@ -954,26 +951,8 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, exe
 	}
 	j.results[idx] = sr
 	j.shards[idx-1].done = true
-	j.submitters[li.worker] = li.parallel
 	if wi := c.workers[li.worker]; wi != nil {
 		wi.submitted++
-	}
-	// Workers report how many trials they actually executed (as opposed
-	// to served from a shared cache) alongside the envelope; the sum
-	// decides whether a throughput artifact for this sweep would be
-	// honest. Exactly one submission per shard is counted, so a
-	// re-executed straggler shard cannot double-count. The worker's
-	// heap-allocation delta rides the same way and aggregates under the
-	// same discipline.
-	if n, err := strconv.ParseInt(executed, 10, 64); err != nil {
-		j.execKnown = false
-	} else {
-		j.executed += n
-	}
-	if n, err := strconv.ParseInt(mallocs, 10, 64); err != nil {
-		j.mallocsKnown = false
-	} else {
-		j.mallocs += n
 	}
 	mSubmitsAccepted.With(j.id).Inc()
 	if !li.granted.IsZero() {
@@ -1154,52 +1133,4 @@ func (c *Coordinator) Workers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.workers)
-}
-
-// Submitters returns how many distinct workers had an envelope accepted
-// for the default job and the sum of their reported trial-pool sizes
-// (each clamped to at least 1, so the total is usable as a bench
-// artifact's effective parallelism). Unlike Workers, this counts only
-// the fleet that actually produced the sweep.
-func (c *Coordinator) Submitters() (count, totalParallel int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return 0, 0
-	}
-	for _, p := range c.order[0].submitters {
-		if p < 1 {
-			p = 1
-		}
-		totalParallel += p
-	}
-	return len(c.order[0].submitters), totalParallel
-}
-
-// ExecutedTrials returns the default job's total executed-trial count
-// and whether every accepted submission reported one. known is false
-// when any worker omitted the count (an older or foreign client) or the
-// job resumed shards from disk, in which case the total is a lower bound
-// and throughput artifacts should not be written from it.
-func (c *Coordinator) ExecutedTrials() (total int64, known bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return 0, false
-	}
-	return c.order[0].executed, c.order[0].execKnown
-}
-
-// Mallocs returns the default job's total heap-allocation delta (summed
-// over each shard's executing worker, one submission per shard) and
-// whether every accepted submission reported one. Fleet bench artifacts
-// use it so distributed runs carry real allocation counts instead of
-// zeros.
-func (c *Coordinator) Mallocs() (total int64, known bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return 0, false
-	}
-	return c.order[0].mallocs, c.order[0].mallocsKnown
 }

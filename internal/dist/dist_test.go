@@ -170,11 +170,6 @@ func TestDistributedByteIdentical(t *testing.T) {
 	if n := coord.Workers(); n != 2 {
 		t.Fatalf("coordinator saw %d workers, want 2", n)
 	}
-	// Fresh run: the fleet reported executing every trial (default spec:
-	// 288 scenarios x 2 seeds), so a throughput artifact would be honest.
-	if executed, known := coord.ExecutedTrials(); !known || executed != 576 {
-		t.Fatalf("fleet executed-trial accounting = (%d, %v), want (576, true)", executed, known)
-	}
 }
 
 // TestCrashedWorkerReLease pins the retry path: a worker leases a shard
@@ -244,11 +239,6 @@ func TestCrashedWorkerReLease(t *testing.T) {
 	}
 	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
 		t.Fatal("straggler resubmission changed the merged report")
-	}
-	// Only the worker whose envelopes were accepted counts as a
-	// submitter — the doomed worker polled but produced nothing.
-	if n, _ := coord.Submitters(); n != 1 {
-		t.Fatalf("coordinator counted %d submitters, want 1 (the healthy worker)", n)
 	}
 	if n := coord.Workers(); n != 2 {
 		t.Fatalf("coordinator saw %d workers, want 2 (doomed + healthy)", n)
@@ -425,15 +415,6 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 	}
 	if strings.Count(warmLog, "executed=0") != 2 {
 		t.Fatalf("warm run did not serve from the shared cache:\n%s", warmLog)
-	}
-	// The coordinator's fleet accounting sees the same split, which is
-	// what gates honest -bench artifacts: cold executed everything, warm
-	// executed nothing.
-	if executed, known := cold.ExecutedTrials(); !known || executed != 12 {
-		t.Fatalf("cold fleet accounting = (%d, %v), want (12, true)", executed, known)
-	}
-	if executed, known := warm.ExecutedTrials(); !known || executed != 0 {
-		t.Fatalf("warm fleet accounting = (%d, %v), want (0, true)", executed, known)
 	}
 }
 

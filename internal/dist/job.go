@@ -44,28 +44,20 @@ type job struct {
 	id   string
 	plan Plan
 
-	shards       []shardState                  // index i-1 holds shard i/n
-	results      map[int]*scenario.ShardResult // 1-based shard index -> envelope
-	submitters   map[string]int                // workers whose envelopes were accepted -> parallelism
-	executed     int64                         // trials the fleet reported actually executing
-	execKnown    bool                          // every accepted submit carried an executed count
-	mallocs      int64                         // worker heap allocations across executed shards
-	mallocsKnown bool                          // every accepted submit carried a mallocs count
-	resumed      int                           // shards restored from on-disk envelopes
-	done         chan struct{}                 // closed when every shard has been accepted
-	subs         []chan []byte                 // live SSE subscribers (see events.go)
+	shards  []shardState                  // index i-1 holds shard i/n
+	results map[int]*scenario.ShardResult // 1-based shard index -> envelope
+	resumed int                           // shards restored from on-disk envelopes
+	done    chan struct{}                 // closed when every shard has been accepted
+	subs    []chan []byte                 // live SSE subscribers (see events.go)
 }
 
 func newJob(plan Plan) *job {
 	return &job{
-		id:           JobID(plan),
-		plan:         plan,
-		shards:       make([]shardState, plan.Shards),
-		results:      make(map[int]*scenario.ShardResult),
-		submitters:   make(map[string]int),
-		execKnown:    true,
-		mallocsKnown: true,
-		done:         make(chan struct{}),
+		id:      JobID(plan),
+		plan:    plan,
+		shards:  make([]shardState, plan.Shards),
+		results: make(map[int]*scenario.ShardResult),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -153,9 +145,7 @@ func (c *Coordinator) persistShardLocked(j *job, sr *scenario.ShardResult) {
 // submit would pass; anything corrupt, truncated or foreign is healed —
 // the bad file is removed, the shard re-queues, and the re-executed
 // envelope overwrites it — instead of being left to trip every future
-// restart. Resumed shards carry no executed/mallocs counts, so the job's
-// accounting turns unknown — a bench artifact over a resumed job would
-// lie.
+// restart.
 func (c *Coordinator) resumeShardsLocked(j *job) {
 	if c.stateDir == "" {
 		return
@@ -185,11 +175,6 @@ func (c *Coordinator) resumeShardsLocked(j *job) {
 		j.resumed++
 	}
 	if j.resumed > 0 {
-		// The executing workers' trial and allocation counts did not
-		// survive the restart; report the totals as unknown rather than
-		// undercounting.
-		j.execKnown = false
-		j.mallocsKnown = false
 		c.events.Event(obs.LevelInfo, "state.resume",
 			obs.String("job", j.id),
 			obs.Int("resumed", j.resumed),

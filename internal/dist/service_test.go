@@ -85,11 +85,6 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	if got, want := mergedReport(t, coord2), serialReport(t, plan); got != want {
 		t.Fatal("resumed merged report differs from fresh serial run")
 	}
-	// Resumed shards carry no executed accounting, so the fleet total is
-	// honest-unknown rather than an undercount.
-	if _, known := coord2.ExecutedTrials(); known {
-		t.Fatal("executed-trial accounting claims known after a resume")
-	}
 }
 
 // TestServiceRecoverState: a service coordinator restarted over its
@@ -477,7 +472,7 @@ func TestLegacyAndV1Surfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, err := api.SubmitResult(ctx, v1Lease.LeaseID, sr2, int64(sr2.Summary.ExecutedTrials), sr2.Mallocs)
+	ack, err := api.SubmitResult(ctx, v1Lease.LeaseID, sr2)
 	if err != nil {
 		t.Fatal(err)
 	}

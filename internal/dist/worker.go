@@ -388,21 +388,12 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 			return nil
 		},
 	}
-	// Bracket the sweep with MemStats reads so the envelope can report
-	// this shard's real heap-allocation delta for fleet bench artifacts.
-	// The counter is process-wide, which is exact for the one-worker-
-	// per-process `goalsweep work` deployment; in-process fleets (tests)
-	// get an aggregate that overlapping shards share.
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	startMallocs := ms.Mallocs
 	start := time.Now()
 	sum, err := m.Sweep(indices, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("dist: shard %s: %w", lease.Shard, err)
 	}
 	elapsed := time.Since(start)
-	runtime.ReadMemStats(&ms)
 	mComputeSeconds.Observe(elapsed.Seconds())
 	w.Events.Event(obs.LevelInfo, "shard.done",
 		obs.String("worker", w.id()),
@@ -419,7 +410,6 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 		Shard:       lease.Shard,
 		Scenarios:   stats,
 		Summary:     sum,
-		Mallocs:     int64(ms.Mallocs - startMallocs),
 	}, nil
 }
 
@@ -427,17 +417,11 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 // failures (transport errors, truncated responses, overload sheds, 5xx)
 // with jittered exponential backoff; protocol-level verdicts are fatal.
 // Duplicate delivery is safe: the coordinator accepts the first envelope
-// per shard and acknowledges the rest idempotently. The executed count
-// reports how many trials this shard actually ran (a shared warm cache
-// can make it less than the shard's trial total — that accounting is
-// json:"-" in the envelope, so it travels as a query parameter), and
-// mallocs carries the worker's heap-allocation delta the same way; the
-// coordinator sums both to decide whether a throughput artifact would
-// be honest and what allocation count it should carry.
+// per shard and acknowledges the rest idempotently.
 func (w *Worker) submit(ctx context.Context, leaseID string, sr *scenario.ShardResult, retries int, poll time.Duration) error {
 	boff := w.newBackoff(poll)
 	for attempt := 1; ; attempt++ {
-		ack, err := w.client().SubmitResult(ctx, leaseID, sr, int64(sr.Summary.ExecutedTrials), sr.Mallocs)
+		ack, err := w.client().SubmitResult(ctx, leaseID, sr)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return ctxErr

@@ -16,63 +16,6 @@ type ServerVerdict struct {
 	Witness int  `json:"witness"`
 }
 
-// SweepBench is the sweep throughput artifact (goalsweep -bench):
-// deliberately the only sweep output with timings in it, so result
-// reports stay byte-diffable while performance is tracked separately
-// across commits. Parallel records the effective worker pool size (never
-// 0 — a defaulted pool records GOMAXPROCS), so artifacts are comparable
-// across hosts with different core counts.
-type SweepBench struct {
-	Spec        string `json:"spec"`
-	Scenarios   int    `json:"scenarios"`
-	Trials      int    `json:"trials"`
-	TotalRounds int64  `json:"totalRounds"`
-	Parallel    int    `json:"parallel"`
-
-	// Workers counts the worker processes that produced the sweep: 1 for
-	// a local run, the coordinator's distinct submitter count for a
-	// distributed one (Parallel then totals the fleet's trial pools).
-	// Absent in artifacts written before distributed execution existed.
-	Workers int `json:"workers,omitempty"`
-
-	ElapsedNs    int64   `json:"elapsedNs"`
-	TrialsPerSec float64 `json:"trialsPerSec"`
-	RoundsPerSec float64 `json:"roundsPerSec"`
-
-	// Mallocs is the producing process's heap-allocation count over the
-	// sweep and AllocsPerRound normalizes it by TotalRounds — the
-	// host-independent half of the artifact, so allocation regressions
-	// are visible even across machines whose timings are incomparable.
-	// Absent (0) in artifacts written before allocation accounting.
-	// Distributed artifacts sum the per-shard counts each worker
-	// measures around its own sweep and reports at submit time; the sum
-	// is exact for the one-worker-per-process deployment and an
-	// aggregate when workers share a heap.
-	Mallocs        int64   `json:"mallocs,omitempty"`
-	AllocsPerRound float64 `json:"allocsPerRound,omitempty"`
-
-	// PerGoal breaks the sweep down by goal axis value, each entry
-	// measured as its own timed sub-sweep over the goal's restriction of
-	// the spec. Present only in locally-produced full-selection artifacts
-	// (goalsweep -bench without -sample); a goal whose trials are cheap
-	// per round shows up here even when the aggregate rate hides it.
-	PerGoal []GoalBench `json:"perGoal,omitempty"`
-}
-
-// GoalBench is one goal's slice of a sweep throughput artifact.
-type GoalBench struct {
-	Goal        string `json:"goal"`
-	Scenarios   int    `json:"scenarios"`
-	Trials      int    `json:"trials"`
-	TotalRounds int64  `json:"totalRounds"`
-
-	ElapsedNs    int64   `json:"elapsedNs"`
-	RoundsPerSec float64 `json:"roundsPerSec"`
-
-	Mallocs        int64   `json:"mallocs,omitempty"`
-	AllocsPerRound float64 `json:"allocsPerRound,omitempty"`
-}
-
 // CertReport is the machine-readable form of a certification run: the
 // helpfulness sweep over a server class plus the sensing function's safety
 // and viability verdicts. It is fully deterministic given the

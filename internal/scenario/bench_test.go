@@ -2,8 +2,7 @@ package scenario
 
 import "testing"
 
-// BenchmarkSweep measures sweep throughput on the quick built-in matrix —
-// the number this PR's BENCH_sweep.json artifact tracks across commits.
+// BenchmarkSweep measures sweep throughput on the quick built-in matrix.
 func BenchmarkSweep(b *testing.B) {
 	spec, err := BuiltinSpec("quick")
 	if err != nil {
@@ -28,9 +27,9 @@ func BenchmarkSweep(b *testing.B) {
 
 // BenchmarkAdversarialSweep measures throughput with the full adversary
 // stack engaged — Byzantine corruption, misleading feedback and dialect
-// drift over the composed adversarial builtin. CI additionally tracks
-// this matrix as a BENCH artifact gated by benchcmp -maxallocgrow, so
-// an allocation creeping into the wrapper hot path fails the gate.
+// drift over the composed adversarial builtin. The root alloc_test.go
+// pins the same matrix's allocations per round, so an allocation
+// creeping into the wrapper hot path fails go test.
 func BenchmarkAdversarialSweep(b *testing.B) {
 	spec, err := BuiltinSpec("adversarial")
 	if err != nil {

@@ -152,13 +152,6 @@ type ShardResult struct {
 	Shard       Shard    `json:"shard"`
 	Scenarios   []*Stats `json:"scenarios"`
 	Summary     *Summary `json:"summary"`
-
-	// Mallocs is the executing worker's heap-allocation delta
-	// (runtime.MemStats.Mallocs) across this shard's sweep. It rides the
-	// submit request as a query parameter, not the envelope — the
-	// envelope stays byte-identical to the serial sweep's — so it is
-	// excluded from serialization.
-	Mallocs int64 `json:"-"`
 }
 
 // Write serializes the envelope as indented JSON.
