@@ -81,6 +81,8 @@ func runChaostest(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	if err != nil {
 		return err
 	}
+	req := dist.SweepRequest{Spec: spec, Shards: *shards, Seeds: *seeds, Window: *window, BaseSeed: *baseSeed,
+		SampleN: *sample, SampleSeed: *sampleSeed}
 
 	// The serial baseline: the same plan swept in-process with no
 	// distribution and no faults. This is the byte-identity reference.
@@ -99,7 +101,7 @@ func runChaostest(ctx context.Context, args []string, stdout, stderr io.Writer) 
 			return err
 		}
 		inj.Events = events
-		merged, err := chaoticSweep(ctx, plan, inj, *workers, *poll, events)
+		merged, err := chaoticSweep(ctx, req, inj, *workers, *poll, events)
 		if err != nil {
 			return fmt.Errorf("chaostest run %d: %w", run, err)
 		}
@@ -127,21 +129,29 @@ func runChaostest(ctx context.Context, args []string, stdout, stderr io.Writer) 
 	return nil
 }
 
-// chaoticSweep runs one distributed sweep of the plan: a fresh
-// coordinator, the shared fault injector wrapped around a loopback
-// client, and a fleet of workers retrying through whatever the injector
-// throws at them. Returns the merged report bytes.
-func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, workers int, poll time.Duration, events *obs.Logger) ([]byte, error) {
+// chaoticSweep runs one distributed sweep the way a batch goalsweep serve
+// does — a fresh service, the sweep submitted over the loopback client,
+// the job awaited, the fleet drained, the job merged — with the shared
+// fault injector wrapped around the workers' loopback client, so every
+// worker retries through whatever the injector throws at it. Returns
+// the merged report bytes.
+func chaoticSweep(ctx context.Context, req dist.SweepRequest, inj *chaos.Injector, workers int, poll time.Duration, events *obs.Logger) ([]byte, error) {
 	// A truncated lease response strands the granted lease: the worker
 	// cannot decode its grant, retries, and the shard sits leased-but-dead
 	// until the TTL. Speculation papers over exactly that — another worker
 	// re-leases the straggling shard early and the first submit wins — so
 	// the harness turns it on aggressively to keep chaotic runs fast.
-	coord, err := dist.NewCoordinator(plan, dist.CoordinatorConfig{
+	coord, err := dist.NewService(dist.CoordinatorConfig{
 		LeaseTTL:       10 * time.Second,
 		SpeculateAfter: 250 * time.Millisecond,
 		Events:         events,
 	})
+	if err != nil {
+		return nil, err
+	}
+	// Admission bypasses the injector: the fault schedule targets the
+	// workers' lease and submit traffic.
+	resp, err := dist.NewClient("http://coordinator", dist.LoopbackClient(coord)).CreateSweep(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +174,13 @@ func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, work
 			_, errs[i] = w.Run(ctx)
 		}()
 	}
-	waitErr := coord.Wait(ctx)
+	waitErr := coord.WaitJob(ctx, resp.Job.ID)
+	if waitErr == nil {
+		// The workers exit once they hear StatusDone, as under serve.
+		drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		coord.Drain(drainCtx)
+		cancel()
+	}
 	wg.Wait()
 	if waitErr != nil {
 		return nil, waitErr
@@ -174,7 +190,7 @@ func chaoticSweep(ctx context.Context, plan dist.Plan, inj *chaos.Injector, work
 			return nil, err
 		}
 	}
-	stats, sum, err := coord.Merged()
+	stats, sum, err := coord.JobMerged(resp.Job.ID)
 	if err != nil {
 		return nil, err
 	}

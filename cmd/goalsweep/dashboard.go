@@ -12,14 +12,9 @@ import (
 //go:embed dashboard.html
 var dashboardHTML []byte
 
-// serveHandler wraps the coordinator handler with the optional dashboard
-// route. Without -dashboard the coordinator serves alone, byte-for-byte
-// the pre-dashboard behavior. With it, the exact root path serves the
-// embedded page.
-func serveHandler(coord http.Handler, dashboard bool) http.Handler {
-	if !dashboard {
-		return coord
-	}
+// serveHandler puts the embedded dashboard page at the exact root path in
+// front of the coordinator's routes.
+func serveHandler(coord http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", coord)
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
@@ -25,9 +27,9 @@ func getBody(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
-// TestServeDashboardEndpoints drives goalsweep serve -dashboard end to
-// end: while the coordinator waits for workers, the root path serves the
-// embedded page and /metrics serves the Prometheus exposition; the
+// TestServeDashboardEndpoints drives goalsweep serve end to end: while
+// the coordinator waits for workers, the root path serves the embedded
+// dashboard page and /metrics serves the Prometheus exposition; the
 // protocol endpoints keep working underneath, and -v surfaces the
 // structured lease lifecycle on stderr.
 func TestServeDashboardEndpoints(t *testing.T) {
@@ -38,7 +40,7 @@ func TestServeDashboardEndpoints(t *testing.T) {
 	go func() {
 		var b strings.Builder
 		serveDone <- run([]string{"serve", "-builtin", "quick", "-shards", "2",
-			"-listen", "127.0.0.1:0", "-dashboard", "-v",
+			"-listen", "127.0.0.1:0", "-v",
 			"-out", os.DevNull}, &b, serveStderr)
 	}()
 	url := waitForURL(t, serveStderr)
@@ -68,12 +70,12 @@ func TestServeDashboardEndpoints(t *testing.T) {
 		}
 	}
 
-	// The protocol endpoints still work underneath the dashboard mux,
-	// and /status carries the multi-job array alongside the legacy flat
-	// mirror fields.
+	// The protocol endpoints still work underneath the dashboard mux:
+	// /status lists the batch job.
 	status, _, body = getBody(t, url+"/status")
-	if status != http.StatusOK || !strings.Contains(body, `"shards":2`) ||
-		!strings.Contains(body, `"jobs":[`) {
+	var st dist.StatusResponse
+	if status != http.StatusOK || json.Unmarshal([]byte(body), &st) != nil ||
+		len(st.Jobs) != 1 || st.Jobs[0].Shards != 2 {
 		t.Fatalf("GET /status through dashboard mux = %d %q", status, body)
 	}
 

@@ -62,13 +62,15 @@ func eventLogger(stderr io.Writer, verbose bool) *obs.Logger {
 
 // runServe is the coordinator side of a distributed sweep. In batch
 // mode — goalsweep serve -spec F|-builtin N -shards n -listen addr —
-// it plans one sweep, leases shards to workers over HTTP until every
-// envelope has been submitted, then merges them and writes the ordinary
-// report, byte-identical to an unsharded local run of the same sweep.
-// With -service it is a long-lived multi-tenant job queue instead: jobs
-// arrive over POST /v1/sweeps (goalsweep submit), reports leave over
-// the SSE event stream (goalsweep watch), and the process runs until
-// interrupted; -state DIR makes the queue survive restarts.
+// it submits one sweep to its own queue (the request goalsweep submit
+// would send, over the in-process loopback transport), leases shards to
+// workers over HTTP until every envelope has been submitted, then merges
+// them and writes the ordinary report, byte-identical to an unsharded
+// local run of the same sweep. With -service the same coordinator runs
+// as a long-lived multi-tenant job queue instead: jobs arrive over POST
+// /v1/sweeps (goalsweep submit), reports leave over the SSE event stream
+// (goalsweep watch), and the process runs until interrupted. -state DIR
+// makes the queue survive restarts in either mode.
 func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("goalsweep serve", flag.ContinueOnError)
 	var (
@@ -88,7 +90,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		jsonOut      = fs.Bool("json", false, "emit the merged aggregates and summary as JSON")
 		csvOut       = fs.Bool("csv", false, "emit the merged aggregates as CSV")
 		outPath      = fs.String("out", "", "write output to this file instead of stdout")
-		dashboard    = fs.Bool("dashboard", false, "serve a live HTML dashboard at / that polls /status and /metrics")
 		maxInflight  = fs.Int("max-inflight-leases", 0, "shed lease requests with 429 + Retry-After beyond this many concurrently served ones (0 = default bound, negative = unbounded)")
 		speculate    = fs.Duration("speculate-after", 0, "re-lease a straggling shard to a second worker once its lease is this old (0 = only after the full lease timeout); safe because shards are deterministic and the first submit wins")
 		chaosSpec    = fs.String("chaos", "", "inject accept-side faults from this schedule, e.g. \"adrop=2,adelay=3:20ms\" (see goalsweep chaostest)")
@@ -113,71 +114,47 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		return fmt.Errorf("-json and -csv are mutually exclusive")
 	}
 
+	var req dist.SweepRequest
 	if *service {
-		// A service has no spec of its own (jobs arrive over the API) and
-		// writes no report (watch renders them per job), so every flag
-		// that shapes either is a mistake worth refusing loudly.
-		if *specPath != "" || *builtin != "" || len(filters) > 0 || *sample != 0 ||
-			*seeds != 0 || *window != 0 || *baseSeed != 0 || *shardsFlag != "2" {
-			return fmt.Errorf("serve -service takes no sweep flags: submit specs with `goalsweep submit` (per-job -shards/-seeds/... live there)")
-		}
-		if *jsonOut || *csvOut || *outPath != "" {
-			return fmt.Errorf("serve -service writes no report: render a job with `goalsweep watch`")
-		}
-		events := eventLogger(stderr, *verbose)
-		coord, err := dist.NewService(dist.CoordinatorConfig{
-			LeaseTTL:          *leaseTimeout,
-			Events:            events,
-			StateDir:          *stateDir,
-			MaxInflightLeases: *maxInflight,
-			SpeculateAfter:    *speculate,
+		// A service has no spec of its own (jobs arrive over the API),
+		// writes no report (watch renders them per job) and runs until
+		// signalled, so every batch flag that was set — even to its
+		// default value — is a mistake worth refusing loudly.
+		var sweepFlags, reportFlags []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "spec", "builtin", "filter", "shards", "sample", "sampleseed", "seeds", "window", "baseseed":
+				sweepFlags = append(sweepFlags, "-"+f.Name)
+			case "json", "csv", "out", "linger":
+				reportFlags = append(reportFlags, "-"+f.Name)
+			}
 		})
+		if len(sweepFlags) > 0 {
+			return fmt.Errorf("serve -service takes no sweep flags (%s): submit specs with `goalsweep submit` (per-job -shards/-seeds/... live there)",
+				strings.Join(sweepFlags, " "))
+		}
+		if len(reportFlags) > 0 {
+			return fmt.Errorf("serve -service writes no report and runs until signalled (%s): render a job with `goalsweep watch`",
+				strings.Join(reportFlags, " "))
+		}
+	} else {
+		shards, err := parseShards(*shardsFlag)
 		if err != nil {
 			return err
 		}
-		ln, err := net.Listen("tcp", *listen)
+		if shards == 0 {
+			return fmt.Errorf("-shards auto sizes per submitted job and needs -service; a batch sweep wants an explicit count")
+		}
+		spec, err := resolveSpec(*specPath, *builtin, filters)
 		if err != nil {
 			return err
 		}
-		inj, err := chaosInjector(*chaosSpec, *chaosSeed, events)
-		if err != nil {
-			return err
-		}
-		if inj != nil {
-			ln = inj.Listener(ln)
-		}
-		// Same handshake shape as batch serve: scripts scrape the URL
-		// after "at ".
-		fmt.Fprintf(stderr, "goalsweep: sweep service at http://%s (%d jobs recovered)\n",
-			ln.Addr(), len(coord.Jobs()))
-		srv := &http.Server{Handler: serveHandler(coord, *dashboard)}
-		go srv.Serve(ln)
-		<-ctx.Done()
-		fmt.Fprintln(stderr, "goalsweep: sweep service shutting down")
-		return srv.Close()
+		req = dist.SweepRequest{Spec: spec, Shards: shards, Seeds: *seeds, Window: *window, BaseSeed: *baseSeed,
+			SampleN: *sample, SampleSeed: *sampleSeed}
 	}
 
-	shards, err := parseShards(*shardsFlag)
-	if err != nil {
-		return err
-	}
-	if shards == 0 {
-		return fmt.Errorf("-shards auto sizes per submitted job and needs -service; a batch sweep wants an explicit count")
-	}
-	spec, err := resolveSpec(*specPath, *builtin, filters)
-	if err != nil {
-		return err
-	}
-	cfg := scenario.SweepConfig{Seeds: *seeds, Window: *window, BaseSeed: *baseSeed}
-	// The CLI always binds through the stock registry, on both sides of
-	// the protocol; workers re-derive the fingerprint from their own
-	// binary and refuse a skewed plan.
-	plan, err := dist.NewPlan(spec, scenario.Builtin().Version(), cfg, shards, *sample, *sampleSeed)
-	if err != nil {
-		return err
-	}
 	events := eventLogger(stderr, *verbose)
-	coord, err := dist.NewCoordinator(plan, dist.CoordinatorConfig{
+	coord, err := dist.NewService(dist.CoordinatorConfig{
 		LeaseTTL:          *leaseTimeout,
 		Events:            events,
 		StateDir:          *stateDir,
@@ -186,6 +163,17 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	})
 	if err != nil {
 		return err
+	}
+	var job dist.JobStatus
+	if !*service {
+		// The CLI binds through the stock registry on both sides of the
+		// protocol; workers re-derive the fingerprint from their own binary
+		// and refuse a skewed plan.
+		resp, err := dist.NewClient("http://coordinator", dist.LoopbackClient(coord)).CreateSweep(ctx, req)
+		if err != nil {
+			return err
+		}
+		job = resp.Job
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -199,29 +187,43 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		ln = inj.Listener(ln)
 	}
 	// The serving line is the startup handshake for scripts (and tests):
-	// it carries the resolved address when the port was 0.
-	fmt.Fprintf(stderr, "goalsweep: serving %d shards of spec %q (fingerprint %s) at http://%s\n",
-		plan.Shards, spec.Name, plan.Fingerprint, ln.Addr())
-	srv := &http.Server{Handler: serveHandler(coord, *dashboard)}
+	// they scrape the URL after "at ", which carries the resolved address
+	// when the port was 0.
+	if *service {
+		fmt.Fprintf(stderr, "goalsweep: sweep service at http://%s (%d jobs recovered)\n",
+			ln.Addr(), len(coord.Jobs()))
+	} else {
+		fmt.Fprintf(stderr, "goalsweep: serving %d shards of spec %q (fingerprint %s) at http://%s\n",
+			job.Shards, job.Spec, job.Fingerprint, ln.Addr())
+	}
+	srv := &http.Server{Handler: serveHandler(coord)}
 	go srv.Serve(ln)
+	if *service {
+		<-ctx.Done()
+		fmt.Fprintln(stderr, "goalsweep: sweep service shutting down")
+		return srv.Close()
+	}
 	defer srv.Close()
 
 	start := time.Now()
-	if err := coord.Wait(ctx); err != nil {
+	if err := coord.WaitJob(ctx, job.ID); err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	// Let live workers hear StatusDone before the listener goes away;
-	// crashed workers never drain, so this is deadline-bounded.
+	// Let live workers hear StatusDone before the listener goes away:
+	// Drain waits until each has been answered done, and Shutdown lets
+	// those answers finish writing. Crashed workers never drain, so both
+	// are bounded by -linger.
 	drainCtx, cancel := context.WithTimeout(context.Background(), *linger)
-	coord.WaitDrained(drainCtx)
+	coord.Drain(drainCtx)
+	srv.Shutdown(drainCtx)
 	cancel()
-	stats, sum, err := coord.Merged()
+	stats, sum, err := coord.JobMerged(job.ID)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "goalsweep: distributed sweep complete: %d shards from %d workers in %v\n",
-		plan.Shards, coord.Workers(), elapsed.Round(time.Millisecond))
+		job.Shards, coord.Workers(), elapsed.Round(time.Millisecond))
 
 	out, closeOut, err := openOut(*outPath, stdout)
 	if err != nil {
@@ -232,7 +234,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 			retErr = cerr
 		}
 	}()
-	if err := renderReport(out, *jsonOut, *csvOut, nil, spec, sum, stats, int64(len(stats))); err != nil {
+	if err := renderReport(out, *jsonOut, *csvOut, nil, req.Spec, sum, stats, int64(len(stats))); err != nil {
 		return err
 	}
 	return trialFailures(sum, stats)

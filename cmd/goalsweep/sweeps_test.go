@@ -104,6 +104,21 @@ func TestServiceAndSubmitFlagValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "watch") {
 		t.Fatalf("serve -service with a report flag accepted: %v", err)
 	}
+	// Batch-only flags are refused whenever they were set, even to their
+	// default values.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-sampleseed", "5"}, "submit"},
+		{[]string{"-shards", "2"}, "submit"},
+		{[]string{"-linger", "1s"}, "watch"},
+	} {
+		err := run(append([]string{"serve", "-service"}, tc.args...), &b, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tc.args[0]) {
+			t.Fatalf("serve -service %v accepted or misreported: %v", tc.args, err)
+		}
+	}
 	if err := run([]string{"serve", "-builtin", "quick", "-shards", "auto"}, &b, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-service") {
 		t.Fatalf("batch serve -shards auto accepted: %v", err)

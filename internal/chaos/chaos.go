@@ -382,9 +382,9 @@ func (in *Injector) record(f Fault) {
 func classifyOp(r *http.Request) string {
 	path := r.URL.Path
 	switch {
-	case strings.HasSuffix(path, "/result"), path == "/submit":
+	case strings.HasSuffix(path, "/result"):
 		return OpSubmit
-	case strings.HasSuffix(path, "/leases"), path == "/lease":
+	case strings.HasSuffix(path, "/leases"):
 		return OpLease
 	}
 	return ""

@@ -323,7 +323,7 @@ func TestDupPreservesBody(t *testing.T) {
 	in := faultAt(t, Dup, OpSubmit, 0, 0)
 	cl := chaosClient(in, h)
 	payload := `{"shard":"1/2"}`
-	resp, err := cl.Post("http://chaos/submit", "application/json", strings.NewReader(payload))
+	resp, err := cl.Post("http://chaos/v1/leases/lease-1/result", "application/json", strings.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,21 +63,19 @@ type CoordinatorConfig struct {
 // Coordinator is a multi-tenant sweep service: a queue of jobs (each one
 // planned sweep), leased shard-by-shard to workers fair-share across
 // jobs, with the resulting envelopes collected per job. It is an
-// http.Handler serving the versioned /v1 resource API plus the legacy
-// single-sweep routes; all state is guarded by one mutex, so a
-// coordinator can serve any number of concurrent workers and submitters.
+// http.Handler serving the versioned /v1 resource API; all state is
+// guarded by one mutex, so a coordinator can serve any number of
+// concurrent workers and submitters.
 //
-// A coordinator built with NewCoordinator is *sealed*: its queue holds
-// exactly the one batch job and accepts no submissions, and workers are
-// told to exit once it completes — `goalsweep serve`'s one-shot mode.
-// NewService builds the unsealed, long-lived variant.
+// `goalsweep serve`'s one-shot batch mode is the same service: it submits
+// its one sweep over the API in process, waits for that job, and Drains
+// the fleet before it exits.
 type Coordinator struct {
 	leaseTTL    time.Duration
 	now         func() time.Time
 	events      *obs.Logger
 	registry    *scenario.Registry
 	stateDir    string
-	sealed      bool
 	maxInflight int
 	speculate   time.Duration
 	mux         *http.ServeMux
@@ -86,18 +84,19 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job // job ID -> job
-	order     []*job          // submission order; order[0] is the default job
+	order     []*job          // submission order
 	cursor    int             // index into order of the last job granted a lease
 	leases    map[string]leaseInfo
 	workers   map[string]*workerInfo // every worker that ever polled
-	undrained map[string]bool        // workers not yet told StatusDone
+	undrained map[string]bool        // workers whose last lease answer was not StatusDone
 	nextID    int
 
 	// Observed lease-grant → accepted-submit latency, for -shards auto.
 	shardLatSum float64
 	shardLatN   int64
 
-	drained chan struct{}
+	draining bool          // Drain has begun: every lease is answered StatusDone
+	drained  chan struct{} // closed once draining and undrained is empty
 }
 
 // leaseInfo records who holds (or held) a lease on which shard of which
@@ -120,45 +119,10 @@ type workerInfo struct {
 	lastSeen  time.Time
 }
 
-// NewCoordinator builds a sealed single-job coordinator for the plan —
-// the one-shot batch mode. With cfg.StateDir set, envelopes already on
-// disk for this plan are resumed and only the missing shards re-execute.
-func NewCoordinator(plan Plan, cfg CoordinatorConfig) (*Coordinator, error) {
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	c := newCoordinator(cfg)
-	c.sealed = true
-	c.mu.Lock()
-	_, _, err := c.submitPlanLocked(plan)
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// NewService builds an unsealed multi-job coordinator with an initially
-// empty queue — the long-lived service mode. With cfg.StateDir set, the
-// directory is scanned and every recorded job resubmitted, its completed
-// shard envelopes resumed.
+// NewService builds a coordinator with an initially empty queue. With
+// cfg.StateDir set, the directory is scanned and every recorded job
+// resubmitted, its completed shard envelopes resumed.
 func NewService(cfg CoordinatorConfig) (*Coordinator, error) {
-	c := newCoordinator(cfg)
-	if c.stateDir != "" {
-		if err := ensureDir(c.stateDir); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		err := c.recoverJobsLocked()
-		c.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{
 		leaseTTL:    cfg.LeaseTTL,
 		now:         cfg.Now,
@@ -190,23 +154,28 @@ func newCoordinator(cfg CoordinatorConfig) *Coordinator {
 		c.speculate = 0
 	}
 	c.mux = http.NewServeMux()
-	// Versioned resource surface.
 	c.mux.HandleFunc("POST /v1/sweeps", c.handleCreateSweep)
 	c.mux.HandleFunc("GET /v1/sweeps", c.handleListSweeps)
 	c.mux.HandleFunc("GET /v1/sweeps/{id}", c.handleGetSweep)
 	c.mux.HandleFunc("GET /v1/sweeps/{id}/events", c.handleEvents)
-	c.mux.HandleFunc("POST /v1/sweeps/{id}/leases", c.shedLease(c.handleLeaseScoped))
-	c.mux.HandleFunc("POST /v1/leases", c.shedLease(c.handleLeaseGlobal))
-	c.mux.HandleFunc("POST /v1/leases/{lease}/renew", c.handleRenewV1)
-	c.mux.HandleFunc("POST /v1/leases/{lease}/result", c.handleResultV1)
-	// Legacy single-sweep shim, kept for one release: routed to the
-	// default (first-submitted) job.
-	c.mux.HandleFunc("POST /lease", c.shedLease(c.handleLeaseLegacy))
-	c.mux.HandleFunc("POST /renew", c.handleRenewLegacy)
-	c.mux.HandleFunc("POST /submit", c.handleSubmitLegacy)
+	c.mux.HandleFunc("POST /v1/sweeps/{id}/leases", c.shedLease(c.handleLease))
+	c.mux.HandleFunc("POST /v1/leases", c.shedLease(c.handleLease))
+	c.mux.HandleFunc("POST /v1/leases/{lease}/renew", c.handleRenew)
+	c.mux.HandleFunc("POST /v1/leases/{lease}/result", c.handleResult)
 	c.mux.HandleFunc("GET /status", c.handleStatus)
 	c.mux.HandleFunc("GET /metrics", handleMetrics)
-	return c
+	if c.stateDir != "" {
+		if err := ensureDir(c.stateDir); err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		err := c.recoverJobsLocked()
+		c.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
 }
 
 // shedLease bounds concurrently-processing lease requests. Past the
@@ -246,17 +215,6 @@ func (c *Coordinator) shedLease(h http.HandlerFunc) http.HandlerFunc {
 func handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
 	obs.Default().WriteProm(w)
-}
-
-// Plan returns the default job's plan (the batch sweep for a sealed
-// coordinator); the zero Plan if the queue is empty.
-func (c *Coordinator) Plan() Plan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.order) == 0 {
-		return Plan{}
-	}
-	return c.order[0].plan
 }
 
 // ServeHTTP implements http.Handler.
@@ -304,23 +262,8 @@ func (c *Coordinator) activeJobsLocked() int {
 	return n
 }
 
-// allCompleteLocked reports whether the queue is non-empty and every job
-// is complete.
-func (c *Coordinator) allCompleteLocked() bool {
-	if len(c.order) == 0 {
-		return false
-	}
-	for _, j := range c.order {
-		if !j.complete() {
-			return false
-		}
-	}
-	return true
-}
-
-// completeJobLocked marks one job complete: closes its done channel,
-// ends its event streams, and — if the whole sealed queue is drained —
-// unblocks WaitDrained. Idempotent; called with c.mu held.
+// completeJobLocked marks one job complete: closes its done channel and
+// ends its event streams. Idempotent; called with c.mu held.
 func (c *Coordinator) completeJobLocked(j *job) {
 	select {
 	case <-j.done:
@@ -336,7 +279,6 @@ func (c *Coordinator) completeJobLocked(j *job) {
 	c.publishLocked(j, completeFrame(j))
 	c.closeSubsLocked(j)
 	mJobsActive.Set(float64(c.activeJobsLocked()))
-	c.checkDrainedLocked()
 }
 
 // sawWorkerLocked refreshes the coordinator's liveness view of one
@@ -475,15 +417,6 @@ func (c *Coordinator) createSweepLocked(req SweepRequest, selection int64) (*Swe
 	if err != nil {
 		return nil, &httpErr{http.StatusBadRequest, err.Error()}
 	}
-	if c.sealed {
-		// A sealed batch queue admits nothing new, but answering an
-		// identical resubmission with the existing job keeps the create
-		// call idempotent across both modes.
-		if j, ok := c.jobs[JobID(plan)]; ok {
-			return &SweepResponse{Protocol: ProtocolVersion, Created: false, Job: c.jobStatusLocked(j, true)}, nil
-		}
-		return nil, &httpErr{http.StatusConflict, "dist: coordinator runs a sealed batch queue; submit refused"}
-	}
 	j, created, err := c.submitPlanLocked(plan)
 	if err != nil {
 		return nil, &httpErr{http.StatusBadRequest, err.Error()}
@@ -566,126 +499,67 @@ func (c *Coordinator) jobStatusLocked(j *job, withShards bool) JobStatus {
 	return js
 }
 
-// handleLeaseLegacy is the pre-/v1 lease route: scoped to the default
-// job, and never answering the post-/v1 idle status (a legacy worker
-// only understands lease/wait/done).
-func (c *Coordinator) handleLeaseLegacy(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeLeaseRequest(w, r)
-	if !ok {
-		return
-	}
-	resp, herr := c.leaseLocked(req, "", true)
-	if herr != nil {
-		http.Error(w, herr.msg, herr.code)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// handleLeaseGlobal is POST /v1/leases: job-agnostic work pull, granted
-// fair-share round-robin across every active job.
-func (c *Coordinator) handleLeaseGlobal(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeLeaseRequest(w, r)
-	if !ok {
-		return
-	}
-	resp, herr := c.leaseLocked(req, "", false)
-	if herr != nil {
-		http.Error(w, herr.msg, herr.code)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// handleLeaseScoped is POST /v1/sweeps/{id}/leases: work pull restricted
-// to one job.
-func (c *Coordinator) handleLeaseScoped(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeLeaseRequest(w, r)
-	if !ok {
-		return
-	}
-	resp, herr := c.leaseLocked(req, r.PathValue("id"), false)
-	if herr != nil {
-		http.Error(w, herr.msg, herr.code)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-func decodeLeaseRequest(w http.ResponseWriter, r *http.Request) (LeaseRequest, bool) {
+// handleLease is POST /v1/leases (job-agnostic work pull, granted
+// fair-share round-robin across every active job) and POST
+// /v1/sweeps/{id}/leases (work pull restricted to one job; the global
+// route has no id).
+func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		http.Error(w, fmt.Sprintf("dist: decode lease request: %v", err), http.StatusBadRequest)
-		return req, false
+		return
 	}
 	if req.Protocol != ProtocolVersion {
 		http.Error(w, fmt.Sprintf("dist: protocol version %d, want %d", req.Protocol, ProtocolVersion),
 			http.StatusBadRequest)
-		return req, false
+		return
 	}
-	return req, true
+	resp, herr := c.leaseLocked(req, r.PathValue("id"))
+	if herr != nil {
+		http.Error(w, herr.msg, herr.code)
+		return
+	}
+	writeJSON(w, resp)
 }
 
 // leaseLocked is the lease state transition; it returns the response to
 // send after the lock is released — a stalled client connection must
-// never block the other endpoints (a blocked /renew would expire healthy
-// leases). jobScope restricts the grant to one job ID; legacy scopes to
-// the default job and suppresses StatusIdle.
-func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string, legacy bool) (LeaseResponse, *httpErr) {
+// never block the other endpoints (a blocked renew would expire healthy
+// leases). jobScope, when non-empty, restricts the grant to that job.
+func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string) (LeaseResponse, *httpErr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sawWorkerLocked(req.Worker, req.Parallel)
-
-	// Resolve the candidate job list.
+	if c.draining {
+		return c.doneLocked(req.Worker), nil
+	}
 	var scope *job
 	if jobScope != "" {
 		j, ok := c.jobs[jobScope]
 		if !ok {
 			return LeaseResponse{}, &httpErr{http.StatusNotFound, fmt.Sprintf("dist: unknown sweep %q", jobScope)}
 		}
+		if j.complete() {
+			return c.doneLocked(req.Worker), nil
+		}
 		scope = j
-	} else if legacy {
-		if len(c.order) == 0 {
-			// No default job yet: a legacy worker against an empty
-			// service polls until one is submitted.
-			return LeaseResponse{Protocol: ProtocolVersion, Status: StatusWait}, nil
-		}
-		scope = c.order[0]
 	}
-
+	if req.Worker != "" {
+		c.undrained[req.Worker] = true
+	}
 	if scope != nil {
-		if scope.complete() {
-			// This worker now knows its job is over and will exit; once
-			// every known worker has heard a terminal answer the sealed
-			// coordinator can tear down its listener without stranding
-			// anyone mid-poll.
-			delete(c.undrained, req.Worker)
-			c.checkDrainedLocked()
-			return LeaseResponse{Protocol: ProtocolVersion, Status: StatusDone}, nil
-		}
-		if req.Worker != "" {
-			c.undrained[req.Worker] = true
-		}
 		if resp := c.tryGrantLocked(scope, req); resp != nil {
 			return *resp, nil
 		}
 		return LeaseResponse{Protocol: ProtocolVersion, Status: StatusWait}, nil
 	}
+	if c.activeJobsLocked() == 0 {
+		return LeaseResponse{Protocol: ProtocolVersion, Status: StatusIdle}, nil
+	}
 
 	// Job-agnostic pull: fair-share round-robin. The scan starts at the
 	// job after the last one granted, so a long job and a short one
 	// alternate grants instead of the long one starving the short.
-	if c.allCompleteLocked() || len(c.order) == 0 {
-		delete(c.undrained, req.Worker)
-		c.checkDrainedLocked()
-		if c.sealed {
-			return LeaseResponse{Protocol: ProtocolVersion, Status: StatusDone}, nil
-		}
-		return LeaseResponse{Protocol: ProtocolVersion, Status: StatusIdle}, nil
-	}
-	if req.Worker != "" {
-		c.undrained[req.Worker] = true
-	}
 	n := len(c.order)
 	for k := 1; k <= n; k++ {
 		j := c.order[(c.cursor+k+n)%n]
@@ -698,6 +572,14 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string, legacy bool
 		}
 	}
 	return LeaseResponse{Protocol: ProtocolVersion, Status: StatusWait}, nil
+}
+
+// doneLocked answers a worker StatusDone: it will exit, so Drain no
+// longer waits for it.
+func (c *Coordinator) doneLocked(worker string) LeaseResponse {
+	delete(c.undrained, worker)
+	c.checkDrainedLocked()
+	return LeaseResponse{Protocol: ProtocolVersion, Status: StatusDone}
 }
 
 // tryGrantLocked leases the lowest open (or expired-lease) shard of one
@@ -806,23 +688,9 @@ func (c *Coordinator) leaseResponseLocked(j *job, shard int, leaseID string) *Le
 	}
 }
 
-// handleRenewLegacy extends a live lease via the legacy query-param
-// route.
-func (c *Coordinator) handleRenewLegacy(w http.ResponseWriter, r *http.Request) {
-	c.renewCommon(w, r.URL.Query().Get("lease"), "dist: renew without lease ID")
-}
-
-// handleRenewV1 extends a live lease via POST /v1/leases/{lease}/renew.
-func (c *Coordinator) handleRenewV1(w http.ResponseWriter, r *http.Request) {
-	c.renewCommon(w, r.PathValue("lease"), "dist: renew without lease ID")
-}
-
-func (c *Coordinator) renewCommon(w http.ResponseWriter, leaseID, missingMsg string) {
-	if leaseID == "" {
-		http.Error(w, missingMsg, http.StatusBadRequest)
-		return
-	}
-	rr, herr := c.renewLocked(leaseID)
+// handleRenew extends a live lease: POST /v1/leases/{lease}/renew.
+func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
+	rr, herr := c.renewLocked(r.PathValue("lease"))
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
@@ -863,36 +731,20 @@ func (c *Coordinator) renewLocked(leaseID string) (RenewResponse, *httpErr) {
 	return RenewResponse{Renewed: true, TTLMs: c.leaseTTL.Milliseconds()}, nil
 }
 
-// handleSubmitLegacy stores one shard envelope via the legacy
-// query-param route.
-func (c *Coordinator) handleSubmitLegacy(w http.ResponseWriter, r *http.Request) {
-	c.submitCommon(w, r, r.URL.Query().Get("lease"))
-}
-
-// handleResultV1 stores one shard envelope via POST
-// /v1/leases/{lease}/result.
-func (c *Coordinator) handleResultV1(w http.ResponseWriter, r *http.Request) {
-	c.submitCommon(w, r, r.PathValue("lease"))
-}
-
-// submitCommon validates and stores one shard envelope. Submissions
-// under an expired lease are accepted as long as the shard is still open
-// — sweeps are deterministic, so a straggler's envelope is
-// byte-identical to the re-leased worker's — and submissions for an
-// already-completed shard are acknowledged idempotently and discarded.
-func (c *Coordinator) submitCommon(w http.ResponseWriter, r *http.Request, leaseID string) {
-	if leaseID == "" {
-		c.rejectSubmit("no_lease", "dist: submit without lease ID")
-		http.Error(w, "dist: submit without lease ID", http.StatusBadRequest)
-		return
-	}
+// handleResult validates and stores one shard envelope: POST
+// /v1/leases/{lease}/result. Submissions under an expired lease are
+// accepted as long as the shard is still open — sweeps are
+// deterministic, so a straggler's envelope is byte-identical to the
+// re-leased worker's — and submissions for an already-completed shard
+// are acknowledged idempotently and discarded.
+func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	sr, err := scenario.ReadShardResult(r.Body)
 	if err != nil {
 		c.rejectSubmit("decode", err.Error())
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	ack, herr := c.submitLocked(leaseID, sr)
+	ack, herr := c.submitLocked(r.PathValue("lease"), sr)
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
@@ -977,8 +829,8 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (Su
 	return SubmitResponse{Accepted: true, Done: complete}, nil
 }
 
-// handleStatus reports progress: the whole queue under Jobs, plus flat
-// default-job fields mirroring the pre-/v1 response shape.
+// handleStatus reports progress: the whole queue under Jobs, plus fleet
+// liveness.
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.statusLocked())
 }
@@ -989,23 +841,11 @@ func (c *Coordinator) statusLocked() StatusResponse {
 	st := StatusResponse{
 		Protocol: ProtocolVersion,
 		Workers:  len(c.workers),
-		Sealed:   c.sealed,
-		Complete: c.allCompleteLocked(),
+		Complete: len(c.order) > 0 && c.activeJobsLocked() == 0,
 		Jobs:     make([]JobStatus, 0, len(c.order)),
 	}
 	for _, j := range c.order {
 		st.Jobs = append(st.Jobs, c.jobStatusLocked(j, true))
-	}
-	if len(st.Jobs) > 0 {
-		d := st.Jobs[0]
-		st.Spec = d.Spec
-		st.Fingerprint = d.Fingerprint
-		st.Shards = d.Shards
-		st.Done = d.Done
-		st.Leased = d.Leased
-		st.Pending = d.Pending
-		st.Progress = d.Progress
-		st.ShardStates = d.ShardStates
 	}
 	now := c.now()
 	st.WorkerStates = make([]WorkerStatus, 0, len(c.workers))
@@ -1021,11 +861,10 @@ func (c *Coordinator) statusLocked() StatusResponse {
 	return st
 }
 
-// checkDrainedLocked closes the drained channel once a sealed queue is
-// fully complete and every known worker has been answered StatusDone.
-// Called with c.mu held.
+// checkDrainedLocked closes the drained channel once Drain has begun and
+// every known worker has been answered StatusDone. Called with c.mu held.
 func (c *Coordinator) checkDrainedLocked() {
-	if !c.sealed || !c.allCompleteLocked() || len(c.undrained) != 0 {
+	if !c.draining || len(c.undrained) != 0 {
 		return
 	}
 	select {
@@ -1047,14 +886,7 @@ func (c *Coordinator) Jobs() []JobStatus {
 	return jobs
 }
 
-// Wait blocks until the default job's every shard has been submitted or
-// the context ends.
-func (c *Coordinator) Wait(ctx context.Context) error {
-	return c.WaitJob(ctx, "")
-}
-
-// WaitJob blocks until the named job (default job when id is "") is
-// complete or the context ends.
+// WaitJob blocks until the named job is complete or the context ends.
 func (c *Coordinator) WaitJob(ctx context.Context, id string) error {
 	j, err := c.jobByID(id)
 	if err != nil {
@@ -1068,16 +900,9 @@ func (c *Coordinator) WaitJob(ctx context.Context, id string) error {
 	}
 }
 
-// jobByID resolves a job, "" meaning the default (first-submitted) one.
 func (c *Coordinator) jobByID(id string) (*job, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if id == "" {
-		if len(c.order) == 0 {
-			return nil, fmt.Errorf("dist: no jobs queued")
-		}
-		return c.order[0], nil
-	}
 	j, ok := c.jobs[id]
 	if !ok {
 		return nil, fmt.Errorf("dist: unknown sweep %q", id)
@@ -1085,12 +910,18 @@ func (c *Coordinator) jobByID(id string) (*job, error) {
 	return j, nil
 }
 
-// WaitDrained blocks until a sealed queue is complete AND every worker
-// that ever asked for a lease has been told StatusDone — the
-// graceful-shutdown point after which tearing down the listener cannot
-// strand a live worker mid-poll. A worker that crashed never drains, so
-// callers bound this with a context deadline.
-func (c *Coordinator) WaitDrained(ctx context.Context) error {
+// Drain winds the fleet down: from the moment it is called every lease
+// request is answered StatusDone, and it blocks until every worker whose
+// last lease answer was anything else — a grant, wait or idle — has
+// polled again and heard it, or the context ends. Afterwards, tearing
+// down the listener cannot strand a live worker mid-poll. A crashed
+// worker never polls again, so callers bound Drain with a deadline.
+// Renews and submits are still served while draining.
+func (c *Coordinator) Drain(ctx context.Context) error {
+	c.mu.Lock()
+	c.draining = true
+	c.checkDrainedLocked()
+	c.mu.Unlock()
 	select {
 	case <-c.drained:
 		return nil
@@ -1099,15 +930,9 @@ func (c *Coordinator) WaitDrained(ctx context.Context) error {
 	}
 }
 
-// Merged reassembles the default job's collected envelopes into the
+// JobMerged reassembles the named job's collected envelopes into the
 // unsharded sweep's stats stream and summary; it errors if any shard is
 // still missing.
-func (c *Coordinator) Merged() ([]*scenario.Stats, *scenario.Summary, error) {
-	return c.JobMerged("")
-}
-
-// JobMerged reassembles the named job's (default job when id is "")
-// collected envelopes.
 func (c *Coordinator) JobMerged(id string) ([]*scenario.Stats, *scenario.Summary, error) {
 	j, err := c.jobByID(id)
 	if err != nil {

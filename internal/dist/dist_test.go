@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -84,23 +85,47 @@ func marshalReport(t *testing.T, stats []*scenario.Stats, sum *scenario.Summary)
 	return string(b)
 }
 
-func mergedReport(t *testing.T, coord *Coordinator) string {
+// mergedReport marshals the plan's merged job from the coordinator.
+func mergedReport(t *testing.T, coord *Coordinator, plan Plan) string {
 	t.Helper()
-	stats, sum, err := coord.Merged()
+	stats, sum, err := coord.JobMerged(JobID(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return marshalReport(t, stats, sum)
 }
 
-// postLease sends one raw lease request through the loopback client.
+// newBatch builds a service and submits the plan's sweep over the
+// loopback client — the in-process request a batch `goalsweep serve`
+// sends for its one job.
+func newBatch(t *testing.T, plan Plan, cfg CoordinatorConfig) *Coordinator {
+	t.Helper()
+	coord, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := loopbackAPI(coord).CreateSweep(context.Background(), SweepRequest{
+		Spec: plan.Spec, Shards: plan.Shards, Seeds: plan.Seeds, Window: plan.Window,
+		BaseSeed: plan.BaseSeed, SampleN: plan.SampleN, SampleSeed: plan.SampleSeed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Job.ID != JobID(plan) {
+		t.Fatalf("submitted sweep became job %s, want %s", resp.Job.ID, JobID(plan))
+	}
+	return coord
+}
+
+// postLease sends one raw job-agnostic lease request through the
+// loopback client.
 func postLease(t *testing.T, client *http.Client, req LeaseRequest) (*LeaseResponse, *http.Response) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post("http://coordinator/lease", "application/json", bytes.NewReader(body))
+	resp, err := client.Post("http://coordinator/v1/leases", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +143,14 @@ func postLease(t *testing.T, client *http.Client, req LeaseRequest) (*LeaseRespo
 // TestDistributedByteIdentical is the tentpole acceptance criterion: a
 // coordinator plus two concurrent workers sweeping the 288-scenario
 // builtin matrix over the loopback protocol produce a merged report
-// byte-identical to a fresh serial run.
+// byte-identical to a fresh serial run. It follows batch serve's
+// shutdown: the workers keep polling until Drain tells them they are
+// done.
 func TestDistributedByteIdentical(t *testing.T) {
 	t.Parallel()
 
 	plan := builtinPlan(t, "default", 3)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newBatch(t, plan, CoordinatorConfig{})
 	client := LoopbackClient(coord)
 
 	var wg sync.WaitGroup
@@ -145,6 +169,14 @@ func TestDistributedByteIdentical(t *testing.T) {
 			done[i], errs[i] = w.Run(context.Background())
 		}()
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := coord.WaitJob(ctx, JobID(plan)); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Drain(ctx); err != nil {
+		t.Fatalf("polling workers never heard done: %v", err)
+	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -154,17 +186,7 @@ func TestDistributedByteIdentical(t *testing.T) {
 	if done[0]+done[1] != 3 {
 		t.Fatalf("workers completed %d+%d shards, want 3 total", done[0], done[1])
 	}
-	if err := coord.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Both workers exited through StatusDone, so the coordinator is
-	// already drained: safe to tear the listener down.
-	drainCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if err := coord.WaitDrained(drainCtx); err != nil {
-		t.Fatalf("workers exited but coordinator not drained: %v", err)
-	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("distributed merged report differs from fresh serial run")
 	}
 	if n := coord.Workers(); n != 2 {
@@ -182,10 +204,7 @@ func TestCrashedWorkerReLease(t *testing.T) {
 
 	clock := newFakeClock()
 	plan := builtinPlan(t, "default", 3)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newBatch(t, plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
 	client := LoopbackClient(coord)
 
 	// The doomed worker takes shard 1/3 and never comes back.
@@ -196,7 +215,7 @@ func TestCrashedWorkerReLease(t *testing.T) {
 
 	// Before the TTL passes, the shard must NOT be re-issued: a healthy
 	// worker gets shards 2 and 3, then is told to wait.
-	w := &Worker{Coordinator: "http://coordinator", Client: client, ID: "healthy", Poll: time.Millisecond}
+	w := &Worker{Coordinator: "http://coordinator", Client: client, ID: "healthy", Poll: time.Millisecond, ExitOnIdle: true}
 	for _, want := range []int{2, 3} {
 		lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "healthy"})
 		if lease.Status != StatusLease || lease.Shard.Index != want {
@@ -224,7 +243,7 @@ func TestCrashedWorkerReLease(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("healthy worker completed %d shards after re-lease, want 1", n)
 	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("merged report after crash/re-lease differs from fresh serial run")
 	}
 
@@ -237,7 +256,7 @@ func TestCrashedWorkerReLease(t *testing.T) {
 	if err := w.submit(context.Background(), dead.LeaseID, sr, 1, time.Millisecond); err != nil {
 		t.Fatalf("straggler submit under expired lease rejected: %v", err)
 	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("straggler resubmission changed the merged report")
 	}
 	if n := coord.Workers(); n != 2 {
@@ -252,10 +271,7 @@ func TestStragglerSubmitBeforeReLease(t *testing.T) {
 
 	clock := newFakeClock()
 	plan := builtinPlan(t, "quick", 1)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newBatch(t, plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
 	client := LoopbackClient(coord)
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "slow"})
@@ -267,7 +283,7 @@ func TestStragglerSubmitBeforeReLease(t *testing.T) {
 	if err := w.submit(context.Background(), lease.LeaseID, sr, 1, time.Millisecond); err != nil {
 		t.Fatalf("submit under expired-but-unreclaimed lease rejected: %v", err)
 	}
-	if err := coord.Wait(context.Background()); err != nil {
+	if err := coord.WaitJob(context.Background(), JobID(plan)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -275,7 +291,7 @@ func TestStragglerSubmitBeforeReLease(t *testing.T) {
 // postRenew sends one raw renew request through the loopback client.
 func postRenew(t *testing.T, client *http.Client, leaseID string) (*RenewResponse, *http.Response) {
 	t.Helper()
-	resp, err := client.Post("http://coordinator/renew?lease="+leaseID, "application/json", nil)
+	resp, err := client.Post("http://coordinator/v1/leases/"+leaseID+"/renew", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +314,7 @@ func TestLeaseRenewal(t *testing.T) {
 	t.Parallel()
 
 	clock := newFakeClock()
-	plan := builtinPlan(t, "quick", 1)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newBatch(t, builtinPlan(t, "quick", 1), CoordinatorConfig{LeaseTTL: time.Minute, Now: clock.Now})
 	client := LoopbackClient(coord)
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 
@@ -363,15 +375,12 @@ func TestSampledPlanDistributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord), Poll: time.Millisecond}
+	coord := newBatch(t, plan, CoordinatorConfig{})
+	w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord), Poll: time.Millisecond, ExitOnIdle: true}
 	if _, err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("distributed sampled sweep differs from serial sampled run")
 	}
 }
@@ -387,15 +396,12 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan := builtinPlan(t, "quick", 2)
 	run := func() (*Coordinator, string) {
-		plan := builtinPlan(t, "quick", 2)
-		coord, err := NewCoordinator(plan, CoordinatorConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		coord := newBatch(t, plan, CoordinatorConfig{})
 		var log bytes.Buffer
 		w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord), Cache: cache,
-			Poll: time.Millisecond, Events: obs.NewLogger(&log, obs.LevelDebug)}
+			Poll: time.Millisecond, ExitOnIdle: true, Events: obs.NewLogger(&log, obs.LevelDebug)}
 		if _, err := w.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +409,7 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 	}
 	cold, coldLog := run()
 	warm, warmLog := run()
-	if got, want := mergedReport(t, warm), mergedReport(t, cold); got != want {
+	if got, want := mergedReport(t, warm, plan), mergedReport(t, cold, plan); got != want {
 		t.Fatal("warm-cache distributed run differs from cold run")
 	}
 	// The quick spec is 12 scenarios over 2 shards: the cold run executes
@@ -424,11 +430,7 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	t.Parallel()
 
-	plan := builtinPlan(t, "quick", 2)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newBatch(t, builtinPlan(t, "quick", 2), CoordinatorConfig{})
 	client := LoopbackClient(coord)
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
@@ -443,7 +445,7 @@ func TestSubmitValidation(t *testing.T) {
 		if err := sr.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := client.Post("http://coordinator/submit?lease="+leaseID, "application/json", &buf)
+		resp, err := client.Post("http://coordinator/v1/leases/"+leaseID+"/result", "application/json", &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +476,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestLeaseProtocolVersion(t *testing.T) {
 	t.Parallel()
 
-	coord, err := NewCoordinator(builtinPlan(t, "quick", 1), CoordinatorConfig{})
+	coord, err := NewService(CoordinatorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,35 +507,29 @@ func TestWorkerRefusesSkewedPlan(t *testing.T) {
 	}
 }
 
-// TestStatusEndpoint tracks a shard through pending -> leased -> done.
+// TestStatusEndpoint tracks a shard through pending -> leased -> done on
+// /status and GET /v1/sweeps/{id}; unknown sweeps answer 404.
 func TestStatusEndpoint(t *testing.T) {
 	t.Parallel()
 
-	coord, err := NewCoordinator(builtinPlan(t, "quick", 2), CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := builtinPlan(t, "quick", 2)
+	coord := newBatch(t, plan, CoordinatorConfig{})
 	client := LoopbackClient(coord)
-	status := func() StatusResponse {
+	status := func() (StatusResponse, JobStatus) {
 		t.Helper()
-		resp, err := client.Get("http://coordinator/status")
-		if err != nil {
-			t.Fatal(err)
+		st := getStatus(t, client)
+		if len(st.Jobs) != 1 {
+			t.Fatalf("status lists %d jobs, want 1", len(st.Jobs))
 		}
-		defer resp.Body.Close()
-		var st StatusResponse
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st
+		return st, st.Jobs[0]
 	}
 
-	if st := status(); st.Pending != 2 || st.Done != 0 || st.Complete {
+	if st, js := status(); js.Pending != 2 || js.Done != 0 || st.Complete {
 		t.Fatalf("initial status %+v", st)
 	}
-	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
+	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond, ExitOnIdle: true}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
-	if st := status(); st.Pending != 1 || st.Leased != 1 || st.Workers != 1 {
+	if st, js := status(); js.Pending != 1 || js.Leased != 1 || st.Workers != 1 {
 		t.Fatalf("status after lease %+v", st)
 	}
 	sr, err := w.runShard(lease)
@@ -543,14 +539,31 @@ func TestStatusEndpoint(t *testing.T) {
 	if err := w.submit(context.Background(), lease.LeaseID, sr, 1, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if st := status(); st.Done != 1 || st.Complete {
+	if st, js := status(); js.Done != 1 || st.Complete {
 		t.Fatalf("status after one submit %+v", st)
 	}
 	if _, err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := status(); st.Done != 2 || !st.Complete {
+	if st, js := status(); js.Done != 2 || !js.Complete || !st.Complete {
 		t.Fatalf("final status %+v", st)
+	}
+
+	api := loopbackAPI(coord)
+	ctx := context.Background()
+	js, err := api.Sweep(ctx, JobID(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !js.Complete || js.Done != 2 || len(js.ShardStates) != 2 {
+		t.Fatalf("GET /v1/sweeps/{id} = %+v, want complete with 2 shard states", js)
+	}
+	var re *RefusedError
+	if _, err := api.Sweep(ctx, "sw-nope-1"); !errors.As(err, &re) || re.Code != http.StatusNotFound {
+		t.Fatalf("GET of an unknown sweep = %v, want 404", err)
+	}
+	if _, err := api.Lease(ctx, "sw-nope-1", LeaseRequest{Worker: "w"}); !errors.As(err, &re) || re.Code != http.StatusNotFound {
+		t.Fatalf("lease scoped to an unknown sweep = %v, want 404", err)
 	}
 }
 
@@ -559,12 +572,13 @@ func TestStatusEndpoint(t *testing.T) {
 func TestMergedRefusesIncomplete(t *testing.T) {
 	t.Parallel()
 
-	coord, err := NewCoordinator(builtinPlan(t, "quick", 3), CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := coord.Merged(); err == nil || !strings.Contains(err.Error(), "3 of 3") {
+	plan := builtinPlan(t, "quick", 3)
+	coord := newBatch(t, plan, CoordinatorConfig{})
+	if _, _, err := coord.JobMerged(JobID(plan)); err == nil || !strings.Contains(err.Error(), "3 of 3") {
 		t.Fatalf("incomplete merge: %v", err)
+	}
+	if _, _, err := coord.JobMerged("sw-nope-1"); err == nil || !strings.Contains(err.Error(), "unknown sweep") {
+		t.Fatalf("merge of an unknown sweep: %v", err)
 	}
 }
 

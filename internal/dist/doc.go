@@ -25,11 +25,8 @@
 //	                                   fingerprint, shard coordinates)
 //	                                   before acceptance
 //	GET  /status                       progress accounting for humans and
-//	                                   scripts (whole queue + flat
-//	                                   default-job mirror)
-//
-// The pre-/v1 routes — POST /lease, /renew, /submit — remain as a compat
-// shim for one release, routed to the default (first-submitted) job.
+//	                                   scripts (every job + worker
+//	                                   liveness)
 //
 // Leases are granted fair-share: the coordinator round-robins across
 // active jobs (lowest open shard within a job), so one tenant's
@@ -64,6 +61,9 @@
 // wraps the coordinator's http.Handler in an in-process http.Client, so
 // the whole submit/lease/crash/re-lease/result cycle runs in one process
 // with no sockets. cmd/goalsweep exposes the backend as "goalsweep
-// serve" (one-shot batch or -service), "goalsweep work", "goalsweep
-// submit" and "goalsweep watch".
+// serve", "goalsweep work", "goalsweep submit" and "goalsweep watch".
+// There is one coordinator: a one-shot batch `serve` is the service
+// with its sweep submitted in process over LoopbackClient; once that job
+// completes it Drains — every lease is answered StatusDone until each
+// polling worker has heard it — merges the job and writes the report.
 package dist

@@ -1,0 +1,181 @@
+package dist
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"testing"
+
+	"repro/internal/scenario"
+)
+
+// FuzzV1Requests throws arbitrary bodies at the two /v1 routes that
+// decode one — POST /v1/sweeps and POST /v1/leases — on a fresh service
+// through the loopback transport. The coordinator must never panic or
+// answer 5xx, and answers 2xx exactly for bodies that decode to a valid
+// request.
+func FuzzV1Requests(f *testing.F) {
+	spec, err := scenario.BuiltinSpec("quick")
+	if err != nil {
+		f.Fatal(err)
+	}
+	quick, err := json.Marshal(SweepRequest{Protocol: ProtocolVersion, Spec: spec, Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(quick, []byte(`{"protocol":1,"worker":"w","parallel":2}`))
+	f.Add(bytes.Replace(quick, []byte(`"shards":2`), []byte(`"shards":99999999`), 1), []byte(`{"protocol":2,"worker":"w"}`))
+	f.Add([]byte(`{"protocol":1,"spec":{"name":"t","axes":[{"name":"goal","values":["treasure"]}]},"sampleN":3}`), []byte(`{}`))
+	f.Add([]byte(`{"protocol":1,"spec":null}`), []byte(`{"protocol":1} trailing`))
+	f.Add([]byte(`{"protocol":1,"shards":-1}`), []byte(`not json`))
+	f.Fuzz(func(t *testing.T, sweepBody, leaseBody []byte) {
+		svc, err := NewService(CoordinatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := LoopbackClient(svc)
+		for _, tc := range []struct {
+			path  string
+			body  []byte
+			valid bool
+		}{
+			{"/v1/sweeps", sweepBody, validSweepRequest(sweepBody)},
+			{"/v1/leases", leaseBody, validLeaseRequest(leaseBody)},
+		} {
+			resp, err := client.Post("http://coordinator"+tc.path, "application/json", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode >= 500 {
+				t.Fatalf("POST %s answered %d for %q", tc.path, resp.StatusCode, tc.body)
+			}
+			if ok := resp.StatusCode < 300; ok != tc.valid {
+				t.Fatalf("POST %s answered %d for %q, but the body is valid=%v", tc.path, resp.StatusCode, tc.body, tc.valid)
+			}
+		}
+	})
+}
+
+// validSweepRequest is the admission oracle for POST /v1/sweeps: the
+// body decodes, speaks this protocol, and carries a spec that expands to
+// a matrix and plans under its shard count (0 asks for auto-sharding,
+// which always picks a count in range).
+func validSweepRequest(body []byte) bool {
+	var req SweepRequest
+	if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil ||
+		req.Protocol != ProtocolVersion || req.Spec == nil || req.Spec.Validate() != nil || req.Shards < 0 {
+		return false
+	}
+	if _, err := scenario.NewMatrix(req.Spec); err != nil {
+		return false
+	}
+	cfg := scenario.SweepConfig{Seeds: req.Seeds, Window: req.Window, BaseSeed: req.BaseSeed}
+	_, err := NewPlan(req.Spec, "v", cfg, max(req.Shards, 1), req.SampleN, req.SampleSeed)
+	return err == nil
+}
+
+// validLeaseRequest is the oracle for POST /v1/leases: any body that
+// decodes and speaks this protocol gets an answer.
+func validLeaseRequest(body []byte) bool {
+	var req LeaseRequest
+	return json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.Protocol == ProtocolVersion
+}
+
+// streamTransport is a stub RoundTripper that answers every request 200
+// with its bytes as the body, standing in for a coordinator's event
+// stream.
+type streamTransport []byte
+
+func (s streamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     make(http.Header),
+		Body:       io.NopCloser(bytes.NewReader(s)),
+		Request:    req,
+	}, nil
+}
+
+// readEvents parses a raw stream with Client.Events, collecting frames.
+func readEvents(stream []byte) ([]SweepEvent, error) {
+	var frames []SweepEvent
+	cl := NewClient("http://coordinator", &http.Client{Transport: streamTransport(stream)})
+	err := cl.Events(context.Background(), "job", func(ev SweepEvent) error {
+		frames = append(frames, ev)
+		return nil
+	})
+	return frames, err
+}
+
+// FuzzSSEEvents feeds arbitrary bytes to Client.Events as an event
+// stream: the parser must never panic, never hand the callback an empty
+// frame, and report a completed stream only after a complete frame.
+// Separately, the replay handleEvents writes for a finished job — n shard
+// envelopes carrying arbitrary strings, then the complete frame — must
+// parse back frame for frame.
+func FuzzSSEEvents(f *testing.F) {
+	f.Add([]byte("event: shard\nid: 1\ndata: {}\n\nevent: complete\nid: job\ndata: {}\n\n"), "quick", "00112233aabbccdd", uint8(1))
+	f.Add([]byte("data: x\n\n\n\nevent: complete\n"), "", "", uint8(0))
+	f.Add([]byte(": comment\r\nevent:shard\r\nid: 2\r\n\r\n"), "name\nwith \"newline\"", "fp\r ", uint8(7))
+	f.Fuzz(func(t *testing.T, raw []byte, name, fingerprint string, shards uint8) {
+		frames, err := readEvents(raw)
+		for _, ev := range frames {
+			if ev.Type == "" && ev.Data == nil {
+				t.Fatalf("Events delivered an empty frame from %q", raw)
+			}
+		}
+		if err == nil && (len(frames) == 0 || frames[len(frames)-1].Type != EventComplete) {
+			t.Fatalf("Events reported a completed stream without a complete frame from %q", raw)
+		}
+
+		spec, err := scenario.BuiltinSpec("quick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Name = name
+		n := int(shards%8) + 1
+		j := newJob(Plan{Spec: spec, Shards: n, Fingerprint: "00112233aabbccdd"})
+		var want []SweepEvent
+		for idx := 1; idx <= n; idx++ {
+			sr := &scenario.ShardResult{Version: scenario.ShardFormatVersion, Fingerprint: fingerprint,
+				Spec: spec, Shard: scenario.Shard{Index: idx, Count: n}}
+			j.results[idx] = sr
+			j.shards[idx-1].done = true
+			data, err := json.Marshal(sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, SweepEvent{Type: EventShard, ID: strconv.Itoa(idx), Data: data})
+		}
+		data, err := json.Marshal(CompleteEvent{ID: j.id, Spec: name, Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, SweepEvent{Type: EventComplete, ID: j.id, Data: data})
+
+		svc, err := NewService(CoordinatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.jobs[j.id] = j
+		svc.order = append(svc.order, j)
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sweeps/"+j.id+"/events", nil))
+		got, err := readEvents(rec.Body.Bytes())
+		if err != nil {
+			t.Fatalf("replayed stream did not parse: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("replay parsed into %d frames, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Type != want[i].Type || got[i].ID != want[i].ID || !bytes.Equal(got[i].Data, want[i].Data) {
+				t.Fatalf("frame %d parsed as %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	})
+}

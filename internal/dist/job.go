@@ -76,10 +76,9 @@ func shardFile(idx int) string { return fmt.Sprintf("%s%d.json", shardFilePrefix
 
 // persistPlanLocked writes the job's plan under the state directory so a
 // restarted coordinator can rebuild the queue. Atomic (temp + rename) so
-// a crash mid-write never leaves a half plan for recovery to trip on.
-// An existing plan file is kept only if it still decodes to this job —
-// a truncated or corrupt one (torn disk, partial copy) is rewritten, so
-// one bad write can never permanently poison the job's state directory.
+// a crash mid-write never leaves a half plan for recovery to trip on; a
+// plan that recovery quarantined as corrupt is rewritten here when its
+// sweep is submitted again.
 func (c *Coordinator) persistPlanLocked(j *job) {
 	if c.stateDir == "" {
 		return
@@ -90,24 +89,13 @@ func (c *Coordinator) persistPlanLocked(j *job) {
 			obs.String("job", j.id), obs.String("err", err.Error()))
 		return
 	}
-	path := filepath.Join(dir, jobPlanFile)
-	if data, err := os.ReadFile(path); err == nil {
-		var existing Plan
-		if decodeJSONStrict(data, &existing) == nil && existing.Validate() == nil && JobID(existing) == j.id {
-			return // already persisted intact by an earlier submit or run
-		}
-		mStateHealed.With("plan").Inc()
-		c.events.Event(obs.LevelWarn, "state.heal",
-			obs.String("job", j.id), obs.String("kind", "plan"),
-			obs.String("detail", "corrupt plan file rewritten"))
-	}
 	var buf bytes.Buffer
 	if err := writeJSONIndent(&buf, &j.plan); err != nil {
 		c.events.Event(obs.LevelWarn, "state.persist_fail",
 			obs.String("job", j.id), obs.String("err", err.Error()))
 		return
 	}
-	if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, jobPlanFile), buf.Bytes()); err != nil {
 		c.events.Event(obs.LevelWarn, "state.persist_fail",
 			obs.String("job", j.id), obs.String("err", err.Error()))
 	}
@@ -204,8 +192,9 @@ func (c *Coordinator) healEnvelopeLocked(j *job, idx int, path, reason string) {
 // resubmitted (which in turn rescans its envelopes). A directory whose
 // plan is corrupt or truncated cannot be rebuilt from nothing, so its
 // plan file is quarantined (renamed aside) — the next identical
-// `goalsweep submit` recreates the job and re-persists a clean plan over
-// the same directory, resuming whatever envelopes survived. Directory
+// submission (`goalsweep submit`, or a batch `goalsweep serve` of the
+// same sweep) recreates the job and re-persists a clean plan over the
+// same directory, resuming whatever envelopes survived. Directory
 // order is lexical, so the queue order after a restart is deterministic
 // even though the original submission order is gone.
 func (c *Coordinator) recoverJobsLocked() error {

@@ -11,8 +11,8 @@ import (
 // the handler directly in process. It makes the whole coordinator/worker
 // protocol — leases, expiries, re-leases, submits — testable hermetically,
 // with no listeners, ports or network flakiness, and lets one process host
-// both sides of a distributed sweep ("goalsweep serve" uses it to run the
-// protocol end to end in tests).
+// both sides of a distributed sweep ("goalsweep serve" submits its batch
+// job through it, and "goalsweep chaostest" runs its whole fleet on it).
 func LoopbackClient(h http.Handler) *http.Client {
 	return &http.Client{Transport: loopbackTransport{h: h}}
 }

@@ -33,14 +33,11 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 	shards0 := mWorkerShards.Value()
 
 	var events bytes.Buffer
-	coord, err := NewCoordinator(plan, CoordinatorConfig{
+	coord := newBatch(t, plan, CoordinatorConfig{
 		LeaseTTL: time.Minute,
 		Now:      clock.Now,
 		Events:   obs.NewLogger(&events, obs.LevelDebug),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	client := LoopbackClient(coord)
 
 	// Worker "doomed" takes shard 1/3 and crashes (never submits).
@@ -51,7 +48,7 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 
 	// Worker "healthy" drains shards 2 and 3, then mid-sweep progress is
 	// visible on /status.
-	w := &Worker{Coordinator: "http://coordinator", Client: client, ID: "healthy", Parallel: 1, Poll: time.Millisecond}
+	w := &Worker{Coordinator: "http://coordinator", Client: client, ID: "healthy", Parallel: 1, Poll: time.Millisecond, ExitOnIdle: true}
 	for _, want := range []int{2, 3} {
 		lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "healthy", Parallel: 1})
 		if lease.Status != StatusLease || lease.Shard.Index != want {
@@ -65,8 +62,8 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := getStatus(t, client); st.Progress <= 0.6 || st.Progress >= 0.7 {
-		t.Fatalf("mid-sweep progress = %v, want 2/3", st.Progress)
+	if st := getStatus(t, client); st.Jobs[0].Progress <= 0.6 || st.Jobs[0].Progress >= 0.7 {
+		t.Fatalf("mid-sweep progress = %v, want 2/3", st.Jobs[0].Progress)
 	}
 
 	// Past the TTL the crashed shard is re-issued and the healthy worker
@@ -90,7 +87,7 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 	if err := sr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := client.Post("http://coordinator/submit?lease=lease-999", "application/json", &buf)
+	resp, err := client.Post("http://coordinator/v1/leases/lease-999/result", "application/json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +122,10 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 	// /status: progress reached 100%, every shard done, both workers
 	// accounted with their submit counts.
 	st := getStatus(t, client)
-	if st.Progress != 1 || !st.Complete || st.Done != 3 {
+	if js := st.Jobs[0]; js.Progress != 1 || !st.Complete || js.Done != 3 {
 		t.Fatalf("final status = %+v, want progress 1 / complete / 3 done", st)
 	}
-	for _, ss := range st.ShardStates {
+	for _, ss := range st.Jobs[0].ShardStates {
 		if ss.State != "done" {
 			t.Errorf("shard %s state %q, want done", ss.Shard, ss.State)
 		}

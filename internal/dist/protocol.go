@@ -11,6 +11,12 @@ import (
 // loudly instead of mis-partitioning a sweep.
 const ProtocolVersion = 1
 
+// maxShards bounds a plan's partition. The coordinator allocates
+// per-shard state and per-subscriber frame buffers by the shard count, so
+// an absurd count from a request body or a damaged state file is refused
+// rather than allocated.
+const maxShards = 1 << 16
+
 // Plan is everything a worker needs to reproduce one sweep's result
 // stream: the spec, the effective execution parameters, the sample
 // selection, the shard count, and the Fingerprint derived from all of
@@ -38,8 +44,8 @@ func NewPlan(spec *scenario.Spec, registryVersion string, cfg scenario.SweepConf
 	if err := spec.Validate(); err != nil {
 		return Plan{}, err
 	}
-	if shards < 1 {
-		return Plan{}, fmt.Errorf("dist: shard count %d < 1", shards)
+	if shards < 1 || shards > maxShards {
+		return Plan{}, fmt.Errorf("dist: shard count %d outside 1..%d", shards, maxShards)
 	}
 	seeds, window, base := cfg.Effective(spec)
 	if sampleN <= 0 {
@@ -65,8 +71,8 @@ func (p *Plan) Validate() error {
 	if err := p.Spec.Validate(); err != nil {
 		return err
 	}
-	if p.Shards < 1 {
-		return fmt.Errorf("dist: plan shard count %d < 1", p.Shards)
+	if p.Shards < 1 || p.Shards > maxShards {
+		return fmt.Errorf("dist: plan shard count %d outside 1..%d", p.Shards, maxShards)
 	}
 	if p.Fingerprint == "" {
 		return fmt.Errorf("dist: plan has no fingerprint")
@@ -90,14 +96,13 @@ const (
 	// StatusWait means every remaining shard is leased to someone else;
 	// poll again — a lease may yet expire.
 	StatusWait = "wait"
-	// StatusDone means there is no work left and none can appear: the
-	// queue is sealed (batch mode) and every job is complete, or the
-	// asked-for job is complete. The worker can exit.
+	// StatusDone means this worker is finished: the coordinator is
+	// draining (a batch serve's job is complete and the process is about
+	// to exit), or the asked-for job is complete. The worker exits.
 	StatusDone = "done"
 	// StatusIdle means every job in the queue is complete but the queue
-	// is still accepting submissions (service mode): a worker may poll on
-	// or exit, its choice. The legacy /lease route never answers idle —
-	// it maps to wait for pre-/v1 workers.
+	// is still accepting submissions: a worker may poll on or exit, its
+	// choice.
 	StatusIdle = "idle"
 )
 
@@ -114,9 +119,7 @@ type LeaseResponse struct {
 	Protocol int    `json:"protocol"`
 	Status   string `json:"status"`
 	LeaseID  string `json:"leaseID,omitempty"`
-	// Job names the job the lease belongs to (StatusLease only). Legacy
-	// clients ignore the field; /v1 clients use it for accounting and
-	// event streams.
+	// Job names the job the lease belongs to (StatusLease only).
 	Job   string         `json:"job,omitempty"`
 	Shard scenario.Shard `json:"shard"`
 	Plan  *Plan          `json:"plan,omitempty"`
@@ -188,35 +191,17 @@ type JobStatus struct {
 	ShardStates []ShardStatus `json:"shardStates,omitempty"`
 }
 
-// StatusResponse is the coordinator's progress accounting. Jobs carries
-// the whole queue; the flat single-sweep fields mirror the default
-// (first-submitted) job so pre-/v1 scripts keep reading the same shape
-// they always did.
+// StatusResponse is the coordinator's progress accounting: the whole
+// queue under Jobs, plus fleet liveness.
 type StatusResponse struct {
-	Protocol    int    `json:"protocol"`
-	Spec        string `json:"spec"`
-	Fingerprint string `json:"fingerprint"`
-	Shards      int    `json:"shards"`
-	Done        int    `json:"done"`
-	Leased      int    `json:"leased"`
-	Pending     int    `json:"pending"`
-	Workers     int    `json:"workers"`
+	Protocol int `json:"protocol"`
+	Workers  int `json:"workers"`
 	// Complete reports whether every job in the queue is complete (and at
-	// least one exists) — for a batch coordinator, exactly the old
-	// single-sweep meaning.
+	// least one exists).
 	Complete bool `json:"complete"`
-	// Sealed reports batch mode: the queue accepts no further jobs and
-	// workers are told done (not idle) once everything is complete.
-	Sealed bool `json:"sealed"`
-
-	// Progress is Done/Shards in [0,1] for the default job.
-	Progress float64 `json:"progress"`
 	// Jobs holds one entry per job in submission order, each with its
 	// shard states.
 	Jobs []JobStatus `json:"jobs"`
-	// ShardStates holds one entry per default-job shard, in shard-index
-	// order.
-	ShardStates []ShardStatus `json:"shardStates,omitempty"`
 	// WorkerStates holds one entry per known worker, sorted by ID.
 	WorkerStates []WorkerStatus `json:"workerStates,omitempty"`
 }

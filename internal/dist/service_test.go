@@ -3,6 +3,8 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"testing"
@@ -39,10 +41,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 
 	// First incarnation: one worker completes shard 1/3, then the
 	// process "crashes" (the coordinator is simply dropped).
-	coord1, err := NewCoordinator(plan, CoordinatorConfig{StateDir: stateDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord1 := newBatch(t, plan, CoordinatorConfig{StateDir: stateDir})
 	client1 := LoopbackClient(coord1)
 	w1 := &Worker{Coordinator: "http://coordinator", Client: client1, ID: "w1", Poll: time.Millisecond}
 	lease, _ := postLease(t, client1, LeaseRequest{Protocol: ProtocolVersion, Worker: "w1"})
@@ -58,11 +57,9 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 
 	// Second incarnation over the same directory: shard 1 resumes from
-	// its on-disk envelope, shards 2 and 3 are still open.
-	coord2, err := NewCoordinator(plan, CoordinatorConfig{StateDir: stateDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// its on-disk envelope, shards 2 and 3 are still open, and submitting
+	// the same sweep again lands on the recovered job.
+	coord2 := newBatch(t, plan, CoordinatorConfig{StateDir: stateDir})
 	jobs := coord2.Jobs()
 	if len(jobs) != 1 || jobs[0].Resumed != 1 || jobs[0].Done != 1 || jobs[0].Pending != 2 {
 		t.Fatalf("restarted coordinator jobs = %+v, want 1 job with 1 resumed / 1 done / 2 pending", jobs)
@@ -75,14 +72,14 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	trialCounter := obs.Default().Counter("goalsweep_engine_trials_started_total",
 		"Trials handed to the batch engine.")
 	trials0 := trialCounter.Value()
-	w2 := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord2), ID: "w2", Poll: time.Millisecond}
+	w2 := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord2), ID: "w2", Poll: time.Millisecond, ExitOnIdle: true}
 	if n, err := w2.Run(context.Background()); err != nil || n != 2 {
 		t.Fatalf("worker after restart: (%d, %v), want (2, nil)", n, err)
 	}
 	if got := trialCounter.Value() - trials0; got != 8 {
 		t.Fatalf("engine started %d trials after restart, want 8 (resumed shard re-executed?)", got)
 	}
-	if got, want := mergedReport(t, coord2), serialReport(t, plan); got != want {
+	if got, want := mergedReport(t, coord2, plan), serialReport(t, plan); got != want {
 		t.Fatal("resumed merged report differs from fresh serial run")
 	}
 }
@@ -411,102 +408,91 @@ func TestAutoShards(t *testing.T) {
 	}
 }
 
-// TestLegacyAndV1Surfaces pins both wire surfaces against one
-// coordinator: the legacy query-param routes and the /v1 resource
-// routes interoperate on the same job, shard by shard.
-func TestLegacyAndV1Surfaces(t *testing.T) {
+// TestDrain pins batch serve's shutdown handshake. Once Drain starts,
+// every lease is answered StatusDone, so a standing worker (no
+// ExitOnIdle) that submitted the last shard exits cleanly; Drain returns
+// only after every polling worker has heard done; and a worker whose
+// last answer was idle — which is not done — keeps Drain waiting until
+// its context ends.
+func TestDrain(t *testing.T) {
 	t.Parallel()
+	ctx := context.Background()
+	drainCtx, cancel := context.WithTimeout(ctx, time.Minute)
+	defer cancel()
 
 	plan := builtinPlan(t, "quick", 2)
-	coord, err := NewCoordinator(plan, CoordinatorConfig{})
-	if err != nil {
+	coord := newBatch(t, plan, CoordinatorConfig{})
+	ran := make(chan error, 1)
+	go func() {
+		w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord), ID: "standing", Poll: time.Millisecond}
+		n, err := w.Run(ctx)
+		if err == nil && n != 2 {
+			err = fmt.Errorf("completed %d shards, want 2", n)
+		}
+		ran <- err
+	}()
+	if err := coord.WaitJob(drainCtx, JobID(plan)); err != nil {
 		t.Fatal(err)
 	}
-	client := LoopbackClient(coord)
-	api := loopbackAPI(coord)
-	ctx := context.Background()
-	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
-
-	// Shard 1 over the legacy surface.
-	legacyLease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "legacy"})
-	if legacyLease.Status != StatusLease || legacyLease.Shard.Index != 1 {
-		t.Fatalf("legacy lease %+v, want shard 1/2", legacyLease)
+	if err := coord.Drain(drainCtx); err != nil {
+		t.Fatalf("Drain with a standing worker polling: %v", err)
 	}
-	if rr, _ := postRenew(t, client, legacyLease.LeaseID); rr == nil || !rr.Renewed {
-		t.Fatalf("legacy renew refused: %+v", rr)
-	}
-
-	// Shard 2 over /v1.
-	v1Lease, err := api.Lease(ctx, "", LeaseRequest{Worker: "modern"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1Lease.Status != StatusLease || v1Lease.Shard.Index != 2 || v1Lease.Job != JobID(plan) {
-		t.Fatalf("v1 lease %+v, want shard 2/2 of job %s", v1Lease, JobID(plan))
-	}
-	if rr, err := api.Renew(ctx, v1Lease.LeaseID); err != nil || !rr.Renewed {
-		t.Fatalf("v1 renew = (%+v, %v), want renewed", rr, err)
+	if err := <-ran; err != nil {
+		t.Fatalf("standing worker after Drain: %v", err)
 	}
 
-	// Legacy submit for shard 1 (the Worker helper's legacy path is
-	// gone, so post the envelope raw).
-	sr1, err := w.runShard(legacyLease)
-	if err != nil {
-		t.Fatal(err)
+	// finishOne runs a one-shard job to completion under one worker name,
+	// leaving that worker's last lease answer a grant.
+	finishOne := func(worker string) *Coordinator {
+		t.Helper()
+		c := newBatch(t, builtinPlan(t, "quick", 1), CoordinatorConfig{})
+		client := LoopbackClient(c)
+		lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: worker})
+		w := &Worker{Coordinator: "http://coordinator", Client: client}
+		sr, err := w.runShard(lease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.submit(ctx, lease.LeaseID, sr, 1, time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	var buf bytes.Buffer
-	if err := sr1.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Post("http://coordinator/submit?lease="+legacyLease.LeaseID, "application/json", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("legacy submit answered %d", resp.StatusCode)
-	}
-
-	// v1 result for shard 2.
-	sr2, err := w.runShard(v1Lease)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, err := api.SubmitResult(ctx, v1Lease.LeaseID, sr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ack.Accepted || !ack.Done {
-		t.Fatalf("v1 result ack %+v, want accepted and done", ack)
+	draining := func(c *Coordinator) bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.draining
 	}
 
-	// Both surfaces agree the job is complete.
-	if st := getStatus(t, client); !st.Complete || len(st.Jobs) != 1 || !st.Jobs[0].Complete {
-		t.Fatalf("status after mixed-surface drain: %+v", st)
+	// The last submitter has not heard done yet: Drain waits for its next
+	// poll.
+	last := finishOne("last")
+	drained := make(chan error, 1)
+	go func() { drained <- last.Drain(drainCtx) }()
+	for !draining(last) {
+		time.Sleep(time.Millisecond)
 	}
-	js, err := api.Sweep(ctx, JobID(plan))
-	if err != nil {
-		t.Fatal(err)
+	select {
+	case <-last.drained:
+		t.Fatal("Drain finished before the last submitter heard done")
+	default:
 	}
-	if !js.Complete || js.Done != 2 {
-		t.Fatalf("GET /v1/sweeps/{id} = %+v, want complete", js)
+	if lease, _ := postLease(t, LoopbackClient(last), LeaseRequest{Protocol: ProtocolVersion, Worker: "last"}); lease.Status != StatusDone {
+		t.Fatalf("poll while draining answered %q, want done", lease.Status)
 	}
-	if _, err := api.Sweep(ctx, "sw-nope-1"); err == nil {
-		t.Fatal("unknown sweep ID did not 404")
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain after every worker heard done: %v", err)
 	}
-	if got, want := mergedReport(t, coord), serialReport(t, plan); got != want {
-		t.Fatal("mixed-surface merged report differs from fresh serial run")
+
+	// Idle is not done: a worker that heard idle before Drain began
+	// holds Drain until its context ends.
+	idler := finishOne("idler")
+	if lease, _ := postLease(t, LoopbackClient(idler), LeaseRequest{Protocol: ProtocolVersion, Worker: "idler"}); lease.Status != StatusIdle {
+		t.Fatalf("poll after the only job completed answered %q, want idle", lease.Status)
 	}
-	// A sealed batch coordinator refuses new sweeps but answers the
-	// existing one idempotently.
-	if _, err := api.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 5}); err == nil {
-		t.Fatal("sealed coordinator admitted a new sweep")
-	}
-	same, err := api.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same.Created || same.Job.ID != JobID(plan) {
-		t.Fatalf("sealed idempotent resubmission = %+v", same)
+	short, cancelShort := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer cancelShort()
+	if err := idler.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain with an idle-only worker = %v, want deadline exceeded", err)
 	}
 }
