@@ -1,8 +1,8 @@
 // Allocation-discipline and fast-path-parity pins for the engine hot
-// path (ISSUE 5): the steady-state round loop of every stock goal must
-// stay within its allocation budget under RecordOff and RecordWindow,
-// and the buffer-backed/live-judge fast paths must be observably
-// identical to the string paths they bypass.
+// path: the steady-state round loop of every stock goal must stay within
+// its allocation budget under RecordOff, and the online referee — a
+// goal.Tracker on the live world — must reach the verdicts of the
+// recorded-history referee it replaces.
 package repro
 
 import (
@@ -24,6 +24,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/system"
 	"repro/internal/universal"
+	"repro/internal/xrand"
 )
 
 // goalSetup assembles one (goal, user, server, world) system the way the
@@ -147,56 +148,107 @@ func stockSetups(t testing.TB) []goalSetup {
 	}
 }
 
-// TestFastPathParity pins the two hot-path contracts on real executions
-// of every stock goal:
+// a1TraySetup is ablation A1's non-forgiving printing goal: a universal
+// user probing a touchy printer whose finite tray runs out first, so the
+// referee keeps rejecting until the horizon.
+func a1TraySetup(t testing.TB) goalSetup {
+	t.Helper()
+	fam, err := dialect.NewWordFamily(printing.Vocabulary(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &printing.Goal{Docs: []string{"target"}, Paper: 16}
+	return goalSetup{
+		name: "printing-tray",
+		g:    g,
+		user: func() comm.Strategy {
+			u, err := universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return u
+		},
+		server: func() comm.Strategy { return server.Dialected(&printing.TouchyServer{}, fam.Dialect(6)) },
+		world:  func() goal.World { return g.NewWorld(goal.Env{}) },
+		rounds: 400,
+	}
+}
+
+// TestFastPathParity pins the online referee against the recorded one on
+// real executions of every stock goal and of A1's finite-tray printing
+// goal, over random seeds and horizons (some shorter than the window):
 //
-//   - StateAppender: the state the engine materializes (buffer-backed,
-//     interned) equals Snapshot() byte for byte, every round.
-//   - WorldJudge: AcceptableWorld equals Acceptable on the history
-//     ending in that state, every round.
+//   - WorldJudge: AcceptableWorld equals Acceptable on the history ending
+//     in the live world's Snapshot, every round.
+//   - Tracker: a RecordOff run judged by goal.Tracker — through the
+//     WorldJudge fast path and through the Snapshot fallback — reaches,
+//     for windows 5, 10 and 20, the verdicts that goal.CompactAchieved and
+//     goal.LastUnacceptable reach on a RecordFull run of the same trial.
+//   - Recording: the state handed to OnRound is the world's Snapshot.
 func TestFastPathParity(t *testing.T) {
-	for _, su := range stockSetups(t) {
+	for _, su := range append(stockSetups(t), a1TraySetup(t)) {
 		t.Run(su.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 5; seed++ {
-				var lastState comm.WorldState
-				scratch := comm.History{States: make([]comm.WorldState, 1)}
-				judge, hasJudge := su.g.(goal.WorldJudge)
-				cfg := system.Config{
-					MaxRounds: 200,
+			judge, hasJudge := su.g.(goal.WorldJudge)
+			r := xrand.New(7)
+			for k := 0; k < 12; k++ {
+				seed, horizon := r.Uint64(), 1+r.Intn(30)
+				if k%2 == 1 {
+					horizon = 1 + r.Intn(su.rounds)
+				}
+				last := comm.History{States: make([]comm.WorldState, 1)}
+				full, err := system.Run(su.user(), su.server(), su.world(), system.Config{
+					MaxRounds: horizon,
 					Seed:      seed,
-					Record:    system.RecordOff,
 					OnRound: func(round int, rv comm.RoundView, state comm.WorldState) {
-						lastState = state
+						last.States[0], last.Dropped = state, round
 					},
 					OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
-						// Engine-materialized state vs the plain Snapshot
-						// path: the StateAppender/interning contract.
-						if direct := w.Snapshot(); direct != lastState {
-							t.Fatalf("seed %d round %d: engine state %q != Snapshot %q", seed, round, lastState, direct)
+						if direct := w.Snapshot(); direct != last.States[0] {
+							t.Fatalf("seed %d round %d: OnRound state %q != Snapshot %q", seed, round, last.States[0], direct)
 						}
-						if !hasJudge {
-							return
-						}
-						scratch.States[0] = lastState
-						scratch.Dropped = round
-						if judge.AcceptableWorld(w) != su.g.Acceptable(scratch) {
-							t.Fatalf("seed %d round %d: AcceptableWorld disagrees with Acceptable on %q", seed, round, lastState)
+						if hasJudge && judge.AcceptableWorld(w) != su.g.Acceptable(last) {
+							t.Fatalf("seed %d round %d: AcceptableWorld disagrees with Acceptable on %q", seed, round, last.States[0])
 						}
 					},
-				}
-				res, err := system.Run(su.user(), su.server(), su.world(), cfg)
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				system.ReleaseResult(res)
+				if su.g == nil {
+					continue // finite goal: no compact referee to track
+				}
+				// The derived goal has the same referee but no WorldJudge,
+				// so its tracker takes the Snapshot fallback.
+				for _, g := range []goal.CompactGoal{su.g, goal.WithReferee(su.g, su.name, su.g.Acceptable)} {
+					tr := goal.NewTracker(g)
+					res, err := system.Run(su.user(), su.server(), su.world(), system.Config{
+						MaxRounds: horizon, Seed: seed, Record: system.RecordOff, OnRoundLive: tr.Observe,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tr.Rounds() != full.Rounds || res.Rounds != full.Rounds {
+						t.Fatalf("seed %d horizon %d: tracker saw %d rounds, recorded run %d", seed, horizon, tr.Rounds(), full.Rounds)
+					}
+					if got, want := tr.LastUnacceptable(), goal.LastUnacceptable(su.g, full.History); got != want {
+						t.Fatalf("seed %d horizon %d: tracker last rejected prefix %d, recorded %d", seed, horizon, got, want)
+					}
+					for _, window := range []int{5, 10, 20} {
+						if got, want := tr.Achieved(window), goal.CompactAchieved(su.g, full.History, window); got != want {
+							t.Fatalf("seed %d horizon %d window %d: tracker achieved %v, recorded %v", seed, horizon, window, got, want)
+						}
+					}
+					system.ReleaseResult(res)
+				}
+				system.ReleaseResult(full)
 			}
 		})
 	}
 }
 
 // allocBudgets pins the steady-state allocation cost of a full
-// execution (1000 rounds) per stock goal and retention policy. The
-// budgets are whole-run counts, not per-round: every stock goal now
+// unrecorded execution (1000 rounds) per stock goal. The budgets are
+// whole-run counts, not per-round: every stock goal now
 // runs its warm loop allocation-free, so the measured cost is the
 // engine floor — the three per-party RNG splits of Reset (3.0 measured)
 // — plus, for goals whose message streams never repeat, one arena block
@@ -212,17 +264,17 @@ func TestFastPathParity(t *testing.T) {
 // round, individually allocated) to the engine floor: unbounded-id
 // messages are carved from per-execution msgbuf.Arena blocks, and the
 // answered/pending maps became index-keyed rings.
-var allocBudgets = map[string]struct{ off, window float64 }{
-	"treasure":   {off: 4, window: 6},
-	"printing":   {off: 7, window: 9},
-	"transfer":   {off: 4, window: 6},
-	"control":    {off: 4, window: 6},
-	"learning":   {off: 7, window: 9},
-	"delegation": {off: 4, window: 6},
-	// Generated fsm goals precompute every message and snapshot at
-	// construction, so their warm loop sits at the engine floor like the
-	// leanest stock goals.
-	"fsm": {off: 4, window: 6},
+var allocBudgets = map[string]float64{
+	"treasure":   4,
+	"printing":   7,
+	"transfer":   4,
+	"control":    4,
+	"learning":   7,
+	"delegation": 4,
+	// Generated fsm goals precompute every message at construction, so
+	// their warm loop sits at the engine floor like the leanest stock
+	// goals.
+	"fsm": 4,
 }
 
 // TestSteadyStateAllocBudgets is the alloc-gated benchmark in test form:
@@ -240,36 +292,26 @@ func TestSteadyStateAllocBudgets(t *testing.T) {
 		if !ok {
 			t.Fatalf("no allocation budget declared for %q", su.name)
 		}
-		for _, rec := range []struct {
-			name   string
-			policy system.RecordPolicy
-			limit  float64
-		}{
-			{"off", system.RecordOff, budget.off},
-			{"window10", system.RecordWindow(10), budget.window},
-		} {
-			t.Run(su.name+"/"+rec.name, func(t *testing.T) {
-				// Parties are constructed once and Reset per run by the
-				// engine — the steady-state regime of a warm batch
-				// worker.
-				user, srv, world := su.user(), su.server(), su.world()
-				cfg := system.Config{MaxRounds: su.rounds, Seed: 1, Record: rec.policy}
-				run := func() {
-					res, err := system.Run(user, srv, world, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					system.ReleaseResult(res)
+		t.Run(su.name+"/off", func(t *testing.T) {
+			// Parties are constructed once and Reset per run by the
+			// engine — the steady-state regime of a warm batch worker.
+			user, srv, world := su.user(), su.server(), su.world()
+			cfg := system.Config{MaxRounds: su.rounds, Seed: 1, Record: system.RecordOff}
+			run := func() {
+				res, err := system.Run(user, srv, world, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-				run() // warm caches and pools outside the measurement
-				allocs := testing.AllocsPerRun(5, run)
-				t.Logf("%s/%s: %.1f allocs per %d-round execution", su.name, rec.name, allocs, su.rounds)
-				if allocs > rec.limit {
-					t.Errorf("%s/%s: %.1f allocs per execution exceeds the budget of %.0f — a per-round allocation crept into the hot path",
-						su.name, rec.name, allocs, rec.limit)
-				}
-			})
-		}
+				system.ReleaseResult(res)
+			}
+			run() // warm caches and pools outside the measurement
+			allocs := testing.AllocsPerRun(5, run)
+			t.Logf("%s/off: %.1f allocs per %d-round execution", su.name, allocs, su.rounds)
+			if allocs > budget {
+				t.Errorf("%s/off: %.1f allocs per execution exceeds the budget of %.0f — a per-round allocation crept into the hot path",
+					su.name, allocs, budget)
+			}
+		})
 	}
 }
 
@@ -456,31 +498,26 @@ func BenchmarkSweepStack(b *testing.B) {
 		}
 		b.Run(su.name, func(b *testing.B) {
 			user, srv, world := su.user(), su.server(), su.world()
-			judge, _ := su.g.(goal.WorldJudge)
-			if judge == nil {
+			if _, ok := su.g.(goal.WorldJudge); !ok {
 				b.Fatalf("%s: stock compact goal without WorldJudge", su.name)
 			}
-			lastBad := 0
+			var tr goal.Tracker
 			cfg := system.Config{
-				MaxRounds: su.rounds,
-				Seed:      1,
-				Record:    system.RecordOff,
-				OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
-					if !judge.AcceptableWorld(w) {
-						lastBad = round + 1
-					}
-				},
+				MaxRounds:   su.rounds,
+				Seed:        1,
+				Record:      system.RecordOff,
+				OnRoundLive: tr.Observe,
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				tr = goal.NewTracker(su.g)
 				res, err := system.Run(user, srv, world, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
 				system.ReleaseResult(res)
 			}
-			_ = lastBad
 		})
 	}
 }

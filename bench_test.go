@@ -73,17 +73,16 @@ func BenchmarkF2SwitchTrace(b *testing.B) { benchExperiment(b, "F2") }
 // --- micro-benchmarks: engine and substrate hot paths ---
 
 // BenchmarkEngineRound measures raw engine throughput: rounds/sec of a
-// silent three-party system, under each retention policy. The full
-// sub-benchmark is the seed's recording baseline; window and off show the
-// allocation win of keeping only what referees consume. Results are
-// released back to the engine pool, as batch hot paths do.
+// silent three-party system, under each record policy. The full
+// sub-benchmark is the recording baseline; off shows the allocation win of
+// judging online instead. Results are released back to the engine pool,
+// as batch hot paths do.
 func BenchmarkEngineRound(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		rec  system.RecordPolicy
 	}{
 		{"full", system.RecordFull},
-		{"window10", system.RecordWindow(10)},
 		{"off", system.RecordOff},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -114,7 +113,7 @@ func BenchmarkRunBatch(b *testing.B) {
 				User:   func() (comm.Strategy, error) { return &treasure.Candidate{Guess: t % 8}, nil },
 				Server: func() comm.Strategy { return &treasure.Server{Secret: t % 8} },
 				World:  func() goal.World { return &treasure.World{} },
-				Config: system.Config{MaxRounds: 500, Seed: uint64(t + 1), Record: system.RecordWindow(10)},
+				Config: system.Config{MaxRounds: 500, Seed: uint64(t + 1), Record: system.RecordOff},
 			}
 		}
 		return trials

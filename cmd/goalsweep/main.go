@@ -123,8 +123,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		sample      = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
 		sampleSeed  = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
 		parallel    = fs.Int("parallel", 0, "trial worker pool size (0 = GOMAXPROCS); does not affect results")
-		chunk       = fs.Int("chunk", 256, "trials buffered per engine batch; does not affect results")
-		trialBatch  = fs.Int("trialbatch", 1, "consecutive trials a worker claims per scheduling step; does not affect results")
 		seeds       = fs.Int("seeds", 0, "override the spec's trials per scenario (0 = spec value)")
 		window      = fs.Int("window", 0, "override the spec's convergence window (0 = spec value)")
 		baseSeed    = fs.Uint64("baseseed", 0, "override the spec's base seed (0 = spec value)")
@@ -152,12 +150,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
 	}
-	if *chunk <= 0 {
-		return fmt.Errorf("-chunk must be positive, got %d", *chunk)
-	}
-	if *trialBatch < 1 {
-		return fmt.Errorf("-trialbatch must be at least 1, got %d", *trialBatch)
-	}
 	var shard scenario.Shard
 	sharded := *shardSpec != ""
 	if sharded {
@@ -180,12 +172,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	spec = m.Spec()
 
 	cfg := scenario.SweepConfig{
-		Parallel:    *parallel,
-		Seeds:       *seeds,
-		Window:      *window,
-		BaseSeed:    *baseSeed,
-		ChunkTrials: *chunk,
-		TrialBatch:  *trialBatch,
+		Parallel: *parallel,
+		Seeds:    *seeds,
+		Window:   *window,
+		BaseSeed: *baseSeed,
 	}
 	effSeeds, effWindow, effBase := cfg.Effective(spec)
 	// The CLI always binds through the stock registry.

@@ -105,10 +105,11 @@ type WorldState string
 // History is the sequence of world states produced by an execution, one per
 // completed round. Referee predicates are defined over histories.
 //
-// Under windowed recording (see the execution engine's retention policy)
-// only the trailing States are materialized and Dropped counts the
-// discarded leading rounds; Len still reports the logical length. Referees
-// that judge a history by its recent states — every stock goal in this
+// A partial history materializes only its trailing States and counts the
+// discarded leading rounds in Dropped; Len still reports the logical
+// length. An unrecorded execution leaves every round dropped, and an
+// online referee judges each prefix as a one-state history. Referees that
+// judge a history by its recent states — every stock goal in this
 // repository serializes cumulative world state into each snapshot — are
 // unaffected by the missing prefix.
 type History struct {
@@ -116,8 +117,8 @@ type History struct {
 	// is the state at the end of round Dropped+i (0-based).
 	States []WorldState
 
-	// Dropped is the number of leading rounds whose states were
-	// discarded by windowed recording; 0 for fully recorded histories.
+	// Dropped is the number of leading rounds whose states are not
+	// materialized; 0 for fully recorded histories.
 	Dropped int
 }
 
@@ -135,10 +136,10 @@ func (h History) Last() WorldState {
 
 // Prefix returns the history truncated to its first n states. It panics if
 // n is out of range, mirroring slice semantics, or — with a descriptive
-// message — if n reaches into the rounds a windowed recording dropped.
+// message — if n reaches into the rounds a partial history dropped.
 func (h History) Prefix(n int) History {
 	if n < h.Dropped {
-		panic(fmt.Sprintf("comm: Prefix(%d) reaches into the %d dropped rounds of a windowed history", n, h.Dropped))
+		panic(fmt.Sprintf("comm: Prefix(%d) reaches into the %d dropped rounds of a partial history", n, h.Dropped))
 	}
 	return History{States: h.States[:n-h.Dropped], Dropped: h.Dropped}
 }
@@ -154,13 +155,13 @@ type RoundView struct {
 // in order. Sensing functions — the feedback mechanism of the theory — are
 // predicates over views, never over hidden server or world internals.
 //
-// Like History, a view produced under windowed recording keeps only the
-// trailing Rounds and counts the discarded prefix in Dropped.
+// Like History, a partial view keeps only the trailing Rounds and counts
+// the discarded prefix in Dropped.
 type View struct {
 	Rounds []RoundView
 
-	// Dropped is the number of leading rounds discarded by windowed
-	// recording; 0 for fully recorded views.
+	// Dropped is the number of leading rounds not materialized; 0 for
+	// fully recorded views.
 	Dropped int
 }
 

@@ -48,16 +48,18 @@ func RunA1(cfg Config) (*harness.Report, error) {
 
 	// Two trials per tray size (universal, oracle), all in one batch.
 	type a1run struct {
-		g    *printing.Goal
-		w    goal.World
-		user string
+		g       *printing.Goal
+		w       goal.World
+		referee goal.Tracker
+		user    string
 	}
-	runs := make([]a1run, 0, 2*len(trays))
+	runs := make([]a1run, 2*len(trays))
 	trials := make([]system.Trial, 0, 2*len(trays))
-	for _, paper := range trays {
+	for i, paper := range trays {
 		g := &printing.Goal{Docs: []string{"target"}, Paper: paper}
 		w := g.NewWorld(goal.Env{})
-		runs = append(runs, a1run{g: g, w: w, user: "universal"})
+		run := &runs[2*i]
+		*run = a1run{g: g, w: w, referee: goal.NewTracker(g), user: "universal"}
 		trials = append(trials, system.Trial{
 			User: func() (comm.Strategy, error) {
 				return universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
@@ -65,14 +67,18 @@ func RunA1(cfg Config) (*harness.Report, error) {
 			Server: func() comm.Strategy {
 				return server.Dialected(&printing.TouchyServer{}, fam.Dialect(serverIdx))
 			},
-			World:  func() goal.World { return w },
-			Config: system.Config{MaxRounds: 50 * famSize, Seed: cfg.seed()},
+			World: func() goal.World { return w },
+			Config: system.Config{
+				MaxRounds: 50 * famSize, Seed: cfg.seed(),
+				Record: system.RecordOff, OnRoundLive: run.referee.Observe,
+			},
 		})
 
 		// Oracle user: no probing, one command, one sheet.
 		g2 := &printing.Goal{Docs: []string{"target"}, Paper: paper}
 		w2 := g2.NewWorld(goal.Env{})
-		runs = append(runs, a1run{g: g2, w: w2, user: "oracle"})
+		run2 := &runs[2*i+1]
+		*run2 = a1run{g: g2, w: w2, referee: goal.NewTracker(g2), user: "oracle"}
 		trials = append(trials, system.Trial{
 			User: func() (comm.Strategy, error) {
 				return &printing.Candidate{D: fam.Dialect(serverIdx), Resend: 1000}, nil
@@ -80,24 +86,25 @@ func RunA1(cfg Config) (*harness.Report, error) {
 			Server: func() comm.Strategy {
 				return server.Dialected(&printing.TouchyServer{}, fam.Dialect(serverIdx))
 			},
-			World:  func() goal.World { return w2 },
-			Config: system.Config{MaxRounds: 80, Seed: cfg.seed()},
+			World: func() goal.World { return w2 },
+			Config: system.Config{
+				MaxRounds: 80, Seed: cfg.seed(),
+				Record: system.RecordOff, OnRoundLive: run2.referee.Observe,
+			},
 		})
 	}
-	results, err := system.RunBatch(trials, cfg.batch())
-	if err != nil {
+	if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
 		return nil, fmt.Errorf("A1: %w", err)
 	}
 
-	for i, run := range runs {
+	for _, run := range runs {
 		forgiving := "yes"
 		if !run.g.ForgivingGoal() {
 			forgiving = "no"
 		}
-		achieved := goal.CompactAchieved(run.g, results[i].History, 10)
 		sheets, errPages := countSheets(run.w)
 		tbl.AddRow(trayLabel(run.g.Paper), forgiving, run.user,
-			yesNo(achieved), harness.I(sheets), harness.I(errPages))
+			yesNo(run.referee.Achieved(10)), harness.I(sheets), harness.I(errPages))
 	}
 	return &harness.Report{Tables: []*harness.Table{tbl}}, nil
 }

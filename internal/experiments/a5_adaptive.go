@@ -45,26 +45,30 @@ func RunA5(cfg Config) (*harness.Report, error) {
 
 		run := func(mkUser func() (comm.Strategy, error)) (int, []float64, error) {
 			trials := make([]system.Trial, n)
+			trackers := make([]goal.Tracker, n)
 			for srvIdx := 0; srvIdx < n; srvIdx++ {
+				trackers[srvIdx] = goal.NewTracker(g)
 				trials[srvIdx] = system.Trial{
 					User: mkUser,
 					Server: func() comm.Strategy {
 						return server.Dialected(&control.Server{}, fam.Dialect(srvIdx))
 					},
-					World:  func() goal.World { return g.NewWorld(goal.Env{Choice: srvIdx}) },
-					Config: system.Config{MaxRounds: horizon, Seed: cfg.seed()},
+					World: func() goal.World { return g.NewWorld(goal.Env{Choice: srvIdx}) },
+					Config: system.Config{
+						MaxRounds: horizon, Seed: cfg.seed(),
+						Record: system.RecordOff, OnRoundLive: trackers[srvIdx].Observe,
+					},
 				}
 			}
-			results, err := system.RunBatch(trials, cfg.batch())
-			if err != nil {
+			if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
 				return 0, nil, err
 			}
 			succ := 0
 			var rounds []float64
-			for _, res := range results {
-				if goal.CompactAchieved(g, res.History, 10) {
+			for _, tr := range trackers {
+				if tr.Achieved(10) {
 					succ++
-					rounds = append(rounds, float64(goal.LastUnacceptable(g, res.History)))
+					rounds = append(rounds, float64(tr.LastUnacceptable()))
 				}
 			}
 			return succ, rounds, nil

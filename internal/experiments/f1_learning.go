@@ -80,16 +80,18 @@ func RunF1(cfg Config) (*harness.Report, error) {
 		}
 
 		// One batch per class size: the three learners race the same
-		// environment concurrently, each sampling its own curve.
+		// environment concurrently, each judged by its own referee and
+		// sampling its own curve from the live world.
 		type track struct {
-			w      *learning.World
-			xs, ys []float64
+			referee goal.Tracker
+			w       *learning.World
+			xs, ys  []float64
 		}
 		tracks := make([]*track, len(learners))
 		trials := make([]system.Trial, len(learners))
 		for li, l := range learners {
 			mk := l.mk
-			tr := &track{}
+			tr := &track{referee: goal.NewTracker(g)}
 			tracks[li] = tr
 			w, ok := g.NewWorld(goal.Env{Choice: concept}).(*learning.World)
 			if !ok {
@@ -103,29 +105,25 @@ func RunF1(cfg Config) (*harness.Report, error) {
 				Config: system.Config{
 					MaxRounds: horizon,
 					Seed:      cfg.seed(),
-					OnRound: func(round int, _ comm.RoundView, state comm.WorldState) {
+					Record:    system.RecordOff,
+					OnRoundLive: func(round int, rv comm.RoundView, lw goal.World) {
+						tr.referee.Observe(round, rv, lw)
 						if m != curveM || round%sampleEvery != 0 {
 							return
 						}
-						st, ok := learning.ParseState(state)
-						if !ok {
-							return
-						}
 						tr.xs = append(tr.xs, float64(round))
-						tr.ys = append(tr.ys, float64(st.Mistakes))
+						tr.ys = append(tr.ys, float64(w.Mistakes()))
 					},
 				},
 			}
 		}
-		results, err := system.RunBatch(trials, cfg.batch())
-		if err != nil {
+		if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
 			return nil, fmt.Errorf("F1: M=%d: %w", m, err)
 		}
 
 		for li, l := range learners {
-			achieved := goal.CompactAchieved(g, results[li].History, 20)
 			achievedStr := "yes"
-			if !achieved {
+			if !tracks[li].referee.Achieved(20) {
 				achievedStr = "no"
 			}
 			tbl.AddRow(harness.I(m), l.name, harness.I(tracks[li].w.Mistakes()), l.bound(m), achievedStr)

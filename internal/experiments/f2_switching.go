@@ -36,7 +36,8 @@ func RunF2(cfg Config) (*harness.Report, error) {
 	// every runner shares one execution path.
 	var u *universal.CompactUser
 	var xs, ys []float64
-	results, err := system.RunBatch([]system.Trial{{
+	referee := goal.NewTracker(g)
+	_, err = system.RunBatch([]system.Trial{{
 		User: func() (comm.Strategy, error) {
 			var err error
 			u, err = universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
@@ -49,7 +50,9 @@ func RunF2(cfg Config) (*harness.Report, error) {
 		Config: system.Config{
 			MaxRounds: 50 * famSize,
 			Seed:      cfg.seed(),
-			OnRoundLive: func(round int, _ comm.RoundView, _ goal.World) {
+			Record:    system.RecordOff,
+			OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
+				referee.Observe(round, rv, w)
 				xs = append(xs, float64(round))
 				ys = append(ys, float64(u.Index()))
 			},
@@ -58,12 +61,11 @@ func RunF2(cfg Config) (*harness.Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("F2: %w", err)
 	}
-	res := results[0]
-	if !goal.CompactAchieved(g, res.History, 10) {
+	if !referee.Achieved(10) {
 		return nil, fmt.Errorf("F2: universal user failed to converge")
 	}
 
-	converged := goal.LastUnacceptable(g, res.History)
+	converged := referee.LastUnacceptable()
 	series := &harness.Series{
 		ID:     "F2",
 		Title:  fmt.Sprintf("active candidate index per round (N=%d, server dialect %d)", famSize, serverIdx),

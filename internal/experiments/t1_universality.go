@@ -61,7 +61,9 @@ func RunT1(cfg Config) (*harness.Report, error) {
 		for _, kind := range kinds {
 			mk := kind.mk
 			trials := make([]system.Trial, n)
+			trackers := make([]goal.Tracker, n)
 			for srvIdx := 0; srvIdx < n; srvIdx++ {
+				trackers[srvIdx] = goal.NewTracker(g)
 				trials[srvIdx] = system.Trial{
 					User: func() (comm.Strategy, error) { return mk(srvIdx) },
 					Server: func() comm.Strategy {
@@ -70,20 +72,22 @@ func RunT1(cfg Config) (*harness.Report, error) {
 					World: func() goal.World {
 						return g.NewWorld(goal.Env{Choice: srvIdx % g.EnvChoices()})
 					},
-					Config: system.Config{MaxRounds: horizon, Seed: cfg.seed()},
+					Config: system.Config{
+						MaxRounds: horizon, Seed: cfg.seed(),
+						Record: system.RecordOff, OnRoundLive: trackers[srvIdx].Observe,
+					},
 				}
 			}
-			results, err := system.RunBatch(trials, cfg.batch())
-			if err != nil {
+			if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
 				return nil, fmt.Errorf("T1: %s (N=%d): %w", kind.name, n, err)
 			}
 
 			succ := 0
 			var rounds []float64
-			for _, res := range results {
-				if goal.CompactAchieved(g, res.History, 10) {
+			for _, tr := range trackers {
+				if tr.Achieved(10) {
 					succ++
-					rounds = append(rounds, float64(goal.LastUnacceptable(g, res.History)))
+					rounds = append(rounds, float64(tr.LastUnacceptable()))
 				}
 			}
 			tbl.AddRow(

@@ -59,18 +59,20 @@ func RunT4(cfg Config) (*harness.Report, error) {
 		checkpoint := horizon * 3 / 4
 
 		// One trial per helpful server plus a false-positive probe
-		// against the lying printer, all in one batch. Each trial's
-		// universal user and checkpoint snapshot live in tracks[i];
-		// the User factory runs once, before the engine starts, so the
-		// OnRound closure always sees its own trial's user.
+		// against the lying printer, all in one batch. Each helpful
+		// trial's referee, universal user and checkpoint snapshot live
+		// in tracks[i]; the User factory runs once, before the engine
+		// starts, so the round hook always sees its own trial's user.
 		type track struct {
+			referee              goal.Tracker
 			u                    *universal.CompactUser
 			switchesAtCheckpoint int
 		}
-		tracks := make([]track, famSize+1)
+		tracks := make([]track, famSize)
 		trials := make([]system.Trial, famSize+1)
 		for srvIdx := 0; srvIdx < famSize; srvIdx++ {
 			tr := &tracks[srvIdx]
+			tr.referee = goal.NewTracker(g)
 			tr.switchesAtCheckpoint = -1
 			trials[srvIdx] = system.Trial{
 				User: func() (comm.Strategy, error) {
@@ -83,8 +85,9 @@ func RunT4(cfg Config) (*harness.Report, error) {
 				},
 				World: func() goal.World { return g.NewWorld(goal.Env{Choice: srvIdx}) },
 				Config: system.Config{
-					MaxRounds: horizon, Seed: cfg.seed(),
-					OnRoundLive: func(round int, _ comm.RoundView, _ goal.World) {
+					MaxRounds: horizon, Seed: cfg.seed(), Record: system.RecordOff,
+					OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
+						tr.referee.Observe(round, rv, w)
 						if round == checkpoint {
 							tr.switchesAtCheckpoint = tr.u.Switches()
 						}
@@ -92,30 +95,40 @@ func RunT4(cfg Config) (*harness.Report, error) {
 				},
 			}
 		}
+
+		// The liar probe feeds its own copy of the sense round by round:
+		// its last indication is the sense's verdict on the whole view.
 		liarSlot := famSize
+		liar := goal.NewTracker(g)
+		liarSense := mkSense()
+		liarSense.Reset()
+		liarPositive := false
 		trials[liarSlot] = system.Trial{
 			User: func() (comm.Strategy, error) {
-				u, err := universal.NewCompactUser(printing.Enum(fam), mkSense())
-				tracks[liarSlot].u = u
-				return u, err
+				return universal.NewCompactUser(printing.Enum(fam), mkSense())
 			},
 			Server: func() comm.Strategy { return &printing.LyingServer{} },
 			World:  func() goal.World { return g.NewWorld(goal.Env{}) },
-			Config: system.Config{MaxRounds: horizon, Seed: cfg.seed()},
+			Config: system.Config{
+				MaxRounds: horizon, Seed: cfg.seed(), Record: system.RecordOff,
+				OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
+					liar.Observe(round, rv, w)
+					liarPositive = liarSense.Observe(rv)
+				},
+			},
 		}
 
-		results, err := system.RunBatch(trials, cfg.batch())
-		if err != nil {
+		if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
 			return nil, fmt.Errorf("T4: %s: %w", v.name, err)
 		}
 
 		succ, settled := 0, 0
 		var switches []float64
 		for srvIdx := 0; srvIdx < famSize; srvIdx++ {
-			if goal.CompactAchieved(g, results[srvIdx].History, 10) {
+			tr := tracks[srvIdx]
+			if tr.referee.Achieved(10) {
 				succ++
 			}
-			tr := tracks[srvIdx]
 			if tr.switchesAtCheckpoint >= 0 && tr.u.Switches() == tr.switchesAtCheckpoint {
 				settled++
 			}
@@ -125,9 +138,7 @@ func RunT4(cfg Config) (*harness.Report, error) {
 		// False-positive probe: is the sensing's final indication
 		// positive against the liar despite the goal being unachieved?
 		falsePos := 0
-		res := results[liarSlot]
-		achieved := goal.CompactAchieved(g, res.History, 10)
-		if sensing.Replay(mkSense(), res.View) && !achieved {
+		if liarPositive && !liar.Achieved(10) {
 			falsePos = 1
 		}
 

@@ -81,9 +81,11 @@ func RunT5(cfg Config) (*harness.Report, error) {
 			r := xrand.New(cfg.seed() + uint64(s*1000))
 			secrets := make([]int, trials)
 			users := make([]*universal.CompactUser, trials)
+			trackers := make([]goal.Tracker, trials)
 			batch := make([]system.Trial, trials)
 			for trial := 0; trial < trials; trial++ {
 				secrets[trial] = prior.Sample(r)
+				trackers[trial] = goal.NewTracker(g)
 				batch[trial] = system.Trial{
 					User: func() (comm.Strategy, error) {
 						u, err := universal.NewCompactUser(enum, treasure.Sense(0))
@@ -96,21 +98,21 @@ func RunT5(cfg Config) (*harness.Report, error) {
 					World: func() goal.World { return g.NewWorld(goal.Env{}) },
 					Config: system.Config{
 						MaxRounds: horizon, Seed: cfg.seed() + uint64(trial),
+						Record: system.RecordOff, OnRoundLive: trackers[trial].Observe,
 					},
 				}
 			}
-			results, err := system.RunBatch(batch, cfg.batch())
-			if err != nil {
+			if _, err := system.RunBatch(batch, cfg.batch()); err != nil {
 				return nil, fmt.Errorf("T5: %w", err)
 			}
 
 			var tried, rounds []float64
-			for trial, res := range results {
-				if !goal.CompactAchieved(g, res.History, 5) {
+			for trial, tr := range trackers {
+				if !tr.Achieved(5) {
 					return nil, fmt.Errorf("T5: trial %d (secret %d) failed", trial, secrets[trial])
 				}
 				tried = append(tried, float64(users[trial].Index()%n+1))
-				rounds = append(rounds, float64(goal.LastUnacceptable(g, res.History)))
+				rounds = append(rounds, float64(tr.LastUnacceptable()))
 			}
 
 			analytic := "-"

@@ -17,7 +17,8 @@
 //     finite history at the halting point (FiniteGoal).
 //   - Compact goals: the system runs forever, and the referee accepts iff
 //     only finitely many prefixes of the history are unacceptable
-//     (CompactGoal, evaluated on bounded horizons by CompactAchieved).
+//     (CompactGoal, evaluated on bounded horizons online by a Tracker, or
+//     on a recorded history by CompactAchieved).
 package goal
 
 import (
@@ -57,51 +58,19 @@ type Env struct {
 }
 
 // World is the third party's strategy. Beyond exchanging messages it exposes
-// a Snapshot of its instantaneous state; the execution engine records one
+// a Snapshot of its instantaneous state; a recording execution stores one
 // snapshot per round, and referees judge the resulting history.
 type World interface {
 	comm.Strategy
 
-	// Snapshot serializes the world's current state. It is called once
-	// per round, after the world's Step.
+	// Snapshot serializes the world's current state. It is called at
+	// most once per round, after the world's Step.
 	Snapshot() comm.WorldState
 }
 
-// StateAppender is an optional World refinement for the engine's hot
-// path: a world that can serialize its snapshot into a caller-provided
-// buffer instead of allocating a fresh string per round.
-//
-// Contract: AppendSnapshot(dst) appends exactly the bytes of Snapshot()
-// to dst and returns the extended slice — the two encodings must never
-// diverge, because referees judge whichever one the execution engine
-// materialized. The engine interns the appended bytes into shared
-// WorldState strings; interning cannot change observable output, since
-// equal states intern to strings with equal bytes.
-type StateAppender interface {
-	// AppendSnapshot appends the world's current snapshot to dst.
-	AppendSnapshot(dst []byte) []byte
-}
-
-// StateVersioned is an optional World refinement for the engine's hot
-// path: a world that exposes a generation counter advancing exactly when
-// its snapshot changes, so the engine detects "state unchanged since last
-// round" with one integer compare instead of re-serializing and interning
-// identical bytes.
-//
-// Contract: between two calls with no intervening change to the bytes
-// Snapshot() would produce, StateGen returns the same value; whenever
-// those bytes would differ, the value differs from the previous one.
-// Monotonicity is not required, only inequality across changes within a
-// single execution (Reset may reuse values — the engine never compares
-// generations across runs).
-type StateVersioned interface {
-	// StateGen returns the current snapshot generation.
-	StateGen() uint64
-}
-
-// WorldJudge is an optional CompactGoal refinement for the engine's hot
-// path: a referee that can judge the live world directly, so per-round
-// trackers never round-trip through a formatted snapshot string.
+// WorldJudge is the one optional fast path of the execution engine: a
+// compact referee that can judge the live world directly, so a Tracker fed
+// through the engine's live round hook never formats a snapshot string.
 //
 // Contract: AcceptableWorld(w) must equal Acceptable(h) for any history
 // h whose last state is w's current Snapshot() — it is the same
@@ -165,8 +134,7 @@ type Forgiving interface {
 // acceptable, i.e. unacceptable prefixes stopped occurring at least window
 // rounds before the end. This is the executable stand-in for "finitely many
 // unacceptable prefixes" (see DESIGN.md §4); window must be positive and at
-// most h.Len(). A windowed history (h.Dropped > 0) must retain at least
-// window states, or Prefix panics.
+// most h.Len(). It is the recorded-history reference for Tracker.Achieved.
 func CompactAchieved(g CompactGoal, h comm.History, window int) bool {
 	if window <= 0 || window > h.Len() {
 		return false
@@ -196,7 +164,8 @@ func UnacceptableCount(g CompactGoal, h comm.History) int {
 // LastUnacceptable returns the largest prefix length at which the referee
 // rejected, or 0 if every prefix of h is acceptable. For an achieved compact
 // goal this is the convergence point. It may examine every prefix, so h
-// must be fully recorded (h.Dropped == 0).
+// must be fully recorded (h.Dropped == 0). It is the recorded-history
+// reference for Tracker.LastUnacceptable.
 func LastUnacceptable(g CompactGoal, h comm.History) int {
 	for n := h.Len(); n >= 1; n-- {
 		if !g.Acceptable(h.Prefix(n)) {
@@ -204,4 +173,65 @@ func LastUnacceptable(g CompactGoal, h comm.History) int {
 		}
 	}
 	return 0
+}
+
+// Tracker is the online compact referee. Fed every round of one execution,
+// it keeps the two numbers the recorded referee derives from a history —
+// the round count and the largest rejected prefix — so the execution need
+// not record one. Each prefix is judged by its last state: AcceptableWorld
+// on the live world when the goal is a WorldJudge, otherwise Acceptable on
+// a one-state history of w.Snapshot() whose Dropped counts the rounds
+// before it. That agrees with CompactAchieved and LastUnacceptable for
+// every referee that judges a prefix by its recent state, which holds for
+// every stock goal: their worlds serialize cumulative state into each
+// snapshot.
+//
+// Build a Tracker with NewTracker; it is not safe for concurrent use.
+type Tracker struct {
+	g       CompactGoal
+	judge   WorldJudge
+	last    comm.History // one-state history for goals without a WorldJudge
+	rounds  int
+	lastBad int
+}
+
+// NewTracker returns a tracker for one execution of g.
+func NewTracker(g CompactGoal) Tracker {
+	judge, _ := g.(WorldJudge)
+	return Tracker{g: g, judge: judge}
+}
+
+// Observe judges the prefix ending in round (0-based), whose state is w's
+// current one. Its signature is the engine's live round hook, so a method
+// value installs the tracker directly.
+func (t *Tracker) Observe(round int, _ comm.RoundView, w World) {
+	t.rounds = round + 1
+	if !t.acceptable(round, w) {
+		t.lastBad = round + 1
+	}
+}
+
+func (t *Tracker) acceptable(round int, w World) bool {
+	if t.judge != nil {
+		return t.judge.AcceptableWorld(w)
+	}
+	if t.last.States == nil {
+		t.last.States = make([]comm.WorldState, 1)
+	}
+	t.last.States[0] = w.Snapshot()
+	t.last.Dropped = round
+	return t.g.Acceptable(t.last)
+}
+
+// Rounds returns the number of rounds observed.
+func (t *Tracker) Rounds() int { return t.rounds }
+
+// LastUnacceptable returns the largest prefix length the referee rejected,
+// or 0 if it accepted every prefix.
+func (t *Tracker) LastUnacceptable() int { return t.lastBad }
+
+// Achieved reports whether every prefix in the final window rounds was
+// acceptable; like CompactAchieved it is false unless 0 < window <= Rounds.
+func (t *Tracker) Achieved(window int) bool {
+	return window > 0 && window <= t.rounds && t.lastBad <= t.rounds-window
 }

@@ -103,7 +103,9 @@ func TestCompactAchievedConsistentWithCounts(t *testing.T) {
 	t.Parallel()
 
 	// Property: for a monotone referee, CompactAchieved with window w
-	// holds iff LastUnacceptable <= len - w.
+	// holds iff LastUnacceptable <= len - w, and a Tracker fed the same
+	// rounds online reaches both verdicts, also for a window one past
+	// the history.
 	f := func(k, n uint8, w uint8) bool {
 		g := &thresholdGoal{K: int(k % 40)}
 		h := mkHistory(int(n%40) + 1)
@@ -113,7 +115,15 @@ func TestCompactAchievedConsistentWithCounts(t *testing.T) {
 		}
 		got := goal.CompactAchieved(g, h, window)
 		want := goal.LastUnacceptable(g, h) <= h.Len()-window
-		return got == want
+		tr := goal.NewTracker(g)
+		for round := 0; round < h.Len(); round++ {
+			tr.Observe(round, comm.RoundView{}, &commtest.CountingWorld{})
+		}
+		return got == want &&
+			tr.Achieved(window) == got &&
+			tr.Achieved(window+1) == goal.CompactAchieved(g, h, window+1) &&
+			tr.LastUnacceptable() == goal.LastUnacceptable(g, h) &&
+			tr.Rounds() == h.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -215,29 +215,23 @@ func (g *Goal) ForgivingGoal() bool { return true }
 // Snapshot: "pos=<p>;set=<s>;at=<0|1>".
 // Hot-path layout: the plant is three scalars (initPos, pos, set) plus a
 // generation counter that bumps exactly when the plant moves — which is
-// exactly when the telemetry and the snapshot change — so state-change
-// detection is one integer compare. Telemetry strings are pure functions
+// exactly when the telemetry changes — so state-change detection is one
+// integer compare. Telemetry strings are pure functions
 // of (pos, set) with set fixed per instance, so they are memoized in a
 // Reset-surviving table keyed by pos: a trajectory revisiting a position
 // (or a reused world replaying a run) serves cached strings.
 type World struct {
 	initPos  int
 	pos, set int
-	gen      uint64 // snapshot/status generation: bumps when the plant moves
+	gen      uint64 // status generation: bumps when the plant moves
 
 	status    comm.Message                    // cached telemetry, rebuilt when pos changes
 	statusTab msgbuf.Table[int, comm.Message] // pos → telemetry, survives Reset
 	statusGen uint64
-	buf       []byte // reusable build buffer for status and snapshots
-	snap      []byte // cached snapshot bytes, valid while snapGen == gen
-	snapGen   uint64
+	buf       []byte // reusable build buffer for status
 }
 
-var (
-	_ goal.World          = (*World)(nil)
-	_ goal.StateAppender  = (*World)(nil)
-	_ goal.StateVersioned = (*World)(nil)
-)
+var _ goal.World = (*World)(nil)
 
 // Reset implements comm.Strategy. The telemetry table persists across
 // Reset: initPos and set are fixed per instance, so last run's strings
@@ -245,7 +239,7 @@ var (
 func (w *World) Reset(*xrand.Rand) {
 	w.pos = w.initPos
 	w.status = ""
-	w.gen++ // invalidates the status and snapshot caches
+	w.gen++ // invalidates the status cache
 }
 
 // Pos returns the current plant position (for tests).
@@ -266,9 +260,9 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 			w.status = s
 		} else {
 			w.buf = append(w.buf[:0], "POS "...)
-			w.buf = msgbuf.AppendInt(w.buf, w.pos)
+			w.buf = strconv.AppendInt(w.buf, int64(w.pos), 10)
 			w.buf = append(w.buf, "|SET "...)
-			w.buf = msgbuf.AppendInt(w.buf, w.set)
+			w.buf = strconv.AppendInt(w.buf, int64(w.set), 10)
 			w.status = comm.Message(w.buf) // string conversion copies
 			w.statusTab.Put(w.pos, w.status)
 		}
@@ -277,35 +271,19 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 	return comm.Outbox{ToUser: w.status}, nil
 }
 
-// StateGen implements goal.StateVersioned: the generation advances
-// exactly when the plant moves (or the world resets), which is exactly
-// when the snapshot's pos/at fields change.
-func (w *World) StateGen() uint64 { return w.gen }
-
-// Snapshot implements goal.World.
+// Snapshot implements goal.World: "pos=<p>;set=<s>;at=<0|1>".
 func (w *World) Snapshot() comm.WorldState {
-	return comm.WorldState(w.AppendSnapshot(nil))
-}
-
-// AppendSnapshot implements goal.StateAppender:
-// "pos=<p>;set=<s>;at=<0|1>", byte-identical to Snapshot. The encoding
-// is cached per generation, so a settled loop copies bytes instead of
-// re-formatting.
-func (w *World) AppendSnapshot(dst []byte) []byte {
-	if len(w.snap) == 0 || w.snapGen != w.gen {
-		b := append(w.snap[:0], "pos="...)
-		b = msgbuf.AppendInt(b, w.pos)
-		b = append(b, ";set="...)
-		b = msgbuf.AppendInt(b, w.set)
-		if w.pos == w.set {
-			b = append(b, ";at=1"...)
-		} else {
-			b = append(b, ";at=0"...)
-		}
-		w.snap = b
-		w.snapGen = w.gen
+	var a [48]byte
+	b := append(a[:0], "pos="...)
+	b = strconv.AppendInt(b, int64(w.pos), 10)
+	b = append(b, ";set="...)
+	b = strconv.AppendInt(b, int64(w.set), 10)
+	if w.pos == w.set {
+		b = append(b, ";at=1"...)
+	} else {
+		b = append(b, ";at=0"...)
 	}
-	return append(dst, w.snap...)
+	return comm.WorldState(b)
 }
 
 // ParsePlant decodes the world's status message.

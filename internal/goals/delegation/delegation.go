@@ -206,20 +206,10 @@ type World struct {
 	announce comm.Message // cached "INSTANCE <encoded>" (instance is fixed per world)
 }
 
-var (
-	_ goal.World          = (*World)(nil)
-	_ goal.StateAppender  = (*World)(nil)
-	_ goal.StateVersioned = (*World)(nil)
-)
+var _ goal.World = (*World)(nil)
 
 // Instance returns the posed instance (for tests and examples).
 func (w *World) Instance() Instance { return w.instance }
-
-// StateGen implements goal.StateVersioned: the world has four states, so
-// the generation is the state's index.
-func (w *World) StateGen() uint64 {
-	return uint64(b2i(w.answered))<<1 | uint64(b2i(w.solved))
-}
 
 // Reset implements comm.Strategy.
 func (w *World) Reset(*xrand.Rand) {
@@ -258,12 +248,6 @@ func b2i(b bool) int {
 // Snapshot implements goal.World.
 func (w *World) Snapshot() comm.WorldState {
 	return delegationStates[b2i(w.answered)][b2i(w.solved)]
-}
-
-// AppendSnapshot implements goal.StateAppender, byte-identical to
-// Snapshot.
-func (w *World) AppendSnapshot(dst []byte) []byte {
-	return append(dst, delegationStates[b2i(w.answered)][b2i(w.solved)]...)
 }
 
 // Server is the solver's native protocol: on "SOLVE <instance>" it replies

@@ -188,15 +188,15 @@ func (g *Goal) precompute() {
 	g.runMsg = make([]comm.Message, n)
 	g.snapMsg = make([]comm.WorldState, 2*n)
 	for q := 0; q < n; q++ {
-		g.runMsg[q] = comm.Message("RUN q" + msgbuf.Itoa(q))
+		g.runMsg[q] = comm.Message("RUN q" + strconv.Itoa(q))
 		g.snapMsg[q<<1] = comm.WorldState(fmt.Sprintf("fsm=%s#%d;q=%d;done=0", FormatSpace(g.space), g.index, q))
 		g.snapMsg[q<<1|1] = comm.WorldState(fmt.Sprintf("fsm=%s#%d;q=%d;done=1", FormatSpace(g.space), g.index, q))
 	}
 	g.pressed = make([]comm.Message, a)
 	g.sym = make([]comm.Message, a)
 	for k := 0; k < a; k++ {
-		g.pressed[k] = comm.Message("PRESSED " + msgbuf.Itoa(k))
-		g.sym[k] = comm.Message("sym " + msgbuf.Itoa(k))
+		g.pressed[k] = comm.Message("PRESSED " + strconv.Itoa(k))
+		g.sym[k] = comm.Message("sym " + strconv.Itoa(k))
 	}
 }
 
@@ -260,24 +260,10 @@ type World struct {
 	done  bool
 }
 
-var (
-	_ goal.World          = (*World)(nil)
-	_ goal.StateAppender  = (*World)(nil)
-	_ goal.StateVersioned = (*World)(nil)
-)
+var _ goal.World = (*World)(nil)
 
 // Reset implements comm.Strategy.
 func (w *World) Reset(*xrand.Rand) { w.state, w.done = 0, false }
-
-// StateGen implements goal.StateVersioned: (state, done) fully determines
-// the snapshot, so it is its own generation.
-func (w *World) StateGen() uint64 {
-	gen := uint64(w.state) << 1
-	if w.done {
-		gen |= 1
-	}
-	return gen
-}
 
 // Step implements comm.Strategy.
 func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
@@ -306,12 +292,6 @@ func (w *World) snapIdx() int {
 
 // Snapshot implements goal.World.
 func (w *World) Snapshot() comm.WorldState { return w.g.snapMsg[w.snapIdx()] }
-
-// AppendSnapshot implements goal.StateAppender, byte-identical to
-// Snapshot.
-func (w *World) AppendSnapshot(dst []byte) []byte {
-	return append(dst, w.g.snapMsg[w.snapIdx()]...)
-}
 
 // Server is the honest native-protocol panel operator: on "press <k>" it
 // acknowledges the user and forwards the symbol to the panel. All replies
@@ -380,7 +360,7 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 	}
 	msg, ok := c.cmd.Get(k)
 	if !ok {
-		msg = c.D.Encode(comm.Message("press " + msgbuf.Itoa(k)))
+		msg = c.D.Encode(comm.Message("press " + strconv.Itoa(k)))
 		c.cmd.Put(k, msg)
 	}
 	return comm.Outbox{ToServer: msg}, nil

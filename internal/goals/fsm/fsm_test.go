@@ -115,17 +115,12 @@ func TestWorldRunsMachineAndLatchesDone(t *testing.T) {
 	if out.ToUser != "RUN q0" || string(w.Snapshot()) != "fsm=2x2x2#"+itoa(idx)+";q=0;done=0" {
 		t.Fatalf("initial round: %q %q", out.ToUser, w.Snapshot())
 	}
-	gen0 := w.StateGen()
-
 	out, err = w.Step(comm.Inbox{FromServer: "sym 1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ToUser != "RUN q1" {
-		t.Fatalf("after sym 1: %q", out.ToUser)
-	}
-	if w.StateGen() == gen0 {
-		t.Fatal("state changed but generation did not")
+	if out.ToUser != "RUN q1" || string(w.Snapshot()) != "fsm=2x2x2#"+itoa(idx)+";q=1;done=0" {
+		t.Fatalf("after sym 1: %q %q", out.ToUser, w.Snapshot())
 	}
 
 	out, err = w.Step(comm.Inbox{FromServer: "sym 0"})
@@ -147,10 +142,6 @@ func TestWorldRunsMachineAndLatchesDone(t *testing.T) {
 		if out.ToUser != "DONE" {
 			t.Fatalf("done unlatched by %q", msg)
 		}
-	}
-	// Snapshot and AppendSnapshot must agree byte for byte.
-	if got := string(w.AppendSnapshot(nil)); got != string(w.Snapshot()) {
-		t.Fatalf("AppendSnapshot %q != Snapshot %q", got, w.Snapshot())
 	}
 	h := comm.History{States: []comm.WorldState{w.Snapshot()}}
 	if !g.Acceptable(h) {

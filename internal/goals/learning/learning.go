@@ -184,12 +184,7 @@ type World struct {
 	queryOK int
 	buf     []byte       // reusable build buffer
 	arena   msgbuf.Arena // backs the query strings (ids grow without bound)
-	gen     uint64       // snapshot generation: bumps every round (stall is in the snapshot)
 }
-
-var _ goal.StateAppender = (*World)(nil)
-
-var _ goal.StateVersioned = (*World)(nil)
 
 var _ goal.World = (*World)(nil)
 
@@ -244,7 +239,6 @@ func (w *World) Answered() int { return w.answered }
 // Step implements comm.Strategy.
 func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 	w.stall++
-	w.gen++ // stall is part of the snapshot, so every round is a new state
 	if rest, ok := strings.CutPrefix(string(in.FromUser), "P "); ok {
 		if idStr, bitStr, found := strings.Cut(rest, " "); found {
 			id, err1 := strconv.Atoi(idStr)
@@ -284,11 +278,11 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 			res = "bad"
 		}
 		w.buf = append(w.buf[:0], "Q "...)
-		w.buf = msgbuf.AppendInt(w.buf, w.id)
+		w.buf = strconv.AppendInt(w.buf, int64(w.id), 10)
 		w.buf = append(w.buf, ' ')
-		w.buf = msgbuf.AppendInt(w.buf, w.x)
+		w.buf = strconv.AppendInt(w.buf, int64(w.x), 10)
 		w.buf = append(w.buf, "|RES "...)
-		w.buf = msgbuf.AppendInt(w.buf, w.id-1)
+		w.buf = strconv.AppendInt(w.buf, int64(w.id-1), 10)
 		w.buf = append(w.buf, ' ')
 		w.buf = append(w.buf, res...)
 		// Query ids grow without bound, so the string cannot be interned
@@ -300,29 +294,19 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 	return comm.Outbox{ToUser: w.query}, nil
 }
 
-// StateGen implements goal.StateVersioned. The snapshot embeds the stall
-// counter, which changes every round, so the generation is simply bumped
-// once per Step.
-func (w *World) StateGen() uint64 { return w.gen }
-
-// Snapshot implements goal.World.
+// Snapshot implements goal.World:
+// "answered=<n>;mistakes=<n>;lastok=<n>;stall=<n>".
 func (w *World) Snapshot() comm.WorldState {
-	return comm.WorldState(w.AppendSnapshot(nil))
-}
-
-// AppendSnapshot implements goal.StateAppender:
-// "answered=<n>;mistakes=<n>;lastok=<n>;stall=<n>", byte-identical to
-// Snapshot.
-func (w *World) AppendSnapshot(dst []byte) []byte {
-	dst = append(dst, "answered="...)
-	dst = msgbuf.AppendInt(dst, w.answered)
-	dst = append(dst, ";mistakes="...)
-	dst = msgbuf.AppendInt(dst, w.mistakes)
-	dst = append(dst, ";lastok="...)
-	dst = msgbuf.AppendInt(dst, w.lastOK)
-	dst = append(dst, ";stall="...)
-	dst = msgbuf.AppendInt(dst, w.stall)
-	return dst
+	var a [80]byte
+	b := append(a[:0], "answered="...)
+	b = strconv.AppendInt(b, int64(w.answered), 10)
+	b = append(b, ";mistakes="...)
+	b = strconv.AppendInt(b, int64(w.mistakes), 10)
+	b = append(b, ";lastok="...)
+	b = strconv.AppendInt(b, int64(w.lastOK), 10)
+	b = append(b, ";stall="...)
+	b = strconv.AppendInt(b, int64(w.stall), 10)
+	return comm.WorldState(b)
 }
 
 // Query is the parsed form of a world announcement.
@@ -389,9 +373,9 @@ func (b *answerBuilder) reset() { b.arena.Reset() }
 
 func (b *answerBuilder) msg(id, bit int) comm.Message {
 	b.buf = append(b.buf[:0], "P "...)
-	b.buf = msgbuf.AppendInt(b.buf, id)
+	b.buf = strconv.AppendInt(b.buf, int64(id), 10)
 	b.buf = append(b.buf, ' ')
-	b.buf = msgbuf.AppendInt(b.buf, bit)
+	b.buf = strconv.AppendInt(b.buf, int64(bit), 10)
 	return comm.Message(b.arena.Append(b.buf))
 }
 

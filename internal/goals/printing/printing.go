@@ -22,6 +22,7 @@
 package printing
 
 import (
+	"strconv"
 	"strings"
 
 	"repro/internal/comm"
@@ -131,29 +132,20 @@ func (g *Goal) ForgivingGoal() bool { return g.Paper == 0 }
 // Snapshot format: "target=<target>;printed=<count>;done=<0|1>".
 // Hot-path layout: the round loop reads only the scalar fields (count,
 // last, done) — the printed log is kept for Printout() and appended to,
-// never scanned. State-change detection is the gen counter: it bumps
-// exactly when a document lands, which is exactly when the announcement
-// and the snapshot change, so both caches key on one integer compare.
+// never scanned.
 type World struct {
 	target  string
 	paper   int      // 0 = unlimited
 	printed []string // full log, storage reused across Reset
 	last    string   // printed[len-1], the only log entry the loop reads
 	done    bool
-	gen     uint64 // snapshot/status generation: bumps when a doc lands
 
 	status     comm.Message // cached announcement, keyed on the document it reports
 	statusLast string
 	buf        []byte // reusable build buffer
-	snap       []byte // cached snapshot bytes, valid while snapGen == gen
-	snapGen    uint64
 }
 
-var (
-	_ goal.World          = (*World)(nil)
-	_ goal.StateAppender  = (*World)(nil)
-	_ goal.StateVersioned = (*World)(nil)
-)
+var _ goal.World = (*World)(nil)
 
 // Target returns the document the user is tasked with printing.
 func (w *World) Target() string { return w.target }
@@ -185,7 +177,6 @@ func (w *World) Reset(*xrand.Rand) {
 	w.printed = w.printed[:0]
 	w.last = ""
 	w.done = false
-	w.gen++ // invalidates the status and snapshot caches
 }
 
 // Step implements comm.Strategy.
@@ -197,13 +188,12 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 			if doc == w.target {
 				w.done = true
 			}
-			w.gen++
 		}
 	}
 	// The announcement depends only on the most recent document, not the
-	// count, so it is keyed on that string (not the generation): a
-	// printer re-emitting the same page — the converged steady state —
-	// re-sends one cached announcement. Usually a pointer-equal compare.
+	// count, so it is keyed on that string: a printer re-emitting the
+	// same page — the converged steady state — re-sends one cached
+	// announcement. Usually a pointer-equal compare.
 	if w.status == "" || w.statusLast != w.last {
 		w.buf = append(w.buf[:0], "TASK "...)
 		w.buf = append(w.buf, w.target...)
@@ -215,35 +205,20 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 	return comm.Outbox{ToUser: w.status}, nil
 }
 
-// StateGen implements goal.StateVersioned: the generation advances
-// exactly when a document lands (or the world resets), which is exactly
-// when the snapshot's count/done fields change.
-func (w *World) StateGen() uint64 { return w.gen }
-
-// Snapshot implements goal.World.
+// Snapshot implements goal.World:
+// "target=<target>;printed=<count>;done=<0|1>".
 func (w *World) Snapshot() comm.WorldState {
-	return comm.WorldState(w.AppendSnapshot(nil))
-}
-
-// AppendSnapshot implements goal.StateAppender:
-// "target=<target>;printed=<count>;done=<0|1>", byte-identical to
-// Snapshot. The encoding is cached per generation, so quiescent rounds
-// copy bytes instead of re-formatting.
-func (w *World) AppendSnapshot(dst []byte) []byte {
-	if len(w.snap) == 0 || w.snapGen != w.gen {
-		b := append(w.snap[:0], "target="...)
-		b = append(b, w.target...)
-		b = append(b, ";printed="...)
-		b = msgbuf.AppendInt(b, len(w.printed))
-		if w.done {
-			b = append(b, ";done=1"...)
-		} else {
-			b = append(b, ";done=0"...)
-		}
-		w.snap = b
-		w.snapGen = w.gen
+	var a [64]byte
+	b := append(a[:0], "target="...)
+	b = append(b, w.target...)
+	b = append(b, ";printed="...)
+	b = strconv.AppendInt(b, int64(len(w.printed)), 10)
+	if w.done {
+		b = append(b, ";done=1"...)
+	} else {
+		b = append(b, ";done=0"...)
 	}
-	return append(dst, w.snap...)
+	return comm.WorldState(b)
 }
 
 // ParseWorldMsg extracts the task and last-printed fields from a world

@@ -116,29 +116,23 @@ func (g *Goal) ForgivingGoal() bool { return true }
 // scalars (count, bitmask, generation) — the have slice is touched only
 // on chunk arrival, to dedupe re-releases. State-change detection is the
 // gen counter: it bumps exactly when a new chunk lands, which is exactly
-// when the status and snapshot change.
+// when the status changes.
 type World struct {
 	K int
 
 	have  []bool
 	cnt   int    // number of stored chunks, maintained incrementally
 	cmask uint64 // bitmask of stored chunks < 64, maintained incrementally
-	gen   uint64 // snapshot/status generation: bumps when a new chunk lands
+	gen   uint64 // status generation: bumps when a new chunk lands
 
 	status    comm.Message                       // cached status, rebuilt when the stored set changes
 	statusTab msgbuf.Table[uint64, comm.Message] // mask → status, survives Reset
 	statusK   int                                // K the table was built for
 	statusGen uint64
 	buf       []byte // reusable build buffer
-	snap      []byte // cached snapshot bytes, valid while snapGen == gen
-	snapGen   uint64
 }
 
-var (
-	_ goal.World          = (*World)(nil)
-	_ goal.StateAppender  = (*World)(nil)
-	_ goal.StateVersioned = (*World)(nil)
-)
+var _ goal.World = (*World)(nil)
 
 // Reset implements comm.Strategy. The status table persists across Reset:
 // statuses are pure functions of (K, mask), so a reused world re-serves
@@ -156,7 +150,7 @@ func (w *World) Reset(*xrand.Rand) {
 		w.statusTab.Reset()
 		w.statusK = w.K
 	}
-	w.gen++ // invalidates the status and snapshot caches
+	w.gen++ // invalidates the status cache
 }
 
 func (w *World) count() int { return w.cnt }
@@ -185,9 +179,9 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 			w.status = s
 		} else {
 			w.buf = append(w.buf[:0], "WANT "...)
-			w.buf = msgbuf.AppendInt(w.buf, w.K)
+			w.buf = strconv.AppendInt(w.buf, int64(w.K), 10)
 			w.buf = append(w.buf, "|HAVE "...)
-			w.buf = msgbuf.AppendUint(w.buf, w.cmask)
+			w.buf = strconv.AppendUint(w.buf, w.cmask, 10)
 			w.status = comm.Message(w.buf) // string conversion copies
 			w.statusTab.Put(w.cmask, w.status)
 		}
@@ -196,35 +190,19 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 	return comm.Outbox{ToUser: w.status}, nil
 }
 
-// StateGen implements goal.StateVersioned: the generation advances
-// exactly when a new chunk is stored (or the world resets), which is
-// exactly when the snapshot's count/done fields change.
-func (w *World) StateGen() uint64 { return w.gen }
-
-// Snapshot implements goal.World.
+// Snapshot implements goal.World: "have=<n>/<K>;done=<0|1>".
 func (w *World) Snapshot() comm.WorldState {
-	return comm.WorldState(w.AppendSnapshot(nil))
-}
-
-// AppendSnapshot implements goal.StateAppender:
-// "have=<n>/<K>;done=<0|1>", byte-identical to Snapshot. The encoding is
-// cached per generation, so quiescent rounds copy bytes instead of
-// re-formatting.
-func (w *World) AppendSnapshot(dst []byte) []byte {
-	if len(w.snap) == 0 || w.snapGen != w.gen {
-		b := append(w.snap[:0], "have="...)
-		b = msgbuf.AppendInt(b, w.cnt)
-		b = append(b, '/')
-		b = msgbuf.AppendInt(b, w.K)
-		if w.cnt == w.K {
-			b = append(b, ";done=1"...)
-		} else {
-			b = append(b, ";done=0"...)
-		}
-		w.snap = b
-		w.snapGen = w.gen
+	var a [48]byte
+	b := append(a[:0], "have="...)
+	b = strconv.AppendInt(b, int64(w.cnt), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(w.K), 10)
+	if w.cnt == w.K {
+		b = append(b, ";done=1"...)
+	} else {
+		b = append(b, ";done=0"...)
 	}
-	return append(dst, w.snap...)
+	return comm.WorldState(b)
 }
 
 // ParseStatus decodes the world's status message.

@@ -73,23 +73,10 @@ type World struct {
 	open bool
 }
 
-var (
-	_ goal.World          = (*World)(nil)
-	_ goal.StateAppender  = (*World)(nil)
-	_ goal.StateVersioned = (*World)(nil)
-)
+var _ goal.World = (*World)(nil)
 
 // Reset implements comm.Strategy.
 func (w *World) Reset(*xrand.Rand) { w.open = false }
-
-// StateGen implements goal.StateVersioned: the vault has exactly two
-// states, so the generation is the state itself.
-func (w *World) StateGen() uint64 {
-	if w.open {
-		return 1
-	}
-	return 0
-}
 
 // Step implements comm.Strategy.
 func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
@@ -108,15 +95,6 @@ func (w *World) Snapshot() comm.WorldState {
 		return "vault=open"
 	}
 	return "vault=locked"
-}
-
-// AppendSnapshot implements goal.StateAppender, byte-identical to
-// Snapshot.
-func (w *World) AppendSnapshot(dst []byte) []byte {
-	if w.open {
-		return append(dst, "vault=open"...)
-	}
-	return append(dst, "vault=locked"...)
 }
 
 // Server guards the vault with the given secret. On "pass <k>" it unlocks

@@ -13,12 +13,11 @@ import (
 
 // CertConfig parameterizes empirical certification runs.
 //
-// Certification executes through system.RunEach with windowed retention:
-// only the trailing convergence window of world states is materialized and
-// sensing indications are computed online, round by round, instead of by
-// replaying a fully recorded view. Verdicts are identical to full
-// recording for every stock goal (their referees judge a history by its
-// recent states), at a fraction of the memory traffic.
+// Certification executes through system.RunEach, and every trial is
+// observed online, round by round: compact goals are judged by a
+// goal.Tracker and record nothing, and sensing indications are computed as
+// the view unfolds instead of by replaying a recorded one. Finite goals
+// record the full history their referee judges at the halting point.
 type CertConfig struct {
 	// MaxRounds is the execution horizon per run; 0 means the system
 	// default.
@@ -96,23 +95,40 @@ func (v Violation) String() string {
 		v.Kind, v.Server, v.Env, v.Candidate, v.Detail)
 }
 
-// senseProbe feeds a sensing function online (via Config.OnRound) and
-// tracks what the certifiers need: the total round count, the trailing
-// run of positive indications, and the final indication. This replaces
-// full-view recording plus replay.
-type senseProbe struct {
-	sense  sensing.Sense
-	rounds int
-	streak int
-	last   bool
+// probe observes one certification trial online through the engine's
+// live round hook: the compact referee (when tracked) and the indications
+// of the sensing function under test (when sensed). This replaces history
+// recording plus replay.
+type probe struct {
+	tracked bool
+	tr      goal.Tracker
+	sense   sensing.Sense // nil when the run's indications are not needed
+	rounds  int
+	streak  int
+	last    bool
 }
 
-func newSenseProbe(s sensing.Sense) *senseProbe {
-	s.Reset()
-	return &senseProbe{sense: s}
+// newProbe returns a probe for one trial of g: compact goals are tracked,
+// and mkSense, when non-nil, supplies a fresh sensing function to feed.
+func newProbe(g goal.Goal, mkSense func() sensing.Sense) *probe {
+	p := &probe{}
+	if cg, ok := g.(goal.CompactGoal); ok {
+		p.tracked, p.tr = true, goal.NewTracker(cg)
+	}
+	if mkSense != nil {
+		p.sense = mkSense()
+		p.sense.Reset()
+	}
+	return p
 }
 
-func (p *senseProbe) onRound(_ int, rv comm.RoundView, _ comm.WorldState) {
+func (p *probe) onRound(round int, rv comm.RoundView, w goal.World) {
+	if p.tracked {
+		p.tr.Observe(round, rv, w)
+	}
+	if p.sense == nil {
+		return
+	}
 	p.rounds++
 	p.last = p.sense.Observe(rv)
 	if p.last {
@@ -125,29 +141,30 @@ func (p *senseProbe) onRound(_ int, rv comm.RoundView, _ comm.WorldState) {
 // eventuallyPositive reports whether the indication sequence was positive
 // on the final window rounds (the empirical reading of "only finitely many
 // negative indications").
-func (p *senseProbe) eventuallyPositive(window int) bool {
+func (p *probe) eventuallyPositive(window int) bool {
 	return p.rounds >= window && p.streak >= window
 }
 
 // certTrial builds the standard certification trial for one
-// (candidate, server, env) triple. probe may be nil when the run's
-// indications are not needed.
+// (candidate, server, env) triple, observed by p. Tracked (compact)
+// trials record nothing; finite trials record the history their referee
+// judges.
 func certTrial(
 	g goal.Goal,
 	users enumerate.Enumerator,
 	candidate int,
 	mkServer func() comm.Strategy,
 	env int,
-	probe *senseProbe,
+	p *probe,
 	cfg CertConfig,
 ) system.Trial {
 	sysCfg := system.Config{
-		MaxRounds: cfg.MaxRounds,
-		Seed:      cfg.Seed,
-		Record:    system.RecordWindow(cfg.window()),
+		MaxRounds:   cfg.MaxRounds,
+		Seed:        cfg.Seed,
+		OnRoundLive: p.onRound,
 	}
-	if probe != nil {
-		sysCfg.OnRound = probe.onRound
+	if p.tracked {
+		sysCfg.Record = system.RecordOff
 	}
 	return system.Trial{
 		User:   func() (comm.Strategy, error) { return users.Strategy(candidate), nil },
@@ -166,16 +183,19 @@ func chunkedWitness(
 	users enumerate.Enumerator,
 	mkServer func() comm.Strategy,
 	cfg CertConfig,
-	ok func(res *system.Result) bool,
+	ok func(res *system.Result, p *probe) bool,
 ) (bool, int) {
 	size := boundedSize(users)
 	envs := cfg.envs(g)
 	for base := 0; base < size; base += cfg.chunk() {
 		hi := min(base+cfg.chunk(), size)
 		trials := make([]system.Trial, 0, (hi-base)*envs)
+		probes := make([]*probe, 0, (hi-base)*envs)
 		for i := base; i < hi; i++ {
 			for env := 0; env < envs; env++ {
-				trials = append(trials, certTrial(g, users, i, mkServer, env, nil, cfg))
+				p := newProbe(g, nil)
+				probes = append(probes, p)
+				trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
 			}
 		}
 		results, errs := system.RunEach(trials, cfg.batch())
@@ -184,7 +204,7 @@ func chunkedWitness(
 			good := true
 			for env := 0; env < envs; env++ {
 				t := (i-base)*envs + env
-				if errs[t] != nil || !ok(results[t]) {
+				if errs[t] != nil || !ok(results[t], probes[t]) {
 					good = false
 					break
 				}
@@ -213,17 +233,17 @@ func chunkedFound(
 	env int,
 	mkSense func() sensing.Sense,
 	cfg CertConfig,
-	ok func(res *system.Result, probe *senseProbe) bool,
+	ok func(res *system.Result, p *probe) bool,
 ) bool {
 	size := boundedSize(users)
 	for base := 0; base < size; base += cfg.chunk() {
 		hi := min(base+cfg.chunk(), size)
 		trials := make([]system.Trial, 0, hi-base)
-		probes := make([]*senseProbe, 0, hi-base)
+		probes := make([]*probe, 0, hi-base)
 		for i := base; i < hi; i++ {
-			probe := newSenseProbe(mkSense())
-			probes = append(probes, probe)
-			trials = append(trials, certTrial(g, users, i, mkServer, env, probe, cfg))
+			p := newProbe(g, mkSense)
+			probes = append(probes, p)
+			trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
 		}
 		results, errs := system.RunEach(trials, cfg.batch())
 		found := false
@@ -251,8 +271,8 @@ func HelpfulCompact(
 	enum enumerate.Enumerator,
 	cfg CertConfig,
 ) (bool, int) {
-	return chunkedWitness(g, enum, mkServer, cfg, func(res *system.Result) bool {
-		return goal.CompactAchieved(g, res.History, cfg.window())
+	return chunkedWitness(g, enum, mkServer, cfg, func(_ *system.Result, p *probe) bool {
+		return p.tr.Achieved(cfg.window())
 	})
 }
 
@@ -274,12 +294,12 @@ func CertifySafetyCompact(
 	for si, mkServer := range servers {
 		// One batch per server: candidates × envs, judged in order.
 		trials := make([]system.Trial, 0, size*envs)
-		probes := make([]*senseProbe, 0, size*envs)
+		probes := make([]*probe, 0, size*envs)
 		for i := 0; i < size; i++ {
 			for env := 0; env < envs; env++ {
-				probe := newSenseProbe(mkSense())
-				probes = append(probes, probe)
-				trials = append(trials, certTrial(g, users, i, mkServer, env, probe, cfg))
+				p := newProbe(g, mkSense)
+				probes = append(probes, p)
+				trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
 			}
 		}
 		results, errs := system.RunEach(trials, cfg.batch())
@@ -292,8 +312,7 @@ func CertifySafetyCompact(
 				})
 				continue
 			}
-			if probes[t].eventuallyPositive(cfg.window()) &&
-				!goal.CompactAchieved(g, results[t].History, cfg.window()) {
+			if probes[t].eventuallyPositive(cfg.window()) && !probes[t].tr.Achieved(cfg.window()) {
 				violations = append(violations, Violation{
 					Kind: "safety", Server: si, Env: env, Candidate: i,
 					Detail: "indications eventually positive but goal not achieved",
@@ -320,9 +339,8 @@ func CertifyViabilityCompact(
 	for si, mkServer := range servers {
 		for env := 0; env < cfg.envs(g); env++ {
 			found := chunkedFound(g, users, mkServer, env, mkSense, cfg,
-				func(res *system.Result, probe *senseProbe) bool {
-					return probe.eventuallyPositive(cfg.window()) &&
-						goal.CompactAchieved(g, res.History, cfg.window())
+				func(_ *system.Result, p *probe) bool {
+					return p.eventuallyPositive(cfg.window()) && p.tr.Achieved(cfg.window())
 				})
 			if !found {
 				violations = append(violations, Violation{

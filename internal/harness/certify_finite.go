@@ -22,7 +22,7 @@ func HelpfulFinite(
 	enum enumerate.Enumerator,
 	cfg CertConfig,
 ) (bool, int) {
-	return chunkedWitness(g, enum, mkServer, cfg, func(res *system.Result) bool {
+	return chunkedWitness(g, enum, mkServer, cfg, func(res *system.Result, _ *probe) bool {
 		return res.Halted && g.Achieved(res.History)
 	})
 }
@@ -42,12 +42,12 @@ func CertifySafetyFinite(
 	envs := cfg.envs(g)
 	for si, mkServer := range servers {
 		trials := make([]system.Trial, 0, size*envs)
-		probes := make([]*senseProbe, 0, size*envs)
+		probes := make([]*probe, 0, size*envs)
 		for i := 0; i < size; i++ {
 			for env := 0; env < envs; env++ {
-				probe := newSenseProbe(mkSense())
-				probes = append(probes, probe)
-				trials = append(trials, certTrial(g, users, i, mkServer, env, probe, cfg))
+				p := newProbe(g, mkSense)
+				probes = append(probes, p)
+				trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
 			}
 		}
 		results, errs := system.RunEach(trials, cfg.batch())
@@ -86,8 +86,8 @@ func CertifyViabilityFinite(
 	for si, mkServer := range servers {
 		for env := 0; env < cfg.envs(g); env++ {
 			found := chunkedFound(g, users, mkServer, env, mkSense, cfg,
-				func(res *system.Result, probe *senseProbe) bool {
-					return res.Halted && probe.last
+				func(res *system.Result, p *probe) bool {
+					return res.Halted && p.last
 				})
 			if !found {
 				violations = append(violations, Violation{

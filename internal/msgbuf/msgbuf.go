@@ -1,117 +1,19 @@
 // Package msgbuf provides the allocation-discipline substrate for the
-// engine's hot path: append-style integer formatting, a cached small-int
-// string table, and a capped byte-slice interner.
+// engine's hot path: an append-only string arena and two memo shapes for
+// pure message functions.
 //
-// The three-party round loop formats the same handful of states and
-// messages millions of times per sweep. fmt.Sprintf allocates on every
-// call; the helpers here let worlds, servers and user strategies build
-// those strings into reusable buffers and share the resulting immutable
-// strings, so the steady-state loop allocates nothing. All helpers
-// produce byte-for-byte the output of the fmt/strconv calls they replace
-// — callers rely on that to keep reports and histories byte-identical.
+// The three-party round loop builds the same handful of messages millions
+// of times per sweep. The helpers here let worlds, servers and user
+// strategies share the resulting immutable strings instead of rebuilding
+// them, so the steady-state loop allocates nothing: Arena packs strings
+// that never repeat into one block, Memo1 remembers the last result of a
+// pure function, and Table remembers a capped set of them.
 //
 // The package is dependency-free by design so every layer (comm, goal
 // packages, the engine) can use it.
 package msgbuf
 
-import (
-	"strconv"
-	"strings"
-)
-
-// Cached decimal strings cover the small magnitudes message protocols
-// actually use (positions, forces, chunk indices, round counts).
-const (
-	minCached = -1024
-	maxCached = 4096
-)
-
-var intCache [maxCached - minCached + 1]string
-
-func init() {
-	for n := minCached; n <= maxCached; n++ {
-		intCache[n-minCached] = strconv.Itoa(n)
-	}
-}
-
-// Itoa returns strconv.Itoa(n) without allocating for small magnitudes
-// (|n| within the protocol-typical range); larger values fall back to
-// strconv.
-func Itoa(n int) string {
-	if n >= minCached && n <= maxCached {
-		return intCache[n-minCached]
-	}
-	return strconv.Itoa(n)
-}
-
-// AppendInt appends the decimal form of n to dst, exactly as
-// strconv.Itoa would print it.
-func AppendInt(dst []byte, n int) []byte {
-	return strconv.AppendInt(dst, int64(n), 10)
-}
-
-// AppendUint appends the decimal form of n to dst.
-func AppendUint(dst []byte, n uint64) []byte {
-	return strconv.AppendUint(dst, n, 10)
-}
-
-// Interner deduplicates byte slices into shared immutable strings. It is
-// the engine's backing for world-state interning: high-repetition states
-// (a vault's two states, a plant's position lattice) collapse to one
-// string allocation each, and lookups of already-seen bytes allocate
-// nothing (the map index is a zero-copy []byte→string conversion).
-//
-// The entry count is capped so pathological state spaces (a counter in
-// every snapshot) cannot grow the table without bound. Eviction is
-// generational: when the table is full, it is cleared and rebuilt from
-// current traffic, so one high-cardinality workload (a recorded
-// learning run's ever-growing counters) cannot permanently disable
-// interning for every workload that shares the table afterwards —
-// interning is a cache, and dropping entries only costs re-allocation,
-// never correctness. An Interner is not safe for concurrent use; the
-// engine keeps one per worker. The zero value is ready to use with
-// DefaultInternCap.
-type Interner struct {
-	m   map[string]string
-	cap int
-}
-
-// DefaultInternCap bounds an Interner constructed with cap <= 0.
-const DefaultInternCap = 4096
-
-// NewInterner returns an interner holding at most cap distinct strings;
-// cap <= 0 means DefaultInternCap.
-func NewInterner(cap int) *Interner {
-	if cap <= 0 {
-		cap = DefaultInternCap
-	}
-	return &Interner{cap: cap}
-}
-
-// Intern returns a string equal to b, shared across calls whenever the
-// same bytes were seen before (and table space permits).
-func (in *Interner) Intern(b []byte) string {
-	if s, ok := in.m[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if in.m == nil {
-		in.m = make(map[string]string, 16)
-		if in.cap <= 0 {
-			in.cap = DefaultInternCap
-		}
-	}
-	if len(in.m) >= in.cap {
-		// Generational eviction: restart from current traffic rather
-		// than serving a table frozen on whatever filled it first.
-		clear(in.m)
-	}
-	in.m[s] = s
-	return s
-}
-
-// Len reports the number of distinct strings currently interned.
-func (in *Interner) Len() int { return len(in.m) }
+import "strings"
 
 // Arena is a bump allocator for immutable strings whose values never
 // repeat — message streams with unbounded identifiers (a learning run's

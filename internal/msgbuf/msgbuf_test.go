@@ -1,81 +1,6 @@
 package msgbuf
 
-import (
-	"fmt"
-	"strconv"
-	"testing"
-)
-
-func TestItoaMatchesStrconv(t *testing.T) {
-	for _, n := range []int{-2000, -1025, -1024, -1, 0, 1, 99, 100, 1024, 4096, 4097, 1 << 30} {
-		if got, want := Itoa(n), strconv.Itoa(n); got != want {
-			t.Errorf("Itoa(%d) = %q, want %q", n, got, want)
-		}
-	}
-}
-
-func TestItoaCachedNoAlloc(t *testing.T) {
-	allocs := testing.AllocsPerRun(100, func() {
-		_ = Itoa(-1024)
-		_ = Itoa(0)
-		_ = Itoa(4096)
-	})
-	if allocs != 0 {
-		t.Errorf("cached Itoa allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-func TestAppendMatchesSprintf(t *testing.T) {
-	var buf []byte
-	for _, n := range []int{-40, 0, 7, 12345} {
-		buf = buf[:0]
-		buf = append(buf, "pos="...)
-		buf = AppendInt(buf, n)
-		if got, want := string(buf), fmt.Sprintf("pos=%d", n); got != want {
-			t.Errorf("AppendInt: got %q, want %q", got, want)
-		}
-	}
-	buf = AppendUint(buf[:0], 18446744073709551615)
-	if got := string(buf); got != "18446744073709551615" {
-		t.Errorf("AppendUint: got %q", got)
-	}
-}
-
-func TestInternerSharesAndCaps(t *testing.T) {
-	in := NewInterner(2)
-	a1 := in.Intern([]byte("vault=open"))
-	a2 := in.Intern([]byte("vault=open"))
-	if a1 != a2 {
-		t.Fatal("interner returned unequal strings for equal bytes")
-	}
-	b := in.Intern([]byte("vault=locked"))
-	if in.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", in.Len())
-	}
-	// Past the cap: generational eviction clears the table and the new
-	// entry starts the next generation — still correct bytes throughout.
-	c := in.Intern([]byte("overflow"))
-	if c != "overflow" || in.Len() != 1 {
-		t.Fatalf("generational Intern: got %q, Len %d (want a fresh 1-entry generation)", c, in.Len())
-	}
-	c2 := in.Intern([]byte("overflow"))
-	if c2 != c || in.Len() != 1 {
-		t.Fatal("new generation does not serve its own entries")
-	}
-	if a1 != "vault=open" || b != "vault=locked" {
-		t.Fatal("interned strings corrupted")
-	}
-}
-
-func TestInternerHitNoAlloc(t *testing.T) {
-	in := NewInterner(0)
-	key := []byte("state=42")
-	in.Intern(key)
-	allocs := testing.AllocsPerRun(100, func() { _ = in.Intern(key) })
-	if allocs != 0 {
-		t.Errorf("interner hit allocated %.1f times per run, want 0", allocs)
-	}
-}
+import "testing"
 
 func TestMemo1(t *testing.T) {
 	var m Memo1[string, int]

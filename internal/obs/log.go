@@ -5,8 +5,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/msgbuf"
 )
 
 // Level orders event severities. The zero value is LevelInfo so a
@@ -91,7 +89,7 @@ func Bool(key string, b bool) KV {
 //
 // A nil *Logger is valid and silent, so instrumented code calls Event
 // unconditionally and disabled logging costs one nil check. Lines are
-// assembled in a reusable buffer (msgbuf append discipline) under a
+// assembled in a reusable buffer (strconv append discipline) under a
 // mutex and flushed with a single Write, so concurrent events never
 // interleave mid-line.
 type Logger struct {
@@ -140,9 +138,9 @@ func (l *Logger) Event(level Level, event string, kvs ...KV) {
 		case kvString:
 			b = appendLogValue(b, kv.str)
 		case kvInt:
-			b = msgbuf.AppendInt(b, int(kv.num))
+			b = strconv.AppendInt(b, kv.num, 10)
 		case kvUint:
-			b = msgbuf.AppendUint(b, uint64(kv.num))
+			b = strconv.AppendUint(b, uint64(kv.num), 10)
 		case kvDur:
 			b = strconv.AppendFloat(b, time.Duration(kv.num).Seconds(), 'g', -1, 64)
 			b = append(b, 's')

@@ -14,10 +14,10 @@
 // The event log (Logger) is off by default everywhere: a nil *Logger is
 // a valid, silent logger, so instrumented code logs unconditionally and
 // pays one nil check when logging is disabled. Lines are key=value
-// pairs built into a reusable buffer (via the same append discipline as
-// internal/msgbuf), one Write per event.
+// pairs built into a reusable buffer with strconv's append functions, one
+// Write per event.
 //
-// Like msgbuf, the package is dependency-free by design so every layer
+// The package is dependency-free by design so every layer
 // (engine, sweep, cache, coordinator, worker) can use it.
 package obs
 

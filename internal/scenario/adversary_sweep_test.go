@@ -88,7 +88,7 @@ func TestAdversaryZeroAxesAggregateParity(t *testing.T) {
 // TestAdversarialSweepDeterminism runs the composed adversarial builtin
 // — seeded Byzantine corruption, misleading feedback and dialect drift
 // all active — and checks the result stream is byte-identical across
-// serial, parallel, trial-batched, and sharded-then-merged execution.
+// serial, parallel, and sharded-then-merged execution.
 func TestAdversarialSweepDeterminism(t *testing.T) {
 	t.Parallel()
 
@@ -112,8 +112,7 @@ func TestAdversarialSweepDeterminism(t *testing.T) {
 
 	for _, cfg := range []SweepConfig{
 		{Parallel: 4},
-		{Parallel: 4, TrialBatch: 8},
-		{Parallel: 2, ChunkTrials: 3},
+		{Parallel: 2},
 	} {
 		stats, sum := collectStats(t, m, cfg)
 		if got := marshal(stats) + marshal(sum); got != want {

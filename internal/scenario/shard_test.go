@@ -464,52 +464,3 @@ func TestFingerprintSensitivity(t *testing.T) {
 	reordered.Axes[0], reordered.Axes[1] = reordered.Axes[1], reordered.Axes[0]
 	add("axis order", Fingerprint(reordered, reg, 2, 10, 1, 0, 0))
 }
-
-// TestShardedSweepTrialBatchInvariant re-runs the merge property with
-// every shard using a different TrialBatch: batching is invisible to the
-// shard envelopes, so the merge still reproduces the serial unbatched
-// sweep byte for byte.
-func TestShardedSweepTrialBatchInvariant(t *testing.T) {
-	t.Parallel()
-
-	spec, err := BuiltinSpec("quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := SweepConfig{Parallel: 1}
-	fullStats, fullSum := collectStats(t, m, base)
-	wantStats := marshalT(t, fullStats)
-	wantSum := marshalT(t, fullSum)
-
-	fp := shardFingerprint(spec, base, 0, 0)
-	const count = 3
-	batches := []int{1, 8, 64}
-	var shards []*ShardResult
-	for i := 1; i <= count; i++ {
-		sh := Shard{Index: i, Count: count}
-		cfg := SweepConfig{Parallel: 2, TrialBatch: batches[i-1]}
-		stats, sum := sweepIndices(t, m, sh.Indices(m, nil), cfg)
-		shards = append(shards, &ShardResult{
-			Version:     ShardFormatVersion,
-			Fingerprint: fp,
-			Spec:        spec,
-			Shard:       sh,
-			Scenarios:   stats,
-			Summary:     sum,
-		})
-	}
-	mergedStats, mergedSum, err := MergeShards(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := marshalT(t, mergedStats); got != wantStats {
-		t.Fatal("merged stats differ from serial unbatched sweep")
-	}
-	if got := marshalT(t, mergedSum); got != wantSum {
-		t.Fatal("merged summary differs from serial unbatched sweep")
-	}
-}

@@ -35,16 +35,6 @@ type SweepConfig struct {
 	// (or whether) the scenario appears in an enumeration or sample.
 	SeedFn func(sc *Scenario, trial int) uint64
 
-	// ChunkTrials is how many trials are buffered per engine batch; 0
-	// means 256. Larger chunks amortize scheduling, smaller chunks
-	// reduce peak in-flight state.
-	ChunkTrials int
-
-	// TrialBatch is how many consecutive trials an engine worker claims
-	// per scheduling step (system.BatchConfig.TrialBatch); values < 1
-	// mean 1. Output is byte-identical at every setting.
-	TrialBatch int
-
 	// Cache, when non-nil, is consulted before a scenario is scheduled
 	// and updated after it executes: scenarios whose aggregates are
 	// already stored under the sweep's (registry version, base seed,
@@ -207,50 +197,17 @@ type Summary struct {
 // evictions (universal.CompactUser).
 type switcher interface{ Switches() int }
 
-// trialSlot tracks one trial online via the engine's round hooks,
-// replacing full history recording: acceptability is judged round by
-// round (valid for referees that judge a prefix by its recent states —
-// every stock goal, whose worlds serialize cumulative state into each
-// snapshot).
-//
-// Goals that implement goal.WorldJudge are judged on the live world via
-// Config.OnRoundLive, so the hot sweep loop never materializes — let
-// alone parses — a snapshot string; the judge contract guarantees the
-// verdicts, and therefore every aggregate byte, are identical to the
-// snapshot path. Other goals fall back to Config.OnRound with a reusable
-// single-state history.
+// trialSlot tracks one trial online via the engine's live round hook,
+// replacing history recording: a goal.Tracker judges each prefix, and the
+// slot adds the message count and keeps the user for its switch counter.
 type trialSlot struct {
-	g       goal.CompactGoal
-	judge   goal.WorldJudge // non-nil selects the live fast path
-	user    comm.Strategy
-	scratch comm.History
-	rounds  int
-	lastBad int // largest prefix length the referee rejected
-	msgs    int
+	tr   goal.Tracker
+	user comm.Strategy
+	msgs int
 }
 
-func (s *trialSlot) onRound(round int, rv comm.RoundView, state comm.WorldState) {
-	s.rounds = round + 1
-	if s.scratch.States == nil {
-		s.scratch.States = make([]comm.WorldState, 1)
-	}
-	s.scratch.States[0] = state
-	s.scratch.Dropped = round
-	if !s.g.Acceptable(s.scratch) {
-		s.lastBad = round + 1
-	}
-	s.countMsgs(rv)
-}
-
-func (s *trialSlot) onRoundLive(round int, rv comm.RoundView, w goal.World) {
-	s.rounds = round + 1
-	if !s.judge.AcceptableWorld(w) {
-		s.lastBad = round + 1
-	}
-	s.countMsgs(rv)
-}
-
-func (s *trialSlot) countMsgs(rv comm.RoundView) {
+func (s *trialSlot) onRound(round int, rv comm.RoundView, w goal.World) {
+	s.tr.Observe(round, rv, w)
 	if !rv.In.FromServer.Empty() {
 		s.msgs++
 	}
@@ -288,7 +245,8 @@ func (j *scenJob) fold(errs []error, window int) *Stats {
 	var totalRounds, totalMsgs, totalSwitches int
 	counted := 0
 	for t, slot := range j.slots {
-		st.ExecutedRounds += int64(slot.rounds)
+		rounds := slot.tr.Rounds()
+		st.ExecutedRounds += int64(rounds)
 		if err := errs[j.base+t]; err != nil {
 			st.Errors++
 			if st.FirstError == "" {
@@ -297,14 +255,14 @@ func (j *scenJob) fold(errs []error, window int) *Stats {
 			continue
 		}
 		counted++
-		totalRounds += slot.rounds
+		totalRounds += rounds
 		totalMsgs += slot.msgs
 		if u, ok := slot.user.(switcher); ok {
 			totalSwitches += u.Switches()
 		}
-		if slot.rounds >= window && slot.lastBad <= slot.rounds-window {
+		if slot.tr.Achieved(window) {
 			st.Successes++
-			conv = append(conv, float64(slot.lastBad))
+			conv = append(conv, float64(slot.tr.LastUnacceptable()))
 		}
 	}
 	if st.Trials > 0 {
@@ -326,6 +284,10 @@ func (j *scenJob) fold(errs []error, window int) *Stats {
 	}
 	return st
 }
+
+// chunkTrials is how many trials a sweep buffers per engine batch: enough
+// to feed the worker pool, few enough to bound in-flight per-trial state.
+const chunkTrials = 256
 
 // Sweep streams the given scenario indices (nil means the whole matrix, in
 // enumeration order) through the batch execution engine. Scenarios are
@@ -360,11 +322,6 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 		// return results computed under different semantics.
 		cache = nil
 	}
-	chunkTrials := cfg.ChunkTrials
-	if chunkTrials <= 0 {
-		chunkTrials = 256
-	}
-
 	sum := &Summary{Spec: m.spec.Name}
 	var (
 		jobs   []*scenJob
@@ -378,10 +335,7 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 		var errs []error
 		if len(trials) > 0 {
 			start := time.Now()
-			results, errList := system.RunEach(trials, system.BatchConfig{
-				Parallelism: cfg.Parallel,
-				TrialBatch:  cfg.TrialBatch,
-			})
+			results, errList := system.RunEach(trials, system.BatchConfig{Parallelism: cfg.Parallel})
 			mChunkSeconds.Observe(time.Since(start).Seconds())
 			mChunkTrials.Observe(float64(len(trials)))
 			for _, res := range results {
@@ -447,21 +401,16 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 		if err != nil {
 			return err
 		}
-		judge, _ := bind.Goal.(goal.WorldJudge)
 		job := &scenJob{sc: sc, slots: make([]*trialSlot, seeds), base: len(trials)}
 		for t := 0; t < seeds; t++ {
-			slot := &trialSlot{g: bind.Goal, judge: judge}
+			slot := &trialSlot{tr: goal.NewTracker(bind.Goal)}
 			job.slots[t] = slot
 			mkUser := bind.User
 			cfg := system.Config{
-				MaxRounds: bind.MaxRounds,
-				Seed:      seedFn(sc, t),
-				Record:    system.RecordOff,
-			}
-			if judge != nil {
-				cfg.OnRoundLive = slot.onRoundLive
-			} else {
-				cfg.OnRound = slot.onRound
+				MaxRounds:   bind.MaxRounds,
+				Seed:        seedFn(sc, t),
+				Record:      system.RecordOff,
+				OnRoundLive: slot.onRound,
 			}
 			trials = append(trials, system.Trial{
 				User: func() (comm.Strategy, error) {

@@ -110,10 +110,12 @@ func TestSweepMatchesFullRecordingRerun(t *testing.T) {
 
 // TestSweepParallelismInvariant checks the acceptance property: the
 // serialized aggregates are byte-identical at -parallel 1 and a wide pool.
+// The default matrix (288 scenarios at 2 seeds, 576 trials) spans several
+// 256-trial chunks, so scenarios straddle chunk flushes.
 func TestSweepParallelismInvariant(t *testing.T) {
 	t.Parallel()
 
-	spec, err := BuiltinSpec("quick")
+	spec, err := BuiltinSpec("default")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +123,11 @@ func TestSweepParallelismInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if trials := m.Size() * int64(spec.seeds()); trials <= chunkTrials {
+		t.Fatalf("default matrix runs %d trials, not more than one %d-trial chunk", trials, chunkTrials)
+	}
 	serialStats, serialSum := collectStats(t, m, SweepConfig{Parallel: 1})
-	parStats, parSum := collectStats(t, m, SweepConfig{Parallel: 8, ChunkTrials: 7})
+	parStats, parSum := collectStats(t, m, SweepConfig{Parallel: 8})
 
 	marshal := func(v any) string {
 		b, err := json.Marshal(v)
@@ -136,45 +141,6 @@ func TestSweepParallelismInvariant(t *testing.T) {
 	}
 	if a, b := marshal(serialSum), marshal(parSum); a != b {
 		t.Fatalf("parallel sweep summary differs from serial:\n%s\n%s", a, b)
-	}
-}
-
-// TestSweepTrialBatchInvariant pins that SweepConfig.TrialBatch is a
-// pure scheduling knob: every batch size, serial or parallel, yields
-// stats and summaries identical to the unbatched serial sweep.
-func TestSweepTrialBatchInvariant(t *testing.T) {
-	t.Parallel()
-
-	spec, err := BuiltinSpec("quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	marshal := func(v any) string {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	wantStats, wantSum := collectStats(t, m, SweepConfig{Parallel: 1})
-	for _, cfg := range []SweepConfig{
-		{Parallel: 1, TrialBatch: 4},
-		{Parallel: 1, TrialBatch: 64},
-		{Parallel: 4, TrialBatch: 3},
-		{Parallel: 4, TrialBatch: 16, ChunkTrials: 5},
-		{Parallel: 8, TrialBatch: 64},
-	} {
-		stats, sum := collectStats(t, m, cfg)
-		if a, b := marshal(wantStats), marshal(stats); a != b {
-			t.Fatalf("%+v: sweep stats differ from serial unbatched:\n%s\n%s", cfg, a, b)
-		}
-		if a, b := marshal(wantSum), marshal(sum); a != b {
-			t.Fatalf("%+v: sweep summary differs from serial unbatched:\n%s\n%s", cfg, a, b)
-		}
 	}
 }
 
@@ -336,7 +302,7 @@ func TestSweepObstinateNeverSucceeds(t *testing.T) {
 }
 
 // judgelessGoal hides a compact goal's WorldJudge fast path, forcing the
-// sweep onto the OnRound/snapshot fallback.
+// sweep's tracker onto its Snapshot fallback.
 type judgelessGoal struct{ inner goal.CompactGoal }
 
 func (g judgelessGoal) Name() string                     { return g.inner.Name() }
@@ -346,9 +312,9 @@ func (g judgelessGoal) EnvChoices() int                  { return g.inner.EnvCho
 func (g judgelessGoal) Acceptable(h comm.History) bool   { return g.inner.Acceptable(h) }
 
 // TestSweepJudgeFastPathMatchesFallback pins that the live-judge fast
-// path (goal.WorldJudge via OnRoundLive) and the snapshot fallback
-// (OnRound on a judge-less goal) fold to byte-identical aggregates over
-// the quick matrix — the tracker-side half of the zero-allocation work.
+// path (goal.WorldJudge) and the tracker's snapshot fallback (on a
+// judge-less goal) fold to byte-identical aggregates over the quick
+// matrix — the tracker-side half of the zero-allocation work.
 func TestSweepJudgeFastPathMatchesFallback(t *testing.T) {
 	t.Parallel()
 

@@ -28,8 +28,7 @@ type Trial struct {
 	// World constructs the world.
 	World func() goal.World
 
-	// Config is the per-trial engine configuration. BatchConfig.Seed,
-	// when set, overrides Config.Seed with a derived per-trial seed.
+	// Config is the per-trial engine configuration.
 	Config Config
 }
 
@@ -39,19 +38,6 @@ type BatchConfig struct {
 	// Results are byte-identical at every parallelism level, so 1 is a
 	// debugging aid, not a semantic switch.
 	Parallelism int
-
-	// Seed, when nonzero, gives trial i the seed DeriveSeed(Seed, i),
-	// overriding each Trial.Config.Seed. Leave 0 when trials carry
-	// their own seeds.
-	Seed uint64
-
-	// TrialBatch is the number of consecutive trials a worker claims per
-	// scheduling step; values < 1 mean 1. Larger batches amortize the
-	// shared-counter contention of very short trials across K runs.
-	// Because every trial's result lands in its submission-order slot and
-	// seeds derive from the trial index alone, batching never changes any
-	// output — only which worker runs which trial.
-	TrialBatch int
 }
 
 func (cfg BatchConfig) workers(n int) int {
@@ -65,10 +51,10 @@ func (cfg BatchConfig) workers(n int) int {
 	return w
 }
 
-// DeriveSeed maps a batch root seed and a trial index to an independent
-// per-trial seed (splitmix64 of the index under the root). It is the
-// derivation RunBatch applies when BatchConfig.Seed is nonzero, exported so
-// callers can reproduce any single trial in isolation.
+// DeriveSeed maps a root seed and a trial index to an independent per-trial
+// seed (splitmix64 of the index under the root). Sweeps derive every
+// trial's Config.Seed with it, so any single trial can be reproduced in
+// isolation.
 func DeriveSeed(root uint64, trial int) uint64 {
 	z := root + 0x9E3779B97F4A7C15*uint64(trial+1)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -114,24 +100,14 @@ func runPool(trials []Trial, cfg BatchConfig, failFast bool) ([]*Result, []error
 
 	workers := cfg.workers(n)
 	if workers <= 1 {
-		// One scratch (snapshot buffer + intern table) for the whole
-		// batch: states repeated across a chunk's trials intern to the
-		// same shared strings.
-		scr := scratchPool.Get().(*snapScratch)
 		mBatchClaims.Inc()
 		for i := range trials {
-			results[i], errs[i] = runTrial(&trials[i], i, cfg, scr)
+			results[i], errs[i] = runTrial(&trials[i])
 			if errs[i] != nil && failFast {
 				break
 			}
 		}
-		scratchPool.Put(scr)
 		return results, errs
-	}
-
-	batch := int64(cfg.TrialBatch)
-	if batch < 1 {
-		batch = 1
 	}
 
 	var (
@@ -145,34 +121,24 @@ func runPool(trials []Trial, cfg BatchConfig, failFast bool) ([]*Result, []error
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch, reused across every trial this worker
-			// runs; scratches are never shared between goroutines.
-			scr := scratchPool.Get().(*snapScratch)
-			defer scratchPool.Put(scr)
 			for {
-				// Claim the next contiguous block of trial indices.
-				base := next.Add(batch) - batch
-				if base >= int64(n) {
+				// Claim the next trial index.
+				i := next.Add(1) - 1
+				if i >= int64(n) {
 					return
 				}
 				mBatchClaims.Inc()
-				end := base + batch
-				if end > int64(n) {
-					end = int64(n)
+				if failFast && i > failed.Load() {
+					continue
 				}
-				for i := base; i < end; i++ {
-					if failFast && i > failed.Load() {
-						continue
-					}
-					res, err := runTrial(&trials[i], int(i), cfg, scr)
-					results[i], errs[i] = res, err
-					if err != nil {
-						// CAS-min the failure index.
-						for {
-							cur := failed.Load()
-							if i >= cur || failed.CompareAndSwap(cur, i) {
-								break
-							}
+				res, err := runTrial(&trials[i])
+				results[i], errs[i] = res, err
+				if err != nil {
+					// CAS-min the failure index.
+					for {
+						cur := failed.Load()
+						if i >= cur || failed.CompareAndSwap(cur, i) {
+							break
 						}
 					}
 				}
@@ -183,9 +149,8 @@ func runPool(trials []Trial, cfg BatchConfig, failFast bool) ([]*Result, []error
 	return results, errs
 }
 
-// runTrial constructs one trial's parties and executes it with the
-// worker's reusable snapshot scratch.
-func runTrial(t *Trial, i int, bcfg BatchConfig, scr *snapScratch) (*Result, error) {
+// runTrial constructs one trial's parties and executes it.
+func runTrial(t *Trial) (*Result, error) {
 	mTrialsStarted.Inc()
 	if t.User == nil || t.Server == nil || t.World == nil {
 		mTrialsFinished.Inc()
@@ -198,11 +163,7 @@ func runTrial(t *Trial, i int, bcfg BatchConfig, scr *snapScratch) (*Result, err
 		mTrialErrors.Inc()
 		return nil, err
 	}
-	cfg := t.Config
-	if bcfg.Seed != 0 {
-		cfg.Seed = DeriveSeed(bcfg.Seed, i)
-	}
-	res, err := run(user, t.Server(), t.World(), cfg, scr)
+	res, err := Run(user, t.Server(), t.World(), t.Config)
 	mTrialsFinished.Inc()
 	if err != nil {
 		mTrialErrors.Inc()

@@ -8,29 +8,18 @@ import (
 	"repro/internal/xrand"
 )
 
-// countingWorld counts Snapshot and AppendSnapshot calls so the tests
-// below can pin the engine's lazy-snapshot contract.
+// countingWorld counts Snapshot calls so the tests below can pin the
+// engine's lazy-snapshot contract.
 type countingWorld struct {
-	snaps   int
-	appends int
+	snaps int
 }
 
-func (w *countingWorld) Reset(*xrand.Rand)                    { w.snaps, w.appends = 0, 0 }
+func (w *countingWorld) Reset(*xrand.Rand)                    { w.snaps = 0 }
 func (w *countingWorld) Step(comm.Inbox) (comm.Outbox, error) { return comm.Outbox{}, nil }
 func (w *countingWorld) Snapshot() comm.WorldState {
 	w.snaps++
 	return "counted"
 }
-
-// appendingWorld additionally implements goal.StateAppender.
-type appendingWorld struct{ countingWorld }
-
-func (w *appendingWorld) AppendSnapshot(dst []byte) []byte {
-	w.appends++
-	return append(dst, "counted"...)
-}
-
-var _ goal.StateAppender = (*appendingWorld)(nil)
 
 type silentUser struct{}
 
@@ -39,9 +28,9 @@ func (silentUser) Step(comm.Inbox) (comm.Outbox, error) { return comm.Outbox{}, 
 
 // TestLazySnapshotSkipsSerialization pins the engine fix: with recording
 // off and no OnRound consumer, the round loop must never serialize the
-// world — zero Snapshot (and AppendSnapshot) calls, pure waste otherwise.
+// world — zero Snapshot calls, pure waste otherwise.
 func TestLazySnapshotSkipsSerialization(t *testing.T) {
-	w := &appendingWorld{}
+	w := &countingWorld{}
 	res, err := Run(silentUser{}, silentUser{}, w, Config{MaxRounds: 50, Seed: 1, Record: RecordOff})
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +38,8 @@ func TestLazySnapshotSkipsSerialization(t *testing.T) {
 	if res.Rounds != 50 {
 		t.Fatalf("Rounds = %d, want 50", res.Rounds)
 	}
-	if w.snaps != 0 || w.appends != 0 {
-		t.Errorf("RecordOff without OnRound serialized the world: %d Snapshot, %d AppendSnapshot calls, want 0", w.snaps, w.appends)
+	if w.snaps != 0 {
+		t.Errorf("RecordOff without OnRound serialized the world: %d Snapshot calls, want 0", w.snaps)
 	}
 	ReleaseResult(res)
 }
@@ -59,7 +48,7 @@ func TestLazySnapshotSkipsSerialization(t *testing.T) {
 // tracker hook — does not force materialization: the hook sees the live
 // world, not a snapshot.
 func TestLazySnapshotLiveHookStillSkips(t *testing.T) {
-	w := &appendingWorld{}
+	w := &countingWorld{}
 	live := 0
 	cfg := Config{MaxRounds: 30, Seed: 1, Record: RecordOff,
 		OnRoundLive: func(round int, rv comm.RoundView, lw goal.World) {
@@ -75,27 +64,23 @@ func TestLazySnapshotLiveHookStillSkips(t *testing.T) {
 	if live != 30 {
 		t.Fatalf("OnRoundLive fired %d times, want 30", live)
 	}
-	if w.snaps != 0 || w.appends != 0 {
-		t.Errorf("OnRoundLive forced serialization: %d Snapshot, %d AppendSnapshot calls, want 0", w.snaps, w.appends)
+	if w.snaps != 0 {
+		t.Errorf("OnRoundLive forced serialization: %d Snapshot calls, want 0", w.snaps)
 	}
 	ReleaseResult(res)
 }
 
 // TestSnapshotConsumersStillServed pins the other side of the contract:
-// recording policies and OnRound still materialize one state per round,
-// via the buffer-backed path when the world provides it.
+// full recording and OnRound still materialize one state per round.
 func TestSnapshotConsumersStillServed(t *testing.T) {
 	t.Run("record-full", func(t *testing.T) {
-		w := &appendingWorld{}
+		w := &countingWorld{}
 		res, err := Run(silentUser{}, silentUser{}, w, Config{MaxRounds: 20, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.appends != 20 {
-			t.Errorf("AppendSnapshot called %d times under full recording, want 20", w.appends)
-		}
-		if w.snaps != 0 {
-			t.Errorf("Snapshot called %d times although the world is a StateAppender, want 0", w.snaps)
+		if w.snaps != 20 {
+			t.Errorf("Snapshot called %d times under full recording, want 20", w.snaps)
 		}
 		if got := res.History.Len(); got != 20 {
 			t.Errorf("history length %d, want 20", got)
@@ -126,49 +111,4 @@ func TestSnapshotConsumersStillServed(t *testing.T) {
 		}
 		ReleaseResult(res)
 	})
-}
-
-// mutableWorld exposes distinct states so interning can be checked for
-// correctness (equal bytes, not stale entries).
-type mutableWorld struct {
-	round int
-}
-
-func (w *mutableWorld) Reset(*xrand.Rand) { w.round = 0 }
-func (w *mutableWorld) Step(comm.Inbox) (comm.Outbox, error) {
-	w.round++
-	return comm.Outbox{}, nil
-}
-func (w *mutableWorld) Snapshot() comm.WorldState {
-	if w.round%2 == 0 {
-		return "even"
-	}
-	return "odd"
-}
-func (w *mutableWorld) AppendSnapshot(dst []byte) []byte {
-	return append(dst, w.Snapshot()...)
-}
-
-// TestInterningPreservesBytes pins that the intern cache returns the
-// right bytes per round (alternating states must not collapse or go
-// stale) — the "interning can't change output" half of the StateAppender
-// contract.
-func TestInterningPreservesBytes(t *testing.T) {
-	res, err := Run(silentUser{}, silentUser{}, &mutableWorld{}, Config{MaxRounds: 40, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range res.History.States {
-		want := comm.WorldState("odd")
-		if (i+1)%2 == 0 {
-			want = "even"
-		}
-		if st != want {
-			t.Fatalf("round %d state %q, want %q", i, st, want)
-		}
-	}
-	// Storage sharing itself (one allocation per distinct state, not per
-	// round) is pinned where it is observable: msgbuf's
-	// TestInternerHitNoAlloc and the per-goal budgets in alloc_test.go.
-	ReleaseResult(res)
 }

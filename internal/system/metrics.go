@@ -17,5 +17,5 @@ var (
 	mRounds = obs.Default().Counter("goalsweep_engine_rounds_total",
 		"Communication rounds executed across all batch trials.")
 	mBatchClaims = obs.Default().Counter("goalsweep_engine_batch_claims_total",
-		"Trial-index blocks claimed by pool workers (scheduling steps).")
+		"Scheduling steps: trial indices claimed by pool workers, or one per serial batch.")
 )

@@ -3,18 +3,18 @@
 //
 // Execution proceeds in rounds. In each round every party consumes the
 // messages sent to it in the previous round and produces messages to be
-// delivered in the next round; after the world's step its state is
+// delivered in the next round; after the world's step its state may be
 // snapshotted into the history that referees judge. A single execution
 // (Run) is single-goroutine and fully deterministic given Config.Seed.
 //
 // Beyond single executions the package provides a batch scheduler:
 // RunBatch and RunEach fan independent Trial specs across a bounded worker
 // pool, delivering results in submission order so that parallel output is
-// identical to serial output. Config.Record selects how much of each
-// execution is materialized (RecordFull, RecordWindow, RecordOff) — hot
-// paths that only consult a trailing window of the history can skip
-// recording the rest, and ReleaseResult recycles Result storage across
-// runs.
+// identical to serial output. Config.Record selects whether an execution's
+// history and view are materialized (RecordFull) or not (RecordOff):
+// compact trials are judged online by a goal.Tracker on the live round
+// hook and record nothing, and ReleaseResult recycles Result storage
+// across runs.
 package system
 
 import (
@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/goal"
-	"repro/internal/msgbuf"
 	"repro/internal/xrand"
 )
 
@@ -37,14 +36,11 @@ const DefaultMaxRounds = 1000
 // into the Result. The zero value is RecordFull, so existing call sites
 // keep complete histories and views by default.
 //
-// Windowed and off recording change only what is stored, never how the
-// parties execute: OnRound still observes every round, and Result.Rounds
-// and History.Len report the true execution length. Referees driven from a
-// windowed history must judge prefixes by their recent states — true of
-// every stock goal in this repository, whose worlds serialize cumulative
-// state into each snapshot.
+// Recording changes only what is stored, never how the parties execute:
+// the round hooks still observe every round, and Result.Rounds and
+// History.Len report the true execution length.
 type RecordPolicy struct {
-	window int
+	off bool
 }
 
 // RecordFull keeps every round's world state and round view (the default).
@@ -52,27 +48,14 @@ var RecordFull = RecordPolicy{}
 
 // RecordOff keeps no per-round data at all; the Result carries only
 // Rounds and Halted (History and View are empty with Dropped set).
-var RecordOff = RecordPolicy{window: -1}
-
-// RecordWindow keeps only the trailing k rounds of history and view,
-// ring-buffered during execution. k < 1 is treated as 1.
-func RecordWindow(k int) RecordPolicy {
-	if k < 1 {
-		k = 1
-	}
-	return RecordPolicy{window: k}
-}
+var RecordOff = RecordPolicy{off: true}
 
 // String returns a human-readable policy name.
 func (p RecordPolicy) String() string {
-	switch {
-	case p.window < 0:
+	if p.off {
 		return "off"
-	case p.window == 0:
-		return "full"
-	default:
-		return fmt.Sprintf("window(%d)", p.window)
 	}
+	return "full"
 }
 
 // Config controls a single execution.
@@ -90,17 +73,17 @@ type Config struct {
 
 	// OnRound, if non-nil, is invoked after every round with the round
 	// index (0-based), the user's view of the round, and the world
-	// snapshot — regardless of the Record policy. Used by trace
-	// experiments and online sensing. Setting OnRound forces a snapshot
-	// per round even under RecordOff; hot-path trackers that only need
+	// snapshot — regardless of the Record policy. Setting OnRound forces
+	// a snapshot per round even under RecordOff; trackers that only need
 	// the live world should use OnRoundLive instead.
 	OnRound func(round int, rv comm.RoundView, state comm.WorldState)
 
 	// OnRoundLive, if non-nil, is invoked after every round with the
 	// round index, the user's view of the round, and the live world.
 	// Unlike OnRound it does not force snapshot materialization, so
-	// under RecordOff the engine never serializes a state: trackers
-	// judge the world directly (see goal.WorldJudge). The callback must
+	// under RecordOff the engine never serializes a state: a
+	// goal.Tracker judges the world directly when its goal is a
+	// goal.WorldJudge. The callback must
 	// not retain w or call its Step/Reset; it may call Snapshot. Both
 	// hooks may be set; OnRound fires first.
 	OnRoundLive func(round int, rv comm.RoundView, w goal.World)
@@ -108,12 +91,12 @@ type Config struct {
 
 // Result is the record of one execution.
 type Result struct {
-	// History is the sequence of world snapshots, one per round (or the
-	// trailing window of it, per Config.Record).
+	// History is the sequence of world snapshots, one per round (empty
+	// under RecordOff).
 	History comm.History
 
 	// View is the user's view of the execution (its inboxes and
-	// outboxes, one RoundView per round, windowed per Config.Record).
+	// outboxes, one RoundView per round; empty under RecordOff).
 	View comm.View
 
 	// Rounds is the number of completed rounds.
@@ -153,46 +136,11 @@ func ReleaseResult(res *Result) {
 	resultPool.Put(res)
 }
 
-// snapScratch is the per-worker scratch state for snapshot
-// materialization: a reusable append buffer plus an interner that
-// collapses high-repetition states (a vault's two strings, a plant's
-// position lattice) into shared allocations. Scratches are pooled and
-// threaded through the batch engine so interning amortizes across the
-// trials of a chunk.
-type snapScratch struct {
-	buf    []byte
-	intern msgbuf.Interner
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(snapScratch) }}
-
-// snapshot materializes the world's current state, preferring the
-// buffer-backed goal.StateAppender encoding (interned — byte-identical
-// to Snapshot by the StateAppender contract, and interning equal bytes
-// cannot change output) over a fresh Snapshot string.
-func (s *snapScratch) snapshot(world goal.World) comm.WorldState {
-	a, ok := world.(goal.StateAppender)
-	if !ok {
-		return world.Snapshot()
-	}
-	s.buf = a.AppendSnapshot(s.buf[:0])
-	return comm.WorldState(s.intern.Intern(s.buf))
-}
-
 // Run executes (user, server, world) for up to cfg.MaxRounds rounds or until
 // a halting user strategy halts. All three strategies are Reset with
 // independent deterministic streams derived from cfg.Seed before the first
 // round.
 func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, error) {
-	scr := scratchPool.Get().(*snapScratch)
-	res, err := run(user, server, world, cfg, scr)
-	scratchPool.Put(scr)
-	return res, err
-}
-
-// run is Run with an explicit snapshot scratch, so batch workers reuse
-// one scratch (buffer + intern table) across all their trials.
-func run(user, server comm.Strategy, world goal.World, cfg Config, scr *snapScratch) (*Result, error) {
 	if user == nil || server == nil || world == nil {
 		return nil, errors.New("system: nil strategy")
 	}
@@ -200,12 +148,12 @@ func run(user, server comm.Strategy, world goal.World, cfg Config, scr *snapScra
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	window := cfg.Record.window
+	record := !cfg.Record.off
 	// The lazy-snapshot contract: when nothing consumes states — no
-	// recording and no OnRound — the engine never calls Snapshot (or
-	// AppendSnapshot). OnRoundLive deliberately does not force
-	// materialization; its trackers judge the live world.
-	needState := window >= 0 || cfg.OnRound != nil
+	// recording and no OnRound — the engine never calls Snapshot.
+	// OnRoundLive deliberately does not force materialization; its
+	// trackers judge the live world.
+	needState := record || cfg.OnRound != nil
 
 	root := xrand.New(cfg.Seed)
 	user.Reset(root.Split())
@@ -213,21 +161,6 @@ func run(user, server comm.Strategy, world goal.World, cfg Config, scr *snapScra
 	world.Reset(root.Split())
 
 	halter, _ := user.(comm.Halter)
-
-	// Versioned worlds let the engine skip re-serializing an unchanged
-	// state: when StateGen repeats, the previous round's snapshot string
-	// is reused verbatim (the StateVersioned contract guarantees the
-	// bytes would be identical). The cache is local to this run, so
-	// generations are never compared across runs.
-	var versioned goal.StateVersioned
-	if needState {
-		versioned, _ = world.(goal.StateVersioned)
-	}
-	var (
-		lastGen   uint64
-		lastState comm.WorldState
-		haveState bool
-	)
 
 	res := acquireResult()
 
@@ -268,30 +201,12 @@ func run(user, server comm.Strategy, world goal.World, cfg Config, scr *snapScra
 
 		var state comm.WorldState
 		if needState {
-			if versioned != nil {
-				if gen := versioned.StateGen(); haveState && gen == lastGen {
-					state = lastState
-				} else {
-					state = scr.snapshot(world)
-					lastGen, lastState, haveState = gen, state, true
-				}
-			} else {
-				state = scr.snapshot(world)
-			}
+			state = world.Snapshot()
 		}
 		rv := comm.RoundView{In: userIn, Out: userOut}
-		switch {
-		case window == 0: // full recording
+		if record {
 			res.History.States = append(res.History.States, state)
 			res.View.Rounds = append(res.View.Rounds, rv)
-		case window > 0: // ring-buffered trailing window
-			if len(res.History.States) < window {
-				res.History.States = append(res.History.States, state)
-				res.View.Rounds = append(res.View.Rounds, rv)
-			} else {
-				res.History.States[round%window] = state
-				res.View.Rounds[round%window] = rv
-			}
 		}
 		res.Rounds = round + 1
 
@@ -308,33 +223,9 @@ func run(user, server comm.Strategy, world goal.World, cfg Config, scr *snapScra
 		}
 	}
 
-	switch {
-	case window < 0: // nothing recorded
+	if !record {
 		res.History.Dropped = res.Rounds
 		res.View.Dropped = res.Rounds
-	case window > 0 && res.Rounds > window:
-		// Rotate the ring buffers into chronological order: the oldest
-		// retained round sits at index Rounds % window.
-		rotate(res.History.States, res.Rounds%window)
-		rotate(res.View.Rounds, res.Rounds%window)
-		res.History.Dropped = res.Rounds - window
-		res.View.Dropped = res.Rounds - window
 	}
 	return res, nil
-}
-
-// rotate moves s[k:] to the front of s in place (three-reversal rotation).
-func rotate[T any](s []T, k int) {
-	if k <= 0 || k >= len(s) {
-		return
-	}
-	reverse(s[:k])
-	reverse(s[k:])
-	reverse(s)
-}
-
-func reverse[T any](s []T) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }
