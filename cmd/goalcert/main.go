@@ -16,8 +16,9 @@
 // deterministic, for tracking certification across commits — and the exit
 // code still signals failure.
 //
-// For each goal it builds the standard server class (plus known-unhelpful
-// probes: an obstinate server and, where defined, a lying one), reports
+// For each goal it binds the standard server class through the stock
+// scenario registry, as sweeps do (plus known-unhelpful probes: an
+// obstinate server and, for printing, a lying one), reports
 // which servers are certified helpful with a witness candidate, and checks
 // the sensing function's safety and viability against the class.
 package main
@@ -28,18 +29,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/comm"
-	"repro/internal/dialect"
-	"repro/internal/enumerate"
-	"repro/internal/goal"
-	"repro/internal/goals/control"
 	"repro/internal/goals/printing"
-	"repro/internal/goals/transfer"
-	"repro/internal/goals/treasure"
 	"repro/internal/harness"
-	"repro/internal/sensing"
+	"repro/internal/scenario"
 	"repro/internal/server"
 )
 
@@ -50,104 +46,44 @@ func main() {
 	}
 }
 
-// bundle is everything certification needs about one goal.
-type bundle struct {
-	goal    goal.CompactGoal
-	enum    enumerate.Enumerator
-	mkSense func() sensing.Sense
-	// servers are the class members; probes are known-unhelpful
-	// strategies that must NOT certify as helpful.
-	servers []func() comm.Strategy
-	probes  map[string]func() comm.Strategy
+// certGoals are the goals goalcert certifies, in usage order, each with
+// the size (the registry's param axis) it is certified at: transfer over
+// 4 chunks, control over a 20-step span, printing and treasure at their
+// defaults.
+var certGoals = []struct {
+	name  string
+	param int
+}{{"printing", 0}, {"treasure", 0}, {"transfer", 4}, {"control", 20}}
+
+// certGoalNames lists the accepted goal names for usage and errors.
+func certGoalNames() string {
+	names := make([]string, len(certGoals))
+	for i, g := range certGoals {
+		names[i] = g.name
+	}
+	return strings.Join(names, ", ")
 }
 
-func buildBundle(goalName string, classSize int) (*bundle, error) {
-	switch goalName {
-	case "printing":
-		fam, err := dialect.NewWordFamily(printing.Vocabulary(), classSize)
-		if err != nil {
-			return nil, err
+// cast binds goalName's class of the given size through the stock
+// registry: the goal, enumeration, sensing and class members sweeps run.
+func cast(goalName string, classSize int) (*scenario.Parts, error) {
+	for _, g := range certGoals {
+		if g.name == goalName {
+			parts, _, err := scenario.Builtin().Parts(&scenario.Scenario{Values: []scenario.AxisValue{
+				{Name: "goal", Value: goalName},
+				{Name: "class", Value: strconv.Itoa(classSize)},
+				{Name: "param", Value: strconv.Itoa(g.param)},
+			}})
+			return parts, err
 		}
-		b := &bundle{
-			goal:    &printing.Goal{Docs: []string{"doc"}},
-			enum:    printing.Enum(fam),
-			mkSense: func() sensing.Sense { return printing.Sense(0) },
-			probes: map[string]func() comm.Strategy{
-				"obstinate": server.Obstinate,
-				"lying":     func() comm.Strategy { return &printing.LyingServer{} },
-			},
-		}
-		for i := 0; i < classSize; i++ {
-			d := fam.Dialect(i)
-			b.servers = append(b.servers, func() comm.Strategy {
-				return server.Dialected(&printing.Server{}, d)
-			})
-		}
-		return b, nil
-	case "treasure":
-		b := &bundle{
-			goal:    &treasure.Goal{},
-			enum:    treasure.Enum(classSize),
-			mkSense: func() sensing.Sense { return treasure.Sense(0) },
-			probes: map[string]func() comm.Strategy{
-				"obstinate": server.Obstinate,
-			},
-		}
-		cls := treasure.Class(classSize)
-		for i := 0; i < classSize; i++ {
-			i := i
-			b.servers = append(b.servers, func() comm.Strategy { return cls.New(i) })
-		}
-		return b, nil
-	case "transfer":
-		fam, err := dialect.NewWordFamily(transfer.Vocabulary(), classSize)
-		if err != nil {
-			return nil, err
-		}
-		b := &bundle{
-			goal:    &transfer.Goal{K: 4},
-			enum:    transfer.Enum(fam),
-			mkSense: func() sensing.Sense { return transfer.Sense(0) },
-			probes: map[string]func() comm.Strategy{
-				"obstinate": server.Obstinate,
-			},
-		}
-		for i := 0; i < classSize; i++ {
-			d := fam.Dialect(i)
-			b.servers = append(b.servers, func() comm.Strategy {
-				return server.Dialected(&transfer.Server{}, d)
-			})
-		}
-		return b, nil
-	case "control":
-		fam, err := control.NewUnitsFamily(classSize)
-		if err != nil {
-			return nil, err
-		}
-		b := &bundle{
-			goal:    &control.Goal{Span: 20},
-			enum:    control.Enum(fam),
-			mkSense: func() sensing.Sense { return control.Sense(0) },
-			probes: map[string]func() comm.Strategy{
-				"obstinate": server.Obstinate,
-			},
-		}
-		for i := 0; i < classSize; i++ {
-			d := fam.Dialect(i)
-			b.servers = append(b.servers, func() comm.Strategy {
-				return server.Dialected(&control.Server{}, d)
-			})
-		}
-		return b, nil
-	default:
-		return nil, fmt.Errorf("unknown goal %q (printing, treasure, transfer, control)", goalName)
 	}
+	return nil, fmt.Errorf("unknown goal %q (%s)", goalName, certGoalNames())
 }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("goalcert", flag.ContinueOnError)
 	var (
-		goalName  = fs.String("goal", "printing", "goal to certify: printing, treasure, transfer, control")
+		goalName  = fs.String("goal", "printing", "goal to certify: "+certGoalNames())
 		classSize = fs.Int("class", 8, "server class size")
 		rounds    = fs.Int("rounds", 0, "horizon per certification run (0 = 60 × class size)")
 		seed      = fs.Uint64("seed", 1, "root random seed")
@@ -162,9 +98,23 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("class size must be positive, got %d", *classSize)
 	}
 
-	b, err := buildBundle(*goalName, *classSize)
+	parts, err := cast(*goalName, *classSize)
 	if err != nil {
 		return err
+	}
+	servers := make([]func() comm.Strategy, *classSize)
+	for i := range servers {
+		servers[i] = func() comm.Strategy { return parts.Member(i) }
+	}
+	// Probes are known-unhelpful servers that must NOT certify as helpful
+	// (printing's ACKs without printing, which unsafe sensing would
+	// trust). They are listed in name order so the report, and the
+	// violation indices below, are identical run to run.
+	probeNames := []string{"obstinate"}
+	probes := []func() comm.Strategy{server.Obstinate}
+	if *goalName == "printing" {
+		probeNames = []string{"lying", "obstinate"}
+		probes = []func() comm.Strategy{func() comm.Strategy { return &printing.LyingServer{} }, server.Obstinate}
 	}
 	horizon := *rounds
 	if horizon <= 0 {
@@ -185,8 +135,8 @@ func run(args []string, stdout io.Writer) error {
 		Title:   fmt.Sprintf("helpfulness for goal %q (class size %d, horizon %d)", *goalName, *classSize, horizon),
 		Columns: []string{"server", "helpful", "witness candidate"},
 	}
-	for i, mk := range b.servers {
-		ok, witness := harness.HelpfulCompact(b.goal, mk, b.enum, cfg)
+	for i, mk := range servers {
+		ok, witness := harness.HelpfulCompact(parts.Goal, mk, parts.Enum, cfg)
 		w := "-"
 		if ok {
 			w = harness.I(witness)
@@ -197,15 +147,8 @@ func run(args []string, stdout io.Writer) error {
 			Server: name, Helpful: ok, Witness: witness,
 		})
 	}
-	// Probes are iterated in sorted name order so the report (and the
-	// violation indices below) are identical run to run.
-	probeNames := make([]string, 0, len(b.probes))
-	for name := range b.probes {
-		probeNames = append(probeNames, name)
-	}
-	sort.Strings(probeNames)
-	for _, name := range probeNames {
-		ok, _ := harness.HelpfulCompact(b.goal, b.probes[name], b.enum, cfg)
+	for i, name := range probeNames {
+		ok, _ := harness.HelpfulCompact(parts.Goal, probes[i], parts.Enum, cfg)
 		tbl.AddRow("probe:"+name, yesNo(ok), "-")
 		report.Servers = append(report.Servers, harness.ServerVerdict{
 			Server: "probe:" + name, Probe: true, Helpful: ok, Witness: -1,
@@ -219,14 +162,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// 2. Safety against class ∪ probes; viability against the class.
-	all := append([]func() comm.Strategy{}, b.servers...)
-	for _, name := range probeNames {
-		all = append(all, b.probes[name])
-	}
+	all := append(append([]func() comm.Strategy{}, servers...), probes...)
 	report.Safety = append(report.Safety,
-		harness.CertifySafetyCompact(b.goal, b.mkSense, b.enum, all, cfg)...)
+		harness.CertifySafetyCompact(parts.Goal, parts.Sense, parts.Enum, all, cfg)...)
 	report.Viability = append(report.Viability,
-		harness.CertifyViabilityCompact(b.goal, b.mkSense, b.enum, b.servers, cfg)...)
+		harness.CertifyViabilityCompact(parts.Goal, parts.Sense, parts.Enum, servers, cfg)...)
 	report.Certified = len(report.Safety)+len(report.Viability) == 0
 
 	if *jsonOut {

@@ -73,20 +73,15 @@ func eventLogger(stderr io.Writer, verbose bool) *obs.Logger {
 // makes the queue survive restarts in either mode.
 func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("goalsweep serve", flag.ContinueOnError)
+	var sf sweepFlags
+	sf.add(fs, "")
 	var (
-		specPath     = fs.String("spec", "", "JSON scenario spec file")
-		builtin      = fs.String("builtin", "", "built-in spec name (default, quick); ignored when -spec is set")
 		shardsFlag   = fs.String("shards", "2", "how many work units to partition the selection into (a count; \"auto\" is only meaningful per job, via goalsweep submit)")
 		service      = fs.Bool("service", false, "run a long-lived multi-tenant job queue instead of a one-shot batch sweep; jobs arrive via goalsweep submit, so spec and report flags are refused")
 		stateDir     = fs.String("state", "", "persist job plans and shard envelopes under this directory and resume incomplete jobs on restart")
 		listen       = fs.String("listen", "127.0.0.1:0", "coordinator listen address (host:port; port 0 picks one)")
 		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "re-issue a shard when its worker has neither submitted nor renewed within this long (workers renew at a third of it while computing)")
 		linger       = fs.Duration("linger", 2*time.Second, "after the last shard lands, keep serving this long so polling workers hear the sweep is done")
-		sample       = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
-		sampleSeed   = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
-		seeds        = fs.Int("seeds", 0, "override the spec's trials per scenario (0 = spec value)")
-		window       = fs.Int("window", 0, "override the spec's convergence window (0 = spec value)")
-		baseSeed     = fs.Uint64("baseseed", 0, "override the spec's base seed (0 = spec value)")
 		jsonOut      = fs.Bool("json", false, "emit the merged aggregates and summary as JSON")
 		csvOut       = fs.Bool("csv", false, "emit the merged aggregates as CSV")
 		outPath      = fs.String("out", "", "write output to this file instead of stdout")
@@ -97,9 +92,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		verbose      = fs.Bool("v", false, "log every lease/submit lifecycle event to stderr (default: warnings only)")
 		cpuProfile   = fs.String("cpuprofile", "", "refused: profile a local goalsweep run instead")
 		memProfile   = fs.String("memprofile", "", "refused: profile a local goalsweep run instead")
-		filters      filterFlags
 	)
-	fs.Var(&filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,12 +138,11 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		if shards == 0 {
 			return fmt.Errorf("-shards auto sizes per submitted job and needs -service; a batch sweep wants an explicit count")
 		}
-		spec, err := resolveSpec(*specPath, *builtin, filters)
+		spec, err := sf.spec()
 		if err != nil {
 			return err
 		}
-		req = dist.SweepRequest{Spec: spec, Shards: shards, Seeds: *seeds, Window: *window, BaseSeed: *baseSeed,
-			SampleN: *sample, SampleSeed: *sampleSeed}
+		req = sf.request(spec, shards)
 	}
 
 	events := eventLogger(stderr, *verbose)

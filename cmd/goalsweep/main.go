@@ -15,6 +15,7 @@
 //	goalsweep -builtin default -cache DIR        # skip already-stored scenarios
 //	goalsweep -builtin default -shard 2/3 -json -out shard-2.json
 //	goalsweep merge -json -out full.json shard-*.json
+//	goalsweep explain -builtin default -id ID -trial 1 -trace run.json
 //	goalsweep -builtin default -fingerprint      # print the sweep fingerprint
 //	goalsweep serve -builtin default -shards 3 -listen :8077 -json -out report.json
 //	goalsweep serve -service -state DIR -listen :8077
@@ -27,7 +28,10 @@
 // carries a stable content-derived ID, so sampled sweeps report exactly
 // what a full enumeration would report for the same scenarios. No report
 // carries a timing; performance is measured from outside, by the
-// repository's benchmark (bench/README.md).
+// repository's benchmark (bench/README.md). Trial seeds are
+// content-derived too, so a row's scenario ID and a trial index name one
+// execution: "goalsweep explain" re-runs it, prints its verdict and can
+// write its round-by-round trace.
 //
 // The same determinism makes sweeps distributed-by-construction: -shard
 // i/n runs the i-th of n contiguous partitions of the selection (with
@@ -68,6 +72,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/dist"
 	"repro/internal/harness"
 	"repro/internal/scenario"
 )
@@ -94,6 +99,58 @@ func (f *filterFlags) Set(v string) error {
 	return nil
 }
 
+// sweepFlags are the flags every verb naming a sweep declares alike: the
+// spec (-spec, -builtin, -filter), the subset of it (-sample,
+// -sampleseed) and the overrides of the spec's own values (-seeds,
+// -window, -baseseed).
+type sweepFlags struct {
+	specPath, builtin string
+	filters           filterFlags
+	sample            int
+	sampleSeed        uint64
+	seeds, window     int
+	baseSeed          uint64
+}
+
+// addSpec registers the spec flags; builtin is -builtin's default.
+func (f *sweepFlags) addSpec(fs *flag.FlagSet, builtin string) {
+	fs.StringVar(&f.specPath, "spec", "", "JSON scenario spec file")
+	fs.StringVar(&f.builtin, "builtin", builtin, "built-in spec name: "+
+		strings.Join(scenario.BuiltinSpecNames(), ", ")+" (empty means default); ignored when -spec is set")
+	fs.Var(&f.filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
+}
+
+// addOverrides registers the overrides of the spec's sweep values.
+func (f *sweepFlags) addOverrides(fs *flag.FlagSet) {
+	fs.IntVar(&f.seeds, "seeds", 0, "override the spec's trials per scenario (0 = spec value)")
+	fs.IntVar(&f.window, "window", 0, "override the spec's convergence window (0 = spec value)")
+	fs.Uint64Var(&f.baseSeed, "baseseed", 0, "override the spec's base seed (0 = spec value)")
+}
+
+// add registers all eight sweep flags.
+func (f *sweepFlags) add(fs *flag.FlagSet, builtin string) {
+	f.addSpec(fs, builtin)
+	fs.IntVar(&f.sample, "sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
+	fs.Uint64Var(&f.sampleSeed, "sampleseed", 1, "seed for -sample subset selection")
+	f.addOverrides(fs)
+}
+
+// spec loads the named spec with the -filter restrictions applied.
+func (f *sweepFlags) spec() (*scenario.Spec, error) {
+	return resolveSpec(f.specPath, f.builtin, f.filters)
+}
+
+// config carries the overrides into a sweep configuration.
+func (f *sweepFlags) config() scenario.SweepConfig {
+	return scenario.SweepConfig{Seeds: f.seeds, Window: f.window, BaseSeed: f.baseSeed}
+}
+
+// request is the /v1 request for this sweep of spec in the given shards.
+func (f *sweepFlags) request(spec *scenario.Spec, shards int) dist.SweepRequest {
+	return dist.SweepRequest{Spec: spec, Shards: shards, Seeds: f.seeds, Window: f.window,
+		BaseSeed: f.baseSeed, SampleN: f.sample, SampleSeed: f.sampleSeed}
+}
+
 // run is runCtx without cancellation — the signature most tests use.
 func run(args []string, stdout, stderr io.Writer) error {
 	return runCtx(context.Background(), args, stdout, stderr)
@@ -104,6 +161,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		switch args[0] {
 		case "merge":
 			return runMerge(args[1:], stdout)
+		case "explain":
+			return runExplain(args[1:], stdout)
 		case "serve":
 			return runServe(ctx, args[1:], stdout, stderr)
 		case "work":
@@ -117,15 +176,10 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		}
 	}
 	fs := flag.NewFlagSet("goalsweep", flag.ContinueOnError)
+	var sf sweepFlags
+	sf.add(fs, "")
 	var (
-		specPath    = fs.String("spec", "", "JSON scenario spec file")
-		builtin     = fs.String("builtin", "", "built-in spec name (default, quick, adversarial, family); ignored when -spec is set")
-		sample      = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
-		sampleSeed  = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
 		parallel    = fs.Int("parallel", 0, "trial worker pool size (0 = GOMAXPROCS); does not affect results")
-		seeds       = fs.Int("seeds", 0, "override the spec's trials per scenario (0 = spec value)")
-		window      = fs.Int("window", 0, "override the spec's convergence window (0 = spec value)")
-		baseSeed    = fs.Uint64("baseseed", 0, "override the spec's base seed (0 = spec value)")
 		jsonOut     = fs.Bool("json", false, "emit per-scenario aggregates and the summary as JSON")
 		csvOut      = fs.Bool("csv", false, "emit per-scenario aggregates as CSV")
 		list        = fs.Bool("list", false, "list the selected scenarios without executing them")
@@ -135,9 +189,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		fingerprint = fs.Bool("fingerprint", false, "print the sweep fingerprint (cache/merge identity) and exit without executing")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file (pprof format)")
 		memProfile  = fs.String("memprofile", "", "write a heap profile, taken after the sweep completes, to this file (pprof format)")
-		filters     filterFlags
 	)
-	fs.Var(&filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,7 +197,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	if fs.NArg() > 0 {
 		// Flag parsing stops at the first non-flag, so a mistyped
 		// subcommand would otherwise run the default sweep.
-		return fmt.Errorf("unexpected argument %q: the subcommands are merge, serve, work, submit, watch and chaostest", fs.Arg(0))
+		return fmt.Errorf("unexpected argument %q: the subcommands are merge, explain, serve, work, submit, watch and chaostest", fs.Arg(0))
 	}
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
@@ -159,7 +211,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 		}
 	}
 
-	spec, err := resolveSpec(*specPath, *builtin, filters)
+	spec, err := sf.spec()
 	if err != nil {
 		return err
 	}
@@ -171,15 +223,11 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	// adopt it so the report, envelope and fingerprint agree.
 	spec = m.Spec()
 
-	cfg := scenario.SweepConfig{
-		Parallel: *parallel,
-		Seeds:    *seeds,
-		Window:   *window,
-		BaseSeed: *baseSeed,
-	}
+	cfg := sf.config()
+	cfg.Parallel = *parallel
 	effSeeds, effWindow, effBase := cfg.Effective(spec)
 	// The CLI always binds through the stock registry.
-	fp := scenario.Fingerprint(spec, scenario.Builtin().Version(), effSeeds, effWindow, effBase, *sample, *sampleSeed)
+	fp := scenario.Fingerprint(spec, scenario.Builtin().Version(), effSeeds, effWindow, effBase, sf.sample, sf.sampleSeed)
 
 	out, closeOut, err := openOut(*outPath, stdout)
 	if err != nil {
@@ -199,8 +247,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	}
 
 	var indices []int64 // nil = the whole matrix
-	if *sample > 0 {
-		indices = m.Sample(*sample, *sampleSeed)
+	if sf.sample > 0 {
+		indices = m.Sample(sf.sample, sf.sampleSeed)
 	}
 	if sharded {
 		indices = shard.Indices(m, indices)

@@ -21,19 +21,12 @@ import (
 // job's ID: the verb is idempotent and safe to re-run.
 func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("goalsweep submit", flag.ContinueOnError)
+	var sf sweepFlags
+	sf.add(fs, "")
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (http://host:port; required)")
-		specPath    = fs.String("spec", "", "JSON scenario spec file")
-		builtin     = fs.String("builtin", "", "built-in spec name (default, quick); ignored when -spec is set")
 		shardsFlag  = fs.String("shards", "auto", "work units to partition the job into (a count, or \"auto\" to let the coordinator size it from fleet size and observed shard latency)")
-		sample      = fs.Int("sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
-		sampleSeed  = fs.Uint64("sampleseed", 1, "seed for -sample subset selection")
-		seeds       = fs.Int("seeds", 0, "override the spec's trials per scenario (0 = spec value)")
-		window      = fs.Int("window", 0, "override the spec's convergence window (0 = spec value)")
-		baseSeed    = fs.Uint64("baseseed", 0, "override the spec's base seed (0 = spec value)")
-		filters     filterFlags
 	)
-	fs.Var(&filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -45,19 +38,11 @@ func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if err != nil {
 		return err
 	}
-	spec, err := resolveSpec(*specPath, *builtin, filters)
+	spec, err := sf.spec()
 	if err != nil {
 		return err
 	}
-	resp, err := dist.NewClient(*coordinator, nil).CreateSweep(ctx, dist.SweepRequest{
-		Spec:       spec,
-		Shards:     shards,
-		Seeds:      *seeds,
-		Window:     *window,
-		BaseSeed:   *baseSeed,
-		SampleN:    *sample,
-		SampleSeed: *sampleSeed,
-	})
+	resp, err := dist.NewClient(*coordinator, nil).CreateSweep(ctx, sf.request(spec, shards))
 	if err != nil {
 		return err
 	}

@@ -17,10 +17,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/comm"
 	"repro/internal/goal"
 	"repro/internal/goals/control"
 	"repro/internal/server"
+	"repro/internal/system"
+	"repro/internal/universal"
 )
 
 func main() {
@@ -38,17 +40,17 @@ func run() error {
 		return err
 	}
 	g := &control.Goal{}
-	cfg := core.RunConfig{MaxRounds: 300 * classSize, Seed: 3}
-	srv := func() core.Strategy {
+	cfg := system.Config{MaxRounds: 300 * classSize, Seed: 3}
+	srv := func() comm.Strategy {
 		return server.Dialected(&control.Server{}, fam.Dialect(serverIdx))
 	}
 
 	fmt.Printf("actuator calibration: offset %+d (index %d of %d, hidden from the user)\n\n",
 		control.OffsetFor(serverIdx), serverIdx, classSize)
 
-	report := func(name string, usr core.Strategy) error {
-		w := g.NewWorld(core.Env{Choice: 2})
-		res, err := core.Run(usr, srv(), w, cfg)
+	report := func(name string, usr comm.Strategy) error {
+		w := g.NewWorld(goal.Env{Choice: 2})
+		res, err := system.Run(usr, srv(), w, cfg)
 		if err != nil {
 			return err
 		}
@@ -64,7 +66,7 @@ func run() error {
 	if err := report("oracle (matching)", &control.Candidate{D: fam.Dialect(serverIdx)}); err != nil {
 		return err
 	}
-	u, err := core.NewCompactUniversalUser(control.Enum(fam), control.Sense(0))
+	u, err := universal.NewCompactUser(control.Enum(fam), control.Sense(0))
 	if err != nil {
 		return err
 	}

@@ -14,11 +14,11 @@ import (
 	"log"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/dialect"
 	"repro/internal/goal"
 	"repro/internal/goals/delegation"
 	"repro/internal/server"
+	"repro/internal/universal"
 )
 
 func main() {
@@ -36,13 +36,13 @@ func run() error {
 	g := &delegation.Goal{N: 14}
 
 	// Peek at the instance the world will pose (for narration only).
-	if w, ok := g.NewWorld(core.Env{Choice: 1}).(*delegation.World); ok {
+	if w, ok := g.NewWorld(goal.Env{Choice: 1}).(*delegation.World); ok {
 		ins := w.Instance()
 		fmt.Printf("instance: weights=%v target=%d\n", ins.Weights, ins.Target)
 	}
 
 	for _, serverDialect := range []int{0, 5, 11} {
-		fr := &core.FiniteRunner{
+		fr := &universal.FiniteRunner{
 			Enum:  delegation.Enum(fam),
 			Sense: delegation.Sense(),
 		}
@@ -50,7 +50,7 @@ func run() error {
 			func() comm.Strategy {
 				return server.Dialected(&delegation.Server{}, fam.Dialect(serverDialect))
 			},
-			func() goal.World { return g.NewWorld(core.Env{Choice: 1}) },
+			func() goal.World { return g.NewWorld(goal.Env{Choice: 1}) },
 			7,
 		)
 		if err != nil {

@@ -14,10 +14,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/comm"
 	"repro/internal/goal"
 	"repro/internal/goals/learning"
 	"repro/internal/server"
+	"repro/internal/system"
+	"repro/internal/universal"
 )
 
 func main() {
@@ -30,21 +32,21 @@ func run() error {
 	const m = 128
 	const concept = 97
 	g := &learning.Goal{M: m}
-	cfg := core.RunConfig{MaxRounds: 8000, Seed: 3}
+	cfg := system.Config{MaxRounds: 8000, Seed: 3}
 
 	type contestant struct {
 		name string
-		mk   func() (core.Strategy, error)
+		mk   func() (comm.Strategy, error)
 	}
 	contestants := []contestant{
-		{"halving (efficient universal user)", func() (core.Strategy, error) {
+		{"halving (efficient universal user)", func() (comm.Strategy, error) {
 			return &learning.HalvingUser{M: m}, nil
 		}},
-		{"enumeration (generic universal user)", func() (core.Strategy, error) {
-			u, err := core.NewCompactUniversalUser(learning.Enum(m), learning.MistakeSense())
+		{"enumeration (generic universal user)", func() (comm.Strategy, error) {
+			u, err := universal.NewCompactUser(learning.Enum(m), learning.MistakeSense())
 			return u, err
 		}},
-		{"fixed concept 0 (ignores feedback)", func() (core.Strategy, error) {
+		{"fixed concept 0 (ignores feedback)", func() (comm.Strategy, error) {
 			return &learning.ThresholdUser{Concept: 0}, nil
 		}},
 	}
@@ -55,11 +57,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		w, ok := g.NewWorld(core.Env{Choice: concept}).(*learning.World)
+		w, ok := g.NewWorld(goal.Env{Choice: concept}).(*learning.World)
 		if !ok {
 			return fmt.Errorf("unexpected world type")
 		}
-		res, err := core.Run(usr, server.Obstinate(), w, cfg)
+		res, err := system.Run(usr, server.Obstinate(), w, cfg)
 		if err != nil {
 			return err
 		}

@@ -14,12 +14,14 @@ import (
 	"log"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/dialect"
+	"repro/internal/goal"
 	"repro/internal/goals/printing"
 	"repro/internal/harness"
 	"repro/internal/sensing"
 	"repro/internal/server"
+	"repro/internal/system"
+	"repro/internal/universal"
 )
 
 const classSize = 8
@@ -36,13 +38,13 @@ func run() error {
 		return err
 	}
 	g := &printing.Goal{}
-	cfg := core.RunConfig{MaxRounds: 60 * classSize, Seed: 1}
+	cfg := system.Config{MaxRounds: 60 * classSize, Seed: 1}
 
 	fmt.Println("--- 1. fixed-protocol user vs the printer class ---")
 	for _, idx := range []int{0, 3} {
 		usr := &printing.Candidate{D: fam.Dialect(0)}
-		srv := core.DialectedServer(&printing.Server{}, fam.Dialect(idx))
-		achieved, _, err := core.AchieveCompact(g, usr, srv, cfg)
+		srv := server.Dialected(&printing.Server{}, fam.Dialect(idx))
+		achieved, _, err := achieve(g, usr, srv, cfg)
 		if err != nil {
 			return err
 		}
@@ -52,12 +54,12 @@ func run() error {
 
 	fmt.Println("--- 2. universal user vs every printer in the class ---")
 	for idx := 0; idx < classSize; idx++ {
-		usr, err := core.NewCompactUniversalUser(printing.Enum(fam), printing.Sense(0))
+		usr, err := universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
 		if err != nil {
 			return err
 		}
-		srv := core.DialectedServer(&printing.Server{}, fam.Dialect(idx))
-		achieved, res, err := core.AchieveCompact(g, usr, srv, cfg)
+		srv := server.Dialected(&printing.Server{}, fam.Dialect(idx))
+		achieved, res, err := achieve(g, usr, srv, cfg)
 		if err != nil {
 			return err
 		}
@@ -69,11 +71,11 @@ func run() error {
 	}
 
 	fmt.Println("--- 3. unsafe sensing vs a lying printer ---")
-	usr, err := core.NewCompactUniversalUser(printing.Enum(fam), printing.TrustingSense())
+	usr, err := universal.NewCompactUser(printing.Enum(fam), printing.TrustingSense())
 	if err != nil {
 		return err
 	}
-	achieved, res, err := core.AchieveCompact(g, usr, &printing.LyingServer{}, cfg)
+	achieved, res, err := achieve(g, usr, &printing.LyingServer{}, cfg)
 	if err != nil {
 		return err
 	}
@@ -103,4 +105,14 @@ func run() error {
 	}
 	fmt.Println("  (safe and viable — so Theorem 1 applies, and part 2 above is its witness)")
 	return nil
+}
+
+// achieve runs user and srv on the goal's world and judges the recorded
+// history: achieved iff the last 10 prefixes are all acceptable.
+func achieve(g *printing.Goal, usr, srv comm.Strategy, cfg system.Config) (bool, *system.Result, error) {
+	res, err := system.Run(usr, srv, g.NewWorld(goal.Env{Seed: cfg.Seed}), cfg)
+	if err != nil {
+		return false, nil, err
+	}
+	return goal.CompactAchieved(g, res.History, 10), res, nil
 }

@@ -14,9 +14,12 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/dialect"
+	"repro/internal/goal"
 	"repro/internal/goals/printing"
+	"repro/internal/server"
+	"repro/internal/system"
+	"repro/internal/universal"
 )
 
 func main() {
@@ -35,23 +38,24 @@ func run() error {
 
 	// The adversary picks dialect 11; the user is not told.
 	const serverDialect = 11
-	srv := core.DialectedServer(&printing.Server{}, fam.Dialect(serverDialect))
+	srv := server.Dialected(&printing.Server{}, fam.Dialect(serverDialect))
 
 	// The universal user: enumerate candidate users (one per dialect),
 	// switch on negative sensing indications.
-	user, err := core.NewCompactUniversalUser(printing.Enum(fam), printing.Sense(0))
+	user, err := universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
 	if err != nil {
 		return err
 	}
 
 	g := &printing.Goal{}
-	achieved, res, err := core.AchieveCompact(g, user, srv, core.RunConfig{
-		MaxRounds: 800,
-		Seed:      1,
-	})
+	cfg := system.Config{MaxRounds: 800, Seed: 1}
+	res, err := system.Run(user, srv, g.NewWorld(goal.Env{Seed: cfg.Seed}), cfg)
 	if err != nil {
 		return err
 	}
+	// Compact goals are judged on the bounded horizon: achieved iff the
+	// last 10 prefixes are all acceptable.
+	achieved := goal.CompactAchieved(g, res.History, 10)
 
 	fmt.Println("printing goal:", g.Name())
 	fmt.Println("server dialect (hidden from user):", serverDialect)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/goal"
 	"repro/internal/msgbuf"
 	"repro/internal/sensing"
-	"repro/internal/server"
 	"repro/internal/xrand"
 )
 
@@ -120,17 +119,6 @@ func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) {
 		return comm.Outbox{ToUser: "DENIED"}, nil
 	}
 	return comm.Outbox{ToUser: "GRANTED", ToWorld: "UNLOCK"}, nil
-}
-
-// Class returns the password-server class of size n: server i holds secret
-// i. A universal user must cope with all of them.
-func Class(n int) *server.Class {
-	factories := make([]func() comm.Strategy, n)
-	for i := range factories {
-		secret := i
-		factories[i] = func() comm.Strategy { return &Server{Secret: secret} }
-	}
-	return server.NewClass(fmt.Sprintf("password(%d)", n), factories)
 }
 
 // Candidate is the user strategy that tries one fixed password repeatedly.

@@ -94,14 +94,13 @@ func TestUniversalOpensEveryVault(t *testing.T) {
 	t.Parallel()
 
 	const n = 10
-	cls := Class(n)
 	g := &Goal{}
 	for i := 0; i < n; i++ {
 		u, err := universal.NewCompactUser(Enum(n), Sense(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := system.Run(u, cls.New(i), g.NewWorld(goal.Env{}), system.Config{
+		res, err := system.Run(u, &Server{Secret: i}, g.NewWorld(goal.Env{}), system.Config{
 			MaxRounds: 30 * n, Seed: 2,
 		})
 		if err != nil {
@@ -167,27 +166,6 @@ func TestShuffledOrderStillUniversal(t *testing.T) {
 		}
 		if !goal.CompactAchieved(g, res.History, 5) {
 			t.Fatalf("shuffled user failed on secret %d", secret)
-		}
-	}
-}
-
-func TestClassSizeAndSecrets(t *testing.T) {
-	t.Parallel()
-
-	cls := Class(5)
-	if cls.Size() != 5 {
-		t.Fatalf("size = %d", cls.Size())
-	}
-	// Server i must hold secret i.
-	for i := 0; i < 5; i++ {
-		s := cls.New(i)
-		s.Reset(xrand.New(1))
-		out, err := s.Step(comm.Inbox{FromUser: comm.Message(fmt.Sprintf("pass %d", i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.ToWorld != "UNLOCK" {
-			t.Fatalf("server %d does not accept password %d", i, i)
 		}
 	}
 }

@@ -359,24 +359,36 @@ func parseAxes(sc *Scenario) (Axes, error) {
 	return ax, nil
 }
 
-// Bind resolves a scenario into executable parties via the registered goal
-// builders.
-func (r *Registry) Bind(sc *Scenario) (*Binding, error) {
+// Parts resolves a scenario's goal-specific cast — goal, candidate
+// enumeration, sensing and class members — via the registered goal
+// builder, along with the parsed common axes. It is the first half of
+// Bind, for callers that assemble parties themselves.
+func (r *Registry) Parts(sc *Scenario) (*Parts, Axes, error) {
 	goalName, ok := sc.Get("goal")
 	if !ok {
-		return nil, fmt.Errorf("scenario: %s has no goal axis", sc.ID())
+		return nil, Axes{}, fmt.Errorf("scenario: %s has no goal axis", sc.ID())
 	}
 	build, ok := r.builders[goalName]
 	if !ok {
-		return nil, fmt.Errorf("scenario: no builder registered for goal %q", goalName)
+		return nil, Axes{}, fmt.Errorf("scenario: no builder registered for goal %q", goalName)
 	}
 	ax, err := parseAxes(sc)
 	if err != nil {
-		return nil, err
+		return nil, ax, err
 	}
 	parts, err := build(ax)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: goal %q: %w", goalName, err)
+		return nil, ax, fmt.Errorf("scenario: goal %q: %w", goalName, err)
+	}
+	return parts, ax, nil
+}
+
+// Bind resolves a scenario into executable parties via the registered goal
+// builders.
+func (r *Registry) Bind(sc *Scenario) (*Binding, error) {
+	parts, ax, err := r.Parts(sc)
+	if err != nil {
+		return nil, err
 	}
 
 	// Resolve the server: a class member index (negative counts from the
@@ -409,7 +421,7 @@ func (r *Registry) Bind(sc *Scenario) (*Binding, error) {
 		member := parts.Member
 		if ax.Drift > 0 {
 			if parts.Drift == nil {
-				return nil, fmt.Errorf("scenario: goal %q has no dialect to drift", goalName)
+				return nil, fmt.Errorf("scenario: goal %q has no dialect to drift", sc.Str("goal", ""))
 			}
 			drift := ax.Drift
 			member = func(i int) comm.Strategy { return parts.Drift(i, drift) }

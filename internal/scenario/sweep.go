@@ -29,10 +29,11 @@ type SweepConfig struct {
 	// BaseSeed overrides the spec's seed-derivation root when nonzero.
 	BaseSeed uint64
 
-	// SeedFn overrides per-trial seed derivation entirely. The default
-	// derives each trial's seed from the base seed and the scenario's
-	// content hash, so a scenario's trials are identical no matter where
-	// (or whether) the scenario appears in an enumeration or sample.
+	// SeedFn overrides per-trial seed derivation entirely. The default,
+	// TrialSeed, derives each trial's seed from the base seed and the
+	// scenario's content hash, so a scenario's trials are identical no
+	// matter where (or whether) the scenario appears in an enumeration or
+	// sample.
 	SeedFn func(sc *Scenario, trial int) uint64
 
 	// Cache, when non-nil, is consulted before a scenario is scheduled
@@ -285,6 +286,14 @@ func (j *scenJob) fold(errs []error, window int) *Stats {
 	return st
 }
 
+// TrialSeed is the engine seed of trial t of sc in a sweep rooted at
+// base, the default SweepConfig.SeedFn. It depends only on the base seed,
+// the scenario's content hash and t, so a scenario ID and a trial index
+// name one execution wherever the scenario is swept.
+func TrialSeed(base uint64, sc *Scenario, t int) uint64 {
+	return system.DeriveSeed(base^sc.Hash(), t)
+}
+
 // chunkTrials is how many trials a sweep buffers per engine batch: enough
 // to feed the worker pool, few enough to bound in-flight per-trial state.
 const chunkTrials = 256
@@ -308,7 +317,7 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 	cache := cfg.Cache
 	if seedFn == nil {
 		seedFn = func(sc *Scenario, trial int) uint64 {
-			return system.DeriveSeed(base^sc.Hash(), trial)
+			return TrialSeed(base, sc, trial)
 		}
 	} else {
 		// Cached aggregates are keyed by the default seed derivation; a

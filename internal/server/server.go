@@ -221,45 +221,3 @@ var _ comm.Strategy = (*obstinate)(nil)
 
 func (*obstinate) Reset(*xrand.Rand)                    {}
 func (*obstinate) Step(comm.Inbox) (comm.Outbox, error) { return comm.Outbox{}, nil }
-
-// Class is a finite, indexable class of server strategies — the object a
-// universal user must be compatible with in its entirety.
-type Class struct {
-	name      string
-	factories []func() comm.Strategy
-}
-
-// NewClass builds a class from strategy factories. Factories must return a
-// fresh instance per call.
-func NewClass(name string, factories []func() comm.Strategy) *Class {
-	copied := make([]func() comm.Strategy, len(factories))
-	copy(copied, factories)
-	return &Class{name: name, factories: copied}
-}
-
-// DialectClass builds the class {Dialected(base(), d) : d in family} — one
-// server per dialect, all sharing the same native behaviour.
-func DialectClass(name string, fam *dialect.Family, base func() comm.Strategy) *Class {
-	factories := make([]func() comm.Strategy, fam.Size())
-	for i := range factories {
-		d := fam.Dialect(i)
-		factories[i] = func() comm.Strategy { return Dialected(base(), d) }
-	}
-	return NewClass(name, factories)
-}
-
-// Name returns the class name.
-func (c *Class) Name() string { return c.name }
-
-// Size returns the number of servers in the class.
-func (c *Class) Size() int { return len(c.factories) }
-
-// New instantiates the i-th server; indices wrap modulo Size.
-func (c *Class) New(i int) comm.Strategy {
-	n := len(c.factories)
-	i %= n
-	if i < 0 {
-		i += n
-	}
-	return c.factories[i]()
-}

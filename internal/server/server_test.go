@@ -184,19 +184,12 @@ func TestObstinateIgnoresEverything(t *testing.T) {
 func TestDialectClass(t *testing.T) {
 	t.Parallel()
 
+	// Over a dialect family, Dialected(base, d_i) is the class's server
+	// i: it must understand dialect i and only dialect i.
 	fam := wordFam(t, 5)
-	cls := DialectClass("greet", fam, func() comm.Strategy { return &commtest.GreetServer{} })
-	if cls.Size() != 5 {
-		t.Fatalf("class size = %d, want 5", cls.Size())
-	}
-	if cls.Name() != "greet" {
-		t.Fatalf("class name = %q", cls.Name())
-	}
-
-	// Server i must understand dialect i and only dialect i.
-	for i := 0; i < cls.Size(); i++ {
-		for j := 0; j < cls.Size(); j++ {
-			s := cls.New(i)
+	for i := 0; i < fam.Size(); i++ {
+		for j := 0; j < fam.Size(); j++ {
+			s := Dialected(&commtest.GreetServer{}, fam.Dialect(i))
 			s.Reset(xrand.New(1))
 			out := step(t, s, comm.Inbox{FromUser: fam.Dialect(j).Encode("HELLO")})
 			understood := out.ToWorld == "greeted"
@@ -204,33 +197,6 @@ func TestDialectClass(t *testing.T) {
 				t.Fatalf("server %d vs dialect %d: understood=%v", i, j, understood)
 			}
 		}
-	}
-}
-
-func TestClassIndexWraps(t *testing.T) {
-	t.Parallel()
-
-	cls := NewClass("c", []func() comm.Strategy{
-		func() comm.Strategy { return Obstinate() },
-		func() comm.Strategy { return &commtest.Echo{} },
-	})
-	if _, ok := cls.New(3).(*commtest.Echo); !ok {
-		t.Fatal("index 3 should wrap to 1")
-	}
-	if _, ok := cls.New(-1).(*commtest.Echo); !ok {
-		t.Fatal("index -1 should wrap to 1")
-	}
-}
-
-func TestClassFactoriesFresh(t *testing.T) {
-	t.Parallel()
-
-	cls := NewClass("c", []func() comm.Strategy{
-		func() comm.Strategy { return Delayed(&commtest.Echo{}, 1) },
-	})
-	a, b := cls.New(0), cls.New(0)
-	if a == b {
-		t.Fatal("class returned a shared instance")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/goal"
-	"repro/internal/sensing"
 	"repro/internal/system"
 )
 
@@ -40,14 +39,16 @@ type Record struct {
 }
 
 // FromResult converts an execution result into a record. label and seed
-// are caller-supplied provenance.
+// are caller-supplied provenance. The result must hold every round's
+// state and view: a record covers the whole execution, so results run
+// under system.RecordOff are refused.
 func FromResult(res *system.Result, label string, seed uint64) (*Record, error) {
 	if res == nil {
 		return nil, errors.New("trace: nil result")
 	}
-	if res.History.Len() != res.View.Len() {
-		return nil, fmt.Errorf("trace: history (%d) and view (%d) lengths differ",
-			res.History.Len(), res.View.Len())
+	if len(res.History.States) != res.Rounds || len(res.View.Rounds) != res.Rounds {
+		return nil, fmt.Errorf("trace: result records %d states and %d views of %d rounds (run it with system.RecordFull)",
+			len(res.History.States), len(res.View.Rounds), res.Rounds)
 	}
 	rec := &Record{
 		Version:   FormatVersion,
@@ -80,7 +81,8 @@ func (r *Record) Encode(w io.Writer) error {
 	return nil
 }
 
-// Decode reads a record from JSON, validating the schema version.
+// Decode reads a record from JSON, validating the schema version and
+// that it carries one round record per executed round.
 func Decode(r io.Reader) (*Record, error) {
 	var rec Record
 	if err := json.NewDecoder(r).Decode(&rec); err != nil {
@@ -90,7 +92,7 @@ func Decode(r io.Reader) (*Record, error) {
 		return nil, fmt.Errorf("trace: unsupported record version %d (want %d)",
 			rec.Version, FormatVersion)
 	}
-	if rec.Rounds < 0 || rec.Rounds < len(rec.RoundData)-1 && rec.Rounds != len(rec.RoundData) {
+	if rec.Rounds != len(rec.RoundData) {
 		return nil, fmt.Errorf("trace: inconsistent rounds field %d for %d round records",
 			rec.Rounds, len(rec.RoundData))
 	}
@@ -129,10 +131,4 @@ func (r *Record) View() comm.View {
 // history with the given convergence window.
 func (r *Record) JudgeCompact(g goal.CompactGoal, window int) bool {
 	return goal.CompactAchieved(g, r.History(), window)
-}
-
-// ReplaySense re-runs a sensing function over the recorded view and
-// returns its final indication.
-func (r *Record) ReplaySense(s sensing.Sense) bool {
-	return sensing.Replay(s, r.View())
 }

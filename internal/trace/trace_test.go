@@ -8,6 +8,8 @@ import (
 	"repro/internal/dialect"
 	"repro/internal/goal"
 	"repro/internal/goals/printing"
+	"repro/internal/goals/treasure"
+	"repro/internal/sensing"
 	"repro/internal/server"
 	"repro/internal/system"
 	"repro/internal/universal"
@@ -73,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 	if !back.JudgeCompact(g, 10) {
 		t.Fatal("offline referee disagrees with online achievement")
 	}
-	if !back.ReplaySense(printing.Sense(0)) {
+	if !sensing.Replay(printing.Sense(0), back.View()) {
 		t.Fatal("offline sensing replay negative on a successful run")
 	}
 }
@@ -84,10 +86,28 @@ func TestFromResultValidation(t *testing.T) {
 	if _, err := FromResult(nil, "x", 0); err == nil {
 		t.Fatal("nil result accepted")
 	}
-	bad := &system.Result{}
+	bad := &system.Result{Rounds: 1}
 	bad.History.States = append(bad.History.States, "s")
 	if _, err := FromResult(bad, "x", 0); err == nil {
 		t.Fatal("mismatched history/view accepted")
+	}
+	// An unrecorded run keeps no rounds; its History and View lengths
+	// still agree, but a record of it would be empty.
+	u, err := universal.NewCompactUser(treasure.Enum(2), treasure.Sense(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &treasure.Goal{}
+	off, err := system.Run(u, &treasure.Server{Secret: 1}, g.NewWorld(goal.Env{}),
+		system.Config{MaxRounds: 7, Record: system.RecordOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.History.Len() != off.View.Len() || off.Rounds != 7 {
+		t.Fatalf("RecordOff result: history %d, view %d, rounds %d", off.History.Len(), off.View.Len(), off.Rounds)
+	}
+	if _, err := FromResult(off, "x", 0); err == nil {
+		t.Fatal("RecordOff result with dropped rounds accepted")
 	}
 }
 
@@ -102,6 +122,16 @@ func TestDecodeRejectsBadVersion(t *testing.T) {
 	}
 	if _, err := Decode(strings.NewReader(`{"version": 1, "rounds": -5}`)); err == nil {
 		t.Fatal("negative rounds accepted")
+	}
+	// The rounds field must count the round records exactly.
+	for _, bad := range []string{
+		`{"version":1,"rounds":7,"roundData":[]}`,
+		`{"version":1,"rounds":5,"roundData":[{"state":"a"},{"state":"b"},{"state":"c"}]}`,
+		`{"version":1,"rounds":2,"roundData":[{"state":"a"},{"state":"b"},{"state":"c"}]}`,
+	} {
+		if _, err := Decode(strings.NewReader(bad)); err == nil {
+			t.Fatalf("inconsistent record accepted: %s", bad)
+		}
 	}
 }
 
