@@ -168,10 +168,10 @@ func BenchmarkCompactUserConvergence(b *testing.B) {
 	}
 }
 
-// BenchmarkDialectEncode measures permutation-dialect encoding of a typical
-// command.
+// BenchmarkDialectEncode measures word-dialect encoding of a typical
+// printing command.
 func BenchmarkDialectEncode(b *testing.B) {
-	fam, err := dialect.NewPermutationFamily(4, 7)
+	fam, err := dialect.NewWordFamily(printing.Vocabulary(), 4)
 	if err != nil {
 		b.Fatal(err)
 	}

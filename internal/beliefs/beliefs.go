@@ -78,18 +78,6 @@ func FromWeights(ws []float64) (*Prior, error) {
 	return p, nil
 }
 
-// Uniform returns the uniform prior over n indices.
-func Uniform(n int) (*Prior, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("beliefs: uniform prior needs n >= 1, got %d", n)
-	}
-	ws := make([]float64, n)
-	for i := range ws {
-		ws[i] = 1
-	}
-	return FromWeights(ws)
-}
-
 // Zipf returns a Zipf prior over n indices with exponent s: weight of index
 // i proportional to 1/(i+1)^s. s = 0 is uniform; larger s concentrates mass
 // on small indices.

@@ -146,7 +146,7 @@ func TestExpectedRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uniform, err := Uniform(4)
+	uniform, err := FromWeights([]float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestReorderSizeMismatch(t *testing.T) {
 	t.Parallel()
 
 	base := enumerate.FromFunc("base", 3, func(int) comm.Strategy { return &commtest.Silent{} })
-	p, err := Uniform(4)
+	p, err := FromWeights([]float64{1, 1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

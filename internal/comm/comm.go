@@ -17,32 +17,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// Party identifies one of the three roles in the two-party-plus-world model.
-type Party int
-
-// The three parties of the model. The user represents "our point of view";
-// the server is the entity whose help is sought; the world monitors the
-// communication and carries the goal's semantics.
-const (
-	PartyUser Party = iota + 1
-	PartyServer
-	PartyWorld
-)
-
-// String returns the lower-case party name.
-func (p Party) String() string {
-	switch p {
-	case PartyUser:
-		return "user"
-	case PartyServer:
-		return "server"
-	case PartyWorld:
-		return "world"
-	default:
-		return fmt.Sprintf("party(%d)", int(p))
-	}
-}
-
 // Message is a single unit of communication on a directed channel during one
 // round. The empty message denotes silence; strategies are free to ascribe
 // structure (tokens, framing) to non-empty messages.

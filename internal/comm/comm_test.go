@@ -5,25 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestPartyString(t *testing.T) {
-	t.Parallel()
-
-	tests := []struct {
-		party Party
-		want  string
-	}{
-		{PartyUser, "user"},
-		{PartyServer, "server"},
-		{PartyWorld, "world"},
-		{Party(9), "party(9)"},
-	}
-	for _, tt := range tests {
-		if got := tt.party.String(); got != tt.want {
-			t.Errorf("Party(%d).String() = %q, want %q", int(tt.party), got, tt.want)
-		}
-	}
-}
-
 func TestMessageEmpty(t *testing.T) {
 	t.Parallel()
 

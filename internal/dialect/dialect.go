@@ -10,8 +10,8 @@
 // with.
 //
 // Every dialect satisfies Decode(Encode(m)) == m for all messages m over its
-// domain; families are generated deterministically from a seed so that
-// experiments are reproducible.
+// domain; families are generated deterministically so that experiments are
+// reproducible.
 package dialect
 
 import (
@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/comm"
-	"repro/internal/xrand"
 )
 
 // Dialect is an invertible encoding of messages.
@@ -96,120 +95,6 @@ func (d identity) Decode(m comm.Message) comm.Message { return m }
 
 // Identity returns the trivial dialect with the given ID.
 func Identity(id int) Dialect { return identity{id: id} }
-
-// rot rotates the letter and digit characters of a message by a fixed
-// offset, leaving other bytes (spaces, punctuation) intact so token
-// structure is preserved.
-type rot struct {
-	id     int
-	offset int
-}
-
-var _ Dialect = rot{}
-
-func (d rot) ID() int      { return d.id }
-func (d rot) Name() string { return fmt.Sprintf("rot%d#%d", d.offset, d.id) }
-
-func rotByte(b byte, k int) byte {
-	switch {
-	case b >= 'a' && b <= 'z':
-		return 'a' + byte((int(b-'a')+k%26+26)%26)
-	case b >= 'A' && b <= 'Z':
-		return 'A' + byte((int(b-'A')+k%26+26)%26)
-	case b >= '0' && b <= '9':
-		return '0' + byte((int(b-'0')+k%10+10)%10)
-	default:
-		return b
-	}
-}
-
-func (d rot) Encode(m comm.Message) comm.Message {
-	out := make([]byte, len(m))
-	for i := 0; i < len(m); i++ {
-		out[i] = rotByte(m[i], d.offset)
-	}
-	return comm.Message(out)
-}
-
-func (d rot) Decode(m comm.Message) comm.Message {
-	out := make([]byte, len(m))
-	for i := 0; i < len(m); i++ {
-		out[i] = rotByte(m[i], -d.offset)
-	}
-	return comm.Message(out)
-}
-
-// NewRotFamily builds a family of n rotation dialects; dialect i rotates by
-// i (dialect 0 is the identity).
-func NewRotFamily(n int) (*Family, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dialect: rot family size %d < 1", n)
-	}
-	ds := make([]Dialect, n)
-	for i := range ds {
-		ds[i] = rot{id: i, offset: i}
-	}
-	return NewFamily("rot", ds)
-}
-
-// perm applies a byte permutation over the alphanumeric characters.
-type perm struct {
-	id      int
-	forward [256]byte
-	inverse [256]byte
-}
-
-var _ Dialect = (*perm)(nil)
-
-func (d *perm) ID() int      { return d.id }
-func (d *perm) Name() string { return fmt.Sprintf("perm#%d", d.id) }
-
-func (d *perm) Encode(m comm.Message) comm.Message {
-	out := make([]byte, len(m))
-	for i := 0; i < len(m); i++ {
-		out[i] = d.forward[m[i]]
-	}
-	return comm.Message(out)
-}
-
-func (d *perm) Decode(m comm.Message) comm.Message {
-	out := make([]byte, len(m))
-	for i := 0; i < len(m); i++ {
-		out[i] = d.inverse[m[i]]
-	}
-	return comm.Message(out)
-}
-
-const permDomain = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
-
-// NewPermutationFamily builds n dialects, each permuting the alphanumeric
-// characters by an independent uniform permutation derived from seed.
-// Dialect 0 is the identity permutation (the "standard" encoding).
-func NewPermutationFamily(n int, seed uint64) (*Family, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dialect: permutation family size %d < 1", n)
-	}
-	r := xrand.New(seed)
-	ds := make([]Dialect, n)
-	for i := range ds {
-		d := &perm{id: i}
-		for b := 0; b < 256; b++ {
-			d.forward[b] = byte(b)
-			d.inverse[b] = byte(b)
-		}
-		if i > 0 {
-			p := r.Perm(len(permDomain))
-			for from, to := range p {
-				d.forward[permDomain[from]] = permDomain[to]
-			}
-			for b := 0; b < 256; b++ {
-				d.inverse[d.forward[b]] = byte(b)
-			}
-		}
-		ds[i] = d
-	}
-	return NewFamily("perm", ds)
-}
 
 // wordMap substitutes whole space-separated tokens according to a bijective
 // vocabulary table; tokens outside the vocabulary pass through unchanged

@@ -8,22 +8,14 @@ import (
 	"repro/internal/comm"
 )
 
-func families(t *testing.T) map[string]*Family {
+func wordFamily(t *testing.T, n int) *Family {
 	t.Helper()
 
-	rotF, err := NewRotFamily(8)
+	fam, err := NewWordFamily([]string{"PRINT", "STATUS", "ACK"}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	permF, err := NewPermutationFamily(8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wordF, err := NewWordFamily([]string{"PRINT", "STATUS", "ACK"}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Family{"rot": rotF, "perm": permF, "words": wordF}
+	return fam
 }
 
 func TestRoundTripAllFamilies(t *testing.T) {
@@ -33,13 +25,12 @@ func TestRoundTripAllFamilies(t *testing.T) {
 		"", "PRINT hello world 123", "STATUS", "ACK doc42",
 		"Mixed CASE and 0123456789", "payload-not-in-vocab",
 	}
-	for name, fam := range families(t) {
-		for i := 0; i < fam.Size(); i++ {
-			d := fam.Dialect(i)
-			for _, m := range msgs {
-				if got := d.Decode(d.Encode(m)); got != m {
-					t.Errorf("%s[%d]: Decode(Encode(%q)) = %q", name, i, m, got)
-				}
+	fam := wordFamily(t, 8)
+	for i := 0; i < fam.Size(); i++ {
+		d := fam.Dialect(i)
+		for _, m := range msgs {
+			if got := d.Decode(d.Encode(m)); got != m {
+				t.Errorf("words[%d]: Decode(Encode(%q)) = %q", i, m, got)
 			}
 		}
 	}
@@ -48,10 +39,7 @@ func TestRoundTripAllFamilies(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	t.Parallel()
 
-	fam, err := NewPermutationFamily(16, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fam := wordFamily(t, 16)
 	f := func(raw []byte, idx uint8) bool {
 		d := fam.Dialect(int(idx) % fam.Size())
 		m := comm.Message(raw)
@@ -65,12 +53,10 @@ func TestRoundTripProperty(t *testing.T) {
 func TestDialectZeroIsIdentity(t *testing.T) {
 	t.Parallel()
 
-	for name, fam := range families(t) {
-		d := fam.Dialect(0)
-		m := comm.Message("PRINT abc 123")
-		if got := d.Encode(m); got != m {
-			t.Errorf("%s[0].Encode changed message: %q", name, got)
-		}
+	d := wordFamily(t, 8).Dialect(0)
+	m := comm.Message("PRINT abc 123")
+	if got := d.Encode(m); got != m {
+		t.Errorf("words[0].Encode changed message: %q", got)
 	}
 }
 
@@ -80,22 +66,21 @@ func TestDialectsMutuallyUnintelligible(t *testing.T) {
 	// For every pair i != j, encoding with i and decoding with j must
 	// not recover the plain command (otherwise the class collapses).
 	m := comm.Message("PRINT document")
-	for name, fam := range families(t) {
-		collisions := 0
-		for i := 0; i < fam.Size(); i++ {
-			for j := 0; j < fam.Size(); j++ {
-				if i == j {
-					continue
-				}
-				got := fam.Dialect(j).Decode(fam.Dialect(i).Encode(m))
-				if got == m {
-					collisions++
-				}
+	fam := wordFamily(t, 8)
+	collisions := 0
+	for i := 0; i < fam.Size(); i++ {
+		for j := 0; j < fam.Size(); j++ {
+			if i == j {
+				continue
+			}
+			got := fam.Dialect(j).Decode(fam.Dialect(i).Encode(m))
+			if got == m {
+				collisions++
 			}
 		}
-		if collisions > 0 {
-			t.Errorf("%s: %d cross-dialect collisions on %q", name, collisions, m)
-		}
+	}
+	if collisions > 0 {
+		t.Errorf("words: %d cross-dialect collisions on %q", collisions, m)
 	}
 }
 
@@ -119,10 +104,7 @@ func TestWordFamilyPreservesPayload(t *testing.T) {
 func TestFamilyIndexWraps(t *testing.T) {
 	t.Parallel()
 
-	fam, err := NewRotFamily(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fam := wordFamily(t, 4)
 	if fam.Dialect(4).ID() != fam.Dialect(0).ID() {
 		t.Error("positive wrap failed")
 	}
@@ -137,36 +119,11 @@ func TestNewFamilyValidation(t *testing.T) {
 	if _, err := NewFamily("empty", nil); err == nil {
 		t.Error("empty family accepted")
 	}
-	if _, err := NewRotFamily(0); err == nil {
-		t.Error("rot family of size 0 accepted")
-	}
-	if _, err := NewPermutationFamily(0, 1); err == nil {
-		t.Error("perm family of size 0 accepted")
-	}
 	if _, err := NewWordFamily(nil, 3); err == nil {
 		t.Error("word family without vocabulary accepted")
 	}
 	if _, err := NewWordFamily([]string{"A"}, 0); err == nil {
 		t.Error("word family of size 0 accepted")
-	}
-}
-
-func TestPermutationFamilyDeterministic(t *testing.T) {
-	t.Parallel()
-
-	a, err := NewPermutationFamily(8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewPermutationFamily(8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := comm.Message("The quick Brown fox 42")
-	for i := 0; i < 8; i++ {
-		if a.Dialect(i).Encode(m) != b.Dialect(i).Encode(m) {
-			t.Fatalf("dialect %d differs across identically-seeded families", i)
-		}
 	}
 }
 

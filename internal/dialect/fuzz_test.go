@@ -6,38 +6,6 @@ import (
 	"repro/internal/comm"
 )
 
-func FuzzPermutationRoundTrip(f *testing.F) {
-	fam, err := NewPermutationFamily(8, 42)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add("PRINT hello 123", uint8(3))
-	f.Add("", uint8(0))
-	f.Add("\x00\xff binary-ish", uint8(7))
-	f.Fuzz(func(t *testing.T, s string, idx uint8) {
-		d := fam.Dialect(int(idx) % fam.Size())
-		m := comm.Message(s)
-		if got := d.Decode(d.Encode(m)); got != m {
-			t.Fatalf("round trip broke: %q → %q", m, got)
-		}
-	})
-}
-
-func FuzzRotRoundTrip(f *testing.F) {
-	fam, err := NewRotFamily(26)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add("The quick brown fox 0123456789", uint8(13))
-	f.Fuzz(func(t *testing.T, s string, idx uint8) {
-		d := fam.Dialect(int(idx) % fam.Size())
-		m := comm.Message(s)
-		if got := d.Decode(d.Encode(m)); got != m {
-			t.Fatalf("round trip broke: %q → %q", m, got)
-		}
-	})
-}
-
 func FuzzWordRoundTrip(f *testing.F) {
 	fam, err := NewWordFamily([]string{"PRINT", "STATUS", "ACK", "READY"}, 8)
 	if err != nil {

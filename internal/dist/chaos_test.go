@@ -268,7 +268,7 @@ func TestResumeHealsDamagedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	var healedPlan Plan
-	if err := decodeJSONStrict(planData, &healedPlan); err != nil {
+	if err := scenario.DecodeStrict(bytes.NewReader(planData), &healedPlan); err != nil {
 		t.Fatalf("plan file still corrupt after heal: %v", err)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -176,6 +178,54 @@ func FuzzSSEEvents(f *testing.F) {
 			if got[i].Type != want[i].Type || got[i].ID != want[i].ID || !bytes.Equal(got[i].Data, want[i].Data) {
 				t.Fatalf("frame %d parsed as %+v, want %+v", i, got[i], want[i])
 			}
+		}
+	})
+}
+
+// FuzzStateDirPlan writes arbitrary bytes as one job's recorded plan,
+// <state>/<dir>/job.json, and starts a service over the state dir.
+// NewService must neither panic nor fail, and the plan must end up in
+// exactly one of two states: recovered — the bytes are one JSON value
+// that decodes strictly into a valid plan whose job ID is the directory
+// name, and the job is queued — or quarantined, renamed byte for byte to
+// job.json.corrupt with the plan heal counter incremented. Seeds are
+// committed under testdata/fuzz/FuzzStateDirPlan.
+func FuzzStateDirPlan(f *testing.F) {
+	const dirName = "sw-0123456789abcdef-2"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		stateDir := t.TempDir()
+		planPath := filepath.Join(stateDir, dirName, jobPlanFile)
+		if err := os.MkdirAll(filepath.Dir(planPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(planPath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		healed0 := mStateHealed.With("plan").Value()
+
+		svc, err := NewService(CoordinatorConfig{StateDir: stateDir})
+		if err != nil {
+			t.Fatalf("service refused to start over %q: %v", data, err)
+		}
+		healed := mStateHealed.With("plan").Value() - healed0
+		_, planErr := os.Stat(planPath)
+		corrupt, corruptErr := os.ReadFile(planPath + ".corrupt")
+		jobs := svc.Jobs()
+
+		var plan Plan
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		valid := json.Valid(data) && dec.Decode(&plan) == nil && plan.Validate() == nil && JobID(plan) == dirName
+		if valid {
+			if planErr != nil || corruptErr == nil || healed != 0 || len(jobs) != 1 || jobs[0].ID != dirName {
+				t.Fatalf("valid plan %q not recovered: plan file %v, quarantine %v, healed %d, jobs %+v",
+					data, planErr, corruptErr, healed, jobs)
+			}
+			return
+		}
+		if !os.IsNotExist(planErr) || corruptErr != nil || !bytes.Equal(corrupt, data) || healed != 1 || len(jobs) != 0 {
+			t.Fatalf("unusable plan %q not quarantined: plan file %v, quarantine %v, healed %d, jobs %+v",
+				data, planErr, corruptErr, healed, jobs)
 		}
 	})
 }

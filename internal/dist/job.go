@@ -215,7 +215,7 @@ func (c *Coordinator) recoverJobsLocked() error {
 			continue
 		}
 		var plan Plan
-		if err := decodeJSONStrict(data, &plan); err != nil {
+		if err := scenario.DecodeStrict(bytes.NewReader(data), &plan); err != nil {
 			c.quarantinePlanLocked(e.Name(), path, err.Error())
 			continue
 		}
@@ -274,13 +274,4 @@ func writeJSONIndent(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-// decodeJSONStrict decodes data into v, rejecting unknown fields — a
-// recovered plan written by a different build should be skipped, not
-// half-read.
-func decodeJSONStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }

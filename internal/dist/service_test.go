@@ -282,7 +282,7 @@ func TestSweepEventsStream(t *testing.T) {
 				shards = append(shards, sr)
 			case EventComplete:
 				var ce CompleteEvent
-				if err := decodeJSONStrict(ev.Data, &ce); err != nil {
+				if err := scenario.DecodeStrict(bytes.NewReader(ev.Data), &ce); err != nil {
 					return err
 				}
 				complete = &ce

@@ -3,53 +3,9 @@ package goal
 import "repro/internal/comm"
 
 // RefereeFunc is a standalone compact-referee predicate over history
-// prefixes. Combinators below compose predicates so richer goals can be
-// assembled from simpler ones over the same world.
+// prefixes. WithReferee turns one into a goal over an existing goal's
+// worlds.
 type RefereeFunc func(prefix comm.History) bool
-
-// AndReferees accepts a prefix iff every component accepts it — e.g.
-// "document printed AND paper budget respected".
-func AndReferees(refs ...RefereeFunc) RefereeFunc {
-	copied := make([]RefereeFunc, len(refs))
-	copy(copied, refs)
-	return func(prefix comm.History) bool {
-		for _, r := range copied {
-			if !r(prefix) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// OrReferees accepts a prefix iff some component accepts it.
-func OrReferees(refs ...RefereeFunc) RefereeFunc {
-	copied := make([]RefereeFunc, len(refs))
-	copy(copied, refs)
-	return func(prefix comm.History) bool {
-		for _, r := range copied {
-			if r(prefix) {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// NotReferee inverts a predicate. Note that negating a monotone referee
-// usually produces a non-forgiving goal; use with care.
-func NotReferee(ref RefereeFunc) RefereeFunc {
-	return func(prefix comm.History) bool { return !ref(prefix) }
-}
-
-// Since accepts prefixes only from round n onward (1-based); earlier
-// prefixes are unacceptable. Useful to encode deadlines inverted:
-// "acceptable only after warm-up".
-func Since(n int, ref RefereeFunc) RefereeFunc {
-	return func(prefix comm.History) bool {
-		return prefix.Len() >= n && ref(prefix)
-	}
-}
 
 // derivedGoal swaps a compact goal's referee while keeping its worlds.
 type derivedGoal struct {

@@ -17,60 +17,6 @@ func hist(states ...string) comm.History {
 	return comm.History{States: ws}
 }
 
-func lastIs(want string) goal.RefereeFunc {
-	return func(p comm.History) bool { return string(p.Last()) == want }
-}
-
-func TestAndReferees(t *testing.T) {
-	t.Parallel()
-
-	both := goal.AndReferees(lastIs("x"), func(p comm.History) bool { return p.Len() >= 2 })
-	if both(hist("x")) {
-		t.Fatal("short prefix accepted")
-	}
-	if !both(hist("y", "x")) {
-		t.Fatal("satisfying prefix rejected")
-	}
-	if both(hist("x", "y")) {
-		t.Fatal("wrong last state accepted")
-	}
-	// Empty conjunction is vacuously true.
-	if !goal.AndReferees()(hist("x")) {
-		t.Fatal("empty AndReferees not vacuous")
-	}
-}
-
-func TestOrReferees(t *testing.T) {
-	t.Parallel()
-
-	either := goal.OrReferees(lastIs("a"), lastIs("b"))
-	if !either(hist("a")) || !either(hist("b")) {
-		t.Fatal("accepting branch rejected")
-	}
-	if either(hist("c")) {
-		t.Fatal("no-branch prefix accepted")
-	}
-	if goal.OrReferees()(hist("a")) {
-		t.Fatal("empty OrReferees not vacuously false")
-	}
-}
-
-func TestNotAndSince(t *testing.T) {
-	t.Parallel()
-
-	notA := goal.NotReferee(lastIs("a"))
-	if notA(hist("a")) || !notA(hist("b")) {
-		t.Fatal("NotReferee wrong")
-	}
-	late := goal.Since(3, lastIs("a"))
-	if late(hist("a")) {
-		t.Fatal("Since accepted before round 3")
-	}
-	if !late(hist("x", "y", "a")) {
-		t.Fatal("Since rejected after round 3")
-	}
-}
-
 // thriftyPrinting derives "print the target AND never exceed a sheet
 // budget" from snapshots of the printing world's form
 // "target=T;printed=N;done=D".
@@ -90,10 +36,9 @@ func TestWithRefereeDerivedGoal(t *testing.T) {
 	t.Parallel()
 
 	base := &stubCompactGoal{}
-	thrifty := goal.WithReferee(base, "printing-thrifty", goal.AndReferees(
-		func(p comm.History) bool { return strings.HasSuffix(string(p.Last()), "done=1") },
-		func(p comm.History) bool { return printedCount(p) <= 3 },
-	))
+	thrifty := goal.WithReferee(base, "printing-thrifty", func(p comm.History) bool {
+		return strings.HasSuffix(string(p.Last()), "done=1") && printedCount(p) <= 3
+	})
 	if thrifty.Name() != "printing-thrifty" || thrifty.Kind() != goal.KindCompact {
 		t.Fatal("derived goal metadata wrong")
 	}

@@ -23,15 +23,6 @@ func wordFam(t *testing.T, n int) *dialect.Family {
 	return fam
 }
 
-func permFam(t *testing.T, n int) *dialect.Family {
-	t.Helper()
-	fam, err := dialect.NewPermutationFamily(n, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fam
-}
-
 func TestGoalMetadata(t *testing.T) {
 	t.Parallel()
 
@@ -210,13 +201,11 @@ func endToEnd(t *testing.T, fam *dialect.Family, usr comm.Strategy, srv comm.Str
 func TestOracleUserSucceeds(t *testing.T) {
 	t.Parallel()
 
-	for _, mk := range []func(*testing.T, int) *dialect.Family{wordFam, permFam} {
-		fam := mk(t, 6)
-		srv := server.Dialected(&Server{}, fam.Dialect(4))
-		usr := &Candidate{D: fam.Dialect(4)}
-		if _, ok := endToEnd(t, fam, usr, srv, 60); !ok {
-			t.Errorf("%s: oracle user failed", fam.Name())
-		}
+	fam := wordFam(t, 6)
+	srv := server.Dialected(&Server{}, fam.Dialect(4))
+	usr := &Candidate{D: fam.Dialect(4)}
+	if _, ok := endToEnd(t, fam, usr, srv, 60); !ok {
+		t.Error("oracle user failed")
 	}
 }
 
@@ -235,22 +224,20 @@ func TestUniversalUserSucceedsWithEveryDialect(t *testing.T) {
 	t.Parallel()
 
 	const n = 6
-	for _, mk := range []func(*testing.T, int) *dialect.Family{wordFam, permFam} {
-		fam := mk(t, n)
-		for i := 0; i < n; i++ {
-			i := i
-			t.Run(fmt.Sprintf("%s-%d", fam.Name(), i), func(t *testing.T) {
-				t.Parallel()
-				u, err := universal.NewCompactUser(Enum(fam), Sense(0))
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv := server.Dialected(&Server{}, fam.Dialect(i))
-				if _, ok := endToEnd(t, fam, u, srv, 400); !ok {
-					t.Fatalf("universal user failed on dialect %d", i)
-				}
-			})
-		}
+	fam := wordFam(t, n)
+	for i := 0; i < n; i++ {
+		i := i
+		t.Run(fmt.Sprintf("%s-%d", fam.Name(), i), func(t *testing.T) {
+			t.Parallel()
+			u, err := universal.NewCompactUser(Enum(fam), Sense(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := server.Dialected(&Server{}, fam.Dialect(i))
+			if _, ok := endToEnd(t, fam, u, srv, 400); !ok {
+				t.Fatalf("universal user failed on dialect %d", i)
+			}
+		})
 	}
 }
 

@@ -14,10 +14,9 @@ import (
 // CertConfig parameterizes empirical certification runs.
 //
 // Certification executes through system.RunEach, and every trial is
-// observed online, round by round: compact goals are judged by a
-// goal.Tracker and record nothing, and sensing indications are computed as
-// the view unfolds instead of by replaying a recorded one. Finite goals
-// record the full history their referee judges at the halting point.
+// observed online, round by round: the goal is judged by a goal.Tracker
+// and nothing is recorded, and sensing indications are computed as the
+// view unfolds instead of by replaying a recorded one.
 type CertConfig struct {
 	// MaxRounds is the execution horizon per run; 0 means the system
 	// default.
@@ -41,7 +40,7 @@ func (c CertConfig) window() int {
 	return c.Window
 }
 
-func (c CertConfig) envs(g goal.Goal) int {
+func (c CertConfig) envs(g goal.CompactGoal) int {
 	if c.Envs > 0 {
 		return c.Envs
 	}
@@ -96,25 +95,20 @@ func (v Violation) String() string {
 }
 
 // probe observes one certification trial online through the engine's
-// live round hook: the compact referee (when tracked) and the indications
-// of the sensing function under test (when sensed). This replaces history
+// live round hook: the compact referee, and the indications of the
+// sensing function under test when sensed. This replaces history
 // recording plus replay.
 type probe struct {
-	tracked bool
-	tr      goal.Tracker
-	sense   sensing.Sense // nil when the run's indications are not needed
-	rounds  int
-	streak  int
-	last    bool
+	tr     goal.Tracker
+	sense  sensing.Sense // nil when the run's indications are not needed
+	rounds int
+	streak int
 }
 
-// newProbe returns a probe for one trial of g: compact goals are tracked,
-// and mkSense, when non-nil, supplies a fresh sensing function to feed.
-func newProbe(g goal.Goal, mkSense func() sensing.Sense) *probe {
-	p := &probe{}
-	if cg, ok := g.(goal.CompactGoal); ok {
-		p.tracked, p.tr = true, goal.NewTracker(cg)
-	}
+// newProbe returns a probe for one trial of g; mkSense, when non-nil,
+// supplies a fresh sensing function to feed.
+func newProbe(g goal.CompactGoal, mkSense func() sensing.Sense) *probe {
+	p := &probe{tr: goal.NewTracker(g)}
 	if mkSense != nil {
 		p.sense = mkSense()
 		p.sense.Reset()
@@ -123,15 +117,12 @@ func newProbe(g goal.Goal, mkSense func() sensing.Sense) *probe {
 }
 
 func (p *probe) onRound(round int, rv comm.RoundView, w goal.World) {
-	if p.tracked {
-		p.tr.Observe(round, rv, w)
-	}
+	p.tr.Observe(round, rv, w)
 	if p.sense == nil {
 		return
 	}
 	p.rounds++
-	p.last = p.sense.Observe(rv)
-	if p.last {
+	if p.sense.Observe(rv) {
 		p.streak++
 	} else {
 		p.streak = 0
@@ -146,11 +137,9 @@ func (p *probe) eventuallyPositive(window int) bool {
 }
 
 // certTrial builds the standard certification trial for one
-// (candidate, server, env) triple, observed by p. Tracked (compact)
-// trials record nothing; finite trials record the history their referee
-// judges.
+// (candidate, server, env) triple, observed by p; it records nothing.
 func certTrial(
-	g goal.Goal,
+	g goal.CompactGoal,
 	users enumerate.Enumerator,
 	candidate int,
 	mkServer func() comm.Strategy,
@@ -158,32 +147,67 @@ func certTrial(
 	p *probe,
 	cfg CertConfig,
 ) system.Trial {
-	sysCfg := system.Config{
-		MaxRounds:   cfg.MaxRounds,
-		Seed:        cfg.Seed,
-		OnRoundLive: p.onRound,
-	}
-	if p.tracked {
-		sysCfg.Record = system.RecordOff
-	}
 	return system.Trial{
 		User:   func() (comm.Strategy, error) { return users.Strategy(candidate), nil },
 		Server: mkServer,
 		World:  func() goal.World { return g.NewWorld(goal.Env{Choice: env, Seed: cfg.Seed}) },
-		Config: sysCfg,
+		Config: system.Config{
+			MaxRounds:   cfg.MaxRounds,
+			Seed:        cfg.Seed,
+			Record:      system.RecordOff,
+			OnRoundLive: p.onRound,
+		},
 	}
 }
 
-// chunkedWitness scans the candidate class in parallel chunks and returns
-// the first candidate index for which ok holds on every swept environment
-// — the witness a serial scan would find — or (false, -1). Failed trials
-// count as a negative verdict for their candidate.
-func chunkedWitness(
-	g goal.Goal,
+// chunkedFound reports whether some candidate achieves the goal while
+// earning eventually-always-positive indications against one (server,
+// env) pairing, scanning the class in parallel chunks with early exit
+// between chunks. Failed trials count as negative.
+func chunkedFound(
+	g goal.CompactGoal,
 	users enumerate.Enumerator,
 	mkServer func() comm.Strategy,
+	env int,
+	mkSense func() sensing.Sense,
 	cfg CertConfig,
-	ok func(res *system.Result, p *probe) bool,
+) bool {
+	size := boundedSize(users)
+	for base := 0; base < size; base += cfg.chunk() {
+		hi := min(base+cfg.chunk(), size)
+		trials := make([]system.Trial, 0, hi-base)
+		probes := make([]*probe, 0, hi-base)
+		for i := base; i < hi; i++ {
+			p := newProbe(g, mkSense)
+			probes = append(probes, p)
+			trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
+		}
+		results, errs := system.RunEach(trials, cfg.batch())
+		found := false
+		for t, p := range probes {
+			if errs[t] == nil && p.eventuallyPositive(cfg.window()) && p.tr.Achieved(cfg.window()) {
+				found = true
+			}
+			system.ReleaseResult(results[t])
+		}
+		if found {
+			return true
+		}
+	}
+	return false
+}
+
+// HelpfulCompact reports whether the server is helpful for the compact goal
+// with respect to the candidate class: some enumerated candidate achieves
+// the goal when paired with it, from every swept environment. It returns
+// the first witnessing candidate index (or -1). Candidates are probed in
+// parallel chunks; the returned witness is the same as a serial scan's.
+// Failed trials count as a negative verdict for their candidate.
+func HelpfulCompact(
+	g goal.CompactGoal,
+	mkServer func() comm.Strategy,
+	users enumerate.Enumerator,
+	cfg CertConfig,
 ) (bool, int) {
 	size := boundedSize(users)
 	envs := cfg.envs(g)
@@ -204,7 +228,7 @@ func chunkedWitness(
 			good := true
 			for env := 0; env < envs; env++ {
 				t := (i-base)*envs + env
-				if errs[t] != nil || !ok(results[t], probes[t]) {
+				if errs[t] != nil || !probes[t].tr.Achieved(cfg.window()) {
 					good = false
 					break
 				}
@@ -221,59 +245,6 @@ func chunkedWitness(
 		}
 	}
 	return false, -1
-}
-
-// chunkedFound reports whether some candidate earns a positive verdict
-// against one (server, env) pairing, scanning the class in parallel chunks
-// with early exit between chunks. Failed trials count as negative.
-func chunkedFound(
-	g goal.Goal,
-	users enumerate.Enumerator,
-	mkServer func() comm.Strategy,
-	env int,
-	mkSense func() sensing.Sense,
-	cfg CertConfig,
-	ok func(res *system.Result, p *probe) bool,
-) bool {
-	size := boundedSize(users)
-	for base := 0; base < size; base += cfg.chunk() {
-		hi := min(base+cfg.chunk(), size)
-		trials := make([]system.Trial, 0, hi-base)
-		probes := make([]*probe, 0, hi-base)
-		for i := base; i < hi; i++ {
-			p := newProbe(g, mkSense)
-			probes = append(probes, p)
-			trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
-		}
-		results, errs := system.RunEach(trials, cfg.batch())
-		found := false
-		for t := range trials {
-			if errs[t] == nil && !found && ok(results[t], probes[t]) {
-				found = true
-			}
-			system.ReleaseResult(results[t])
-		}
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-// HelpfulCompact reports whether the server is helpful for the compact goal
-// with respect to the candidate class: some enumerated candidate achieves
-// the goal when paired with it, from every swept environment. It returns
-// the first witnessing candidate index (or -1). Candidates are probed in
-// parallel chunks; the returned witness is the same as a serial scan's.
-func HelpfulCompact(
-	g goal.CompactGoal,
-	mkServer func() comm.Strategy,
-	enum enumerate.Enumerator,
-	cfg CertConfig,
-) (bool, int) {
-	return chunkedWitness(g, enum, mkServer, cfg, func(_ *system.Result, p *probe) bool {
-		return p.tr.Achieved(cfg.window())
-	})
 }
 
 // CertifySafetyCompact checks the safety of a sensing function for a
@@ -338,11 +309,7 @@ func CertifyViabilityCompact(
 	var violations []Violation
 	for si, mkServer := range servers {
 		for env := 0; env < cfg.envs(g); env++ {
-			found := chunkedFound(g, users, mkServer, env, mkSense, cfg,
-				func(_ *system.Result, p *probe) bool {
-					return p.eventuallyPositive(cfg.window()) && p.tr.Achieved(cfg.window())
-				})
-			if !found {
+			if !chunkedFound(g, users, mkServer, env, mkSense, cfg) {
 				violations = append(violations, Violation{
 					Kind: "viability", Server: si, Env: env, Candidate: -1,
 					Detail: "no candidate earns lasting positive indications while achieving the goal",

@@ -98,25 +98,15 @@ func (m *Memo1[K, V]) Reset() {
 
 // Table is a lazily-allocated, entry-capped map memo for pure functions
 // whose hot keys cycle through a small set (a transfer user's K store
-// commands, a dialect's translations). Past the cap, Put is a no-op:
-// lookups stay correct, new keys just stop being remembered. The zero
-// value is ready to use with DefaultTableCap.
+// commands, a dialect's translations). Past DefaultTableCap entries, Put
+// is a no-op: lookups stay correct, new keys just stop being remembered.
+// The zero value is ready to use.
 type Table[K comparable, V any] struct {
-	m   map[K]V
-	cap int
+	m map[K]V
 }
 
-// DefaultTableCap bounds a Table that never declared a cap.
+// DefaultTableCap bounds every Table.
 const DefaultTableCap = 128
-
-// NewTable returns a table holding at most cap entries; cap <= 0 means
-// DefaultTableCap.
-func NewTable[K comparable, V any](cap int) *Table[K, V] {
-	if cap <= 0 {
-		cap = DefaultTableCap
-	}
-	return &Table[K, V]{cap: cap}
-}
 
 // Get returns the memoized value for k.
 func (t *Table[K, V]) Get(k K) (V, bool) {
@@ -128,11 +118,8 @@ func (t *Table[K, V]) Get(k K) (V, bool) {
 func (t *Table[K, V]) Put(k K, v V) {
 	if t.m == nil {
 		t.m = make(map[K]V, 8)
-		if t.cap <= 0 {
-			t.cap = DefaultTableCap
-		}
 	}
-	if len(t.m) < t.cap {
+	if len(t.m) < DefaultTableCap {
 		t.m[k] = v
 	}
 }

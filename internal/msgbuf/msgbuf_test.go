@@ -25,29 +25,23 @@ func TestMemo1(t *testing.T) {
 }
 
 func TestTableCapAndReset(t *testing.T) {
-	tb := NewTable[string, int](2)
-	tb.Put("a", 1)
-	tb.Put("b", 2)
-	tb.Put("c", 3) // past the cap: dropped
-	if _, ok := tb.Get("c"); ok {
-		t.Fatal("capped table remembered a key past its cap")
+	var tb Table[int, int]
+	for k := 0; k <= DefaultTableCap; k++ {
+		tb.Put(k, k)
 	}
-	if v, ok := tb.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d,%v", v, ok)
+	if _, ok := tb.Get(DefaultTableCap); ok {
+		t.Fatal("table remembered a key past its cap")
+	}
+	if v, ok := tb.Get(0); !ok || v != 0 {
+		t.Fatalf("Get(0) = %d,%v", v, ok)
 	}
 	tb.Reset()
-	if _, ok := tb.Get("a"); ok {
+	if _, ok := tb.Get(0); ok {
 		t.Fatal("reset table returned a hit")
 	}
-	tb.Put("d", 4) // storage reused, cap still enforced from scratch
-	if v, ok := tb.Get("d"); !ok || v != 4 {
-		t.Fatalf("Get(d) after reset = %d,%v", v, ok)
-	}
-
-	var zero Table[string, int]
-	zero.Put("x", 9)
-	if v, ok := zero.Get("x"); !ok || v != 9 {
-		t.Fatalf("zero-value table Get(x) = %d,%v", v, ok)
+	tb.Put(-1, 4) // storage reused, cap still enforced from scratch
+	if v, ok := tb.Get(-1); !ok || v != 4 {
+		t.Fatalf("Get(-1) after reset = %d,%v", v, ok)
 	}
 }
 

@@ -42,9 +42,7 @@ type kvKind uint8
 const (
 	kvString kvKind = iota
 	kvInt
-	kvUint
 	kvDur
-	kvBool
 )
 
 // KV is one key=value pair on an event. Values are held unboxed (a
@@ -67,21 +65,9 @@ func Int(key string, value int) KV { return KV{key: key, num: int64(value), kind
 // Int64 pairs key with an int64 value.
 func Int64(key string, value int64) KV { return KV{key: key, num: value, kind: kvInt} }
 
-// Uint64 pairs key with a uint64 value.
-func Uint64(key string, value uint64) KV { return KV{key: key, num: int64(value), kind: kvUint} }
-
 // Dur pairs key with a duration, rendered as fractional seconds with an
 // "s" suffix (e.g. wait=0.25s).
 func Dur(key string, d time.Duration) KV { return KV{key: key, num: int64(d), kind: kvDur} }
-
-// Bool pairs key with a bool.
-func Bool(key string, b bool) KV {
-	n := int64(0)
-	if b {
-		n = 1
-	}
-	return KV{key: key, num: n, kind: kvBool}
-}
 
 // Logger is a leveled, structured event log writing logfmt-style lines:
 //
@@ -109,11 +95,6 @@ func NewLogger(w io.Writer, min Level) *Logger {
 	return &Logger{w: w, min: min, now: time.Now, buf: make([]byte, 0, 256)}
 }
 
-// Enabled reports whether events at the given level would be written.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= l.min
-}
-
 // Event writes one structured event line. event should be a stable
 // dotted name (e.g. "lease.grant", "submit.reject"); kvs follow in the
 // order given.
@@ -139,17 +120,9 @@ func (l *Logger) Event(level Level, event string, kvs ...KV) {
 			b = appendLogValue(b, kv.str)
 		case kvInt:
 			b = strconv.AppendInt(b, kv.num, 10)
-		case kvUint:
-			b = strconv.AppendUint(b, uint64(kv.num), 10)
 		case kvDur:
 			b = strconv.AppendFloat(b, time.Duration(kv.num).Seconds(), 'g', -1, 64)
 			b = append(b, 's')
-		case kvBool:
-			if kv.num != 0 {
-				b = append(b, "true"...)
-			} else {
-				b = append(b, "false"...)
-			}
 		}
 	}
 	b = append(b, '\n')

@@ -24,7 +24,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -345,17 +344,4 @@ func (v *GaugeVec) With(value string) *Gauge {
 		v.f.children[value] = g
 	}
 	return g.(*Gauge)
-}
-
-// Families returns the registered family names in sorted order — the
-// exposition inventory, also used by tests asserting family presence.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -23,11 +23,12 @@ var specSeeds = []string{
 }
 
 // FuzzSpecJSON feeds arbitrary bytes through the spec decoder. ReadSpec
-// must never panic; when it accepts an input, the spec must survive
-// matrix construction (a clean error is fine — overflow does that), its
-// canonical form must be a fixpoint of Canonical, a serialize/decode
-// round trip must preserve the fingerprint, and growing the envelope an
-// unknown field must flip acceptance into rejection.
+// must never panic; when it accepts an input, the input must be exactly
+// one JSON value, the spec must survive matrix construction (a clean
+// error is fine — overflow does that), its canonical form must be a
+// fixpoint of Canonical, a serialize/decode round trip must preserve the
+// fingerprint, and growing the envelope an unknown field must flip
+// acceptance into rejection.
 func FuzzSpecJSON(f *testing.F) {
 	for _, s := range specSeeds {
 		f.Add([]byte(s))
@@ -36,6 +37,9 @@ func FuzzSpecJSON(f *testing.F) {
 		spec, err := ReadSpec(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("ReadSpec accepted more than one JSON value: %q", data)
 		}
 		if verr := spec.Validate(); verr != nil {
 			t.Fatalf("ReadSpec accepted a spec Validate rejects: %v", verr)
@@ -106,8 +110,9 @@ func shardSeed(f *testing.F) []byte {
 }
 
 // FuzzReadShardResult feeds arbitrary bytes through the shard-envelope
-// decoder: never panic, and anything accepted must validate, survive a
-// write/read round trip, and keep rejecting unknown fields.
+// decoder: never panic, and anything accepted must be exactly one JSON
+// value, validate, survive a write/read round trip, and keep rejecting
+// unknown fields.
 func FuzzReadShardResult(f *testing.F) {
 	valid := shardSeed(f)
 	f.Add(valid)
@@ -120,6 +125,9 @@ func FuzzReadShardResult(f *testing.F) {
 		sr, err := ReadShardResult(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("ReadShardResult accepted more than one JSON value: %q", data)
 		}
 		if verr := sr.Validate(); verr != nil {
 			t.Fatalf("ReadShardResult accepted an envelope Validate rejects: %v", verr)

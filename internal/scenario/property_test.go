@@ -245,10 +245,17 @@ func TestSpecValidateAndRestrict(t *testing.T) {
 func TestReadSpecRejectsUnknownFields(t *testing.T) {
 	t.Parallel()
 
-	if _, err := ReadSpec(strings.NewReader(`{"name":"x","axes":[{"name":"goal","values":["treasure"]}],"bogus":1}`)); err == nil {
-		t.Fatal("unknown spec field accepted")
+	const valid = `{"name":"x","seeds":3,"axes":[{"name":"goal","values":["treasure"]},{"name":"class","values":["4"]}]}`
+	for name, in := range map[string]string{
+		"unknown field":    `{"name":"x","axes":[{"name":"goal","values":["treasure"]}],"bogus":1}`,
+		"two specs":        valid + "\n" + valid,
+		"trailing garbage": valid + " trailing garbage",
+	} {
+		if _, err := ReadSpec(strings.NewReader(in)); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
-	spec, err := ReadSpec(strings.NewReader(`{"name":"x","seeds":3,"axes":[{"name":"goal","values":["treasure"]},{"name":"class","values":["4"]}]}`))
+	spec, err := ReadSpec(strings.NewReader(valid + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

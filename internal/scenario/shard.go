@@ -168,10 +168,8 @@ func (sr *ShardResult) Write(w io.Writer) error {
 // complete-looking report from data it did not understand. Compatible
 // format evolution bumps ShardFormatVersion instead.
 func ReadShardResult(r io.Reader) (*ShardResult, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var sr ShardResult
-	if err := dec.Decode(&sr); err != nil {
+	if err := DecodeStrict(r, &sr); err != nil {
 		return nil, fmt.Errorf("scenario: decode shard result: %w", err)
 	}
 	if err := sr.Validate(); err != nil {

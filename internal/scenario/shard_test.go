@@ -349,8 +349,14 @@ func TestShardResultReadWrite(t *testing.T) {
 			t.Fatalf("%s accepted", name)
 		}
 	}
-	if _, err := ReadShardResult(strings.NewReader("{not json")); err == nil {
-		t.Fatal("garbage accepted")
+	for name, in := range map[string]string{
+		"garbage":          "{not json",
+		"two envelopes":    b.String() + b.String(),
+		"trailing garbage": b.String() + "trailing garbage",
+	} {
+		if _, err := ReadShardResult(strings.NewReader(in)); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 

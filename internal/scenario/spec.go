@@ -263,14 +263,29 @@ func (s *Spec) restrictBlocks(name string, values []string, unmatched map[string
 // ReadSpec decodes a JSON spec and validates it. Unknown fields are
 // rejected so typos in hand-written specs fail loudly.
 func ReadSpec(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(r, &s); err != nil {
 		return nil, fmt.Errorf("scenario: decode spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// DecodeStrict decodes the one JSON value r holds into v. Unknown fields
+// are an error, and so is anything but whitespace after the value: a
+// spec, envelope or plan file holds exactly one value, and a second one
+// must not be dropped without notice.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after the %d-byte JSON value", end)
+	}
+	return nil
 }

@@ -116,45 +116,6 @@ func (p *patience) Observe(rv comm.RoundView) bool {
 	return p.negRun < p.n
 }
 
-// ProgressTimeout reports positive as long as "progress" has occurred within
-// the last n rounds, where progress is defined by the supplied predicate on
-// rounds. It reports negative once n rounds elapse with no progress. The
-// very first round counts as progress (grace period).
-func ProgressTimeout(progress Func, n int) Sense {
-	if n < 1 {
-		n = 1
-	}
-	return &progressTimeout{progress: progress, n: n}
-}
-
-type progressTimeout struct {
-	progress Func
-	n        int
-	idle     int
-	started  bool
-}
-
-var _ Sense = (*progressTimeout)(nil)
-
-func (p *progressTimeout) Reset() {
-	p.idle = 0
-	p.started = false
-}
-
-func (p *progressTimeout) Observe(rv comm.RoundView) bool {
-	if !p.started {
-		p.started = true
-		p.idle = 0
-		return true
-	}
-	if p.progress(rv) {
-		p.idle = 0
-		return true
-	}
-	p.idle++
-	return p.idle < p.n
-}
-
 // Const is a sense with a fixed indication — the degenerate (unsafe or
 // non-viable) sensing used in ablation experiments.
 func Const(v bool) Sense { return constSense(v) }
@@ -165,31 +126,6 @@ var _ Sense = constSense(false)
 
 func (constSense) Reset()                        {}
 func (c constSense) Observe(comm.RoundView) bool { return bool(c) }
-
-// And combines senses; the indication is positive iff all components are.
-func And(ss ...Sense) Sense { return &and{ss: ss} }
-
-type and struct{ ss []Sense }
-
-var _ Sense = (*and)(nil)
-
-func (a *and) Reset() {
-	for _, s := range a.ss {
-		s.Reset()
-	}
-}
-
-func (a *and) Observe(rv comm.RoundView) bool {
-	all := true
-	for _, s := range a.ss {
-		// Every component must observe every round, so no
-		// short-circuiting.
-		if !s.Observe(rv) {
-			all = false
-		}
-	}
-	return all
-}
 
 // Replay feeds an entire view through a (freshly Reset) sense and returns
 // the final indication. Used by finite-goal runners that judge a completed

@@ -76,30 +76,6 @@ func TestPatienceClampsToOne(t *testing.T) {
 	}
 }
 
-func TestProgressTimeout(t *testing.T) {
-	t.Parallel()
-
-	progress := func(rv comm.RoundView) bool { return rv.In.FromWorld == "tick" }
-	s := ProgressTimeout(progress, 2)
-	if !s.Observe(worldSays("")) {
-		t.Fatal("first round should be grace")
-	}
-	if !s.Observe(worldSays("")) {
-		t.Fatal("one idle round within timeout 2")
-	}
-	if s.Observe(worldSays("")) {
-		t.Fatal("two idle rounds should time out")
-	}
-	s.Reset()
-	s.Observe(worldSays(""))
-	if !s.Observe(worldSays("tick")) {
-		t.Fatal("progress round reported negative")
-	}
-	if !s.Observe(worldSays("")) {
-		t.Fatal("idle counter not reset by progress")
-	}
-}
-
 func TestConst(t *testing.T) {
 	t.Parallel()
 
@@ -109,31 +85,6 @@ func TestConst(t *testing.T) {
 	if Const(false).Observe(worldSays("")) {
 		t.Fatal("Const(false) positive")
 	}
-}
-
-func TestAnd(t *testing.T) {
-	t.Parallel()
-
-	s := And(Const(true), Const(true))
-	if !s.Observe(worldSays("")) {
-		t.Fatal("all-true And negative")
-	}
-	s = And(Const(true), Const(false))
-	if s.Observe(worldSays("")) {
-		t.Fatal("And with false component positive")
-	}
-}
-
-func TestAndObservesAllComponents(t *testing.T) {
-	t.Parallel()
-
-	// A sticky component must see every round even when an earlier
-	// component is negative.
-	sticky := Sticky(New(func(rv comm.RoundView) bool { return rv.In.FromWorld == "ok" }))
-	s := And(Const(false), sticky)
-	s.Observe(worldSays("ok"))
-	s.Reset()
-	_ = s
 }
 
 func TestReplay(t *testing.T) {
