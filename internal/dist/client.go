@@ -226,7 +226,9 @@ func (cl *Client) Renew(ctx context.Context, leaseID string) (*RenewResponse, er
 }
 
 // SubmitResult pushes one shard envelope back under its lease (POST
-// /v1/leases/{lease}/result).
+// /v1/leases/{lease}/result). The envelope goes without its spec: the
+// coordinator attaches its own plan's and refuses an upload that carries
+// one.
 func (cl *Client) SubmitResult(ctx context.Context, leaseID string, sr *scenario.ShardResult) (*SubmitResponse, error) {
 	var buf bytes.Buffer
 	if err := sr.Write(&buf); err != nil {

@@ -732,19 +732,30 @@ func (c *Coordinator) renewLocked(leaseID string) (RenewResponse, *httpErr) {
 }
 
 // handleResult validates and stores one shard envelope: POST
-// /v1/leases/{lease}/result. Submissions under an expired lease are
-// accepted as long as the shard is still open — sweeps are
-// deterministic, so a straggler's envelope is byte-identical to the
-// re-leased worker's — and submissions for an already-completed shard
-// are acknowledged idempotently and discarded.
+// /v1/leases/{lease}/result. The body is the envelope without its spec:
+// the coordinator holds the plan's, attaches it once the lease,
+// fingerprint and shard coordinates check out, and validates the
+// completed envelope's framing before it is persisted, published or
+// merged. An upload that carries a spec of its own is refused, so no
+// stored envelope names a spec its job was not planned with.
+// Submissions under an expired lease are accepted as long as the shard
+// is still open — sweeps are deterministic, so a straggler's envelope is
+// byte-identical to the re-leased worker's — and submissions for an
+// already-completed shard are acknowledged idempotently and discarded.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	sr, err := scenario.ReadShardResult(r.Body)
-	if err != nil {
+	var sr scenario.ShardResult
+	if err := scenario.DecodeStrict(r.Body, &sr); err != nil {
 		c.rejectSubmit("decode", err.Error())
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		http.Error(w, fmt.Sprintf("dist: decode shard result: %v", err), http.StatusUnprocessableEntity)
 		return
 	}
-	ack, herr := c.submitLocked(r.PathValue("lease"), sr)
+	if sr.Spec != nil {
+		c.rejectSubmit("spec", sr.Spec.Name)
+		http.Error(w, "dist: result upload carries a spec; the coordinator attaches its plan's",
+			http.StatusUnprocessableEntity)
+		return
+	}
+	ack, herr := c.submitLocked(r.PathValue("lease"), &sr)
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
@@ -775,8 +786,8 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (Su
 	// Validate the envelope against the job's plan before it can reach
 	// MergeShards: the fingerprint proves the worker ran the same sweep
 	// (same spec content, registry version, seeds, window, base seed and
-	// sample selection), and the shard coordinates must be the leased
-	// ones.
+	// sample selection), the shard coordinates must be the leased ones,
+	// and the envelope completed with the plan's spec must be well framed.
 	if sr.Fingerprint != j.plan.Fingerprint {
 		c.rejectSubmit("fingerprint", sr.Fingerprint)
 		return SubmitResponse{}, &httpErr{http.StatusConflict,
@@ -788,6 +799,11 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (Su
 		return SubmitResponse{}, &httpErr{http.StatusConflict,
 			fmt.Sprintf("dist: envelope covers shard %s but lease %s names shard %d/%d",
 				sr.Shard, leaseID, idx, j.plan.Shards)}
+	}
+	sr.Spec = j.plan.Spec
+	if err := sr.Validate(); err != nil {
+		c.rejectSubmit("decode", err.Error())
+		return SubmitResponse{}, &httpErr{http.StatusUnprocessableEntity, err.Error()}
 	}
 	if j.shards[idx-1].done {
 		// A straggler finished after its shard was re-leased and

@@ -7,6 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -425,12 +428,15 @@ func TestSharedCacheAcrossWorkers(t *testing.T) {
 }
 
 // TestSubmitValidation pins the coordinator's envelope checks: unknown
-// leases, foreign fingerprints and mismatched shard coordinates are
-// refused before anything reaches MergeShards.
+// leases, foreign fingerprints, mismatched shard coordinates, uploads
+// that carry a spec of their own and envelopes whose framing fails once
+// the plan's spec is attached are refused before anything reaches
+// MergeShards, and a refused upload leaves its shard open.
 func TestSubmitValidation(t *testing.T) {
 	t.Parallel()
 
-	coord := newBatch(t, builtinPlan(t, "quick", 2), CoordinatorConfig{})
+	plan := builtinPlan(t, "quick", 2)
+	coord := newBatch(t, plan, CoordinatorConfig{})
 	client := LoopbackClient(coord)
 	w := &Worker{Coordinator: "http://coordinator", Client: client, Poll: time.Millisecond}
 	lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
@@ -466,8 +472,140 @@ func TestSubmitValidation(t *testing.T) {
 	if resp := submit(lease.LeaseID, &wrongShard); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("mismatched shard coordinates answered %d, want 409", resp.StatusCode)
 	}
+	if sr.Spec != nil {
+		t.Fatal("the worker's upload carries a spec")
+	}
+	rejected := mSubmitsRejected.With("spec")
+	rejected0 := rejected.Value()
+	withSpec := *sr
+	withSpec.Spec = plan.Spec // even the plan's own: the coordinator attaches it
+	if resp := submit(lease.LeaseID, &withSpec); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("upload carrying a spec answered %d, want 422", resp.StatusCode)
+	}
+	if rejected.Value() == rejected0 {
+		t.Fatal("upload carrying a spec not counted as rejected")
+	}
+	noSummary := *sr
+	noSummary.Summary = nil
+	if resp := submit(lease.LeaseID, &noSummary); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("envelope without a summary answered %d, want 422", resp.StatusCode)
+	}
+	if js := coord.Jobs()[0]; js.Done != 0 || js.Leased != 1 {
+		t.Fatalf("refused uploads changed the shard states: %+v", js)
+	}
 	if resp := submit(lease.LeaseID, sr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid submit answered %d", resp.StatusCode)
+	}
+	if js := coord.Jobs()[0]; js.Done != 1 {
+		t.Fatalf("valid submit left the shard open: %+v", js)
+	}
+}
+
+// TestStoredEnvelopesCarryPlanSpec: every envelope the coordinator keeps
+// names the spec its job was planned with, whatever an upload claims. A
+// forged spec is refused, and the persisted shard-N.json, the SSE shard
+// frames (published live and replayed) and JobMerged's summary all carry
+// the plan's spec — byte for byte the envelope a full upload of the same
+// shard would have made.
+func TestStoredEnvelopesCarryPlanSpec(t *testing.T) {
+	t.Parallel()
+
+	stateDir := t.TempDir()
+	plan := builtinPlan(t, "quick", 2)
+	coord := newBatch(t, plan, CoordinatorConfig{StateDir: stateDir})
+	client := LoopbackClient(coord)
+	j, err := coord.jobByID(JobID(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Subscribe as handleEvents does before anything lands, so every
+	// shard frame is published live; completion closes the channel.
+	live := make(chan []byte, plan.Shards+1)
+	coord.mu.Lock()
+	j.subs = append(j.subs, live)
+	coord.mu.Unlock()
+
+	forged := quickSpec(t)
+	forged.Name = "forged"
+	w := &Worker{Coordinator: "http://coordinator", Client: client}
+	want := make(map[int]*scenario.ShardResult)
+	for idx := 1; idx <= plan.Shards; idx++ {
+		lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: "w"})
+		sr, err := w.runShard(lease)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, up := range []struct {
+			spec *scenario.Spec
+			ok   bool
+		}{{forged, false}, {nil, true}} {
+			body := *sr
+			body.Spec = up.spec
+			var buf bytes.Buffer
+			if err := body.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Post("http://coordinator/v1/leases/"+lease.LeaseID+"/result", "application/json", &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if ok := resp.StatusCode == http.StatusOK; ok != up.ok {
+				t.Fatalf("shard %d: upload with spec %v answered %d", idx, up.spec != nil, resp.StatusCode)
+			}
+		}
+		full := *sr
+		full.Spec = plan.Spec
+		want[idx] = &full
+	}
+	var stream []byte
+	for frame := range live {
+		stream = append(stream, frame...)
+	}
+	liveEvents, err := readEvents(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed []SweepEvent
+	if err := loopbackAPI(coord).Events(context.Background(), j.id, func(ev SweepEvent) error {
+		replayed = append(replayed, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for idx, full := range want {
+		var persisted bytes.Buffer
+		if err := full.Write(&persisted); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(stateDir, j.id, shardFile(idx)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, persisted.Bytes()) {
+			t.Fatalf("persisted shard %d is not the full envelope with the plan's spec:\n%.300s", idx, got)
+		}
+		frame, err := json.Marshal(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, events := range [][]SweepEvent{liveEvents, replayed} {
+			if len(events) != plan.Shards+1 {
+				t.Fatalf("stream carries %d frames, want %d shards + complete", len(events), plan.Shards)
+			}
+			if ev := events[idx-1]; ev.ID != strconv.Itoa(idx) || !bytes.Equal(ev.Data, frame) {
+				t.Fatalf("SSE frame %s is not shard %d's full envelope with the plan's spec:\n%.300s", ev.ID, idx, ev.Data)
+			}
+		}
+	}
+	_, sum, err := coord.JobMerged(j.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Spec != plan.Spec.Name {
+		t.Fatalf("merged summary names spec %q, want the plan's %q", sum.Spec, plan.Spec.Name)
 	}
 }
 
@@ -476,13 +614,18 @@ func TestSubmitValidation(t *testing.T) {
 func TestLeaseProtocolVersion(t *testing.T) {
 	t.Parallel()
 
-	coord, err := NewService(CoordinatorConfig{})
-	if err != nil {
-		t.Fatal(err)
+	coord := newBatch(t, builtinPlan(t, "quick", 1), CoordinatorConfig{})
+	client := LoopbackClient(coord)
+	// Protocol 1 uploaded envelopes with their spec; such a worker is
+	// refused at its first lease, before it computes a shard.
+	for _, version := range []int{1, 99} {
+		lease, resp := postLease(t, client, LeaseRequest{Protocol: version, Worker: "other"})
+		if lease != nil || resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("protocol %d lease answered %d, want 400", version, resp.StatusCode)
+		}
 	}
-	lease, resp := postLease(t, LoopbackClient(coord), LeaseRequest{Protocol: 99, Worker: "future"})
-	if lease != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("protocol 99 lease answered %d, want 400", resp.StatusCode)
+	if js := coord.Jobs()[0]; js.Leased != 0 || js.Pending != 1 {
+		t.Fatalf("a refused worker holds a lease: %+v", js)
 	}
 }
 
@@ -504,6 +647,81 @@ func TestWorkerRefusesSkewedPlan(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Fatalf("skewed plan accepted: %v", err)
+	}
+}
+
+// wirePlan copies a plan the way a lease delivers it: encoded by the
+// coordinator, decoded fresh by the worker.
+func wirePlan(t *testing.T, plan Plan) *Plan {
+	t.Helper()
+	b, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Plan
+	if err := json.Unmarshal(b, &p); err != nil {
+		t.Fatal(err)
+	}
+	return &p
+}
+
+// TestWorkerMemoKeepsSkewCheck: the worker's memo of its last prepared
+// plan never stands in for the skew check. After the worker has run a
+// shard of a valid plan, a lease of the same spec under another
+// fingerprint, or of the spec with one value changed under the old
+// fingerprint, is refused as skew before any trial runs; a lease equal
+// to the prepared plan still reuses its matrix, until the worker's
+// registry version changes. Not parallel: it reads the process-global
+// engine trial counter.
+func TestWorkerMemoKeepsSkewCheck(t *testing.T) {
+	plan := builtinPlan(t, "quick", 2)
+	lease := func(p *Plan) *LeaseResponse {
+		return &LeaseResponse{Protocol: ProtocolVersion, Status: StatusLease, LeaseID: "lease-1",
+			Shard: scenario.Shard{Index: 1, Count: 2}, Plan: p}
+	}
+	w := &Worker{}
+	if _, err := w.runShard(lease(wirePlan(t, plan))); err != nil {
+		t.Fatal(err)
+	}
+	prepared := w.prepared.matrix
+
+	otherFingerprint := wirePlan(t, plan)
+	otherFingerprint.Fingerprint = "0123456789abcdef" // a different build's digest
+	changedValue := wirePlan(t, plan)
+	rounds := &changedValue.Spec.Axes[len(changedValue.Spec.Axes)-1]
+	if rounds.Name != "rounds" {
+		t.Fatalf("quick's last axis is %q, want rounds", rounds.Name)
+	}
+	rounds.Values[0] = "400"
+
+	trials := obs.Default().Counter("goalsweep_engine_trials_started_total",
+		"Trials handed to the batch engine.")
+	for _, tc := range []struct {
+		name string
+		plan *Plan
+	}{
+		{"same spec, other fingerprint", otherFingerprint},
+		{"one spec value changed, old fingerprint", changedValue},
+	} {
+		trials0 := trials.Value()
+		_, err := w.runShard(lease(tc.plan))
+		if err == nil || !strings.Contains(err.Error(), "version skew") {
+			t.Fatalf("%s: accepted after a prepared plan: %v", tc.name, err)
+		}
+		if n := trials.Value() - trials0; n != 0 {
+			t.Fatalf("%s: %d trials ran before the refusal", tc.name, n)
+		}
+	}
+	if _, err := w.runShard(lease(wirePlan(t, plan))); err != nil {
+		t.Fatalf("the prepared plan no longer runs: %v", err)
+	}
+	if w.prepared.matrix != prepared {
+		t.Fatal("an equal plan rebuilt its matrix instead of reusing the prepared one")
+	}
+	w.Registry = scenario.Builtin()
+	w.Registry.SetVersion("another build")
+	if _, err := w.runShard(lease(wirePlan(t, plan))); err == nil || !strings.Contains(err.Error(), "version skew") {
+		t.Fatalf("the prepared plan accepted under another registry version: %v", err)
 	}
 }
 

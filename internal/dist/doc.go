@@ -21,9 +21,12 @@
 //	POST /v1/leases                    pull work fair-share across jobs
 //	POST /v1/leases/{lease}/renew      extend a lease while computing
 //	POST /v1/leases/{lease}/result     push back the shard's ShardResult
-//	                                   envelope; validated (framing,
-//	                                   fingerprint, shard coordinates)
-//	                                   before acceptance
+//	                                   envelope without its spec; the
+//	                                   fingerprint and shard coordinates
+//	                                   are checked, the plan's spec
+//	                                   attached and the framing validated
+//	                                   before acceptance (an upload that
+//	                                   carries a spec is refused)
 //	GET  /status                       progress accounting for humans and
 //	                                   scripts (every job + worker
 //	                                   liveness)
@@ -51,10 +54,16 @@
 // own registry version (refusing the lease on mismatch, which catches
 // coordinator/worker version skew), runs the ordinary Matrix.Sweep over
 // the shard's index range — sharing a content-addressed result Cache
-// with colocated workers when configured — and submits the envelope.
-// When every shard has been submitted the job's envelopes reassemble
-// with MergeShards into a report byte-identical to a fresh serial run of
-// the same sweep.
+// with colocated workers when configured — and submits the envelope
+// without its spec. A worker prepares each job's plan once: it keeps
+// the last plan it verified, with its matrix and scenario selection,
+// and reuses them while the next leased plan is equal to it field for
+// field, so the fingerprint check holds for every lease and only a
+// different plan pays for it again. The coordinator attaches its own
+// plan's spec to every upload, so persisted envelopes, SSE frames and
+// merge inputs stay complete. When every shard has been submitted the
+// job's envelopes reassemble with MergeShards into a report
+// byte-identical to a fresh serial run of the same sweep.
 //
 // Worker and the `goalsweep submit`/`watch` CLI verbs are built on the
 // same Client, and the protocol is testable hermetically: LoopbackClient

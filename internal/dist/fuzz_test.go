@@ -29,11 +29,11 @@ func FuzzV1Requests(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(quick, []byte(`{"protocol":1,"worker":"w","parallel":2}`))
-	f.Add(bytes.Replace(quick, []byte(`"shards":2`), []byte(`"shards":99999999`), 1), []byte(`{"protocol":2,"worker":"w"}`))
-	f.Add([]byte(`{"protocol":1,"spec":{"name":"t","axes":[{"name":"goal","values":["treasure"]}]},"sampleN":3}`), []byte(`{}`))
-	f.Add([]byte(`{"protocol":1,"spec":null}`), []byte(`{"protocol":1} trailing`))
-	f.Add([]byte(`{"protocol":1,"shards":-1}`), []byte(`not json`))
+	f.Add(quick, []byte(`{"protocol":2,"worker":"w","parallel":2}`))
+	f.Add(bytes.Replace(quick, []byte(`"shards":2`), []byte(`"shards":99999999`), 1), []byte(`{"protocol":1,"worker":"w"}`))
+	f.Add([]byte(`{"protocol":2,"spec":{"name":"t","axes":[{"name":"goal","values":["treasure"]}]},"sampleN":3}`), []byte(`{}`))
+	f.Add([]byte(`{"protocol":2,"spec":null}`), []byte(`{"protocol":2} trailing`))
+	f.Add([]byte(`{"protocol":2,"shards":-1}`), []byte(`not json`))
 	f.Fuzz(func(t *testing.T, sweepBody, leaseBody []byte) {
 		svc, err := NewService(CoordinatorConfig{})
 		if err != nil {
@@ -86,6 +86,101 @@ func validSweepRequest(body []byte) bool {
 func validLeaseRequest(body []byte) bool {
 	var req LeaseRequest
 	return json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.Protocol == ProtocolVersion
+}
+
+// FuzzResultUpload throws arbitrary bodies at POST
+// /v1/leases/{lease}/result under a live lease on shard 1/12 of a planned
+// quick sweep, on a fresh service per input. The coordinator must never
+// panic or answer 5xx, and answers 2xx exactly when the body decodes
+// strictly into an envelope that carries no spec, names the plan's
+// fingerprint and the leased shard, and passes ShardResult.Validate once
+// the plan's spec is attached. It is a target of its own because every
+// input needs a live lease on a planned job. The seeds derive from a
+// real worker's upload, so they keep their roles when the registry
+// version moves: the upload itself, the same carrying a spec, cut in
+// half, and under a foreign fingerprint.
+func FuzzResultUpload(f *testing.F) {
+	spec, err := scenario.BuiltinSpec("quick")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// One scenario per shard keeps the seeds small enough to minimize.
+	const shards = 12
+	plan, err := NewPlan(spec, scenario.Builtin().Version(), scenario.SweepConfig{}, shards, 0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	leased := scenario.Shard{Index: 1, Count: shards}
+	sr, err := (&Worker{}).runShard(&LeaseResponse{Protocol: ProtocolVersion, Status: StatusLease,
+		LeaseID: "lease-1", Shard: leased, Plan: &plan})
+	if err != nil {
+		f.Fatal(err)
+	}
+	upload := func(edit func(*scenario.ShardResult)) []byte {
+		body := *sr
+		edit(&body)
+		var buf bytes.Buffer
+		if err := body.Write(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid := upload(func(*scenario.ShardResult) {})
+	f.Add(valid)
+	f.Add(upload(func(sr *scenario.ShardResult) { sr.Spec = spec }))
+	f.Add(valid[:len(valid)/2])
+	f.Add(upload(func(sr *scenario.ShardResult) { sr.Fingerprint = "0123456789abcdef" }))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		svc, err := NewService(CoordinatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.mu.Lock()
+		_, _, err = svc.submitPlanLocked(plan)
+		svc.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease, herr := svc.leaseLocked(LeaseRequest{Protocol: ProtocolVersion, Worker: "w"}, "")
+		if herr != nil || lease.Status != StatusLease || lease.Shard != leased {
+			t.Fatalf("fresh job leased %+v (%v), want shard %s", lease, herr, leased)
+		}
+		resp, err := LoopbackClient(svc).Post("http://coordinator/v1/leases/"+lease.LeaseID+"/result",
+			"application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode >= 500 {
+			t.Fatalf("upload answered %d for %q", resp.StatusCode, body)
+		}
+		if ok, valid := resp.StatusCode < 300, validUpload(body, lease.Plan, leased); ok != valid {
+			t.Fatalf("upload answered %d for %q, but the body is valid=%v", resp.StatusCode, body, valid)
+		}
+	})
+}
+
+// validUpload is the acceptance oracle for a result upload under a lease
+// on shard of plan: exactly one JSON value that decodes strictly into an
+// envelope without a spec, carrying the plan's fingerprint and the
+// leased shard, whose framing validates once the plan's spec is
+// attached.
+func validUpload(body []byte, plan *Plan, shard scenario.Shard) bool {
+	var sr scenario.ShardResult
+	if !decodesStrictly(body, &sr) || sr.Spec != nil || sr.Fingerprint != plan.Fingerprint || sr.Shard != shard {
+		return false
+	}
+	sr.Spec = plan.Spec
+	return sr.Validate() == nil
+}
+
+// decodesStrictly is the oracles' own reading of scenario.DecodeStrict:
+// data is exactly one JSON value, and it decodes into v with no unknown
+// fields.
+func decodesStrictly(data []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return json.Valid(data) && dec.Decode(v) == nil
 }
 
 // streamTransport is a stub RoundTripper that answers every request 200
@@ -213,9 +308,7 @@ func FuzzStateDirPlan(f *testing.F) {
 		jobs := svc.Jobs()
 
 		var plan Plan
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		valid := json.Valid(data) && dec.Decode(&plan) == nil && plan.Validate() == nil && JobID(plan) == dirName
+		valid := decodesStrictly(data, &plan) && plan.Validate() == nil && JobID(plan) == dirName
 		if valid {
 			if planErr != nil || corruptErr == nil || healed != 0 || len(jobs) != 1 || jobs[0].ID != dirName {
 				t.Fatalf("valid plan %q not recovered: plan file %v, quarantine %v, healed %d, jobs %+v",

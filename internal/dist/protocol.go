@@ -8,8 +8,9 @@ import (
 
 // ProtocolVersion versions the lease/submit wire protocol; both sides
 // reject peers speaking any other version, so a mixed deployment fails
-// loudly instead of mis-partitioning a sweep.
-const ProtocolVersion = 1
+// loudly instead of mis-partitioning a sweep. Since version 2, result
+// uploads carry no spec.
+const ProtocolVersion = 2
 
 // maxShards bounds a plan's partition. The coordinator allocates
 // per-shard state and per-subscriber frame buffers by the shard count, so

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"net/http"
 	"os"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -83,7 +84,18 @@ type Worker struct {
 	// means silent.
 	Events *obs.Logger
 
-	api *Client // lazily built /v1 client
+	api      *Client      // lazily built /v1 client
+	prepared preparedPlan // the last verified plan, see prepare
+}
+
+// preparedPlan is a worker's memo of the last plan it verified: the plan
+// as leased, the registry version it was checked under, and the matrix
+// and scenario selection it expands to. The zero value holds nothing.
+type preparedPlan struct {
+	plan      *Plan
+	registry  string
+	matrix    *scenario.Matrix
+	selection []int64
 }
 
 func (w *Worker) client() *Client {
@@ -343,7 +355,8 @@ func (w *Worker) lease(ctx context.Context) (*LeaseResponse, error) {
 }
 
 // runShard executes one leased shard through the local sweep and wraps
-// the result in a submit-ready envelope.
+// the result in a submit-ready upload: the envelope without its spec,
+// which the coordinator attaches from its own plan.
 func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 	plan := lease.Plan
 	if plan == nil {
@@ -359,22 +372,11 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 	if err := lease.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	reg := w.registry()
-	// Recompute the fingerprint locally: it covers the spec content, this
-	// worker's registry version and the effective parameters, so any skew
-	// (a coordinator from a newer build, a custom registry) is caught
-	// here, before a single trial runs.
-	local := scenario.Fingerprint(plan.Spec, reg.Version(), plan.Seeds, plan.Window, plan.BaseSeed,
-		plan.SampleN, plan.SampleSeed)
-	if local != plan.Fingerprint {
-		return nil, fmt.Errorf("dist: plan fingerprint %s does not match locally computed %s — coordinator/worker version skew",
-			plan.Fingerprint, local)
-	}
-	m, err := scenario.NewMatrix(plan.Spec)
+	m, selection, err := w.prepare(plan)
 	if err != nil {
 		return nil, err
 	}
-	indices := lease.Shard.Indices(m, plan.Selection(m))
+	indices := lease.Shard.Indices(m, selection)
 	var stats []*scenario.Stats
 	cfg := scenario.SweepConfig{
 		Registry: w.Registry,
@@ -406,11 +408,42 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 	return &scenario.ShardResult{
 		Version:     scenario.ShardFormatVersion,
 		Fingerprint: plan.Fingerprint,
-		Spec:        plan.Spec,
 		Shard:       lease.Shard,
 		Scenarios:   stats,
 		Summary:     sum,
 	}, nil
+}
+
+// prepare verifies a leased plan and returns the matrix and scenario
+// selection it expands to. Every lease of a job carries the same plan,
+// so the worker keeps the last one it verified and reuses its matrix and
+// selection when the next plan equals it field for field, spec included,
+// under the same registry version. An equal plan has an equal
+// fingerprint, so the skew check below holds for it exactly. Any other
+// plan takes the full path. The memo keeps the leased plan itself: each
+// lease is decoded fresh from the wire, and nothing else holds it.
+func (w *Worker) prepare(plan *Plan) (*scenario.Matrix, []int64, error) {
+	version := w.registry().Version()
+	if p := &w.prepared; p.plan != nil && p.registry == version && reflect.DeepEqual(*p.plan, *plan) {
+		return p.matrix, p.selection, nil
+	}
+	// Recompute the fingerprint locally: it covers the spec content, this
+	// worker's registry version and the effective parameters, so any skew
+	// (a coordinator from a newer build, a custom registry) is caught
+	// here, before a single trial runs.
+	local := scenario.Fingerprint(plan.Spec, version, plan.Seeds, plan.Window, plan.BaseSeed,
+		plan.SampleN, plan.SampleSeed)
+	if local != plan.Fingerprint {
+		return nil, nil, fmt.Errorf("dist: plan fingerprint %s does not match locally computed %s — coordinator/worker version skew",
+			plan.Fingerprint, local)
+	}
+	m, err := scenario.NewMatrix(plan.Spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	selection := plan.Selection(m)
+	w.prepared = preparedPlan{plan: plan, registry: version, matrix: m, selection: selection}
+	return m, selection, nil
 }
 
 // submit pushes the envelope back under its lease, retrying retryable
