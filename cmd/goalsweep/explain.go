@@ -25,7 +25,7 @@ import (
 func runExplain(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("goalsweep explain", flag.ContinueOnError)
 	var sf sweepFlags
-	sf.addSpec(fs, "")
+	sf.addSpec(fs)
 	sf.addOverrides(fs)
 	var (
 		id        = fs.String("id", "", "scenario ID of the report row to re-run (required)")

@@ -17,10 +17,9 @@
 //	goalsweep merge -json -out full.json shard-*.json
 //	goalsweep explain -builtin default -id ID -trial 1 -trace run.json
 //	goalsweep -builtin default -fingerprint      # print the sweep fingerprint
-//	goalsweep serve -builtin default -shards 3 -listen :8077 -json -out report.json
-//	goalsweep serve -service -state DIR -listen :8077
-//	goalsweep work -coordinator http://host:8077 -cache DIR
+//	goalsweep serve -state DIR -listen :8077
 //	goalsweep submit -coordinator http://host:8077 -builtin default -shards auto
+//	goalsweep work -coordinator http://host:8077 -cache DIR
 //	goalsweep watch -coordinator http://host:8077 -json -out report.json JOB
 //
 // Sweeps are deterministic per spec and seed: -parallel bounds the worker
@@ -37,16 +36,14 @@
 // i/n runs the i-th of n contiguous partitions of the selection (with
 // -json it emits a mergeable envelope), and "goalsweep merge" recombines
 // a complete set of envelopes into output byte-identical to the unsharded
-// run. "goalsweep serve"/"goalsweep work" automate the same split as a
-// coordinator/worker pool (see repro/internal/dist): the coordinator
-// leases shards over HTTP with a timeout — crashed workers' shards are
-// re-issued — validates every submitted envelope against the sweep
-// fingerprint, and writes the merged report once the last shard lands.
-// "goalsweep serve -service" runs the same coordinator as a long-lived
-// multi-tenant job queue instead: "goalsweep submit" enqueues sweeps
-// over the /v1 API (printing the job ID), job-agnostic workers drain the
-// queue fair-share, and "goalsweep watch" streams a job's shard
-// envelopes over SSE and renders the merged report — still
+// run. "goalsweep serve" automates the same split as a long-lived
+// multi-tenant sweep service (see repro/internal/dist): "goalsweep
+// submit" enqueues sweeps over the /v1 API (printing the job ID),
+// worker processes ("goalsweep work") lease shards over HTTP,
+// fair-share across the queue and with a timeout, so a crashed worker's
+// shards are re-issued, and the service validates every submitted
+// envelope against the sweep fingerprint. "goalsweep watch" streams a
+// job's shard envelopes over SSE and renders the merged report,
 // byte-identical to a local run of the same spec. With -state DIR the
 // service persists plans and envelopes and resumes incomplete jobs
 // across restarts without re-executing finished shards.
@@ -112,10 +109,10 @@ type sweepFlags struct {
 	baseSeed          uint64
 }
 
-// addSpec registers the spec flags; builtin is -builtin's default.
-func (f *sweepFlags) addSpec(fs *flag.FlagSet, builtin string) {
+// addSpec registers the spec flags.
+func (f *sweepFlags) addSpec(fs *flag.FlagSet) {
 	fs.StringVar(&f.specPath, "spec", "", "JSON scenario spec file")
-	fs.StringVar(&f.builtin, "builtin", builtin, "built-in spec name: "+
+	fs.StringVar(&f.builtin, "builtin", "", "built-in spec name: "+
 		strings.Join(scenario.BuiltinSpecNames(), ", ")+" (empty means default); ignored when -spec is set")
 	fs.Var(&f.filters, "filter", "restrict an axis: axis=v1,v2 (repeatable)")
 }
@@ -128,8 +125,8 @@ func (f *sweepFlags) addOverrides(fs *flag.FlagSet) {
 }
 
 // add registers all eight sweep flags.
-func (f *sweepFlags) add(fs *flag.FlagSet, builtin string) {
-	f.addSpec(fs, builtin)
+func (f *sweepFlags) add(fs *flag.FlagSet) {
+	f.addSpec(fs)
 	fs.IntVar(&f.sample, "sample", 0, "sweep only a deterministic random subset of this many scenarios (0 = all)")
 	fs.Uint64Var(&f.sampleSeed, "sampleseed", 1, "seed for -sample subset selection")
 	f.addOverrides(fs)
@@ -171,13 +168,11 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 			return runSubmit(ctx, args[1:], stdout, stderr)
 		case "watch":
 			return runWatch(ctx, args[1:], stdout, stderr)
-		case "chaostest":
-			return runChaostest(ctx, args[1:], stdout, stderr)
 		}
 	}
 	fs := flag.NewFlagSet("goalsweep", flag.ContinueOnError)
 	var sf sweepFlags
-	sf.add(fs, "")
+	sf.add(fs)
 	var (
 		parallel    = fs.Int("parallel", 0, "trial worker pool size (0 = GOMAXPROCS); does not affect results")
 		jsonOut     = fs.Bool("json", false, "emit per-scenario aggregates and the summary as JSON")
@@ -197,7 +192,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	if fs.NArg() > 0 {
 		// Flag parsing stops at the first non-flag, so a mistyped
 		// subcommand would otherwise run the default sweep.
-		return fmt.Errorf("unexpected argument %q: the subcommands are merge, explain, serve, work, submit, watch and chaostest", fs.Arg(0))
+		return fmt.Errorf("unexpected argument %q: the subcommands are merge, explain, serve, work, submit and watch", fs.Arg(0))
 	}
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")

@@ -22,7 +22,7 @@ import (
 func runSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("goalsweep submit", flag.ContinueOnError)
 	var sf sweepFlags
-	sf.add(fs, "")
+	sf.add(fs)
 	var (
 		coordinator = fs.String("coordinator", "", "coordinator base URL (http://host:port; required)")
 		shardsFlag  = fs.String("shards", "auto", "work units to partition the job into (a count, or \"auto\" to let the coordinator size it from fleet size and observed shard latency)")

@@ -114,14 +114,19 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 }
 
 // TestChaosDeterministicFaultLog pins fault-schedule reproducibility:
-// two runs under the same chaos spec and seed fire the identical fault
-// log (canonical formatting, byte for byte) and produce byte-identical
-// merged reports; a different seed produces a different schedule.
+// two runs under the same chaos spec and seed, with every request fault
+// class scheduled (drop, delay, dup, trunc, err), fire every scheduled
+// fault and the identical fault log (canonical formatting, byte for
+// byte), and produce merged reports byte-identical to each other and to
+// a serial run; a different seed produces a different schedule. The
+// horizon equals the shard count: every shard is submitted at least
+// once and lease calls outnumber submits, so every scheduled coordinate
+// is reached.
 func TestChaosDeterministicFaultLog(t *testing.T) {
 	t.Parallel()
 
-	plan := builtinPlan(t, "quick", 4)
-	cs, err := chaos.ParseSpec("drop=1,delay=1:5ms,dup=1,err=1,horizon=4")
+	plan := builtinPlan(t, "quick", 6)
+	cs, err := chaos.ParseSpec("drop=2,delay=2:5ms,dup=1,trunc=1,err=2,horizon=6")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@ const DefaultCallTimeout = 30 * time.Second
 
 // Client speaks the coordinator's /v1 resource API. Both the Worker and
 // the `goalsweep submit`/`watch` CLI verbs are built on it, and because
-// it takes any *http.Client, LoopbackClient runs the same code paths
-// against an in-process coordinator in hermetic tests.
+// it takes any *http.Client, hermetic tests run the same code paths
+// against an in-process coordinator.
 type Client struct {
 	// BaseURL is the coordinator's base URL (http://host:port).
 	BaseURL string
@@ -173,24 +173,6 @@ func (cl *Client) CreateSweep(ctx context.Context, req SweepRequest) (*SweepResp
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Sweeps lists every queued job (GET /v1/sweeps), in submission order.
-func (cl *Client) Sweeps(ctx context.Context) ([]JobStatus, error) {
-	var jobs []JobStatus
-	if err := cl.do(ctx, http.MethodGet, "/v1/sweeps", nil, &jobs); err != nil {
-		return nil, err
-	}
-	return jobs, nil
-}
-
-// Sweep fetches one job's status with shard states (GET /v1/sweeps/{id}).
-func (cl *Client) Sweep(ctx context.Context, id string) (*JobStatus, error) {
-	var js JobStatus
-	if err := cl.do(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, &js); err != nil {
-		return nil, err
-	}
-	return &js, nil
 }
 
 // Lease asks for work: scoped to one job when job is non-empty (POST

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -66,10 +65,6 @@ type CoordinatorConfig struct {
 // http.Handler serving the versioned /v1 resource API; all state is
 // guarded by one mutex, so a coordinator can serve any number of
 // concurrent workers and submitters.
-//
-// `goalsweep serve`'s one-shot batch mode is the same service: it submits
-// its one sweep over the API in process, waits for that job, and Drains
-// the fleet before it exits.
 type Coordinator struct {
 	leaseTTL    time.Duration
 	now         func() time.Time
@@ -82,21 +77,17 @@ type Coordinator struct {
 
 	inflightLeases atomic.Int64
 
-	mu        sync.Mutex
-	jobs      map[string]*job // job ID -> job
-	order     []*job          // submission order
-	cursor    int             // index into order of the last job granted a lease
-	leases    map[string]leaseInfo
-	workers   map[string]*workerInfo // every worker that ever polled
-	undrained map[string]bool        // workers whose last lease answer was not StatusDone
-	nextID    int
+	mu      sync.Mutex
+	jobs    map[string]*job // job ID -> job
+	order   []*job          // submission order
+	cursor  int             // index into order of the last job granted a lease
+	leases  map[string]leaseInfo
+	workers map[string]*workerInfo // every worker that ever polled
+	nextID  int
 
 	// Observed lease-grant → accepted-submit latency, for -shards auto.
 	shardLatSum float64
 	shardLatN   int64
-
-	draining bool          // Drain has begun: every lease is answered StatusDone
-	drained  chan struct{} // closed once draining and undrained is empty
 }
 
 // leaseInfo records who holds (or held) a lease on which shard of which
@@ -135,8 +126,6 @@ func NewService(cfg CoordinatorConfig) (*Coordinator, error) {
 		cursor:      -1,
 		leases:      make(map[string]leaseInfo),
 		workers:     make(map[string]*workerInfo),
-		undrained:   make(map[string]bool),
-		drained:     make(chan struct{}),
 	}
 	if c.leaseTTL <= 0 {
 		c.leaseTTL = 2 * time.Minute
@@ -363,7 +352,7 @@ func (c *Coordinator) autoShardsLocked(selection int64) int {
 // identical sweep (same fingerprint, same partition) is already queued.
 func (c *Coordinator) handleCreateSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := scenario.DecodeStrict(r.Body, &req); err != nil {
 		http.Error(w, fmt.Sprintf("dist: decode sweep request: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -505,7 +494,7 @@ func (c *Coordinator) jobStatusLocked(j *job, withShards bool) JobStatus {
 // route has no id).
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := scenario.DecodeStrict(r.Body, &req); err != nil {
 		http.Error(w, fmt.Sprintf("dist: decode lease request: %v", err), http.StatusBadRequest)
 		return
 	}
@@ -530,25 +519,15 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string) (LeaseRespo
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sawWorkerLocked(req.Worker, req.Parallel)
-	if c.draining {
-		return c.doneLocked(req.Worker), nil
-	}
-	var scope *job
 	if jobScope != "" {
 		j, ok := c.jobs[jobScope]
 		if !ok {
 			return LeaseResponse{}, &httpErr{http.StatusNotFound, fmt.Sprintf("dist: unknown sweep %q", jobScope)}
 		}
 		if j.complete() {
-			return c.doneLocked(req.Worker), nil
+			return LeaseResponse{Protocol: ProtocolVersion, Status: StatusDone}, nil
 		}
-		scope = j
-	}
-	if req.Worker != "" {
-		c.undrained[req.Worker] = true
-	}
-	if scope != nil {
-		if resp := c.tryGrantLocked(scope, req); resp != nil {
+		if resp := c.tryGrantLocked(j, req); resp != nil {
 			return *resp, nil
 		}
 		return LeaseResponse{Protocol: ProtocolVersion, Status: StatusWait}, nil
@@ -572,14 +551,6 @@ func (c *Coordinator) leaseLocked(req LeaseRequest, jobScope string) (LeaseRespo
 		}
 	}
 	return LeaseResponse{Protocol: ProtocolVersion, Status: StatusWait}, nil
-}
-
-// doneLocked answers a worker StatusDone: it will exit, so Drain no
-// longer waits for it.
-func (c *Coordinator) doneLocked(worker string) LeaseResponse {
-	delete(c.undrained, worker)
-	c.checkDrainedLocked()
-	return LeaseResponse{Protocol: ProtocolVersion, Status: StatusDone}
 }
 
 // tryGrantLocked leases the lowest open (or expired-lease) shard of one
@@ -877,19 +848,6 @@ func (c *Coordinator) statusLocked() StatusResponse {
 	return st
 }
 
-// checkDrainedLocked closes the drained channel once Drain has begun and
-// every known worker has been answered StatusDone. Called with c.mu held.
-func (c *Coordinator) checkDrainedLocked() {
-	if !c.draining || len(c.undrained) != 0 {
-		return
-	}
-	select {
-	case <-c.drained:
-	default:
-		close(c.drained)
-	}
-}
-
 // Jobs returns every queued job's status, in submission order, with
 // shard states.
 func (c *Coordinator) Jobs() []JobStatus {
@@ -902,20 +860,6 @@ func (c *Coordinator) Jobs() []JobStatus {
 	return jobs
 }
 
-// WaitJob blocks until the named job is complete or the context ends.
-func (c *Coordinator) WaitJob(ctx context.Context, id string) error {
-	j, err := c.jobByID(id)
-	if err != nil {
-		return err
-	}
-	select {
-	case <-j.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 func (c *Coordinator) jobByID(id string) (*job, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -924,26 +868,6 @@ func (c *Coordinator) jobByID(id string) (*job, error) {
 		return nil, fmt.Errorf("dist: unknown sweep %q", id)
 	}
 	return j, nil
-}
-
-// Drain winds the fleet down: from the moment it is called every lease
-// request is answered StatusDone, and it blocks until every worker whose
-// last lease answer was anything else — a grant, wait or idle — has
-// polled again and heard it, or the context ends. Afterwards, tearing
-// down the listener cannot strand a live worker mid-poll. A crashed
-// worker never polls again, so callers bound Drain with a deadline.
-// Renews and submits are still served while draining.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	c.draining = true
-	c.checkDrainedLocked()
-	c.mu.Unlock()
-	select {
-	case <-c.drained:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // JobMerged reassembles the named job's collected envelopes into the
@@ -965,13 +889,4 @@ func (c *Coordinator) JobMerged(id string) ([]*scenario.Stats, *scenario.Summary
 		return nil, nil, fmt.Errorf("dist: %d of %d shards not yet submitted", missing, j.plan.Shards)
 	}
 	return scenario.MergeShards(shards)
-}
-
-// Workers returns how many distinct workers have asked for leases —
-// observability, not accounting: a worker that only ever polled counts
-// too.
-func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -99,8 +100,7 @@ func mergedReport(t *testing.T, coord *Coordinator, plan Plan) string {
 }
 
 // newBatch builds a service and submits the plan's sweep over the
-// loopback client — the in-process request a batch `goalsweep serve`
-// sends for its one job.
+// loopback client — the request `goalsweep submit` sends.
 func newBatch(t *testing.T, plan Plan, cfg CoordinatorConfig) *Coordinator {
 	t.Helper()
 	coord, err := NewService(cfg)
@@ -118,6 +118,23 @@ func newBatch(t *testing.T, plan Plan, cfg CoordinatorConfig) *Coordinator {
 		t.Fatalf("submitted sweep became job %s, want %s", resp.Job.ID, JobID(plan))
 	}
 	return coord
+}
+
+// getJSON GETs path through the loopback client and decodes a 200 body
+// into v; it returns the status code.
+func getJSON(t *testing.T, client *http.Client, path string, v any) int {
+	t.Helper()
+	resp, err := client.Get("http://coordinator" + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode
 }
 
 // postLease sends one raw job-agnostic lease request through the
@@ -146,15 +163,16 @@ func postLease(t *testing.T, client *http.Client, req LeaseRequest) (*LeaseRespo
 // TestDistributedByteIdentical is the tentpole acceptance criterion: a
 // coordinator plus two concurrent workers sweeping the 288-scenario
 // builtin matrix over the loopback protocol produce a merged report
-// byte-identical to a fresh serial run. It follows batch serve's
-// shutdown: the workers keep polling until Drain tells them they are
-// done.
+// byte-identical to a fresh serial run. The workers exit once the queue
+// reports idle, as `goalsweep work -exit-when-idle` does.
 func TestDistributedByteIdentical(t *testing.T) {
 	t.Parallel()
 
 	plan := builtinPlan(t, "default", 3)
 	coord := newBatch(t, plan, CoordinatorConfig{})
 	client := LoopbackClient(coord)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
 
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
@@ -168,17 +186,10 @@ func TestDistributedByteIdentical(t *testing.T) {
 				Client:      client,
 				ID:          fmt.Sprintf("w%d", i),
 				Poll:        time.Millisecond,
+				ExitOnIdle:  true,
 			}
-			done[i], errs[i] = w.Run(context.Background())
+			done[i], errs[i] = w.Run(ctx)
 		}()
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if err := coord.WaitJob(ctx, JobID(plan)); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Drain(ctx); err != nil {
-		t.Fatalf("polling workers never heard done: %v", err)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -629,6 +640,47 @@ func TestLeaseProtocolVersion(t *testing.T) {
 	}
 }
 
+// TestV1RequestsDecodeStrictly: POST /v1/sweeps and POST /v1/leases read
+// exactly one JSON value with no unknown fields, as spec files, result
+// uploads and the state dir do. A misspelt field or trailing data is a
+// 400 that leaves the queue and the leases as they were, not a request
+// quietly read as something else.
+func TestV1RequestsDecodeStrictly(t *testing.T) {
+	t.Parallel()
+
+	coord := newBatch(t, builtinPlan(t, "quick", 2), CoordinatorConfig{Now: newFakeClock().Now})
+	client := LoopbackClient(coord)
+	const spec = `{"name":"t","axes":[{"name":"goal","values":["treasure"]}]`
+	for _, tc := range []struct {
+		name, path, body string
+	}{
+		{"misspelt spec field", "/v1/sweeps", `{"protocol":2,"spec":` + spec + `,"windw":5},"shards":1}`},
+		{"misspelt request field", "/v1/sweeps", `{"protocol":2,"spec":` + spec + `},"shard":3}`},
+		{"sweep with trailing value", "/v1/sweeps", `{"protocol":2,"spec":` + spec + `},"shards":1}{"x":1}`},
+		{"lease with trailing data", "/v1/leases", `{"protocol":2,"worker":"w"} trailing`},
+		{"misspelt lease field", "/v1/leases", `{"protocol":2,"wroker":"w"}`},
+	} {
+		before := coord.Jobs()
+		resp, err := client.Post("http://coordinator"+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: POST %s answered %d, want 400", tc.name, tc.path, resp.StatusCode)
+		}
+		if after := coord.Jobs(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the queue changed:\nbefore %+v\nafter  %+v", tc.name, before, after)
+		}
+	}
+	coord.mu.Lock()
+	leases := len(coord.leases)
+	coord.mu.Unlock()
+	if leases != 0 {
+		t.Fatalf("refused requests left %d leases", leases)
+	}
+}
+
 // TestWorkerRefusesSkewedPlan: the worker recomputes the fingerprint
 // locally and refuses a plan whose fingerprint disagrees — the
 // coordinator/worker version-skew guard.
@@ -726,7 +778,8 @@ func TestWorkerMemoKeepsSkewCheck(t *testing.T) {
 }
 
 // TestStatusEndpoint tracks a shard through pending -> leased -> done on
-// /status and GET /v1/sweeps/{id}; unknown sweeps answer 404.
+// /status and GET /v1/sweeps/{id}; a lease scoped to the complete job
+// answers done, and unknown sweeps answer 404.
 func TestStatusEndpoint(t *testing.T) {
 	t.Parallel()
 
@@ -767,20 +820,22 @@ func TestStatusEndpoint(t *testing.T) {
 		t.Fatalf("final status %+v", st)
 	}
 
-	api := loopbackAPI(coord)
-	ctx := context.Background()
-	js, err := api.Sweep(ctx, JobID(plan))
-	if err != nil {
-		t.Fatal(err)
+	var js JobStatus
+	if code := getJSON(t, client, "/v1/sweeps/"+JobID(plan), &js); code != http.StatusOK ||
+		!js.Complete || js.Done != 2 || len(js.ShardStates) != 2 {
+		t.Fatalf("GET /v1/sweeps/{id} = %d %+v, want complete with 2 shard states", code, js)
 	}
-	if !js.Complete || js.Done != 2 || len(js.ShardStates) != 2 {
-		t.Fatalf("GET /v1/sweeps/{id} = %+v, want complete with 2 shard states", js)
+	if code := getJSON(t, client, "/v1/sweeps/sw-nope-1", &js); code != http.StatusNotFound {
+		t.Fatalf("GET of an unknown sweep = %d, want 404", code)
+	}
+	// A lease scoped to the complete job answers done, so a worker pinned
+	// to it (work -job) exits.
+	api := loopbackAPI(coord)
+	if lease, err := api.Lease(context.Background(), JobID(plan), LeaseRequest{Worker: "w"}); err != nil || lease.Status != StatusDone {
+		t.Fatalf("lease scoped to a complete job = %+v, %v; want done", lease, err)
 	}
 	var re *RefusedError
-	if _, err := api.Sweep(ctx, "sw-nope-1"); !errors.As(err, &re) || re.Code != http.StatusNotFound {
-		t.Fatalf("GET of an unknown sweep = %v, want 404", err)
-	}
-	if _, err := api.Lease(ctx, "sw-nope-1", LeaseRequest{Worker: "w"}); !errors.As(err, &re) || re.Code != http.StatusNotFound {
+	if _, err := api.Lease(context.Background(), "sw-nope-1", LeaseRequest{Worker: "w"}); !errors.As(err, &re) || re.Code != http.StatusNotFound {
 		t.Fatalf("lease scoped to an unknown sweep = %v, want 404", err)
 	}
 }

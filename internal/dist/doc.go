@@ -66,13 +66,9 @@
 // byte-identical to a fresh serial run of the same sweep.
 //
 // Worker and the `goalsweep submit`/`watch` CLI verbs are built on the
-// same Client, and the protocol is testable hermetically: LoopbackClient
-// wraps the coordinator's http.Handler in an in-process http.Client, so
-// the whole submit/lease/crash/re-lease/result cycle runs in one process
-// with no sockets. cmd/goalsweep exposes the backend as "goalsweep
-// serve", "goalsweep work", "goalsweep submit" and "goalsweep watch".
-// There is one coordinator: a one-shot batch `serve` is the service
-// with its sweep submitted in process over LoopbackClient; once that job
-// completes it Drains — every lease is answered StatusDone until each
-// polling worker has heard it — merges the job and writes the report.
+// same Client. A Coordinator is an http.Handler and a Client takes any
+// *http.Client, so the whole submit/lease/crash/re-lease/result cycle is
+// testable hermetically, in one process with no sockets. cmd/goalsweep
+// exposes the backend as "goalsweep serve" (the sweep service),
+// "goalsweep work", "goalsweep submit" and "goalsweep watch".
 package dist

@@ -18,8 +18,8 @@ import (
 // FuzzV1Requests throws arbitrary bodies at the two /v1 routes that
 // decode one — POST /v1/sweeps and POST /v1/leases — on a fresh service
 // through the loopback transport. The coordinator must never panic or
-// answer 5xx, and answers 2xx exactly for bodies that decode to a valid
-// request.
+// answer 5xx, and answers 2xx exactly for bodies that decode strictly
+// (one JSON value, no unknown fields) to a valid request.
 func FuzzV1Requests(f *testing.F) {
 	spec, err := scenario.BuiltinSpec("quick")
 	if err != nil {
@@ -64,12 +64,12 @@ func FuzzV1Requests(f *testing.F) {
 }
 
 // validSweepRequest is the admission oracle for POST /v1/sweeps: the
-// body decodes, speaks this protocol, and carries a spec that expands to
-// a matrix and plans under its shard count (0 asks for auto-sharding,
-// which always picks a count in range).
+// body decodes strictly, speaks this protocol, and carries a spec that
+// expands to a matrix and plans under its shard count (0 asks for
+// auto-sharding, which always picks a count in range).
 func validSweepRequest(body []byte) bool {
 	var req SweepRequest
-	if json.NewDecoder(bytes.NewReader(body)).Decode(&req) != nil ||
+	if !decodesStrictly(body, &req) ||
 		req.Protocol != ProtocolVersion || req.Spec == nil || req.Spec.Validate() != nil || req.Shards < 0 {
 		return false
 	}
@@ -82,10 +82,10 @@ func validSweepRequest(body []byte) bool {
 }
 
 // validLeaseRequest is the oracle for POST /v1/leases: any body that
-// decodes and speaks this protocol gets an answer.
+// decodes strictly and speaks this protocol gets an answer.
 func validLeaseRequest(body []byte) bool {
 	var req LeaseRequest
-	return json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.Protocol == ProtocolVersion
+	return decodesStrictly(body, &req) && req.Protocol == ProtocolVersion
 }
 
 // FuzzResultUpload throws arbitrary bodies at POST

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 )
@@ -10,9 +11,7 @@ import (
 // http.Client whose requests never touch a socket: each round trip calls
 // the handler directly in process. It makes the whole coordinator/worker
 // protocol — leases, expiries, re-leases, submits — testable hermetically,
-// with no listeners, ports or network flakiness, and lets one process host
-// both sides of a distributed sweep ("goalsweep serve" submits its batch
-// job through it, and "goalsweep chaostest" runs its whole fleet on it).
+// with no listeners, ports or network flakiness.
 func LoopbackClient(h http.Handler) *http.Client {
 	return &http.Client{Transport: loopbackTransport{h: h}}
 }
@@ -58,4 +57,26 @@ func (r *loopbackRecorder) WriteHeader(code int) {
 func (r *loopbackRecorder) Write(p []byte) (int, error) {
 	r.wrote = true
 	return r.body.Write(p)
+}
+
+// WaitJob blocks until the named job is complete or the context ends.
+func (c *Coordinator) WaitJob(ctx context.Context, id string) error {
+	j, err := c.jobByID(id)
+	if err != nil {
+		return err
+	}
+	select {
+	case <-j.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// Workers returns how many distinct workers have asked for leases — a
+// worker that only ever polled counts too.
+func (c *Coordinator) Workers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.workers)
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -190,14 +189,9 @@ func TestMetricsAcrossWorkerCrash(t *testing.T) {
 // getStatus fetches and decodes /status through the loopback client.
 func getStatus(t *testing.T, client *http.Client) StatusResponse {
 	t.Helper()
-	resp, err := client.Get("http://coordinator/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var st StatusResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	if code := getJSON(t, client, "/status", &st); code != http.StatusOK {
+		t.Fatalf("GET /status = %d", code)
 	}
 	return st
 }

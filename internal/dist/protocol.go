@@ -97,9 +97,8 @@ const (
 	// StatusWait means every remaining shard is leased to someone else;
 	// poll again — a lease may yet expire.
 	StatusWait = "wait"
-	// StatusDone means this worker is finished: the coordinator is
-	// draining (a batch serve's job is complete and the process is about
-	// to exit), or the asked-for job is complete. The worker exits.
+	// StatusDone means the asked-for job is complete: a worker pinned to
+	// that job is finished and exits.
 	StatusDone = "done"
 	// StatusIdle means every job in the queue is complete but the queue
 	// is still accepting submissions: a worker may poll on or exit, its

@@ -3,8 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
-	"errors"
-	"fmt"
+	"net/http"
 	"strconv"
 	"sync"
 	"testing"
@@ -346,12 +345,9 @@ func TestSubmitSweepIdempotent(t *testing.T) {
 	if !first.Created || second.Created || first.Job.ID != second.Job.ID {
 		t.Fatalf("idempotency broken: first %+v, second %+v", first, second)
 	}
-	jobs, err := api.Sweeps(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 {
-		t.Fatalf("queue holds %d jobs after a resubmission, want 1", len(jobs))
+	var jobs []JobStatus
+	if code := getJSON(t, LoopbackClient(svc), "/v1/sweeps", &jobs); code != http.StatusOK || len(jobs) != 1 {
+		t.Fatalf("GET /v1/sweeps = %d with %d jobs after a resubmission, want 1", code, len(jobs))
 	}
 	// A different partition of the same sweep is a different job.
 	third, err := api.CreateSweep(ctx, SweepRequest{Spec: quickSpec(t), Shards: 3})
@@ -405,94 +401,5 @@ func TestAutoShards(t *testing.T) {
 	}
 	if auto.Job.Shards != 12 {
 		t.Fatalf("auto-sharded quick sweep got %d shards, want 12 (scenario clamp)", auto.Job.Shards)
-	}
-}
-
-// TestDrain pins batch serve's shutdown handshake. Once Drain starts,
-// every lease is answered StatusDone, so a standing worker (no
-// ExitOnIdle) that submitted the last shard exits cleanly; Drain returns
-// only after every polling worker has heard done; and a worker whose
-// last answer was idle — which is not done — keeps Drain waiting until
-// its context ends.
-func TestDrain(t *testing.T) {
-	t.Parallel()
-	ctx := context.Background()
-	drainCtx, cancel := context.WithTimeout(ctx, time.Minute)
-	defer cancel()
-
-	plan := builtinPlan(t, "quick", 2)
-	coord := newBatch(t, plan, CoordinatorConfig{})
-	ran := make(chan error, 1)
-	go func() {
-		w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(coord), ID: "standing", Poll: time.Millisecond}
-		n, err := w.Run(ctx)
-		if err == nil && n != 2 {
-			err = fmt.Errorf("completed %d shards, want 2", n)
-		}
-		ran <- err
-	}()
-	if err := coord.WaitJob(drainCtx, JobID(plan)); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Drain(drainCtx); err != nil {
-		t.Fatalf("Drain with a standing worker polling: %v", err)
-	}
-	if err := <-ran; err != nil {
-		t.Fatalf("standing worker after Drain: %v", err)
-	}
-
-	// finishOne runs a one-shard job to completion under one worker name,
-	// leaving that worker's last lease answer a grant.
-	finishOne := func(worker string) *Coordinator {
-		t.Helper()
-		c := newBatch(t, builtinPlan(t, "quick", 1), CoordinatorConfig{})
-		client := LoopbackClient(c)
-		lease, _ := postLease(t, client, LeaseRequest{Protocol: ProtocolVersion, Worker: worker})
-		w := &Worker{Coordinator: "http://coordinator", Client: client}
-		sr, err := w.runShard(lease)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.submit(ctx, lease.LeaseID, sr, 1, time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	draining := func(c *Coordinator) bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.draining
-	}
-
-	// The last submitter has not heard done yet: Drain waits for its next
-	// poll.
-	last := finishOne("last")
-	drained := make(chan error, 1)
-	go func() { drained <- last.Drain(drainCtx) }()
-	for !draining(last) {
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case <-last.drained:
-		t.Fatal("Drain finished before the last submitter heard done")
-	default:
-	}
-	if lease, _ := postLease(t, LoopbackClient(last), LeaseRequest{Protocol: ProtocolVersion, Worker: "last"}); lease.Status != StatusDone {
-		t.Fatalf("poll while draining answered %q, want done", lease.Status)
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("Drain after every worker heard done: %v", err)
-	}
-
-	// Idle is not done: a worker that heard idle before Drain began
-	// holds Drain until its context ends.
-	idler := finishOne("idler")
-	if lease, _ := postLease(t, LoopbackClient(idler), LeaseRequest{Protocol: ProtocolVersion, Worker: "idler"}); lease.Status != StatusIdle {
-		t.Fatalf("poll after the only job completed answered %q, want idle", lease.Status)
-	}
-	short, cancelShort := context.WithTimeout(ctx, 20*time.Millisecond)
-	defer cancelShort()
-	if err := idler.Drain(short); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Drain with an idle-only worker = %v, want deadline exceeded", err)
 	}
 }

@@ -30,8 +30,9 @@ type Worker struct {
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
 
-	// Client issues the HTTP requests; nil means http.DefaultClient. Use
-	// LoopbackClient to run against an in-process coordinator.
+	// Client issues the HTTP requests; nil means http.DefaultClient. Any
+	// transport works, including one that calls an in-process
+	// coordinator's handler directly.
 	Client *http.Client
 
 	// Registry resolves scenarios; nil means Builtin(). The worker
