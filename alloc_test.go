@@ -251,10 +251,12 @@ func TestFastPathParity(t *testing.T) {
 // whole-run counts, not per-round: every stock goal now
 // runs its warm loop allocation-free, so the measured cost is the
 // engine floor — the three per-party RNG splits of Reset (3.0 measured)
-// — plus, for goals whose message streams never repeat, one arena block
-// per party per run (learning and printing measure 5.0: the id-bearing
-// query/answer arenas and the printed-log bookkeeping amortize to two
-// extra). Budgets carry ~1.3x slack over those measurements: tight
+// — plus two for learning and printing (both measure 5.0). Learning's
+// are its id-bearing query/answer arenas, one block per party per run;
+// printing's are the world's announcement string, built once for the
+// empty printout and once more when the first sheet prints (a memory
+// profile puts both in printing.(*World).Step). Budgets carry ~1.3x
+// slack over those measurements: tight
 // enough that a single Sprintf, map insert or string build per round
 // (+1000/run) — or even per state transition (+tens/run) — fails
 // loudly, loose enough for pool/GC timing jitter.
@@ -390,6 +392,71 @@ func TestUniversalUserSteadyAllocs(t *testing.T) {
 	}
 }
 
+// t1AllocBudgets pins Theorem 1's table (T1) at its largest class: one
+// 12,800-round execution (horizon 50N, N = 256) with parties built fresh
+// for the run, as T1 and sweep trials build them. Measured: 25 per
+// oracle run and 1,830 per universal run. A memory profile puts the
+// latter at ~5 per candidate the universal user tries (its construction,
+// RNG split, "PRINT <task>" and two-allocation word encoding: ~1,280 over
+// 256 candidates) plus the printer decoding each of those 256 commands
+// once (~520). Silence reaching a dialect past msgbuf.DefaultTableCap
+// distinct commands, or a printout that logs every sheet, adds
+// thousands. Budgets carry ~1.3x slack.
+var t1AllocBudgets = map[string]float64{
+	"oracle":    32,
+	"universal": 2400,
+}
+
+// TestT1ShapedAllocs gates allocation growth in T1-shaped runs: long
+// printing executions against a 256-dialect class, where per-round and
+// per-sheet costs dominate and the 1000-round pins above barely see them.
+func TestT1ShapedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are not meaningful under -race (the race runtime allocates)")
+	}
+	if testing.Short() {
+		t.Skip("allocation pins are not meaningful under -short")
+	}
+	const n = 256
+	fam, err := dialect.NewWordFamily(printing.Vocabulary(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &printing.Goal{}
+	measure := func(name string, srvIdx int, user func() comm.Strategy) {
+		run := func() {
+			tr := goal.NewTracker(g)
+			res, err := system.Run(user(),
+				server.Dialected(&printing.Server{}, fam.Dialect(srvIdx)),
+				g.NewWorld(goal.Env{Choice: srvIdx % g.EnvChoices()}),
+				system.Config{MaxRounds: 50 * n, Seed: 1, Record: system.RecordOff, OnRoundLive: tr.Observe})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tr.Achieved(10) {
+				t.Fatalf("%s vs server %d: goal not achieved", name, srvIdx)
+			}
+			system.ReleaseResult(res)
+		}
+		run() // warm pools outside the measurement
+		allocs := testing.AllocsPerRun(3, run)
+		t.Logf("%s vs server %d: %.1f allocs per %d-round execution", name, srvIdx, allocs, 50*n)
+		if budget := t1AllocBudgets[name]; allocs > budget {
+			t.Errorf("%s vs server %d: %.1f allocs per execution exceeds the budget of %.0f", name, srvIdx, allocs, budget)
+		}
+	}
+	for _, srvIdx := range []int{0, 200, n - 1} {
+		measure("oracle", srvIdx, func() comm.Strategy { return &printing.Candidate{D: fam.Dialect(srvIdx)} })
+	}
+	measure("universal", n-1, func() comm.Strategy {
+		u, err := universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	})
+}
+
 // TestMetricsInstrumentationAllocFree pins the ISSUE 7 acceptance
 // number: the engine counters wired into RunBatch (trials, rounds,
 // batch claims) must add zero allocations per round. It proves the
@@ -443,9 +510,9 @@ func TestMetricsInstrumentationAllocFree(t *testing.T) {
 // sweepAllocBudgets pins whole builtin sweeps — scenario binding, the
 // universal user, server and adversary stacks, the live judge and the
 // per-scenario fold together — in allocations per executed round at
-// -parallel 1. Measured: default 0.156, adversarial 0.206 (71,832 and
-// 16,790 allocations over 460,800 and 81,600 rounds). Budgets carry
-// ~1.3x slack; one allocation per round anywhere in the stack adds 1.0.
+// -parallel 1. Measured: default 0.1537, adversarial 0.1977 allocations
+// per round over 460,800 and 81,600 rounds. Budgets carry ~1.3x slack;
+// one allocation per round anywhere in the stack adds 1.0.
 var sweepAllocBudgets = map[string]float64{
 	"default":     0.20,
 	"adversarial": 0.27,

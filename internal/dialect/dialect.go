@@ -29,6 +29,10 @@ import (
 // candidate strategies cache encoded commands, so an impure dialect
 // would be served stale translations. Model randomness (noise, drops)
 // with a server transform (server.Noisy), not inside a dialect.
+//
+// Encode and Decode must also map the empty message (silence) to
+// itself: a party that says nothing says nothing in every dialect.
+// server.Dialected relies on this and never translates silence.
 type Dialect interface {
 	// ID is the dialect's index within its family.
 	ID() int

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/comm"
 	"repro/internal/dialect"
@@ -49,7 +48,7 @@ func RunA1(cfg Config) (*harness.Report, error) {
 	// Two trials per tray size (universal, oracle), all in one batch.
 	type a1run struct {
 		g       *printing.Goal
-		w       goal.World
+		w       *printing.World
 		referee goal.Tracker
 		user    string
 	}
@@ -57,7 +56,7 @@ func RunA1(cfg Config) (*harness.Report, error) {
 	trials := make([]system.Trial, 0, 2*len(trays))
 	for i, paper := range trays {
 		g := &printing.Goal{Docs: []string{"target"}, Paper: paper}
-		w := g.NewWorld(goal.Env{})
+		w := g.NewWorld(goal.Env{}).(*printing.World)
 		run := &runs[2*i]
 		*run = a1run{g: g, w: w, referee: goal.NewTracker(g), user: "universal"}
 		trials = append(trials, system.Trial{
@@ -76,7 +75,7 @@ func RunA1(cfg Config) (*harness.Report, error) {
 
 		// Oracle user: no probing, one command, one sheet.
 		g2 := &printing.Goal{Docs: []string{"target"}, Paper: paper}
-		w2 := g2.NewWorld(goal.Env{})
+		w2 := g2.NewWorld(goal.Env{}).(*printing.World)
 		run2 := &runs[2*i+1]
 		*run2 = a1run{g: g2, w: w2, referee: goal.NewTracker(g2), user: "oracle"}
 		trials = append(trials, system.Trial{
@@ -102,7 +101,7 @@ func RunA1(cfg Config) (*harness.Report, error) {
 		if !run.g.ForgivingGoal() {
 			forgiving = "no"
 		}
-		sheets, errPages := countSheets(run.w)
+		sheets, errPages := run.w.Sheets()
 		tbl.AddRow(trayLabel(run.g.Paper), forgiving, run.user,
 			yesNo(run.referee.Achieved(10)), harness.I(sheets), harness.I(errPages))
 	}
@@ -121,18 +120,4 @@ func yesNo(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-func countSheets(w goal.World) (sheets, errorPages int) {
-	pw, ok := w.(*printing.World)
-	if !ok {
-		return 0, 0
-	}
-	for _, doc := range pw.Printout() {
-		sheets++
-		if strings.Contains(doc, printing.ErrorPage) {
-			errorPages++
-		}
-	}
-	return sheets, errorPages
 }

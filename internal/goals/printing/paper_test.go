@@ -32,8 +32,8 @@ func TestPaperTrayLimits(t *testing.T) {
 	if w.PaperLeft() != 0 {
 		t.Fatalf("paper after 3 emits = %d", w.PaperLeft())
 	}
-	if len(w.Printout()) != 2 {
-		t.Fatalf("printed %d docs on a 2-sheet tray", len(w.Printout()))
+	if printed, errorPages := w.Sheets(); printed != 2 || errorPages != 0 {
+		t.Fatalf("Sheets() = %d, %d on a 2-sheet tray fed junk", printed, errorPages)
 	}
 	// The target can no longer be printed: non-forgiving.
 	if _, err := w.Step(comm.Inbox{FromServer: "EMIT target"}); err != nil {

@@ -6,9 +6,10 @@
 // The cast:
 //
 //   - World: owns the physical printout. It assigns the user a target
-//     document (the task), appends whatever the printer emits to the output
-//     tape, and lets the user observe the printout — which is exactly the
-//     feedback that makes safe and viable sensing possible.
+//     document (the task), counts the sheets the printer emits (and the
+//     error pages among them), and lets the user observe the most recent
+//     one — which is exactly the feedback that makes safe and viable
+//     sensing possible.
 //   - Server: the printer. Its native protocol is "PRINT <doc>" / "STATUS",
 //     but the class of possible printers speaks unknown dialects
 //     (server.Dialected).
@@ -125,20 +126,21 @@ func (g *Goal) AcceptableWorld(w goal.World) bool {
 func (g *Goal) ForgivingGoal() bool { return g.Paper == 0 }
 
 // World is the printing environment. Each round it (re)announces the task
-// to the user along with the most recently printed document, and it appends
-// any "EMIT <doc>" from the server to the printout (paper permitting).
+// to the user along with the most recently printed document, and it
+// counts any "EMIT <doc>" from the server as a printed sheet (paper
+// permitting).
 //
 // World→user message format: "TASK <target>|PRINTED <lastPrinted>".
 // Snapshot format: "target=<target>;printed=<count>;done=<0|1>".
-// Hot-path layout: the round loop reads only the scalar fields (count,
-// last, done) — the printed log is kept for Printout() and appended to,
-// never scanned.
+// The printout is kept as counts: nothing reads a page before the most
+// recent one, so a long run holds no per-sheet state.
 type World struct {
-	target  string
-	paper   int      // 0 = unlimited
-	printed []string // full log, storage reused across Reset
-	last    string   // printed[len-1], the only log entry the loop reads
-	done    bool
+	target     string
+	paper      int    // 0 = unlimited
+	sheets     int    // documents printed this run
+	errorPages int    // of which contain ErrorPage
+	last       string // the most recently printed document
+	done       bool
 
 	status     comm.Message // cached announcement, keyed on the document it reports
 	statusLast string
@@ -150,31 +152,21 @@ var _ goal.World = (*World)(nil)
 // Target returns the document the user is tasked with printing.
 func (w *World) Target() string { return w.target }
 
-// Printout returns a copy of the printed documents in order.
-func (w *World) Printout() []string {
-	out := make([]string, len(w.printed))
-	copy(out, w.printed)
-	return out
-}
+// Sheets returns how many documents have been printed this run, and how
+// many of those were error pages (documents containing ErrorPage).
+func (w *World) Sheets() (printed, errorPages int) { return w.sheets, w.errorPages }
 
 // PaperLeft returns the remaining sheets, or -1 when unlimited.
 func (w *World) PaperLeft() int {
 	if w.paper == 0 {
 		return -1
 	}
-	left := w.paper - len(w.printed)
-	if left < 0 {
-		left = 0
-	}
-	return left
+	return w.paper - w.sheets // sheets never exceeds paper
 }
 
-// Reset implements comm.Strategy. The printed log keeps its storage
-// (entries are cleared so no document string outlives its run), so a
-// reused world re-runs without regrowing the slice.
+// Reset implements comm.Strategy.
 func (w *World) Reset(*xrand.Rand) {
-	clear(w.printed)
-	w.printed = w.printed[:0]
+	w.sheets, w.errorPages = 0, 0
 	w.last = ""
 	w.done = false
 }
@@ -182,8 +174,11 @@ func (w *World) Reset(*xrand.Rand) {
 // Step implements comm.Strategy.
 func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 	if doc, ok := strings.CutPrefix(string(in.FromServer), "EMIT "); ok {
-		if w.paper == 0 || len(w.printed) < w.paper {
-			w.printed = append(w.printed, doc)
+		if w.paper == 0 || w.sheets < w.paper {
+			w.sheets++
+			if strings.Contains(doc, ErrorPage) {
+				w.errorPages++
+			}
 			w.last = doc
 			if doc == w.target {
 				w.done = true
@@ -212,7 +207,7 @@ func (w *World) Snapshot() comm.WorldState {
 	b := append(a[:0], "target="...)
 	b = append(b, w.target...)
 	b = append(b, ";printed="...)
-	b = strconv.AppendInt(b, int64(len(w.printed)), 10)
+	b = strconv.AppendInt(b, int64(w.sheets), 10)
 	if w.done {
 		b = append(b, ";done=1"...)
 	} else {
@@ -336,6 +331,7 @@ type Candidate struct {
 
 	task    string
 	elapsed int
+	ann     msgbuf.Memo1[comm.Message, string] // task of the last announcement parsed
 	cmd     msgbuf.Memo1[string, comm.Message] // encoded "PRINT <task>", built once per task
 }
 
@@ -349,7 +345,13 @@ func (c *Candidate) Reset(*xrand.Rand) {
 
 // Step implements comm.Strategy.
 func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
-	if task, _, ok := ParseWorldMsg(in.FromWorld); ok {
+	// The world re-sends one cached announcement until the printout
+	// changes, so each is parsed once (the hit is usually a
+	// pointer-equal compare).
+	if task, ok := c.ann.Get(in.FromWorld); ok {
+		c.task = task
+	} else if task, _, ok := ParseWorldMsg(in.FromWorld); ok {
+		c.ann.Put(in.FromWorld, task)
 		c.task = task
 	}
 	if c.task == "" {
@@ -391,9 +393,20 @@ func Sense(patience int) sensing.Sense {
 	if patience <= 0 {
 		patience = DefaultPatience
 	}
+	// The indication is a pure function of the world's announcement,
+	// which the world re-sends unchanged until the printout changes, so
+	// it is computed once per announcement. The memo belongs to this
+	// instance: concurrent trials each build their own Sense.
+	var verdict msgbuf.Memo1[comm.Message, bool]
 	return sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
-		task, printed, ok := ParseWorldMsg(rv.In.FromWorld)
-		return ok && task != "" && printed == task
+		m := rv.In.FromWorld
+		v, ok := verdict.Get(m)
+		if !ok {
+			task, printed, parsed := ParseWorldMsg(m)
+			v = parsed && task != "" && printed == task
+			verdict.Put(m, v)
+		}
+		return v
 	}), patience)
 }
 

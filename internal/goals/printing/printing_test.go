@@ -2,6 +2,7 @@ package printing
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -82,14 +83,18 @@ func TestWorldRecordsEmits(t *testing.T) {
 		t.Fatalf("snapshot after wrong doc = %q", w.Snapshot())
 	}
 
-	if _, err = w.Step(comm.Inbox{FromServer: "EMIT doc1"}); err != nil {
+	out, err = w.Step(comm.Inbox{FromServer: "EMIT doc1"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Snapshot() != "target=doc1;printed=2;done=1" {
 		t.Fatalf("snapshot after target = %q", w.Snapshot())
 	}
-	if got := w.Printout(); len(got) != 2 || got[1] != "doc1" {
-		t.Fatalf("printout = %v", got)
+	if _, printed, _ := ParseWorldMsg(out.ToUser); printed != "doc1" {
+		t.Fatalf("printed field after target = %q", printed)
+	}
+	if printed, errorPages := w.Sheets(); printed != 2 || errorPages != 0 {
+		t.Fatalf("Sheets() = %d, %d, want 2, 0", printed, errorPages)
 	}
 }
 
@@ -163,6 +168,15 @@ func TestCandidateWaitsForTask(t *testing.T) {
 	}
 	if out.ToServer != "PRINT memo" {
 		t.Fatalf("candidate command = %q", out.ToServer)
+	}
+	// A reused candidate follows the task of the world it now faces.
+	c.Reset(xrand.New(2))
+	out, err = c.Step(comm.Inbox{FromWorld: "TASK poster|PRINTED memo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.ToServer != "PRINT poster" {
+		t.Fatalf("reused candidate command = %q, want PRINT poster", out.ToServer)
 	}
 }
 
@@ -341,53 +355,75 @@ func TestRefereeMonotone(t *testing.T) {
 	}
 }
 
-// TestWorldMatchesReferenceModel drives the SoA printout (scalar last/done
-// layout with a string-keyed announcement cache) against a straightforward
-// string-slice reference with Sprintf encodings, over random EMIT traffic
-// including repeats of the same page and junk — across several Reset
-// cycles. Announcement and snapshot must be byte-identical every round.
+// TestWorldMatchesReferenceModel drives the SoA printout (sheet and
+// error-page counters, scalar last/done layout, a string-keyed
+// announcement cache) against a straightforward string-slice reference
+// with Sprintf encodings, over random EMIT traffic including repeats of
+// the same page, error pages and junk — across several Reset cycles, with
+// an unlimited tray and a 2-sheet one. Announcement, snapshot, Sheets and
+// PaperLeft must match the reference every round.
 func TestWorldMatchesReferenceModel(t *testing.T) {
 	t.Parallel()
 
-	docs := []string{"report7", "thesis3", "memo42"}
-	w := &World{target: "thesis3"}
+	docs := []string{"report7", "thesis3", "memo42", ErrorPage}
 	r := xrand.New(17)
-	for run := 0; run < 3; run++ {
-		w.Reset(nil)
-		var printed []string
-		refDone := false
-		for round := 0; round < 300; round++ {
-			var in comm.Inbox
-			switch r.Intn(4) {
-			case 0, 1: // emit a page (repeats are common in steady state)
-				doc := docs[r.Intn(len(docs))]
-				in.FromServer = comm.Message("EMIT " + doc)
-				printed = append(printed, doc)
-				if doc == "thesis3" {
-					refDone = true
+	for _, paper := range []int{0, 2} {
+		w := (&Goal{Docs: []string{"thesis3"}, Paper: paper}).NewWorld(goal.Env{}).(*World)
+		for run := 0; run < 3; run++ {
+			w.Reset(nil)
+			var printed []string
+			refDone := false
+			for round := 0; round < 300; round++ {
+				var in comm.Inbox
+				switch r.Intn(4) {
+				case 0, 1: // emit a page (repeats are common in steady state)
+					doc := docs[r.Intn(len(docs))]
+					in.FromServer = comm.Message("EMIT " + doc)
+					if paper == 0 || len(printed) < paper {
+						printed = append(printed, doc)
+						if doc == "thesis3" {
+							refDone = true
+						}
+					}
+				case 2: // junk
+					in.FromServer = "READY"
 				}
-			case 2: // junk
-				in.FromServer = "READY"
-			}
-			out, err := w.Step(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			last := ""
-			if len(printed) > 0 {
-				last = printed[len(printed)-1]
-			}
-			wantStatus := fmt.Sprintf("TASK %s|PRINTED %s", "thesis3", last)
-			if string(out.ToUser) != wantStatus {
-				t.Fatalf("run %d round %d: announcement %q, want %q", run, round, out.ToUser, wantStatus)
-			}
-			done := 0
-			if refDone {
-				done = 1
-			}
-			wantSnap := fmt.Sprintf("target=%s;printed=%d;done=%d", "thesis3", len(printed), done)
-			if got := string(w.Snapshot()); got != wantSnap {
-				t.Fatalf("run %d round %d: snapshot %q, want %q", run, round, got, wantSnap)
+				out, err := w.Step(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				last := ""
+				if len(printed) > 0 {
+					last = printed[len(printed)-1]
+				}
+				wantStatus := fmt.Sprintf("TASK %s|PRINTED %s", "thesis3", last)
+				if string(out.ToUser) != wantStatus {
+					t.Fatalf("paper %d run %d round %d: announcement %q, want %q", paper, run, round, out.ToUser, wantStatus)
+				}
+				done := 0
+				if refDone {
+					done = 1
+				}
+				wantSnap := fmt.Sprintf("target=%s;printed=%d;done=%d", "thesis3", len(printed), done)
+				if got := string(w.Snapshot()); got != wantSnap {
+					t.Fatalf("paper %d run %d round %d: snapshot %q, want %q", paper, run, round, got, wantSnap)
+				}
+				wantErr := 0
+				for _, doc := range printed {
+					if strings.Contains(doc, ErrorPage) {
+						wantErr++
+					}
+				}
+				if sheets, errorPages := w.Sheets(); sheets != len(printed) || errorPages != wantErr {
+					t.Fatalf("paper %d run %d round %d: Sheets() = %d, %d, want %d, %d", paper, run, round, sheets, errorPages, len(printed), wantErr)
+				}
+				wantLeft := -1
+				if paper > 0 {
+					wantLeft = paper - len(printed)
+				}
+				if got := w.PaperLeft(); got != wantLeft {
+					t.Fatalf("paper %d run %d round %d: PaperLeft() = %d, want %d", paper, run, round, got, wantLeft)
+				}
 			}
 		}
 	}

@@ -146,9 +146,9 @@ func (s *byzantine) Step(in comm.Inbox) (comm.Outbox, error) {
 // `start` of the family, each round with probability p the dialect is
 // re-drawn uniformly from the family (a Markov switch — the draw may land
 // on the current dialect). With p = 0 it is step-for-step identical to
-// Dialected(inner, fam.Dialect(start)). Like Dialected, translations are
-// memoized per dialect (dialects are pure), and the server→world channel
-// is left untouched.
+// Dialected(inner, fam.Dialect(start)). Like Dialected, silence passes
+// through untranslated, other translations are memoized per dialect
+// (dialects are pure), and the server→world channel is left untouched.
 func DriftingDialected(inner comm.Strategy, fam *dialect.Family, start int, p float64) comm.Strategy {
 	if p < 0 {
 		p = 0

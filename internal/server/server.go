@@ -22,8 +22,9 @@ import (
 // server-to-world channel is left untouched — it is "physical", not
 // linguistic.
 //
-// Dialects are pure, deterministic message functions (the dialect.Dialect
-// contract), so the wrapper memoizes translations: a user that retries
+// Dialects are pure, deterministic message functions that map silence to
+// silence (the dialect.Dialect contract), so the wrapper passes empty
+// messages straight through and memoizes the rest: a user that retries
 // the same command every other round — the steady state of every
 // enumeration strategy — pays for its encoding once instead of every
 // round.
@@ -36,10 +37,13 @@ type dialected struct {
 	d     dialect.Dialect
 
 	// Two-level memo per direction: a single-entry L1 for the command the
-	// steady-state loop repeats every other round (one equality compare,
-	// no map hash), backed by a capped table for the rest of the cycle.
-	// Real traffic holds a handful of distinct commands; anything past
-	// the table's cap is translated directly (correct, just unmemoized).
+	// steady-state loop repeats (one equality compare, no map hash),
+	// backed by a capped table for the rest of the cycle. Silence never
+	// reaches either, so the L1 holds the command across the quiet
+	// rounds between retries. A universal user over a class of N
+	// dialects sends N distinct encodings; past the table's cap (N >
+	// 128, as in T1's N = 256 class) the rest are translated directly —
+	// correct, just unmemoized.
 	dec1, enc1 msgbuf.Memo1[comm.Message, comm.Message]
 	dec, enc   msgbuf.Table[comm.Message, comm.Message]
 }
@@ -48,8 +52,12 @@ var _ comm.Strategy = (*dialected)(nil)
 
 func (s *dialected) Reset(r *xrand.Rand) { s.inner.Reset(r) }
 
-// translate returns f(m), memoized in m1 (fast path) and t.
+// translate returns f(m), memoized in m1 (fast path) and t. Silence is
+// returned as is: every dialect maps it to itself.
 func translate(m1 *msgbuf.Memo1[comm.Message, comm.Message], t *msgbuf.Table[comm.Message, comm.Message], f func(comm.Message) comm.Message, m comm.Message) comm.Message {
+	if m.Empty() {
+		return m
+	}
 	if v, ok := m1.Get(m); ok {
 		return v
 	}

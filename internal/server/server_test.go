@@ -242,3 +242,76 @@ func TestSlowResetClearsQueue(t *testing.T) {
 		t.Fatalf("stale outbox leaked across Reset: %+v", out)
 	}
 }
+
+// silenceCounter wraps a dialect and counts the times it is asked to
+// translate the empty message.
+type silenceCounter struct {
+	dialect.Dialect
+	silent, spoken *int
+}
+
+func (d silenceCounter) count(m comm.Message) {
+	if m.Empty() {
+		*d.silent++
+	} else {
+		*d.spoken++
+	}
+}
+
+func (d silenceCounter) Encode(m comm.Message) comm.Message {
+	d.count(m)
+	return d.Dialect.Encode(m)
+}
+
+func (d silenceCounter) Decode(m comm.Message) comm.Message {
+	d.count(m)
+	return d.Dialect.Decode(m)
+}
+
+// TestDialectedNeverTranslatesSilence pins the consumer side of the
+// dialect silence contract: the dialect wrappers pass empty messages
+// through without consulting the dialect, in both directions, while
+// still translating what is said. The traffic is a retrying user's —
+// a command every other round, silence in between — against a server
+// that echoes, so silence flows both ways.
+func TestDialectedNeverTranslatesSilence(t *testing.T) {
+	t.Parallel()
+
+	base := wordFam(t, 4)
+	var silent, spoken int
+	ds := make([]dialect.Dialect, base.Size())
+	for i := range ds {
+		ds[i] = silenceCounter{Dialect: base.Dialect(i), silent: &silent, spoken: &spoken}
+	}
+	fam, err := dialect.NewFamily("counted", ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := base.Dialect(1).Encode("HELLO")
+	msgs := make([]comm.Message, 200)
+	for i := 0; i < len(msgs); i += 2 {
+		msgs[i] = cmd
+	}
+	for _, tc := range []struct {
+		name string
+		s    comm.Strategy
+	}{
+		{"Dialected", Dialected(&echo{}, fam.Dialect(1))},
+		{"DriftingDialected p=0", DriftingDialected(&echo{}, fam, 1, 0)},
+		{"DriftingDialected p=0.5", DriftingDialected(&echo{}, fam, 1, 0.5)},
+	} {
+		silent, spoken = 0, 0
+		outs := transcript(t, tc.s, 5, msgs)
+		if silent != 0 {
+			t.Errorf("%s: dialect asked to translate silence %d times", tc.name, silent)
+		}
+		if spoken == 0 {
+			t.Errorf("%s: dialect never asked to translate a command", tc.name)
+		}
+		for i, out := range outs {
+			if msgs[i].Empty() != out.ToUser.Empty() {
+				t.Fatalf("%s round %d: echo of %q came back as %q", tc.name, i, msgs[i], out.ToUser)
+			}
+		}
+	}
+}
