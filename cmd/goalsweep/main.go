@@ -410,12 +410,13 @@ func runMerge(args []string, stdout io.Writer) (retErr error) {
 		return fmt.Errorf("merge needs shard result files (goalsweep -shard i/n -json output)")
 	}
 	var shards []*scenario.ShardResult
+	var rd scenario.ShardReader
 	for i, path := range files {
 		f, err := os.Open(path)
 		if err != nil {
 			return err
 		}
-		sr, err := scenario.ReadShardResult(f)
+		sr, err := rd.Read(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)

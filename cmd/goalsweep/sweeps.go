@@ -87,6 +87,7 @@ func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 	jobID := fs.Arg(0)
 
 	var sweepShards []*scenario.ShardResult
+	var rd scenario.ShardReader
 	start := time.Now()
 	// FollowEvents survives dropped streams: it re-subscribes with capped
 	// backoff and replays from the start, deduplicating shard frames by
@@ -99,7 +100,7 @@ func runWatch(ctx context.Context, args []string, stdout, stderr io.Writer) (ret
 		if ev.Type != dist.EventShard {
 			return nil
 		}
-		sr, err := scenario.ReadShardResult(bytes.NewReader(ev.Data))
+		sr, err := rd.Read(bytes.NewReader(ev.Data))
 		if err != nil {
 			return fmt.Errorf("shard event %s: %w", ev.ID, err)
 		}

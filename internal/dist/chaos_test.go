@@ -332,7 +332,7 @@ func TestShedLease(t *testing.T) {
 		t.Fatalf("shed Retry-After = %q, want \"1\"", got)
 	}
 
-	_, err = loopbackAPI(svc).Lease(context.Background(), "", LeaseRequest{Worker: "w"})
+	_, err = loopbackAPI(svc).Lease(context.Background(), "", LeaseRequest{Worker: "w"}, nil)
 	if err == nil {
 		t.Fatal("lease succeeded past a saturated bound")
 	}
@@ -344,7 +344,7 @@ func TestShedLease(t *testing.T) {
 	}
 
 	svc.inflightLeases.Add(-1)
-	if _, err := loopbackAPI(svc).Lease(context.Background(), "", LeaseRequest{Worker: "w"}); err != nil {
+	if _, err := loopbackAPI(svc).Lease(context.Background(), "", LeaseRequest{Worker: "w"}, nil); err != nil {
 		t.Fatalf("lease still refused after the bound freed: %v", err)
 	}
 }
@@ -463,7 +463,7 @@ func TestClientDecodeErrorRetryable(t *testing.T) {
 		io.WriteString(w, `{"protocol": 1, "stat`)
 	})
 	_, err := NewClient("http://coordinator", LoopbackClient(truncating)).
-		Lease(context.Background(), "", LeaseRequest{Worker: "w"})
+		Lease(context.Background(), "", LeaseRequest{Worker: "w"}, nil)
 	if err == nil {
 		t.Fatal("lease decoded a truncated response")
 	}

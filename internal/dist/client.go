@@ -177,8 +177,12 @@ func (cl *Client) CreateSweep(ctx context.Context, req SweepRequest) (*SweepResp
 
 // Lease asks for work: scoped to one job when job is non-empty (POST
 // /v1/sweeps/{job}/leases), fair-share across every active job otherwise
-// (POST /v1/leases).
-func (cl *Client) Lease(ctx context.Context, job string, req LeaseRequest) (*LeaseResponse, error) {
+// (POST /v1/leases). known, when non-nil, is a plan an earlier Lease
+// returned: an answer whose plan bytes equal the ones known was decoded
+// from carries known itself, and only a plan with other bytes is decoded.
+// Every lease of a job carries the same plan, which for a large space is
+// tens of kilobytes.
+func (cl *Client) Lease(ctx context.Context, job string, req LeaseRequest, known *Plan) (*LeaseResponse, error) {
 	req.Protocol = ProtocolVersion
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -188,14 +192,30 @@ func (cl *Client) Lease(ctx context.Context, job string, req LeaseRequest) (*Lea
 	if job != "" {
 		path = "/v1/sweeps/" + job + "/leases"
 	}
-	var lease LeaseResponse
-	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(body), &lease); err != nil {
+	var wire struct {
+		LeaseResponse
+		Plan json.RawMessage `json:"plan,omitempty"` // shadows LeaseResponse.Plan
+	}
+	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(body), &wire); err != nil {
 		return nil, err
 	}
+	lease := &wire.LeaseResponse
 	if lease.Protocol != ProtocolVersion {
 		return nil, fmt.Errorf("dist: coordinator speaks protocol %d, want %d", lease.Protocol, ProtocolVersion)
 	}
-	return &lease, nil
+	switch {
+	case wire.Plan == nil:
+	case known != nil && bytes.Equal(wire.Plan, known.wire):
+		lease.Plan = known
+	default:
+		if err := json.Unmarshal(wire.Plan, &lease.Plan); err != nil {
+			return nil, &TransportError{Err: fmt.Errorf("dist: decode %s response: %w", path, err)}
+		}
+		if lease.Plan != nil {
+			lease.Plan.wire = wire.Plan
+		}
+	}
+	return lease, nil
 }
 
 // Renew extends one lease (POST /v1/leases/{lease}/renew).
@@ -208,16 +228,16 @@ func (cl *Client) Renew(ctx context.Context, leaseID string) (*RenewResponse, er
 }
 
 // SubmitResult pushes one shard envelope back under its lease (POST
-// /v1/leases/{lease}/result). The envelope goes without its spec: the
-// coordinator attaches its own plan's and refuses an upload that carries
-// one.
+// /v1/leases/{lease}/result), as compact JSON. The envelope goes without
+// its spec: the coordinator attaches its own plan's and refuses an upload
+// that carries one.
 func (cl *Client) SubmitResult(ctx context.Context, leaseID string, sr *scenario.ShardResult) (*SubmitResponse, error) {
-	var buf bytes.Buffer
-	if err := sr.Write(&buf); err != nil {
+	body, err := json.Marshal(sr)
+	if err != nil {
 		return nil, err
 	}
 	var ack SubmitResponse
-	if err := cl.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/result", bytes.NewReader(buf.Bytes()), &ack); err != nil {
+	if err := cl.do(ctx, http.MethodPost, "/v1/leases/"+leaseID+"/result", bytes.NewReader(body), &ack); err != nil {
 		return nil, err
 	}
 	return &ack, nil
@@ -259,15 +279,22 @@ func (cl *Client) Events(ctx context.Context, id string, fn func(SweepEvent) err
 	if resp.StatusCode != http.StatusOK {
 		return httpError("GET /v1/sweeps/"+id+"/events", resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	// A shard frame carries a whole envelope on one data line; size the
-	// scanner for the default matrix's largest shard with headroom.
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// A shard frame carries a whole envelope on one data line, as large as
+	// the shard the coordinator accepted, so lines are read whole with no
+	// fixed cap: the callback needs the whole envelope to decode it anyway.
+	br := bufio.NewReader(resp.Body)
 	var ev SweepEvent
-	for sc.Scan() {
-		line := sc.Text()
+	for {
+		line, err := br.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return &TransportError{Err: err}
+		}
+		if len(line) == 0 {
+			break // end of stream
+		}
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
 		switch {
-		case line == "":
+		case len(line) == 0:
 			if ev.Type != "" || ev.Data != nil {
 				done := ev.Type == EventComplete
 				if err := fn(ev); err != nil {
@@ -278,16 +305,16 @@ func (cl *Client) Events(ctx context.Context, id string, fn func(SweepEvent) err
 				}
 			}
 			ev = SweepEvent{}
-		case strings.HasPrefix(line, "event: "):
-			ev.Type = line[len("event: "):]
-		case strings.HasPrefix(line, "id: "):
-			ev.ID = line[len("id: "):]
-		case strings.HasPrefix(line, "data: "):
-			ev.Data = []byte(line[len("data: "):])
+		case bytes.HasPrefix(line, []byte("event: ")):
+			ev.Type = string(line[len("event: "):])
+		case bytes.HasPrefix(line, []byte("id: ")):
+			ev.ID = string(line[len("id: "):])
+		case bytes.HasPrefix(line, []byte("data: ")):
+			ev.Data = line[len("data: "):]
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return &TransportError{Err: err}
+		if err == io.EOF {
+			break
+		}
 	}
 	return fmt.Errorf("dist: job %s: %w", id, errStreamEnded)
 }

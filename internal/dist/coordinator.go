@@ -788,8 +788,11 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (Su
 			obs.String("job", j.id))
 		return SubmitResponse{Accepted: true, Done: j.complete()}, nil
 	}
-	j.results[idx] = sr
-	j.shards[idx-1].done = true
+	data, err := j.record(sr)
+	if err != nil {
+		c.rejectSubmit("decode", err.Error())
+		return SubmitResponse{}, &httpErr{http.StatusUnprocessableEntity, err.Error()}
+	}
 	if wi := c.workers[li.worker]; wi != nil {
 		wi.submitted++
 	}
@@ -800,7 +803,7 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (Su
 		c.shardLatSum += secs
 		c.shardLatN++
 	}
-	c.persistShardLocked(j, sr)
+	c.persistShardLocked(j, idx, data)
 	c.events.Event(obs.LevelInfo, "submit.accept",
 		obs.String("lease", leaseID),
 		obs.String("shard", sr.Shard.String()),
@@ -808,7 +811,7 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (Su
 		obs.Int("done", len(j.results)),
 		obs.Int("shards", j.plan.Shards),
 		obs.String("job", j.id))
-	c.publishShardLocked(j, sr)
+	c.publishLocked(j, j.frames[idx])
 	complete := j.complete()
 	if complete {
 		c.completeJobLocked(j)

@@ -513,11 +513,14 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestStoredEnvelopesCarryPlanSpec: every envelope the coordinator keeps
-// names the spec its job was planned with, whatever an upload claims. A
-// forged spec is refused, and the persisted shard-N.json, the SSE shard
-// frames (published live and replayed) and JobMerged's summary all carry
-// the plan's spec — byte for byte the envelope a full upload of the same
-// shard would have made.
+// names the spec its job was planned with, whatever an upload or a state
+// file claims, and is encoded once. A forged spec is refused, and the
+// persisted shard-N.json, the SSE shard frames (published live and
+// replayed) and JobMerged's summary all carry the plan's spec: each
+// file's bytes are its frames' data, the compact encoding of the envelope
+// a full upload of the same shard would have made. A coordinator
+// restarted over the state dir replays the same bytes, also after a
+// state file's spec was edited.
 func TestStoredEnvelopesCarryPlanSpec(t *testing.T) {
 	t.Parallel()
 
@@ -586,37 +589,78 @@ func TestStoredEnvelopesCarryPlanSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	shardPath := func(idx int) string { return filepath.Join(stateDir, j.id, shardFile(idx)) }
 	for idx, full := range want {
-		var persisted bytes.Buffer
-		if err := full.Write(&persisted); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(stateDir, j.id, shardFile(idx)))
+		encoded, err := json.Marshal(full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, persisted.Bytes()) {
-			t.Fatalf("persisted shard %d is not the full envelope with the plan's spec:\n%.300s", idx, got)
-		}
-		frame, err := json.Marshal(full)
+		got, err := os.ReadFile(shardPath(idx))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(got, encoded) {
+			t.Fatalf("persisted shard %d is not the compact full envelope with the plan's spec:\n%.300s", idx, got)
 		}
 		for _, events := range [][]SweepEvent{liveEvents, replayed} {
 			if len(events) != plan.Shards+1 {
 				t.Fatalf("stream carries %d frames, want %d shards + complete", len(events), plan.Shards)
 			}
-			if ev := events[idx-1]; ev.ID != strconv.Itoa(idx) || !bytes.Equal(ev.Data, frame) {
-				t.Fatalf("SSE frame %s is not shard %d's full envelope with the plan's spec:\n%.300s", ev.ID, idx, ev.Data)
+			if ev := events[idx-1]; ev.ID != strconv.Itoa(idx) || !bytes.Equal(ev.Data, got) {
+				t.Fatalf("SSE frame %s is not shard %d's state file:\n%.300s", ev.ID, idx, ev.Data)
 			}
 		}
 	}
-	_, sum, err := coord.JobMerged(j.id)
+	mergedSpec := func(c *Coordinator) string {
+		t.Helper()
+		_, sum, err := c.JobMerged(j.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum.Spec
+	}
+	if got := mergedSpec(coord); got != plan.Spec.Name {
+		t.Fatalf("merged summary names spec %q, want the plan's %q", got, plan.Spec.Name)
+	}
+
+	restart := func(stage string) *Coordinator {
+		t.Helper()
+		c, err := NewService(CoordinatorConfig{StateDir: stateDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []SweepEvent
+		if err := loopbackAPI(c).Events(context.Background(), j.id, func(ev SweepEvent) error {
+			events = append(events, ev)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(events, replayed) {
+			t.Fatalf("%s: the restarted coordinator replays other frames than the first one", stage)
+		}
+		return c
+	}
+	restart("intact state")
+
+	// A state file naming another spec resumes with the plan's, and its
+	// file is rewritten to the envelope's encoding.
+	intact, err := os.ReadFile(shardPath(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Spec != plan.Spec.Name {
-		t.Fatalf("merged summary names spec %q, want the plan's %q", sum.Spec, plan.Spec.Name)
+	edited := bytes.Replace(intact, []byte(`"spec":{"name":"quick"`), []byte(`"spec":{"name":"forged"`), 1)
+	if bytes.Equal(edited, intact) {
+		t.Fatal("shard 1's state file does not name the quick spec")
+	}
+	if err := os.WriteFile(shardPath(1), edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := mergedSpec(restart("edited spec")); got != plan.Spec.Name {
+		t.Fatalf("a coordinator resumed from an edited state file merges spec %q, want the plan's %q", got, plan.Spec.Name)
+	}
+	if got, err := os.ReadFile(shardPath(1)); err != nil || !bytes.Equal(got, intact) {
+		t.Fatalf("the edited state file was not rewritten (%v):\n%.300s", err, got)
 	}
 }
 
@@ -702,77 +746,99 @@ func TestWorkerRefusesSkewedPlan(t *testing.T) {
 	}
 }
 
-// wirePlan copies a plan the way a lease delivers it: encoded by the
-// coordinator, decoded fresh by the worker.
-func wirePlan(t *testing.T, plan Plan) *Plan {
-	t.Helper()
-	b, err := json.Marshal(plan)
+// TestWorkerMemoKeepsSkewCheck: the worker's memo of its last prepared
+// plan never stands in for the skew check. The worker leases from a stub
+// coordinator answering canned lease bodies. After it has run a shard of
+// a valid plan, a lease carrying the same plan bytes hands back the
+// prepared plan itself, undecoded, and reuses its matrix. A lease of the
+// same spec under another fingerprint, or of the spec with one value
+// changed under the old fingerprint, is decoded and refused as skew
+// before any trial runs; the prepared plan's bytes still reuse the
+// matrix after those refusals, until the worker's registry version
+// changes. Not parallel: it reads the process-global engine trial
+// counter.
+func TestWorkerMemoKeepsSkewCheck(t *testing.T) {
+	plan := builtinPlan(t, "quick", 2)
+	leaseBody := func(p Plan) []byte {
+		b, err := json.Marshal(LeaseResponse{Protocol: ProtocolVersion, Status: StatusLease, LeaseID: "lease-1",
+			Job: JobID(p), Shard: scenario.Shard{Index: 1, Count: 2}, Plan: &p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var answer []byte
+	stub := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write(answer) })
+	w := &Worker{Coordinator: "http://coordinator", Client: LoopbackClient(stub)}
+	run := func(body []byte) (*LeaseResponse, error) {
+		t.Helper()
+		answer = body
+		lease, err := w.lease(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = w.runShard(lease)
+		return lease, err
+	}
+	reused := func(stage string, body []byte, first *LeaseResponse, matrix *scenario.Matrix) {
+		t.Helper()
+		lease, err := run(body)
+		if err != nil {
+			t.Fatalf("%s: the prepared plan no longer runs: %v", stage, err)
+		}
+		if lease.Plan != first.Plan {
+			t.Fatalf("%s: a lease with the prepared plan's bytes decoded its plan again", stage)
+		}
+		if w.prepared.matrix != matrix {
+			t.Fatalf("%s: an equal plan rebuilt its matrix instead of reusing the prepared one", stage)
+		}
+	}
+
+	valid := leaseBody(plan)
+	first, err := run(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p Plan
-	if err := json.Unmarshal(b, &p); err != nil {
-		t.Fatal(err)
-	}
-	return &p
-}
-
-// TestWorkerMemoKeepsSkewCheck: the worker's memo of its last prepared
-// plan never stands in for the skew check. After the worker has run a
-// shard of a valid plan, a lease of the same spec under another
-// fingerprint, or of the spec with one value changed under the old
-// fingerprint, is refused as skew before any trial runs; a lease equal
-// to the prepared plan still reuses its matrix, until the worker's
-// registry version changes. Not parallel: it reads the process-global
-// engine trial counter.
-func TestWorkerMemoKeepsSkewCheck(t *testing.T) {
-	plan := builtinPlan(t, "quick", 2)
-	lease := func(p *Plan) *LeaseResponse {
-		return &LeaseResponse{Protocol: ProtocolVersion, Status: StatusLease, LeaseID: "lease-1",
-			Shard: scenario.Shard{Index: 1, Count: 2}, Plan: p}
-	}
-	w := &Worker{}
-	if _, err := w.runShard(lease(wirePlan(t, plan))); err != nil {
-		t.Fatal(err)
-	}
 	prepared := w.prepared.matrix
+	reused("second lease", valid, first, prepared)
 
-	otherFingerprint := wirePlan(t, plan)
+	otherFingerprint := plan
 	otherFingerprint.Fingerprint = "0123456789abcdef" // a different build's digest
-	changedValue := wirePlan(t, plan)
-	rounds := &changedValue.Spec.Axes[len(changedValue.Spec.Axes)-1]
+	changedValue := plan
+	spec := *plan.Spec
+	spec.Axes = append([]scenario.Axis(nil), spec.Axes...)
+	rounds := &spec.Axes[len(spec.Axes)-1]
 	if rounds.Name != "rounds" {
 		t.Fatalf("quick's last axis is %q, want rounds", rounds.Name)
 	}
-	rounds.Values[0] = "400"
+	rounds.Values = []string{"400"}
+	changedValue.Spec = &spec
 
 	trials := obs.Default().Counter("goalsweep_engine_trials_started_total",
 		"Trials handed to the batch engine.")
 	for _, tc := range []struct {
 		name string
-		plan *Plan
+		plan Plan
 	}{
 		{"same spec, other fingerprint", otherFingerprint},
 		{"one spec value changed, old fingerprint", changedValue},
 	} {
 		trials0 := trials.Value()
-		_, err := w.runShard(lease(tc.plan))
+		lease, err := run(leaseBody(tc.plan))
 		if err == nil || !strings.Contains(err.Error(), "version skew") {
 			t.Fatalf("%s: accepted after a prepared plan: %v", tc.name, err)
+		}
+		if lease.Plan == first.Plan {
+			t.Fatalf("%s: other plan bytes were taken for the prepared plan", tc.name)
 		}
 		if n := trials.Value() - trials0; n != 0 {
 			t.Fatalf("%s: %d trials ran before the refusal", tc.name, n)
 		}
 	}
-	if _, err := w.runShard(lease(wirePlan(t, plan))); err != nil {
-		t.Fatalf("the prepared plan no longer runs: %v", err)
-	}
-	if w.prepared.matrix != prepared {
-		t.Fatal("an equal plan rebuilt its matrix instead of reusing the prepared one")
-	}
+	reused("after refusals", valid, first, prepared)
 	w.Registry = scenario.Builtin()
 	w.Registry.SetVersion("another build")
-	if _, err := w.runShard(lease(wirePlan(t, plan))); err == nil || !strings.Contains(err.Error(), "version skew") {
+	if _, err := run(valid); err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Fatalf("the prepared plan accepted under another registry version: %v", err)
 	}
 }
@@ -831,11 +897,11 @@ func TestStatusEndpoint(t *testing.T) {
 	// A lease scoped to the complete job answers done, so a worker pinned
 	// to it (work -job) exits.
 	api := loopbackAPI(coord)
-	if lease, err := api.Lease(context.Background(), JobID(plan), LeaseRequest{Worker: "w"}); err != nil || lease.Status != StatusDone {
+	if lease, err := api.Lease(context.Background(), JobID(plan), LeaseRequest{Worker: "w"}, nil); err != nil || lease.Status != StatusDone {
 		t.Fatalf("lease scoped to a complete job = %+v, %v; want done", lease, err)
 	}
 	var re *RefusedError
-	if _, err := api.Lease(context.Background(), "sw-nope-1", LeaseRequest{Worker: "w"}); !errors.As(err, &re) || re.Code != http.StatusNotFound {
+	if _, err := api.Lease(context.Background(), "sw-nope-1", LeaseRequest{Worker: "w"}, nil); !errors.As(err, &re) || re.Code != http.StatusNotFound {
 		t.Fatalf("lease scoped to an unknown sweep = %v, want 404", err)
 	}
 }

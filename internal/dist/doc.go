@@ -43,11 +43,13 @@
 // of a shard writes the same bytes.
 //
 // Jobs are resumable. With a state directory configured the coordinator
-// persists each job's plan and every accepted envelope; a restart
-// rescans the directory, revalidates each envelope exactly as a live
-// submit would (ReadShardResult framing plus fingerprint and shard
-// coordinates), and re-queues only the missing shards — completed work
-// is never re-executed.
+// persists each job's plan and every accepted envelope, the latter as the
+// compact JSON it encodes once per envelope and also streams as the
+// shard's SSE frame data; a restart rescans the directory, revalidates
+// each envelope exactly as a live submit would (ShardReader framing plus
+// fingerprint and shard coordinates, then the plan's spec attached), and
+// re-queues only the missing shards — completed work is never
+// re-executed.
 //
 // A Worker pulls a lease (job-agnostic by default, pinnable to one job),
 // recomputes the sweep fingerprint locally from the leased spec and its
@@ -56,14 +58,14 @@
 // the shard's index range — sharing a content-addressed result Cache
 // with colocated workers when configured — and submits the envelope
 // without its spec. A worker prepares each job's plan once: it keeps
-// the last plan it verified, with its matrix and scenario selection,
-// and reuses them while the next leased plan is equal to it field for
-// field, so the fingerprint check holds for every lease and only a
-// different plan pays for it again. The coordinator attaches its own
-// plan's spec to every upload, so persisted envelopes, SSE frames and
-// merge inputs stay complete. When every shard has been submitted the
-// job's envelopes reassemble with MergeShards into a report
-// byte-identical to a fresh serial run of the same sweep.
+// the last plan it verified, with its matrix and scenario selection, and
+// while the next lease carries the same plan bytes it neither decodes
+// the plan again nor rebuilds them, so the fingerprint check holds for
+// every lease and only different bytes pay for it again. The
+// coordinator attaches its own plan's spec to every upload, so persisted
+// envelopes, SSE frames and merge inputs stay complete. When every shard
+// has been submitted the job's envelopes reassemble with MergeShards
+// into a report byte-identical to a fresh serial run of the same sweep.
 //
 // Worker and the `goalsweep submit`/`watch` CLI verbs are built on the
 // same Client. A Coordinator is an http.Handler and a Client takes any

@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
-
-	"repro/internal/scenario"
 )
 
 // Server-sent events: GET /v1/sweeps/{id}/events streams a job's
@@ -19,9 +16,12 @@ import (
 // to MergeShards the job client-side without a second fetch — no matter
 // when it connected.
 //
-// Frames are published under the coordinator mutex into per-subscriber
-// buffered channels sized to hold the whole job, so a slow consumer can
-// never block a submit; the socket writes happen outside the lock.
+// Each shard frame is built once, when its envelope is accepted or
+// resumed, and the same bytes go to every live subscriber and every
+// replay. Frames are published under the coordinator mutex into
+// per-subscriber buffered channels sized to hold the whole job, so a slow
+// consumer can never block a submit; the socket writes happen outside the
+// lock.
 
 // sseFrame encodes one server-sent event. data must be a single line
 // (compact JSON never contains raw newlines).
@@ -38,33 +38,10 @@ func sseFrame(event, id string, data []byte) []byte {
 	return b.Bytes()
 }
 
-// shardFrame encodes one accepted envelope as an EventShard frame; the
-// event ID is the shard index.
-func shardFrame(sr *scenario.ShardResult) ([]byte, error) {
-	data, err := json.Marshal(sr)
-	if err != nil {
-		return nil, err
-	}
-	return sseFrame(EventShard, strconv.Itoa(sr.Shard.Index), data), nil
-}
-
 // completeFrame encodes a job's terminal EventComplete frame.
 func completeFrame(j *job) []byte {
 	data, _ := json.Marshal(CompleteEvent{ID: j.id, Spec: j.plan.Spec.Name, Shards: j.plan.Shards})
 	return sseFrame(EventComplete, j.id, data)
-}
-
-// publishShardLocked fans one accepted envelope out to the job's live
-// subscribers. Called with c.mu held.
-func (c *Coordinator) publishShardLocked(j *job, sr *scenario.ShardResult) {
-	if len(j.subs) == 0 {
-		return
-	}
-	frame, err := shardFrame(sr)
-	if err != nil {
-		return
-	}
-	c.publishLocked(j, frame)
 }
 
 // publishLocked sends one frame to every live subscriber. Sends are
@@ -111,15 +88,9 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var sub chan []byte
 	if ok {
 		for idx := 1; idx <= j.plan.Shards; idx++ {
-			sr := j.results[idx]
-			if sr == nil {
-				continue
+			if frame := j.frames[idx]; frame != nil {
+				replay = append(replay, frame)
 			}
-			frame, err := shardFrame(sr)
-			if err != nil {
-				continue
-			}
-			replay = append(replay, frame)
 		}
 		if j.complete() {
 			replay = append(replay, completeFrame(j))

@@ -212,8 +212,9 @@ func readEvents(stream []byte) ([]SweepEvent, error) {
 // stream: the parser must never panic, never hand the callback an empty
 // frame, and report a completed stream only after a complete frame.
 // Separately, the replay handleEvents writes for a finished job — n shard
-// envelopes carrying arbitrary strings, then the complete frame — must
-// parse back frame for frame.
+// envelopes carrying arbitrary strings, recorded as the accept path
+// records them, then the complete frame — must parse back frame for
+// frame, each shard frame's data being the encoding the recording made.
 func FuzzSSEEvents(f *testing.F) {
 	f.Add([]byte("event: shard\nid: 1\ndata: {}\n\nevent: complete\nid: job\ndata: {}\n\n"), "quick", "00112233aabbccdd", uint8(1))
 	f.Add([]byte("data: x\n\n\n\nevent: complete\n"), "", "", uint8(0))
@@ -240,9 +241,7 @@ func FuzzSSEEvents(f *testing.F) {
 		for idx := 1; idx <= n; idx++ {
 			sr := &scenario.ShardResult{Version: scenario.ShardFormatVersion, Fingerprint: fingerprint,
 				Spec: spec, Shard: scenario.Shard{Index: idx, Count: n}}
-			j.results[idx] = sr
-			j.shards[idx-1].done = true
-			data, err := json.Marshal(sr)
+			data, err := j.record(sr)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -46,6 +47,7 @@ type job struct {
 
 	shards  []shardState                  // index i-1 holds shard i/n
 	results map[int]*scenario.ShardResult // 1-based shard index -> envelope
+	frames  map[int][]byte                // 1-based shard index -> its EventShard frame
 	resumed int                           // shards restored from on-disk envelopes
 	done    chan struct{}                 // closed when every shard has been accepted
 	subs    []chan []byte                 // live SSE subscribers (see events.go)
@@ -57,11 +59,28 @@ func newJob(plan Plan) *job {
 		plan:    plan,
 		shards:  make([]shardState, plan.Shards),
 		results: make(map[int]*scenario.ShardResult),
+		frames:  make(map[int][]byte),
 		done:    make(chan struct{}),
 	}
 }
 
 func (j *job) complete() bool { return len(j.results) == j.plan.Shards }
+
+// record marks one shard done with its envelope, which carries the plan's
+// spec, and encodes the envelope once. It returns that encoding, compact
+// JSON: the shard's state file, and the data of its live SSE frame and of
+// every replay. The decoded envelope stays for JobMerged.
+func (j *job) record(sr *scenario.ShardResult) ([]byte, error) {
+	data, err := json.Marshal(sr)
+	if err != nil {
+		return nil, err
+	}
+	idx := sr.Shard.Index
+	j.results[idx] = sr
+	j.frames[idx] = sseFrame(EventShard, strconv.Itoa(idx), data)
+	j.shards[idx-1].done = true
+	return data, nil
+}
 
 // stateFile names the persisted artifact paths under one job's state
 // directory.
@@ -101,10 +120,11 @@ func (c *Coordinator) persistPlanLocked(j *job) {
 	}
 }
 
-// persistShardLocked writes one accepted envelope under the job's state
-// directory. Persistence failures are logged, not fatal: the job still
-// completes in memory, the shard just re-executes after a restart.
-func (c *Coordinator) persistShardLocked(j *job, sr *scenario.ShardResult) {
+// persistShardLocked writes one accepted envelope's encoding (see
+// job.record) under the job's state directory. Persistence failures are
+// logged, not fatal: the job still completes in memory, the shard just
+// re-executes after a restart.
+func (c *Coordinator) persistShardLocked(j *job, idx int, data []byte) {
 	if c.stateDir == "" {
 		return
 	}
@@ -114,13 +134,7 @@ func (c *Coordinator) persistShardLocked(j *job, sr *scenario.ShardResult) {
 			obs.String("job", j.id), obs.String("err", err.Error()))
 		return
 	}
-	var buf bytes.Buffer
-	if err := sr.Write(&buf); err != nil {
-		c.events.Event(obs.LevelWarn, "state.persist_fail",
-			obs.String("job", j.id), obs.String("err", err.Error()))
-		return
-	}
-	if err := writeFileAtomic(filepath.Join(dir, shardFile(sr.Shard.Index)), buf.Bytes()); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, shardFile(idx)), data); err != nil {
 		c.events.Event(obs.LevelWarn, "state.persist_fail",
 			obs.String("job", j.id), obs.String("err", err.Error()))
 	}
@@ -129,27 +143,29 @@ func (c *Coordinator) persistShardLocked(j *job, sr *scenario.ShardResult) {
 // resumeShardsLocked rescans a job's state directory for completed shard
 // envelopes and marks the valid ones done, so a restarted coordinator
 // re-queues only the missing shards. Every envelope revalidates through
-// ReadShardResult plus the fingerprint and shard-coordinate checks a live
-// submit would pass; anything corrupt, truncated or foreign is healed —
-// the bad file is removed, the shard re-queues, and the re-executed
-// envelope overwrites it — instead of being left to trip every future
-// restart.
+// a ShardReader plus the fingerprint and shard-coordinate checks a live
+// submit would pass, and gets the plan's spec attached, as a live submit
+// does, whatever spec its file names; a file whose bytes are not that
+// envelope's encoding is rewritten. Anything corrupt, truncated or
+// foreign is healed — the bad file is removed, the shard re-queues, and
+// the re-executed envelope overwrites it — instead of being left to trip
+// every future restart.
 func (c *Coordinator) resumeShardsLocked(j *job) {
 	if c.stateDir == "" {
 		return
 	}
 	dir := j.dir(c.stateDir)
+	var rd scenario.ShardReader
 	for idx := 1; idx <= j.plan.Shards; idx++ {
 		if j.results[idx] != nil {
 			continue
 		}
 		path := filepath.Join(dir, shardFile(idx))
-		f, err := os.Open(path)
+		file, err := os.ReadFile(path)
 		if err != nil {
 			continue // not persisted: the shard is still open
 		}
-		sr, err := scenario.ReadShardResult(f)
-		f.Close()
+		sr, err := rd.Read(bytes.NewReader(file))
 		if err != nil {
 			c.healEnvelopeLocked(j, idx, path, err.Error())
 			continue
@@ -158,8 +174,15 @@ func (c *Coordinator) resumeShardsLocked(j *job) {
 			c.healEnvelopeLocked(j, idx, path, "envelope does not match the job's plan")
 			continue
 		}
-		j.results[idx] = sr
-		j.shards[idx-1].done = true
+		sr.Spec = j.plan.Spec
+		data, err := j.record(sr)
+		if err != nil {
+			c.healEnvelopeLocked(j, idx, path, err.Error())
+			continue
+		}
+		if !bytes.Equal(data, file) {
+			c.persistShardLocked(j, idx, data)
+		}
 		j.resumed++
 	}
 	if j.resumed > 0 {
@@ -268,8 +291,9 @@ func writeFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// writeJSONIndent encodes v as indented JSON — the on-disk plan format,
-// matching the envelope files' human-inspectable style.
+// writeJSONIndent encodes v as indented JSON, the on-disk plan format. A
+// plan is written once per job; shard files are compact, being the SSE
+// frames' data (see job.record).
 func writeJSONIndent(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

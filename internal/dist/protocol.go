@@ -34,6 +34,10 @@ type Plan struct {
 	SampleN     int            `json:"sampleN,omitempty"`
 	SampleSeed  uint64         `json:"sampleSeed,omitempty"`
 	Fingerprint string         `json:"fingerprint"`
+
+	// wire is the JSON a lease delivered this plan as, nil for a plan
+	// that did not come from Client.Lease.
+	wire []byte
 }
 
 // NewPlan resolves a sweep into its distributed execution plan: effective
@@ -122,7 +126,10 @@ type LeaseResponse struct {
 	// Job names the job the lease belongs to (StatusLease only).
 	Job   string         `json:"job,omitempty"`
 	Shard scenario.Shard `json:"shard"`
-	Plan  *Plan          `json:"plan,omitempty"`
+	// Plan is the job's plan (StatusLease only). Client.Lease may hand
+	// back a plan it returned before (see its known argument), so a
+	// receiver treats it as read-only.
+	Plan *Plan `json:"plan,omitempty"`
 	// TTLMs is the lease's lifetime in milliseconds (StatusLease only):
 	// the worker must submit or renew within it, and renews at a
 	// fraction of it while computing.

@@ -156,7 +156,7 @@ func TestFairShareLeasing(t *testing.T) {
 
 	var grants []string
 	for i := 0; i < 4; i++ {
-		lease, err := api.Lease(ctx, "", LeaseRequest{Worker: "w"})
+		lease, err := api.Lease(ctx, "", LeaseRequest{Worker: "w"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestFairShareLeasing(t *testing.T) {
 		}
 	}
 	// Every shard is leased: the next ask waits.
-	if lease, err := api.Lease(ctx, "", LeaseRequest{Worker: "w"}); err != nil || lease.Status != StatusWait {
+	if lease, err := api.Lease(ctx, "", LeaseRequest{Worker: "w"}, nil); err != nil || lease.Status != StatusWait {
 		t.Fatalf("fifth ask = (%+v, %v), want wait", lease, err)
 	}
 }
@@ -320,6 +320,30 @@ func TestSweepEventsStream(t *testing.T) {
 		if sr.Shard.Index != i+1 {
 			t.Fatalf("replay order wrong: frame %d carries shard %d", i, sr.Shard.Index)
 		}
+	}
+}
+
+// TestEventsReadLongFrames: a shard frame is one data line as long as
+// the envelope the coordinator accepted, so the event parser takes lines
+// of any length. A 17 MiB line, past the 16 MiB cap the parser once had,
+// arrives whole.
+func TestEventsReadLongFrames(t *testing.T) {
+	t.Parallel()
+
+	data := bytes.Repeat([]byte("0123456789abcdef"), 17<<16)
+	var stream bytes.Buffer
+	stream.WriteString("event: shard\nid: 1\ndata: ")
+	stream.Write(data)
+	stream.WriteString("\n\nevent: complete\nid: job\ndata: {}\n\n")
+	frames, err := readEvents(stream.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frames) != 2 || frames[0].Type != EventShard || frames[1].Type != EventComplete {
+		t.Fatalf("parsed %d frames, want a shard frame and a complete frame", len(frames))
+	}
+	if !bytes.Equal(frames[0].Data, data) {
+		t.Fatalf("shard frame data is %d bytes, want the %d sent", len(frames[0].Data), len(data))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"net/http"
 	"os"
-	"reflect"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -91,7 +90,9 @@ type Worker struct {
 
 // preparedPlan is a worker's memo of the last plan it verified: the plan
 // as leased, the registry version it was checked under, and the matrix
-// and scenario selection it expands to. The zero value holds nothing.
+// and scenario selection it expands to. The worker passes the plan to
+// Client.Lease as known, so a lease whose plan bytes are equal carries
+// this very plan. The zero value holds nothing.
 type preparedPlan struct {
 	plan      *Plan
 	registry  string
@@ -352,7 +353,7 @@ func (w *Worker) lease(ctx context.Context) (*LeaseResponse, error) {
 	return w.client().Lease(ctx, w.Job, LeaseRequest{
 		Worker:   w.id(),
 		Parallel: w.effectiveParallel(),
-	})
+	}, w.prepared.plan)
 }
 
 // runShard executes one leased shard through the local sweep and wraps
@@ -418,14 +419,14 @@ func (w *Worker) runShard(lease *LeaseResponse) (*scenario.ShardResult, error) {
 // prepare verifies a leased plan and returns the matrix and scenario
 // selection it expands to. Every lease of a job carries the same plan,
 // so the worker keeps the last one it verified and reuses its matrix and
-// selection when the next plan equals it field for field, spec included,
-// under the same registry version. An equal plan has an equal
+// selection when the next lease carries that plan itself — which
+// Client.Lease hands back only for equal plan bytes — under the same
+// registry version. Equal bytes make an equal plan with an equal
 // fingerprint, so the skew check below holds for it exactly. Any other
-// plan takes the full path. The memo keeps the leased plan itself: each
-// lease is decoded fresh from the wire, and nothing else holds it.
+// plan takes the full path.
 func (w *Worker) prepare(plan *Plan) (*scenario.Matrix, []int64, error) {
 	version := w.registry().Version()
-	if p := &w.prepared; p.plan != nil && p.registry == version && reflect.DeepEqual(*p.plan, *plan) {
+	if p := &w.prepared; p.plan == plan && p.registry == version {
 		return p.matrix, p.selection, nil
 	}
 	// Recompute the fingerprint locally: it covers the spec content, this

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -109,10 +111,26 @@ func shardSeed(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
+// decodeEnvelope is the reference ShardReader must agree with: the whole
+// envelope decoded strictly in one pass, then validated.
+func decodeEnvelope(data []byte) (*ShardResult, error) {
+	var sr ShardResult
+	if err := DecodeStrict(bytes.NewReader(data), &sr); err != nil {
+		return nil, fmt.Errorf("scenario: decode shard result: %w", err)
+	}
+	if err := sr.Validate(); err != nil {
+		return nil, err
+	}
+	return &sr, nil
+}
+
 // FuzzReadShardResult feeds arbitrary bytes through the shard-envelope
 // decoder: never panic, and anything accepted must be exactly one JSON
 // value, validate, survive a write/read round trip, and keep rejecting
-// unknown fields.
+// unknown fields. ReadShardResult, and a ShardReader warmed on a valid
+// envelope, indented or compact, must give every input the same envelope
+// or the same error as a one-pass decode, and the warm reader must read
+// its warm-up envelope the same after.
 func FuzzReadShardResult(f *testing.F) {
 	valid := shardSeed(f)
 	f.Add(valid)
@@ -121,8 +139,39 @@ func FuzzReadShardResult(f *testing.F) {
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`garbage`))
+	var envelope ShardResult
+	if err := json.Unmarshal(valid, &envelope); err != nil {
+		f.Fatal(err)
+	}
+	compact, err := json.Marshal(&envelope)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compact)
+	// A repeated spec key merges both objects in one decode.
+	f.Add(bytes.Replace(compact, []byte(`,"shard":`), []byte(`,"spec":{"name":"merged"},"shard":`), 1))
+	f.Add(bytes.Replace(compact, []byte(`"spec":{"name":"seed","axes":[{"name":"goal","values":["treasure"]}]}`),
+		[]byte(`"spec":null`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := ReadShardResult(bytes.NewReader(data))
+		sr, err := decodeEnvelope(data)
+		cold, cerr := ReadShardResult(bytes.NewReader(data))
+		if fmt.Sprint(cerr) != fmt.Sprint(err) || !reflect.DeepEqual(cold, sr) {
+			t.Fatalf("ReadShardResult read %q as (%+v, %v), a one-pass decode as (%+v, %v)", data, cold, cerr, sr, err)
+		}
+		for _, warmup := range [][]byte{valid, compact} {
+			var rd ShardReader
+			want, werr := rd.Read(bytes.NewReader(warmup))
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			got, gerr := rd.Read(bytes.NewReader(data))
+			if fmt.Sprint(gerr) != fmt.Sprint(err) || !reflect.DeepEqual(got, sr) {
+				t.Fatalf("a warm reader read %q as (%+v, %v), a one-pass decode as (%+v, %v)", data, got, gerr, sr, err)
+			}
+			if again, err := rd.Read(bytes.NewReader(warmup)); err != nil || !reflect.DeepEqual(again, want) {
+				t.Fatalf("after %q the reader reads its warm-up envelope as (%+v, %v)", data, again, err)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -168,14 +169,85 @@ func (sr *ShardResult) Write(w io.Writer) error {
 // complete-looking report from data it did not understand. Compatible
 // format evolution bumps ShardFormatVersion instead.
 func ReadShardResult(r io.Reader) (*ShardResult, error) {
-	var sr ShardResult
-	if err := DecodeStrict(r, &sr); err != nil {
+	return new(ShardReader).Read(r)
+}
+
+// ShardReader reads the envelopes of one sweep. Every envelope of a sweep
+// carries the same spec, which for a large space is most of an envelope's
+// bytes (the family spec's 4,096-value machine axis), so the reader
+// decodes a spec only when its bytes differ from the previous envelope's
+// and otherwise shares that envelope's *Spec. Envelopes read by one
+// reader may therefore share their Spec, which callers must not modify.
+// The zero value is ready to use; a ShardReader is not safe for
+// concurrent use.
+type ShardReader struct {
+	specJSON []byte // the spec bytes of the last envelope read
+	spec     *Spec  // their decoding
+}
+
+// Read decodes one envelope and validates its framing. Sharing a spec is
+// its only difference from decoding the envelope strictly in one pass:
+// for any input it returns an equal envelope or the same error.
+func (rd *ShardReader) Read(r io.Reader) (*ShardResult, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("scenario: decode shard result: %w", err)
+	}
+	sr, specJSON, ok := rd.decode(data)
+	if !ok {
+		// The input is malformed, or repeats its spec key: decode it as
+		// one value, which gives the canonical error or merge.
+		sr = new(ShardResult)
+		if err := DecodeStrict(bytes.NewReader(data), sr); err != nil {
+			return nil, fmt.Errorf("scenario: decode shard result: %w", err)
+		}
 	}
 	if err := sr.Validate(); err != nil {
 		return nil, err
 	}
-	return &sr, nil
+	if ok {
+		rd.specJSON, rd.spec = specJSON, sr.Spec
+	}
+	return sr, nil
+}
+
+// decode reads an envelope with its spec left as bytes, then decodes the
+// spec only if those bytes differ from the previous envelope's. It
+// reports false for any input it cannot read this way.
+func (rd *ShardReader) decode(data []byte) (*ShardResult, []byte, bool) {
+	var w struct {
+		ShardResult
+		Spec rawSpec `json:"spec"` // shadows ShardResult.Spec
+	}
+	if DecodeStrict(bytes.NewReader(data), &w) != nil || w.Spec.n > 1 {
+		return nil, nil, false
+	}
+	sr := &w.ShardResult
+	switch {
+	case w.Spec.n == 0:
+	case bytes.Equal(w.Spec.raw, rd.specJSON):
+		sr.Spec = rd.spec
+	default:
+		if DecodeStrict(bytes.NewReader(w.Spec.raw), &sr.Spec) != nil {
+			return nil, nil, false
+		}
+	}
+	return sr, w.Spec.raw, true
+}
+
+// rawSpec holds an envelope's spec value undecoded and counts how often
+// the key occurs: decoded as one value, a repeated spec key merges its
+// objects field by field, which the bytes of the last one alone do not
+// reproduce.
+type rawSpec struct {
+	raw []byte
+	n   int
+}
+
+func (s *rawSpec) UnmarshalJSON(b []byte) error {
+	s.raw = append(s.raw[:0], b...)
+	s.n++
+	return nil
 }
 
 // Validate checks the envelope's framing: the format version, the shard
