@@ -1,6 +1,6 @@
 // Package repro's root benchmark suite regenerates every table and figure
-// of the evaluation (DESIGN.md §3) under the Go benchmark harness, plus
-// micro-benchmarks for the engine's hot paths.
+// of the evaluation (README, "Running the experiments") under the Go
+// benchmark harness, plus micro-benchmarks for the engine's hot paths.
 //
 // Table/figure benches run the corresponding experiment at reduced (Quick)
 // scale per iteration so `go test -bench=.` stays tractable; the full-scale

@@ -1,5 +1,5 @@
 // Command goalsim regenerates the tables and figures of the reproduction
-// (see DESIGN.md §3 and EXPERIMENTS.md).
+// (see README, "Running the experiments").
 //
 // Usage:
 //

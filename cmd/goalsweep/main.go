@@ -57,7 +57,6 @@ package main
 import (
 	"context"
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -358,7 +357,7 @@ func renderReport(out io.Writer, jsonOut, csvOut bool, m *scenario.Matrix,
 	spec *scenario.Spec, sum *scenario.Summary, stats []*scenario.Stats, selected int64) error {
 	switch {
 	case jsonOut:
-		return writeJSON(out, spec, sum, stats)
+		return scenario.WriteReport(out, spec.Name, stats, sum)
 	case csvOut:
 		return writeCSV(out, spec, stats)
 	default:
@@ -508,17 +507,6 @@ func listScenarios(out io.Writer, m *scenario.Matrix, indices []int64) error {
 		}
 	}
 	return nil
-}
-
-func writeJSON(out io.Writer, spec *scenario.Spec, sum *scenario.Summary, stats []*scenario.Stats) error {
-	type report struct {
-		Spec      string            `json:"spec"`
-		Scenarios []*scenario.Stats `json:"scenarios"`
-		Summary   *scenario.Summary `json:"summary"`
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report{Spec: spec.Name, Scenarios: stats, Summary: sum})
 }
 
 // g formats a float in shortest round-trip form for CSV cells.

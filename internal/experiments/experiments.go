@@ -1,7 +1,7 @@
-// Package experiments implements the evaluation of DESIGN.md §3: one runner
-// per table (T1–T6) and figure (F1–F2). The paper itself is pure theory
-// with no empirical section, so each experiment is constructed to test one
-// of its formal claims; EXPERIMENTS.md records expectations vs measurements.
+// Package experiments implements the evaluation goalsim runs (README,
+// "Running the experiments"): one runner per table (T1–T6) and figure
+// (F1–F2). The paper itself is pure theory with no empirical section, so
+// each experiment is constructed to test one of its formal claims.
 //
 // Runners are used by both cmd/goalsim and the root benchmark suite, and
 // every runner is deterministic given Config.Seed.
@@ -17,7 +17,7 @@ import (
 // Config scales and seeds an experiment run.
 type Config struct {
 	// Quick selects reduced sizes (used by unit tests); the default is
-	// the full table from DESIGN.md.
+	// full scale.
 	Quick bool
 	// Seed drives all randomness; 0 means 1.
 	Seed uint64
@@ -41,7 +41,8 @@ func (c Config) batch() system.BatchConfig {
 
 // Runner is a named, self-contained experiment.
 type Runner struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "T1").
+	// ID is the experiment identifier goalsim -experiment takes (e.g.
+	// "T1").
 	ID string
 	// Title is a one-line description.
 	Title string

@@ -132,8 +132,8 @@ type Forgiving interface {
 // CompactAchieved evaluates a compact goal on a bounded horizon: the goal
 // counts as achieved if every prefix in the final window rounds is
 // acceptable, i.e. unacceptable prefixes stopped occurring at least window
-// rounds before the end. This is the executable stand-in for "finitely many
-// unacceptable prefixes" (see DESIGN.md §4); window must be positive and at
+// rounds before the end. This is the executable stand-in for the paper's
+// "finitely many unacceptable prefixes"; window must be positive and at
 // most h.Len(). It is the recorded-history reference for Tracker.Achieved.
 func CompactAchieved(g CompactGoal, h comm.History, window int) bool {
 	if window <= 0 || window > h.Len() {

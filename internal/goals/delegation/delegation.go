@@ -4,8 +4,7 @@
 // what the theory actually exercises is the asymmetry "the server can find
 // what the user can only verify". We realize that asymmetry at laptop scale
 // with NP-search instances (subset-sum witnesses): the server solves, the
-// user verifies in linear time (see DESIGN.md §4 for the substitution
-// argument).
+// user verifies in linear time.
 //
 // The cast:
 //

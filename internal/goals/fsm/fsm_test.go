@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/comm"
@@ -94,6 +95,48 @@ func TestAnalysisComputesPolicyAndFlags(t *testing.T) {
 	}
 	if g0.policy[0] != -1 {
 		t.Fatalf("dead state has policy %d", g0.policy[0])
+	}
+}
+
+// TestCandidatePressesPolicyKeyPerState checks a reused candidate and its
+// table of encoded commands: in each announced state it must send its
+// dialect's encoding of "press <policy[state]>". The winnable machine's
+// policy needs a different key in each state, so a table that ignored
+// its key would re-send the first key's command in the other state.
+func TestCandidatePressesPolicyKeyPerState(t *testing.T) {
+	t.Parallel()
+
+	sp, idx := winnable(t)
+	g, err := New(sp, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.policy[0] == g.policy[1] {
+		t.Fatalf("policy %v needs one key, not two", g.policy)
+	}
+	fam := family(t, 4)
+	for d := 0; d < fam.Size(); d++ {
+		c := &Candidate{D: fam.Dialect(d), G: g}
+		// One candidate, two executions, the states in either order.
+		for _, states := range [][]int{{0, 1, 0}, {1, 0, 1}} {
+			c.Reset(xrand.New(1))
+			for _, q := range states {
+				out, err := c.Step(comm.Inbox{FromWorld: g.runMsg[q]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fam.Dialect(d).Encode(comm.Message("press " + strconv.Itoa(g.policy[q])))
+				if out.ToServer != want {
+					t.Fatalf("dialect %d, state %d: candidate sent %q, want %q", d, q, out.ToServer, want)
+				}
+				// It presses every third round.
+				for i := 0; i < 2; i++ {
+					if out, err := c.Step(comm.Inbox{}); err != nil || !out.ToServer.Empty() {
+						t.Fatalf("dialect %d: pressed %q between presses (err %v)", d, out.ToServer, err)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -101,7 +101,10 @@ type Parts struct {
 	Drift func(i int, p float64) comm.Strategy
 }
 
-// Builder resolves the goal-specific parts of a scenario.
+// Builder resolves the goal-specific parts of a scenario. A sweep binds
+// the next chunk's scenarios while the trials of earlier ones run, so a
+// builder must share no unsynchronized state with the parts it built
+// before.
 type Builder func(ax Axes) (*Parts, error)
 
 // Binding is a scenario resolved into executable parties plus the

@@ -33,7 +33,8 @@ type SweepConfig struct {
 	// TrialSeed, derives each trial's seed from the base seed and the
 	// scenario's content hash, so a scenario's trials are identical no
 	// matter where (or whether) the scenario appears in an enumeration or
-	// sample.
+	// sample. SeedFn is called while chunks are built, beside OnStats
+	// calls, so the two must share no unsynchronized state.
 	SeedFn func(sc *Scenario, trial int) uint64
 
 	// Cache, when non-nil, is consulted before a scenario is scheduled
@@ -51,9 +52,10 @@ type SweepConfig struct {
 	Cache *Cache
 
 	// OnStats, when non-nil, receives every scenario's aggregate in
-	// enumeration order as soon as its chunk completes. An error aborts
-	// the sweep. This is the streaming output path: a sweep never holds
-	// more than one chunk of per-trial state and never accumulates
+	// enumeration order as soon as its chunk completes, on the goroutine
+	// that called Sweep. An error aborts the sweep. This is the streaming
+	// output path: a sweep holds at most two chunks of per-trial state,
+	// the one running and the one being built, and never accumulates
 	// per-scenario stats itself.
 	OnStats func(st *Stats) error
 }
@@ -298,12 +300,32 @@ func TrialSeed(base uint64, sc *Scenario, t int) uint64 {
 // to feed the worker pool, few enough to bound in-flight per-trial state.
 const chunkTrials = 256
 
+// chunk is one engine batch of a sweep: its scenarios in selection order
+// and their trials.
+type chunk struct {
+	jobs         []*scenJob
+	trials       []system.Trial
+	hits, misses int // cache lookups that hit and missed
+}
+
 // Sweep streams the given scenario indices (nil means the whole matrix, in
 // enumeration order) through the batch execution engine. Scenarios are
 // buffered into chunks of trials, executed across the worker pool, folded
 // into per-scenario aggregates and emitted via cfg.OnStats — per-trial
 // results are released as soon as each chunk folds, so sweep memory is
 // bounded by the chunk size regardless of matrix size.
+//
+// While one chunk's trials run, a second goroutine builds the next chunk:
+// it decodes, looks up in the cache and binds that chunk's scenarios and
+// sets up their trials, and the sweep joins it before folding the running
+// chunk. So up to two chunks of per-trial state are in flight, the worker
+// pool never waits for binding, and cfg.Parallel still bounds the trial
+// workers alone. Chunks, emission order, cache writes and errors are those
+// of building and running each chunk in turn: a chunk that fails to build
+// is never run, and the error is returned after the chunk before it is
+// emitted. The next chunk's cache lookups may precede the running chunk's
+// stores, which shows only in the summary's cache accounting, and only
+// for a selection that repeats a scenario or a store that fails.
 //
 // Every aggregate is deterministic given the spec and seeds:
 // parallelism only changes wall-clock time, never a byte of output.
@@ -331,35 +353,89 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 		// return results computed under different semantics.
 		cache = nil
 	}
-	sum := &Summary{Spec: m.spec.Name}
-	var (
-		jobs   []*scenJob
-		trials []system.Trial
-	)
+	key := func(id string) Key {
+		return Key{ScenarioID: id, Registry: reg.Version(), BaseSeed: base, Seeds: seeds, Window: window}
+	}
+	n := m.size
+	if indices != nil {
+		n = int64(len(indices))
+	}
+	var next int64 // selection position of the next scenario to build
 
-	flush := func() error {
-		if len(jobs) == 0 {
-			return nil
-		}
-		var errs []error
-		if len(trials) > 0 {
-			start := time.Now()
-			results, errList := system.RunEach(trials, system.BatchConfig{Parallelism: cfg.Parallel})
-			mChunkSeconds.Observe(time.Since(start).Seconds())
-			mChunkTrials.Observe(float64(len(trials)))
-			for _, res := range results {
-				system.ReleaseResult(res)
+	// build fills c with the next chunk of the selection, consulting the
+	// given cache: it ends after chunkTrials trials, after chunkTrials
+	// cache hits, or at the end of the selection.
+	build := func(c *chunk, cache *Cache) error {
+		c.jobs, c.trials, c.hits, c.misses = c.jobs[:0], c.trials[:0], 0, 0
+		for next < n {
+			i := next
+			if indices != nil {
+				i = indices[next]
+				if i < 0 || i >= m.size {
+					return fmt.Errorf("scenario: sweep index %d out of range [0,%d)", i, m.size)
+				}
 			}
-			errs = errList
-			sum.ExecutedTrials += len(trials)
+			next++
+			sc := m.At(i)
+			if cache != nil {
+				if st, ok := cache.Get(key(sc.ID())); ok {
+					c.hits++
+					mCacheHits.Inc()
+					c.jobs = append(c.jobs, &scenJob{sc: sc, cached: st})
+					if len(c.jobs) >= chunkTrials {
+						return nil
+					}
+					continue
+				}
+				c.misses++
+				mCacheMisses.Inc()
+			}
+			bind, err := reg.Bind(sc)
+			if err != nil {
+				return err
+			}
+			job := &scenJob{sc: sc, slots: make([]*trialSlot, seeds), base: len(c.trials)}
+			for t := 0; t < seeds; t++ {
+				slot := &trialSlot{tr: goal.NewTracker(bind.Goal)}
+				job.slots[t] = slot
+				mkUser := bind.User
+				c.trials = append(c.trials, system.Trial{
+					User: func() (comm.Strategy, error) {
+						u, err := mkUser()
+						slot.user = u
+						return u, err
+					},
+					Server: bind.Server,
+					World:  bind.World,
+					Config: system.Config{
+						MaxRounds:   bind.MaxRounds,
+						Seed:        seedFn(sc, t),
+						Record:      system.RecordOff,
+						OnRoundLive: slot.onRound,
+					},
+				})
+			}
+			c.jobs = append(c.jobs, job)
+			if len(c.trials) >= chunkTrials {
+				return nil
+			}
 		}
-		for _, job := range jobs {
+		return nil
+	}
+
+	sum := &Summary{Spec: m.spec.Name}
+	// emit folds a chunk whose trials ran with the given errors, stores
+	// the fresh aggregates and hands every aggregate to OnStats.
+	emit := func(c *chunk, errs []error) error {
+		sum.CacheHits += c.hits
+		sum.CacheMisses += c.misses
+		sum.ExecutedTrials += len(c.trials)
+		for _, job := range c.jobs {
 			st := job.cached
 			if st == nil {
 				st = job.fold(errs, window)
 				if cache != nil && st.Errors == 0 {
-					key := Key{ScenarioID: st.ID, Registry: reg.Version(), BaseSeed: base, Seeds: seeds, Window: window}
-					if err := cache.Put(key, st); err != nil {
+					if err := cache.Put(key(st.ID), st); err != nil {
 						// An unwritable store (read-only dir, full
 						// disk) must not abort a sweep whose results
 						// are exact regardless: disable the cache and
@@ -385,77 +461,37 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 				}
 			}
 		}
-		jobs = jobs[:0]
-		trials = trials[:0]
 		return nil
 	}
 
-	schedule := func(i int64) error {
-		sc := m.At(i)
-		if cache != nil {
-			key := Key{ScenarioID: sc.ID(), Registry: reg.Version(), BaseSeed: base, Seeds: seeds, Window: window}
-			if st, ok := cache.Get(key); ok {
-				sum.CacheHits++
-				mCacheHits.Inc()
-				jobs = append(jobs, &scenJob{sc: sc, cached: st})
-				if len(jobs) >= chunkTrials {
-					return flush()
-				}
-				return nil
+	// Two chunk buffers alternate: cur runs while nxt is built.
+	cur, nxt := new(chunk), new(chunk)
+	err := build(cur, cache)
+	for err == nil && len(cur.jobs) > 0 {
+		var nextErr error
+		built := make(chan struct{})
+		go func(c *chunk, cache *Cache) {
+			defer close(built)
+			nextErr = build(c, cache)
+		}(nxt, cache)
+		var errs []error
+		if len(cur.trials) > 0 {
+			start := time.Now()
+			results, errList := system.RunEach(cur.trials, system.BatchConfig{Parallelism: cfg.Parallel})
+			mChunkSeconds.Observe(time.Since(start).Seconds())
+			mChunkTrials.Observe(float64(len(cur.trials)))
+			for _, res := range results {
+				system.ReleaseResult(res)
 			}
-			sum.CacheMisses++
-			mCacheMisses.Inc()
+			errs = errList
 		}
-		bind, err := reg.Bind(sc)
-		if err != nil {
-			return err
+		<-built
+		if err := emit(cur, errs); err != nil {
+			return nil, err
 		}
-		job := &scenJob{sc: sc, slots: make([]*trialSlot, seeds), base: len(trials)}
-		for t := 0; t < seeds; t++ {
-			slot := &trialSlot{tr: goal.NewTracker(bind.Goal)}
-			job.slots[t] = slot
-			mkUser := bind.User
-			cfg := system.Config{
-				MaxRounds:   bind.MaxRounds,
-				Seed:        seedFn(sc, t),
-				Record:      system.RecordOff,
-				OnRoundLive: slot.onRound,
-			}
-			trials = append(trials, system.Trial{
-				User: func() (comm.Strategy, error) {
-					u, err := mkUser()
-					slot.user = u
-					return u, err
-				},
-				Server: bind.Server,
-				World:  bind.World,
-				Config: cfg,
-			})
-		}
-		jobs = append(jobs, job)
-		if len(trials) >= chunkTrials {
-			return flush()
-		}
-		return nil
+		cur, nxt, err = nxt, cur, nextErr
 	}
-
-	if indices == nil {
-		for i := int64(0); i < m.size; i++ {
-			if err := schedule(i); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for _, i := range indices {
-			if i < 0 || i >= m.size {
-				return nil, fmt.Errorf("scenario: sweep index %d out of range [0,%d)", i, m.size)
-			}
-			if err := schedule(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if sum.Trials > 0 {

@@ -2,8 +2,13 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/goal"
@@ -359,5 +364,129 @@ func TestSweepJudgeFastPathMatchesFallback(t *testing.T) {
 	}
 	if fastSum.TotalRounds != slowSum.TotalRounds || fastSum.Successes != slowSum.Successes {
 		t.Fatalf("summaries disagree: %+v vs %+v", fastSum, slowSum)
+	}
+}
+
+// chunkedSweep builds a 1,000-scenario sweep of one-trial treasure runs —
+// four chunks — over a registry that counts its binds and cannot bind the
+// scenario whose param is failAt.
+func chunkedSweep(t *testing.T, failAt int) (*Matrix, *Registry, *atomic.Int64) {
+	t.Helper()
+	treasure := Builtin().builders["treasure"]
+	reg := NewRegistry()
+	binds := new(atomic.Int64)
+	reg.Register("counted", func(ax Axes) (*Parts, error) {
+		binds.Add(1)
+		if ax.Param == failAt {
+			return nil, fmt.Errorf("param %d has no binding", ax.Param)
+		}
+		ax.Param = 0
+		return treasure(ax)
+	})
+	params := make([]int, 1000)
+	for i := range params {
+		params[i] = i
+	}
+	m, err := NewMatrix(&Spec{
+		Name: "chunked",
+		Axes: []Axis{
+			{Name: "goal", Values: []string{"counted"}},
+			{Name: "param", Values: Ints(params...)},
+			{Name: "rounds", Values: Ints(20)},
+		},
+		Seeds: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, reg, binds
+}
+
+// TestSweepBuildErrorAfterEmittedChunks checks the sweep's error order
+// with the next chunk built beside the running one: a scenario of chunk 3
+// that cannot be bound, or a selection index out of range there, fails
+// the sweep after exactly chunks 1 and 2 are emitted, in order, with the
+// error a chunk-by-chunk sweep returns. The bind counts pin the overlap:
+// each chunk is bound before the chunk ahead of it is emitted.
+func TestSweepBuildErrorAfterEmittedChunks(t *testing.T) {
+	t.Parallel()
+
+	all := make([]int64, 1000)
+	for i := range all {
+		all[i] = int64(i)
+	}
+	outOfRange := append([]int64(nil), all...)
+	outOfRange[600] = 5000
+	for _, tc := range []struct {
+		name    string
+		failAt  int
+		indices []int64
+		err     string
+		binds   map[int]int64 // row → binds done when it is emitted
+	}{
+		{"bind", 600, nil, `scenario: goal "counted": param 600 has no binding`,
+			map[int]int64{0: 512, 256: 601}},
+		{"index", -1, outOfRange, "scenario: sweep index 5000 out of range [0,1000)",
+			map[int]int64{0: 512, 256: 600}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, reg, binds := chunkedSweep(t, tc.failAt)
+			var rows []int
+			_, err := m.Sweep(tc.indices, SweepConfig{Registry: reg, Parallel: 2, OnStats: func(st *Stats) error {
+				p, err := st.AxisInt("param")
+				if err != nil {
+					return err
+				}
+				if want, ok := tc.binds[len(rows)]; ok {
+					if got := binds.Load(); got != want {
+						t.Errorf("row %d emitted after %d binds, want %d", len(rows), got, want)
+					}
+				}
+				rows = append(rows, p)
+				return nil
+			}})
+			if err == nil || err.Error() != tc.err {
+				t.Fatalf("sweep error %v, want %s", err, tc.err)
+			}
+			if len(rows) != 2*chunkTrials {
+				t.Fatalf("%d rows emitted before the error, want chunks 1-2 (%d rows)", len(rows), 2*chunkTrials)
+			}
+			for i, p := range rows {
+				if p != i {
+					t.Fatalf("row %d is param %d: chunks emitted out of order", i, p)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepOnStatsErrorStops checks that an OnStats error ends the sweep
+// at once, with that error, with no further OnStats call and with no
+// goroutine left behind — the chunk built beside the failing one
+// included.
+func TestSweepOnStatsErrorStops(t *testing.T) {
+	m, reg, _ := chunkedSweep(t, -1)
+	before := runtime.NumGoroutine()
+	stop := errors.New("stop at row 300")
+	calls := 0
+	_, err := m.Sweep(nil, SweepConfig{Registry: reg, Parallel: 2, OnStats: func(*Stats) error {
+		calls++
+		if calls == 300 {
+			return stop
+		}
+		return nil
+	}})
+	if err != stop {
+		t.Fatalf("sweep error %v, want %v", err, stop)
+	}
+	if calls != 300 {
+		t.Fatalf("OnStats called %d times, want 300", calls)
+	}
+	// An exiting goroutine is counted until it is gone; wait for it.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the sweep, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
