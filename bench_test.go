@@ -75,9 +75,26 @@ func BenchmarkF2SwitchTrace(b *testing.B) { benchExperiment(b, "F2") }
 // BenchmarkEngineRound measures raw engine throughput: rounds/sec of a
 // silent three-party system, under each record policy. The full
 // sub-benchmark is the recording baseline; off shows the allocation win of
-// judging online instead. Results are released back to the engine pool,
-// as batch hot paths do.
+// judging online instead. stack is the cost of a round through wrapper
+// layers, next to the silent off baseline: a universal printing user
+// against a noisy, slow, dialected printer, judged online by a tracker.
+// Results are released back to the engine pool, as batch hot paths do.
 func BenchmarkEngineRound(b *testing.B) {
+	const rounds = 1000
+	run := func(b *testing.B, usr, srv comm.Strategy, w goal.World, cfg system.Config, reset func()) {
+		cfg.MaxRounds, cfg.Seed = rounds, 1
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			reset()
+			res, err := system.Run(usr, srv, w, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			system.ReleaseResult(res)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
+	}
 	for _, bc := range []struct {
 		name string
 		rec  system.RecordPolicy
@@ -86,21 +103,26 @@ func BenchmarkEngineRound(b *testing.B) {
 		{"off", system.RecordOff},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			usr := &treasure.Candidate{Guess: 0}
-			srv := server.Obstinate()
-			w := &treasure.World{}
-			cfg := system.Config{MaxRounds: 1000, Seed: 1, Record: bc.rec}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := system.Run(usr, srv, w, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				system.ReleaseResult(res)
-			}
+			run(b, &treasure.Candidate{Guess: 0}, server.Obstinate(), &treasure.World{},
+				system.Config{Record: bc.rec}, func() {})
 		})
 	}
+	b.Run("stack", func(b *testing.B) {
+		fam, err := dialect.NewWordFamily(printing.Vocabulary(), 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		usr, err := universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := server.Noisy(server.Slow(server.Dialected(&printing.Server{}, fam.Dialect(5)), 2), 0.1)
+		g := &printing.Goal{}
+		var tr goal.Tracker
+		run(b, usr, srv, g.NewWorld(goal.Env{}),
+			system.Config{Record: system.RecordOff, OnRoundLive: tr.Observe},
+			func() { tr = goal.NewTracker(g) })
+	})
 }
 
 // BenchmarkRunBatch measures batch scheduling: 64 independent

@@ -1,6 +1,7 @@
 // Package commtest provides tiny reusable strategies and worlds for testing
 // the execution engine, referees, sensing and universal users without
-// pulling in any domain goal.
+// pulling in any domain goal. They have only Step, so every engine test
+// that uses them steps its parties through the comm.StepOnly shim.
 package commtest
 
 import (

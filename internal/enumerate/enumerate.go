@@ -128,18 +128,22 @@ type fstStrategy struct {
 	state int
 }
 
-var _ comm.Strategy = (*fstStrategy)(nil)
+var _ comm.StepperTo = (*fstStrategy)(nil)
 
 func (s *fstStrategy) Reset(*xrand.Rand) { s.state = 0 }
 
-func (s *fstStrategy) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *fstStrategy) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+func (s *fstStrategy) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	sym := s.codec.In(in)
-	next, out, err := s.m.Step(s.state, sym)
+	next, o, err := s.m.Step(s.state, sym)
 	if err != nil {
-		return comm.Outbox{}, fmt.Errorf("enumerate: fst strategy: %w", err)
+		return fmt.Errorf("enumerate: fst strategy: %w", err)
 	}
 	s.state = next
-	return s.codec.Out(out), nil
+	msg := s.codec.Out(o)
+	out.ToUser, out.ToServer, out.ToWorld = msg.ToUser, msg.ToServer, msg.ToWorld
+	return nil
 }
 
 // FST enumerates every finite-state-transducer strategy in the given space,
@@ -176,7 +180,8 @@ func FST(space fst.Space, codec SymbolCodec) (Enumerator, error) {
 // silent is the fallback strategy used if FST decoding ever fails.
 type silent struct{}
 
-var _ comm.Strategy = (*silent)(nil)
+var _ comm.StepperTo = (*silent)(nil)
 
-func (*silent) Reset(*xrand.Rand)                    {}
-func (*silent) Step(comm.Inbox) (comm.Outbox, error) { return comm.Outbox{}, nil }
+func (*silent) Reset(*xrand.Rand)                         {}
+func (s *silent) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+func (*silent) StepTo(comm.Inbox, *comm.Outbox) error     { return nil }

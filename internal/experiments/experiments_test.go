@@ -140,6 +140,35 @@ func TestT2Shape(t *testing.T) {
 	if m8shuffled < m8inorder/4 {
 		t.Fatalf("shuffled mean %v implausibly below in-order mean %v", m8shuffled, m8inorder)
 	}
+
+	// The closed form, exactly: a universal user in either order needs
+	// 5N−3 rounds against the secret it tries last and 2.5N−0.5 on
+	// average over the N secrets; the oracle needs 2. This counts the
+	// engine's rounds, so any change to round counting shows here.
+	for _, quick := range []bool{true, false} {
+		for _, seed := range []uint64{1, 2} {
+			rep, err := r.Run(Config{Quick: quick, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes := map[float64]bool{}
+			for _, row := range rep.Tables[0].Rows {
+				n := atof(t, row[0])
+				sizes[n] = true
+				worst, mean := 5*n-3, 2.5*n-0.5
+				if row[1] == "oracle" {
+					worst, mean = 2, 2
+				}
+				if got, gotMean := atof(t, row[2]), atof(t, row[3]); got != worst || gotMean != mean {
+					t.Errorf("quick=%v seed %d, N=%v %s: worst %v, mean %v rounds; want %v and %v",
+						quick, seed, n, row[1], got, gotMean, worst, mean)
+				}
+			}
+			if want := map[bool]int{true: 2, false: 4}[quick]; len(rep.Tables[0].Rows) != 3*want || len(sizes) != want {
+				t.Errorf("quick=%v seed %d: %d rows over %d class sizes", quick, seed, len(rep.Tables[0].Rows), len(sizes))
+			}
+		}
+	}
 }
 
 func TestT3Shape(t *testing.T) {

@@ -103,6 +103,7 @@ func RunT4(cfg Config) (*harness.Report, error) {
 		liarSense := mkSense()
 		liarSense.Reset()
 		liarPositive := false
+		var liarView comm.RoundView
 		trials[liarSlot] = system.Trial{
 			User: func() (comm.Strategy, error) {
 				return universal.NewCompactUser(printing.Enum(fam), mkSense())
@@ -113,7 +114,8 @@ func RunT4(cfg Config) (*harness.Report, error) {
 				MaxRounds: horizon, Seed: cfg.seed(), Record: system.RecordOff,
 				OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
 					liar.Observe(round, rv, w)
-					liarPositive = liarSense.Observe(rv)
+					liarView = rv
+					liarPositive = liarSense.Observe(&liarView)
 				},
 			},
 		}

@@ -231,7 +231,10 @@ type World struct {
 	buf       []byte // reusable build buffer for status
 }
 
-var _ goal.World = (*World)(nil)
+var (
+	_ goal.World     = (*World)(nil)
+	_ comm.StepperTo = (*World)(nil)
+)
 
 // Reset implements comm.Strategy. The telemetry table persists across
 // Reset: initPos and set are fixed per instance, so last run's strings
@@ -246,7 +249,10 @@ func (w *World) Reset(*xrand.Rand) {
 func (w *World) Pos() int { return w.pos }
 
 // Step implements comm.Strategy.
-func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
+func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }
+
+// StepTo implements comm.StepperTo.
+func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if rest, ok := strings.CutPrefix(string(in.FromServer), "FORCE "); ok {
 		if f, err := strconv.Atoi(rest); err == nil && f != 0 {
 			w.pos += clamp(f, MaxForce)
@@ -268,7 +274,8 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 		}
 		w.statusGen = w.gen
 	}
-	return comm.Outbox{ToUser: w.status}, nil
+	out.ToUser = w.status
+	return nil
 }
 
 // Snapshot implements goal.World: "pos=<p>;set=<s>;at=<0|1>".
@@ -311,26 +318,27 @@ func ParsePlant(m comm.Message) (pos, set int, ok bool) {
 // class.
 type Server struct{}
 
-var _ comm.Strategy = (*Server)(nil)
+var _ comm.StepperTo = (*Server)(nil)
 
 // Reset implements comm.Strategy.
 func (*Server) Reset(*xrand.Rand) {}
 
 // Step implements comm.Strategy.
-func (*Server) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+// StepTo implements comm.StepperTo.
+func (*Server) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	rest, ok := strings.CutPrefix(string(in.FromUser), "MOVE ")
 	if !ok {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	n, err := strconv.Atoi(rest)
 	if err != nil {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	n = clamp(n, MaxForce)
-	return comm.Outbox{
-		ToUser:  movedMsgs[n+msgCacheSpan],
-		ToWorld: forceMsgs[n+msgCacheSpan],
-	}, nil
+	out.ToUser, out.ToWorld = movedMsgs[n+msgCacheSpan], forceMsgs[n+msgCacheSpan]
+	return nil
 }
 
 // CycleRounds is the command→actuation→telemetry feedback latency: a
@@ -350,23 +358,27 @@ type Candidate struct {
 	phase int
 }
 
-var _ comm.Strategy = (*Candidate)(nil)
+var _ comm.StepperTo = (*Candidate)(nil)
 
 // Reset implements comm.Strategy.
 func (c *Candidate) Reset(*xrand.Rand) { c.phase = 0 }
 
 // Step implements comm.Strategy.
-func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
+func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(c, in) }
+
+// StepTo implements comm.StepperTo.
+func (c *Candidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	defer func() { c.phase++ }()
 	if c.phase%CycleRounds != 0 {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	pos, set, ok := ParsePlant(in.FromWorld)
 	if !ok || pos == set {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	d := clamp(set-pos, MaxForce)
-	return comm.Outbox{ToServer: c.D.Encode(moveMsg(d))}, nil
+	out.ToServer = c.D.Encode(moveMsg(d))
+	return nil
 }
 
 // Enum enumerates one Candidate per calibration in the family.
@@ -402,7 +414,7 @@ func (s *errorSense) Reset() {
 	s.idle = 0
 }
 
-func (s *errorSense) Observe(rv comm.RoundView) bool {
+func (s *errorSense) Observe(rv *comm.RoundView) bool {
 	pos, set, ok := ParsePlant(rv.In.FromWorld)
 	if !ok {
 		return true // no telemetry yet: grace
@@ -439,7 +451,7 @@ type Adaptive struct {
 	offset  int
 }
 
-var _ comm.Strategy = (*Adaptive)(nil)
+var _ comm.StepperTo = (*Adaptive)(nil)
 
 // Reset implements comm.Strategy.
 func (a *Adaptive) Reset(*xrand.Rand) {
@@ -454,11 +466,14 @@ func (a *Adaptive) Reset(*xrand.Rand) {
 func (a *Adaptive) Offset() int { return a.offset }
 
 // Step implements comm.Strategy.
-func (a *Adaptive) Step(in comm.Inbox) (comm.Outbox, error) {
+func (a *Adaptive) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(a, in) }
+
+// StepTo implements comm.StepperTo.
+func (a *Adaptive) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	defer func() { a.phase++ }()
 	pos, set, ok := ParsePlant(in.FromWorld)
 	if !ok {
-		return comm.Outbox{}, nil
+		return nil
 	}
 
 	if !a.probed {
@@ -467,10 +482,11 @@ func (a *Adaptive) Step(in comm.Inbox) (comm.Outbox, error) {
 			// clamp(0 − offset) one cycle later.
 			a.probeAt = a.phase
 			a.lastPos = pos
-			return comm.Outbox{ToServer: "MOVE 0"}, nil
+			out.ToServer = "MOVE 0"
+			return nil
 		}
 		if a.phase < a.probeAt+CycleRounds {
-			return comm.Outbox{}, nil // probe still in flight
+			return nil // probe still in flight
 		}
 		a.offset = -(pos - a.lastPos)
 		a.probed = true
@@ -478,10 +494,10 @@ func (a *Adaptive) Step(in comm.Inbox) (comm.Outbox, error) {
 	}
 
 	if (a.phase-a.probeAt)%CycleRounds != 0 {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	if pos == set {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	// Intended native force d must satisfy |d + offset| ≤ MaxForce so
 	// the server's clamp doesn't distort it.
@@ -489,7 +505,8 @@ func (a *Adaptive) Step(in comm.Inbox) (comm.Outbox, error) {
 	if d == 0 {
 		d = sign(set - pos)
 	}
-	return comm.Outbox{ToServer: moveMsg(d + a.offset)}, nil
+	out.ToServer = moveMsg(d + a.offset)
+	return nil
 }
 
 func abs(x int) int {

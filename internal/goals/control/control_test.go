@@ -233,8 +233,8 @@ func TestSenseSemantics(t *testing.T) {
 	t.Parallel()
 
 	s := Sense(2)
-	status := func(pos, set int) comm.RoundView {
-		return comm.RoundView{In: comm.Inbox{
+	status := func(pos, set int) *comm.RoundView {
+		return &comm.RoundView{In: comm.Inbox{
 			FromWorld: comm.Message(fmt.Sprintf("POS %d|SET %d", pos, set)),
 		}}
 	}

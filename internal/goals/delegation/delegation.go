@@ -205,7 +205,10 @@ type World struct {
 	announce comm.Message // cached "INSTANCE <encoded>" (instance is fixed per world)
 }
 
-var _ goal.World = (*World)(nil)
+var (
+	_ goal.World     = (*World)(nil)
+	_ comm.StepperTo = (*World)(nil)
+)
 
 // Instance returns the posed instance (for tests and examples).
 func (w *World) Instance() Instance { return w.instance }
@@ -217,7 +220,10 @@ func (w *World) Reset(*xrand.Rand) {
 }
 
 // Step implements comm.Strategy.
-func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
+func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }
+
+// StepTo implements comm.StepperTo.
+func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if rest, ok := strings.CutPrefix(string(in.FromUser), "ANSWER "); ok {
 		w.answered = true
 		if mask, err := strconv.ParseUint(rest, 10, 64); err == nil && w.instance.Verify(mask) {
@@ -227,7 +233,8 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 	if w.announce == "" {
 		w.announce = comm.Message("INSTANCE " + w.instance.Encode())
 	}
-	return comm.Outbox{ToUser: w.announce}, nil
+	out.ToUser = w.announce
+	return nil
 }
 
 // delegationStates holds the four snapshot encodings; the world's state
@@ -258,31 +265,34 @@ func (w *World) Snapshot() comm.WorldState {
 // memo spares re-running the witness search when an impatient user
 // re-sends the same SOLVE while the previous reply is in flight.
 type Server struct {
-	memo msgbuf.Memo1[comm.Message, comm.Outbox]
+	memo msgbuf.Memo1[comm.Message, comm.Message] // SOLVE command → reply
 }
 
-var _ comm.Strategy = (*Server)(nil)
+var _ comm.StepperTo = (*Server)(nil)
 
 // Reset implements comm.Strategy.
 func (s *Server) Reset(*xrand.Rand) { s.memo.Reset() }
 
 // Step implements comm.Strategy.
-func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+// StepTo implements comm.StepperTo.
+func (s *Server) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	rest, ok := strings.CutPrefix(string(in.FromUser), cmdSolve+" ")
 	if !ok {
-		return comm.Outbox{}, nil
+		return nil
 	}
-	if out, ok := s.memo.Get(in.FromUser); ok {
-		return out, nil
-	}
-	out := comm.Outbox{}
-	if ins, ok := ParseInstance(rest); ok {
-		if mask, ok := ins.Solve(); ok {
-			out.ToUser = comm.Message(rspWitness + " " + strconv.FormatUint(mask, 10))
+	reply, ok := s.memo.Get(in.FromUser)
+	if !ok {
+		if ins, ok := ParseInstance(rest); ok {
+			if mask, ok := ins.Solve(); ok {
+				reply = comm.Message(rspWitness + " " + strconv.FormatUint(mask, 10))
+			}
 		}
+		s.memo.Put(in.FromUser, reply)
 	}
-	s.memo.Put(in.FromUser, out)
-	return out, nil
+	out.ToUser = reply
+	return nil
 }
 
 // Candidate is the dialect-d delegation user: relay the instance to the
@@ -299,8 +309,8 @@ type Candidate struct {
 }
 
 var (
-	_ comm.Strategy = (*Candidate)(nil)
-	_ comm.Halter   = (*Candidate)(nil)
+	_ comm.StepperTo = (*Candidate)(nil)
+	_ comm.Halter    = (*Candidate)(nil)
 )
 
 // Reset implements comm.Strategy.
@@ -312,7 +322,10 @@ func (c *Candidate) Reset(*xrand.Rand) {
 }
 
 // Step implements comm.Strategy.
-func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
+func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(c, in) }
+
+// StepTo implements comm.StepperTo.
+func (c *Candidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	defer func() { c.elapsed++ }()
 
 	if rest, ok := strings.CutPrefix(string(in.FromWorld), "INSTANCE "); ok {
@@ -323,7 +336,7 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 	// answer) and halt.
 	if c.submitted {
 		c.halted = true
-		return comm.Outbox{}, nil
+		return nil
 	}
 
 	// A decodable witness ends the conversation with the server.
@@ -331,12 +344,13 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 	if rest, ok := strings.CutPrefix(string(plain), rspWitness+" "); ok {
 		if _, err := strconv.ParseUint(rest, 10, 64); err == nil {
 			c.submitted = true
-			return comm.Outbox{ToWorld: comm.Message("ANSWER " + rest)}, nil
+			out.ToWorld = comm.Message("ANSWER " + rest)
+			return nil
 		}
 	}
 
 	if c.instance == "" {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	// (Re)issue the solve request every other round; the instance is
 	// fixed per execution, so the encoded request is built once
@@ -347,9 +361,9 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 			cmd = c.D.Encode(comm.Message(cmdSolve + " " + c.instance))
 			c.solveCmd.Put(c.instance, cmd)
 		}
-		return comm.Outbox{ToServer: cmd}, nil
+		out.ToServer = cmd
 	}
-	return comm.Outbox{}, nil
+	return nil
 }
 
 // Halted implements comm.Halter.
@@ -384,7 +398,7 @@ func (s *verifySense) Reset() {
 	s.verified = false
 }
 
-func (s *verifySense) Observe(rv comm.RoundView) bool {
+func (s *verifySense) Observe(rv *comm.RoundView) bool {
 	if rest, ok := strings.CutPrefix(string(rv.In.FromWorld), "INSTANCE "); ok {
 		s.instance = rest
 	}

@@ -260,13 +260,19 @@ type World struct {
 	done  bool
 }
 
-var _ goal.World = (*World)(nil)
+var (
+	_ goal.World     = (*World)(nil)
+	_ comm.StepperTo = (*World)(nil)
+)
 
 // Reset implements comm.Strategy.
 func (w *World) Reset(*xrand.Rand) { w.state, w.done = 0, false }
 
 // Step implements comm.Strategy.
-func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
+func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }
+
+// StepTo implements comm.StepperTo.
+func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if rest, ok := strings.CutPrefix(string(in.FromServer), "sym "); ok {
 		if k, err := strconv.Atoi(rest); err == nil && k >= 0 && k < w.g.space.NumIn {
 			cell := w.state*w.g.space.NumIn + k
@@ -277,9 +283,11 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 		}
 	}
 	if w.done {
-		return comm.Outbox{ToUser: "DONE"}, nil
+		out.ToUser = "DONE"
+	} else {
+		out.ToUser = w.g.runMsg[w.state]
 	}
-	return comm.Outbox{ToUser: w.g.runMsg[w.state]}, nil
+	return nil
 }
 
 func (w *World) snapIdx() int {
@@ -300,22 +308,26 @@ type Server struct {
 	G *Goal
 }
 
-var _ comm.Strategy = (*Server)(nil)
+var _ comm.StepperTo = (*Server)(nil)
 
 // Reset implements comm.Strategy.
 func (*Server) Reset(*xrand.Rand) {}
 
 // Step implements comm.Strategy.
-func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+// StepTo implements comm.StepperTo.
+func (s *Server) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	rest, ok := strings.CutPrefix(string(in.FromUser), "press ")
 	if !ok {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	k, err := strconv.Atoi(rest)
 	if err != nil || k < 0 || k >= s.G.space.NumIn {
-		return comm.Outbox{}, nil
+		return nil
 	}
-	return comm.Outbox{ToUser: s.G.pressed[k], ToWorld: s.G.sym[k]}, nil
+	out.ToUser, out.ToWorld = s.G.pressed[k], s.G.sym[k]
+	return nil
 }
 
 // Candidate is the user strategy for one dialect: every third round (one
@@ -333,13 +345,16 @@ type Candidate struct {
 	cmd     msgbuf.Table[int, comm.Message] // encoded "press <k>" per input
 }
 
-var _ comm.Strategy = (*Candidate)(nil)
+var _ comm.StepperTo = (*Candidate)(nil)
 
 // Reset implements comm.Strategy.
 func (c *Candidate) Reset(*xrand.Rand) { c.elapsed, c.state, c.done = 0, 0, false }
 
 // Step implements comm.Strategy.
-func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
+func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(c, in) }
+
+// StepTo implements comm.StepperTo.
+func (c *Candidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	defer func() { c.elapsed++ }()
 	switch {
 	case in.FromWorld == "DONE":
@@ -352,18 +367,19 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 		}
 	}
 	if c.done || c.elapsed%3 != 0 {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	k := c.G.policy[c.state]
 	if k < 0 {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	msg, ok := c.cmd.Get(k)
 	if !ok {
 		msg = c.D.Encode(comm.Message("press " + strconv.Itoa(k)))
 		c.cmd.Put(k, msg)
 	}
-	return comm.Outbox{ToServer: msg}, nil
+	out.ToServer = msg
+	return nil
 }
 
 // Enum enumerates one candidate per dialect of the family.
@@ -382,7 +398,7 @@ func Sense(patience int) sensing.Sense {
 	if patience <= 0 {
 		patience = DefaultPatience
 	}
-	return sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
+	return sensing.Patience(sensing.New(func(rv *comm.RoundView) bool {
 		return rv.In.FromWorld == "DONE"
 	}), patience)
 }

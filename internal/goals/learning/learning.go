@@ -186,7 +186,10 @@ type World struct {
 	arena   msgbuf.Arena // backs the query strings (ids grow without bound)
 }
 
-var _ goal.World = (*World)(nil)
+var (
+	_ goal.World     = (*World)(nil)
+	_ comm.StepperTo = (*World)(nil)
+)
 
 // Reset implements comm.Strategy.
 func (w *World) Reset(r *xrand.Rand) {
@@ -237,7 +240,10 @@ func (w *World) Mistakes() int { return w.mistakes }
 func (w *World) Answered() int { return w.answered }
 
 // Step implements comm.Strategy.
-func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
+func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }
+
+// StepTo implements comm.StepperTo.
+func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	w.stall++
 	if rest, ok := strings.CutPrefix(string(in.FromUser), "P "); ok {
 		if idStr, bitStr, found := strings.Cut(rest, " "); found {
@@ -291,7 +297,8 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 		w.query = comm.Message(w.arena.Append(w.buf))
 		w.queryID, w.queryX, w.queryOK = w.id, w.x, w.lastOK
 	}
-	return comm.Outbox{ToUser: w.query}, nil
+	out.ToUser = w.query
+	return nil
 }
 
 // Snapshot implements goal.World:
@@ -421,7 +428,7 @@ type ThresholdUser struct {
 	ans    answerBuilder
 }
 
-var _ comm.Strategy = (*ThresholdUser)(nil)
+var _ comm.StepperTo = (*ThresholdUser)(nil)
 
 // Reset implements comm.Strategy.
 func (u *ThresholdUser) Reset(*xrand.Rand) {
@@ -430,13 +437,17 @@ func (u *ThresholdUser) Reset(*xrand.Rand) {
 }
 
 // Step implements comm.Strategy.
-func (u *ThresholdUser) Step(in comm.Inbox) (comm.Outbox, error) {
+func (u *ThresholdUser) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(u, in) }
+
+// StepTo implements comm.StepperTo.
+func (u *ThresholdUser) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	q, ok := ParseQuery(in.FromWorld)
 	if !ok || q.ID == u.lastID {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	u.lastID = q.ID
-	return comm.Outbox{ToWorld: u.ans.msg(q.ID, Label(u.Concept, q.X))}, nil
+	out.ToWorld = u.ans.msg(q.ID, Label(u.Concept, q.X))
+	return nil
 }
 
 // Enum enumerates the M threshold candidates in order; paired with
@@ -468,7 +479,7 @@ var _ sensing.Sense = (*mistakeSense)(nil)
 
 func (s *mistakeSense) Reset() { s.answered.reset() }
 
-func (s *mistakeSense) Observe(rv comm.RoundView) bool {
+func (s *mistakeSense) Observe(rv *comm.RoundView) bool {
 	if rest, ok := strings.CutPrefix(string(rv.Out.ToWorld), "P "); ok {
 		if idStr, bitStr, found := strings.Cut(rest, " "); found {
 			_, bitErr := strconv.Atoi(bitStr)
@@ -507,7 +518,7 @@ type answer struct {
 	bit int
 }
 
-var _ comm.Strategy = (*HalvingUser)(nil)
+var _ comm.StepperTo = (*HalvingUser)(nil)
 
 // Reset implements comm.Strategy.
 func (u *HalvingUser) Reset(*xrand.Rand) {
@@ -522,10 +533,13 @@ func (u *HalvingUser) Reset(*xrand.Rand) {
 }
 
 // Step implements comm.Strategy.
-func (u *HalvingUser) Step(in comm.Inbox) (comm.Outbox, error) {
+func (u *HalvingUser) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(u, in) }
+
+// StepTo implements comm.StepperTo.
+func (u *HalvingUser) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	q, ok := ParseQuery(in.FromWorld)
 	if !ok {
-		return comm.Outbox{}, nil
+		return nil
 	}
 
 	// Apply feedback for the query we answered previously: narrow the
@@ -561,7 +575,7 @@ func (u *HalvingUser) Step(in comm.Inbox) (comm.Outbox, error) {
 	}
 
 	if q.ID == u.lastID {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	u.lastID = q.ID
 
@@ -573,5 +587,6 @@ func (u *HalvingUser) Step(in comm.Inbox) (comm.Outbox, error) {
 		bit = 1
 	}
 	u.answers[u.pending.add(q.ID)] = answer{x: q.X, bit: bit}
-	return comm.Outbox{ToWorld: u.ans.msg(q.ID, bit)}, nil
+	out.ToWorld = u.ans.msg(q.ID, bit)
+	return nil
 }

@@ -147,7 +147,10 @@ type World struct {
 	buf        []byte // reusable build buffer
 }
 
-var _ goal.World = (*World)(nil)
+var (
+	_ goal.World     = (*World)(nil)
+	_ comm.StepperTo = (*World)(nil)
+)
 
 // Target returns the document the user is tasked with printing.
 func (w *World) Target() string { return w.target }
@@ -172,7 +175,10 @@ func (w *World) Reset(*xrand.Rand) {
 }
 
 // Step implements comm.Strategy.
-func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
+func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }
+
+// StepTo implements comm.StepperTo.
+func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if doc, ok := strings.CutPrefix(string(in.FromServer), "EMIT "); ok {
 		if w.paper == 0 || w.sheets < w.paper {
 			w.sheets++
@@ -197,7 +203,8 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 		w.status = comm.Message(w.buf)
 		w.statusLast = w.last
 	}
-	return comm.Outbox{ToUser: w.status}, nil
+	out.ToUser = w.status
+	return nil
 }
 
 // Snapshot implements goal.World:
@@ -244,7 +251,7 @@ type Server struct {
 	memo msgbuf.Memo1[comm.Message, comm.Outbox]
 }
 
-var _ comm.Strategy = (*Server)(nil)
+var _ comm.StepperTo = (*Server)(nil)
 
 // Reset implements comm.Strategy. The memo persists: Step is a pure
 // function of the incoming command, so its entry from a previous run is
@@ -252,25 +259,27 @@ var _ comm.Strategy = (*Server)(nil)
 func (s *Server) Reset(*xrand.Rand) {}
 
 // Step implements comm.Strategy.
-func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+// StepTo implements comm.StepperTo.
+func (s *Server) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	msg := string(in.FromUser)
 	switch {
 	case strings.HasPrefix(msg, cmdPrint+" "):
-		if out, ok := s.memo.Get(in.FromUser); ok {
-			return out, nil
+		m, ok := s.memo.Get(in.FromUser)
+		if !ok {
+			doc := strings.TrimPrefix(msg, cmdPrint+" ")
+			m = comm.Outbox{
+				ToUser:  comm.Message(rspAck + " " + doc),
+				ToWorld: comm.Message("EMIT " + doc),
+			}
+			s.memo.Put(in.FromUser, m)
 		}
-		doc := strings.TrimPrefix(msg, cmdPrint+" ")
-		out := comm.Outbox{
-			ToUser:  comm.Message(rspAck + " " + doc),
-			ToWorld: comm.Message("EMIT " + doc),
-		}
-		s.memo.Put(in.FromUser, out)
-		return out, nil
+		out.ToUser, out.ToWorld = m.ToUser, m.ToWorld
 	case msg == cmdStatus:
-		return comm.Outbox{ToUser: rspReady}, nil
-	default:
-		return comm.Outbox{}, nil
+		out.ToUser = rspReady
 	}
+	return nil
 }
 
 // TouchyServer behaves like Server on well-formed commands but reacts to
@@ -283,7 +292,7 @@ type TouchyServer struct {
 	inner Server
 }
 
-var _ comm.Strategy = (*TouchyServer)(nil)
+var _ comm.StepperTo = (*TouchyServer)(nil)
 
 // ErrorPage is the document a touchy printer emits on garbage input.
 const ErrorPage = "errorpage"
@@ -292,15 +301,17 @@ const ErrorPage = "errorpage"
 func (*TouchyServer) Reset(*xrand.Rand) {}
 
 // Step implements comm.Strategy.
-func (s *TouchyServer) Step(in comm.Inbox) (comm.Outbox, error) {
-	out, err := s.inner.Step(in)
-	if err != nil {
-		return comm.Outbox{}, err
+func (s *TouchyServer) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+// StepTo implements comm.StepperTo.
+func (s *TouchyServer) StepTo(in comm.Inbox, out *comm.Outbox) error {
+	if err := s.inner.StepTo(in, out); err != nil {
+		return err
 	}
-	if out == (comm.Outbox{}) && !in.FromUser.Empty() {
-		return comm.Outbox{ToWorld: "EMIT " + ErrorPage}, nil
+	if out.ToUser.Empty() && out.ToServer.Empty() && out.ToWorld.Empty() && !in.FromUser.Empty() {
+		out.ToWorld = "EMIT " + ErrorPage
 	}
-	return out, nil
+	return nil
 }
 
 // LyingServer acknowledges every command but never prints anything. It is
@@ -308,17 +319,20 @@ func (s *TouchyServer) Step(in comm.Inbox) (comm.Outbox, error) {
 // ablation.
 type LyingServer struct{}
 
-var _ comm.Strategy = (*LyingServer)(nil)
+var _ comm.StepperTo = (*LyingServer)(nil)
 
 // Reset implements comm.Strategy.
 func (*LyingServer) Reset(*xrand.Rand) {}
 
 // Step implements comm.Strategy.
-func (*LyingServer) Step(in comm.Inbox) (comm.Outbox, error) {
-	if in.FromUser.Empty() {
-		return comm.Outbox{}, nil
+func (s *LyingServer) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+// StepTo implements comm.StepperTo.
+func (*LyingServer) StepTo(in comm.Inbox, out *comm.Outbox) error {
+	if !in.FromUser.Empty() {
+		out.ToUser = rspAck + " anything"
 	}
-	return comm.Outbox{ToUser: rspAck + " anything"}, nil
+	return nil
 }
 
 // Candidate is the dialect-d printing user: it reads the task from the
@@ -335,7 +349,7 @@ type Candidate struct {
 	cmd     msgbuf.Memo1[string, comm.Message] // encoded "PRINT <task>", built once per task
 }
 
-var _ comm.Strategy = (*Candidate)(nil)
+var _ comm.StepperTo = (*Candidate)(nil)
 
 // Reset implements comm.Strategy.
 func (c *Candidate) Reset(*xrand.Rand) {
@@ -344,7 +358,10 @@ func (c *Candidate) Reset(*xrand.Rand) {
 }
 
 // Step implements comm.Strategy.
-func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
+func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(c, in) }
+
+// StepTo implements comm.StepperTo.
+func (c *Candidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	// The world re-sends one cached announcement until the printout
 	// changes, so each is parsed once (the hit is usually a
 	// pointer-equal compare).
@@ -355,13 +372,12 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 		c.task = task
 	}
 	if c.task == "" {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	period := c.Resend
 	if period <= 0 {
 		period = 2
 	}
-	defer func() { c.elapsed++ }()
 	if c.elapsed%period == 0 {
 		// The task is fixed per execution, so the encoded command is
 		// built once (dialects are pure).
@@ -370,9 +386,10 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 			cmd = c.D.Encode(comm.Message(cmdPrint + " " + c.task))
 			c.cmd.Put(c.task, cmd)
 		}
-		return comm.Outbox{ToServer: cmd}, nil
+		out.ToServer = cmd
 	}
-	return comm.Outbox{}, nil
+	c.elapsed++
+	return nil
 }
 
 // Enum enumerates one Candidate per dialect in the family — the class of
@@ -398,7 +415,7 @@ func Sense(patience int) sensing.Sense {
 	// it is computed once per announcement. The memo belongs to this
 	// instance: concurrent trials each build their own Sense.
 	var verdict msgbuf.Memo1[comm.Message, bool]
-	return sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
+	return sensing.Patience(sensing.New(func(rv *comm.RoundView) bool {
 		m := rv.In.FromWorld
 		v, ok := verdict.Get(m)
 		if !ok {
@@ -415,7 +432,7 @@ func Sense(patience int) sensing.Sense {
 // anything, trusting the server instead of observing the world. A lying
 // server keeps it positive forever while the goal goes unachieved.
 func TrustingSense() sensing.Sense {
-	return sensing.Sticky(sensing.New(func(rv comm.RoundView) bool {
+	return sensing.Sticky(sensing.New(func(rv *comm.RoundView) bool {
 		return strings.HasPrefix(string(rv.In.FromServer), rspAck)
 	}))
 }
@@ -428,7 +445,7 @@ func ParanoidSense(patience int) sensing.Sense {
 	if patience <= 0 {
 		patience = DefaultPatience
 	}
-	return sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
+	return sensing.Patience(sensing.New(func(rv *comm.RoundView) bool {
 		task, printed, ok := ParseWorldMsg(rv.In.FromWorld)
 		return ok && task != "" && printed == task+"!"
 	}), patience)

@@ -132,7 +132,10 @@ type World struct {
 	buf       []byte // reusable build buffer
 }
 
-var _ goal.World = (*World)(nil)
+var (
+	_ goal.World     = (*World)(nil)
+	_ comm.StepperTo = (*World)(nil)
+)
 
 // Reset implements comm.Strategy. The status table persists across Reset:
 // statuses are pure functions of (K, mask), so a reused world re-serves
@@ -156,7 +159,10 @@ func (w *World) Reset(*xrand.Rand) {
 func (w *World) count() int { return w.cnt }
 
 // Step implements comm.Strategy.
-func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
+func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }
+
+// StepTo implements comm.StepperTo.
+func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if rest, ok := strings.CutPrefix(string(in.FromServer), "REL "); ok {
 		if idx, data, found := strings.Cut(rest, " "); found {
 			if i, err := strconv.Atoi(idx); err == nil &&
@@ -187,7 +193,8 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
 		}
 		w.statusGen = w.gen
 	}
-	return comm.Outbox{ToUser: w.status}, nil
+	out.ToUser = w.status
+	return nil
 }
 
 // Snapshot implements goal.World: "have=<n>/<K>;done=<0|1>".
@@ -234,7 +241,7 @@ type Server struct {
 	memo msgbuf.Table[comm.Message, comm.Outbox]
 }
 
-var _ comm.Strategy = (*Server)(nil)
+var _ comm.StepperTo = (*Server)(nil)
 
 // Reset implements comm.Strategy. The memo persists: Step is a pure
 // function of the incoming command, so entries from a previous run are
@@ -242,27 +249,31 @@ var _ comm.Strategy = (*Server)(nil)
 func (s *Server) Reset(*xrand.Rand) {}
 
 // Step implements comm.Strategy.
-func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+// StepTo implements comm.StepperTo.
+func (s *Server) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	rest, ok := strings.CutPrefix(string(in.FromUser), cmdStore+" ")
 	if !ok {
-		return comm.Outbox{}, nil
+		return nil
 	}
-	if out, ok := s.memo.Get(in.FromUser); ok {
-		return out, nil
+	m, ok := s.memo.Get(in.FromUser)
+	if !ok {
+		fields := strings.SplitN(rest, " ", 2)
+		if len(fields) != 2 {
+			return nil
+		}
+		if _, err := strconv.Atoi(fields[0]); err != nil {
+			return nil
+		}
+		m = comm.Outbox{
+			ToUser:  comm.Message(rspStored + " " + fields[0]),
+			ToWorld: comm.Message("REL " + rest),
+		}
+		s.memo.Put(in.FromUser, m)
 	}
-	fields := strings.SplitN(rest, " ", 2)
-	if len(fields) != 2 {
-		return comm.Outbox{}, nil
-	}
-	if _, err := strconv.Atoi(fields[0]); err != nil {
-		return comm.Outbox{}, nil
-	}
-	out := comm.Outbox{
-		ToUser:  comm.Message(rspStored + " " + fields[0]),
-		ToWorld: comm.Message("REL " + rest),
-	}
-	s.memo.Put(in.FromUser, out)
-	return out, nil
+	out.ToUser, out.ToWorld = m.ToUser, m.ToWorld
+	return nil
 }
 
 // Candidate is the dialect-d transfer user: read the world's status,
@@ -277,7 +288,7 @@ type Candidate struct {
 	cmds []comm.Message // cached encoded "STORE <i> <data>" per chunk
 }
 
-var _ comm.Strategy = (*Candidate)(nil)
+var _ comm.StepperTo = (*Candidate)(nil)
 
 // Reset implements comm.Strategy.
 func (c *Candidate) Reset(*xrand.Rand) {
@@ -302,13 +313,16 @@ func (c *Candidate) storeCmd(i int) comm.Message {
 }
 
 // Step implements comm.Strategy.
-func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
+func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(c, in) }
+
+// StepTo implements comm.StepperTo.
+func (c *Candidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if k, mask, ok := ParseStatus(in.FromWorld); ok {
 		c.k = k
 		c.mask = mask
 	}
 	if c.k == 0 {
-		return comm.Outbox{}, nil
+		return nil
 	}
 	// Find the next missing chunk, round-robin so retransmissions
 	// interleave fairly under loss.
@@ -318,9 +332,10 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) {
 			continue
 		}
 		c.next = (i + 1) % c.k
-		return comm.Outbox{ToServer: c.storeCmd(i)}, nil
+		out.ToServer = c.storeCmd(i)
+		return nil
 	}
-	return comm.Outbox{}, nil
+	return nil
 }
 
 // Enum enumerates one Candidate per dialect in the family.
@@ -358,7 +373,7 @@ func (s *progressSense) Reset() {
 	s.idle = 0
 }
 
-func (s *progressSense) Observe(rv comm.RoundView) bool {
+func (s *progressSense) Observe(rv *comm.RoundView) bool {
 	k, mask, ok := ParseStatus(rv.In.FromWorld)
 	if !ok {
 		// No status yet: grace.

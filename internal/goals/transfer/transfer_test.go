@@ -200,8 +200,8 @@ func TestSenseProgressSemantics(t *testing.T) {
 	t.Parallel()
 
 	s := Sense(2)
-	status := func(mask int) comm.RoundView {
-		return comm.RoundView{In: comm.Inbox{
+	status := func(mask int) *comm.RoundView {
+		return &comm.RoundView{In: comm.Inbox{
 			FromWorld: comm.Message(fmt.Sprintf("WANT 3|HAVE %d", mask)),
 		}}
 	}

@@ -72,20 +72,28 @@ type World struct {
 	open bool
 }
 
-var _ goal.World = (*World)(nil)
+var (
+	_ goal.World     = (*World)(nil)
+	_ comm.StepperTo = (*World)(nil)
+)
 
 // Reset implements comm.Strategy.
 func (w *World) Reset(*xrand.Rand) { w.open = false }
 
 // Step implements comm.Strategy.
-func (w *World) Step(in comm.Inbox) (comm.Outbox, error) {
+func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }
+
+// StepTo implements comm.StepperTo.
+func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if in.FromServer == "UNLOCK" {
 		w.open = true
 	}
 	if w.open {
-		return comm.Outbox{ToUser: "OPEN"}, nil
+		out.ToUser = "OPEN"
+	} else {
+		out.ToUser = "LOCKED"
 	}
-	return comm.Outbox{ToUser: "LOCKED"}, nil
+	return nil
 }
 
 // Snapshot implements goal.World.
@@ -103,22 +111,26 @@ type Server struct {
 	Secret int
 }
 
-var _ comm.Strategy = (*Server)(nil)
+var _ comm.StepperTo = (*Server)(nil)
 
 // Reset implements comm.Strategy.
 func (*Server) Reset(*xrand.Rand) {}
 
 // Step implements comm.Strategy.
-func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *Server) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+// StepTo implements comm.StepperTo.
+func (s *Server) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	rest, ok := strings.CutPrefix(string(in.FromUser), "pass ")
 	if !ok {
-		return comm.Outbox{}, nil
+		return nil
 	}
-	k, err := strconv.Atoi(rest)
-	if err != nil || k != s.Secret {
-		return comm.Outbox{ToUser: "DENIED"}, nil
+	if k, err := strconv.Atoi(rest); err != nil || k != s.Secret {
+		out.ToUser = "DENIED"
+		return nil
 	}
-	return comm.Outbox{ToUser: "GRANTED", ToWorld: "UNLOCK"}, nil
+	out.ToUser, out.ToWorld = "GRANTED", "UNLOCK"
+	return nil
 }
 
 // Candidate is the user strategy that tries one fixed password repeatedly.
@@ -129,23 +141,26 @@ type Candidate struct {
 	cmd     msgbuf.Memo1[int, comm.Message] // "pass <Guess>", built once per guess
 }
 
-var _ comm.Strategy = (*Candidate)(nil)
+var _ comm.StepperTo = (*Candidate)(nil)
 
 // Reset implements comm.Strategy.
 func (c *Candidate) Reset(*xrand.Rand) { c.elapsed = 0 }
 
 // Step implements comm.Strategy.
-func (c *Candidate) Step(comm.Inbox) (comm.Outbox, error) {
-	defer func() { c.elapsed++ }()
+func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(c, in) }
+
+// StepTo implements comm.StepperTo.
+func (c *Candidate) StepTo(_ comm.Inbox, out *comm.Outbox) error {
 	if c.elapsed%2 == 0 {
 		msg, ok := c.cmd.Get(c.Guess)
 		if !ok {
 			msg = comm.Message("pass " + strconv.Itoa(c.Guess))
 			c.cmd.Put(c.Guess, msg)
 		}
-		return comm.Outbox{ToServer: msg}, nil
+		out.ToServer = msg
 	}
-	return comm.Outbox{}, nil
+	c.elapsed++
+	return nil
 }
 
 // Enum enumerates the n password candidates in numeric order.
@@ -162,7 +177,7 @@ func Sense(patience int) sensing.Sense {
 	if patience <= 0 {
 		patience = DefaultPatience
 	}
-	return sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
+	return sensing.Patience(sensing.New(func(rv *comm.RoundView) bool {
 		return rv.In.FromWorld == "OPEN"
 	}), patience)
 }

@@ -100,7 +100,8 @@ func (v Violation) String() string {
 // recording plus replay.
 type probe struct {
 	tr     goal.Tracker
-	sense  sensing.Sense // nil when the run's indications are not needed
+	sense  sensing.Sense  // nil when the run's indications are not needed
+	rv     comm.RoundView // the round sense reads, by pointer
 	rounds int
 	streak int
 }
@@ -122,7 +123,8 @@ func (p *probe) onRound(round int, rv comm.RoundView, w goal.World) {
 		return
 	}
 	p.rounds++
-	if p.sense.Observe(rv) {
+	p.rv = rv
+	if p.sense.Observe(&p.rv) {
 		p.streak++
 	} else {
 		p.streak = 0

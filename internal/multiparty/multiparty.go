@@ -49,18 +49,21 @@ type Member struct {
 	D     dialect.Dialect
 }
 
-var _ comm.Strategy = (*Member)(nil)
+var _ comm.StepperTo = (*Member)(nil)
 
 // Reset implements comm.Strategy.
 func (*Member) Reset(*xrand.Rand) {}
 
 // Step implements comm.Strategy.
-func (m *Member) Step(in comm.Inbox) (comm.Outbox, error) {
+func (m *Member) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(m, in) }
+
+// StepTo implements comm.StepperTo.
+func (m *Member) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if m.D.Decode(in.FromUser) == cmdAsk {
 		reply := comm.Message(rspVal + " " + strconv.Itoa(m.Value))
-		return comm.Outbox{ToUser: m.D.Encode(reply)}, nil
+		out.ToUser = m.D.Encode(reply)
 	}
-	return comm.Outbox{}, nil
+	return nil
 }
 
 // askCandidate is the dialect-i query strategy: ask in dialect i, decode
@@ -72,28 +75,31 @@ type askCandidate struct {
 	elapsed  int
 }
 
-var _ comm.Strategy = (*askCandidate)(nil)
+var _ comm.StepperTo = (*askCandidate)(nil)
 
 func (c *askCandidate) Reset(*xrand.Rand) {
 	c.reported = false
 	c.elapsed = 0
 }
 
-func (c *askCandidate) Step(in comm.Inbox) (comm.Outbox, error) {
+func (c *askCandidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(c, in) }
+
+func (c *askCandidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	defer func() { c.elapsed++ }()
 	if !c.reported {
 		plain := c.d.Decode(in.FromServer)
 		if rest, ok := strings.CutPrefix(string(plain), rspVal+" "); ok {
 			if _, err := strconv.Atoi(rest); err == nil {
 				c.reported = true
-				return comm.Outbox{ToWorld: comm.Message("REPORT " + rest)}, nil
+				out.ToWorld = comm.Message("REPORT " + rest)
+				return nil
 			}
 		}
 		if c.elapsed%2 == 0 {
-			return comm.Outbox{ToServer: c.d.Encode(cmdAsk)}, nil
+			out.ToServer = c.d.Encode(cmdAsk)
 		}
 	}
-	return comm.Outbox{}, nil
+	return nil
 }
 
 // queryEnum enumerates one askCandidate per dialect.
@@ -109,7 +115,7 @@ func reportSense(patience int) sensing.Sense {
 	if patience <= 0 {
 		patience = DefaultPatience
 	}
-	reported := sensing.Sticky(sensing.New(func(rv comm.RoundView) bool {
+	reported := sensing.Sticky(sensing.New(func(rv *comm.RoundView) bool {
 		return strings.HasPrefix(string(rv.Out.ToWorld), "REPORT ")
 	}))
 	return sensing.Patience(reported, patience)
@@ -121,21 +127,26 @@ type reportWorld struct {
 	value int
 }
 
-var _ goal.World = (*reportWorld)(nil)
+var (
+	_ goal.World     = (*reportWorld)(nil)
+	_ comm.StepperTo = (*reportWorld)(nil)
+)
 
 func (w *reportWorld) Reset(*xrand.Rand) {
 	w.got = false
 	w.value = 0
 }
 
-func (w *reportWorld) Step(in comm.Inbox) (comm.Outbox, error) {
+func (w *reportWorld) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }
+
+func (w *reportWorld) StepTo(in comm.Inbox, _ *comm.Outbox) error {
 	if rest, ok := strings.CutPrefix(string(in.FromUser), "REPORT "); ok && !w.got {
 		if v, err := strconv.Atoi(rest); err == nil {
 			w.got = true
 			w.value = v
 		}
 	}
-	return comm.Outbox{}, nil
+	return nil
 }
 
 func (w *reportWorld) Snapshot() comm.WorldState {

@@ -18,7 +18,8 @@
 // Safety and viability are semantic properties relating a sensing function
 // to a goal and a server class; they are certified empirically by
 // internal/harness. This package provides the Sense interface and generic
-// combinators.
+// combinators. A sense reads each round by pointer, so a chain of
+// combinators passes one view down instead of copying it at every layer.
 package sensing
 
 import "repro/internal/comm"
@@ -36,11 +37,12 @@ type Sense interface {
 
 	// Observe consumes the next round of the user's view and returns the
 	// indication after that round: true = positive, false = negative.
-	Observe(rv comm.RoundView) bool
+	// It must not retain rv or write through it.
+	Observe(rv *comm.RoundView) bool
 }
 
 // Func adapts a stateless predicate over the most recent round to a Sense.
-type Func func(rv comm.RoundView) bool
+type Func func(rv *comm.RoundView) bool
 
 var _ Sense = (*funcSense)(nil)
 
@@ -54,7 +56,7 @@ type funcSense struct {
 func New(f Func) Sense { return &funcSense{f: f} }
 
 func (s *funcSense) Reset() { s.v = false }
-func (s *funcSense) Observe(rv comm.RoundView) bool {
+func (s *funcSense) Observe(rv *comm.RoundView) bool {
 	s.v = s.f(rv)
 	return s.v
 }
@@ -76,7 +78,7 @@ func (s *sticky) Reset() {
 	s.hit = false
 }
 
-func (s *sticky) Observe(rv comm.RoundView) bool {
+func (s *sticky) Observe(rv *comm.RoundView) bool {
 	if s.inner.Observe(rv) {
 		s.hit = true
 	}
@@ -107,7 +109,7 @@ func (p *patience) Reset() {
 	p.negRun = 0
 }
 
-func (p *patience) Observe(rv comm.RoundView) bool {
+func (p *patience) Observe(rv *comm.RoundView) bool {
 	if p.inner.Observe(rv) {
 		p.negRun = 0
 		return true
@@ -124,8 +126,8 @@ type constSense bool
 
 var _ Sense = constSense(false)
 
-func (constSense) Reset()                        {}
-func (c constSense) Observe(comm.RoundView) bool { return bool(c) }
+func (constSense) Reset()                         {}
+func (c constSense) Observe(*comm.RoundView) bool { return bool(c) }
 
 // Replay feeds an entire view through a (freshly Reset) sense and returns
 // the final indication. Used by finite-goal runners that judge a completed
@@ -133,8 +135,8 @@ func (c constSense) Observe(comm.RoundView) bool { return bool(c) }
 func Replay(s Sense, v comm.View) bool {
 	s.Reset()
 	verdict := false
-	for _, rv := range v.Rounds {
-		verdict = s.Observe(rv)
+	for i := range v.Rounds {
+		verdict = s.Observe(&v.Rounds[i])
 	}
 	return verdict
 }
@@ -145,8 +147,8 @@ func Replay(s Sense, v comm.View) bool {
 func Indications(s Sense, v comm.View) []bool {
 	s.Reset()
 	out := make([]bool, 0, v.Len())
-	for _, rv := range v.Rounds {
-		out = append(out, s.Observe(rv))
+	for i := range v.Rounds {
+		out = append(out, s.Observe(&v.Rounds[i]))
 	}
 	return out
 }

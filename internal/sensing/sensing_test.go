@@ -6,14 +6,14 @@ import (
 	"repro/internal/comm"
 )
 
-func worldSays(msg string) comm.RoundView {
-	return comm.RoundView{In: comm.Inbox{FromWorld: comm.Message(msg)}}
+func worldSays(msg string) *comm.RoundView {
+	return &comm.RoundView{In: comm.Inbox{FromWorld: comm.Message(msg)}}
 }
 
 func TestNewPerRound(t *testing.T) {
 	t.Parallel()
 
-	s := New(func(rv comm.RoundView) bool { return rv.In.FromWorld == "ok" })
+	s := New(func(rv *comm.RoundView) bool { return rv.In.FromWorld == "ok" })
 	if s.Observe(worldSays("no")) {
 		t.Fatal("positive on wrong round")
 	}
@@ -28,7 +28,7 @@ func TestNewPerRound(t *testing.T) {
 func TestSticky(t *testing.T) {
 	t.Parallel()
 
-	s := Sticky(New(func(rv comm.RoundView) bool { return rv.In.FromWorld == "ok" }))
+	s := Sticky(New(func(rv *comm.RoundView) bool { return rv.In.FromWorld == "ok" }))
 	s.Observe(worldSays("no"))
 	s.Observe(worldSays("ok"))
 	if !s.Observe(worldSays("no")) {
@@ -58,7 +58,7 @@ func TestPatience(t *testing.T) {
 func TestPatienceResetOnPositive(t *testing.T) {
 	t.Parallel()
 
-	inner := New(func(rv comm.RoundView) bool { return rv.In.FromWorld == "ok" })
+	inner := New(func(rv *comm.RoundView) bool { return rv.In.FromWorld == "ok" })
 	s := Patience(inner, 2)
 	s.Observe(worldSays(""))
 	s.Observe(worldSays("ok")) // resets the negative run
@@ -90,9 +90,9 @@ func TestConst(t *testing.T) {
 func TestReplay(t *testing.T) {
 	t.Parallel()
 
-	s := Sticky(New(func(rv comm.RoundView) bool { return rv.In.FromWorld == "ok" }))
+	s := Sticky(New(func(rv *comm.RoundView) bool { return rv.In.FromWorld == "ok" }))
 	v := comm.View{Rounds: []comm.RoundView{
-		worldSays(""), worldSays("ok"), worldSays(""),
+		*worldSays(""), *worldSays("ok"), *worldSays(""),
 	}}
 	if !Replay(s, v) {
 		t.Fatal("replay missed the positive round")

@@ -43,17 +43,19 @@ func Misleading(inner comm.Strategy, p float64) comm.Strategy {
 	if p > 1 {
 		p = 1
 	}
-	return &misleading{inner: inner, p: p}
+	s := &misleading{p: p}
+	s.wrap(inner)
+	return s
 }
 
 type misleading struct {
-	inner    comm.Strategy
+	wrapped
 	p        float64
 	r        *xrand.Rand
 	lastGood comm.Message
 }
 
-var _ comm.Strategy = (*misleading)(nil)
+var _ comm.StepperTo = (*misleading)(nil)
 
 func (s *misleading) Reset(r *xrand.Rand) {
 	s.inner.Reset(r)
@@ -65,19 +67,20 @@ func (s *misleading) Reset(r *xrand.Rand) {
 	s.lastGood = ""
 }
 
-func (s *misleading) Step(in comm.Inbox) (comm.Outbox, error) {
-	out, err := s.inner.Step(in)
-	if err != nil {
-		return comm.Outbox{}, err
+func (s *misleading) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+func (s *misleading) StepTo(in comm.Inbox, out *comm.Outbox) error {
+	if err := s.step.StepTo(in, out); err != nil {
+		return err
 	}
 	if !out.ToWorld.Empty() && !out.ToUser.Empty() {
 		s.lastGood = out.ToUser
 	}
 	if s.r.Float64() < s.p {
 		// Suppress the action, replay the stale claim of progress.
-		return comm.Outbox{ToUser: s.lastGood}, nil
+		out.ToUser, out.ToServer, out.ToWorld = s.lastGood, "", ""
 	}
-	return out, nil
+	return nil
 }
 
 // byzantineJunk is the fixed pool of garbage messages a Byzantine round
@@ -101,17 +104,19 @@ func Byzantine(inner comm.Strategy, budget int) comm.Strategy {
 	if budget < 0 {
 		budget = 0
 	}
-	return &byzantine{inner: inner, budget: budget}
+	s := &byzantine{budget: budget}
+	s.wrap(inner)
+	return s
 }
 
 type byzantine struct {
-	inner  comm.Strategy
+	wrapped
 	budget int
 	left   int
 	r      *xrand.Rand
 }
 
-var _ comm.Strategy = (*byzantine)(nil)
+var _ comm.StepperTo = (*byzantine)(nil)
 
 func (s *byzantine) Reset(r *xrand.Rand) {
 	s.inner.Reset(r)
@@ -123,7 +128,9 @@ func (s *byzantine) Reset(r *xrand.Rand) {
 	s.left = s.budget
 }
 
-func (s *byzantine) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *byzantine) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+func (s *byzantine) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	corrupt := s.left > 0 && s.r.Float64() < 0.5
 	if corrupt {
 		s.left--
@@ -131,14 +138,13 @@ func (s *byzantine) Step(in comm.Inbox) (comm.Outbox, error) {
 			in.FromUser = byzantineJunk[s.r.Intn(len(byzantineJunk))]
 		}
 	}
-	out, err := s.inner.Step(in)
-	if err != nil {
-		return comm.Outbox{}, err
+	if err := s.step.StepTo(in, out); err != nil {
+		return err
 	}
 	if corrupt {
 		out.ToUser = byzantineJunk[s.r.Intn(len(byzantineJunk))]
 	}
-	return out, nil
+	return nil
 }
 
 // DriftingDialected wraps a server so that its wire language on the user
@@ -161,17 +167,19 @@ func DriftingDialected(inner comm.Strategy, fam *dialect.Family, start int, p fl
 	if start < 0 {
 		start += n
 	}
-	return &drifting{
-		inner: inner, fam: fam, start: start, p: p, cur: start,
+	s := &drifting{
+		fam: fam, start: start, p: p, cur: start,
 		dec1: make([]msgbuf.Memo1[comm.Message, comm.Message], n),
 		enc1: make([]msgbuf.Memo1[comm.Message, comm.Message], n),
 		dec:  make([]msgbuf.Table[comm.Message, comm.Message], n),
 		enc:  make([]msgbuf.Table[comm.Message, comm.Message], n),
 	}
+	s.wrap(inner)
+	return s
 }
 
 type drifting struct {
-	inner comm.Strategy
+	wrapped
 	fam   *dialect.Family
 	start int
 	p     float64
@@ -184,7 +192,7 @@ type drifting struct {
 	dec, enc   []msgbuf.Table[comm.Message, comm.Message]
 }
 
-var _ comm.Strategy = (*drifting)(nil)
+var _ comm.StepperTo = (*drifting)(nil)
 
 func (s *drifting) Reset(r *xrand.Rand) {
 	s.inner.Reset(r)
@@ -196,18 +204,19 @@ func (s *drifting) Reset(r *xrand.Rand) {
 	s.cur = s.start
 }
 
-func (s *drifting) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *drifting) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+func (s *drifting) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if s.p > 0 && s.r.Float64() < s.p {
 		s.cur = s.r.Intn(s.fam.Size())
 	}
 	d := s.fam.Dialect(s.cur)
 	in.FromUser = translate(&s.dec1[s.cur], &s.dec[s.cur], d.Decode, in.FromUser)
-	out, err := s.inner.Step(in)
-	if err != nil {
-		return comm.Outbox{}, err
+	if err := s.step.StepTo(in, out); err != nil {
+		return err
 	}
 	out.ToUser = translate(&s.enc1[s.cur], &s.enc[s.cur], d.Encode, out.ToUser)
-	return out, nil
+	return nil
 }
 
 // AdversarySpec declares an adversarial wrapper stack over a class member

@@ -6,6 +6,11 @@
 // by wrapping a base ("native protocol") server behaviour with
 // transformations: dialects (language mismatch), delays, noise, and the
 // degenerate unhelpful server that ignores the user entirely.
+//
+// Every wrapper steps in place (comm.StepperTo): it resolves the server it
+// wraps once, at construction, and passes the caller's outbox down the
+// stack, so a message crosses each layer as a field write instead of a
+// returned copy.
 package server
 
 import (
@@ -14,6 +19,19 @@ import (
 	"repro/internal/msgbuf"
 	"repro/internal/xrand"
 )
+
+// wrapped is the server a wrapper wraps, resolved once to its in-place
+// step (through shim when it has only Step).
+type wrapped struct {
+	inner comm.Strategy
+	step  comm.StepperTo
+	shim  comm.StepOnly
+}
+
+func (w *wrapped) wrap(inner comm.Strategy) {
+	w.inner = inner
+	w.step = comm.InPlace(inner, &w.shim)
+}
 
 // Dialected wraps a server whose native protocol operates on plain messages
 // so that its wire language on the user channel is the given dialect: user
@@ -29,12 +47,14 @@ import (
 // enumeration strategy — pays for its encoding once instead of every
 // round.
 func Dialected(inner comm.Strategy, d dialect.Dialect) comm.Strategy {
-	return &dialected{inner: inner, d: d}
+	s := &dialected{d: d}
+	s.wrap(inner)
+	return s
 }
 
 type dialected struct {
-	inner comm.Strategy
-	d     dialect.Dialect
+	wrapped
+	d dialect.Dialect
 
 	// Two-level memo per direction: a single-entry L1 for the command the
 	// steady-state loop repeats (one equality compare, no map hash),
@@ -48,7 +68,7 @@ type dialected struct {
 	dec, enc   msgbuf.Table[comm.Message, comm.Message]
 }
 
-var _ comm.Strategy = (*dialected)(nil)
+var _ comm.StepperTo = (*dialected)(nil)
 
 func (s *dialected) Reset(r *xrand.Rand) { s.inner.Reset(r) }
 
@@ -70,14 +90,15 @@ func translate(m1 *msgbuf.Memo1[comm.Message, comm.Message], t *msgbuf.Table[com
 	return v
 }
 
-func (s *dialected) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *dialected) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+func (s *dialected) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	in.FromUser = translate(&s.dec1, &s.dec, s.d.Decode, in.FromUser)
-	out, err := s.inner.Step(in)
-	if err != nil {
-		return comm.Outbox{}, err
+	if err := s.step.StepTo(in, out); err != nil {
+		return err
 	}
 	out.ToUser = translate(&s.enc1, &s.enc, s.d.Encode, out.ToUser)
-	return out, nil
+	return nil
 }
 
 // Delayed wraps a server so that its replies to the user are delivered k
@@ -87,63 +108,62 @@ func Delayed(inner comm.Strategy, k int) comm.Strategy {
 	if k < 0 {
 		k = 0
 	}
-	return &delayed{inner: inner, ring: ring[comm.Message]{k: k}}
+	s := &delayed{ring: ring[comm.Message]{k: k}}
+	s.wrap(inner)
+	return s
 }
 
-// ring is a fixed-size delay line (allocated once, so a long
-// execution's delay wrappers allocate nothing after round k): push
-// returns the value pushed k calls earlier, reporting ok=false while it
-// is still filling. A zero-size ring passes values straight through.
+// ring is a fixed-size delay line of k > 0 slots (allocated once, so a
+// long execution's delay wrappers allocate nothing after round k). Each
+// call of next returns the slot its caller exchanges this round's value
+// with: it holds the value exchanged in k calls earlier, or the zero
+// value while the line is still filling. A wrapper with k = 0 delays
+// nothing and skips its ring.
 type ring[T any] struct {
-	k       int
-	buf     []T
-	head, n int
+	k   int
+	buf []T
+	i   int
 }
 
 func (r *ring[T]) reset() {
 	clear(r.buf)
-	r.head, r.n = 0, 0
+	r.i = 0
 }
 
-func (r *ring[T]) push(v T) (T, bool) {
-	if r.k == 0 {
-		return v, true
-	}
+func (r *ring[T]) next() *T {
 	if r.buf == nil {
 		r.buf = make([]T, r.k)
 	}
-	if r.n < r.k {
-		// Still filling: the value produced k rounds ago does not exist
-		// yet.
-		r.buf[(r.head+r.n)%r.k] = v
-		r.n++
-		var zero T
-		return zero, false
+	p := &r.buf[r.i]
+	if r.i++; r.i == r.k {
+		r.i = 0
 	}
-	v, r.buf[r.head] = r.buf[r.head], v
-	r.head = (r.head + 1) % r.k
-	return v, true
+	return p
 }
 
 type delayed struct {
-	inner comm.Strategy
-	ring  ring[comm.Message]
+	wrapped
+	ring ring[comm.Message]
 }
 
-var _ comm.Strategy = (*delayed)(nil)
+var _ comm.StepperTo = (*delayed)(nil)
 
 func (s *delayed) Reset(r *xrand.Rand) {
 	s.inner.Reset(r)
 	s.ring.reset()
 }
 
-func (s *delayed) Step(in comm.Inbox) (comm.Outbox, error) {
-	out, err := s.inner.Step(in)
-	if err != nil {
-		return comm.Outbox{}, err
+func (s *delayed) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+func (s *delayed) StepTo(in comm.Inbox, out *comm.Outbox) error {
+	if err := s.step.StepTo(in, out); err != nil {
+		return err
 	}
-	out.ToUser, _ = s.ring.push(out.ToUser) // silence while the line fills
-	return out, nil
+	if s.ring.k > 0 {
+		p := s.ring.next() // silence while the line fills
+		out.ToUser, *p = *p, out.ToUser
+	}
+	return nil
 }
 
 // Slow wraps a server so that its entire output profile (to the user AND
@@ -155,28 +175,38 @@ func Slow(inner comm.Strategy, k int) comm.Strategy {
 	if k < 0 {
 		k = 0
 	}
-	return &slow{inner: inner, ring: ring[comm.Outbox]{k: k}}
+	s := &slow{ring: ring[comm.Outbox]{k: k}}
+	s.wrap(inner)
+	return s
 }
 
 type slow struct {
-	inner comm.Strategy
-	ring  ring[comm.Outbox]
+	wrapped
+	ring ring[comm.Outbox]
 }
 
-var _ comm.Strategy = (*slow)(nil)
+var _ comm.StepperTo = (*slow)(nil)
 
 func (s *slow) Reset(r *xrand.Rand) {
 	s.inner.Reset(r)
 	s.ring.reset()
 }
 
-func (s *slow) Step(in comm.Inbox) (comm.Outbox, error) {
-	out, err := s.inner.Step(in)
-	if err != nil {
-		return comm.Outbox{}, err
+func (s *slow) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+func (s *slow) StepTo(in comm.Inbox, out *comm.Outbox) error {
+	if err := s.step.StepTo(in, out); err != nil {
+		return err
 	}
-	out, _ = s.ring.push(out) // the whole profile lags; empty while filling
-	return out, nil
+	if s.ring.k > 0 {
+		// The whole profile lags (empty while the line fills), exchanged
+		// field by field: *out was only just written.
+		p := s.ring.next()
+		out.ToUser, p.ToUser = p.ToUser, out.ToUser
+		out.ToServer, p.ToServer = p.ToServer, out.ToServer
+		out.ToWorld, p.ToWorld = p.ToWorld, out.ToWorld
+	}
+	return nil
 }
 
 // Noisy wraps a server so that each message from the user is dropped
@@ -190,16 +220,18 @@ func Noisy(inner comm.Strategy, p float64) comm.Strategy {
 	if p > 1 {
 		p = 1
 	}
-	return &noisy{inner: inner, p: p}
+	s := &noisy{p: p}
+	s.wrap(inner)
+	return s
 }
 
 type noisy struct {
-	inner comm.Strategy
-	p     float64
-	r     *xrand.Rand
+	wrapped
+	p float64
+	r *xrand.Rand
 }
 
-var _ comm.Strategy = (*noisy)(nil)
+var _ comm.StepperTo = (*noisy)(nil)
 
 func (s *noisy) Reset(r *xrand.Rand) {
 	s.inner.Reset(r)
@@ -210,11 +242,13 @@ func (s *noisy) Reset(r *xrand.Rand) {
 	}
 }
 
-func (s *noisy) Step(in comm.Inbox) (comm.Outbox, error) {
+func (s *noisy) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+
+func (s *noisy) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if !in.FromUser.Empty() && s.r.Float64() < s.p {
 		in.FromUser = ""
 	}
-	return s.inner.Step(in)
+	return s.step.StepTo(in, out)
 }
 
 // Obstinate returns the canonical unhelpful server: it ignores every
@@ -225,7 +259,8 @@ func Obstinate() comm.Strategy { return &obstinate{} }
 
 type obstinate struct{}
 
-var _ comm.Strategy = (*obstinate)(nil)
+var _ comm.StepperTo = (*obstinate)(nil)
 
-func (*obstinate) Reset(*xrand.Rand)                    {}
-func (*obstinate) Step(comm.Inbox) (comm.Outbox, error) { return comm.Outbox{}, nil }
+func (*obstinate) Reset(*xrand.Rand)                         {}
+func (s *obstinate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
+func (*obstinate) StepTo(comm.Inbox, *comm.Outbox) error     { return nil }

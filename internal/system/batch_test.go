@@ -80,6 +80,11 @@ func TestRunBatchMatchesSerialAtEveryParallelism(t *testing.T) {
 				t.Fatalf("parallelism %d: trial %d diverges from serial", par, i)
 			}
 		}
+		// Recycle the results, so the next batch's workers draw their
+		// run frames from the shared pool.
+		for _, res := range got {
+			ReleaseResult(res)
+		}
 	}
 }
 

@@ -6,6 +6,9 @@
 // delivered in the next round; after the world's step its state may be
 // snapshotted into the history that referees judge. A single execution
 // (Run) is single-goroutine and fully deterministic given Config.Seed.
+// Run steps each party in place (comm.StepperTo), through a shim for a
+// party that has only Step, into outbox buffers it swaps by pointer
+// between rounds; the buffers live in the pooled Result.
 //
 // Beyond single executions the package provides a batch scheduler:
 // RunBatch and RunEach fan independent Trial specs across a bounded worker
@@ -105,6 +108,23 @@ type Result struct {
 	// Halted reports whether the user strategy declared itself halted
 	// (relevant to finite goals) before the horizon.
 	Halted bool
+
+	// frame is Run's scratch. It rides in the pooled Result because the
+	// outboxes are handed to the parties through an interface, which
+	// would move them to the heap on every run.
+	frame frame
+}
+
+// frame holds one run's message buffers and party shims. Each buffer
+// comes twice, this round's and last round's, and Run swaps the two by
+// pointer: the user's view (its inbox and outbox, which the round hooks
+// read), the server's outbox and the world's. Parties with only Step
+// step through a shim.
+type frame struct {
+	view   [2]comm.RoundView
+	server [2]comm.Outbox
+	world  [2]comm.Outbox
+	shim   [3]comm.StepOnly
 }
 
 // resultPool recycles Result structs and their slice storage across runs.
@@ -163,59 +183,60 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 	halter, _ := user.(comm.Halter)
 
 	res := acquireResult()
+	f := &res.frame
+	userTo := comm.InPlace(user, &f.shim[0])
+	serverTo := comm.InPlace(server, &f.shim[1])
+	worldTo := comm.InPlace(world, &f.shim[2])
 
-	// Messages in flight: produced last round, delivered this round.
-	var fromUser, fromServer, fromWorld comm.Outbox
+	// Messages in flight: last round's outboxes are delivered this round,
+	// while the parties write this round's into the other buffer. The
+	// user's inbox and outbox are written in place in the round's view,
+	// so the hooks get a view written a whole server and world step
+	// earlier: a struct copy of fields stored just before stalls, because
+	// the CPU cannot forward 16-byte loads from 8-byte stores.
+	view, lastView := &f.view[1], &f.view[0]
+	serverOut, fromServer := &f.server[1], &f.server[0]
+	worldOut, fromWorld := &f.world[1], &f.world[0]
 
+	var err error
 	for round := 0; round < maxRounds; round++ {
-		userIn := comm.Inbox{
-			FromServer: fromServer.ToUser,
-			FromWorld:  fromWorld.ToUser,
+		view.In.FromServer, view.In.FromWorld = fromServer.ToUser, fromWorld.ToUser
+		view.Out = comm.Outbox{}
+		*serverOut = comm.Outbox{}
+		*worldOut = comm.Outbox{}
+		// The user's inbox is passed from its sources, not as view.In:
+		// that would copy the fields just stored.
+		if err = userTo.StepTo(comm.Inbox{FromServer: fromServer.ToUser, FromWorld: fromWorld.ToUser}, &view.Out); err != nil {
+			err = fmt.Errorf("system: user step (round %d): %w", round, err)
+			break
 		}
-		serverIn := comm.Inbox{
-			FromUser:  fromUser.ToServer,
-			FromWorld: fromWorld.ToServer,
+		if err = serverTo.StepTo(comm.Inbox{FromUser: lastView.Out.ToServer, FromWorld: fromWorld.ToServer}, serverOut); err != nil {
+			err = fmt.Errorf("system: server step (round %d): %w", round, err)
+			break
 		}
-		worldIn := comm.Inbox{
-			FromUser:   fromUser.ToWorld,
-			FromServer: fromServer.ToWorld,
+		if err = worldTo.StepTo(comm.Inbox{FromUser: lastView.Out.ToWorld, FromServer: fromServer.ToWorld}, worldOut); err != nil {
+			err = fmt.Errorf("system: world step (round %d): %w", round, err)
+			break
 		}
-
-		userOut, err := user.Step(userIn)
-		if err != nil {
-			ReleaseResult(res)
-			return nil, fmt.Errorf("system: user step (round %d): %w", round, err)
-		}
-		serverOut, err := server.Step(serverIn)
-		if err != nil {
-			ReleaseResult(res)
-			return nil, fmt.Errorf("system: server step (round %d): %w", round, err)
-		}
-		worldOut, err := world.Step(worldIn)
-		if err != nil {
-			ReleaseResult(res)
-			return nil, fmt.Errorf("system: world step (round %d): %w", round, err)
-		}
-
-		fromUser, fromServer, fromWorld = userOut, serverOut, worldOut
+		res.Rounds = round + 1
 
 		var state comm.WorldState
 		if needState {
 			state = world.Snapshot()
 		}
-		rv := comm.RoundView{In: userIn, Out: userOut}
 		if record {
 			res.History.States = append(res.History.States, state)
-			res.View.Rounds = append(res.View.Rounds, rv)
+			res.View.Rounds = append(res.View.Rounds, *view)
 		}
-		res.Rounds = round + 1
-
 		if cfg.OnRound != nil {
-			cfg.OnRound(round, rv, state)
+			cfg.OnRound(round, *view, state)
 		}
 		if cfg.OnRoundLive != nil {
-			cfg.OnRoundLive(round, rv, world)
+			cfg.OnRoundLive(round, *view, world)
 		}
+		view, lastView = lastView, view
+		serverOut, fromServer = fromServer, serverOut
+		worldOut, fromWorld = fromWorld, worldOut
 
 		if halter != nil && halter.Halted() {
 			res.Halted = true
@@ -223,6 +244,11 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 		}
 	}
 
+	res.frame = frame{} // keep no messages or parties in the pool
+	if err != nil {
+		ReleaseResult(res)
+		return nil, err
+	}
 	if !record {
 		res.History.Dropped = res.Rounds
 		res.View.Dropped = res.Rounds

@@ -53,7 +53,7 @@ func TestFSTGenericUniversality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sense := sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
+	sense := sensing.Patience(sensing.New(func(rv *comm.RoundView) bool {
 		return rv.In.FromWorld == "OK"
 	}), 5)
 	u, err := NewCompactUser(enum, sense)
@@ -87,7 +87,7 @@ func TestFSTGenericUniversalityLargerSpace(t *testing.T) {
 	if enum.Size() != 4096 {
 		t.Fatalf("space size = %d", enum.Size())
 	}
-	sense := sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
+	sense := sensing.Patience(sensing.New(func(rv *comm.RoundView) bool {
 		return rv.In.FromWorld == "OK"
 	}), 4)
 	u, err := NewCompactUser(enum, sense)
@@ -117,7 +117,7 @@ func TestFSTGenericFindsEarlyMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sense := sensing.Patience(sensing.New(func(rv comm.RoundView) bool {
+	sense := sensing.Patience(sensing.New(func(rv *comm.RoundView) bool {
 		return rv.In.FromWorld == "OK"
 	}), 4)
 	u, err := NewCompactUser(enum, sense)

@@ -25,7 +25,7 @@ func (s *scriptedSense) Reset() {
 	// that the test controls the exact number of negatives observed.
 }
 
-func (s *scriptedSense) Observe(comm.RoundView) bool {
+func (s *scriptedSense) Observe(*comm.RoundView) bool {
 	if s.pos < len(s.verdicts) {
 		v := s.verdicts[s.pos]
 		s.pos++

@@ -35,7 +35,9 @@ type CompactUser struct {
 	sense sensing.Sense
 
 	r        *xrand.Rand
-	inner    comm.Strategy
+	step     comm.StepperTo // the current candidate, resolved to its in-place step
+	shim     comm.StepOnly  // the current candidate's shim when it has only Step
+	rv       comm.RoundView // the round sensing reads, by pointer
 	index    int
 	switches int
 
@@ -56,7 +58,10 @@ type candSlot struct {
 // construct candidates on demand, as before.
 const candCacheSize = 64
 
-var _ comm.Strategy = (*CompactUser)(nil)
+var (
+	_ comm.Strategy  = (*CompactUser)(nil)
+	_ comm.StepperTo = (*CompactUser)(nil)
+)
 
 // NewCompactUser builds the universal user from a strategy enumeration and
 // a sensing function. It returns an error on nil arguments.
@@ -99,28 +104,36 @@ func (u *CompactUser) install() {
 		}
 		u.r.SplitInto(sl.r)
 		sl.s.Reset(sl.r)
-		u.inner = sl.s
-		u.sense.Reset()
-		return
+		u.step = comm.InPlace(sl.s, &u.shim)
+	} else {
+		cand := u.enum.Strategy(u.index)
+		cand.Reset(u.r.Split())
+		u.step = comm.InPlace(cand, &u.shim)
 	}
-	u.inner = u.enum.Strategy(u.index)
-	u.inner.Reset(u.r.Split())
 	u.sense.Reset()
 }
 
-// Step implements comm.Strategy: run the current candidate, then consult
-// sensing and switch on a negative indication.
-func (u *CompactUser) Step(in comm.Inbox) (comm.Outbox, error) {
-	out, err := u.inner.Step(in)
-	if err != nil {
-		return comm.Outbox{}, fmt.Errorf("universal: candidate %d: %w", u.index, err)
+// Step implements comm.Strategy.
+func (u *CompactUser) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(u, in) }
+
+// StepTo implements comm.StepperTo: run the current candidate, then
+// consult sensing and switch on a negative indication.
+func (u *CompactUser) StepTo(in comm.Inbox, out *comm.Outbox) error {
+	// The view is written field by field, the inbox while it is still in
+	// registers: the candidate has only just stored *out, and a
+	// whole-struct copy would stall on those stores.
+	rv := &u.rv
+	rv.In.FromUser, rv.In.FromServer, rv.In.FromWorld = in.FromUser, in.FromServer, in.FromWorld
+	if err := u.step.StepTo(in, out); err != nil {
+		return fmt.Errorf("universal: candidate %d: %w", u.index, err)
 	}
-	if !u.sense.Observe(comm.RoundView{In: in, Out: out}) {
+	rv.Out.ToUser, rv.Out.ToServer, rv.Out.ToWorld = out.ToUser, out.ToServer, out.ToWorld
+	if !u.sense.Observe(rv) {
 		u.index++
 		u.switches++
 		u.install()
 	}
-	return out, nil
+	return nil
 }
 
 // Index returns the (absolute, non-wrapped) index of the current candidate

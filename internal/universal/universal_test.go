@@ -32,7 +32,7 @@ func greetEnum(t *testing.T, fam *dialect.Family) enumerate.Enumerator {
 // patience window.
 func greetSense(patience int) sensing.Sense {
 	return sensing.Patience(
-		sensing.New(func(rv comm.RoundView) bool { return rv.In.FromWorld == "OK" }),
+		sensing.New(func(rv *comm.RoundView) bool { return rv.In.FromWorld == "OK" }),
 		patience,
 	)
 }
@@ -190,7 +190,7 @@ func guessEnum(n int) enumerate.Enumerator {
 }
 
 func hitSense() sensing.Sense {
-	return sensing.Sticky(sensing.New(func(rv comm.RoundView) bool {
+	return sensing.Sticky(sensing.New(func(rv *comm.RoundView) bool {
 		return rv.In.FromWorld == "HIT"
 	}))
 }
