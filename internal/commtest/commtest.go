@@ -138,9 +138,6 @@ var (
 // Name implements goal.Goal.
 func (g *FlagGoal) Name() string { return "commtest/flag" }
 
-// Kind implements goal.Goal.
-func (g *FlagGoal) Kind() goal.Kind { return goal.KindCompact }
-
 // NewWorld implements goal.Goal.
 func (g *FlagGoal) NewWorld(goal.Env) goal.World { return &CountingWorld{} }
 

@@ -52,9 +52,6 @@ var (
 // Name implements goal.Goal.
 func (*GreetGoal) Name() string { return "commtest/greet" }
 
-// Kind implements goal.Goal.
-func (*GreetGoal) Kind() goal.Kind { return goal.KindCompact }
-
 // NewWorld implements goal.Goal.
 func (*GreetGoal) NewWorld(goal.Env) goal.World { return &GreetWorld{} }
 
@@ -132,9 +129,6 @@ var _ goal.FiniteGoal = (*SecretGoal)(nil)
 
 // Name implements goal.Goal.
 func (*SecretGoal) Name() string { return "commtest/secret" }
-
-// Kind implements goal.Goal.
-func (*SecretGoal) Kind() goal.Kind { return goal.KindFinite }
 
 // NewWorld implements goal.Goal.
 func (g *SecretGoal) NewWorld(goal.Env) goal.World { return &SecretWorld{Secret: g.Secret} }

@@ -11,7 +11,8 @@
 //
 // Every dialect satisfies Decode(Encode(m)) == m for all messages m over its
 // domain; families are generated deterministically so that experiments are
-// reproducible.
+// reproducible. A word-family dialect swaps each vocabulary word with its
+// codeword, an involution, so Encode and Decode share one table.
 package dialect
 
 import (
@@ -100,13 +101,14 @@ func (d identity) Decode(m comm.Message) comm.Message { return m }
 // Identity returns the trivial dialect with the given ID.
 func Identity(id int) Dialect { return identity{id: id} }
 
-// wordMap substitutes whole space-separated tokens according to a bijective
-// vocabulary table; tokens outside the vocabulary pass through unchanged
-// (they are payload, e.g. document contents).
+// wordMap substitutes whole space-separated tokens according to a
+// vocabulary table that swaps word and codeword pairs; tokens outside the
+// vocabulary pass through unchanged (they are payload, e.g. document
+// contents). A swap is its own inverse, so one table serves Encode and
+// Decode.
 type wordMap struct {
-	id      int
-	forward map[string]string
-	inverse map[string]string
+	id   int
+	swap map[string]string
 }
 
 var _ Dialect = (*wordMap)(nil)
@@ -127,8 +129,8 @@ func mapTokens(m comm.Message, table map[string]string) comm.Message {
 	return comm.Message(strings.Join(tokens, " "))
 }
 
-func (d *wordMap) Encode(m comm.Message) comm.Message { return mapTokens(m, d.forward) }
-func (d *wordMap) Decode(m comm.Message) comm.Message { return mapTokens(m, d.inverse) }
+func (d *wordMap) Encode(m comm.Message) comm.Message { return mapTokens(m, d.swap) }
+func (d *wordMap) Decode(m comm.Message) comm.Message { return mapTokens(m, d.swap) }
 
 // NewWordFamily builds n dialects over the given vocabulary. Dialect 0 maps
 // every word to itself; dialect i > 0 swaps vocabulary words with synthetic
@@ -144,22 +146,16 @@ func NewWordFamily(vocab []string, n int) (*Family, error) {
 	}
 	ds := make([]Dialect, n)
 	for i := range ds {
-		d := &wordMap{
-			id:      i,
-			forward: make(map[string]string, 2*len(vocab)),
-			inverse: make(map[string]string, 2*len(vocab)),
-		}
+		d := &wordMap{id: i, swap: make(map[string]string, 2*len(vocab))}
 		for j, w := range vocab {
 			code := w
 			if i > 0 {
 				code = fmt.Sprintf("w%d_%d", i, j)
 			}
-			// Swap word and codeword in both directions so the
-			// map is a bijection on vocab ∪ codewords.
-			d.forward[w] = code
-			d.forward[code] = w
-			d.inverse[code] = w
-			d.inverse[w] = code
+			// Map word and codeword to each other so the table is a
+			// bijection on vocab ∪ codewords.
+			d.swap[w] = code
+			d.swap[code] = w
 		}
 		ds[i] = d
 	}

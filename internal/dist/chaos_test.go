@@ -224,7 +224,7 @@ func TestResumeHealsDamagedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign, err := scenario.ReadShardResult(bytes.NewReader(data))
+	foreign, err := new(scenario.ShardReader).Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

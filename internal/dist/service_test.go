@@ -274,7 +274,7 @@ func TestSweepEventsStream(t *testing.T) {
 		err := api.Events(ctx, jobID, func(ev SweepEvent) error {
 			switch ev.Type {
 			case EventShard:
-				sr, err := scenario.ReadShardResult(bytes.NewReader(ev.Data))
+				sr, err := new(scenario.ShardReader).Read(bytes.NewReader(ev.Data))
 				if err != nil {
 					return err
 				}

@@ -11,7 +11,8 @@
 // a standard probabilistic strategy; here that choice is reified as an Env
 // value so experiments can sweep it explicitly.
 //
-// Two families of goals are distinguished by how the referee decides:
+// Two families of goals are distinguished by how the referee decides, and
+// a goal's family is the refinement of Goal it implements:
 //
 //   - Finite goals: the user must halt, and the referee is defined on the
 //     finite history at the halting point (FiniteGoal).
@@ -21,32 +22,7 @@
 //     on a recorded history by CompactAchieved).
 package goal
 
-import (
-	"fmt"
-
-	"repro/internal/comm"
-)
-
-// Kind distinguishes the two families of goals treated by the theory.
-type Kind int
-
-// Goal kinds.
-const (
-	KindFinite Kind = iota + 1
-	KindCompact
-)
-
-// String returns a human-readable kind name.
-func (k Kind) String() string {
-	switch k {
-	case KindFinite:
-		return "finite"
-	case KindCompact:
-		return "compact"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
+import "repro/internal/comm"
 
 // Env is the world's single non-deterministic choice: which probabilistic
 // strategy (environment instance) the world runs. Choice selects among a
@@ -88,9 +64,6 @@ type WorldJudge interface {
 type Goal interface {
 	// Name identifies the goal in tables and logs.
 	Name() string
-
-	// Kind reports whether the goal is finite or compact.
-	Kind() Kind
 
 	// NewWorld instantiates a fresh world for the given environment
 	// choice. Each execution gets its own world instance.

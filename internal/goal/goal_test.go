@@ -14,7 +14,6 @@ import (
 type thresholdGoal struct{ K int }
 
 func (g *thresholdGoal) Name() string                   { return "threshold" }
-func (g *thresholdGoal) Kind() goal.Kind                { return goal.KindCompact }
 func (g *thresholdGoal) NewWorld(goal.Env) goal.World   { return &commtest.CountingWorld{} }
 func (g *thresholdGoal) EnvChoices() int                { return 1 }
 func (g *thresholdGoal) Acceptable(p comm.History) bool { return p.Len() >= g.K }
@@ -25,17 +24,6 @@ func mkHistory(n int) comm.History {
 		states[i] = comm.WorldState("s")
 	}
 	return comm.History{States: states}
-}
-
-func TestKindString(t *testing.T) {
-	t.Parallel()
-
-	if goal.KindFinite.String() != "finite" || goal.KindCompact.String() != "compact" {
-		t.Fatal("kind names wrong")
-	}
-	if goal.Kind(0).String() != "kind(0)" {
-		t.Fatal("unknown kind formatting wrong")
-	}
 }
 
 func TestCompactAchieved(t *testing.T) {

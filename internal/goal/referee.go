@@ -27,9 +27,6 @@ func WithReferee(base CompactGoal, name string, ref RefereeFunc) CompactGoal {
 // Name implements Goal.
 func (d *derivedGoal) Name() string { return d.name }
 
-// Kind implements Goal.
-func (d *derivedGoal) Kind() Kind { return KindCompact }
-
 // NewWorld implements Goal.
 func (d *derivedGoal) NewWorld(env Env) World { return d.base.NewWorld(env) }
 

@@ -39,7 +39,7 @@ func TestWithRefereeDerivedGoal(t *testing.T) {
 	thrifty := goal.WithReferee(base, "printing-thrifty", func(p comm.History) bool {
 		return strings.HasSuffix(string(p.Last()), "done=1") && printedCount(p) <= 3
 	})
-	if thrifty.Name() != "printing-thrifty" || thrifty.Kind() != goal.KindCompact {
+	if thrifty.Name() != "printing-thrifty" {
 		t.Fatal("derived goal metadata wrong")
 	}
 	if thrifty.EnvChoices() != base.EnvChoices() {
@@ -67,7 +67,6 @@ func TestWithRefereeDerivedGoal(t *testing.T) {
 type stubCompactGoal struct{}
 
 func (*stubCompactGoal) Name() string                 { return "stub" }
-func (*stubCompactGoal) Kind() goal.Kind              { return goal.KindCompact }
 func (*stubCompactGoal) NewWorld(goal.Env) goal.World { return nil }
 func (*stubCompactGoal) EnvChoices() int              { return 2 }
 func (*stubCompactGoal) Acceptable(p comm.History) bool {

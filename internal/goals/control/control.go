@@ -173,9 +173,6 @@ func (g *Goal) span() int {
 // Name implements goal.Goal.
 func (g *Goal) Name() string { return "control" }
 
-// Kind implements goal.Goal.
-func (g *Goal) Kind() goal.Kind { return goal.KindCompact }
-
 // EnvChoices implements goal.Goal.
 func (g *Goal) EnvChoices() int { return 8 }
 

@@ -170,9 +170,6 @@ func (g *Goal) n() int {
 // Name implements goal.Goal.
 func (g *Goal) Name() string { return "delegation" }
 
-// Kind implements goal.Goal.
-func (g *Goal) Kind() goal.Kind { return goal.KindFinite }
-
 // EnvChoices implements goal.Goal.
 func (g *Goal) EnvChoices() int {
 	if g.Instances <= 0 {

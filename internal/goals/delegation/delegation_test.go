@@ -172,6 +172,27 @@ func mkFam(t *testing.T, n int) *dialect.Family {
 	return fam
 }
 
+// TestCandidateAsksForEachAnnouncedInstance reuses one candidate across
+// two executions, as a runner that keeps its candidates would: after a
+// Reset and a new announcement it must ask for the new instance, not
+// replay the request it built for the old one.
+func TestCandidateAsksForEachAnnouncedInstance(t *testing.T) {
+	t.Parallel()
+
+	d := mkFam(t, 4).Dialect(2)
+	c := &Candidate{D: d}
+	for _, instance := range []string{"3,5,8;11", "2,7;9"} {
+		c.Reset(xrand.New(1))
+		out, err := c.Step(comm.Inbox{FromWorld: comm.Message("INSTANCE " + instance)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.Decode(out.ToServer), comm.Message("SOLVE "+instance); got != want {
+			t.Fatalf("candidate sent %q, want %q", got, want)
+		}
+	}
+}
+
 func TestOracleCandidateEndToEnd(t *testing.T) {
 	t.Parallel()
 

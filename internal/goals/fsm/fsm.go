@@ -222,9 +222,6 @@ func (g *Goal) Target() int { return g.target }
 // state — whether any strategy can achieve the goal at all.
 func (g *Goal) Feasible() bool { return g.feasible }
 
-// Kind implements goal.Goal.
-func (*Goal) Kind() goal.Kind { return goal.KindCompact }
-
 // EnvChoices implements goal.Goal.
 func (*Goal) EnvChoices() int { return 1 }
 

@@ -64,9 +64,6 @@ func (g *Goal) m() int {
 // Name implements goal.Goal.
 func (g *Goal) Name() string { return "learning" }
 
-// Kind implements goal.Goal.
-func (g *Goal) Kind() goal.Kind { return goal.KindCompact }
-
 // EnvChoices implements goal.Goal.
 func (g *Goal) EnvChoices() int { return g.m() }
 

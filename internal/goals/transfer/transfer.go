@@ -84,9 +84,6 @@ func (g *Goal) k() int {
 // Name implements goal.Goal.
 func (g *Goal) Name() string { return "transfer" }
 
-// Kind implements goal.Goal.
-func (g *Goal) Kind() goal.Kind { return goal.KindCompact }
-
 // EnvChoices implements goal.Goal.
 func (g *Goal) EnvChoices() int { return 1 }
 

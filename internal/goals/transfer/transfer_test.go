@@ -229,7 +229,7 @@ func TestGoalMetadata(t *testing.T) {
 	t.Parallel()
 
 	g := &Goal{}
-	if g.Name() != "transfer" || g.Kind() != goal.KindCompact || !g.ForgivingGoal() {
+	if g.Name() != "transfer" || !g.ForgivingGoal() {
 		t.Fatal("metadata wrong")
 	}
 	if g.EnvChoices() != 1 {

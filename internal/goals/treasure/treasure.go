@@ -19,7 +19,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/enumerate"
 	"repro/internal/goal"
-	"repro/internal/msgbuf"
 	"repro/internal/sensing"
 	"repro/internal/xrand"
 )
@@ -41,9 +40,6 @@ var (
 
 // Name implements goal.Goal.
 func (*Goal) Name() string { return "treasure" }
-
-// Kind implements goal.Goal.
-func (*Goal) Kind() goal.Kind { return goal.KindCompact }
 
 // EnvChoices implements goal.Goal.
 func (*Goal) EnvChoices() int { return 1 }
@@ -138,7 +134,7 @@ type Candidate struct {
 	Guess int
 
 	elapsed int
-	cmd     msgbuf.Memo1[int, comm.Message] // "pass <Guess>", built once per guess
+	cmd     comm.Message // "pass <Guess>", built on first send
 }
 
 var _ comm.StepperTo = (*Candidate)(nil)
@@ -152,12 +148,10 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(
 // StepTo implements comm.StepperTo.
 func (c *Candidate) StepTo(_ comm.Inbox, out *comm.Outbox) error {
 	if c.elapsed%2 == 0 {
-		msg, ok := c.cmd.Get(c.Guess)
-		if !ok {
-			msg = comm.Message("pass " + strconv.Itoa(c.Guess))
-			c.cmd.Put(c.Guess, msg)
+		if c.cmd == "" {
+			c.cmd = comm.Message("pass " + strconv.Itoa(c.Guess))
 		}
-		out.ToServer = msg
+		out.ToServer = c.cmd
 	}
 	c.elapsed++
 	return nil

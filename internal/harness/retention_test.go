@@ -34,14 +34,14 @@ func refSafetyVerdicts(
 		if err != nil {
 			t.Fatal(err)
 		}
-		inds := sensing.Indications(mkSense(), res.View)
-		eventually := len(inds) >= cfg.window()
-		if eventually {
-			for _, v := range inds[len(inds)-cfg.window():] {
-				if !v {
-					eventually = false
-					break
-				}
+		// Eventually positive: no negative indication in the final window.
+		sense := mkSense()
+		sense.Reset()
+		n := len(res.View.Rounds)
+		eventually := n >= cfg.window()
+		for r := range res.View.Rounds {
+			if !sense.Observe(&res.View.Rounds[r]) && r >= n-cfg.window() {
+				eventually = false
 			}
 		}
 		verdicts[i] = eventually && !goal.CompactAchieved(g, res.History, cfg.window())

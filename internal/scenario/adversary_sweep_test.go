@@ -3,7 +3,12 @@ package scenario
 import (
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/comm"
+	"repro/internal/server"
+	"repro/internal/system"
 )
 
 // numbersOnly strips a stat's identity (ID, coordinates) leaving the
@@ -24,11 +29,11 @@ func numbersOnly(t *testing.T, st *Stats) string {
 // TestAdversaryZeroAxesAggregateParity is the safety property of the
 // adversary wrappers: declaring byzantine=0, mislead=0, drift=0 must
 // yield aggregates numerically identical to a sweep that never mentions
-// the axes. The stack stays deterministic (slow/delay, no noise): trial
-// seeds are content-derived, so the extra zero axes change the seed
-// stream, and only deterministic executions can be expected to agree
-// exactly — seeded byte parity of the wrappers themselves is pinned at
-// the transcript level in the server package.
+// the axes. The stack stays deterministic (slow, no noise): trial seeds
+// are content-derived, so the extra zero axes change the seed stream,
+// and only deterministic executions can be expected to agree exactly —
+// seeded byte parity of the wrappers themselves is pinned at the
+// transcript level in the server package.
 func TestAdversaryZeroAxesAggregateParity(t *testing.T) {
 	t.Parallel()
 
@@ -39,7 +44,6 @@ func TestAdversaryZeroAxesAggregateParity(t *testing.T) {
 			{Name: "class", Values: Ints(4)},
 			{Name: "server", Values: []string{"0", "-1", "obstinate"}},
 			{Name: "slow", Values: Ints(0, 2)},
-			{Name: "delay", Values: Ints(0, 1)},
 			{Name: "rounds", Values: Ints(300)},
 		},
 		Seeds:    2,
@@ -82,6 +86,72 @@ func TestAdversaryZeroAxesAggregateParity(t *testing.T) {
 	}
 	if bSum.Successes == 0 || bSum.Successes == bSum.Trials {
 		t.Fatalf("degenerate parity sweep: %d/%d successes", bSum.Successes, bSum.Trials)
+	}
+}
+
+// TestBindWrapsServerInFixedOrder pins how Bind builds a class member:
+// Byzantine innermost, then Misleading, Slow and Noisy, each only when its
+// axis is nonzero. A run against the bound server must equal, round for
+// round, a run against the same member wrapped by hand in that order, and
+// with every axis zero, a run against the bare member.
+func TestBindWrapsServerInFixedOrder(t *testing.T) {
+	t.Parallel()
+
+	reg := Builtin()
+	for _, tc := range []struct {
+		name string
+		axes []Axis
+		wrap func(comm.Strategy) comm.Strategy
+	}{
+		{"bare", nil, func(s comm.Strategy) comm.Strategy { return s }},
+		{"all four", []Axis{
+			{Name: "byzantine", Values: Ints(3)},
+			{Name: "mislead", Values: Floats(0.3)},
+			{Name: "slow", Values: Ints(2)},
+			{Name: "noise", Values: Floats(0.2)},
+		}, func(s comm.Strategy) comm.Strategy {
+			return server.Noisy(server.Slow(server.Misleading(server.Byzantine(s, 3), 0.3), 2), 0.2)
+		}},
+		{"mislead and noise", []Axis{
+			{Name: "mislead", Values: Floats(0.5)},
+			{Name: "noise", Values: Floats(0.3)},
+		}, func(s comm.Strategy) comm.Strategy {
+			return server.Noisy(server.Misleading(s, 0.5), 0.3)
+		}},
+	} {
+		m, err := NewMatrix(&Spec{Name: "order", Axes: append([]Axis{
+			{Name: "goal", Values: []string{"printing"}},
+			{Name: "class", Values: Ints(4)},
+			{Name: "server", Values: Ints(2)},
+			{Name: "rounds", Values: Ints(300)},
+		}, tc.axes...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := m.At(0)
+		bind, err := reg.Bind(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, _, err := reg.Parts(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(srv comm.Strategy) *system.Result {
+			user, err := bind.User()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := system.Run(user, srv, bind.World(), system.Config{MaxRounds: bind.MaxRounds, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		got, want := run(bind.Server()), run(tc.wrap(parts.Member(2)))
+		if !reflect.DeepEqual(got.View, want.View) || !reflect.DeepEqual(got.History, want.History) {
+			t.Errorf("%s: the bound server's run differs from the hand-wrapped member's", tc.name)
+		}
 	}
 }
 

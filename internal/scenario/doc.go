@@ -2,8 +2,8 @@
 // hand-coded experiment grids into data.
 //
 // A Spec names the axes of a scenario space — goal and world parameters,
-// user strategy, the server transform stack (dialect class member, noise,
-// delay, slowness, the unhelpful probe), horizons — and a Matrix expands
+// user strategy, the server class member and its wrappers (adversaries,
+// slowness, noise, the unhelpful probe), horizons — and a Matrix expands
 // their cross-product lazily: scenarios are decoded from an index on
 // demand, never materialized as a slice, so billion-point spaces cost
 // nothing to declare. Sample draws deterministic random subsets of huge

@@ -127,7 +127,7 @@ func decodeEnvelope(data []byte) (*ShardResult, error) {
 // FuzzReadShardResult feeds arbitrary bytes through the shard-envelope
 // decoder: never panic, and anything accepted must be exactly one JSON
 // value, validate, survive a write/read round trip, and keep rejecting
-// unknown fields. ReadShardResult, and a ShardReader warmed on a valid
+// unknown fields. A fresh ShardReader, and one warmed on a valid
 // envelope, indented or compact, must give every input the same envelope
 // or the same error as a one-pass decode, and the warm reader must read
 // its warm-up envelope the same after.
@@ -154,9 +154,9 @@ func FuzzReadShardResult(f *testing.F) {
 		[]byte(`"spec":null`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sr, err := decodeEnvelope(data)
-		cold, cerr := ReadShardResult(bytes.NewReader(data))
+		cold, cerr := new(ShardReader).Read(bytes.NewReader(data))
 		if fmt.Sprint(cerr) != fmt.Sprint(err) || !reflect.DeepEqual(cold, sr) {
-			t.Fatalf("ReadShardResult read %q as (%+v, %v), a one-pass decode as (%+v, %v)", data, cold, cerr, sr, err)
+			t.Fatalf("a fresh reader read %q as (%+v, %v), a one-pass decode as (%+v, %v)", data, cold, cerr, sr, err)
 		}
 		for _, warmup := range [][]byte{valid, compact} {
 			var rd ShardReader
@@ -176,16 +176,16 @@ func FuzzReadShardResult(f *testing.F) {
 			return
 		}
 		if !json.Valid(data) {
-			t.Fatalf("ReadShardResult accepted more than one JSON value: %q", data)
+			t.Fatalf("ShardReader accepted more than one JSON value: %q", data)
 		}
 		if verr := sr.Validate(); verr != nil {
-			t.Fatalf("ReadShardResult accepted an envelope Validate rejects: %v", verr)
+			t.Fatalf("ShardReader accepted an envelope Validate rejects: %v", verr)
 		}
 		var buf bytes.Buffer
 		if err := sr.Write(&buf); err != nil {
 			t.Fatalf("re-write: %v", err)
 		}
-		back, err := ReadShardResult(&buf)
+		back, err := new(ShardReader).Read(&buf)
 		if err != nil {
 			t.Fatalf("re-read: %v", err)
 		}
@@ -200,7 +200,7 @@ func FuzzReadShardResult(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ReadShardResult(bytes.NewReader(grown)); err == nil {
+			if _, err := new(ShardReader).Read(bytes.NewReader(grown)); err == nil {
 				t.Fatalf("unknown field accepted in %s", grown)
 			}
 		}

@@ -310,6 +310,14 @@ func TestRegistryBindRejects(t *testing.T) {
 		}
 	}
 
+	// delay is no axis: a spec that sets it fails like a misspelt one.
+	delay := mk(
+		Axis{Name: "goal", Values: []string{"treasure"}},
+		Axis{Name: "delay", Values: Ints(0)})
+	if _, err := reg.Bind(delay); err == nil || !strings.Contains(err.Error(), `unknown axis "delay"`) {
+		t.Errorf("delay axis: Bind error %v, want unknown axis", err)
+	}
+
 	// A negative server index counts from the end of the class.
 	sc := mk(
 		Axis{Name: "goal", Values: []string{"treasure"}},

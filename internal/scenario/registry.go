@@ -32,7 +32,6 @@ import (
 //	env       world environment choice (default 0)
 //	patience  sensing patience in rounds (default 0 = the goal's default)
 //	noise     per-message drop probability on the user channel (default 0)
-//	delay     reply delay in rounds (default 0)
 //	slow      whole-profile slowdown in rounds (default 0)
 //	user      "universal" (default), "shuffled:<seed>" for a universal
 //	          user over a shuffled enumeration, or "oracle" for the
@@ -50,7 +49,7 @@ import (
 //	machine   fsm goals only: machine index within the space
 var knownAxes = map[string]bool{
 	"goal": true, "class": true, "server": true, "param": true,
-	"env": true, "patience": true, "noise": true, "delay": true,
+	"env": true, "patience": true, "noise": true,
 	"slow": true, "user": true, "rounds": true,
 	"byzantine": true, "mislead": true, "drift": true,
 	"space": true, "machine": true,
@@ -64,7 +63,6 @@ type Axes struct {
 	Patience  int
 	Env       int
 	Rounds    int
-	Delay     int
 	Slow      int
 	Byzantine int
 	Noise     float64
@@ -90,8 +88,8 @@ type Parts struct {
 	// stateful and must not be shared across trials.
 	Sense func() sensing.Sense
 
-	// Member instantiates the i-th server class member (before the
-	// adversary and transform stacks are applied).
+	// Member instantiates the i-th server class member (before Bind
+	// applies the adversary and transform wrappers).
 	Member func(i int) comm.Strategy
 
 	// Drift instantiates the i-th member with a Markov-switching dialect
@@ -303,7 +301,7 @@ func parseAxes(sc *Scenario) (Axes, error) {
 	var ax Axes
 	for _, av := range sc.Values {
 		if !knownAxes[av.Name] {
-			return ax, fmt.Errorf("scenario: unknown axis %q (known: goal class server param env patience noise delay slow user rounds byzantine mislead drift space machine)", av.Name)
+			return ax, fmt.Errorf("scenario: unknown axis %q (known: goal class server param env patience noise slow user rounds byzantine mislead drift space machine)", av.Name)
 		}
 	}
 	var err error
@@ -323,9 +321,6 @@ func parseAxes(sc *Scenario) (Axes, error) {
 		return ax, err
 	}
 	if ax.Rounds, err = sc.Int("rounds", 0); err != nil {
-		return ax, err
-	}
-	if ax.Delay, err = sc.Int("delay", 0); err != nil {
 		return ax, err
 	}
 	if ax.Slow, err = sc.Int("slow", 0); err != nil {
@@ -395,20 +390,15 @@ func (r *Registry) Bind(sc *Scenario) (*Binding, error) {
 	}
 
 	// Resolve the server: a class member index (negative counts from the
-	// end) — or the obstinate probe — wrapped first in the declared
-	// adversary (Byzantine, then misleading; drift replaces the member's
-	// fixed dialect), then in the declared transform stack.
-	stack := server.StackSpec{Slow: ax.Slow, Delay: ax.Delay, Noise: ax.Noise}
-	adv := server.AdversarySpec{Byzantine: ax.Byzantine, Mislead: ax.Mislead}
+	// end), or the obstinate probe. Drift replaces the member's fixed
+	// dialect.
 	memberIdx := -1
-	var mkServer func() comm.Strategy
+	var member func(i int) comm.Strategy
 	if ax.Server == "obstinate" {
 		if ax.Drift > 0 {
 			return nil, fmt.Errorf("scenario: obstinate server has no dialect to drift")
 		}
-		mkServer = func() comm.Strategy {
-			return server.Stack(server.Adversary(server.Obstinate(), adv), stack)
-		}
+		member = func(int) comm.Strategy { return server.Obstinate() }
 	} else {
 		idx, err := strconv.Atoi(ax.Server)
 		if err != nil {
@@ -421,7 +411,7 @@ func (r *Registry) Bind(sc *Scenario) (*Binding, error) {
 			return nil, fmt.Errorf("scenario: server index %s outside class of size %d", ax.Server, ax.Class)
 		}
 		memberIdx = idx
-		member := parts.Member
+		member = parts.Member
 		if ax.Drift > 0 {
 			if parts.Drift == nil {
 				return nil, fmt.Errorf("scenario: goal %q has no dialect to drift", sc.Str("goal", ""))
@@ -429,9 +419,30 @@ func (r *Registry) Bind(sc *Scenario) (*Binding, error) {
 			drift := ax.Drift
 			member = func(i int) comm.Strategy { return parts.Drift(i, drift) }
 		}
-		mkServer = func() comm.Strategy {
-			return server.Stack(server.Adversary(member(idx), adv), stack)
+	}
+	// Each wrapper whose axis is nonzero applies, innermost first:
+	// corruption at the server's mouth (Byzantine), the misleading policy
+	// around whatever comes out, the server's own slowness, and last the
+	// noisy channel in front of it. A wrapper splits its generator off the
+	// trial's after the server it wraps, so this order is part of every
+	// adversarial scenario's results. The closure copies the four axes
+	// rather than capturing ax, which would move ax to the heap.
+	byzantine, mislead, slow, noise := ax.Byzantine, ax.Mislead, ax.Slow, ax.Noise
+	mkServer := func() comm.Strategy {
+		s := member(memberIdx)
+		if byzantine > 0 {
+			s = server.Byzantine(s, byzantine)
 		}
+		if mislead > 0 {
+			s = server.Misleading(s, mislead)
+		}
+		if slow > 0 {
+			s = server.Slow(s, slow)
+		}
+		if noise > 0 {
+			s = server.Noisy(s, noise)
+		}
+		return s
 	}
 
 	// Resolve the user strategy.

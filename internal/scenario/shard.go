@@ -162,16 +162,6 @@ func (sr *ShardResult) Write(w io.Writer) error {
 	return enc.Encode(sr)
 }
 
-// ReadShardResult decodes one shard envelope and validates its framing.
-// Unknown JSON fields are rejected deliberately: an envelope written by a
-// future format that grew fields would otherwise decode "successfully"
-// with those fields silently dropped, and a merge would fabricate a
-// complete-looking report from data it did not understand. Compatible
-// format evolution bumps ShardFormatVersion instead.
-func ReadShardResult(r io.Reader) (*ShardResult, error) {
-	return new(ShardReader).Read(r)
-}
-
 // ShardReader reads the envelopes of one sweep. Every envelope of a sweep
 // carries the same spec, which for a large space is most of an envelope's
 // bytes (the family spec's 4,096-value machine axis), so the reader
@@ -187,7 +177,12 @@ type ShardReader struct {
 
 // Read decodes one envelope and validates its framing. Sharing a spec is
 // its only difference from decoding the envelope strictly in one pass:
-// for any input it returns an equal envelope or the same error.
+// for any input it returns an equal envelope or the same error. Unknown
+// JSON fields are rejected deliberately: an envelope written by a future
+// format that grew fields would otherwise decode "successfully" with
+// those fields silently dropped, and a merge would fabricate a
+// complete-looking report from data it did not understand. Compatible
+// format evolution bumps ShardFormatVersion instead.
 func (rd *ShardReader) Read(r io.Reader) (*ShardResult, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -325,7 +325,7 @@ func TestShardResultReadWrite(t *testing.T) {
 	if err := sr.Write(&b); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadShardResult(strings.NewReader(b.String()))
+	back, err := new(ShardReader).Read(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestShardResultReadWrite(t *testing.T) {
 		if err := broken.Write(&bb); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadShardResult(strings.NewReader(bb.String())); err == nil {
+		if _, err := new(ShardReader).Read(strings.NewReader(bb.String())); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -354,7 +354,7 @@ func TestShardResultReadWrite(t *testing.T) {
 		"two envelopes":    b.String() + b.String(),
 		"trailing garbage": b.String() + "trailing garbage",
 	} {
-		if _, err := ReadShardResult(strings.NewReader(in)); err == nil {
+		if _, err := new(ShardReader).Read(strings.NewReader(in)); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -391,7 +391,7 @@ func TestShardResultRejectsUnknownFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanity: the unmodified envelope round-trips.
-	if _, err := ReadShardResult(strings.NewReader(b.String())); err != nil {
+	if _, err := new(ShardReader).Read(strings.NewReader(b.String())); err != nil {
 		t.Fatal(err)
 	}
 	// Graft an unknown top-level field onto the valid envelope.
@@ -399,7 +399,7 @@ func TestShardResultRejectsUnknownFields(t *testing.T) {
 	if futured == b.String() {
 		t.Fatal("test setup: version field not found in envelope")
 	}
-	if _, err := ReadShardResult(strings.NewReader(futured)); err == nil ||
+	if _, err := new(ShardReader).Read(strings.NewReader(futured)); err == nil ||
 		!strings.Contains(err.Error(), "futureField") {
 		t.Fatalf("envelope with unknown top-level field accepted: %v", err)
 	}
@@ -408,7 +408,7 @@ func TestShardResultRejectsUnknownFields(t *testing.T) {
 	if nested == b.String() {
 		t.Fatal("test setup: summary object not found in envelope")
 	}
-	if _, err := ReadShardResult(strings.NewReader(nested)); err == nil {
+	if _, err := new(ShardReader).Read(strings.NewReader(nested)); err == nil {
 		t.Fatal("envelope with unknown summary field accepted")
 	}
 }

@@ -257,7 +257,6 @@ func TestSweepSurfacesTrialErrors(t *testing.T) {
 type failGoal struct{}
 
 func (*failGoal) Name() string                 { return "broken" }
-func (*failGoal) Kind() goal.Kind              { return goal.KindCompact }
 func (*failGoal) EnvChoices() int              { return 1 }
 func (*failGoal) NewWorld(goal.Env) goal.World { return &failWorld{} }
 func (*failGoal) Acceptable(comm.History) bool { return false }
@@ -311,7 +310,6 @@ func TestSweepObstinateNeverSucceeds(t *testing.T) {
 type judgelessGoal struct{ inner goal.CompactGoal }
 
 func (g judgelessGoal) Name() string                     { return g.inner.Name() }
-func (g judgelessGoal) Kind() goal.Kind                  { return g.inner.Kind() }
 func (g judgelessGoal) NewWorld(env goal.Env) goal.World { return g.inner.NewWorld(env) }
 func (g judgelessGoal) EnvChoices() int                  { return g.inner.EnvChoices() }
 func (g judgelessGoal) Acceptable(h comm.History) bool   { return g.inner.Acceptable(h) }

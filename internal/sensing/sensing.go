@@ -140,15 +140,3 @@ func Replay(s Sense, v comm.View) bool {
 	}
 	return verdict
 }
-
-// Indications feeds an entire view through a (freshly Reset) sense and
-// returns the per-round indication sequence. Used by the certification
-// harness to check "eventually always positive" conditions.
-func Indications(s Sense, v comm.View) []bool {
-	s.Reset()
-	out := make([]bool, 0, v.Len())
-	for i := range v.Rounds {
-		out = append(out, s.Observe(&v.Rounds[i]))
-	}
-	return out
-}

@@ -3,7 +3,6 @@ package server
 import (
 	"repro/internal/comm"
 	"repro/internal/dialect"
-	"repro/internal/msgbuf"
 	"repro/internal/xrand"
 )
 
@@ -151,10 +150,11 @@ func (s *byzantine) StepTo(in comm.Inbox, out *comm.Outbox) error {
 // channel is a dialect that drifts mid-session: starting from dialect
 // `start` of the family, each round with probability p the dialect is
 // re-drawn uniformly from the family (a Markov switch — the draw may land
-// on the current dialect). With p = 0 it is step-for-step identical to
-// Dialected(inner, fam.Dialect(start)). Like Dialected, silence passes
-// through untranslated, other translations are memoized per dialect
-// (dialects are pure), and the server→world channel is left untouched.
+// on the current dialect). It keeps one Dialected per family member over
+// the shared inner server and steps the current one, so with p = 0 it is
+// step-for-step identical to Dialected(inner, fam.Dialect(start)), and
+// each member's translation memo stays valid across switches and Resets
+// (dialects are pure).
 func DriftingDialected(inner comm.Strategy, fam *dialect.Family, start int, p float64) comm.Strategy {
 	if p < 0 {
 		p = 0
@@ -167,35 +167,26 @@ func DriftingDialected(inner comm.Strategy, fam *dialect.Family, start int, p fl
 	if start < 0 {
 		start += n
 	}
-	s := &drifting{
-		fam: fam, start: start, p: p, cur: start,
-		dec1: make([]msgbuf.Memo1[comm.Message, comm.Message], n),
-		enc1: make([]msgbuf.Memo1[comm.Message, comm.Message], n),
-		dec:  make([]msgbuf.Table[comm.Message, comm.Message], n),
-		enc:  make([]msgbuf.Table[comm.Message, comm.Message], n),
+	s := &drifting{members: make([]dialected, n), start: start, p: p, cur: start}
+	for i := range s.members {
+		s.members[i].d = fam.Dialect(i)
+		s.members[i].wrap(inner)
 	}
-	s.wrap(inner)
 	return s
 }
 
 type drifting struct {
-	wrapped
-	fam   *dialect.Family
-	start int
-	p     float64
-	cur   int
-	r     *xrand.Rand
-
-	// Per-dialect translation memos, indexed by the current dialect.
-	// Dialects are pure, so entries stay valid across switches and Resets.
-	dec1, enc1 []msgbuf.Memo1[comm.Message, comm.Message]
-	dec, enc   []msgbuf.Table[comm.Message, comm.Message]
+	members []dialected
+	start   int
+	p       float64
+	cur     int
+	r       *xrand.Rand
 }
 
 var _ comm.StepperTo = (*drifting)(nil)
 
 func (s *drifting) Reset(r *xrand.Rand) {
-	s.inner.Reset(r)
+	s.members[0].Reset(r) // every member resets the one inner server
 	if r != nil {
 		s.r = r.Split()
 	} else {
@@ -208,42 +199,7 @@ func (s *drifting) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s
 
 func (s *drifting) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if s.p > 0 && s.r.Float64() < s.p {
-		s.cur = s.r.Intn(s.fam.Size())
+		s.cur = s.r.Intn(len(s.members))
 	}
-	d := s.fam.Dialect(s.cur)
-	in.FromUser = translate(&s.dec1[s.cur], &s.dec[s.cur], d.Decode, in.FromUser)
-	if err := s.step.StepTo(in, out); err != nil {
-		return err
-	}
-	out.ToUser = translate(&s.enc1[s.cur], &s.enc[s.cur], d.Encode, out.ToUser)
-	return nil
-}
-
-// AdversarySpec declares an adversarial wrapper stack over a class member
-// as data, mirroring StackSpec: zero values mean "absent", so the zero
-// AdversarySpec is the identity. The declared order is fixed — Byzantine
-// innermost, then Misleading — matching the model: corruption happens at
-// the server's mouth, misleading is the policy it wraps around whatever
-// comes out. (Dialect drift is not part of this spec because it needs the
-// goal's dialect family; the registry applies it to the class member
-// before the adversary stack.)
-type AdversarySpec struct {
-	// Byzantine is the corrupted-round budget; 0 applies no wrapper.
-	Byzantine int
-
-	// Mislead is the per-round probability of suppressing the server's
-	// action while claiming past progress; 0 applies no wrapper.
-	Mislead float64
-}
-
-// Adversary wraps a class member in the adversarial transforms the spec
-// declares.
-func Adversary(inner comm.Strategy, a AdversarySpec) comm.Strategy {
-	if a.Byzantine > 0 {
-		inner = Byzantine(inner, a.Byzantine)
-	}
-	if a.Mislead > 0 {
-		inner = Misleading(inner, a.Mislead)
-	}
-	return inner
+	return s.members[s.cur].StepTo(in, out)
 }

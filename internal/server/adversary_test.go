@@ -195,31 +195,10 @@ func TestDriftingStartIndexWraps(t *testing.T) {
 	}
 }
 
-func TestAdversaryZeroSpecIsIdentity(t *testing.T) {
-	t.Parallel()
-
-	inner := &echo{}
-	if got := Adversary(inner, AdversarySpec{}); got != comm.Strategy(inner) {
-		t.Fatalf("zero AdversarySpec wrapped the server: %T", got)
-	}
-}
-
-func TestAdversaryAppliesDeclaredWrappers(t *testing.T) {
-	t.Parallel()
-
-	s := Adversary(&chatty{}, AdversarySpec{Byzantine: 2, Mislead: 1})
-	outs := transcript(t, s, 13, repeat("hi", 30))
-	for i, out := range outs {
-		if !out.ToWorld.Empty() {
-			t.Fatalf("round %d: mislead=1 let an action through: %+v", i, out)
-		}
-	}
-}
-
 func TestAdversaryNilRandSafe(t *testing.T) {
 	t.Parallel()
 
-	s := Adversary(&chatty{}, AdversarySpec{Byzantine: 1, Mislead: 0.5})
+	s := Misleading(Byzantine(&chatty{}, 1), 0.5)
 	s.Reset(nil)
 	if _, err := s.Step(comm.Inbox{FromUser: "hi"}); err != nil {
 		t.Fatal(err)

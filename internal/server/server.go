@@ -4,8 +4,11 @@
 // single server strategy but a class of possible server strategies, with
 // the actual member chosen adversarially. This package builds such classes
 // by wrapping a base ("native protocol") server behaviour with
-// transformations: dialects (language mismatch), delays, noise, and the
-// degenerate unhelpful server that ignores the user entirely.
+// transformations: dialects (language mismatch), fixed or drifting,
+// slowness, noise and the adversaries of adversary.go, plus the
+// degenerate unhelpful server that ignores the user entirely. The
+// wrappers are building blocks; scenario.Registry.Bind is the one place
+// that stacks them into a class member, in a fixed order.
 //
 // Every wrapper steps in place (comm.StepperTo): it resolves the server it
 // wraps once, at construction, and passes the caller's outbox down the
@@ -101,95 +104,34 @@ func (s *dialected) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	return nil
 }
 
-// Delayed wraps a server so that its replies to the user are delivered k
-// rounds late. Models slow or buffered components; helpful, but punishes
-// impatient sensing.
-func Delayed(inner comm.Strategy, k int) comm.Strategy {
-	if k < 0 {
-		k = 0
-	}
-	s := &delayed{ring: ring[comm.Message]{k: k}}
-	s.wrap(inner)
-	return s
-}
-
-// ring is a fixed-size delay line of k > 0 slots (allocated once, so a
-// long execution's delay wrappers allocate nothing after round k). Each
-// call of next returns the slot its caller exchanges this round's value
-// with: it holds the value exchanged in k calls earlier, or the zero
-// value while the line is still filling. A wrapper with k = 0 delays
-// nothing and skips its ring.
-type ring[T any] struct {
-	k   int
-	buf []T
-	i   int
-}
-
-func (r *ring[T]) reset() {
-	clear(r.buf)
-	r.i = 0
-}
-
-func (r *ring[T]) next() *T {
-	if r.buf == nil {
-		r.buf = make([]T, r.k)
-	}
-	p := &r.buf[r.i]
-	if r.i++; r.i == r.k {
-		r.i = 0
-	}
-	return p
-}
-
-type delayed struct {
-	wrapped
-	ring ring[comm.Message]
-}
-
-var _ comm.StepperTo = (*delayed)(nil)
-
-func (s *delayed) Reset(r *xrand.Rand) {
-	s.inner.Reset(r)
-	s.ring.reset()
-}
-
-func (s *delayed) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
-
-func (s *delayed) StepTo(in comm.Inbox, out *comm.Outbox) error {
-	if err := s.step.StepTo(in, out); err != nil {
-		return err
-	}
-	if s.ring.k > 0 {
-		p := s.ring.next() // silence while the line fills
-		out.ToUser, *p = *p, out.ToUser
-	}
-	return nil
-}
-
 // Slow wraps a server so that its entire output profile (to the user AND
 // to the world) is delivered k rounds late — a sluggish component whose
-// effects, not just whose replies, lag. Unlike Delayed, Slow also delays
-// the goal-relevant action path, which is what makes sensing patience
-// matter.
+// effects, not just whose replies, lag, which is what makes sensing
+// patience matter.
 func Slow(inner comm.Strategy, k int) comm.Strategy {
 	if k < 0 {
 		k = 0
 	}
-	s := &slow{ring: ring[comm.Outbox]{k: k}}
+	s := &slow{k: k}
 	s.wrap(inner)
 	return s
 }
 
+// slow keeps a delay line of k outboxes, allocated on first use, so a
+// long execution allocates nothing after round k. Slot i holds the
+// outbox produced k rounds ago, or silence while the line fills.
 type slow struct {
 	wrapped
-	ring ring[comm.Outbox]
+	k, i int
+	line []comm.Outbox
 }
 
 var _ comm.StepperTo = (*slow)(nil)
 
 func (s *slow) Reset(r *xrand.Rand) {
 	s.inner.Reset(r)
-	s.ring.reset()
+	clear(s.line)
+	s.i = 0
 }
 
 func (s *slow) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(s, in) }
@@ -198,10 +140,15 @@ func (s *slow) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if err := s.step.StepTo(in, out); err != nil {
 		return err
 	}
-	if s.ring.k > 0 {
-		// The whole profile lags (empty while the line fills), exchanged
-		// field by field: *out was only just written.
-		p := s.ring.next()
+	if s.k > 0 {
+		if s.line == nil {
+			s.line = make([]comm.Outbox, s.k)
+		}
+		// Exchanged field by field: *out was only just written.
+		p := &s.line[s.i]
+		if s.i++; s.i == s.k {
+			s.i = 0
+		}
 		out.ToUser, p.ToUser = p.ToUser, out.ToUser
 		out.ToServer, p.ToServer = p.ToServer, out.ToServer
 		out.ToWorld, p.ToWorld = p.ToWorld, out.ToWorld

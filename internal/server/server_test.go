@@ -73,48 +73,6 @@ func TestDialectedWorldChannelUntouched(t *testing.T) {
 	}
 }
 
-func TestDelayedShiftsReplies(t *testing.T) {
-	t.Parallel()
-
-	s := Delayed(&commtest.Echo{}, 2)
-	s.Reset(xrand.New(1))
-
-	if out := step(t, s, comm.Inbox{FromUser: "a"}); !out.ToUser.Empty() {
-		t.Fatalf("round 0 reply not delayed: %q", out.ToUser)
-	}
-	if out := step(t, s, comm.Inbox{FromUser: "b"}); !out.ToUser.Empty() {
-		t.Fatalf("round 1 reply not delayed: %q", out.ToUser)
-	}
-	if out := step(t, s, comm.Inbox{}); out.ToUser != "a" {
-		t.Fatalf("round 2 reply = %q, want a", out.ToUser)
-	}
-	if out := step(t, s, comm.Inbox{}); out.ToUser != "b" {
-		t.Fatalf("round 3 reply = %q, want b", out.ToUser)
-	}
-}
-
-func TestDelayedZeroIsTransparent(t *testing.T) {
-	t.Parallel()
-
-	s := Delayed(&commtest.Echo{}, 0)
-	s.Reset(xrand.New(1))
-	if out := step(t, s, comm.Inbox{FromUser: "x"}); out.ToUser != "x" {
-		t.Fatalf("zero delay altered timing: %q", out.ToUser)
-	}
-}
-
-func TestDelayedResetClearsQueue(t *testing.T) {
-	t.Parallel()
-
-	s := Delayed(&commtest.Echo{}, 1)
-	s.Reset(xrand.New(1))
-	step(t, s, comm.Inbox{FromUser: "stale"})
-	s.Reset(xrand.New(1))
-	if out := step(t, s, comm.Inbox{FromUser: "fresh"}); !out.ToUser.Empty() {
-		t.Fatalf("stale queue leaked across Reset: %q", out.ToUser)
-	}
-}
-
 func TestNoisyExtremes(t *testing.T) {
 	t.Parallel()
 
@@ -296,9 +254,9 @@ func TestDialectedNeverTranslatesSilence(t *testing.T) {
 		name string
 		s    comm.Strategy
 	}{
-		{"Dialected", Dialected(&echo{}, fam.Dialect(1))},
-		{"DriftingDialected p=0", DriftingDialected(&echo{}, fam, 1, 0)},
-		{"DriftingDialected p=0.5", DriftingDialected(&echo{}, fam, 1, 0.5)},
+		{"Dialected", Dialected(&commtest.Echo{}, fam.Dialect(1))},
+		{"DriftingDialected p=0", DriftingDialected(&commtest.Echo{}, fam, 1, 0)},
+		{"DriftingDialected p=0.5", DriftingDialected(&commtest.Echo{}, fam, 1, 0.5)},
 	} {
 		silent, spoken = 0, 0
 		outs := transcript(t, tc.s, 5, msgs)

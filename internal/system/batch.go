@@ -64,11 +64,11 @@ func DeriveSeed(root uint64, trial int) uint64 {
 
 // RunBatch executes every trial across a bounded worker pool and returns
 // the results in submission order, so parallel output is identical to
-// serial output. On failure it returns the error of the lowest-index
-// failing trial (deterministically, regardless of scheduling) and no
-// results.
+// serial output. Every trial runs, as in RunEach; on failure RunBatch
+// returns the error of the lowest-index failing trial (deterministically,
+// regardless of scheduling) and no results.
 func RunBatch(trials []Trial, cfg BatchConfig) ([]*Result, error) {
-	results, errs := runPool(trials, cfg, true)
+	results, errs := RunEach(trials, cfg)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("system: trial %d: %w", i, err)
@@ -77,20 +77,14 @@ func RunBatch(trials []Trial, cfg BatchConfig) ([]*Result, error) {
 	return results, nil
 }
 
-// RunEach executes every trial like RunBatch but tolerates individual
-// failures: it always returns one result and one error per trial, in
-// submission order (results[i] is nil exactly where errs[i] is non-nil).
-// Use it for certification sweeps that treat a failing trial as data
-// rather than as a reason to abort.
-func RunEach(trials []Trial, cfg BatchConfig) (results []*Result, errs []error) {
-	return runPool(trials, cfg, false)
-}
-
-// runPool is the shared scheduler. With failFast, trials beyond the
-// lowest-index failure observed so far may be skipped (their slots stay
-// nil): every trial below any failure still runs, so the minimal failing
-// index — the one RunBatch reports — is always found.
-func runPool(trials []Trial, cfg BatchConfig, failFast bool) ([]*Result, []error) {
+// RunEach executes every trial across a bounded worker pool and tolerates
+// individual failures: it always returns one result and one error per
+// trial, in submission order (results[i] is nil exactly where errs[i] is
+// non-nil). Use it for certification sweeps that treat a failing trial as
+// data rather than as a reason to abort.
+func RunEach(trials []Trial, cfg BatchConfig) ([]*Result, []error) {
+	// Not named results: the workers capture these, and a captured
+	// variable that is assigned after its declaration moves to the heap.
 	n := len(trials)
 	results := make([]*Result, n)
 	errs := make([]error, n)
@@ -103,20 +97,14 @@ func runPool(trials []Trial, cfg BatchConfig, failFast bool) ([]*Result, []error
 		mBatchClaims.Inc()
 		for i := range trials {
 			results[i], errs[i] = runTrial(&trials[i])
-			if errs[i] != nil && failFast {
-				break
-			}
 		}
 		return results, errs
 	}
 
 	var (
-		next   atomic.Int64
-		failed atomic.Int64
-		wg     sync.WaitGroup
+		next atomic.Int64
+		wg   sync.WaitGroup
 	)
-	failed.Store(int64(n)) // sentinel: no failure yet
-
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -128,20 +116,7 @@ func runPool(trials []Trial, cfg BatchConfig, failFast bool) ([]*Result, []error
 					return
 				}
 				mBatchClaims.Inc()
-				if failFast && i > failed.Load() {
-					continue
-				}
-				res, err := runTrial(&trials[i])
-				results[i], errs[i] = res, err
-				if err != nil {
-					// CAS-min the failure index.
-					for {
-						cur := failed.Load()
-						if i >= cur || failed.CompareAndSwap(cur, i) {
-							break
-						}
-					}
-				}
+				results[i], errs[i] = runTrial(&trials[i])
 			}
 		}()
 	}
