@@ -1,8 +1,8 @@
 // Allocation-discipline and fast-path-parity pins for the engine hot
 // path: the steady-state round loop of every stock goal must stay within
-// its allocation budget under RecordOff, and the online referee — a
-// goal.Tracker on the live world — must reach the verdicts of the
-// recorded-history referee it replaces.
+// its allocation budget under RecordOff, and the online referee — the
+// engine judging the live world through system.Config.Referee — must
+// reach the verdicts of the recorded-history referee it replaces.
 package repro
 
 import (
@@ -180,10 +180,13 @@ func a1TraySetup(t testing.TB) goalSetup {
 //
 //   - WorldJudge: AcceptableWorld equals Acceptable on the history ending
 //     in the live world's Snapshot, every round.
-//   - Tracker: a RecordOff run judged by goal.Tracker — through the
-//     WorldJudge fast path and through the Snapshot fallback — reaches,
-//     for windows 5, 10 and 20, the verdicts that goal.CompactAchieved and
-//     goal.LastUnacceptable reach on a RecordFull run of the same trial.
+//   - Referee: a RecordOff run judged by system.Config.Referee — through
+//     the WorldJudge fast path and through the Snapshot fallback —
+//     reaches, for windows 5, 10 and 20, the verdicts that
+//     goal.CompactAchieved and goal.LastUnacceptable reach on a
+//     RecordFull run of the same trial.
+//   - Messages: Result.Messages is the count of non-empty messages over
+//     the RecordFull run's View, and the RecordOff runs count the same.
 //   - Recording: the state handed to OnRound is the world's Snapshot.
 func TestFastPathParity(t *testing.T) {
 	for _, su := range append(stockSetups(t), a1TraySetup(t)) {
@@ -214,28 +217,39 @@ func TestFastPathParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				msgs := 0
+				for _, rv := range full.View.Rounds {
+					for _, m := range []comm.Message{rv.In.FromServer, rv.In.FromWorld, rv.Out.ToServer, rv.Out.ToWorld} {
+						if !m.Empty() {
+							msgs++
+						}
+					}
+				}
+				if full.Messages != msgs {
+					t.Fatalf("seed %d horizon %d: Result.Messages %d, the recorded view holds %d", seed, horizon, full.Messages, msgs)
+				}
 				if su.g == nil {
-					continue // finite goal: no compact referee to track
+					continue // finite goal: no compact referee to judge by
 				}
 				// The derived goal has the same referee but no WorldJudge,
-				// so its tracker takes the Snapshot fallback.
+				// so the engine takes the Snapshot fallback.
 				for _, g := range []goal.CompactGoal{su.g, goal.WithReferee(su.g, su.name, su.g.Acceptable)} {
-					tr := goal.NewTracker(g)
 					res, err := system.Run(su.user(), su.server(), su.world(), system.Config{
-						MaxRounds: horizon, Seed: seed, Record: system.RecordOff, OnRoundLive: tr.Observe,
+						MaxRounds: horizon, Seed: seed, Record: system.RecordOff, Referee: g,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if tr.Rounds() != full.Rounds || res.Rounds != full.Rounds {
-						t.Fatalf("seed %d horizon %d: tracker saw %d rounds, recorded run %d", seed, horizon, tr.Rounds(), full.Rounds)
+					if res.Rounds != full.Rounds || res.Messages != msgs {
+						t.Fatalf("seed %d horizon %d: judged run saw %d rounds and %d messages, recorded run %d and %d",
+							seed, horizon, res.Rounds, res.Messages, full.Rounds, msgs)
 					}
-					if got, want := tr.LastUnacceptable(), goal.LastUnacceptable(su.g, full.History); got != want {
-						t.Fatalf("seed %d horizon %d: tracker last rejected prefix %d, recorded %d", seed, horizon, got, want)
+					if got, want := res.LastUnacceptable, goal.LastUnacceptable(su.g, full.History); got != want {
+						t.Fatalf("seed %d horizon %d: engine last rejected prefix %d, recorded %d", seed, horizon, got, want)
 					}
 					for _, window := range []int{5, 10, 20} {
-						if got, want := tr.Achieved(window), goal.CompactAchieved(su.g, full.History, window); got != want {
-							t.Fatalf("seed %d horizon %d window %d: tracker achieved %v, recorded %v", seed, horizon, window, got, want)
+						if got, want := res.Achieved(window), goal.CompactAchieved(su.g, full.History, window); got != want {
+							t.Fatalf("seed %d horizon %d window %d: engine achieved %v, recorded %v", seed, horizon, window, got, want)
 						}
 					}
 					system.ReleaseResult(res)
@@ -425,15 +439,14 @@ func TestT1ShapedAllocs(t *testing.T) {
 	g := &printing.Goal{}
 	measure := func(name string, srvIdx int, user func() comm.Strategy) {
 		run := func() {
-			tr := goal.NewTracker(g)
 			res, err := system.Run(user(),
 				server.Dialected(&printing.Server{}, fam.Dialect(srvIdx)),
 				g.NewWorld(goal.Env{Choice: srvIdx % g.EnvChoices()}),
-				system.Config{MaxRounds: 50 * n, Seed: 1, Record: system.RecordOff, OnRoundLive: tr.Observe})
+				system.Config{MaxRounds: 50 * n, Seed: 1, Record: system.RecordOff, Referee: g})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !tr.Achieved(10) {
+			if !res.Achieved(10) {
 				t.Fatalf("%s vs server %d: goal not achieved", name, srvIdx)
 			}
 			system.ReleaseResult(res)
@@ -508,9 +521,9 @@ func TestMetricsInstrumentationAllocFree(t *testing.T) {
 }
 
 // sweepAllocBudgets pins whole builtin sweeps — scenario binding, the
-// universal user, server and adversary stacks, the live judge and the
-// per-scenario fold together — in allocations per executed round at
-// -parallel 1. Measured: default 0.1537, adversarial 0.1977 allocations
+// universal user, server and adversary stacks, the engine's referee and
+// the per-scenario fold together — in allocations per executed round at
+// -parallel 1. Measured: default 0.1476, adversarial 0.1880 allocations
 // per round over 460,800 and 81,600 rounds. Budgets carry ~1.3x slack;
 // one allocation per round anywhere in the stack adds 1.0.
 var sweepAllocBudgets = map[string]float64{
@@ -568,17 +581,15 @@ func BenchmarkSweepStack(b *testing.B) {
 			if _, ok := su.g.(goal.WorldJudge); !ok {
 				b.Fatalf("%s: stock compact goal without WorldJudge", su.name)
 			}
-			var tr goal.Tracker
 			cfg := system.Config{
-				MaxRounds:   su.rounds,
-				Seed:        1,
-				Record:      system.RecordOff,
-				OnRoundLive: tr.Observe,
+				MaxRounds: su.rounds,
+				Seed:      1,
+				Record:    system.RecordOff,
+				Referee:   su.g,
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr = goal.NewTracker(su.g)
 				res, err := system.Run(user, srv, world, cfg)
 				if err != nil {
 					b.Fatal(err)

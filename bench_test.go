@@ -77,16 +77,15 @@ func BenchmarkF2SwitchTrace(b *testing.B) { benchExperiment(b, "F2") }
 // sub-benchmark is the recording baseline; off shows the allocation win of
 // judging online instead. stack is the cost of a round through wrapper
 // layers, next to the silent off baseline: a universal printing user
-// against a noisy, slow, dialected printer, judged online by a tracker.
+// against a noisy, slow, dialected printer, judged online by the engine.
 // Results are released back to the engine pool, as batch hot paths do.
 func BenchmarkEngineRound(b *testing.B) {
 	const rounds = 1000
-	run := func(b *testing.B, usr, srv comm.Strategy, w goal.World, cfg system.Config, reset func()) {
+	run := func(b *testing.B, usr, srv comm.Strategy, w goal.World, cfg system.Config) {
 		cfg.MaxRounds, cfg.Seed = rounds, 1
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			reset()
 			res, err := system.Run(usr, srv, w, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -104,7 +103,7 @@ func BenchmarkEngineRound(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			run(b, &treasure.Candidate{Guess: 0}, server.Obstinate(), &treasure.World{},
-				system.Config{Record: bc.rec}, func() {})
+				system.Config{Record: bc.rec})
 		})
 	}
 	b.Run("stack", func(b *testing.B) {
@@ -118,10 +117,8 @@ func BenchmarkEngineRound(b *testing.B) {
 		}
 		srv := server.Noisy(server.Slow(server.Dialected(&printing.Server{}, fam.Dialect(5)), 2), 0.1)
 		g := &printing.Goal{}
-		var tr goal.Tracker
 		run(b, usr, srv, g.NewWorld(goal.Env{}),
-			system.Config{Record: system.RecordOff, OnRoundLive: tr.Observe},
-			func() { tr = goal.NewTracker(g) })
+			system.Config{Record: system.RecordOff, Referee: g})
 	})
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/goal"
 	"repro/internal/scenario"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -68,12 +67,11 @@ func runExplain(args []string, stdout io.Writer) error {
 		return err
 	}
 	seed := scenario.TrialSeed(base, sc, *trial)
-	tr := goal.NewTracker(bind.Goal)
 	res, err := system.Run(user, bind.Server(), bind.World(), system.Config{
-		MaxRounds:   bind.MaxRounds,
-		Seed:        seed,
-		Record:      system.RecordFull,
-		OnRoundLive: tr.Observe,
+		MaxRounds: bind.MaxRounds,
+		Seed:      seed,
+		Record:    system.RecordFull,
+		Referee:   bind.Goal,
 	})
 	if err != nil {
 		return err
@@ -81,8 +79,8 @@ func runExplain(args []string, stdout io.Writer) error {
 
 	fmt.Fprintf(stdout, "scenario:  %s\n", sc)
 	fmt.Fprintf(stdout, "trial:     %d of %d (seed %d)\n", *trial, trials, seed)
-	fmt.Fprintf(stdout, "achieved:  %v\n", tr.Achieved(window))
-	fmt.Fprintf(stdout, "rounds:    %d (converged at %d)\n", res.Rounds, tr.LastUnacceptable())
+	fmt.Fprintf(stdout, "achieved:  %v\n", res.Achieved(window))
+	fmt.Fprintf(stdout, "rounds:    %d (converged at %d)\n", res.Rounds, res.LastUnacceptable)
 	fmt.Fprintf(stdout, "end state: %s\n", res.History.Last())
 	if u, ok := user.(*universal.CompactUser); ok {
 		fmt.Fprintf(stdout, "universal: %d evictions, final candidate %d\n", u.Switches(), u.Index())

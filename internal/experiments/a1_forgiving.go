@@ -47,18 +47,16 @@ func RunA1(cfg Config) (*harness.Report, error) {
 
 	// Two trials per tray size (universal, oracle), all in one batch.
 	type a1run struct {
-		g       *printing.Goal
-		w       *printing.World
-		referee goal.Tracker
-		user    string
+		g    *printing.Goal
+		w    *printing.World
+		user string
 	}
 	runs := make([]a1run, 2*len(trays))
 	trials := make([]system.Trial, 0, 2*len(trays))
 	for i, paper := range trays {
 		g := &printing.Goal{Docs: []string{"target"}, Paper: paper}
 		w := g.NewWorld(goal.Env{}).(*printing.World)
-		run := &runs[2*i]
-		*run = a1run{g: g, w: w, referee: goal.NewTracker(g), user: "universal"}
+		runs[2*i] = a1run{g: g, w: w, user: "universal"}
 		trials = append(trials, system.Trial{
 			User: func() (comm.Strategy, error) {
 				return universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
@@ -69,15 +67,14 @@ func RunA1(cfg Config) (*harness.Report, error) {
 			World: func() goal.World { return w },
 			Config: system.Config{
 				MaxRounds: 50 * famSize, Seed: cfg.seed(),
-				Record: system.RecordOff, OnRoundLive: run.referee.Observe,
+				Record: system.RecordOff, Referee: g,
 			},
 		})
 
 		// Oracle user: no probing, one command, one sheet.
 		g2 := &printing.Goal{Docs: []string{"target"}, Paper: paper}
 		w2 := g2.NewWorld(goal.Env{}).(*printing.World)
-		run2 := &runs[2*i+1]
-		*run2 = a1run{g: g2, w: w2, referee: goal.NewTracker(g2), user: "oracle"}
+		runs[2*i+1] = a1run{g: g2, w: w2, user: "oracle"}
 		trials = append(trials, system.Trial{
 			User: func() (comm.Strategy, error) {
 				return &printing.Candidate{D: fam.Dialect(serverIdx), Resend: 1000}, nil
@@ -88,22 +85,24 @@ func RunA1(cfg Config) (*harness.Report, error) {
 			World: func() goal.World { return w2 },
 			Config: system.Config{
 				MaxRounds: 80, Seed: cfg.seed(),
-				Record: system.RecordOff, OnRoundLive: run2.referee.Observe,
+				Record: system.RecordOff, Referee: g2,
 			},
 		})
 	}
-	if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
+	results, err := system.RunBatch(trials, cfg.batch())
+	if err != nil {
 		return nil, fmt.Errorf("A1: %w", err)
 	}
 
-	for _, run := range runs {
+	for i, run := range runs {
 		forgiving := "yes"
 		if !run.g.ForgivingGoal() {
 			forgiving = "no"
 		}
 		sheets, errPages := run.w.Sheets()
 		tbl.AddRow(trayLabel(run.g.Paper), forgiving, run.user,
-			yesNo(run.referee.Achieved(10)), harness.I(sheets), harness.I(errPages))
+			yesNo(results[i].Achieved(10)), harness.I(sheets), harness.I(errPages))
+		system.ReleaseResult(results[i])
 	}
 	return &harness.Report{Tables: []*harness.Table{tbl}}, nil
 }

@@ -45,9 +45,7 @@ func RunA5(cfg Config) (*harness.Report, error) {
 
 		run := func(mkUser func() (comm.Strategy, error)) (int, []float64, error) {
 			trials := make([]system.Trial, n)
-			trackers := make([]goal.Tracker, n)
 			for srvIdx := 0; srvIdx < n; srvIdx++ {
-				trackers[srvIdx] = goal.NewTracker(g)
 				trials[srvIdx] = system.Trial{
 					User: mkUser,
 					Server: func() comm.Strategy {
@@ -56,20 +54,22 @@ func RunA5(cfg Config) (*harness.Report, error) {
 					World: func() goal.World { return g.NewWorld(goal.Env{Choice: srvIdx}) },
 					Config: system.Config{
 						MaxRounds: horizon, Seed: cfg.seed(),
-						Record: system.RecordOff, OnRoundLive: trackers[srvIdx].Observe,
+						Record: system.RecordOff, Referee: g,
 					},
 				}
 			}
-			if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
+			results, err := system.RunBatch(trials, cfg.batch())
+			if err != nil {
 				return 0, nil, err
 			}
 			succ := 0
 			var rounds []float64
-			for _, tr := range trackers {
-				if tr.Achieved(10) {
+			for _, res := range results {
+				if res.Achieved(10) {
 					succ++
-					rounds = append(rounds, float64(tr.LastUnacceptable()))
+					rounds = append(rounds, float64(res.LastUnacceptable))
 				}
+				system.ReleaseResult(res)
 			}
 			return succ, rounds, nil
 		}

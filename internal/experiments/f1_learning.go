@@ -80,18 +80,17 @@ func RunF1(cfg Config) (*harness.Report, error) {
 		}
 
 		// One batch per class size: the three learners race the same
-		// environment concurrently, each judged by its own referee and
+		// environment concurrently, each judged by the engine and
 		// sampling its own curve from the live world.
 		type track struct {
-			referee goal.Tracker
-			w       *learning.World
-			xs, ys  []float64
+			w      *learning.World
+			xs, ys []float64
 		}
 		tracks := make([]*track, len(learners))
 		trials := make([]system.Trial, len(learners))
 		for li, l := range learners {
 			mk := l.mk
-			tr := &track{referee: goal.NewTracker(g)}
+			tr := &track{}
 			tracks[li] = tr
 			w, ok := g.NewWorld(goal.Env{Choice: concept}).(*learning.World)
 			if !ok {
@@ -106,8 +105,8 @@ func RunF1(cfg Config) (*harness.Report, error) {
 					MaxRounds: horizon,
 					Seed:      cfg.seed(),
 					Record:    system.RecordOff,
-					OnRoundLive: func(round int, rv comm.RoundView, lw goal.World) {
-						tr.referee.Observe(round, rv, lw)
+					Referee:   g,
+					OnRoundLive: func(round int, _ comm.RoundView, _ goal.World) {
 						if m != curveM || round%sampleEvery != 0 {
 							return
 						}
@@ -117,15 +116,17 @@ func RunF1(cfg Config) (*harness.Report, error) {
 				},
 			}
 		}
-		if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
+		results, err := system.RunBatch(trials, cfg.batch())
+		if err != nil {
 			return nil, fmt.Errorf("F1: M=%d: %w", m, err)
 		}
 
 		for li, l := range learners {
 			achievedStr := "yes"
-			if !tracks[li].referee.Achieved(20) {
+			if !results[li].Achieved(20) {
 				achievedStr = "no"
 			}
+			system.ReleaseResult(results[li])
 			tbl.AddRow(harness.I(m), l.name, harness.I(tracks[li].w.Mistakes()), l.bound(m), achievedStr)
 
 			if m == curveM {

@@ -36,8 +36,7 @@ func RunF2(cfg Config) (*harness.Report, error) {
 	// every runner shares one execution path.
 	var u *universal.CompactUser
 	var xs, ys []float64
-	referee := goal.NewTracker(g)
-	_, err = system.RunBatch([]system.Trial{{
+	results, err := system.RunBatch([]system.Trial{{
 		User: func() (comm.Strategy, error) {
 			var err error
 			u, err = universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
@@ -51,8 +50,8 @@ func RunF2(cfg Config) (*harness.Report, error) {
 			MaxRounds: 50 * famSize,
 			Seed:      cfg.seed(),
 			Record:    system.RecordOff,
-			OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
-				referee.Observe(round, rv, w)
+			Referee:   g,
+			OnRoundLive: func(round int, _ comm.RoundView, _ goal.World) {
 				xs = append(xs, float64(round))
 				ys = append(ys, float64(u.Index()))
 			},
@@ -61,11 +60,12 @@ func RunF2(cfg Config) (*harness.Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("F2: %w", err)
 	}
-	if !referee.Achieved(10) {
+	res := results[0]
+	if !res.Achieved(10) {
 		return nil, fmt.Errorf("F2: universal user failed to converge")
 	}
-
-	converged := referee.LastUnacceptable()
+	converged := res.LastUnacceptable
+	system.ReleaseResult(res)
 	series := &harness.Series{
 		ID:     "F2",
 		Title:  fmt.Sprintf("active candidate index per round (N=%d, server dialect %d)", famSize, serverIdx),

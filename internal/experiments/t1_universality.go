@@ -61,9 +61,7 @@ func RunT1(cfg Config) (*harness.Report, error) {
 		for _, kind := range kinds {
 			mk := kind.mk
 			trials := make([]system.Trial, n)
-			trackers := make([]goal.Tracker, n)
 			for srvIdx := 0; srvIdx < n; srvIdx++ {
-				trackers[srvIdx] = goal.NewTracker(g)
 				trials[srvIdx] = system.Trial{
 					User: func() (comm.Strategy, error) { return mk(srvIdx) },
 					Server: func() comm.Strategy {
@@ -74,21 +72,23 @@ func RunT1(cfg Config) (*harness.Report, error) {
 					},
 					Config: system.Config{
 						MaxRounds: horizon, Seed: cfg.seed(),
-						Record: system.RecordOff, OnRoundLive: trackers[srvIdx].Observe,
+						Record: system.RecordOff, Referee: g,
 					},
 				}
 			}
-			if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
+			results, err := system.RunBatch(trials, cfg.batch())
+			if err != nil {
 				return nil, fmt.Errorf("T1: %s (N=%d): %w", kind.name, n, err)
 			}
 
 			succ := 0
 			var rounds []float64
-			for _, tr := range trackers {
-				if tr.Achieved(10) {
+			for _, res := range results {
+				if res.Achieved(10) {
 					succ++
-					rounds = append(rounds, float64(tr.LastUnacceptable()))
+					rounds = append(rounds, float64(res.LastUnacceptable))
 				}
+				system.ReleaseResult(res)
 			}
 			tbl.AddRow(
 				harness.I(n),

@@ -60,11 +60,10 @@ func RunT4(cfg Config) (*harness.Report, error) {
 
 		// One trial per helpful server plus a false-positive probe
 		// against the lying printer, all in one batch. Each helpful
-		// trial's referee, universal user and checkpoint snapshot live
-		// in tracks[i]; the User factory runs once, before the engine
+		// trial's universal user and checkpoint snapshot live in
+		// tracks[i]; the User factory runs once, before the engine
 		// starts, so the round hook always sees its own trial's user.
 		type track struct {
-			referee              goal.Tracker
 			u                    *universal.CompactUser
 			switchesAtCheckpoint int
 		}
@@ -72,7 +71,6 @@ func RunT4(cfg Config) (*harness.Report, error) {
 		trials := make([]system.Trial, famSize+1)
 		for srvIdx := 0; srvIdx < famSize; srvIdx++ {
 			tr := &tracks[srvIdx]
-			tr.referee = goal.NewTracker(g)
 			tr.switchesAtCheckpoint = -1
 			trials[srvIdx] = system.Trial{
 				User: func() (comm.Strategy, error) {
@@ -85,9 +83,8 @@ func RunT4(cfg Config) (*harness.Report, error) {
 				},
 				World: func() goal.World { return g.NewWorld(goal.Env{Choice: srvIdx}) },
 				Config: system.Config{
-					MaxRounds: horizon, Seed: cfg.seed(), Record: system.RecordOff,
-					OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
-						tr.referee.Observe(round, rv, w)
+					MaxRounds: horizon, Seed: cfg.seed(), Record: system.RecordOff, Referee: g,
+					OnRoundLive: func(round int, _ comm.RoundView, _ goal.World) {
 						if round == checkpoint {
 							tr.switchesAtCheckpoint = tr.u.Switches()
 						}
@@ -99,7 +96,6 @@ func RunT4(cfg Config) (*harness.Report, error) {
 		// The liar probe feeds its own copy of the sense round by round:
 		// its last indication is the sense's verdict on the whole view.
 		liarSlot := famSize
-		liar := goal.NewTracker(g)
 		liarSense := mkSense()
 		liarSense.Reset()
 		liarPositive := false
@@ -111,16 +107,16 @@ func RunT4(cfg Config) (*harness.Report, error) {
 			Server: func() comm.Strategy { return &printing.LyingServer{} },
 			World:  func() goal.World { return g.NewWorld(goal.Env{}) },
 			Config: system.Config{
-				MaxRounds: horizon, Seed: cfg.seed(), Record: system.RecordOff,
-				OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
-					liar.Observe(round, rv, w)
+				MaxRounds: horizon, Seed: cfg.seed(), Record: system.RecordOff, Referee: g,
+				OnRoundLive: func(_ int, rv comm.RoundView, _ goal.World) {
 					liarView = rv
 					liarPositive = liarSense.Observe(&liarView)
 				},
 			},
 		}
 
-		if _, err := system.RunBatch(trials, cfg.batch()); err != nil {
+		results, err := system.RunBatch(trials, cfg.batch())
+		if err != nil {
 			return nil, fmt.Errorf("T4: %s: %w", v.name, err)
 		}
 
@@ -128,7 +124,7 @@ func RunT4(cfg Config) (*harness.Report, error) {
 		var switches []float64
 		for srvIdx := 0; srvIdx < famSize; srvIdx++ {
 			tr := tracks[srvIdx]
-			if tr.referee.Achieved(10) {
+			if results[srvIdx].Achieved(10) {
 				succ++
 			}
 			if tr.switchesAtCheckpoint >= 0 && tr.u.Switches() == tr.switchesAtCheckpoint {
@@ -140,8 +136,11 @@ func RunT4(cfg Config) (*harness.Report, error) {
 		// False-positive probe: is the sensing's final indication
 		// positive against the liar despite the goal being unachieved?
 		falsePos := 0
-		if liarPositive && !liar.Achieved(10) {
+		if liarPositive && !results[liarSlot].Achieved(10) {
 			falsePos = 1
+		}
+		for _, res := range results {
+			system.ReleaseResult(res)
 		}
 
 		tbl.AddRow(

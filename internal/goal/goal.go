@@ -18,8 +18,9 @@
 //     finite history at the halting point (FiniteGoal).
 //   - Compact goals: the system runs forever, and the referee accepts iff
 //     only finitely many prefixes of the history are unacceptable
-//     (CompactGoal, evaluated on bounded horizons online by a Tracker, or
-//     on a recorded history by CompactAchieved).
+//     (CompactGoal, evaluated on bounded horizons online by the execution
+//     engine, system.Config.Referee, or on a recorded history by
+//     CompactAchieved).
 package goal
 
 import "repro/internal/comm"
@@ -45,8 +46,8 @@ type World interface {
 }
 
 // WorldJudge is the one optional fast path of the execution engine: a
-// compact referee that can judge the live world directly, so a Tracker fed
-// through the engine's live round hook never formats a snapshot string.
+// compact referee that can judge the live world directly, so a run judged
+// by it (system.Config.Referee) never formats a snapshot string.
 //
 // Contract: AcceptableWorld(w) must equal Acceptable(h) for any history
 // h whose last state is w's current Snapshot() — it is the same
@@ -107,7 +108,8 @@ type Forgiving interface {
 // acceptable, i.e. unacceptable prefixes stopped occurring at least window
 // rounds before the end. This is the executable stand-in for the paper's
 // "finitely many unacceptable prefixes"; window must be positive and at
-// most h.Len(). It is the recorded-history reference for Tracker.Achieved.
+// most h.Len(). It is the recorded-history reference for the engine's
+// online verdict, system.Result.Achieved.
 func CompactAchieved(g CompactGoal, h comm.History, window int) bool {
 	if window <= 0 || window > h.Len() {
 		return false
@@ -138,7 +140,7 @@ func UnacceptableCount(g CompactGoal, h comm.History) int {
 // rejected, or 0 if every prefix of h is acceptable. For an achieved compact
 // goal this is the convergence point. It may examine every prefix, so h
 // must be fully recorded (h.Dropped == 0). It is the recorded-history
-// reference for Tracker.LastUnacceptable.
+// reference for system.Result.LastUnacceptable.
 func LastUnacceptable(g CompactGoal, h comm.History) int {
 	for n := h.Len(); n >= 1; n-- {
 		if !g.Acceptable(h.Prefix(n)) {
@@ -146,65 +148,4 @@ func LastUnacceptable(g CompactGoal, h comm.History) int {
 		}
 	}
 	return 0
-}
-
-// Tracker is the online compact referee. Fed every round of one execution,
-// it keeps the two numbers the recorded referee derives from a history —
-// the round count and the largest rejected prefix — so the execution need
-// not record one. Each prefix is judged by its last state: AcceptableWorld
-// on the live world when the goal is a WorldJudge, otherwise Acceptable on
-// a one-state history of w.Snapshot() whose Dropped counts the rounds
-// before it. That agrees with CompactAchieved and LastUnacceptable for
-// every referee that judges a prefix by its recent state, which holds for
-// every stock goal: their worlds serialize cumulative state into each
-// snapshot.
-//
-// Build a Tracker with NewTracker; it is not safe for concurrent use.
-type Tracker struct {
-	g       CompactGoal
-	judge   WorldJudge
-	last    comm.History // one-state history for goals without a WorldJudge
-	rounds  int
-	lastBad int
-}
-
-// NewTracker returns a tracker for one execution of g.
-func NewTracker(g CompactGoal) Tracker {
-	judge, _ := g.(WorldJudge)
-	return Tracker{g: g, judge: judge}
-}
-
-// Observe judges the prefix ending in round (0-based), whose state is w's
-// current one. Its signature is the engine's live round hook, so a method
-// value installs the tracker directly.
-func (t *Tracker) Observe(round int, _ comm.RoundView, w World) {
-	t.rounds = round + 1
-	if !t.acceptable(round, w) {
-		t.lastBad = round + 1
-	}
-}
-
-func (t *Tracker) acceptable(round int, w World) bool {
-	if t.judge != nil {
-		return t.judge.AcceptableWorld(w)
-	}
-	if t.last.States == nil {
-		t.last.States = make([]comm.WorldState, 1)
-	}
-	t.last.States[0] = w.Snapshot()
-	t.last.Dropped = round
-	return t.g.Acceptable(t.last)
-}
-
-// Rounds returns the number of rounds observed.
-func (t *Tracker) Rounds() int { return t.rounds }
-
-// LastUnacceptable returns the largest prefix length the referee rejected,
-// or 0 if it accepted every prefix.
-func (t *Tracker) LastUnacceptable() int { return t.lastBad }
-
-// Achieved reports whether every prefix in the final window rounds was
-// acceptable; like CompactAchieved it is false unless 0 < window <= Rounds.
-func (t *Tracker) Achieved(window int) bool {
-	return window > 0 && window <= t.rounds && t.lastBad <= t.rounds-window
 }

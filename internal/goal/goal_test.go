@@ -7,6 +7,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/commtest"
 	"repro/internal/goal"
+	"repro/internal/system"
 )
 
 // thresholdGoal is a compact goal over arbitrary histories: a prefix is
@@ -91,9 +92,9 @@ func TestCompactAchievedConsistentWithCounts(t *testing.T) {
 	t.Parallel()
 
 	// Property: for a monotone referee, CompactAchieved with window w
-	// holds iff LastUnacceptable <= len - w, and a Tracker fed the same
-	// rounds online reaches both verdicts, also for a window one past
-	// the history.
+	// holds iff LastUnacceptable <= len - w, and the engine judging a
+	// run of the same length online (system.Config.Referee) reaches both
+	// verdicts, also for a window one past the history.
 	f := func(k, n uint8, w uint8) bool {
 		g := &thresholdGoal{K: int(k % 40)}
 		h := mkHistory(int(n%40) + 1)
@@ -103,15 +104,17 @@ func TestCompactAchievedConsistentWithCounts(t *testing.T) {
 		}
 		got := goal.CompactAchieved(g, h, window)
 		want := goal.LastUnacceptable(g, h) <= h.Len()-window
-		tr := goal.NewTracker(g)
-		for round := 0; round < h.Len(); round++ {
-			tr.Observe(round, comm.RoundView{}, &commtest.CountingWorld{})
+		res, err := system.Run(&commtest.Silent{}, &commtest.Silent{}, g.NewWorld(goal.Env{}),
+			system.Config{MaxRounds: h.Len(), Record: system.RecordOff, Referee: g})
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer system.ReleaseResult(res)
 		return got == want &&
-			tr.Achieved(window) == got &&
-			tr.Achieved(window+1) == goal.CompactAchieved(g, h, window+1) &&
-			tr.LastUnacceptable() == goal.LastUnacceptable(g, h) &&
-			tr.Rounds() == h.Len()
+			res.Achieved(window) == got &&
+			res.Achieved(window+1) == goal.CompactAchieved(g, h, window+1) &&
+			res.LastUnacceptable == goal.LastUnacceptable(g, h) &&
+			res.Rounds == h.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -14,9 +14,10 @@ import (
 // CertConfig parameterizes empirical certification runs.
 //
 // Certification executes through system.RunEach, and every trial is
-// observed online, round by round: the goal is judged by a goal.Tracker
-// and nothing is recorded, and sensing indications are computed as the
-// view unfolds instead of by replaying a recorded one.
+// observed online, round by round: the engine judges the goal
+// (system.Config.Referee) and records nothing, and sensing indications
+// are computed as the view unfolds instead of by replaying a recorded
+// one.
 type CertConfig struct {
 	// MaxRounds is the execution horizon per run; 0 means the system
 	// default.
@@ -94,34 +95,25 @@ func (v Violation) String() string {
 		v.Kind, v.Server, v.Env, v.Candidate, v.Detail)
 }
 
-// probe observes one certification trial online through the engine's
-// live round hook: the compact referee, and the indications of the
-// sensing function under test when sensed. This replaces history
-// recording plus replay.
+// probe feeds one certification trial to the sensing function under
+// test through the engine's live round hook, as the view unfolds; the
+// engine judges the goal itself. This replaces history recording plus
+// replay.
 type probe struct {
-	tr     goal.Tracker
-	sense  sensing.Sense  // nil when the run's indications are not needed
+	sense  sensing.Sense
 	rv     comm.RoundView // the round sense reads, by pointer
 	rounds int
 	streak int
 }
 
-// newProbe returns a probe for one trial of g; mkSense, when non-nil,
-// supplies a fresh sensing function to feed.
-func newProbe(g goal.CompactGoal, mkSense func() sensing.Sense) *probe {
-	p := &probe{tr: goal.NewTracker(g)}
-	if mkSense != nil {
-		p.sense = mkSense()
-		p.sense.Reset()
-	}
+// newProbe returns a probe feeding a fresh sensing function from mkSense.
+func newProbe(mkSense func() sensing.Sense) *probe {
+	p := &probe{sense: mkSense()}
+	p.sense.Reset()
 	return p
 }
 
-func (p *probe) onRound(round int, rv comm.RoundView, w goal.World) {
-	p.tr.Observe(round, rv, w)
-	if p.sense == nil {
-		return
-	}
+func (p *probe) onRound(_ int, rv comm.RoundView, _ goal.World) {
 	p.rounds++
 	p.rv = rv
 	if p.sense.Observe(&p.rv) {
@@ -139,7 +131,8 @@ func (p *probe) eventuallyPositive(window int) bool {
 }
 
 // certTrial builds the standard certification trial for one
-// (candidate, server, env) triple, observed by p; it records nothing.
+// (candidate, server, env) triple, judged by the engine and, when p is
+// non-nil, sensed by p; it records nothing.
 func certTrial(
 	g goal.CompactGoal,
 	users enumerate.Enumerator,
@@ -149,17 +142,21 @@ func certTrial(
 	p *probe,
 	cfg CertConfig,
 ) system.Trial {
-	return system.Trial{
+	t := system.Trial{
 		User:   func() (comm.Strategy, error) { return users.Strategy(candidate), nil },
 		Server: mkServer,
 		World:  func() goal.World { return g.NewWorld(goal.Env{Choice: env, Seed: cfg.Seed}) },
 		Config: system.Config{
-			MaxRounds:   cfg.MaxRounds,
-			Seed:        cfg.Seed,
-			Record:      system.RecordOff,
-			OnRoundLive: p.onRound,
+			MaxRounds: cfg.MaxRounds,
+			Seed:      cfg.Seed,
+			Record:    system.RecordOff,
+			Referee:   g,
 		},
 	}
+	if p != nil {
+		t.Config.OnRoundLive = p.onRound
+	}
+	return t
 }
 
 // chunkedFound reports whether some candidate achieves the goal while
@@ -180,14 +177,14 @@ func chunkedFound(
 		trials := make([]system.Trial, 0, hi-base)
 		probes := make([]*probe, 0, hi-base)
 		for i := base; i < hi; i++ {
-			p := newProbe(g, mkSense)
+			p := newProbe(mkSense)
 			probes = append(probes, p)
 			trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
 		}
 		results, errs := system.RunEach(trials, cfg.batch())
 		found := false
 		for t, p := range probes {
-			if errs[t] == nil && p.eventuallyPositive(cfg.window()) && p.tr.Achieved(cfg.window()) {
+			if errs[t] == nil && p.eventuallyPositive(cfg.window()) && results[t].Achieved(cfg.window()) {
 				found = true
 			}
 			system.ReleaseResult(results[t])
@@ -216,12 +213,9 @@ func HelpfulCompact(
 	for base := 0; base < size; base += cfg.chunk() {
 		hi := min(base+cfg.chunk(), size)
 		trials := make([]system.Trial, 0, (hi-base)*envs)
-		probes := make([]*probe, 0, (hi-base)*envs)
 		for i := base; i < hi; i++ {
 			for env := 0; env < envs; env++ {
-				p := newProbe(g, nil)
-				probes = append(probes, p)
-				trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
+				trials = append(trials, certTrial(g, users, i, mkServer, env, nil, cfg))
 			}
 		}
 		results, errs := system.RunEach(trials, cfg.batch())
@@ -230,7 +224,7 @@ func HelpfulCompact(
 			good := true
 			for env := 0; env < envs; env++ {
 				t := (i-base)*envs + env
-				if errs[t] != nil || !probes[t].tr.Achieved(cfg.window()) {
+				if errs[t] != nil || !results[t].Achieved(cfg.window()) {
 					good = false
 					break
 				}
@@ -270,7 +264,7 @@ func CertifySafetyCompact(
 		probes := make([]*probe, 0, size*envs)
 		for i := 0; i < size; i++ {
 			for env := 0; env < envs; env++ {
-				p := newProbe(g, mkSense)
+				p := newProbe(mkSense)
 				probes = append(probes, p)
 				trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
 			}
@@ -285,7 +279,7 @@ func CertifySafetyCompact(
 				})
 				continue
 			}
-			if probes[t].eventuallyPositive(cfg.window()) && !probes[t].tr.Achieved(cfg.window()) {
+			if probes[t].eventuallyPositive(cfg.window()) && !results[t].Achieved(cfg.window()) {
 				violations = append(violations, Violation{
 					Kind: "safety", Server: si, Env: env, Candidate: i,
 					Detail: "indications eventually positive but goal not achieved",

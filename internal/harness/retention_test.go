@@ -51,9 +51,10 @@ func refSafetyVerdicts(
 
 // TestWindowedRetentionMatchesFullRecording is the acceptance check for
 // online certification: CertifySafetyCompact — which records nothing,
-// judging each trial with a goal.Tracker and feeding its sense round by
-// round — must produce exactly the per-candidate safety verdicts of a
-// full-recording replay-based reference.
+// letting the engine judge each trial (system.Config.Referee) and
+// feeding its sense round by round — must produce exactly the
+// per-candidate safety verdicts of a full-recording replay-based
+// reference.
 func TestWindowedRetentionMatchesFullRecording(t *testing.T) {
 	t.Parallel()
 

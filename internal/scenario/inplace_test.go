@@ -106,6 +106,14 @@ func hideStepTo(s comm.Strategy) comm.Strategy {
 	return &stepOnly{s}
 }
 
+// verdict is what a sweep keeps of one trial's result.
+type verdict struct {
+	rounds   int
+	achieved bool
+	lastBad  int
+	messages int
+}
+
 func TestStepOnlyPartiesMatchInPlace(t *testing.T) {
 	t.Parallel()
 	reg := Builtin()
@@ -117,7 +125,7 @@ func TestStepOnlyPartiesMatchInPlace(t *testing.T) {
 				t.Fatal(err)
 			}
 			for trial := 0; trial < seeds; trial++ {
-				run := func(hide bool) (*trialSlot, int) {
+				run := func(hide bool) verdict {
 					user, err := bind.User()
 					if err != nil {
 						t.Fatal(err)
@@ -129,29 +137,20 @@ func TestStepOnlyPartiesMatchInPlace(t *testing.T) {
 							t.Fatal("the Step-only wrapper still steps in place")
 						}
 					}
-					slot := &trialSlot{tr: goal.NewTracker(bind.Goal)}
 					res, err := system.Run(user, srv, world, system.Config{
-						MaxRounds:   bind.MaxRounds,
-						Seed:        TrialSeed(base, sc, trial),
-						Record:      system.RecordOff,
-						OnRoundLive: slot.onRound,
+						MaxRounds: bind.MaxRounds,
+						Seed:      TrialSeed(base, sc, trial),
+						Record:    system.RecordOff,
+						Referee:   bind.Goal,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer system.ReleaseResult(res)
-					return slot, res.Rounds
+					return verdict{res.Rounds, res.Achieved(window), res.LastUnacceptable, res.Messages}
 				}
-				in, inRounds := run(false)
-				out, outRounds := run(true)
-				if inRounds != outRounds || in.tr.Rounds() != out.tr.Rounds() ||
-					in.tr.Achieved(window) != out.tr.Achieved(window) ||
-					in.tr.LastUnacceptable() != out.tr.LastUnacceptable() || in.msgs != out.msgs {
-					t.Errorf("%s %s trial %d: in place %d rounds, achieved %v, last rejected %d, %d messages; "+
-						"Step-only %d rounds, achieved %v, last rejected %d, %d messages",
-						name, sc.ID(), trial,
-						inRounds, in.tr.Achieved(window), in.tr.LastUnacceptable(), in.msgs,
-						outRounds, out.tr.Achieved(window), out.tr.LastUnacceptable(), out.msgs)
+				if in, out := run(false), run(true); in != out {
+					t.Errorf("%s %s trial %d: in place %+v, Step-only %+v", name, sc.ID(), trial, in, out)
 				}
 			}
 		}

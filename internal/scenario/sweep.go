@@ -1,12 +1,12 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/goal"
 	"repro/internal/harness"
 	"repro/internal/system"
 )
@@ -200,72 +200,55 @@ type Summary struct {
 // evictions (universal.CompactUser).
 type switcher interface{ Switches() int }
 
-// trialSlot tracks one trial online via the engine's live round hook,
-// replacing history recording: a goal.Tracker judges each prefix, and the
-// slot adds the message count and keeps the user for its switch counter.
-type trialSlot struct {
-	tr   goal.Tracker
-	user comm.Strategy
-	msgs int
-}
-
-func (s *trialSlot) onRound(round int, rv comm.RoundView, w goal.World) {
-	s.tr.Observe(round, rv, w)
-	if !rv.In.FromServer.Empty() {
-		s.msgs++
-	}
-	if !rv.In.FromWorld.Empty() {
-		s.msgs++
-	}
-	if !rv.Out.ToServer.Empty() {
-		s.msgs++
-	}
-	if !rv.Out.ToWorld.Empty() {
-		s.msgs++
-	}
-}
-
 // scenJob is one scenario's in-flight state within a chunk; a cache hit
-// carries its ready-made aggregate instead of trial slots, holding its
-// place in the emission order.
+// carries its ready-made aggregate instead of trials, holding its place
+// in the emission order. users[t] is trial t's user, kept for its switch
+// counter; everything else a trial contributes the engine returns in its
+// Result, so nothing here is written while the trials run.
 type scenJob struct {
 	sc     *Scenario
-	slots  []*trialSlot
+	users  []comm.Strategy
 	base   int    // index of the scenario's first trial within the chunk
 	cached *Stats // non-nil for cache hits; no trials were scheduled
 }
 
-// fold reduces a completed scenario's slots and per-trial errors into its
-// aggregate. Distribution statistics reuse the harness implementations, so
-// sweep numbers agree bit for bit with the hand-coded experiment tables.
-func (j *scenJob) fold(errs []error, window int) *Stats {
+// fold reduces a completed scenario's results and per-trial errors into
+// its aggregate. A trial that failed mid-run still counts the rounds it
+// completed (system.RoundError). Distribution statistics reuse the harness
+// implementations, so sweep numbers agree bit for bit with the hand-coded
+// experiment tables.
+func (j *scenJob) fold(results []*system.Result, errs []error, window int) *Stats {
 	st := &Stats{
 		ID:     j.sc.ID(),
 		Axes:   j.sc.Values,
-		Trials: len(j.slots),
+		Trials: len(j.users),
 	}
 	var conv []float64
 	var totalRounds, totalMsgs, totalSwitches int
 	counted := 0
-	for t, slot := range j.slots {
-		rounds := slot.tr.Rounds()
-		st.ExecutedRounds += int64(rounds)
+	for t, user := range j.users {
+		res := results[j.base+t]
 		if err := errs[j.base+t]; err != nil {
+			var re *system.RoundError
+			if errors.As(err, &re) {
+				st.ExecutedRounds += int64(re.Rounds)
+			}
 			st.Errors++
 			if st.FirstError == "" {
 				st.FirstError = err.Error()
 			}
 			continue
 		}
+		st.ExecutedRounds += int64(res.Rounds)
 		counted++
-		totalRounds += rounds
-		totalMsgs += slot.msgs
-		if u, ok := slot.user.(switcher); ok {
+		totalRounds += res.Rounds
+		totalMsgs += res.Messages
+		if u, ok := user.(switcher); ok {
 			totalSwitches += u.Switches()
 		}
-		if slot.tr.Achieved(window) {
+		if res.Achieved(window) {
 			st.Successes++
-			conv = append(conv, float64(slot.tr.LastUnacceptable()))
+			conv = append(conv, float64(res.LastUnacceptable))
 		}
 	}
 	if st.Trials > 0 {
@@ -394,28 +377,25 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 			if err != nil {
 				return err
 			}
-			job := &scenJob{sc: sc, slots: make([]*trialSlot, seeds), base: len(c.trials)}
+			users, mkUser := make([]comm.Strategy, seeds), bind.User
+			c.jobs = append(c.jobs, &scenJob{sc: sc, users: users, base: len(c.trials)})
 			for t := 0; t < seeds; t++ {
-				slot := &trialSlot{tr: goal.NewTracker(bind.Goal)}
-				job.slots[t] = slot
-				mkUser := bind.User
 				c.trials = append(c.trials, system.Trial{
 					User: func() (comm.Strategy, error) {
 						u, err := mkUser()
-						slot.user = u
+						users[t] = u
 						return u, err
 					},
 					Server: bind.Server,
 					World:  bind.World,
 					Config: system.Config{
-						MaxRounds:   bind.MaxRounds,
-						Seed:        seedFn(sc, t),
-						Record:      system.RecordOff,
-						OnRoundLive: slot.onRound,
+						MaxRounds: bind.MaxRounds,
+						Seed:      seedFn(sc, t),
+						Record:    system.RecordOff,
+						Referee:   bind.Goal,
 					},
 				})
 			}
-			c.jobs = append(c.jobs, job)
 			if len(c.trials) >= chunkTrials {
 				return nil
 			}
@@ -424,16 +404,17 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 	}
 
 	sum := &Summary{Spec: m.spec.Name}
-	// emit folds a chunk whose trials ran with the given errors, stores
-	// the fresh aggregates and hands every aggregate to OnStats.
-	emit := func(c *chunk, errs []error) error {
+	// emit folds a chunk whose trials ran to the given results and
+	// errors, stores the fresh aggregates and hands every aggregate to
+	// OnStats.
+	emit := func(c *chunk, results []*system.Result, errs []error) error {
 		sum.CacheHits += c.hits
 		sum.CacheMisses += c.misses
 		sum.ExecutedTrials += len(c.trials)
 		for _, job := range c.jobs {
 			st := job.cached
 			if st == nil {
-				st = job.fold(errs, window)
+				st = job.fold(results, errs, window)
 				if cache != nil && st.Errors == 0 {
 					if err := cache.Put(key(st.ID), st); err != nil {
 						// An unwritable store (read-only dir, full
@@ -474,20 +455,20 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 			defer close(built)
 			nextErr = build(c, cache)
 		}(nxt, cache)
+		var results []*system.Result
 		var errs []error
 		if len(cur.trials) > 0 {
 			start := time.Now()
-			results, errList := system.RunEach(cur.trials, system.BatchConfig{Parallelism: cfg.Parallel})
+			results, errs = system.RunEach(cur.trials, system.BatchConfig{Parallelism: cfg.Parallel})
 			mChunkSeconds.Observe(time.Since(start).Seconds())
 			mChunkTrials.Observe(float64(len(cur.trials)))
-			for _, res := range results {
-				system.ReleaseResult(res)
-			}
-			errs = errList
 		}
 		<-built
-		if err := emit(cur, errs); err != nil {
+		if err := emit(cur, results, errs); err != nil {
 			return nil, err
+		}
+		for _, res := range results {
+			system.ReleaseResult(res)
 		}
 		cur, nxt, err = nxt, cur, nextErr
 	}

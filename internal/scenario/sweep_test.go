@@ -253,6 +253,73 @@ func TestSweepSurfacesTrialErrors(t *testing.T) {
 	}
 }
 
+// tiredServer completes n silent rounds and fails the next one.
+type tiredServer struct{ n, step int }
+
+func (s *tiredServer) Reset(*xrand.Rand) { s.step = 0 }
+func (s *tiredServer) Step(comm.Inbox) (comm.Outbox, error) {
+	if s.step == s.n {
+		return comm.Outbox{}, fmt.Errorf("tired after %d rounds", s.n)
+	}
+	s.step++
+	return comm.Outbox{}, nil
+}
+
+// TestSweepCountsRoundsOfErroredTrials checks that a trial failing mid-run
+// still contributes the rounds it completed: class member i gives out
+// after 5+i rounds, so each row's three errored trials executed 3(5+i)
+// rounds, which its executedRounds and the summary's totalRounds count,
+// and the row keeps the engine's error text.
+func TestSweepCountsRoundsOfErroredTrials(t *testing.T) {
+	t.Parallel()
+
+	treasure := Builtin().builders["treasure"]
+	reg := NewRegistry()
+	reg.Register("tired", func(ax Axes) (*Parts, error) {
+		parts, err := treasure(ax)
+		if err != nil {
+			return nil, err
+		}
+		parts.Member = func(i int) comm.Strategy { return &tiredServer{n: 5 + i} }
+		return parts, nil
+	})
+	m, err := NewMatrix(&Spec{
+		Name: "tired",
+		Axes: []Axis{
+			{Name: "goal", Values: []string{"tired"}},
+			{Name: "class", Values: Ints(4)},
+			{Name: "server", Values: Ints(0, 2)},
+			{Name: "rounds", Values: Ints(50)},
+		},
+		Seeds: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2} {
+		stats, sum := collectStats(t, m, SweepConfig{Registry: reg, Parallel: par})
+		if len(stats) != 2 {
+			t.Fatalf("parallel %d: %d rows, want 2", par, len(stats))
+		}
+		for i, want := range []struct {
+			rounds int64
+			err    string
+		}{
+			{15, "system: server step (round 5): tired after 5 rounds"},
+			{21, "system: server step (round 7): tired after 7 rounds"},
+		} {
+			st := stats[i]
+			if st.Errors != 3 || st.ExecutedRounds != want.rounds || st.FirstError != want.err {
+				t.Errorf("parallel %d row %d: %d errors, executedRounds %d, first error %q; want 3, %d, %q",
+					par, i, st.Errors, st.ExecutedRounds, st.FirstError, want.rounds, want.err)
+			}
+		}
+		if sum.TotalRounds != 36 || sum.Errors != 6 {
+			t.Errorf("parallel %d: summary totalRounds %d, errors %d; want 36, 6", par, sum.TotalRounds, sum.Errors)
+		}
+	}
+}
+
 // failGoal is a minimal compact goal for the error-path test.
 type failGoal struct{}
 
@@ -306,7 +373,7 @@ func TestSweepObstinateNeverSucceeds(t *testing.T) {
 }
 
 // judgelessGoal hides a compact goal's WorldJudge fast path, forcing the
-// sweep's tracker onto its Snapshot fallback.
+// engine's referee onto its Snapshot fallback.
 type judgelessGoal struct{ inner goal.CompactGoal }
 
 func (g judgelessGoal) Name() string                     { return g.inner.Name() }
@@ -315,9 +382,9 @@ func (g judgelessGoal) EnvChoices() int                  { return g.inner.EnvCho
 func (g judgelessGoal) Acceptable(h comm.History) bool   { return g.inner.Acceptable(h) }
 
 // TestSweepJudgeFastPathMatchesFallback pins that the live-judge fast
-// path (goal.WorldJudge) and the tracker's snapshot fallback (on a
+// path (goal.WorldJudge) and the engine's snapshot fallback (on a
 // judge-less goal) fold to byte-identical aggregates over the quick
-// matrix — the tracker-side half of the zero-allocation work.
+// matrix — the referee-side half of the zero-allocation work.
 func TestSweepJudgeFastPathMatchesFallback(t *testing.T) {
 	t.Parallel()
 

@@ -13,8 +13,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// rngUser emits one random number per round — seed-sensitive, so batches
-// exercise per-trial seed derivation and determinism.
+// rngUser emits one random number per round, or silence when the number
+// is a multiple of 3 — seed-sensitive, so batches exercise per-trial seed
+// derivation, determinism and the engine's message count.
 type rngUser struct{ r *xrand.Rand }
 
 func (u *rngUser) Reset(r *xrand.Rand) {
@@ -25,8 +26,20 @@ func (u *rngUser) Reset(r *xrand.Rand) {
 }
 
 func (u *rngUser) Step(comm.Inbox) (comm.Outbox, error) {
-	return comm.Outbox{ToWorld: comm.Message(strconv.FormatUint(u.r.Uint64()%1000, 10))}, nil
+	n := u.r.Uint64() % 1000
+	if n%3 == 0 {
+		return comm.Outbox{}, nil
+	}
+	return comm.Outbox{ToWorld: comm.Message(strconv.FormatUint(n, 10))}, nil
 }
+
+// evenGoal accepts every prefix past round 20, and an earlier one iff the
+// user's last message to the world was an even number: a referee without
+// a WorldJudge, so the engine judges its one-state history.
+var evenGoal = goal.WithReferee(&commtest.FlagGoal{}, "even", func(h comm.History) bool {
+	u := commtest.ParseCounting(h.Last())
+	return h.Len() > 20 || (u != "" && (u[len(u)-1]-'0')%2 == 0)
+})
 
 // failingUser errors at step FailAt.
 type failingUser struct {
@@ -51,12 +64,16 @@ func rngTrials(n int, rounds int) []Trial {
 			User:   func() (comm.Strategy, error) { return &rngUser{}, nil },
 			Server: func() comm.Strategy { return &commtest.Echo{} },
 			World:  func() goal.World { return &commtest.CountingWorld{} },
-			Config: Config{MaxRounds: rounds, Seed: uint64(i + 1)},
+			Config: Config{MaxRounds: rounds, Seed: uint64(i + 1), Referee: evenGoal},
 		}
 	}
 	return trials
 }
 
+// TestRunBatchMatchesSerialAtEveryParallelism checks that every trial's
+// result — history, view, rounds and the engine's verdict and message
+// count — is the same at every parallelism, with each batch's workers
+// drawing their run frames from the pool the batch before released.
 func TestRunBatchMatchesSerialAtEveryParallelism(t *testing.T) {
 	const n, rounds = 17, 40
 	mkTrials := func() []Trial { return rngTrials(n, rounds) }
@@ -64,6 +81,9 @@ func TestRunBatchMatchesSerialAtEveryParallelism(t *testing.T) {
 	want, err := RunBatch(mkTrials(), BatchConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want[0].LastUnacceptable == want[1].LastUnacceptable && want[0].Messages == want[1].Messages {
+		t.Fatal("trials 0 and 1 reach the same verdict and message count: the comparison below is weak")
 	}
 	for _, par := range []int{2, 3, 8, 32} {
 		got, err := RunBatch(mkTrials(), BatchConfig{Parallelism: par})
@@ -76,7 +96,8 @@ func TestRunBatchMatchesSerialAtEveryParallelism(t *testing.T) {
 		for i := range got {
 			if !reflect.DeepEqual(got[i].History, want[i].History) ||
 				!reflect.DeepEqual(got[i].View, want[i].View) ||
-				got[i].Rounds != want[i].Rounds || got[i].Halted != want[i].Halted {
+				got[i].Rounds != want[i].Rounds || got[i].Halted != want[i].Halted ||
+				got[i].LastUnacceptable != want[i].LastUnacceptable || got[i].Messages != want[i].Messages {
 				t.Fatalf("parallelism %d: trial %d diverges from serial", par, i)
 			}
 		}

@@ -21,6 +21,21 @@ func (w *countingWorld) Snapshot() comm.WorldState {
 	return "counted"
 }
 
+// countedGoal accepts every prefix of a countingWorld run, judging the
+// live world; snapshotGoal judges the same runs only through Snapshot and
+// rejects their first five prefixes.
+type countedGoal struct{}
+
+func (countedGoal) Name() string                    { return "counted" }
+func (countedGoal) NewWorld(goal.Env) goal.World    { return &countingWorld{} }
+func (countedGoal) EnvChoices() int                 { return 1 }
+func (countedGoal) Acceptable(comm.History) bool    { return true }
+func (countedGoal) AcceptableWorld(goal.World) bool { return true }
+
+var snapshotGoal = goal.WithReferee(countedGoal{}, "snapshot", func(h comm.History) bool {
+	return h.Last() == "counted" && h.Len() > 5
+})
+
 type silentUser struct{}
 
 func (silentUser) Reset(*xrand.Rand)                    {}
@@ -44,13 +59,13 @@ func TestLazySnapshotSkipsSerialization(t *testing.T) {
 	ReleaseResult(res)
 }
 
-// TestLazySnapshotLiveHookStillSkips pins that OnRoundLive — the sweep
-// tracker hook — does not force materialization: the hook sees the live
+// TestLazySnapshotLiveHookStillSkips pins that neither OnRoundLive nor a
+// Referee with a WorldJudge forces materialization: both see the live
 // world, not a snapshot.
 func TestLazySnapshotLiveHookStillSkips(t *testing.T) {
 	w := &countingWorld{}
 	live := 0
-	cfg := Config{MaxRounds: 30, Seed: 1, Record: RecordOff,
+	cfg := Config{MaxRounds: 30, Seed: 1, Record: RecordOff, Referee: countedGoal{},
 		OnRoundLive: func(round int, rv comm.RoundView, lw goal.World) {
 			if lw != goal.World(w) {
 				t.Fatal("OnRoundLive did not receive the live world")
@@ -65,22 +80,24 @@ func TestLazySnapshotLiveHookStillSkips(t *testing.T) {
 		t.Fatalf("OnRoundLive fired %d times, want 30", live)
 	}
 	if w.snaps != 0 {
-		t.Errorf("OnRoundLive forced serialization: %d Snapshot calls, want 0", w.snaps)
+		t.Errorf("OnRoundLive or the WorldJudge referee forced serialization: %d Snapshot calls, want 0", w.snaps)
 	}
 	ReleaseResult(res)
 }
 
 // TestSnapshotConsumersStillServed pins the other side of the contract:
-// full recording and OnRound still materialize one state per round.
+// full recording, OnRound and a Referee without a WorldJudge still
+// materialize one state per round, and the referee reuses the state a
+// recording run took.
 func TestSnapshotConsumersStillServed(t *testing.T) {
 	t.Run("record-full", func(t *testing.T) {
 		w := &countingWorld{}
-		res, err := Run(silentUser{}, silentUser{}, w, Config{MaxRounds: 20, Seed: 1})
+		res, err := Run(silentUser{}, silentUser{}, w, Config{MaxRounds: 20, Seed: 1, Referee: snapshotGoal})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w.snaps != 20 {
-			t.Errorf("Snapshot called %d times under full recording, want 20", w.snaps)
+		if w.snaps != 20 || res.LastUnacceptable != 5 {
+			t.Errorf("Snapshot called %d times under full recording, last rejected prefix %d; want 20 and 5", w.snaps, res.LastUnacceptable)
 		}
 		if got := res.History.Len(); got != 20 {
 			t.Errorf("history length %d, want 20", got)
@@ -108,6 +125,18 @@ func TestSnapshotConsumersStillServed(t *testing.T) {
 		}
 		if states != 20 || w.snaps != 20 {
 			t.Errorf("OnRound saw %d states from %d Snapshot calls, want 20/20", states, w.snaps)
+		}
+		ReleaseResult(res)
+	})
+	t.Run("referee-plain-world", func(t *testing.T) {
+		w := &countingWorld{}
+		res, err := Run(silentUser{}, silentUser{}, w, Config{MaxRounds: 20, Seed: 1, Record: RecordOff, Referee: snapshotGoal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.snaps != 20 || res.LastUnacceptable != 5 || !res.Achieved(15) || res.Achieved(16) {
+			t.Errorf("referee judged %d snapshots, last rejected prefix %d, achieved(15) %v, achieved(16) %v; want 20, 5, true, false",
+				w.snaps, res.LastUnacceptable, res.Achieved(15), res.Achieved(16))
 		}
 		ReleaseResult(res)
 	})

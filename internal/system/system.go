@@ -15,9 +15,9 @@
 // pool, delivering results in submission order so that parallel output is
 // identical to serial output. Config.Record selects whether an execution's
 // history and view are materialized (RecordFull) or not (RecordOff):
-// compact trials are judged online by a goal.Tracker on the live round
-// hook and record nothing, and ReleaseResult recycles Result storage
-// across runs.
+// compact trials are judged online by the engine itself, through
+// Config.Referee, and record nothing, and ReleaseResult recycles Result
+// storage across runs.
 package system
 
 import (
@@ -74,21 +74,33 @@ type Config struct {
 	// Result; the zero value records everything. See RecordPolicy.
 	Record RecordPolicy
 
+	// Referee, if non-nil, is the compact goal the run is judged by,
+	// online: after every round the engine judges the prefix ending in
+	// it by its last state — AcceptableWorld on the live world when the
+	// goal is a goal.WorldJudge, otherwise Acceptable on a one-state
+	// history of the world's Snapshot whose Dropped counts the rounds
+	// before it — and stores the largest rejected prefix length in
+	// Result.LastUnacceptable. That agrees with goal.CompactAchieved and
+	// goal.LastUnacceptable on the recorded history for every referee
+	// that judges a prefix by its recent state, which holds for every
+	// stock goal: their worlds serialize cumulative state into each
+	// snapshot.
+	Referee goal.CompactGoal
+
 	// OnRound, if non-nil, is invoked after every round with the round
 	// index (0-based), the user's view of the round, and the world
 	// snapshot — regardless of the Record policy. Setting OnRound forces
-	// a snapshot per round even under RecordOff; trackers that only need
-	// the live world should use OnRoundLive instead.
+	// a snapshot per round even under RecordOff; callers that only need
+	// the live world should use OnRoundLive instead. A caller that needs
+	// only a compact verdict sets Referee and no hook.
 	OnRound func(round int, rv comm.RoundView, state comm.WorldState)
 
 	// OnRoundLive, if non-nil, is invoked after every round with the
 	// round index, the user's view of the round, and the live world.
 	// Unlike OnRound it does not force snapshot materialization, so
-	// under RecordOff the engine never serializes a state: a
-	// goal.Tracker judges the world directly when its goal is a
-	// goal.WorldJudge. The callback must
-	// not retain w or call its Step/Reset; it may call Snapshot. Both
-	// hooks may be set; OnRound fires first.
+	// under RecordOff the engine never serializes a state for it. The
+	// callback must not retain w or call its Step/Reset; it may call
+	// Snapshot. Both hooks may be set; OnRound fires first.
 	OnRoundLive func(round int, rv comm.RoundView, w goal.World)
 }
 
@@ -109,23 +121,54 @@ type Result struct {
 	// (relevant to finite goals) before the horizon.
 	Halted bool
 
+	// LastUnacceptable is the largest prefix length Config.Referee
+	// rejected, or 0 if it accepted every prefix or the run had no
+	// referee. For an achieved compact goal it is the convergence point.
+	LastUnacceptable int
+
+	// Messages counts the non-empty messages on the user's four
+	// channels (from the server and the world, to the server and the
+	// world) over all rounds — what a recorded View would show.
+	Messages int
+
 	// frame is Run's scratch. It rides in the pooled Result because the
 	// outboxes are handed to the parties through an interface, which
 	// would move them to the heap on every run.
 	frame frame
 }
 
+// Achieved reports whether every prefix in the final window rounds was
+// acceptable to Config.Referee; like goal.CompactAchieved it is false
+// unless 0 < window <= Rounds.
+func (r *Result) Achieved(window int) bool {
+	return window > 0 && window <= r.Rounds && r.LastUnacceptable <= r.Rounds-window
+}
+
 // frame holds one run's message buffers and party shims. Each buffer
 // comes twice, this round's and last round's, and Run swaps the two by
 // pointer: the user's view (its inbox and outbox, which the round hooks
 // read), the server's outbox and the world's. Parties with only Step
-// step through a shim.
+// step through a shim, and a referee without a WorldJudge judges the
+// one-state history in prefix.
 type frame struct {
 	view   [2]comm.RoundView
 	server [2]comm.Outbox
 	world  [2]comm.Outbox
 	shim   [3]comm.StepOnly
+	prefix [1]comm.WorldState
 }
+
+// RoundError is the error of an execution that failed mid-run: Err, the
+// failing step's error, came after Rounds completed rounds. Its text is
+// Err's.
+type RoundError struct {
+	Rounds int
+	Err    error
+}
+
+func (e *RoundError) Error() string { return e.Err.Error() }
+
+func (e *RoundError) Unwrap() error { return e.Err }
 
 // resultPool recycles Result structs and their slice storage across runs.
 // Results are pooled only through ReleaseResult, so callers that retain
@@ -153,13 +196,15 @@ func ReleaseResult(res *Result) {
 	res.View = comm.View{Rounds: res.View.Rounds[:0]}
 	res.Rounds = 0
 	res.Halted = false
+	res.LastUnacceptable = 0
+	res.Messages = 0
 	resultPool.Put(res)
 }
 
 // Run executes (user, server, world) for up to cfg.MaxRounds rounds or until
 // a halting user strategy halts. All three strategies are Reset with
 // independent deterministic streams derived from cfg.Seed before the first
-// round.
+// round. A party's step error ends the run with a *RoundError.
 func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, error) {
 	if user == nil || server == nil || world == nil {
 		return nil, errors.New("system: nil strategy")
@@ -170,10 +215,11 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 	}
 	record := !cfg.Record.off
 	// The lazy-snapshot contract: when nothing consumes states — no
-	// recording and no OnRound — the engine never calls Snapshot.
-	// OnRoundLive deliberately does not force materialization; its
-	// trackers judge the live world.
-	needState := record || cfg.OnRound != nil
+	// recording, no OnRound and no referee without a WorldJudge — the
+	// engine never calls Snapshot. OnRoundLive deliberately does not
+	// force materialization.
+	judge, _ := cfg.Referee.(goal.WorldJudge)
+	needState := record || cfg.OnRound != nil || (cfg.Referee != nil && judge == nil)
 
 	root := xrand.New(cfg.Seed)
 	user.Reset(root.Split())
@@ -198,6 +244,10 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 	serverOut, fromServer := &f.server[1], &f.server[0]
 	worldOut, fromWorld := &f.world[1], &f.world[0]
 
+	// The verdict and the message count live in local variables until
+	// the run ends: per-trial state written every round lives in Run,
+	// never in caller-owned slots that two workers write side by side.
+	lastBad, msgs := 0, 0
 	var err error
 	for round := 0; round < maxRounds; round++ {
 		view.In.FromServer, view.In.FromWorld = fromServer.ToUser, fromWorld.ToUser
@@ -219,6 +269,18 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 			break
 		}
 		res.Rounds = round + 1
+		if view.In.FromServer != "" {
+			msgs++
+		}
+		if view.In.FromWorld != "" {
+			msgs++
+		}
+		if view.Out.ToServer != "" {
+			msgs++
+		}
+		if view.Out.ToWorld != "" {
+			msgs++
+		}
 
 		var state comm.WorldState
 		if needState {
@@ -227,6 +289,16 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 		if record {
 			res.History.States = append(res.History.States, state)
 			res.View.Rounds = append(res.View.Rounds, *view)
+		}
+		if judge != nil {
+			if !judge.AcceptableWorld(world) {
+				lastBad = round + 1
+			}
+		} else if cfg.Referee != nil {
+			f.prefix[0] = state
+			if !cfg.Referee.Acceptable(comm.History{States: f.prefix[:], Dropped: round}) {
+				lastBad = round + 1
+			}
 		}
 		if cfg.OnRound != nil {
 			cfg.OnRound(round, *view, state)
@@ -246,9 +318,11 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 
 	res.frame = frame{} // keep no messages or parties in the pool
 	if err != nil {
+		rounds := res.Rounds
 		ReleaseResult(res)
-		return nil, err
+		return nil, &RoundError{Rounds: rounds, Err: err}
 	}
+	res.LastUnacceptable, res.Messages = lastBad, msgs
 	if !record {
 		res.History.Dropped = res.Rounds
 		res.View.Dropped = res.Rounds

@@ -146,6 +146,12 @@ func TestRunUserErrorPropagates(t *testing.T) {
 	if !strings.Contains(err.Error(), "user") {
 		t.Fatalf("error lacks party context: %v", err)
 	}
+	// A run that fails mid-way reports the rounds it completed.
+	_, err = Run(&failingUser{FailAt: 3}, &commtest.Silent{}, &commtest.CountingWorld{}, Config{MaxRounds: 5})
+	var re *RoundError
+	if !errors.As(err, &re) || re.Rounds != 3 || re.Error() != re.Err.Error() {
+		t.Fatalf("err = %#v, want a RoundError after 3 rounds with its cause's text", err)
+	}
 }
 
 func TestRunServerErrorPropagates(t *testing.T) {
