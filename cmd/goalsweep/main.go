@@ -147,11 +147,6 @@ func (f *sweepFlags) request(spec *scenario.Spec, shards int) dist.SweepRequest 
 		BaseSeed: f.baseSeed, SampleN: f.sample, SampleSeed: f.sampleSeed}
 }
 
-// run is runCtx without cancellation — the signature most tests use.
-func run(args []string, stdout, stderr io.Writer) error {
-	return runCtx(context.Background(), args, stdout, stderr)
-}
-
 func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr error) {
 	if len(args) > 0 {
 		switch args[0] {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -8,6 +9,11 @@ import (
 	"strings"
 	"testing"
 )
+
+// run is runCtx without cancellation.
+func run(args []string, stdout, stderr io.Writer) error {
+	return runCtx(context.Background(), args, stdout, stderr)
+}
 
 func runSweep(t *testing.T, args ...string) string {
 	t.Helper()

@@ -110,7 +110,7 @@ func run() error {
 // achieve runs user and srv on the goal's world and judges the recorded
 // history: achieved iff the last 10 prefixes are all acceptable.
 func achieve(g *printing.Goal, usr, srv comm.Strategy, cfg system.Config) (bool, *system.Result, error) {
-	res, err := system.Run(usr, srv, g.NewWorld(goal.Env{Seed: cfg.Seed}), cfg)
+	res, err := system.Run(usr, srv, g.NewWorld(goal.Env{}), cfg)
 	if err != nil {
 		return false, nil, err
 	}

@@ -49,7 +49,7 @@ func run() error {
 
 	g := &printing.Goal{}
 	cfg := system.Config{MaxRounds: 800, Seed: 1}
-	res, err := system.Run(user, srv, g.NewWorld(goal.Env{Seed: cfg.Seed}), cfg)
+	res, err := system.Run(user, srv, g.NewWorld(goal.Env{}), cfg)
 	if err != nil {
 		return err
 	}

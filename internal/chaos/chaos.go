@@ -94,11 +94,6 @@ type Spec struct {
 	Horizon int
 }
 
-// Total counts the spec's budgeted faults across every class.
-func (s Spec) Total() int {
-	return s.Drop + s.Delay + s.Dup + s.Trunc + s.Err + s.AcceptDrop + s.AcceptDelay
-}
-
 func (s Spec) delayFor() time.Duration {
 	if s.DelayFor <= 0 {
 		return 25 * time.Millisecond
@@ -322,20 +317,9 @@ func indexOf(ss []string, s string) int {
 	return 0
 }
 
-// Schedule returns every scheduled fault in canonical (op, seq) order —
-// what the log will contain once every coordinate has been reached.
-func (in *Injector) Schedule() []Fault {
-	faults := make([]Fault, 0, len(in.sched))
-	for _, f := range in.sched {
-		faults = append(faults, f)
-	}
-	sortFaults(faults)
-	return faults
-}
-
 // Log returns the faults fired so far, in canonical (op, seq) order.
-// After a run in which every scheduled coordinate was reached it equals
-// Schedule() — the reproducible fault event log.
+// After a run in which every scheduled coordinate was reached it holds
+// every scheduled fault — the reproducible fault event log.
 func (in *Injector) Log() []Fault {
 	in.mu.Lock()
 	faults := append([]Fault(nil), in.fired...)

@@ -186,24 +186,3 @@ type View struct {
 	// fully recorded views.
 	Dropped int
 }
-
-// Len returns the number of rounds in the view, including dropped ones.
-func (v View) Len() int { return v.Dropped + len(v.Rounds) }
-
-// Last returns the most recent round view. It returns a zero RoundView when
-// the view is empty.
-func (v View) Last() RoundView {
-	if len(v.Rounds) == 0 {
-		return RoundView{}
-	}
-	return v.Rounds[len(v.Rounds)-1]
-}
-
-// Append returns a copy-on-write extension of the view with one more round.
-// The underlying array may be shared; callers must treat views as immutable.
-func (v View) Append(rv RoundView) View {
-	return View{
-		Rounds:  append(v.Rounds[:len(v.Rounds):len(v.Rounds)], rv),
-		Dropped: v.Dropped,
-	}
-}

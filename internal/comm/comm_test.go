@@ -48,44 +48,6 @@ func TestHistoryPrefix(t *testing.T) {
 	}
 }
 
-func TestViewAppendImmutable(t *testing.T) {
-	t.Parallel()
-
-	base := View{}
-	a := base.Append(RoundView{In: Inbox{FromWorld: "w1"}})
-	b := base.Append(RoundView{In: Inbox{FromWorld: "w2"}})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Fatalf("lengths: %d, %d", a.Len(), b.Len())
-	}
-	if a.Last().In.FromWorld != "w1" {
-		t.Fatalf("a corrupted: %q", a.Last().In.FromWorld)
-	}
-	if b.Last().In.FromWorld != "w2" {
-		t.Fatalf("b corrupted: %q", b.Last().In.FromWorld)
-	}
-}
-
-func TestViewAppendChain(t *testing.T) {
-	t.Parallel()
-
-	v := View{}
-	for i := 0; i < 10; i++ {
-		v = v.Append(RoundView{Out: Outbox{ToServer: "m"}})
-	}
-	if v.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", v.Len())
-	}
-}
-
-func TestViewLastEmpty(t *testing.T) {
-	t.Parallel()
-
-	var v View
-	if got := v.Last(); got != (RoundView{}) {
-		t.Fatalf("Last on empty view = %+v", got)
-	}
-}
-
 func TestHistoryPrefixProperty(t *testing.T) {
 	t.Parallel()
 

@@ -20,6 +20,14 @@ import (
 	"repro/internal/scenario"
 )
 
+// fleetChaos is the fault budget the chaotic fleet tests run under:
+// fleetChaosFaults = 2 drops + 2 delays + 1 dup + 1 trunc + 2 errs, all
+// of which fire within the horizon of a 6-shard job.
+const (
+	fleetChaos       = "drop=2,delay=2:5ms,dup=1,trunc=1,err=2,horizon=6"
+	fleetChaosFaults = 8
+)
+
 // TestChaosDistributedByteIdentical is the robustness acceptance
 // criterion: a 2-worker distributed sweep under a nonzero seeded fault
 // schedule — drops, delays, a duplicate, a truncation, 503s — plus a
@@ -61,7 +69,7 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 		t.Fatalf("straggler lease = %+v, want a grant", straggler)
 	}
 
-	cs, err := chaos.ParseSpec("drop=2,delay=2:5ms,dup=1,trunc=1,err=2,horizon=6")
+	cs, err := chaos.ParseSpec(fleetChaos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +113,8 @@ func TestChaosDistributedByteIdentical(t *testing.T) {
 	if got, want := mergedReport(t, coord, plan), serialReport(t, plan); got != want {
 		t.Fatal("chaotic merged report differs from fresh serial run")
 	}
-	if fired := inj.Log(); len(fired) != cs.Total() {
-		t.Fatalf("%d of %d scheduled faults fired:\n%s", len(fired), cs.Total(), chaos.FormatLog(fired))
+	if fired := inj.Log(); len(fired) != fleetChaosFaults {
+		t.Fatalf("%d of %d scheduled faults fired:\n%s", len(fired), fleetChaosFaults, chaos.FormatLog(fired))
 	}
 	if got := mLeasesSpeculated.With(JobID(plan)).Value() - spec0; got < 1 {
 		t.Fatalf("no speculative re-lease recorded, yet the straggler's shard completed (%d)", got)
@@ -126,7 +134,7 @@ func TestChaosDeterministicFaultLog(t *testing.T) {
 	t.Parallel()
 
 	plan := builtinPlan(t, "quick", 6)
-	cs, err := chaos.ParseSpec("drop=2,delay=2:5ms,dup=1,trunc=1,err=2,horizon=6")
+	cs, err := chaos.ParseSpec(fleetChaos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +178,8 @@ func TestChaosDeterministicFaultLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		fired := inj.Log()
-		if len(fired) != cs.Total() {
-			t.Fatalf("%d of %d scheduled faults fired", len(fired), cs.Total())
+		if len(fired) != fleetChaosFaults {
+			t.Fatalf("%d of %d scheduled faults fired", len(fired), fleetChaosFaults)
 		}
 		return chaos.FormatLog(fired), mergedReport(t, coord, plan)
 	}

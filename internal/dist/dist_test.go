@@ -836,8 +836,7 @@ func TestWorkerMemoKeepsSkewCheck(t *testing.T) {
 		}
 	}
 	reused("after refusals", valid, first, prepared)
-	w.Registry = scenario.Builtin()
-	w.Registry.SetVersion("another build")
+	w.Registry = scenario.NewRegistry() // unversioned, unlike the plan's builtin registry
 	if _, err := run(valid); err == nil || !strings.Contains(err.Error(), "version skew") {
 		t.Fatalf("the prepared plan accepted under another registry version: %v", err)
 	}

@@ -40,22 +40,6 @@ func (m *Machine) Step(state, in int) (next, out int, err error) {
 	return m.Next[i], m.Out[i], nil
 }
 
-// Run feeds the input sequence through the machine from the initial state
-// and returns the output sequence.
-func (m *Machine) Run(inputs []int) ([]int, error) {
-	outs := make([]int, 0, len(inputs))
-	state := 0
-	for _, in := range inputs {
-		next, out, err := m.Step(state, in)
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, out)
-		state = next
-	}
-	return outs, nil
-}
-
 // Space is the set of all Mealy machines with fixed dimensions. Each
 // transition-table cell has NumStates*NumOut possible values and there are
 // NumStates*NumIn cells, so the space has (NumStates*NumOut)^(NumStates*NumIn)

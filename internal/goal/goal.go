@@ -27,11 +27,9 @@ import "repro/internal/comm"
 
 // Env is the world's single non-deterministic choice: which probabilistic
 // strategy (environment instance) the world runs. Choice selects among a
-// goal's countable set of environments; Seed drives the chosen strategy's
-// internal randomness.
+// goal's countable set of environments.
 type Env struct {
 	Choice int
-	Seed   uint64
 }
 
 // World is the third party's strategy. Beyond exchanging messages it exposes

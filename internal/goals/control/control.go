@@ -178,7 +178,7 @@ func (g *Goal) EnvChoices() int { return 8 }
 
 // NewWorld implements goal.Goal.
 func (g *Goal) NewWorld(env goal.Env) goal.World {
-	r := xrand.New(uint64(env.Choice)*0xD1B54A32D192ED03 + env.Seed + 7)
+	r := xrand.New(uint64(env.Choice)*0xD1B54A32D192ED03 + 7)
 	span := g.span()
 	initPos := r.Intn(2*span+1) - span
 	return &World{
@@ -241,9 +241,6 @@ func (w *World) Reset(*xrand.Rand) {
 	w.status = ""
 	w.gen++ // invalidates the status cache
 }
-
-// Pos returns the current plant position (for tests).
-func (w *World) Pos() int { return w.pos }
 
 // Step implements comm.Strategy.
 func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, in) }

@@ -97,8 +97,8 @@ func TestWorldPlantDynamics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Pos() != 7 {
-		t.Fatalf("pos = %d, want 7", w.Pos())
+	if w.pos != 7 {
+		t.Fatalf("pos = %d, want 7", w.pos)
 	}
 	pos, set, ok := ParsePlant(out.ToUser)
 	if !ok || pos != 7 || set != 8 {

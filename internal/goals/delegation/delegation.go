@@ -154,8 +154,6 @@ func ParseInstance(s string) (Instance, bool) {
 type Goal struct {
 	// N is the number of weights per instance; 0 means 12.
 	N int
-	// Instances is the number of distinct environments; 0 means 8.
-	Instances int
 }
 
 var _ goal.FiniteGoal = (*Goal)(nil)
@@ -170,17 +168,12 @@ func (g *Goal) n() int {
 // Name implements goal.Goal.
 func (g *Goal) Name() string { return "delegation" }
 
-// EnvChoices implements goal.Goal.
-func (g *Goal) EnvChoices() int {
-	if g.Instances <= 0 {
-		return 8
-	}
-	return g.Instances
-}
+// EnvChoices implements goal.Goal: eight distinct instances.
+func (g *Goal) EnvChoices() int { return 8 }
 
 // NewWorld implements goal.Goal.
 func (g *Goal) NewWorld(env goal.Env) goal.World {
-	r := xrand.New(uint64(env.Choice)*0x9E3779B97F4A7C15 + env.Seed + 1)
+	r := xrand.New(uint64(env.Choice)*0x9E3779B97F4A7C15 + 1)
 	return &World{instance: Generate(g.n(), r)}
 }
 

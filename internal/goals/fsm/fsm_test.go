@@ -79,8 +79,8 @@ func TestAnalysisComputesPolicyAndFlags(t *testing.T) {
 	if g.policy[0] != 1 || g.policy[1] != 0 {
 		t.Fatalf("policy = %v, want [1 0]", g.policy)
 	}
-	if g.Target() != 1 {
-		t.Fatalf("target = %d", g.Target())
+	if g.target != 1 {
+		t.Fatalf("target = %d", g.target)
 	}
 
 	// Machine 0 of any space maps every cell to (state 0, output 0):

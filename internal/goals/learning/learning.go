@@ -42,10 +42,6 @@ const StallLimit = 8
 type Goal struct {
 	// M is the domain / concept-class size; 0 means 64.
 	M int
-
-	// Adversary selects the teacher-adversary query schedule (see
-	// World.Adversary) instead of uniform random queries.
-	Adversary bool
 }
 
 var (
@@ -74,7 +70,7 @@ func (g *Goal) NewWorld(env goal.Env) goal.World {
 	if c < 0 {
 		c += m
 	}
-	return &World{M: m, Concept: c, Adversary: g.Adversary}
+	return &World{M: m, Concept: c}
 }
 
 // Acceptable implements goal.CompactGoal: a prefix is acceptable iff the
@@ -159,13 +155,6 @@ type World struct {
 	M       int
 	Concept int
 
-	// Adversary switches the query schedule from uniform random to a
-	// teacher-adversary: each query bisects the set of concepts still
-	// consistent with the labels revealed so far, maximizing how long a
-	// learner stays uncertain. Under this schedule the halving learner
-	// is pushed toward its full ⌈log₂M⌉ mistake bound.
-	Adversary bool
-
 	r        *xrand.Rand
 	id       int
 	x        int
@@ -173,7 +162,6 @@ type World struct {
 	mistakes int
 	lastOK   int // -1 none, 0 mistake, 1 correct
 	stall    int
-	lo, hi   int // concepts consistent with revealed labels
 
 	query   comm.Message // cached announcement, rebuilt when (id, x, lastOK) changes
 	queryID int
@@ -199,28 +187,9 @@ func (w *World) Reset(r *xrand.Rand) {
 	w.mistakes = 0
 	w.lastOK = -1
 	w.stall = 0
-	w.lo, w.hi = 0, w.domain()-1
-	w.x = w.pick()
+	w.x = w.r.Intn(w.domain())
 	w.query = ""
 	w.arena.Reset()
-}
-
-// pick chooses the next query point per the configured schedule.
-func (w *World) pick() int {
-	if !w.Adversary {
-		return w.r.Intn(w.domain())
-	}
-	if w.lo < w.hi {
-		// Bisect the revealed-consistent concept interval: concepts
-		// c <= x answer 1, so the midpoint splits [lo, hi] evenly.
-		return (w.lo + w.hi) / 2
-	}
-	// Concept fully revealed: keep probing around the boundary (labels
-	// are now determined for any consistent learner).
-	if w.Concept > 0 && w.r.Bool() {
-		return w.Concept - 1
-	}
-	return w.Concept % w.domain()
 }
 
 func (w *World) domain() int {
@@ -255,17 +224,8 @@ func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 					w.lastOK = 0
 					w.mistakes++
 				}
-				// Narrow the revealed-consistent interval: label 1
-				// means c* <= x, label 0 means c* > x.
-				if trueLabel == 1 {
-					if w.x < w.hi {
-						w.hi = w.x
-					}
-				} else if w.x+1 > w.lo {
-					w.lo = w.x + 1
-				}
 				w.id++
-				w.x = w.pick()
+				w.x = w.r.Intn(w.domain())
 				w.stall = 0
 			}
 		}

@@ -21,16 +21,16 @@ func TestPaperTrayLimits(t *testing.T) {
 	}
 	w.Reset(xrand.New(1))
 
-	if w.PaperLeft() != 2 {
-		t.Fatalf("initial paper = %d", w.PaperLeft())
+	if w.paper-w.sheets != 2 {
+		t.Fatalf("initial paper = %d", w.paper-w.sheets)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := w.Step(comm.Inbox{FromServer: "EMIT junk"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w.PaperLeft() != 0 {
-		t.Fatalf("paper after 3 emits = %d", w.PaperLeft())
+	if w.paper-w.sheets != 0 {
+		t.Fatalf("paper after 3 emits = %d", w.paper-w.sheets)
 	}
 	if printed, errorPages := w.Sheets(); printed != 2 || errorPages != 0 {
 		t.Fatalf("Sheets() = %d, %d on a 2-sheet tray fed junk", printed, errorPages)
@@ -59,8 +59,8 @@ func TestUnlimitedPaper(t *testing.T) {
 		t.Fatal("world type")
 	}
 	w.Reset(xrand.New(1))
-	if w.PaperLeft() != -1 {
-		t.Fatalf("unlimited tray PaperLeft = %d", w.PaperLeft())
+	if w.paper != 0 {
+		t.Fatalf("unlimited tray holds %d sheets", w.paper)
 	}
 }
 

@@ -149,20 +149,9 @@ var (
 	_ comm.StepperTo = (*World)(nil)
 )
 
-// Target returns the document the user is tasked with printing.
-func (w *World) Target() string { return w.target }
-
 // Sheets returns how many documents have been printed this run, and how
 // many of those were error pages (documents containing ErrorPage).
 func (w *World) Sheets() (printed, errorPages int) { return w.sheets, w.errorPages }
-
-// PaperLeft returns the remaining sheets, or -1 when unlimited.
-func (w *World) PaperLeft() int {
-	if w.paper == 0 {
-		return -1
-	}
-	return w.paper - w.sheets // sheets never exceeds paper
-}
 
 // Reset implements comm.Strategy.
 func (w *World) Reset(*xrand.Rand) {

@@ -48,8 +48,8 @@ func TestNewWorldSelectsDoc(t *testing.T) {
 		if !ok {
 			t.Fatal("world type")
 		}
-		if want := g.Docs[choice%3]; w.Target() != want {
-			t.Fatalf("choice %d → target %q, want %q", choice, w.Target(), want)
+		if want := g.Docs[choice%3]; w.target != want {
+			t.Fatalf("choice %d → target %q, want %q", choice, w.target, want)
 		}
 	}
 }
@@ -360,8 +360,8 @@ func TestRefereeMonotone(t *testing.T) {
 // announcement cache) against a straightforward string-slice reference
 // with Sprintf encodings, over random EMIT traffic including repeats of
 // the same page, error pages and junk — across several Reset cycles, with
-// an unlimited tray and a 2-sheet one. Announcement, snapshot, Sheets and
-// PaperLeft must match the reference every round.
+// an unlimited tray and a 2-sheet one. Announcement, snapshot and Sheets
+// must match the reference every round.
 func TestWorldMatchesReferenceModel(t *testing.T) {
 	t.Parallel()
 
@@ -416,13 +416,6 @@ func TestWorldMatchesReferenceModel(t *testing.T) {
 				}
 				if sheets, errorPages := w.Sheets(); sheets != len(printed) || errorPages != wantErr {
 					t.Fatalf("paper %d run %d round %d: Sheets() = %d, %d, want %d, %d", paper, run, round, sheets, errorPages, len(printed), wantErr)
-				}
-				wantLeft := -1
-				if paper > 0 {
-					wantLeft = paper - len(printed)
-				}
-				if got := w.PaperLeft(); got != wantLeft {
-					t.Fatalf("paper %d run %d round %d: PaperLeft() = %d, want %d", paper, run, round, got, wantLeft)
 				}
 			}
 		}

@@ -22,8 +22,6 @@ type CertConfig struct {
 	// MaxRounds is the execution horizon per run; 0 means the system
 	// default.
 	MaxRounds int
-	// Window is the convergence window for compact goals; 0 means 10.
-	Window int
 	// Seed drives all randomness.
 	Seed uint64
 	// Envs is how many environment choices to sweep; 0 means the goal's
@@ -32,13 +30,6 @@ type CertConfig struct {
 	// Parallel bounds the certification worker pool; values < 1 mean
 	// GOMAXPROCS. Results are identical at every setting.
 	Parallel int
-}
-
-func (c CertConfig) window() int {
-	if c.Window <= 0 {
-		return 10
-	}
-	return c.Window
 }
 
 func (c CertConfig) envs(g goal.CompactGoal) int {
@@ -64,6 +55,9 @@ func (c CertConfig) chunk() int {
 	}
 	return n
 }
+
+// window is the convergence window compact goals are certified by.
+const window = 10
 
 // probeCap bounds the candidate prefix examined for unbounded classes.
 const probeCap = 64
@@ -126,7 +120,7 @@ func (p *probe) onRound(_ int, rv comm.RoundView, _ goal.World) {
 // eventuallyPositive reports whether the indication sequence was positive
 // on the final window rounds (the empirical reading of "only finitely many
 // negative indications").
-func (p *probe) eventuallyPositive(window int) bool {
+func (p *probe) eventuallyPositive() bool {
 	return p.rounds >= window && p.streak >= window
 }
 
@@ -145,7 +139,7 @@ func certTrial(
 	t := system.Trial{
 		User:   func() (comm.Strategy, error) { return users.Strategy(candidate), nil },
 		Server: mkServer,
-		World:  func() goal.World { return g.NewWorld(goal.Env{Choice: env, Seed: cfg.Seed}) },
+		World:  func() goal.World { return g.NewWorld(goal.Env{Choice: env}) },
 		Config: system.Config{
 			MaxRounds: cfg.MaxRounds,
 			Seed:      cfg.Seed,
@@ -184,7 +178,7 @@ func chunkedFound(
 		results, errs := system.RunEach(trials, cfg.batch())
 		found := false
 		for t, p := range probes {
-			if errs[t] == nil && p.eventuallyPositive(cfg.window()) && results[t].Achieved(cfg.window()) {
+			if errs[t] == nil && p.eventuallyPositive() && results[t].Achieved(window) {
 				found = true
 			}
 			system.ReleaseResult(results[t])
@@ -224,7 +218,7 @@ func HelpfulCompact(
 			good := true
 			for env := 0; env < envs; env++ {
 				t := (i-base)*envs + env
-				if errs[t] != nil || !results[t].Achieved(cfg.window()) {
+				if errs[t] != nil || !results[t].Achieved(window) {
 					good = false
 					break
 				}
@@ -279,7 +273,7 @@ func CertifySafetyCompact(
 				})
 				continue
 			}
-			if probes[t].eventuallyPositive(cfg.window()) && !results[t].Achieved(cfg.window()) {
+			if probes[t].eventuallyPositive() && !results[t].Achieved(window) {
 				violations = append(violations, Violation{
 					Kind: "safety", Server: si, Env: env, Candidate: i,
 					Detail: "indications eventually positive but goal not achieved",

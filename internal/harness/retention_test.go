@@ -29,7 +29,7 @@ func refSafetyVerdicts(
 	verdicts := make([]bool, users.Size())
 	for i := range verdicts {
 		res, err := system.Run(users.Strategy(i), mkServer(),
-			g.NewWorld(goal.Env{Choice: 0, Seed: cfg.Seed}),
+			g.NewWorld(goal.Env{}),
 			system.Config{MaxRounds: cfg.MaxRounds, Seed: cfg.Seed})
 		if err != nil {
 			t.Fatal(err)
@@ -38,13 +38,13 @@ func refSafetyVerdicts(
 		sense := mkSense()
 		sense.Reset()
 		n := len(res.View.Rounds)
-		eventually := n >= cfg.window()
+		eventually := n >= window
 		for r := range res.View.Rounds {
-			if !sense.Observe(&res.View.Rounds[r]) && r >= n-cfg.window() {
+			if !sense.Observe(&res.View.Rounds[r]) && r >= n-window {
 				eventually = false
 			}
 		}
-		verdicts[i] = eventually && !goal.CompactAchieved(g, res.History, cfg.window())
+		verdicts[i] = eventually && !goal.CompactAchieved(g, res.History, window)
 	}
 	return verdicts
 }

@@ -107,7 +107,7 @@ func TestGossipConsensusDetectsFailure(t *testing.T) {
 		{Value: 1, D: f.Dialect(0)},
 		{Value: 2, D: foreign.Dialect(4)},
 	}
-	res, err := GossipAll(members, f, Config{Seed: 1, MaxRoundsPerSession: 60})
+	res, err := GossipAll(members, f, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,8 @@ const (
 // Vocabulary returns the query protocol's verbs for word-dialect families.
 func Vocabulary() []string { return []string{cmdAsk, rspVal} }
 
-// DefaultPatience is the per-candidate sensing patience for query sessions.
-const DefaultPatience = 4
+// patience is the per-candidate sensing patience for query sessions.
+const patience = 4
 
 // Member is a party holding a private value and speaking dialect D. As a
 // comm.Strategy it behaves as a server: a correctly-encoded "ASK" earns a
@@ -111,10 +111,7 @@ func queryEnum(fam *dialect.Family) enumerate.Enumerator {
 
 // reportSense is positive once the user has reported a value — visible in
 // the user's own outbox, hence a legitimate function of the view.
-func reportSense(patience int) sensing.Sense {
-	if patience <= 0 {
-		patience = DefaultPatience
-	}
+func reportSense() sensing.Sense {
 	reported := sensing.Sticky(sensing.New(func(rv *comm.RoundView) bool {
 		return strings.HasPrefix(string(rv.Out.ToWorld), "REPORT ")
 	}))
@@ -156,13 +153,9 @@ func (w *reportWorld) Snapshot() comm.WorldState {
 	return comm.WorldState("report=" + strconv.Itoa(w.value))
 }
 
-// Config controls the coordinator's sessions.
+// Config controls the coordinator's sessions, each of which runs at most
+// 40 × family size rounds.
 type Config struct {
-	// MaxRoundsPerSession bounds each two-party session; 0 means
-	// 40 × family size.
-	MaxRoundsPerSession int
-	// Patience is the sensing patience; 0 means DefaultPatience.
-	Patience int
 	// Seed drives all randomness.
 	Seed uint64
 	// Oracle, if true, skips enumeration: the coordinator is told each
@@ -190,15 +183,6 @@ type Result struct {
 	Sessions []SessionResult
 	// TotalRounds sums all session lengths — the reduction's cost.
 	TotalRounds int
-}
-
-// Values returns the learned values (valid where Sessions[i].OK).
-func (r *Result) Values() []int {
-	vs := make([]int, len(r.Sessions))
-	for i, s := range r.Sessions {
-		vs[i] = s.Value
-	}
-	return vs
 }
 
 // AllOK reports whether every session learned a value.
@@ -240,10 +224,7 @@ func LearnValues(members []*Member, fam *dialect.Family, cfg Config) (*Result, e
 	if fam == nil {
 		return nil, errors.New("multiparty: nil dialect family")
 	}
-	maxRounds := cfg.MaxRoundsPerSession
-	if maxRounds <= 0 {
-		maxRounds = 40 * fam.Size()
-	}
+	maxRounds := 40 * fam.Size()
 
 	// Each coordinator↔member session is an independent trial; seeds are
 	// drawn in member order at submission so parallel results are
@@ -256,7 +237,7 @@ func LearnValues(members []*Member, fam *dialect.Family, cfg Config) (*Result, e
 				if cfg.Oracle {
 					return &askCandidate{d: m.D}, nil
 				}
-				return universal.NewCompactUser(queryEnum(fam), reportSense(cfg.Patience))
+				return universal.NewCompactUser(queryEnum(fam), reportSense())
 			},
 			// Member is stateless (immutable value and dialect), so
 			// sharing it across the engine's Reset is safe.

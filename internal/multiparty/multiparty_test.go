@@ -65,9 +65,9 @@ func TestLearnValuesUniversal(t *testing.T) {
 		t.Fatalf("sessions failed: %+v", res.Sessions)
 	}
 	want := []int{7, 19, 4}
-	for i, v := range res.Values() {
-		if v != want[i] {
-			t.Fatalf("values = %v, want %v", res.Values(), want)
+	for i, s := range res.Sessions {
+		if s.Value != want[i] {
+			t.Fatalf("sessions = %+v, want values %v", res.Sessions, want)
 		}
 	}
 	maxV, err := res.Max()
@@ -166,7 +166,7 @@ func TestFailedSessionReported(t *testing.T) {
 	f := fam(t, 3)
 	foreign := fam(t, 6) // dialects 3..5 are outside f
 	members := []*Member{{Value: 9, D: foreign.Dialect(5)}}
-	res, err := LearnValues(members, f, Config{Seed: 4, MaxRoundsPerSession: 120})
+	res, err := LearnValues(members, f, Config{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +174,6 @@ func TestFailedSessionReported(t *testing.T) {
 		t.Fatal("foreign-dialect member understood?!")
 	}
 	if res.Sessions[0].Rounds != 120 {
-		t.Fatalf("failed session rounds = %d, want full bound", res.Sessions[0].Rounds)
+		t.Fatalf("failed session rounds = %d, want the full bound 40 × 3", res.Sessions[0].Rounds)
 	}
 }

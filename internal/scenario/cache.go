@@ -58,9 +58,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // path addresses an entry by content: FNV-1a of the canonical key,
 // fanned out git-style into a two-hex-digit subdirectory.
 func (c *Cache) path(k Key) string {
@@ -133,20 +130,4 @@ func (c *Cache) Put(k Key, st *Stats) error {
 		return fmt.Errorf("scenario: cache put: %w", err)
 	}
 	return nil
-}
-
-// Len walks the store and counts complete entries, for observability and
-// tests; it does not verify them.
-func (c *Cache) Len() (int, error) {
-	n := 0
-	err := filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && filepath.Ext(path) == ".json" {
-			n++
-		}
-		return nil
-	})
-	return n, err
 }

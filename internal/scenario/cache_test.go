@@ -39,7 +39,7 @@ func openCache(t *testing.T) *Cache {
 func cacheFiles(t *testing.T, c *Cache) []string {
 	t.Helper()
 	var files []string
-	err := filepath.WalkDir(c.Dir(), func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -203,8 +203,8 @@ func TestCacheWriteFailureDegrades(t *testing.T) {
 		t.Fatal("failed store write not surfaced in the summary")
 	}
 	// The first failed write disabled the store for the rest of the run.
-	if n, err := c.Len(); err != nil || n != 0 {
-		t.Fatalf("store holds %d entries (err %v) after being disabled", n, err)
+	if n := len(cacheFiles(t, c)); n != 0 {
+		t.Fatalf("store holds %d entries after being disabled", n)
 	}
 }
 
@@ -315,8 +315,8 @@ func TestCacheConcurrentWriters(t *testing.T) {
 			t.Fatalf("key %d not readable after racing writers (ok=%v)", i, ok)
 		}
 	}
-	if n, err := c.Len(); err != nil || n != len(keys) {
-		t.Fatalf("store holds %d entries (err %v), want %d", n, err, len(keys))
+	if n := len(cacheFiles(t, c)); n != len(keys) {
+		t.Fatalf("store holds %d entries, want %d", n, len(keys))
 	}
 }
 
@@ -378,8 +378,8 @@ func TestCacheBypassedWithCustomSeedFn(t *testing.T) {
 	if sum.CacheHits != 0 || sum.CacheMisses != 0 {
 		t.Fatalf("custom SeedFn touched the cache: %d hits, %d misses", sum.CacheHits, sum.CacheMisses)
 	}
-	if n, err := c.Len(); err != nil || n != 0 {
-		t.Fatalf("custom SeedFn wrote %d entries (err %v)", n, err)
+	if n := len(cacheFiles(t, c)); n != 0 {
+		t.Fatalf("custom SeedFn wrote %d entries", n)
 	}
 }
 
@@ -418,7 +418,7 @@ func TestCacheSkipsErroredScenarios(t *testing.T) {
 	t.Parallel()
 
 	reg := brokenRegistry()
-	reg.SetVersion("test/broken/1")
+	reg.version = "test/broken/1"
 	m, err := NewMatrix(brokenSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -437,15 +437,15 @@ func TestCacheSkipsErroredScenarios(t *testing.T) {
 			t.Fatalf("run %d: %d misses — cache not consulted on a versioned registry", run, sum.CacheMisses)
 		}
 	}
-	if n, err := c.Len(); err != nil || n != 0 {
-		t.Fatalf("errored scenario stored: %d entries (err %v)", n, err)
+	if n := len(cacheFiles(t, c)); n != 0 {
+		t.Fatalf("errored scenario stored: %d entries", n)
 	}
 }
 
 // TestCacheBypassedWithUnversionedRegistry checks the registry contract:
 // Register resets the version, an unversioned registry never touches the
 // cache (its binding semantics have no stable identity to key entries
-// by), and SetVersion restores cacheability under a distinct key space.
+// by), and a version restores cacheability under a key space of its own.
 func TestCacheBypassedWithUnversionedRegistry(t *testing.T) {
 	t.Parallel()
 
@@ -476,12 +476,12 @@ func TestCacheBypassedWithUnversionedRegistry(t *testing.T) {
 		t.Fatalf("unversioned registry touched the cache: %d hits, %d misses",
 			sum.CacheHits, sum.CacheMisses)
 	}
-	if n, err := c.Len(); err != nil || n != 0 {
-		t.Fatalf("unversioned registry stored %d entries (err %v)", n, err)
+	if n := len(cacheFiles(t, c)); n != 0 {
+		t.Fatalf("unversioned registry stored %d entries", n)
 	}
 
 	// Declaring a version opts back in…
-	reg.SetVersion("test/extended/1")
+	reg.version = "test/extended/1"
 	_, cold := collectStats(t, m, SweepConfig{Registry: reg, Cache: c})
 	if cold.CacheMisses != cold.Scenarios {
 		t.Fatalf("versioned registry: %d misses over %d scenarios", cold.CacheMisses, cold.Scenarios)

@@ -30,6 +30,11 @@ func sameIDs(t *testing.T, a, b *Spec) {
 // values reordered (and some values duplicated) — content-identical,
 // syntactically different.
 func scramble(s *Spec, r *xrand.Rand) *Spec {
+	shuffle := func(n int, swap func(i, j int)) { // Fisher–Yates
+		for i := n - 1; i > 0; i-- {
+			swap(i, r.Intn(i+1))
+		}
+	}
 	out := &Spec{Name: s.Name, Seeds: s.Seeds, BaseSeed: s.BaseSeed, Window: s.Window}
 	out.Blocks = make([]Block, len(s.Blocks))
 	for i, b := range s.Blocks {
@@ -38,16 +43,16 @@ func scramble(s *Spec, r *xrand.Rand) *Spec {
 			vals := make([]string, len(ax.Values))
 			copy(vals, ax.Values)
 			// Duplicate one value sometimes; canonicalization dedups.
-			if len(vals) > 0 && r.Bool() {
+			if len(vals) > 0 && r.Intn(2) == 1 {
 				vals = append(vals, vals[r.Intn(len(vals))])
 			}
-			r.Shuffle(len(vals), func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
+			shuffle(len(vals), func(a, b int) { vals[a], vals[b] = vals[b], vals[a] })
 			axes[j] = Axis{Name: ax.Name, Values: vals}
 		}
-		r.Shuffle(len(axes), func(a, b int) { axes[a], axes[b] = axes[b], axes[a] })
+		shuffle(len(axes), func(a, b int) { axes[a], axes[b] = axes[b], axes[a] })
 		out.Blocks[i] = Block{Axes: axes}
 	}
-	r.Shuffle(len(out.Blocks), func(a, b int) { out.Blocks[a], out.Blocks[b] = out.Blocks[b], out.Blocks[a] })
+	shuffle(len(out.Blocks), func(a, b int) { out.Blocks[a], out.Blocks[b] = out.Blocks[b], out.Blocks[a] })
 	return out
 }
 

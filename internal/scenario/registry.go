@@ -130,8 +130,8 @@ func NewRegistry() *Registry {
 // Register installs a builder for the named goal, replacing any previous
 // one. Registering resets the registry's version to "" (uncacheable):
 // builders are code, so the registry cannot tell whether the change
-// preserves the meaning of previously stored aggregates — the caller
-// declares that with SetVersion.
+// preserves the meaning of previously stored aggregates. Only Builtin
+// versions a registry.
 func (r *Registry) Register(name string, b Builder) {
 	r.builders[name] = b
 	r.version = ""
@@ -142,13 +142,6 @@ func (r *Registry) Register(name string, b Builder) {
 // still run, but bypass the cache, and fingerprints distinguish the
 // registry from every versioned one.
 func (r *Registry) Version() string { return r.version }
-
-// SetVersion declares the registry's binding semantics as a stable,
-// caller-owned identity, making its sweeps cacheable: aggregates are
-// stored and served under this version, and it is the caller's contract
-// to bump it whenever a registered builder's behavior changes —
-// otherwise a shared cache serves stale aggregates as fresh ones.
-func (r *Registry) SetVersion(v string) { r.version = v }
 
 // builtinVersion keys the stock registry's cache entries; bump it when
 // any builtin binding changes behavior. The fsm family carries its own

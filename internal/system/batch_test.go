@@ -201,7 +201,7 @@ func TestRecordOffKeepsOnlyCounters(t *testing.T) {
 	if len(res.History.States) != 0 || len(res.View.Rounds) != 0 {
 		t.Fatal("off retention recorded data")
 	}
-	if res.Rounds != 25 || res.History.Len() != 25 || res.View.Len() != 25 {
+	if res.Rounds != 25 || res.History.Len() != 25 || res.View.Dropped+len(res.View.Rounds) != 25 {
 		t.Fatalf("off retention lost counters: rounds=%d len=%d", res.Rounds, res.History.Len())
 	}
 }

@@ -103,8 +103,8 @@ func TestFromResultValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.History.Len() != off.View.Len() || off.Rounds != 7 {
-		t.Fatalf("RecordOff result: history %d, view %d, rounds %d", off.History.Len(), off.View.Len(), off.Rounds)
+	if v := off.View; off.History.Len() != v.Dropped+len(v.Rounds) || off.Rounds != 7 {
+		t.Fatalf("RecordOff result: history %d, view %d, rounds %d", off.History.Len(), v.Dropped+len(v.Rounds), off.Rounds)
 	}
 	if _, err := FromResult(off, "x", 0); err == nil {
 		t.Fatal("RecordOff result with dropped rounds accepted")

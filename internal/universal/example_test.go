@@ -30,7 +30,7 @@ func ExampleCompactUser() {
 
 	g := &printing.Goal{}
 	cfg := system.Config{MaxRounds: 800, Seed: 1}
-	res, err := system.Run(user, srv, g.NewWorld(goal.Env{Seed: cfg.Seed}), cfg)
+	res, err := system.Run(user, srv, g.NewWorld(goal.Env{}), cfg)
 	if err != nil {
 		fmt.Println("run:", err)
 		return

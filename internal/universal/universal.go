@@ -220,9 +220,6 @@ type FiniteRunner struct {
 	// MaxPhases bounds the search; 0 means the schedule's default
 	// (DefaultUniformPhases or DefaultExponentialPhases).
 	MaxPhases int
-	// BudgetCap bounds any single attempt's rounds; 0 means no cap
-	// beyond the phase structure.
-	BudgetCap int
 	// Parallel bounds the per-phase worker pool; values < 1 mean
 	// GOMAXPROCS. The search result is the same at every setting.
 	Parallel int
@@ -279,9 +276,6 @@ func (fr *FiniteRunner) Run(
 			budget := p + 1
 			if sched == ScheduleExponential {
 				budget = 1 << (p - i)
-			}
-			if fr.BudgetCap > 0 && budget > fr.BudgetCap {
-				continue
 			}
 			specs = append(specs, attemptSpec{index: i, budget: budget, seed: root.Uint64()})
 		}

@@ -333,28 +333,6 @@ func TestFiniteRunnerValidation(t *testing.T) {
 	}
 }
 
-func TestFiniteRunnerBudgetCap(t *testing.T) {
-	t.Parallel()
-
-	fr := &FiniteRunner{Enum: guessEnum(4), Sense: hitSense(), MaxPhases: 10, BudgetCap: 4}
-	res, err := fr.Run(
-		func() comm.Strategy { return server.Obstinate() },
-		func() goal.World { return &commtest.SecretWorld{Secret: 2} },
-		1,
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range res.Attempts {
-		if a.Budget > 4 {
-			t.Fatalf("budget cap violated: %+v", a)
-		}
-	}
-	if !res.Succeeded {
-		t.Fatal("capped search should still find a 3-round protocol")
-	}
-}
-
 func TestFiniteRunnerSafetyRejectsDishonestHalts(t *testing.T) {
 	t.Parallel()
 

@@ -104,19 +104,9 @@ func (r *Rand) Intn(n int) int {
 	return int(hi)
 }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
-// Bool returns a uniform boolean.
-func (r *Rand) Bool() bool {
-	return r.Uint64()&1 == 1
 }
 
 // Perm returns a uniform permutation of [0, n) as a slice.
@@ -130,12 +120,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

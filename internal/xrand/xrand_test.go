@@ -155,40 +155,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	t.Parallel()
-
-	r := New(11)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
-func TestBoolBalanced(t *testing.T) {
-	t.Parallel()
-
-	r := New(13)
-	trues := 0
-	for i := 0; i < 10000; i++ {
-		if r.Bool() {
-			trues++
-		}
-	}
-	if trues < 4500 || trues > 5500 {
-		t.Fatalf("Bool badly unbalanced: %d/10000 true", trues)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
