@@ -129,44 +129,43 @@ func run(args []string, stdout io.Writer) error {
 		Safety:    []harness.Violation{},
 		Viability: []harness.Violation{},
 	}
-	// 1. Helpfulness of every class member and every probe.
+	// One pass certifies the class and the probes: helpfulness of each,
+	// safety against all of them, viability against the class.
+	all := append(append([]func() comm.Strategy{}, servers...), probes...)
+	certs := harness.Certify(parts.Goal, parts.Sense, parts.Enum, all, cfg)
 	tbl := &harness.Table{
 		ID:      "CERT",
 		Title:   fmt.Sprintf("helpfulness for goal %q (class size %d, horizon %d)", *goalName, *classSize, horizon),
 		Columns: []string{"server", "helpful", "witness candidate"},
 	}
-	for i, mk := range servers {
-		ok, witness := harness.HelpfulCompact(parts.Goal, mk, parts.Enum, cfg)
+	for i, c := range certs[:len(servers)] {
+		ok := c.Witness >= 0
 		w := "-"
 		if ok {
-			w = harness.I(witness)
+			w = harness.I(c.Witness)
 		}
 		name := fmt.Sprintf("class[%d]", i)
 		tbl.AddRow(name, yesNo(ok), w)
 		report.Servers = append(report.Servers, harness.ServerVerdict{
-			Server: name, Helpful: ok, Witness: witness,
+			Server: name, Helpful: ok, Witness: c.Witness,
 		})
+		report.Viability = append(report.Viability, c.Viability...)
 	}
 	for i, name := range probeNames {
-		ok, _ := harness.HelpfulCompact(parts.Goal, probes[i], parts.Enum, cfg)
+		ok := certs[len(servers)+i].Witness >= 0
 		tbl.AddRow("probe:"+name, yesNo(ok), "-")
 		report.Servers = append(report.Servers, harness.ServerVerdict{
 			Server: "probe:" + name, Probe: true, Helpful: ok, Witness: -1,
 		})
 		if ok {
-			// Neither mode emits a report here: the sweep is
-			// incomplete, and a truncated report would be
-			// indistinguishable from a complete uncertified one.
+			// Neither mode emits a report here: a probe certified
+			// helpful discredits every verdict of the pass.
 			return fmt.Errorf("probe %q wrongly certified helpful", name)
 		}
 	}
-
-	// 2. Safety against class ∪ probes; viability against the class.
-	all := append(append([]func() comm.Strategy{}, servers...), probes...)
-	report.Safety = append(report.Safety,
-		harness.CertifySafetyCompact(parts.Goal, parts.Sense, parts.Enum, all, cfg)...)
-	report.Viability = append(report.Viability,
-		harness.CertifyViabilityCompact(parts.Goal, parts.Sense, parts.Enum, servers, cfg)...)
+	for _, c := range certs {
+		report.Safety = append(report.Safety, c.Safety...)
+	}
 	report.Certified = len(report.Safety)+len(report.Viability) == 0
 
 	if *jsonOut {

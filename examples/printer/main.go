@@ -95,10 +95,15 @@ func run() error {
 		func() comm.Strategy { return &printing.LyingServer{} },
 	)
 	certCfg := harness.CertConfig{MaxRounds: cfg.MaxRounds, Seed: 1, Envs: 1}
-	safety := harness.CertifySafetyCompact(g, func() sensing.Sense { return printing.Sense(0) },
+	certs := harness.Certify(g, func() sensing.Sense { return printing.Sense(0) },
 		printing.Enum(fam), all, certCfg)
-	viability := harness.CertifyViabilityCompact(g, func() sensing.Sense { return printing.Sense(0) },
-		printing.Enum(fam), servers, certCfg)
+	var safety, viability []harness.Violation
+	for i, c := range certs {
+		safety = append(safety, c.Safety...)
+		if i < classSize { // the probes are not meant to be helpful
+			viability = append(viability, c.Viability...)
+		}
+	}
 	fmt.Printf("  safety violations: %d, viability violations: %d\n", len(safety), len(viability))
 	if len(safety)+len(viability) > 0 {
 		return fmt.Errorf("stock sensing failed certification")

@@ -70,13 +70,14 @@ type Strategy interface {
 // messages into out: the caller hands over a zeroed outbox, the callee
 // sets only the fields it sends, and on error the caller discards *out.
 //
-// Every strategy in this repository steps in place, and its Step is the
-// one-line Step(s, in). The engine resolves each party to its StepTo once
-// per run (through a StepOnly shim for a strategy that has only Step), so
-// an outbox is written once where it lives instead of being returned in
-// registers, spilled and copied at every layer: a whole-struct copy loads
-// 16 bytes at a time from fields just stored 8 bytes at a time, which the
-// CPU cannot forward from its store buffer.
+// Every strategy the program builds steps in place, and its Step is the
+// one-line Step(s, in). Test fixtures (internal/commtest's among them) and
+// goalbench's timing wrappers have only Step, and the engine steps those
+// through a StepOnly shim. The engine resolves each party to its StepTo
+// once per run, so an outbox is written once where it lives instead of
+// being returned in registers, spilled and copied at every layer: a
+// whole-struct copy loads 16 bytes at a time from fields just stored 8
+// bytes at a time, which the CPU cannot forward from its store buffer.
 type StepperTo interface {
 	StepTo(in Inbox, out *Outbox) error
 }

@@ -2,22 +2,22 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/comm"
 	"repro/internal/enumerate"
 	"repro/internal/goal"
 	"repro/internal/sensing"
 	"repro/internal/system"
+	"repro/internal/xrand"
 )
 
-// CertConfig parameterizes empirical certification runs.
+// CertConfig parameterizes a certification pass (Certify).
 //
-// Certification executes through system.RunEach, and every trial is
-// observed online, round by round: the engine judges the goal
-// (system.Config.Referee) and records nothing, and sensing indications
-// are computed as the view unfolds instead of by replaying a recorded
-// one.
+// Certify runs every trial through system.RunEach and observes it online,
+// round by round, recording nothing: the engine judges the goal
+// (system.Config.Referee), and the trial's user is a probe that feeds the
+// candidate's own rounds to the sensing function as it steps it. No round
+// hook is installed and no view is copied.
 type CertConfig struct {
 	// MaxRounds is the execution horizon per run; 0 means the system
 	// default.
@@ -39,40 +39,12 @@ func (c CertConfig) envs(g goal.CompactGoal) int {
 	return g.EnvChoices()
 }
 
-func (c CertConfig) batch() system.BatchConfig {
-	return system.BatchConfig{Parallelism: c.Parallel}
-}
-
-// chunk is how many candidates a chunked search runs per batch: enough to
-// feed the worker pool while keeping the early-exit waste bounded.
-func (c CertConfig) chunk() int {
-	n := c.Parallel
-	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 4 {
-		n = 4
-	}
-	return n
-}
-
 // window is the convergence window compact goals are certified by.
 const window = 10
 
-// probeCap bounds the candidate prefix examined for unbounded classes.
-const probeCap = 64
-
-func boundedSize(e enumerate.Enumerator) int {
-	if size := e.Size(); size != enumerate.Unbounded {
-		return size
-	}
-	return probeCap
-}
-
 // Violation records one certification failure.
 type Violation struct {
-	// Kind names the violated property ("safety", "viability",
-	// "helpfulness", "forgiving").
+	// Kind names the violated property: "safety" or "viability".
 	Kind string `json:"kind"`
 	// Server and Env identify the failing configuration; Candidate is
 	// the strategy index where applicable (-1 otherwise).
@@ -89,223 +61,164 @@ func (v Violation) String() string {
 		v.Kind, v.Server, v.Env, v.Candidate, v.Detail)
 }
 
-// probe feeds one certification trial to the sensing function under
-// test through the engine's live round hook, as the view unfolds; the
-// engine judges the goal itself. This replaces history recording plus
-// replay.
+// Certificate is one server's three verdicts, read off the same runs:
+// every candidate paired with the server from every swept environment.
+type Certificate struct {
+	// Witness is the first candidate that achieves the goal with the
+	// server from every environment, or -1: the server is helpful for
+	// the class iff Witness >= 0. A failed run counts against its
+	// candidate.
+	Witness int
+	// Safety lists, in (candidate, env) order, the runs whose
+	// indications were eventually always positive although the goal was
+	// not achieved, and the runs that failed.
+	Safety []Violation
+	// Viability lists, in env order, the environments from which no
+	// candidate achieves the goal while earning eventually always
+	// positive indications. It is meaningful only for a helpful server.
+	Viability []Violation
+}
+
+// probe is a certification trial's user: it steps the candidate in place
+// and feeds the candidate's own round to the sensing function by pointer,
+// as universal.CompactUser does, counting the positive indications in a
+// row. Candidates of a compact goal never halt, so neither does a probe.
 type probe struct {
+	cand   comm.Strategy
+	step   comm.StepperTo // cand, resolved to its in-place step
+	shim   comm.StepOnly  // cand's shim when it has only Step
 	sense  sensing.Sense
 	rv     comm.RoundView // the round sense reads, by pointer
-	rounds int
 	streak int
 }
 
-// newProbe returns a probe feeding a fresh sensing function from mkSense.
-func newProbe(mkSense func() sensing.Sense) *probe {
-	p := &probe{sense: mkSense()}
+// Reset implements comm.Strategy.
+func (p *probe) Reset(r *xrand.Rand) {
+	p.cand.Reset(r)
 	p.sense.Reset()
-	return p
+	p.streak = 0
 }
 
-func (p *probe) onRound(_ int, rv comm.RoundView, _ goal.World) {
-	p.rounds++
-	p.rv = rv
-	if p.sense.Observe(&p.rv) {
+// Step implements comm.Strategy.
+func (p *probe) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(p, in) }
+
+// StepTo implements comm.StepperTo. A candidate's error is returned as it
+// is, so a failed run reads as the candidate's own failure.
+func (p *probe) StepTo(in comm.Inbox, out *comm.Outbox) error {
+	rv := &p.rv
+	rv.In.FromUser, rv.In.FromServer, rv.In.FromWorld = in.FromUser, in.FromServer, in.FromWorld
+	if err := p.step.StepTo(in, out); err != nil {
+		return err
+	}
+	rv.Out.ToUser, rv.Out.ToServer, rv.Out.ToWorld = out.ToUser, out.ToServer, out.ToWorld
+	if p.sense.Observe(rv) {
 		p.streak++
 	} else {
 		p.streak = 0
 	}
+	return nil
 }
 
-// eventuallyPositive reports whether the indication sequence was positive
-// on the final window rounds (the empirical reading of "only finitely many
+// eventuallyPositive reports whether the indications were positive on the
+// final window rounds (the empirical reading of "only finitely many
 // negative indications").
-func (p *probe) eventuallyPositive() bool {
-	return p.rounds >= window && p.streak >= window
-}
+func (p *probe) eventuallyPositive() bool { return p.streak >= window }
 
-// certTrial builds the standard certification trial for one
-// (candidate, server, env) triple, judged by the engine and, when p is
-// non-nil, sensed by p; it records nothing.
-func certTrial(
+// Certify certifies the hypotheses of Theorem 1 for a compact goal: the
+// helpfulness of each server for the candidate class users, and the
+// safety and viability of the sensing function mkSense returns (a fresh
+// Sense per call) against it. It runs each server's pairings — every
+// candidate from every swept environment — exactly once, in one batch,
+// and returns one Certificate per server, in order. Every candidate runs,
+// so users must be bounded.
+//
+// A run is achieved when its final window rounds were acceptable, and
+// positive when its final window indications were. Safety requires that
+// every positive run be achieved; viability that from every environment
+// some candidate's run be both.
+func Certify(
 	g goal.CompactGoal,
-	users enumerate.Enumerator,
-	candidate int,
-	mkServer func() comm.Strategy,
-	env int,
-	p *probe,
-	cfg CertConfig,
-) system.Trial {
-	t := system.Trial{
-		User:   func() (comm.Strategy, error) { return users.Strategy(candidate), nil },
-		Server: mkServer,
-		World:  func() goal.World { return g.NewWorld(goal.Env{Choice: env}) },
-		Config: system.Config{
-			MaxRounds: cfg.MaxRounds,
-			Seed:      cfg.Seed,
-			Record:    system.RecordOff,
-			Referee:   g,
-		},
-	}
-	if p != nil {
-		t.Config.OnRoundLive = p.onRound
-	}
-	return t
-}
-
-// chunkedFound reports whether some candidate achieves the goal while
-// earning eventually-always-positive indications against one (server,
-// env) pairing, scanning the class in parallel chunks with early exit
-// between chunks. Failed trials count as negative.
-func chunkedFound(
-	g goal.CompactGoal,
-	users enumerate.Enumerator,
-	mkServer func() comm.Strategy,
-	env int,
 	mkSense func() sensing.Sense,
+	users enumerate.Enumerator,
+	servers []func() comm.Strategy,
 	cfg CertConfig,
-) bool {
-	size := boundedSize(users)
-	for base := 0; base < size; base += cfg.chunk() {
-		hi := min(base+cfg.chunk(), size)
-		trials := make([]system.Trial, 0, hi-base)
-		probes := make([]*probe, 0, hi-base)
-		for i := base; i < hi; i++ {
-			p := newProbe(mkSense)
-			probes = append(probes, p)
-			trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
-		}
-		results, errs := system.RunEach(trials, cfg.batch())
-		found := false
-		for t, p := range probes {
-			if errs[t] == nil && p.eventuallyPositive() && results[t].Achieved(window) {
-				found = true
-			}
-			system.ReleaseResult(results[t])
-		}
-		if found {
-			return true
+) []Certificate {
+	size, envs := users.Size(), cfg.envs(g)
+	if size == enumerate.Unbounded {
+		panic(fmt.Sprintf("harness: Certify needs a bounded class, %q is unbounded", users.Name()))
+	}
+	// One batch per server, candidate-major; only the server changes
+	// from batch to batch.
+	trials := make([]system.Trial, size*envs)
+	probes := make([]*probe, len(trials))
+	for t := range trials {
+		i, env := t/envs, t%envs
+		trials[t] = system.Trial{
+			// The probe is built on the worker that runs the trial:
+			// state written every round never sits in caller-owned
+			// slots that two workers write side by side. The worker
+			// leaves only its pointer behind.
+			User: func() (comm.Strategy, error) {
+				p := &probe{cand: users.Strategy(i), sense: mkSense()}
+				p.step = comm.InPlace(p.cand, &p.shim)
+				probes[t] = p
+				return p, nil
+			},
+			World: func() goal.World { return g.NewWorld(goal.Env{Choice: env}) },
+			Config: system.Config{
+				MaxRounds: cfg.MaxRounds,
+				Seed:      cfg.Seed,
+				Record:    system.RecordOff,
+				Referee:   g,
+			},
 		}
 	}
-	return false
-}
 
-// HelpfulCompact reports whether the server is helpful for the compact goal
-// with respect to the candidate class: some enumerated candidate achieves
-// the goal when paired with it, from every swept environment. It returns
-// the first witnessing candidate index (or -1). Candidates are probed in
-// parallel chunks; the returned witness is the same as a serial scan's.
-// Failed trials count as a negative verdict for their candidate.
-func HelpfulCompact(
-	g goal.CompactGoal,
-	mkServer func() comm.Strategy,
-	users enumerate.Enumerator,
-	cfg CertConfig,
-) (bool, int) {
-	size := boundedSize(users)
-	envs := cfg.envs(g)
-	for base := 0; base < size; base += cfg.chunk() {
-		hi := min(base+cfg.chunk(), size)
-		trials := make([]system.Trial, 0, (hi-base)*envs)
-		for i := base; i < hi; i++ {
-			for env := 0; env < envs; env++ {
-				trials = append(trials, certTrial(g, users, i, mkServer, env, nil, cfg))
-			}
+	certs := make([]Certificate, len(servers))
+	viable := make([]bool, envs)
+	for si, mkServer := range servers {
+		for t := range trials {
+			trials[t].Server = mkServer
 		}
-		results, errs := system.RunEach(trials, cfg.batch())
-		witness := -1
-		for i := base; i < hi && witness < 0; i++ {
-			good := true
+		results, errs := system.RunEach(trials, system.BatchConfig{Parallelism: cfg.Parallel})
+		c := &certs[si]
+		c.Witness = -1
+		clear(viable)
+		for i := 0; i < size; i++ {
+			helpful := true
 			for env := 0; env < envs; env++ {
-				t := (i-base)*envs + env
-				if errs[t] != nil || !results[t].Achieved(window) {
-					good = false
-					break
+				t := i*envs + env
+				achieved, positive := false, false
+				if errs[t] == nil {
+					achieved, positive = results[t].Achieved(window), probes[t].eventuallyPositive()
+					system.ReleaseResult(results[t])
+				} else {
+					c.Safety = append(c.Safety, Violation{
+						Kind: "safety", Server: si, Env: env, Candidate: i,
+						Detail: fmt.Sprintf("execution error: %v", errs[t]),
+					})
+				}
+				helpful = helpful && achieved
+				viable[env] = viable[env] || achieved && positive
+				if positive && !achieved {
+					c.Safety = append(c.Safety, Violation{
+						Kind: "safety", Server: si, Env: env, Candidate: i,
+						Detail: "indications eventually positive but goal not achieved",
+					})
 				}
 			}
-			if good {
-				witness = i
+			if helpful && c.Witness < 0 {
+				c.Witness = i
 			}
 		}
-		for _, res := range results {
-			system.ReleaseResult(res)
-		}
-		if witness >= 0 {
-			return true, witness
-		}
-	}
-	return false, -1
-}
-
-// CertifySafetyCompact checks the safety of a sensing function for a
-// compact goal against a set of server factories: whenever a pairing's
-// indications are eventually always positive, the execution must achieve
-// the goal. mkSense must return a fresh Sense per call; users enumerates
-// the user strategies to pair (typically the candidate class itself).
-func CertifySafetyCompact(
-	g goal.CompactGoal,
-	mkSense func() sensing.Sense,
-	users enumerate.Enumerator,
-	servers []func() comm.Strategy,
-	cfg CertConfig,
-) []Violation {
-	var violations []Violation
-	size := boundedSize(users)
-	envs := cfg.envs(g)
-	for si, mkServer := range servers {
-		// One batch per server: candidates × envs, judged in order.
-		trials := make([]system.Trial, 0, size*envs)
-		probes := make([]*probe, 0, size*envs)
-		for i := 0; i < size; i++ {
-			for env := 0; env < envs; env++ {
-				p := newProbe(mkSense)
-				probes = append(probes, p)
-				trials = append(trials, certTrial(g, users, i, mkServer, env, p, cfg))
-			}
-		}
-		results, errs := system.RunEach(trials, cfg.batch())
-		for t := range trials {
-			i, env := t/envs, t%envs
-			if errs[t] != nil {
-				violations = append(violations, Violation{
-					Kind: "safety", Server: si, Env: env, Candidate: i,
-					Detail: fmt.Sprintf("execution error: %v", errs[t]),
-				})
-				continue
-			}
-			if probes[t].eventuallyPositive() && !results[t].Achieved(window) {
-				violations = append(violations, Violation{
-					Kind: "safety", Server: si, Env: env, Candidate: i,
-					Detail: "indications eventually positive but goal not achieved",
-				})
-			}
-			system.ReleaseResult(results[t])
-		}
-	}
-	return violations
-}
-
-// CertifyViabilityCompact checks viability: for every server in the list
-// (all assumed helpful), some candidate achieves the goal *and* earns
-// eventually-always-positive indications. One violation is reported per
-// server lacking such a candidate.
-func CertifyViabilityCompact(
-	g goal.CompactGoal,
-	mkSense func() sensing.Sense,
-	users enumerate.Enumerator,
-	servers []func() comm.Strategy,
-	cfg CertConfig,
-) []Violation {
-	var violations []Violation
-	for si, mkServer := range servers {
-		for env := 0; env < cfg.envs(g); env++ {
-			if !chunkedFound(g, users, mkServer, env, mkSense, cfg) {
-				violations = append(violations, Violation{
+		for env, ok := range viable {
+			if !ok {
+				c.Viability = append(c.Viability, Violation{
 					Kind: "viability", Server: si, Env: env, Candidate: -1,
 					Detail: "no candidate earns lasting positive indications while achieving the goal",
 				})
 			}
 		}
 	}
-	return violations
+	return certs
 }

@@ -122,50 +122,50 @@ func printingFixture(t *testing.T, n int) (*printing.Goal, *dialect.Family, []fu
 	return &printing.Goal{Docs: []string{"doc"}}, fam, servers
 }
 
+// unhelpfulPrinters returns the printing servers that must not certify
+// helpful: an obstinate one and a lying one, which ACKs without printing.
+func unhelpfulPrinters() []func() comm.Strategy {
+	return []func() comm.Strategy{
+		server.Obstinate,
+		func() comm.Strategy { return &printing.LyingServer{} },
+	}
+}
+
+// TestHelpfulCompact checks Certify's helpfulness verdicts: each dialected
+// printer's witness is the candidate of its own dialect, and neither
+// probe has one.
 func TestHelpfulCompact(t *testing.T) {
 	t.Parallel()
 
 	g, fam, servers := printingFixture(t, 4)
 	cfg := CertConfig{MaxRounds: 100, Seed: 1}
-
-	ok, witness := HelpfulCompact(g, servers[2], printing.Enum(fam), cfg)
-	if !ok {
-		t.Fatal("dialected printer not recognized as helpful")
-	}
-	if witness != 2 {
-		t.Fatalf("witness = %d, want 2", witness)
-	}
-
-	ok, _ = HelpfulCompact(g, func() comm.Strategy { return server.Obstinate() },
-		printing.Enum(fam), cfg)
-	if ok {
-		t.Fatal("obstinate server certified helpful")
-	}
-
-	ok, _ = HelpfulCompact(g, func() comm.Strategy { return &printing.LyingServer{} },
-		printing.Enum(fam), cfg)
-	if ok {
-		t.Fatal("lying server certified helpful")
+	certs := Certify(g, func() sensing.Sense { return printing.Sense(0) },
+		printing.Enum(fam), append(servers, unhelpfulPrinters()...), cfg)
+	for i, want := range []int{0, 1, 2, 3, -1, -1} {
+		if certs[i].Witness != want {
+			t.Fatalf("server %d: witness %d, want %d", i, certs[i].Witness, want)
+		}
 	}
 }
 
+// TestCertifySafetyCompactAcceptsSafeSense checks that the stock printing
+// sense raises no safety violation against the class or the probes.
 func TestCertifySafetyCompactAcceptsSafeSense(t *testing.T) {
 	t.Parallel()
 
 	g, fam, servers := printingFixture(t, 4)
-	all := append(servers,
-		func() comm.Strategy { return server.Obstinate() },
-		func() comm.Strategy { return &printing.LyingServer{} },
-	)
 	cfg := CertConfig{MaxRounds: 120, Seed: 1}
-	vs := CertifySafetyCompact(g, func() sensing.Sense {
+	for i, c := range Certify(g, func() sensing.Sense {
 		return printing.Sense(0)
-	}, printing.Enum(fam), all, cfg)
-	if len(vs) != 0 {
-		t.Fatalf("safe sense flagged: %v", vs)
+	}, printing.Enum(fam), append(servers, unhelpfulPrinters()...), cfg) {
+		if len(c.Safety) != 0 {
+			t.Fatalf("server %d: safe sense flagged: %v", i, c.Safety)
+		}
 	}
 }
 
+// TestCertifySafetyCompactRejectsTrustingSense checks that a sense
+// trusting the lying printer's ACKs fails safety against it.
 func TestCertifySafetyCompactRejectsTrustingSense(t *testing.T) {
 	t.Parallel()
 
@@ -174,9 +174,9 @@ func TestCertifySafetyCompactRejectsTrustingSense(t *testing.T) {
 		func() comm.Strategy { return &printing.LyingServer{} },
 	}
 	cfg := CertConfig{MaxRounds: 120, Seed: 1}
-	vs := CertifySafetyCompact(g, func() sensing.Sense {
+	vs := Certify(g, func() sensing.Sense {
 		return printing.TrustingSense()
-	}, printing.Enum(fam), liars, cfg)
+	}, printing.Enum(fam), liars, cfg)[0].Safety
 	if len(vs) == 0 {
 		t.Fatal("trusting sense passed safety certification")
 	}
@@ -185,24 +185,29 @@ func TestCertifySafetyCompactRejectsTrustingSense(t *testing.T) {
 	}
 }
 
+// TestCertifyViabilityCompact checks Certify's viability verdicts against
+// the class: none for the stock sense, one per server for a sense that no
+// printer can satisfy.
 func TestCertifyViabilityCompact(t *testing.T) {
 	t.Parallel()
 
 	g, fam, servers := printingFixture(t, 4)
 	cfg := CertConfig{MaxRounds: 120, Seed: 1}
 
-	vs := CertifyViabilityCompact(g, func() sensing.Sense {
+	for i, c := range Certify(g, func() sensing.Sense {
 		return printing.Sense(0)
-	}, printing.Enum(fam), servers, cfg)
-	if len(vs) != 0 {
-		t.Fatalf("viable sense flagged: %v", vs)
+	}, printing.Enum(fam), servers, cfg) {
+		if len(c.Viability) != 0 {
+			t.Fatalf("server %d: viable sense flagged: %v", i, c.Viability)
+		}
 	}
 
-	vs = CertifyViabilityCompact(g, func() sensing.Sense {
+	for i, c := range Certify(g, func() sensing.Sense {
 		return printing.ParanoidSense(0)
-	}, printing.Enum(fam), servers, cfg)
-	if len(vs) != len(servers) {
-		t.Fatalf("paranoid sense violations = %d, want %d", len(vs), len(servers))
+	}, printing.Enum(fam), servers, cfg) {
+		if len(c.Viability) != 1 {
+			t.Fatalf("server %d: paranoid sense violations = %v, want one", i, c.Viability)
+		}
 	}
 }
 

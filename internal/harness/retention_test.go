@@ -1,86 +1,236 @@
 package harness
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/dialect"
+	"repro/internal/enumerate"
 	"repro/internal/goal"
+	"repro/internal/goals/control"
 	"repro/internal/goals/printing"
+	"repro/internal/obs"
 	"repro/internal/sensing"
+	"repro/internal/server"
 	"repro/internal/system"
+	"repro/internal/xrand"
 )
 
-// refSafetyVerdicts is a straightforward full-recording, serial reference
-// implementation of CertifySafetyCompact's verdict for one
-// (candidate, server, env) triple: record everything, replay the sense
-// over the complete view, judge the complete history.
-func refSafetyVerdicts(
-	t *testing.T,
+// refOutcome is what the reference reads off one recorded run.
+type refOutcome struct {
+	achieved, positive bool
+	err                error
+}
+
+// refRun runs one (candidate, server, env) triple on its own, recording
+// everything, then replays a fresh sense over the complete view and judges
+// the complete history.
+func refRun(g goal.CompactGoal, mkSense func() sensing.Sense, user, srv comm.Strategy, env int, cfg CertConfig) refOutcome {
+	res, err := system.Run(user, srv, g.NewWorld(goal.Env{Choice: env}),
+		system.Config{MaxRounds: cfg.MaxRounds, Seed: cfg.Seed})
+	if err != nil {
+		return refOutcome{err: err}
+	}
+	// Eventually positive: no negative indication in the final window.
+	sense := mkSense()
+	sense.Reset()
+	n := len(res.View.Rounds)
+	positive := n >= window
+	for r := range res.View.Rounds {
+		if !sense.Observe(&res.View.Rounds[r]) && r >= n-window {
+			positive = false
+		}
+	}
+	return refOutcome{achieved: goal.CompactAchieved(g, res.History, window), positive: positive}
+}
+
+// refCertify is a serial, full-recording reference for Certify: every
+// triple runs on its own through refRun, and the three verdicts are read
+// off the table of outcomes in Certify's order and wording.
+func refCertify(
 	g goal.CompactGoal,
 	mkSense func() sensing.Sense,
-	users interface {
-		Strategy(int) comm.Strategy
-		Size() int
-	},
-	mkServer func() comm.Strategy,
+	users enumerate.Enumerator,
+	servers []func() comm.Strategy,
 	cfg CertConfig,
-) []bool {
-	t.Helper()
-	verdicts := make([]bool, users.Size())
-	for i := range verdicts {
-		res, err := system.Run(users.Strategy(i), mkServer(),
-			g.NewWorld(goal.Env{}),
-			system.Config{MaxRounds: cfg.MaxRounds, Seed: cfg.Seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Eventually positive: no negative indication in the final window.
-		sense := mkSense()
-		sense.Reset()
-		n := len(res.View.Rounds)
-		eventually := n >= window
-		for r := range res.View.Rounds {
-			if !sense.Observe(&res.View.Rounds[r]) && r >= n-window {
-				eventually = false
+) []Certificate {
+	envs := cfg.Envs
+	if envs == 0 {
+		envs = g.EnvChoices()
+	}
+	certs := make([]Certificate, len(servers))
+	for si, mkServer := range servers {
+		runs := make([][]refOutcome, users.Size()) // [candidate][env]
+		for i := range runs {
+			runs[i] = make([]refOutcome, envs)
+			for env := range runs[i] {
+				runs[i][env] = refRun(g, mkSense, users.Strategy(i), mkServer(), env, cfg)
 			}
 		}
-		verdicts[i] = eventually && !goal.CompactAchieved(g, res.History, window)
+		c := Certificate{Witness: -1}
+		for i, rs := range runs {
+			if c.Witness < 0 && !slices.ContainsFunc(rs, func(r refOutcome) bool { return !r.achieved }) {
+				c.Witness = i
+			}
+			for env, r := range rs {
+				v := Violation{Kind: "safety", Server: si, Env: env, Candidate: i}
+				switch {
+				case r.err != nil:
+					v.Detail = "execution error: " + r.err.Error()
+				case r.positive && !r.achieved:
+					v.Detail = "indications eventually positive but goal not achieved"
+				default:
+					continue
+				}
+				c.Safety = append(c.Safety, v)
+			}
+		}
+		for env := 0; env < envs; env++ {
+			if !slices.ContainsFunc(runs, func(rs []refOutcome) bool { return rs[env].achieved && rs[env].positive }) {
+				c.Viability = append(c.Viability, Violation{
+					Kind: "viability", Server: si, Env: env, Candidate: -1,
+					Detail: "no candidate earns lasting positive indications while achieving the goal",
+				})
+			}
+		}
+		certs[si] = c
 	}
-	return verdicts
+	return certs
+}
+
+// failingServer is silent and fails its tenth step, so every run longer
+// than nine rounds against it errors.
+type failingServer struct{ steps int }
+
+func (s *failingServer) Reset(*xrand.Rand) { s.steps = 0 }
+
+func (s *failingServer) Step(comm.Inbox) (comm.Outbox, error) {
+	if s.steps++; s.steps == 10 {
+		return comm.Outbox{}, errors.New("failing server: tenth step")
+	}
+	return comm.Outbox{}, nil
+}
+
+// certCase is one Certify call the reference checks.
+type certCase struct {
+	name    string
+	g       goal.CompactGoal
+	sense   func() sensing.Sense
+	users   enumerate.Enumerator
+	servers []func() comm.Strategy
+	cfg     CertConfig
+}
+
+// certCases covers control over its 8 environments and printing over 2
+// documents; the stock, trusting and paranoid senses; horizons before and
+// after convergence; a class in which two candidates reach the goal with
+// each server; and a server whose every long run fails.
+func certCases(t *testing.T) []certCase {
+	t.Helper()
+	failing := func() comm.Strategy { return &failingServer{} }
+
+	fam, err := dialect.NewWordFamily(printing.Vocabulary(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	printers := []func() comm.Strategy{server.Obstinate, func() comm.Strategy { return &printing.LyingServer{} }, failing}
+	for i := 0; i < fam.Size(); i++ {
+		d := fam.Dialect(i)
+		printers = append(printers, func() comm.Strategy { return server.Dialected(&printing.Server{}, d) })
+	}
+	docs := &printing.Goal{Docs: []string{"memo", "report"}}
+	// Candidates i and i+3 speak the same dialect.
+	twice := enumerate.FromFunc("printing/twice", 2*fam.Size(), func(i int) comm.Strategy {
+		return &printing.Candidate{D: fam.Dialect(i % fam.Size())}
+	})
+
+	units, err := control.NewUnitsFamily(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	controllers := []func() comm.Strategy{server.Obstinate, failing}
+	for i := 0; i < units.Size(); i++ {
+		d := units.Dialect(i)
+		controllers = append(controllers, func() comm.Strategy { return server.Dialected(&control.Server{}, d) })
+	}
+	plant := &control.Goal{Span: 20}
+
+	var cases []certCase
+	for _, rounds := range []int{12, 120} {
+		for _, s := range []struct {
+			name string
+			mk   func() sensing.Sense
+		}{
+			{"stock", func() sensing.Sense { return printing.Sense(0) }},
+			{"trusting", printing.TrustingSense},
+			{"paranoid", func() sensing.Sense { return printing.ParanoidSense(0) }},
+		} {
+			cases = append(cases, certCase{
+				fmt.Sprintf("printing/%s/%d", s.name, rounds), docs, s.mk,
+				printing.Enum(fam), printers, CertConfig{MaxRounds: rounds, Seed: 1},
+			})
+		}
+		cases = append(cases, certCase{
+			fmt.Sprintf("printing/twice/%d", rounds), docs, func() sensing.Sense { return printing.Sense(0) },
+			twice, printers, CertConfig{MaxRounds: rounds, Seed: 2},
+		})
+	}
+	for _, rounds := range []int{20, 200} {
+		cases = append(cases, certCase{
+			fmt.Sprintf("control/stock/%d", rounds), plant, func() sensing.Sense { return control.Sense(0) },
+			control.Enum(units), controllers, CertConfig{MaxRounds: rounds, Seed: 1},
+		})
+	}
+	return cases
 }
 
 // TestWindowedRetentionMatchesFullRecording is the acceptance check for
-// online certification: CertifySafetyCompact — which records nothing,
-// letting the engine judge each trial (system.Config.Referee) and
-// feeding its sense round by round — must produce exactly the
-// per-candidate safety verdicts of a full-recording replay-based
-// reference.
+// one-pass online certification: Certify — which records nothing, lets
+// the engine judge each run (system.Config.Referee) and senses through a
+// probe that steps the candidate — must produce exactly the certificates
+// of the serial, full-recording reference, at Parallel 1 and 2.
 func TestWindowedRetentionMatchesFullRecording(t *testing.T) {
 	t.Parallel()
 
-	const n = 4
-	g, fam, servers := printingFixture(t, n)
-	cfg := CertConfig{MaxRounds: 120, Seed: 1, Envs: 1}
-	mkSense := func() sensing.Sense { return printing.TrustingSense() }
-	enum := printing.Enum(fam)
-
-	// The lying printer is where the trusting sense produces genuine
-	// safety violations; a helpful printer is where it must not.
-	for name, mkServer := range map[string]func() comm.Strategy{
-		"lying":   func() comm.Strategy { return &printing.LyingServer{} },
-		"helpful": servers[1],
-	} {
-		want := refSafetyVerdicts(t, g, mkSense, enum, mkServer, cfg)
-		got := make([]bool, enum.Size())
-		for _, v := range CertifySafetyCompact(g, mkSense, enum,
-			[]func() comm.Strategy{mkServer}, cfg) {
-			got[v.Candidate] = true
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%s server, candidate %d: online verdict %v, full-recording verdict %v",
-					name, i, got[i], want[i])
+	for _, tc := range certCases(t) {
+		want := refCertify(tc.g, tc.sense, tc.users, tc.servers, tc.cfg)
+		for _, parallel := range []int{1, 2} {
+			cfg := tc.cfg
+			cfg.Parallel = parallel
+			got := Certify(tc.g, tc.sense, tc.users, tc.servers, cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%s at Parallel %d: %d certificates, want %d", tc.name, parallel, len(got), len(want))
 			}
+			for si := range want {
+				if !reflect.DeepEqual(got[si], want[si]) {
+					t.Errorf("%s at Parallel %d, server %d:\n got  %+v\n want %+v", tc.name, parallel, si, got[si], want[si])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestCertifyRunsEachPairingOnce pins the cost of a certification pass:
+// one Certify call starts exactly candidates × envs × servers trials. It
+// reads the engine's process-wide trial counter, so it does not run in
+// parallel with the package's other tests.
+func TestCertifyRunsEachPairingOnce(t *testing.T) {
+	trials := obs.Default().Counter("goalsweep_engine_trials_started_total",
+		"Trials handed to the batch engine.")
+	for _, tc := range certCases(t) {
+		envs := tc.cfg.Envs
+		if envs == 0 {
+			envs = tc.g.EnvChoices()
+		}
+		before := trials.Value()
+		Certify(tc.g, tc.sense, tc.users, tc.servers, tc.cfg)
+		if got, want := trials.Value()-before, int64(tc.users.Size()*envs*len(tc.servers)); got != want {
+			t.Errorf("%s: %d trials started, want %d", tc.name, got, want)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package harness provides the experiment infrastructure: result tables and
 // series, summary statistics, and empirical certification of the theory's
-// semantic properties (helpfulness of servers, safety and viability of
-// sensing functions).
+// semantic properties. Certify reads all three of Theorem 1's hypotheses —
+// helpfulness of servers, safety and viability of a sensing function — off
+// one run of each (candidate, env, server) pairing.
 package harness
 
 import (

@@ -40,11 +40,12 @@
 // aggregate depends on short of the execution itself. The registry
 // version is the subtle member — builders are code, and the cache cannot
 // observe whether re-registering a goal preserved the meaning of
-// previously stored aggregates. Registry.SetVersion is therefore an
-// explicit contract: an unversioned registry (the state after any
-// Register call) bypasses the cache entirely, and a caller who declares a
-// version owns bumping it whenever a builder's behavior changes. The
-// stock Builtin registry is versioned; custom registries opt in.
+// previously stored aggregates. So Register leaves a registry
+// unversioned, and an unversioned registry bypasses the cache entirely.
+// Only Builtin() versions one: it sets the stock version after its
+// Register calls, and that version is bumped whenever a stock builder's
+// behavior changes. A custom registry, or a Builtin() one after a further
+// Register, is never cached.
 //
 // # Fingerprint canonicalization caveat
 //

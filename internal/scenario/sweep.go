@@ -44,11 +44,11 @@ type SweepConfig struct {
 	// byte-identical to a fresh execution. The cache is bypassed when
 	// SeedFn is set (stored aggregates are keyed by the default
 	// content-derived seed derivation) and when the registry is
-	// unversioned (see Registry.SetVersion — without a declared
-	// identity, entries from registries binding the same axes
-	// differently would be indistinguishable); scenarios with trial
-	// errors are never stored, so transient failures are retried on the
-	// next run.
+	// unversioned — Register leaves a registry unversioned, and only
+	// Builtin() versions one — because without a declared identity,
+	// entries from registries binding the same axes differently would
+	// be indistinguishable; scenarios with trial errors are never
+	// stored, so transient failures are retried on the next run.
 	Cache *Cache
 
 	// OnStats, when non-nil, receives every scenario's aggregate in
