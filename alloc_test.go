@@ -178,39 +178,36 @@ func a1TraySetup(t testing.TB) goalSetup {
 // real executions of every stock goal and of A1's finite-tray printing
 // goal, over random seeds and horizons (some shorter than the window):
 //
-//   - WorldJudge: AcceptableWorld equals Acceptable on the history ending
-//     in the live world's Snapshot, every round.
-//   - Referee: a RecordOff run judged by system.Config.Referee — through
-//     the WorldJudge fast path and through the Snapshot fallback —
-//     reaches, for windows 5, 10 and 20, the verdicts that
-//     goal.CompactAchieved and goal.LastUnacceptable reach on a
-//     RecordFull run of the same trial.
+//   - Live judge: AcceptableWorld on the live world equals Acceptable on
+//     the history recorded so far, every round.
+//   - Referee: a RecordOff run judged by system.Config.Referee reaches,
+//     for windows 5, 10 and 20, the verdicts that goal.CompactAchieved and
+//     goal.LastUnacceptable reach on a RecordFull run of the same trial.
 //   - Messages: Result.Messages is the count of non-empty messages over
-//     the RecordFull run's View, and the RecordOff runs count the same.
+//     the RecordFull run's View, and the RecordOff run counts the same.
 //   - Recording: the state handed to OnRound is the world's Snapshot.
 func TestFastPathParity(t *testing.T) {
 	for _, su := range append(stockSetups(t), a1TraySetup(t)) {
 		t.Run(su.name, func(t *testing.T) {
-			judge, hasJudge := su.g.(goal.WorldJudge)
 			r := xrand.New(7)
 			for k := 0; k < 12; k++ {
 				seed, horizon := r.Uint64(), 1+r.Intn(30)
 				if k%2 == 1 {
 					horizon = 1 + r.Intn(su.rounds)
 				}
-				last := comm.History{States: make([]comm.WorldState, 1)}
+				var seen comm.History
 				full, err := system.Run(su.user(), su.server(), su.world(), system.Config{
 					MaxRounds: horizon,
 					Seed:      seed,
 					OnRound: func(round int, rv comm.RoundView, state comm.WorldState) {
-						last.States[0], last.Dropped = state, round
+						seen.States = append(seen.States, state)
 					},
 					OnRoundLive: func(round int, rv comm.RoundView, w goal.World) {
-						if direct := w.Snapshot(); direct != last.States[0] {
-							t.Fatalf("seed %d round %d: OnRound state %q != Snapshot %q", seed, round, last.States[0], direct)
+						if direct := w.Snapshot(); direct != seen.Last() {
+							t.Fatalf("seed %d round %d: OnRound state %q != Snapshot %q", seed, round, seen.Last(), direct)
 						}
-						if hasJudge && judge.AcceptableWorld(w) != su.g.Acceptable(last) {
-							t.Fatalf("seed %d round %d: AcceptableWorld disagrees with Acceptable on %q", seed, round, last.States[0])
+						if su.g != nil && su.g.AcceptableWorld(w) != su.g.Acceptable(seen) {
+							t.Fatalf("seed %d round %d: AcceptableWorld disagrees with Acceptable on %q", seed, round, seen.Last())
 						}
 					},
 				})
@@ -231,29 +228,25 @@ func TestFastPathParity(t *testing.T) {
 				if su.g == nil {
 					continue // finite goal: no compact referee to judge by
 				}
-				// The derived goal has the same referee but no WorldJudge,
-				// so the engine takes the Snapshot fallback.
-				for _, g := range []goal.CompactGoal{su.g, goal.WithReferee(su.g, su.name, su.g.Acceptable)} {
-					res, err := system.Run(su.user(), su.server(), su.world(), system.Config{
-						MaxRounds: horizon, Seed: seed, Record: system.RecordOff, Referee: g,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Rounds != full.Rounds || res.Messages != msgs {
-						t.Fatalf("seed %d horizon %d: judged run saw %d rounds and %d messages, recorded run %d and %d",
-							seed, horizon, res.Rounds, res.Messages, full.Rounds, msgs)
-					}
-					if got, want := res.LastUnacceptable, goal.LastUnacceptable(su.g, full.History); got != want {
-						t.Fatalf("seed %d horizon %d: engine last rejected prefix %d, recorded %d", seed, horizon, got, want)
-					}
-					for _, window := range []int{5, 10, 20} {
-						if got, want := res.Achieved(window), goal.CompactAchieved(su.g, full.History, window); got != want {
-							t.Fatalf("seed %d horizon %d window %d: engine achieved %v, recorded %v", seed, horizon, window, got, want)
-						}
-					}
-					system.ReleaseResult(res)
+				res, err := system.Run(su.user(), su.server(), su.world(), system.Config{
+					MaxRounds: horizon, Seed: seed, Record: system.RecordOff, Referee: su.g,
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
+				if res.Rounds != full.Rounds || res.Messages != msgs {
+					t.Fatalf("seed %d horizon %d: judged run saw %d rounds and %d messages, recorded run %d and %d",
+						seed, horizon, res.Rounds, res.Messages, full.Rounds, msgs)
+				}
+				if got, want := res.LastUnacceptable, goal.LastUnacceptable(su.g, full.History); got != want {
+					t.Fatalf("seed %d horizon %d: engine last rejected prefix %d, recorded %d", seed, horizon, got, want)
+				}
+				for _, window := range []int{5, 10, 20} {
+					if got, want := res.Achieved(window), goal.CompactAchieved(su.g, full.History, window); got != want {
+						t.Fatalf("seed %d horizon %d window %d: engine achieved %v, recorded %v", seed, horizon, window, got, want)
+					}
+				}
+				system.ReleaseResult(res)
 				system.ReleaseResult(full)
 			}
 		})
@@ -578,9 +571,6 @@ func BenchmarkSweepStack(b *testing.B) {
 		}
 		b.Run(su.name, func(b *testing.B) {
 			user, srv, world := su.user(), su.server(), su.world()
-			if _, ok := su.g.(goal.WorldJudge); !ok {
-				b.Fatalf("%s: stock compact goal without WorldJudge", su.name)
-			}
 			cfg := system.Config{
 				MaxRounds: su.rounds,
 				Seed:      1,

@@ -234,9 +234,6 @@ type opSeq struct {
 // every wrapped transport and listener of a run, so the budgets and the
 // sequence space are fleet-wide. Safe for concurrent use.
 type Injector struct {
-	spec Spec
-	seed uint64
-
 	sched map[opSeq]Fault // immutable after New
 
 	// Events, when non-nil, receives one structured event per injected
@@ -255,8 +252,6 @@ type Injector struct {
 // horizon (more faults targeting an operation than it has slots).
 func New(spec Spec, seed uint64) (*Injector, error) {
 	in := &Injector{
-		spec:   spec,
-		seed:   seed,
 		sched:  make(map[opSeq]Fault),
 		counts: make(map[string]int),
 	}

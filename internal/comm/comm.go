@@ -130,11 +130,7 @@ type WorldState string
 //
 // A partial history materializes only its trailing States and counts the
 // discarded leading rounds in Dropped; Len still reports the logical
-// length. An unrecorded execution leaves every round dropped, and an
-// online referee judges each prefix as a one-state history. Referees that
-// judge a history by its recent states — every stock goal in this
-// repository serializes cumulative world state into each snapshot — are
-// unaffected by the missing prefix.
+// length. An unrecorded execution leaves every round dropped.
 type History struct {
 	// States holds the world state recorded after each round; States[i]
 	// is the state at the end of round Dropped+i (0-based).
@@ -177,13 +173,6 @@ type RoundView struct {
 // View is the portion of the execution visible to the user: its own rounds,
 // in order. Sensing functions — the feedback mechanism of the theory — are
 // predicates over views, never over hidden server or world internals.
-//
-// Like History, a partial view keeps only the trailing Rounds and counts
-// the discarded prefix in Dropped.
 type View struct {
 	Rounds []RoundView
-
-	// Dropped is the number of leading rounds not materialized; 0 for
-	// fully recorded views.
-	Dropped int
 }

@@ -112,6 +112,12 @@ func (w *CountingWorld) Snapshot() comm.WorldState {
 		";u=" + string(w.lastUser) + ";s=" + string(w.lastSrv))
 }
 
+// Round returns the number of rounds the world has stepped.
+func (w *CountingWorld) Round() int { return w.round }
+
+// LastUser returns the last non-empty message the user sent the world.
+func (w *CountingWorld) LastUser() comm.Message { return w.lastUser }
+
 // ParseCounting extracts the u= field of a CountingWorld snapshot.
 func ParseCounting(s comm.WorldState) (userMsg string) {
 	for _, part := range strings.Split(string(s), ";") {
@@ -122,18 +128,16 @@ func ParseCounting(s comm.WorldState) (userMsg string) {
 	return ""
 }
 
-// FlagGoal is a compact goal over CountingWorld: a prefix is acceptable iff
-// the world has, at some point, received the message Want from the user.
-// Once received the flag persists (the snapshot keeps the last user
-// message only, so FlagGoal tracks acceptance itself via prefix scanning).
+// FlagGoal is a goal over CountingWorld whose referee judges recorded
+// histories only: a prefix is acceptable iff the world has, at some point,
+// received the message Want from the user. A CountingWorld keeps only the
+// last user message, so FlagGoal scans the whole prefix and is no engine
+// referee (goal.CompactGoal).
 type FlagGoal struct {
 	Want string
 }
 
-var (
-	_ goal.CompactGoal = (*FlagGoal)(nil)
-	_ goal.Forgiving   = (*FlagGoal)(nil)
-)
+var _ goal.Forgiving = (*FlagGoal)(nil)
 
 // Name implements goal.Goal.
 func (g *FlagGoal) Name() string { return "commtest/flag" }
@@ -144,7 +148,7 @@ func (g *FlagGoal) NewWorld(goal.Env) goal.World { return &CountingWorld{} }
 // EnvChoices implements goal.Goal.
 func (g *FlagGoal) EnvChoices() int { return 1 }
 
-// Acceptable implements goal.CompactGoal.
+// Acceptable reports whether the recorded prefix is acceptable.
 func (g *FlagGoal) Acceptable(prefix comm.History) bool {
 	for _, s := range prefix.States {
 		if ParseCounting(s) == g.Want {

@@ -63,6 +63,14 @@ func (*GreetGoal) Acceptable(prefix comm.History) bool {
 	return prefix.Last() == "greeted=1"
 }
 
+// AcceptableWorld implements goal.WorldJudge.
+func (*GreetGoal) AcceptableWorld(w goal.World) bool {
+	if gw, ok := w.(*GreetWorld); ok {
+		return gw.greeted
+	}
+	return w.Snapshot() == "greeted=1"
+}
+
 // ForgivingGoal implements goal.Forgiving.
 func (*GreetGoal) ForgivingGoal() bool { return true }
 

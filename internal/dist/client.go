@@ -16,11 +16,11 @@ import (
 	"repro/internal/scenario"
 )
 
-// DefaultCallTimeout bounds each non-streaming client call when neither
-// the caller's context nor Client.Timeout says otherwise. Every call it
-// covers is either idempotent or retried by a classifier that treats a
-// deadline as a transport failure, so a timeout can only delay work,
-// never lose it.
+// DefaultCallTimeout bounds each non-streaming client call when the
+// caller's context carries no deadline of its own. Event streams are
+// exempt: they live as long as the job. Every call it covers is either
+// idempotent or retried by a classifier that treats a deadline as a
+// transport failure, so a timeout can only delay work, never lose it.
 const DefaultCallTimeout = 30 * time.Second
 
 // Client speaks the coordinator's /v1 resource API. Both the Worker and
@@ -32,11 +32,6 @@ type Client struct {
 	BaseURL string
 	// HTTP issues the requests; nil means http.DefaultClient.
 	HTTP *http.Client
-	// Timeout bounds each non-streaming call when the caller's context
-	// carries no deadline of its own; 0 means DefaultCallTimeout,
-	// negative disables the bound. Event streams are exempt — they live
-	// as long as the job.
-	Timeout time.Duration
 }
 
 // NewClient builds a client for the coordinator at base; hc nil means
@@ -110,20 +105,13 @@ func RetryAfterHint(err error) time.Duration {
 	return 0
 }
 
-// callCtx applies the client's per-call deadline: the caller's own
-// deadline always wins, and a negative Timeout disables the default.
+// callCtx applies DefaultCallTimeout; the caller's own deadline always
+// wins.
 func (cl *Client) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if cl.Timeout < 0 {
-		return ctx, func() {}
-	}
 	if _, ok := ctx.Deadline(); ok {
 		return ctx, func() {}
 	}
-	d := cl.Timeout
-	if d == 0 {
-		d = DefaultCallTimeout
-	}
-	return context.WithTimeout(ctx, d)
+	return context.WithTimeout(ctx, DefaultCallTimeout)
 }
 
 // do issues one request and decodes the JSON response into out (skipped
@@ -319,13 +307,14 @@ func (cl *Client) Events(ctx context.Context, id string, fn func(SweepEvent) err
 	return fmt.Errorf("dist: job %s: %w", id, errStreamEnded)
 }
 
+// followRetries bounds FollowEvents' consecutive reconnect attempts that
+// yield no new frame before it gives up. Any received frame resets the
+// count.
+const followRetries = 10
+
 // FollowOptions tunes FollowEvents' reconnect behavior. The zero value
 // is a working configuration.
 type FollowOptions struct {
-	// Retries bounds consecutive reconnect attempts that yield no new
-	// frame before FollowEvents gives up; 0 means 10. Any received frame
-	// resets the count.
-	Retries int
 	// Backoff is the base reconnect delay, doubled per consecutive
 	// failure up to 32x; 0 means 250ms.
 	Backoff time.Duration
@@ -349,10 +338,6 @@ func (e *callbackError) Unwrap() error { return e.err }
 // many times the connection died. fn errors and non-retryable refusals
 // (an unknown job, a protocol mismatch) end the watch immediately.
 func (cl *Client) FollowEvents(ctx context.Context, id string, opt FollowOptions, fn func(SweepEvent) error) error {
-	retries := opt.Retries
-	if retries <= 0 {
-		retries = 10
-	}
 	base := opt.Backoff
 	if base <= 0 {
 		base = 250 * time.Millisecond
@@ -391,7 +376,7 @@ func (cl *Client) FollowEvents(ctx context.Context, id string, opt FollowOptions
 			failures = 0
 		}
 		failures++
-		if failures > retries {
+		if failures > followRetries {
 			return fmt.Errorf("dist: event stream for %s failed %d consecutive times, giving up: %w", id, failures, err)
 		}
 		wait := base << min(failures-1, 5)

@@ -30,11 +30,6 @@ type CoordinatorConfig struct {
 	// submit transition (see internal/obs). Nil means silent.
 	Events *obs.Logger
 
-	// Registry resolves scenarios for sweeps submitted over POST
-	// /v1/sweeps (the plan fingerprint is computed under its version);
-	// nil means Builtin().
-	Registry *scenario.Registry
-
 	// StateDir, when non-empty, is where the coordinator persists each
 	// job's plan and accepted shard envelopes. A coordinator restarted
 	// over the same directory resumes every job, re-queueing only the
@@ -69,7 +64,6 @@ type Coordinator struct {
 	leaseTTL    time.Duration
 	now         func() time.Time
 	events      *obs.Logger
-	registry    *scenario.Registry
 	stateDir    string
 	maxInflight int
 	speculate   time.Duration
@@ -93,12 +87,11 @@ type Coordinator struct {
 // leaseInfo records who holds (or held) a lease on which shard of which
 // job.
 type leaseInfo struct {
-	job         *job
-	shard       int // 1-based
-	worker      string
-	parallel    int
-	granted     time.Time // when the lease was issued, for shard latency
-	speculative bool      // a straggler-shard re-lease, not the primary
+	job      *job
+	shard    int // 1-based
+	worker   string
+	parallel int
+	granted  time.Time // when the lease was issued, for shard latency
 }
 
 // workerInfo is the coordinator's live view of one worker. Workers are
@@ -118,7 +111,6 @@ func NewService(cfg CoordinatorConfig) (*Coordinator, error) {
 		leaseTTL:    cfg.LeaseTTL,
 		now:         cfg.Now,
 		events:      cfg.Events,
-		registry:    cfg.Registry,
 		stateDir:    cfg.StateDir,
 		maxInflight: cfg.MaxInflightLeases,
 		speculate:   cfg.SpeculateAfter,
@@ -132,9 +124,6 @@ func NewService(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if c.now == nil {
 		c.now = time.Now
-	}
-	if c.registry == nil {
-		c.registry = scenario.Builtin()
 	}
 	if c.maxInflight == 0 {
 		c.maxInflight = 1024
@@ -402,7 +391,7 @@ func (c *Coordinator) createSweepLocked(req SweepRequest, selection int64) (*Swe
 		shards = c.autoShardsLocked(selection)
 	}
 	cfg := scenario.SweepConfig{Seeds: req.Seeds, Window: req.Window, BaseSeed: req.BaseSeed}
-	plan, err := NewPlan(req.Spec, c.registry.Version(), cfg, shards, req.SampleN, req.SampleSeed)
+	plan, err := NewPlan(req.Spec, scenario.Builtin().Version(), cfg, shards, req.SampleN, req.SampleSeed)
 	if err != nil {
 		return nil, &httpErr{http.StatusBadRequest, err.Error()}
 	}
@@ -634,7 +623,7 @@ func (c *Coordinator) trySpeculateLocked(j *job, req LeaseRequest, now time.Time
 	st.specLeaseID = fmt.Sprintf("lease-%d", c.nextID)
 	st.specExpires = now.Add(c.leaseTTL)
 	c.leases[st.specLeaseID] = leaseInfo{job: j, shard: best + 1, worker: req.Worker, parallel: req.Parallel,
-		granted: now, speculative: true}
+		granted: now}
 	mLeasesSpeculated.With(j.id).Inc()
 	c.events.Event(obs.LevelWarn, "lease.speculate",
 		obs.String("lease", st.specLeaseID),

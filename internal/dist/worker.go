@@ -65,11 +65,9 @@ type Worker struct {
 
 	// Poll is the wait between lease attempts while every shard is
 	// claimed elsewhere, and the base of the jittered exponential
-	// backoff between failed lease/submit attempts; 0 means 500ms.
+	// backoff between failed lease/submit attempts, which is capped at
+	// backoffCapPolls polls; 0 means 500ms.
 	Poll time.Duration
-
-	// MaxBackoff caps the exponential retry backoff; 0 means 16x Poll.
-	MaxBackoff time.Duration
 
 	// Retries bounds consecutive failed lease/submit attempts before the
 	// worker gives up (a coordinator that is still starting up, or a
@@ -255,17 +253,13 @@ type retryBackoff struct {
 	n         int
 }
 
+// backoffCapPolls caps a worker's retry backoff, in Poll intervals.
+const backoffCapPolls = 16
+
 func (w *Worker) newBackoff(poll time.Duration) *retryBackoff {
-	cap := w.MaxBackoff
-	if cap <= 0 {
-		cap = 16 * poll
-	}
-	if cap < poll {
-		cap = poll
-	}
 	h := fnv.New64a()
 	h.Write([]byte(w.id()))
-	return &retryBackoff{base: poll, cap: cap, rng: xrand.New(h.Sum64())}
+	return &retryBackoff{base: poll, cap: backoffCapPolls * poll, rng: xrand.New(h.Sum64())}
 }
 
 func (b *retryBackoff) reset() { b.n = 0 }

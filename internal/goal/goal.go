@@ -18,9 +18,11 @@
 //     finite history at the halting point (FiniteGoal).
 //   - Compact goals: the system runs forever, and the referee accepts iff
 //     only finitely many prefixes of the history are unacceptable
-//     (CompactGoal, evaluated on bounded horizons online by the execution
-//     engine, system.Config.Referee, or on a recorded history by
-//     CompactAchieved).
+//     (CompactGoal). A compact referee judges each prefix twice over: on
+//     the live world that ends it (AcceptableWorld), which is how the
+//     execution engine judges a run online (system.Config.Referee), and
+//     on a recorded history (Acceptable), which CompactAchieved and
+//     LastUnacceptable evaluate on bounded horizons.
 package goal
 
 import "repro/internal/comm"
@@ -43,18 +45,13 @@ type World interface {
 	Snapshot() comm.WorldState
 }
 
-// WorldJudge is the one optional fast path of the execution engine: a
-// compact referee that can judge the live world directly, so a run judged
-// by it (system.Config.Referee) never formats a snapshot string.
-//
-// Contract: AcceptableWorld(w) must equal Acceptable(h) for any history
-// h whose last state is w's current Snapshot() — it is the same
-// predicate, evaluated before serialization. Implementations that
-// receive a world type they do not recognize must fall back to judging
-// the snapshot.
+// WorldJudge is the live-world half of a compact referee, the half the
+// execution engine judges a run by (system.Config.Referee), so a judged
+// run never formats a snapshot string. Every CompactGoal is one.
 type WorldJudge interface {
-	// AcceptableWorld reports whether a history ending in w's current
-	// state is acceptable.
+	// AcceptableWorld reports whether the prefix that ends in w's
+	// current state is acceptable. An implementation that receives a
+	// world type it does not recognize judges w's Snapshot.
 	AcceptableWorld(w World) bool
 }
 
@@ -86,10 +83,16 @@ type FiniteGoal interface {
 // CompactGoal is a goal whose referee marks each prefix of the infinite
 // history acceptable or unacceptable; the goal is achieved iff only finitely
 // many prefixes are unacceptable.
+//
+// Contract: the two halves of the referee agree on every run. After round
+// n, AcceptableWorld on the live world equals Acceptable on the run's
+// recorded n-round history.
 type CompactGoal interface {
 	Goal
+	WorldJudge
 
-	// Acceptable reports whether the given prefix is acceptable.
+	// Acceptable reports whether the given recorded prefix is
+	// acceptable.
 	Acceptable(prefix comm.History) bool
 }
 
@@ -118,20 +121,6 @@ func CompactAchieved(g CompactGoal, h comm.History, window int) bool {
 		}
 	}
 	return true
-}
-
-// UnacceptableCount returns the number of unacceptable prefixes of h under
-// the compact goal's referee — the quantity whose finiteness defines
-// achievement, and a natural progress metric for experiments. It examines
-// every prefix, so h must be fully recorded (h.Dropped == 0).
-func UnacceptableCount(g CompactGoal, h comm.History) int {
-	count := 0
-	for n := 1; n <= h.Len(); n++ {
-		if !g.Acceptable(h.Prefix(n)) {
-			count++
-		}
-	}
-	return count
 }
 
 // LastUnacceptable returns the largest prefix length at which the referee

@@ -12,12 +12,16 @@ import (
 
 // thresholdGoal is a compact goal over arbitrary histories: a prefix is
 // acceptable iff its length is at least K (i.e. the goal "converges" at K).
+// The engine judges the live CountingWorld by its round count.
 type thresholdGoal struct{ K int }
 
 func (g *thresholdGoal) Name() string                   { return "threshold" }
 func (g *thresholdGoal) NewWorld(goal.Env) goal.World   { return &commtest.CountingWorld{} }
 func (g *thresholdGoal) EnvChoices() int                { return 1 }
 func (g *thresholdGoal) Acceptable(p comm.History) bool { return p.Len() >= g.K }
+func (g *thresholdGoal) AcceptableWorld(w goal.World) bool {
+	return w.(*commtest.CountingWorld).Round() >= g.K
+}
 
 func mkHistory(n int) comm.History {
 	states := make([]comm.WorldState, n)
@@ -62,17 +66,6 @@ func TestCompactAchievedNeverConverges(t *testing.T) {
 	h := mkHistory(50)
 	if goal.CompactAchieved(g, h, 10) {
 		t.Fatal("achieved despite no acceptable prefix")
-	}
-}
-
-func TestUnacceptableCount(t *testing.T) {
-	t.Parallel()
-
-	g := &thresholdGoal{K: 5}
-	h := mkHistory(20)
-	// Prefixes of lengths 1..4 are unacceptable.
-	if got := goal.UnacceptableCount(g, h); got != 4 {
-		t.Fatalf("UnacceptableCount = %d, want 4", got)
 	}
 }
 

@@ -160,7 +160,6 @@ type Goal struct {
 var (
 	_ goal.CompactGoal = (*Goal)(nil)
 	_ goal.Forgiving   = (*Goal)(nil)
-	_ goal.WorldJudge  = (*Goal)(nil)
 )
 
 func (g *Goal) span() int {

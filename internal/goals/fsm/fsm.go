@@ -100,7 +100,6 @@ type Goal struct {
 var (
 	_ goal.CompactGoal = (*Goal)(nil)
 	_ goal.Forgiving   = (*Goal)(nil)
-	_ goal.WorldJudge  = (*Goal)(nil)
 )
 
 // New builds the goal for machine `index` of `space`. The index must lie

@@ -47,7 +47,6 @@ type Goal struct {
 var (
 	_ goal.CompactGoal = (*Goal)(nil)
 	_ goal.Forgiving   = (*Goal)(nil)
-	_ goal.WorldJudge  = (*Goal)(nil)
 )
 
 func (g *Goal) m() int {
@@ -108,7 +107,6 @@ func Label(concept, x int) int {
 // State is the parsed form of the world's snapshot.
 type State struct {
 	Answered int
-	Mistakes int
 	// LastOK is 1 if the most recent answered query was correct, 0 if
 	// it was a mistake, -1 if nothing has been answered.
 	LastOK int
@@ -133,7 +131,7 @@ func ParseState(ws comm.WorldState) (State, bool) {
 		case "answered":
 			st.Answered = n
 		case "mistakes":
-			st.Mistakes = n
+			// World.Mistakes reports the count; no judgment reads it.
 		case "lastok":
 			st.LastOK = n
 		case "stall":

@@ -51,7 +51,7 @@ func TestParseStateRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("snapshot unparseable: %q", w.Snapshot())
 	}
-	if st.Answered != 0 || st.Mistakes != 0 || st.LastOK != -1 {
+	if st.Answered != 0 || w.Mistakes() != 0 || st.LastOK != -1 {
 		t.Fatalf("initial state = %+v", st)
 	}
 	if _, ok := ParseState("junk"); ok {
@@ -80,7 +80,7 @@ func TestWorldGradesAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := ParseState(w.Snapshot())
-	if st.Answered != 1 || st.Mistakes != 0 || st.LastOK != 1 {
+	if st.Answered != 1 || w.Mistakes() != 0 || st.LastOK != 1 {
 		t.Fatalf("state after correct answer = %+v", st)
 	}
 	q2, _ := ParseQuery(out.ToUser)
@@ -93,7 +93,7 @@ func TestWorldGradesAnswers(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ = ParseState(w.Snapshot())
-	if st.Mistakes != 1 || st.LastOK != 0 {
+	if w.Mistakes() != 1 || st.LastOK != 0 {
 		t.Fatalf("state after mistake = %+v", st)
 	}
 }
@@ -244,13 +244,22 @@ func TestGoalRefereeCountsMistakes(t *testing.T) {
 	// warm-up and in-flight grading rounds); it must grow with a wrong
 	// concept and stay bounded with the right one.
 	g := &Goal{M: 16}
+	unacceptable := func(h comm.History) int {
+		n := 0
+		for k := 1; k <= h.Len(); k++ {
+			if !g.Acceptable(h.Prefix(k)) {
+				n++
+			}
+		}
+		return n
+	}
 	w := g.NewWorld(goal.Env{Choice: 8})
 	res, err := system.Run(&ThresholdUser{Concept: 8}, server.Obstinate(), w,
 		system.Config{MaxRounds: 400, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	right := goal.UnacceptableCount(g, res.History)
+	right := unacceptable(res.History)
 
 	w2 := g.NewWorld(goal.Env{Choice: 8})
 	res2, err := system.Run(&ThresholdUser{Concept: 0}, server.Obstinate(), w2,
@@ -258,7 +267,7 @@ func TestGoalRefereeCountsMistakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong := goal.UnacceptableCount(g, res2.History)
+	wrong := unacceptable(res2.History)
 	if right >= wrong {
 		t.Fatalf("unacceptable prefixes: right=%d wrong=%d", right, wrong)
 	}

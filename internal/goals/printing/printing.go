@@ -72,7 +72,6 @@ type Goal struct {
 var (
 	_ goal.CompactGoal = (*Goal)(nil)
 	_ goal.Forgiving   = (*Goal)(nil)
-	_ goal.WorldJudge  = (*Goal)(nil)
 )
 
 // DefaultDocs are the target documents used when none are configured.

@@ -35,7 +35,6 @@ type Goal struct{}
 var (
 	_ goal.CompactGoal = (*Goal)(nil)
 	_ goal.Forgiving   = (*Goal)(nil)
-	_ goal.WorldJudge  = (*Goal)(nil)
 )
 
 // Name implements goal.Goal.

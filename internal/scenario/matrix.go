@@ -24,7 +24,6 @@ type Matrix struct {
 type segment struct {
 	axes   []Axis
 	offset int64 // first index of the segment
-	size   int64
 }
 
 // NewMatrix validates the spec and prepares its expansion. For a composed
@@ -46,7 +45,7 @@ func NewMatrix(spec *Spec) (*Matrix, error) {
 			if m.size > math.MaxInt64-bsize {
 				return nil, fmt.Errorf("scenario: spec %q block union overflows int64", spec.Name)
 			}
-			m.segs = append(m.segs, segment{axes: spec.Blocks[i].Axes, offset: m.size, size: bsize})
+			m.segs = append(m.segs, segment{axes: spec.Blocks[i].Axes, offset: m.size})
 			m.size += bsize
 		}
 		return m, nil
@@ -101,11 +100,7 @@ func (m *Matrix) At(i int64) *Scenario {
 		axes = m.segs[lo].axes
 		rem = i - m.segs[lo].offset
 	}
-	sc := &Scenario{
-		Spec:   m.spec,
-		Index:  i,
-		Values: make([]AxisValue, len(axes)),
-	}
+	sc := &Scenario{Values: make([]AxisValue, len(axes))}
 	for a := len(axes) - 1; a >= 0; a-- {
 		ax := &axes[a]
 		n := int64(len(ax.Values))

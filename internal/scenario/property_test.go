@@ -81,13 +81,15 @@ func TestIDsCollisionFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := make(map[string]int64, m.Size())
+		var i int64
 		if err := m.Each(func(sc *Scenario) error {
 			id := sc.ID()
 			if prev, dup := seen[id]; dup {
 				t.Fatalf("spec %q: scenarios %d and %d collide on ID %s",
-					name, prev, sc.Index, id)
+					name, prev, i, id)
 			}
-			seen[id] = sc.Index
+			seen[id] = i
+			i++
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -325,5 +327,23 @@ func TestRegistryBindRejects(t *testing.T) {
 		Axis{Name: "server", Values: Ints(-1)})
 	if _, err := reg.Bind(sc); err != nil {
 		t.Fatalf("server=-1: %v", err)
+	}
+
+	// env ranges over the goal's environment choices: treasure has one,
+	// control eight.
+	for _, tc := range []struct {
+		goal string
+		env  int
+		ok   bool
+	}{
+		{"treasure", 0, true}, {"treasure", 1, false}, {"treasure", 8, false}, {"treasure", -3, false},
+		{"control", 7, true}, {"control", 8, false}, {"control", -3, false},
+	} {
+		_, err := reg.Bind(mk(
+			Axis{Name: "goal", Values: []string{tc.goal}},
+			Axis{Name: "env", Values: Ints(tc.env)}))
+		if (err == nil) != tc.ok || err != nil && !strings.Contains(err.Error(), "env") {
+			t.Errorf("%s env %d: Bind error %v", tc.goal, tc.env, err)
+		}
 	}
 }

@@ -29,7 +29,8 @@ import (
 //	          (default -1, the worst-case member), or "obstinate"
 //	param     goal-specific size: transfer chunk count, control span,
 //	          printing paper budget (default 0 = the goal's default)
-//	env       world environment choice (default 0)
+//	env       world environment choice in [0, the goal's EnvChoices)
+//	          (default 0)
 //	patience  sensing patience in rounds (default 0 = the goal's default)
 //	noise     per-message drop probability on the user channel (default 0)
 //	slow      whole-profile slowdown in rounds (default 0)
@@ -380,6 +381,9 @@ func (r *Registry) Bind(sc *Scenario) (*Binding, error) {
 	parts, ax, err := r.Parts(sc)
 	if err != nil {
 		return nil, err
+	}
+	if n := parts.Goal.EnvChoices(); ax.Env < 0 || ax.Env >= n {
+		return nil, fmt.Errorf("scenario: env %d outside the goal's %d environment choices", ax.Env, n)
 	}
 
 	// Resolve the server: a class member index (negative counts from the

@@ -16,12 +16,6 @@ type AxisValue struct {
 // to every axis. Scenarios are decoded on demand from a Matrix index; the
 // identity of a scenario is its content (see ID), not its position.
 type Scenario struct {
-	// Spec is the space the scenario was drawn from.
-	Spec *Spec
-
-	// Index is the scenario's position in the spec's enumeration order.
-	Index int64
-
 	// Values are the resolved coordinates, in spec axis order. Values
 	// must not be mutated after the first Hash or ID call: both are
 	// content-derived and memoized on first use.

@@ -323,10 +323,11 @@ func TestSweepCountsRoundsOfErroredTrials(t *testing.T) {
 // failGoal is a minimal compact goal for the error-path test.
 type failGoal struct{}
 
-func (*failGoal) Name() string                 { return "broken" }
-func (*failGoal) EnvChoices() int              { return 1 }
-func (*failGoal) NewWorld(goal.Env) goal.World { return &failWorld{} }
-func (*failGoal) Acceptable(comm.History) bool { return false }
+func (*failGoal) Name() string                    { return "broken" }
+func (*failGoal) EnvChoices() int                 { return 1 }
+func (*failGoal) NewWorld(goal.Env) goal.World    { return &failWorld{} }
+func (*failGoal) Acceptable(comm.History) bool    { return false }
+func (*failGoal) AcceptableWorld(goal.World) bool { return false }
 
 type failWorld struct{}
 
@@ -369,66 +370,6 @@ func TestSweepObstinateNeverSucceeds(t *testing.T) {
 		if st.MeanSwitches == 0 {
 			t.Fatalf("scenario %s: universal user never switched against obstinate", st.ID)
 		}
-	}
-}
-
-// judgelessGoal hides a compact goal's WorldJudge fast path, forcing the
-// engine's referee onto its Snapshot fallback.
-type judgelessGoal struct{ inner goal.CompactGoal }
-
-func (g judgelessGoal) Name() string                     { return g.inner.Name() }
-func (g judgelessGoal) NewWorld(env goal.Env) goal.World { return g.inner.NewWorld(env) }
-func (g judgelessGoal) EnvChoices() int                  { return g.inner.EnvChoices() }
-func (g judgelessGoal) Acceptable(h comm.History) bool   { return g.inner.Acceptable(h) }
-
-// TestSweepJudgeFastPathMatchesFallback pins that the live-judge fast
-// path (goal.WorldJudge) and the engine's snapshot fallback (on a
-// judge-less goal) fold to byte-identical aggregates over the quick
-// matrix — the referee-side half of the zero-allocation work.
-func TestSweepJudgeFastPathMatchesFallback(t *testing.T) {
-	t.Parallel()
-
-	spec, err := BuiltinSpec("quick")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMatrix(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A registry identical to the builtin except every goal forgets its
-	// WorldJudge refinement.
-	stripped := NewRegistry()
-	for _, name := range []string{"printing", "treasure", "transfer", "control"} {
-		name := name
-		stripped.Register(name, func(ax Axes) (*Parts, error) {
-			parts, err := Builtin().builders[name](ax)
-			if err != nil {
-				return nil, err
-			}
-			if _, ok := parts.Goal.(goal.WorldJudge); !ok {
-				t.Errorf("builtin goal %q lost its WorldJudge fast path", name)
-			}
-			parts.Goal = judgelessGoal{inner: parts.Goal}
-			return parts, nil
-		})
-	}
-
-	marshal := func(stats []*Stats) string {
-		data, err := json.Marshal(stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-	fastStats, fastSum := collectStats(t, m, SweepConfig{Parallel: 2})
-	slowStats, slowSum := collectStats(t, m, SweepConfig{Parallel: 2, Registry: stripped})
-	if fast, slow := marshal(fastStats), marshal(slowStats); fast != slow {
-		t.Fatalf("judge fast path and snapshot fallback disagree:\nfast: %s\nslow: %s", fast, slow)
-	}
-	if fastSum.TotalRounds != slowSum.TotalRounds || fastSum.Successes != slowSum.Successes {
-		t.Fatalf("summaries disagree: %+v vs %+v", fastSum, slowSum)
 	}
 }
 

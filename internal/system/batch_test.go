@@ -34,12 +34,26 @@ func (u *rngUser) Step(comm.Inbox) (comm.Outbox, error) {
 }
 
 // evenGoal accepts every prefix past round 20, and an earlier one iff the
-// user's last message to the world was an even number: a referee without
-// a WorldJudge, so the engine judges its one-state history.
-var evenGoal = goal.WithReferee(&commtest.FlagGoal{}, "even", func(h comm.History) bool {
-	u := commtest.ParseCounting(h.Last())
-	return h.Len() > 20 || (u != "" && (u[len(u)-1]-'0')%2 == 0)
-})
+// user's last message to the world was an even number. The engine judges
+// the live CountingWorld; Acceptable judges its recorded snapshots.
+type evenGoal struct{}
+
+func (evenGoal) Name() string                 { return "even" }
+func (evenGoal) NewWorld(goal.Env) goal.World { return &commtest.CountingWorld{} }
+func (evenGoal) EnvChoices() int              { return 1 }
+
+func (evenGoal) Acceptable(h comm.History) bool {
+	return even(h.Len(), commtest.ParseCounting(h.Last()))
+}
+
+func (evenGoal) AcceptableWorld(w goal.World) bool {
+	cw := w.(*commtest.CountingWorld)
+	return even(cw.Round(), string(cw.LastUser()))
+}
+
+func even(round int, u string) bool {
+	return round > 20 || (u != "" && (u[len(u)-1]-'0')%2 == 0)
+}
 
 // failingUser errors at step FailAt.
 type failingUser struct {
@@ -64,7 +78,7 @@ func rngTrials(n int, rounds int) []Trial {
 			User:   func() (comm.Strategy, error) { return &rngUser{}, nil },
 			Server: func() comm.Strategy { return &commtest.Echo{} },
 			World:  func() goal.World { return &commtest.CountingWorld{} },
-			Config: Config{MaxRounds: rounds, Seed: uint64(i + 1), Referee: evenGoal},
+			Config: Config{MaxRounds: rounds, Seed: uint64(i + 1), Referee: evenGoal{}},
 		}
 	}
 	return trials
@@ -73,7 +87,8 @@ func rngTrials(n int, rounds int) []Trial {
 // TestRunBatchMatchesSerialAtEveryParallelism checks that every trial's
 // result — history, view, rounds and the engine's verdict and message
 // count — is the same at every parallelism, with each batch's workers
-// drawing their run frames from the pool the batch before released.
+// drawing their run frames from the pool the batch before released, and
+// that the serial verdicts are the recorded histories' own.
 func TestRunBatchMatchesSerialAtEveryParallelism(t *testing.T) {
 	const n, rounds = 17, 40
 	mkTrials := func() []Trial { return rngTrials(n, rounds) }
@@ -84,6 +99,11 @@ func TestRunBatchMatchesSerialAtEveryParallelism(t *testing.T) {
 	}
 	if want[0].LastUnacceptable == want[1].LastUnacceptable && want[0].Messages == want[1].Messages {
 		t.Fatal("trials 0 and 1 reach the same verdict and message count: the comparison below is weak")
+	}
+	for i, res := range want {
+		if got := goal.LastUnacceptable(evenGoal{}, res.History); res.LastUnacceptable != got {
+			t.Fatalf("trial %d: engine last rejected prefix %d, recorded %d", i, res.LastUnacceptable, got)
+		}
 	}
 	for _, par := range []int{2, 3, 8, 32} {
 		got, err := RunBatch(mkTrials(), BatchConfig{Parallelism: par})
@@ -201,7 +221,7 @@ func TestRecordOffKeepsOnlyCounters(t *testing.T) {
 	if len(res.History.States) != 0 || len(res.View.Rounds) != 0 {
 		t.Fatal("off retention recorded data")
 	}
-	if res.Rounds != 25 || res.History.Len() != 25 || res.View.Dropped+len(res.View.Rounds) != 25 {
+	if res.Rounds != 25 || res.History.Len() != 25 {
 		t.Fatalf("off retention lost counters: rounds=%d len=%d", res.Rounds, res.History.Len())
 	}
 }

@@ -8,33 +8,31 @@ import (
 	"repro/internal/xrand"
 )
 
-// countingWorld counts Snapshot calls so the tests below can pin the
-// engine's lazy-snapshot contract.
+// countingWorld counts its rounds and Snapshot calls so the tests below
+// can pin the engine's lazy-snapshot contract.
 type countingWorld struct {
-	snaps int
+	rounds, snaps int
 }
 
-func (w *countingWorld) Reset(*xrand.Rand)                    { w.snaps = 0 }
-func (w *countingWorld) Step(comm.Inbox) (comm.Outbox, error) { return comm.Outbox{}, nil }
+func (w *countingWorld) Reset(*xrand.Rand) { w.rounds, w.snaps = 0, 0 }
+func (w *countingWorld) Step(comm.Inbox) (comm.Outbox, error) {
+	w.rounds++
+	return comm.Outbox{}, nil
+}
 func (w *countingWorld) Snapshot() comm.WorldState {
 	w.snaps++
 	return "counted"
 }
 
-// countedGoal accepts every prefix of a countingWorld run, judging the
-// live world; snapshotGoal judges the same runs only through Snapshot and
-// rejects their first five prefixes.
+// countedGoal rejects the first five prefixes of a countingWorld run and
+// accepts every later one.
 type countedGoal struct{}
 
-func (countedGoal) Name() string                    { return "counted" }
-func (countedGoal) NewWorld(goal.Env) goal.World    { return &countingWorld{} }
-func (countedGoal) EnvChoices() int                 { return 1 }
-func (countedGoal) Acceptable(comm.History) bool    { return true }
-func (countedGoal) AcceptableWorld(goal.World) bool { return true }
-
-var snapshotGoal = goal.WithReferee(countedGoal{}, "snapshot", func(h comm.History) bool {
-	return h.Last() == "counted" && h.Len() > 5
-})
+func (countedGoal) Name() string                      { return "counted" }
+func (countedGoal) NewWorld(goal.Env) goal.World      { return &countingWorld{} }
+func (countedGoal) EnvChoices() int                   { return 1 }
+func (countedGoal) Acceptable(h comm.History) bool    { return h.Len() > 5 }
+func (countedGoal) AcceptableWorld(w goal.World) bool { return w.(*countingWorld).rounds > 5 }
 
 type silentUser struct{}
 
@@ -59,9 +57,9 @@ func TestLazySnapshotSkipsSerialization(t *testing.T) {
 	ReleaseResult(res)
 }
 
-// TestLazySnapshotLiveHookStillSkips pins that neither OnRoundLive nor a
-// Referee with a WorldJudge forces materialization: both see the live
-// world, not a snapshot.
+// TestLazySnapshotLiveHookStillSkips pins that neither OnRoundLive nor
+// the Referee forces materialization: both see the live world, not a
+// snapshot, and the referee's verdict comes from it.
 func TestLazySnapshotLiveHookStillSkips(t *testing.T) {
 	w := &countingWorld{}
 	live := 0
@@ -80,19 +78,22 @@ func TestLazySnapshotLiveHookStillSkips(t *testing.T) {
 		t.Fatalf("OnRoundLive fired %d times, want 30", live)
 	}
 	if w.snaps != 0 {
-		t.Errorf("OnRoundLive or the WorldJudge referee forced serialization: %d Snapshot calls, want 0", w.snaps)
+		t.Errorf("OnRoundLive or the referee forced serialization: %d Snapshot calls, want 0", w.snaps)
+	}
+	if res.LastUnacceptable != 5 || !res.Achieved(25) || res.Achieved(26) {
+		t.Errorf("last rejected prefix %d, achieved(25) %v, achieved(26) %v; want 5, true, false",
+			res.LastUnacceptable, res.Achieved(25), res.Achieved(26))
 	}
 	ReleaseResult(res)
 }
 
 // TestSnapshotConsumersStillServed pins the other side of the contract:
-// full recording, OnRound and a Referee without a WorldJudge still
-// materialize one state per round, and the referee reuses the state a
-// recording run took.
+// full recording and OnRound still materialize one state per round, and a
+// referee on a recording run adds no Snapshot call.
 func TestSnapshotConsumersStillServed(t *testing.T) {
 	t.Run("record-full", func(t *testing.T) {
 		w := &countingWorld{}
-		res, err := Run(silentUser{}, silentUser{}, w, Config{MaxRounds: 20, Seed: 1, Referee: snapshotGoal})
+		res, err := Run(silentUser{}, silentUser{}, w, Config{MaxRounds: 20, Seed: 1, Referee: countedGoal{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,18 +126,6 @@ func TestSnapshotConsumersStillServed(t *testing.T) {
 		}
 		if states != 20 || w.snaps != 20 {
 			t.Errorf("OnRound saw %d states from %d Snapshot calls, want 20/20", states, w.snaps)
-		}
-		ReleaseResult(res)
-	})
-	t.Run("referee-plain-world", func(t *testing.T) {
-		w := &countingWorld{}
-		res, err := Run(silentUser{}, silentUser{}, w, Config{MaxRounds: 20, Seed: 1, Record: RecordOff, Referee: snapshotGoal})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w.snaps != 20 || res.LastUnacceptable != 5 || !res.Achieved(15) || res.Achieved(16) {
-			t.Errorf("referee judged %d snapshots, last rejected prefix %d, achieved(15) %v, achieved(16) %v; want 20, 5, true, false",
-				w.snaps, res.LastUnacceptable, res.Achieved(15), res.Achieved(16))
 		}
 		ReleaseResult(res)
 	})

@@ -101,7 +101,7 @@ func TestEngineStructuralInvariants(t *testing.T) {
 		}
 		return res.Rounds == rounds &&
 			res.History.Len() == rounds &&
-			res.View.Dropped+len(res.View.Rounds) == rounds
+			len(res.View.Rounds) == rounds
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

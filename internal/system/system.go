@@ -49,8 +49,9 @@ type RecordPolicy struct {
 // RecordFull keeps every round's world state and round view (the default).
 var RecordFull = RecordPolicy{}
 
-// RecordOff keeps no per-round data at all; the Result carries only
-// Rounds and Halted (History and View are empty with Dropped set).
+// RecordOff keeps no per-round data at all; the Result carries only its
+// counters (History and View are empty, and History.Dropped counts the
+// rounds).
 var RecordOff = RecordPolicy{off: true}
 
 // String returns a human-readable policy name.
@@ -76,15 +77,10 @@ type Config struct {
 
 	// Referee, if non-nil, is the compact goal the run is judged by,
 	// online: after every round the engine judges the prefix ending in
-	// it by its last state — AcceptableWorld on the live world when the
-	// goal is a goal.WorldJudge, otherwise Acceptable on a one-state
-	// history of the world's Snapshot whose Dropped counts the rounds
-	// before it — and stores the largest rejected prefix length in
-	// Result.LastUnacceptable. That agrees with goal.CompactAchieved and
-	// goal.LastUnacceptable on the recorded history for every referee
-	// that judges a prefix by its recent state, which holds for every
-	// stock goal: their worlds serialize cumulative state into each
-	// snapshot.
+	// it with AcceptableWorld on the live world, and stores the largest
+	// rejected prefix length in Result.LastUnacceptable. By the
+	// goal.CompactGoal contract that is the verdict goal.CompactAchieved
+	// and goal.LastUnacceptable reach on the recorded history.
 	Referee goal.CompactGoal
 
 	// OnRound, if non-nil, is invoked after every round with the round
@@ -148,14 +144,12 @@ func (r *Result) Achieved(window int) bool {
 // comes twice, this round's and last round's, and Run swaps the two by
 // pointer: the user's view (its inbox and outbox, which the round hooks
 // read), the server's outbox and the world's. Parties with only Step
-// step through a shim, and a referee without a WorldJudge judges the
-// one-state history in prefix.
+// step through a shim.
 type frame struct {
 	view   [2]comm.RoundView
 	server [2]comm.Outbox
 	world  [2]comm.Outbox
 	shim   [3]comm.StepOnly
-	prefix [1]comm.WorldState
 }
 
 // RoundError is the error of an execution that failed mid-run: Err, the
@@ -215,11 +209,9 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 	}
 	record := !cfg.Record.off
 	// The lazy-snapshot contract: when nothing consumes states — no
-	// recording, no OnRound and no referee without a WorldJudge — the
-	// engine never calls Snapshot. OnRoundLive deliberately does not
-	// force materialization.
-	judge, _ := cfg.Referee.(goal.WorldJudge)
-	needState := record || cfg.OnRound != nil || (cfg.Referee != nil && judge == nil)
+	// recording and no OnRound — the engine never calls Snapshot. The
+	// referee and OnRoundLive see the live world.
+	needState := record || cfg.OnRound != nil
 
 	root := xrand.New(cfg.Seed)
 	user.Reset(root.Split())
@@ -290,15 +282,8 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 			res.History.States = append(res.History.States, state)
 			res.View.Rounds = append(res.View.Rounds, *view)
 		}
-		if judge != nil {
-			if !judge.AcceptableWorld(world) {
-				lastBad = round + 1
-			}
-		} else if cfg.Referee != nil {
-			f.prefix[0] = state
-			if !cfg.Referee.Acceptable(comm.History{States: f.prefix[:], Dropped: round}) {
-				lastBad = round + 1
-			}
+		if cfg.Referee != nil && !cfg.Referee.AcceptableWorld(world) {
+			lastBad = round + 1
 		}
 		if cfg.OnRound != nil {
 			cfg.OnRound(round, *view, state)
@@ -325,7 +310,6 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 	res.LastUnacceptable, res.Messages = lastBad, msgs
 	if !record {
 		res.History.Dropped = res.Rounds
-		res.View.Dropped = res.Rounds
 	}
 	return res, nil
 }

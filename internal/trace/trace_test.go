@@ -91,8 +91,8 @@ func TestFromResultValidation(t *testing.T) {
 	if _, err := FromResult(bad, "x", 0); err == nil {
 		t.Fatal("mismatched history/view accepted")
 	}
-	// An unrecorded run keeps no rounds; its History and View lengths
-	// still agree, but a record of it would be empty.
+	// An unrecorded run keeps no rounds (its History counts them as
+	// dropped), so a record of it would be empty.
 	u, err := universal.NewCompactUser(treasure.Enum(2), treasure.Sense(0))
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestFromResultValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := off.View; off.History.Len() != v.Dropped+len(v.Rounds) || off.Rounds != 7 {
-		t.Fatalf("RecordOff result: history %d, view %d, rounds %d", off.History.Len(), v.Dropped+len(v.Rounds), off.Rounds)
+	if off.History.Len() != 7 || len(off.View.Rounds) != 0 || off.Rounds != 7 {
+		t.Fatalf("RecordOff result: history %d, view %d, rounds %d", off.History.Len(), len(off.View.Rounds), off.Rounds)
 	}
 	if _, err := FromResult(off, "x", 0); err == nil {
 		t.Fatal("RecordOff result with dropped rounds accepted")

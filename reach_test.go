@@ -6,8 +6,18 @@
 // counts as used when it implements a method of an interface type that
 // the program or the standard library it imports declares (so Step,
 // String and ServeHTTP pass), and a use through an instantiation of a
-// generic type counts for the generic method. A name with a reason to
-// stay unreached is listed in reachAllowed with that reason.
+// generic type counts for the generic method.
+//
+// Struct fields have two rules. Every field must be read by some non-test
+// file, and every exported field of an exported struct, a knob, must also
+// be set by one. A read is any use but the target of = or := and a
+// composite literal's key; those, and op-assignments, ++, --, taking the
+// address and unkeyed literals, set a field. A json tag counts as a read
+// and a set by the codec, embedded fields are exempt, and a use through
+// an instantiation counts for the generic field.
+//
+// A name or field with a reason to stay unreached is listed in
+// reachAllowed with that reason.
 package repro
 
 import (
@@ -24,6 +34,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,24 +42,41 @@ import (
 )
 
 // reachAllowed lists the declarations under internal/ and cmd/ that no
-// non-test file uses, each with the reason it stays. A key is the
-// package's path below internal/ (or from the module root, for cmd/),
-// then the name, then a method's name: "trace.Record.View".
+// non-test file uses, and the fields no non-test file reads or, for a
+// knob, sets, each with the reason it stays. A key is the package's path
+// below internal/ (or from the module root, for cmd/), then the name,
+// then a method's or a field's name: "trace.Record.View".
 var reachAllowed = map[string]string{
-	"chaos.FormatLog":           "the canonical fault-log text the chaos determinism tests compare",
-	"chaos.Injector.Log":        "the fault log a seeded injector fired, which the chaos determinism tests pin run against run",
-	"dialect.Identity":          "the dialect that changes nothing, which the goal packages' candidate tests speak",
-	"enumerate.FST":             "the paper's generic user class, every FST over a space, enumerated by the universal-user property tests",
-	"fst.Space.Index":           "the inverse of Space.At, against which the enumeration's bijection tests check every index",
-	"goal.UnacceptableCount":    "the recorded-history referee's progress count, beside CompactAchieved and LastUnacceptable",
-	"goal.WithReferee":          "derived referees; the root alloc pins judge a goal through one",
-	"goals/fsm.Goal.Feasible":   "the machine analysis's feasibility verdict: an infeasible machine falls outside Theorem 1",
-	"obs.LevelError":            "completes the log levels that Logger filters on",
-	"sensing.Const":             "the constant sense, a fixture for user and sweep tests in several packages",
-	"trace.Decode":              "the schema-checking reader of explain's -trace files, which FuzzTraceDecode fuzzes",
-	"trace.Record.JudgeCompact": "re-judges a decoded trace offline, the reference each explain trace's verdict is checked against",
-	"trace.Record.View":         "rebuilds a decoded trace's view, over which sensing replays offline against the recorded run",
+	"chaos.FormatLog":              "the canonical fault-log text the chaos determinism tests compare",
+	"chaos.Injector.Log":           "the fault log a seeded injector fired, which the chaos determinism tests pin run against run",
+	"dialect.Identity":             "the dialect that changes nothing, which the goal packages' candidate tests speak",
+	"dist.CoordinatorConfig.Now":   "the clock the lease tests fake to expire leases without waiting",
+	"dist.FollowOptions.Backoff":   "the reconnect delay the chaos watch test shortens",
+	"dist.Worker.Registry":         "the registry the version-skew test swaps in to see a worker refuse a plan",
+	"dist.Worker.Retries":          "the retry budget the chaos tests raise to 200 so every scheduled fault fires",
+	"enumerate.FST":                "the paper's generic user class, every FST over a space, enumerated by the universal-user property tests",
+	"enumerate.SymbolCodec.In":     symbolCodec,
+	"enumerate.SymbolCodec.NumIn":  symbolCodec,
+	"enumerate.SymbolCodec.NumOut": symbolCodec,
+	"enumerate.SymbolCodec.Out":    symbolCodec,
+	"fst.Space.Index":              "the inverse of Space.At, against which the enumeration's bijection tests check every index",
+	"goals/fsm.Goal.Feasible":      "the machine analysis's feasibility verdict: an infeasible machine falls outside Theorem 1",
+	"obs.LevelError":               "completes the log levels that Logger filters on",
+	"sensing.Const":                "the constant sense, a fixture for user and sweep tests in several packages",
+	"trace.Decode":                 "the schema-checking reader of explain's -trace files, which FuzzTraceDecode fuzzes",
+	"trace.Record.JudgeCompact":    "re-judges a decoded trace offline, the reference each explain trace's verdict is checked against",
+	"trace.Record.View":            "rebuilds a decoded trace's view, over which sensing replays offline against the recorded run",
+	"universal.Attempt.Budget":     attemptLog,
+	"universal.Attempt.Halted":     attemptLog,
+	"universal.Attempt.Index":      attemptLog,
+	"universal.Attempt.Rounds":     attemptLog,
+	"universal.Attempt.Verdict":    attemptLog,
 }
+
+const (
+	symbolCodec = "the codec of the allow-listed enumerate.FST, which its tests set"
+	attemptLog  = "the finite runner's attempt log, which the Levin-schedule tests pin"
+)
 
 // reachRoots are the trees whose non-test files count as uses.
 var reachRoots = []string{"internal", "cmd", "examples", "bench/goalbench"}
@@ -171,6 +199,75 @@ func unreached(dir string, allowed map[string]string) ([]string, error) {
 		}
 	}
 
+	// A field named as the target of = or := or as a composite literal's
+	// key is set and not read; one that an op-assignment, ++, -- or & takes
+	// is read and set. Every other use reads it.
+	setOnly := map[*ast.Ident]bool{}
+	readSet := map[*ast.Ident]bool{}
+	read := map[*types.Var]bool{}
+	set := map[*types.Var]bool{}
+	sel := func(e ast.Expr) *ast.Ident {
+		if s, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			return s.Sel
+		}
+		return nil
+	}
+	for _, fs := range files {
+		for _, f := range fs {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if id := sel(lhs); id != nil && (n.Tok == token.ASSIGN || n.Tok == token.DEFINE) {
+							setOnly[id] = true
+						} else if id != nil {
+							readSet[id] = true
+						}
+					}
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						for _, e := range []ast.Expr{n.Key, n.Value} {
+							if id := sel(e); id != nil {
+								setOnly[id] = true
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if id := sel(n.X); id != nil {
+						readSet[id] = true
+					}
+				case *ast.UnaryExpr:
+					if id := sel(n.X); id != nil && n.Op == token.AND {
+						readSet[id] = true
+					}
+				case *ast.CompositeLit:
+					t := info.Types[n].Type.Underlying()
+					if p, isPtr := t.(*types.Pointer); isPtr { // an elided &T{...}
+						t = p.Elem().Underlying()
+					}
+					st, ok := t.(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, isKV := elt.(*ast.KeyValueExpr); ok && isKV {
+							setOnly[kv.Key.(*ast.Ident)] = true
+						} else if ok {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for id, obj := range info.Uses {
+		v, ok := obj.(*types.Var)
+		if !ok || !v.IsField() {
+			continue
+		}
+		v = v.Origin()
+		read[v] = read[v] || !setOnly[id]
+		set[v] = set[v] || setOnly[id] || readSet[id]
+	}
+
 	// Every method through which a type of the program implements an
 	// interface with methods counts as used.
 	var ifaces []*types.Interface
@@ -231,8 +328,10 @@ func unreached(dir string, allowed map[string]string) ([]string, error) {
 	}
 
 	// Declarations under internal/ (but internal/commtest, which exists
-	// for tests) and cmd/ are checked, each under its key.
+	// for tests) and cmd/ are checked, each under its key: what a
+	// declaration lacks is why it is reported.
 	declared := map[string]types.Object{}
+	lacks := map[string][]string{}
 	for path, p := range pkgs {
 		rel := strings.TrimPrefix(path, "repro/")
 		if !strings.HasPrefix(rel, "cmd/") && (!strings.HasPrefix(rel, "internal/") || rel == "internal/commtest") {
@@ -244,13 +343,38 @@ func unreached(dir string, allowed map[string]string) ([]string, error) {
 			if name == "main" && p.Name() == "main" {
 				continue
 			}
-			declared[prefix+name] = obj
+			named := map[string]types.Object{name: obj}
 			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
-				if named, ok := tn.Type().(*types.Named); ok {
-					for i := 0; i < named.NumMethods(); i++ {
-						m := named.Method(i)
-						declared[prefix+name+"."+m.Name()] = m
+				if nt, ok := tn.Type().(*types.Named); ok {
+					for i := 0; i < nt.NumMethods(); i++ {
+						m := nt.Method(i)
+						named[name+"."+m.Name()] = m
 					}
+				}
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						f := st.Field(i)
+						if f.Embedded() {
+							continue
+						}
+						key := prefix + name + "." + f.Name()
+						declared[key] = f
+						if tag, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok && tag != "-" {
+							continue // the codec reads and sets it
+						}
+						if !read[f] {
+							lacks[key] = append(lacks[key], "is read by no non-test file; delete it, or read it or give it a reason in reachAllowed")
+						}
+						if tn.Exported() && f.Exported() && !set[f] {
+							lacks[key] = append(lacks[key], "is set by no non-test file; delete it, or set it or give it a reason in reachAllowed")
+						}
+					}
+				}
+			}
+			for n, o := range named {
+				declared[prefix+n] = o
+				if !used[o] {
+					lacks[prefix+n] = []string{"is used by no non-test file; delete it, or give it a caller or a reason in reachAllowed"}
 				}
 			}
 		}
@@ -260,10 +384,12 @@ func unreached(dir string, allowed map[string]string) ([]string, error) {
 	for key, obj := range declared {
 		_, ok := allowed[key]
 		switch {
-		case used[obj] && ok:
+		case len(lacks[key]) == 0 && ok:
 			problems = append(problems, key+" is reached now; drop it from reachAllowed")
-		case !used[obj] && !ok:
-			problems = append(problems, fset.Position(obj.Pos()).String()+": "+key+" is used by no non-test file; delete it, or give it a caller or a reason in reachAllowed")
+		case !ok:
+			for _, l := range lacks[key] {
+				problems = append(problems, fset.Position(obj.Pos()).String()+": "+key+" "+l)
+			}
 		}
 	}
 	for key := range allowed {
@@ -303,43 +429,65 @@ func TestReachGateCatchesPlantedNames(t *testing.T) {
 	for name, src := range map[string]string{
 		"internal/shape/shape.go": `package shape
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 type Shape interface{ Area() int }
 
-type Square struct{ n int }
+type Square struct {
+	n     int
+	memo  int
+	grown int
+}
 
 func (s Square) Area() int      { return s.n * s.n }
 func (s Square) String() string { return fmt.Sprint(s.n) }
 func (s Square) Side() int      { return s.n }
 func (s Square) Kept() int      { return s.n }
 func (s Square) Called() int    { return s.n }
+func (s *Square) Grow()         { s.memo = s.n; s.grown++ }
 
-type Box[T any] struct{ v T }
+type Box[T any] struct{ V T }
 
-func (b *Box[T]) Get() T { return b.v }
+func (b *Box[T]) Get() T { return b.V }
 
-func Total(shapes ...Shape) int {
+type Options struct{ Limit int }
+
+type Note struct {
+	Text string ` + "`json:\"text\"`" + `
+}
+
+func Total(o Options, shapes ...Shape) int {
 	n := 0
 	for _, s := range shapes {
 		n += s.Area()
 	}
+	if o.Limit > 0 && n > o.Limit {
+		return o.Limit
+	}
 	return n
 }
+
+func Encode(n Note) ([]byte, error) { return json.Marshal(n) }
 `,
 		"internal/shape/shape_test.go": `package shape
 
 import "testing"
 
-func TestSide(t *testing.T) { _ = Square{2}.Side() }
+func TestSide(t *testing.T) { _ = Square{2}.Side() + Total(Options{Limit: 1}) }
 `,
 		"cmd/demo/main.go": `package main
 
 import "repro/internal/shape"
 
 func main() {
-	var b shape.Box[int]
-	_ = b.Get() + shape.Total(shape.Square{}) + shape.Square{}.Called()
+	boxes := []*shape.Box[int]{{V: 1}}
+	var sq shape.Square
+	sq.Grow()
+	_ = boxes[0].Get() + shape.Total(shape.Options{}, sq) + sq.Called()
+	_, _ = shape.Encode(shape.Note{})
 }
 `,
 	} {
@@ -359,10 +507,16 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Square.grown is read by ++, Box.V is set only in an elided
+	// &Box[int]{...} and Note.Text only by the codec, so none of them is
+	// reported.
+	file := filepath.Join(dir, "internal/shape/shape.go")
 	want := []string{
 		"shape.Gone is gone; drop it from reachAllowed",
 		"shape.Square.Called is reached now; drop it from reachAllowed",
-		filepath.Join(dir, "internal/shape/shape.go") + ":11:17: shape.Square.Side is used by no non-test file; delete it, or give it a caller or a reason in reachAllowed",
+		file + ":18:17: shape.Square.Side is used by no non-test file; delete it, or give it a caller or a reason in reachAllowed",
+		file + ":12:2: shape.Square.memo is read by no non-test file; delete it, or read it or give it a reason in reachAllowed",
+		file + ":27:22: shape.Options.Limit is set by no non-test file; delete it, or set it or give it a reason in reachAllowed",
 	}
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
