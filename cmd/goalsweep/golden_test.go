@@ -3,6 +3,7 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -41,6 +42,42 @@ func TestReportGoldens(t *testing.T) {
 			sum := sha256.Sum256([]byte(runSweep(t, tc.args...)))
 			if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
 				t.Fatalf("goalsweep %s: report sha256 %s, want %s", strings.Join(tc.args, " "), got, strings.TrimSpace(string(want)))
+			}
+		})
+	}
+}
+
+// TestClaimsGoldens pins the exact bytes of goalsweep claims -json for the
+// stock sweeps, like TestReportGoldens, and checks default's split, whose
+// late and outside-but-succeeded rows docs/SWEEPS.md explains. To
+// re-record one after a deliberate change of verdict content:
+//
+//	go run ./cmd/goalsweep claims -builtin quick -json | sha256sum | cut -d' ' -f1 > cmd/goalsweep/testdata/claims-quick.sha256
+func TestClaimsGoldens(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("claims goldens are recorded on linux/amd64, not %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	for _, name := range []string{"quick", "default", "adversarial"} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			want, err := os.ReadFile(filepath.Join("testdata", "claims-"+name+".sha256"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := runSweep(t, "claims", "-builtin", name, "-json")
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != strings.TrimSpace(string(want)) {
+				t.Fatalf("goalsweep claims -builtin %s -json: sha256 %s, want %s", name, got, strings.TrimSpace(string(want)))
+			}
+			if name != "default" {
+				return
+			}
+			var report struct{ Summary claimsSummary }
+			if err := json.Unmarshal([]byte(out), &report); err != nil {
+				t.Fatal(err)
+			}
+			if want := (claimsSummary{Scenarios: 288, Holds: 183, Late: 1, Outside: 103, OutsideSucceeded: 1}); report.Summary != want {
+				t.Fatalf("default claims split %+v, want %+v", report.Summary, want)
 			}
 		})
 	}

@@ -16,6 +16,7 @@
 //	goalsweep -builtin default -shard 2/3 -json -out shard-2.json
 //	goalsweep merge -json -out full.json shard-*.json
 //	goalsweep explain -builtin default -id ID -trial 1 -trace run.json
+//	goalsweep claims -builtin default            # Theorem 1's verdict per row
 //	goalsweep -builtin default -fingerprint      # print the sweep fingerprint
 //	goalsweep serve -state DIR -listen :8077
 //	goalsweep submit -coordinator http://host:8077 -builtin default -shards auto
@@ -30,7 +31,9 @@
 // repository's benchmark (bench/README.md). Trial seeds are
 // content-derived too, so a row's scenario ID and a trial index name one
 // execution: "goalsweep explain" re-runs it, prints its verdict and can
-// write its round-by-round trace.
+// write its round-by-round trace. "goalsweep claims" gives each row
+// Theorem 1's verdict, certifying the hypothesis on the row's own
+// binding at each trial's seed, and exits 1 on a counterexample.
 //
 // The same determinism makes sweeps distributed-by-construction: -shard
 // i/n runs the i-th of n contiguous partitions of the selection (with
@@ -154,6 +157,8 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 			return runMerge(args[1:], stdout)
 		case "explain":
 			return runExplain(args[1:], stdout)
+		case "claims":
+			return runClaims(args[1:], stdout)
 		case "serve":
 			return runServe(ctx, args[1:], stdout, stderr)
 		case "work":
@@ -186,7 +191,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) (retEr
 	if fs.NArg() > 0 {
 		// Flag parsing stops at the first non-flag, so a mistyped
 		// subcommand would otherwise run the default sweep.
-		return fmt.Errorf("unexpected argument %q: the subcommands are merge, explain, serve, work, submit and watch", fs.Arg(0))
+		return fmt.Errorf("unexpected argument %q: the subcommands are merge, explain, claims, serve, work, submit and watch", fs.Arg(0))
 	}
 	if *jsonOut && *csvOut {
 		return fmt.Errorf("-json and -csv are mutually exclusive")
@@ -545,18 +550,23 @@ func writeCSV(out io.Writer, spec *scenario.Spec, stats []*scenario.Stats) error
 	return w.Error()
 }
 
-// writeTable renders the human-readable report: one row per scenario with
-// a column for every axis that actually varies, then the summary.
-func writeTable(out io.Writer, m *scenario.Matrix, spec *scenario.Spec,
-	sum *scenario.Summary, stats []*scenario.Stats, selected int64) error {
+// varyingAxes names the axes a table shows: those with several values, or
+// that some block omits (its scenarios hold the axis at the default).
+func varyingAxes(spec *scenario.Spec) []string {
 	var varying []string
 	for _, ax := range spec.AxesUnion() {
-		// An axis varies when it has several values, or when some block
-		// omits it (those scenarios hold it at the default).
 		if len(ax.Values) > 1 || !ax.Everywhere {
 			varying = append(varying, ax.Name)
 		}
 	}
+	return varying
+}
+
+// writeTable renders the human-readable report: one row per scenario with
+// a column for every axis that actually varies, then the summary.
+func writeTable(out io.Writer, m *scenario.Matrix, spec *scenario.Spec,
+	sum *scenario.Summary, stats []*scenario.Stats, selected int64) error {
+	varying := varyingAxes(spec)
 	tbl := &harness.Table{
 		ID:    "SWEEP",
 		Title: fmt.Sprintf("spec %q: %d of %d scenarios", spec.Name, selected, m.Size()),

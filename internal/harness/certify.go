@@ -24,59 +24,30 @@ type CertConfig struct {
 	MaxRounds int
 	// Seed drives all randomness.
 	Seed uint64
-	// Envs is how many environment choices to sweep; 0 means the goal's
-	// EnvChoices.
-	Envs int
 	// Parallel bounds the certification worker pool; values < 1 mean
 	// GOMAXPROCS. Results are identical at every setting.
 	Parallel int
 }
 
-func (c CertConfig) envs(g goal.CompactGoal) int {
-	if c.Envs > 0 {
-		return c.Envs
-	}
-	return g.EnvChoices()
-}
-
-// window is the convergence window compact goals are certified by.
-const window = 10
-
-// Violation records one certification failure.
-type Violation struct {
-	// Kind names the violated property: "safety" or "viability".
-	Kind string `json:"kind"`
-	// Server and Env identify the failing configuration; Candidate is
-	// the strategy index where applicable (-1 otherwise).
-	Server    int `json:"server"`
-	Env       int `json:"env"`
-	Candidate int `json:"candidate"`
-	// Detail is a human-readable description.
-	Detail string `json:"detail"`
-}
-
-// String implements fmt.Stringer.
-func (v Violation) String() string {
-	return fmt.Sprintf("%s violation (server %d, env %d, candidate %d): %s",
-		v.Kind, v.Server, v.Env, v.Candidate, v.Detail)
-}
+// Window is the convergence window compact goals are certified by.
+const Window = 10
 
 // Certificate is one server's three verdicts, read off the same runs:
-// every candidate paired with the server from every swept environment.
+// every candidate paired with the server.
 type Certificate struct {
 	// Witness is the first candidate that achieves the goal with the
-	// server from every environment, or -1: the server is helpful for
-	// the class iff Witness >= 0. A failed run counts against its
-	// candidate.
+	// server, or -1: the server is helpful for the class iff Witness >=
+	// 0. A failed run counts against its candidate.
 	Witness int
-	// Safety lists, in (candidate, env) order, the runs whose
-	// indications were eventually always positive although the goal was
-	// not achieved, and the runs that failed.
-	Safety []Violation
-	// Viability lists, in env order, the environments from which no
-	// candidate achieves the goal while earning eventually always
-	// positive indications. It is meaningful only for a helpful server.
-	Viability []Violation
+	// Unsafe lists, in order, the candidates whose indications were
+	// eventually always positive although the goal was not achieved, and
+	// those whose runs failed: sensing is safe against the server iff
+	// Unsafe is empty.
+	Unsafe []int
+	// Viable reports whether some candidate achieves the goal while
+	// earning eventually always positive indications. It is meaningful
+	// only for a helpful server.
+	Viable bool
 }
 
 // probe is a certification trial's user: it steps the candidate in place
@@ -120,40 +91,37 @@ func (p *probe) StepTo(in comm.Inbox, out *comm.Outbox) error {
 }
 
 // eventuallyPositive reports whether the indications were positive on the
-// final window rounds (the empirical reading of "only finitely many
+// final Window rounds (the empirical reading of "only finitely many
 // negative indications").
-func (p *probe) eventuallyPositive() bool { return p.streak >= window }
+func (p *probe) eventuallyPositive() bool { return p.streak >= Window }
 
-// Certify certifies the hypotheses of Theorem 1 for a compact goal: the
-// helpfulness of each server for the candidate class users, and the
-// safety and viability of the sensing function mkSense returns (a fresh
-// Sense per call) against it. It runs each server's pairings — every
-// candidate from every swept environment — exactly once, in one batch,
-// and returns one Certificate per server, in order. Every candidate runs,
-// so users must be bounded.
+// Certify certifies the hypotheses of Theorem 1 for a compact goal and one
+// server, in the world the world factory builds (a fresh World per call):
+// the server's helpfulness for the candidate class users, and the safety
+// and viability against it of the sensing function mkSense returns (a
+// fresh Sense per call). It runs every candidate with the server exactly
+// once, in one batch, so users must be bounded.
 //
-// A run is achieved when its final window rounds were acceptable, and
-// positive when its final window indications were. Safety requires that
-// every positive run be achieved; viability that from every environment
-// some candidate's run be both.
+// A run is achieved when its final Window rounds were acceptable, and
+// positive when its final Window indications were. Safety requires that
+// every positive run be achieved; viability that some candidate's run be
+// both.
 func Certify(
 	g goal.CompactGoal,
+	world func() goal.World,
 	mkSense func() sensing.Sense,
 	users enumerate.Enumerator,
-	servers []func() comm.Strategy,
+	server func() comm.Strategy,
 	cfg CertConfig,
-) []Certificate {
-	size, envs := users.Size(), cfg.envs(g)
+) Certificate {
+	size := users.Size()
 	if size == enumerate.Unbounded {
 		panic(fmt.Sprintf("harness: Certify needs a bounded class, %q is unbounded", users.Name()))
 	}
-	// One batch per server, candidate-major; only the server changes
-	// from batch to batch.
-	trials := make([]system.Trial, size*envs)
-	probes := make([]*probe, len(trials))
-	for t := range trials {
-		i, env := t/envs, t%envs
-		trials[t] = system.Trial{
+	trials := make([]system.Trial, size)
+	probes := make([]*probe, size)
+	for i := range trials {
+		trials[i] = system.Trial{
 			// The probe is built on the worker that runs the trial:
 			// state written every round never sits in caller-owned
 			// slots that two workers write side by side. The worker
@@ -161,10 +129,11 @@ func Certify(
 			User: func() (comm.Strategy, error) {
 				p := &probe{cand: users.Strategy(i), sense: mkSense()}
 				p.step = comm.InPlace(p.cand, &p.shim)
-				probes[t] = p
+				probes[i] = p
 				return p, nil
 			},
-			World: func() goal.World { return g.NewWorld(goal.Env{Choice: env}) },
+			Server: server,
+			World:  world,
 			Config: system.Config{
 				MaxRounds: cfg.MaxRounds,
 				Seed:      cfg.Seed,
@@ -174,51 +143,21 @@ func Certify(
 		}
 	}
 
-	certs := make([]Certificate, len(servers))
-	viable := make([]bool, envs)
-	for si, mkServer := range servers {
-		for t := range trials {
-			trials[t].Server = mkServer
+	results, errs := system.RunEach(trials, system.BatchConfig{Parallelism: cfg.Parallel})
+	c := Certificate{Witness: -1}
+	for i := range trials {
+		achieved, positive := false, false
+		if errs[i] == nil {
+			achieved, positive = results[i].Achieved(Window), probes[i].eventuallyPositive()
+			system.ReleaseResult(results[i])
 		}
-		results, errs := system.RunEach(trials, system.BatchConfig{Parallelism: cfg.Parallel})
-		c := &certs[si]
-		c.Witness = -1
-		clear(viable)
-		for i := 0; i < size; i++ {
-			helpful := true
-			for env := 0; env < envs; env++ {
-				t := i*envs + env
-				achieved, positive := false, false
-				if errs[t] == nil {
-					achieved, positive = results[t].Achieved(window), probes[t].eventuallyPositive()
-					system.ReleaseResult(results[t])
-				} else {
-					c.Safety = append(c.Safety, Violation{
-						Kind: "safety", Server: si, Env: env, Candidate: i,
-						Detail: fmt.Sprintf("execution error: %v", errs[t]),
-					})
-				}
-				helpful = helpful && achieved
-				viable[env] = viable[env] || achieved && positive
-				if positive && !achieved {
-					c.Safety = append(c.Safety, Violation{
-						Kind: "safety", Server: si, Env: env, Candidate: i,
-						Detail: "indications eventually positive but goal not achieved",
-					})
-				}
-			}
-			if helpful && c.Witness < 0 {
-				c.Witness = i
-			}
+		if achieved && c.Witness < 0 {
+			c.Witness = i
 		}
-		for env, ok := range viable {
-			if !ok {
-				c.Viability = append(c.Viability, Violation{
-					Kind: "viability", Server: si, Env: env, Candidate: -1,
-					Detail: "no candidate earns lasting positive indications while achieving the goal",
-				})
-			}
+		c.Viable = c.Viable || achieved && positive
+		if errs[i] != nil || positive && !achieved {
+			c.Unsafe = append(c.Unsafe, i)
 		}
 	}
-	return certs
+	return c
 }

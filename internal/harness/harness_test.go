@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dialect"
+	"repro/internal/enumerate"
+	"repro/internal/goal"
 	"repro/internal/goals/printing"
 	"repro/internal/sensing"
 	"repro/internal/server"
@@ -108,6 +110,18 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// certifyAll certifies each server in turn, in g's world of the given
+// environment choice.
+func certifyAll(g goal.CompactGoal, env int, mkSense func() sensing.Sense, users enumerate.Enumerator,
+	servers []func() comm.Strategy, cfg CertConfig) []Certificate {
+	world := func() goal.World { return g.NewWorld(goal.Env{Choice: env}) }
+	certs := make([]Certificate, len(servers))
+	for i, srv := range servers {
+		certs[i] = Certify(g, world, mkSense, users, srv, cfg)
+	}
+	return certs
+}
+
 func printingFixture(t *testing.T, n int) (*printing.Goal, *dialect.Family, []func() comm.Strategy) {
 	t.Helper()
 	fam, err := dialect.NewWordFamily(printing.Vocabulary(), n)
@@ -139,7 +153,7 @@ func TestHelpfulCompact(t *testing.T) {
 
 	g, fam, servers := printingFixture(t, 4)
 	cfg := CertConfig{MaxRounds: 100, Seed: 1}
-	certs := Certify(g, func() sensing.Sense { return printing.Sense(0) },
+	certs := certifyAll(g, 0, func() sensing.Sense { return printing.Sense(0) },
 		printing.Enum(fam), append(servers, unhelpfulPrinters()...), cfg)
 	for i, want := range []int{0, 1, 2, 3, -1, -1} {
 		if certs[i].Witness != want {
@@ -155,11 +169,11 @@ func TestCertifySafetyCompactAcceptsSafeSense(t *testing.T) {
 
 	g, fam, servers := printingFixture(t, 4)
 	cfg := CertConfig{MaxRounds: 120, Seed: 1}
-	for i, c := range Certify(g, func() sensing.Sense {
+	for i, c := range certifyAll(g, 0, func() sensing.Sense {
 		return printing.Sense(0)
 	}, printing.Enum(fam), append(servers, unhelpfulPrinters()...), cfg) {
-		if len(c.Safety) != 0 {
-			t.Fatalf("server %d: safe sense flagged: %v", i, c.Safety)
+		if len(c.Unsafe) != 0 {
+			t.Fatalf("server %d: safe sense flagged for candidates %v", i, c.Unsafe)
 		}
 	}
 }
@@ -174,39 +188,36 @@ func TestCertifySafetyCompactRejectsTrustingSense(t *testing.T) {
 		func() comm.Strategy { return &printing.LyingServer{} },
 	}
 	cfg := CertConfig{MaxRounds: 120, Seed: 1}
-	vs := Certify(g, func() sensing.Sense {
+	unsafe := certifyAll(g, 0, func() sensing.Sense {
 		return printing.TrustingSense()
-	}, printing.Enum(fam), liars, cfg)[0].Safety
-	if len(vs) == 0 {
-		t.Fatal("trusting sense passed safety certification")
-	}
-	if !strings.Contains(vs[0].String(), "safety") {
-		t.Fatalf("violation string: %s", vs[0])
+	}, printing.Enum(fam), liars, cfg)[0].Unsafe
+	if len(unsafe) != fam.Size() {
+		t.Fatalf("trusting sense flagged candidates %v against the liar, want all %d", unsafe, fam.Size())
 	}
 }
 
 // TestCertifyViabilityCompact checks Certify's viability verdicts against
-// the class: none for the stock sense, one per server for a sense that no
-// printer can satisfy.
+// the class: viable for the stock sense, not viable with any server for a
+// sense that no printer can satisfy.
 func TestCertifyViabilityCompact(t *testing.T) {
 	t.Parallel()
 
 	g, fam, servers := printingFixture(t, 4)
 	cfg := CertConfig{MaxRounds: 120, Seed: 1}
 
-	for i, c := range Certify(g, func() sensing.Sense {
+	for i, c := range certifyAll(g, 0, func() sensing.Sense {
 		return printing.Sense(0)
 	}, printing.Enum(fam), servers, cfg) {
-		if len(c.Viability) != 0 {
-			t.Fatalf("server %d: viable sense flagged: %v", i, c.Viability)
+		if !c.Viable {
+			t.Fatalf("server %d: viable sense judged not viable", i)
 		}
 	}
 
-	for i, c := range Certify(g, func() sensing.Sense {
+	for i, c := range certifyAll(g, 0, func() sensing.Sense {
 		return printing.ParanoidSense(0)
 	}, printing.Enum(fam), servers, cfg) {
-		if len(c.Viability) != 1 {
-			t.Fatalf("server %d: paranoid sense violations = %v, want one", i, c.Viability)
+		if c.Viable {
+			t.Fatalf("server %d: paranoid sense judged viable", i)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -26,9 +25,9 @@ type refOutcome struct {
 	err                error
 }
 
-// refRun runs one (candidate, server, env) triple on its own, recording
-// everything, then replays a fresh sense over the complete view and judges
-// the complete history.
+// refRun runs one (candidate, server) pair on its own in the world of the
+// given env, recording everything, then replays a fresh sense over the
+// complete view and judges the complete history.
 func refRun(g goal.CompactGoal, mkSense func() sensing.Sense, user, srv comm.Strategy, env int, cfg CertConfig) refOutcome {
 	res, err := system.Run(user, srv, g.NewWorld(goal.Env{Choice: env}),
 		system.Config{MaxRounds: cfg.MaxRounds, Seed: cfg.Seed})
@@ -39,62 +38,37 @@ func refRun(g goal.CompactGoal, mkSense func() sensing.Sense, user, srv comm.Str
 	sense := mkSense()
 	sense.Reset()
 	n := len(res.View.Rounds)
-	positive := n >= window
+	positive := n >= Window
 	for r := range res.View.Rounds {
-		if !sense.Observe(&res.View.Rounds[r]) && r >= n-window {
+		if !sense.Observe(&res.View.Rounds[r]) && r >= n-Window {
 			positive = false
 		}
 	}
-	return refOutcome{achieved: goal.CompactAchieved(g, res.History, window), positive: positive}
+	return refOutcome{achieved: goal.CompactAchieved(g, res.History, Window), positive: positive}
 }
 
 // refCertify is a serial, full-recording reference for Certify: every
-// triple runs on its own through refRun, and the three verdicts are read
-// off the table of outcomes in Certify's order and wording.
+// pair runs on its own through refRun in the world of the given env, and
+// the three verdicts are read off the outcomes in Certify's order.
 func refCertify(
 	g goal.CompactGoal,
+	env int,
 	mkSense func() sensing.Sense,
 	users enumerate.Enumerator,
 	servers []func() comm.Strategy,
 	cfg CertConfig,
 ) []Certificate {
-	envs := cfg.Envs
-	if envs == 0 {
-		envs = g.EnvChoices()
-	}
 	certs := make([]Certificate, len(servers))
 	for si, mkServer := range servers {
-		runs := make([][]refOutcome, users.Size()) // [candidate][env]
-		for i := range runs {
-			runs[i] = make([]refOutcome, envs)
-			for env := range runs[i] {
-				runs[i][env] = refRun(g, mkSense, users.Strategy(i), mkServer(), env, cfg)
-			}
-		}
 		c := Certificate{Witness: -1}
-		for i, rs := range runs {
-			if c.Witness < 0 && !slices.ContainsFunc(rs, func(r refOutcome) bool { return !r.achieved }) {
+		for i := 0; i < users.Size(); i++ {
+			r := refRun(g, mkSense, users.Strategy(i), mkServer(), env, cfg)
+			if c.Witness < 0 && r.achieved {
 				c.Witness = i
 			}
-			for env, r := range rs {
-				v := Violation{Kind: "safety", Server: si, Env: env, Candidate: i}
-				switch {
-				case r.err != nil:
-					v.Detail = "execution error: " + r.err.Error()
-				case r.positive && !r.achieved:
-					v.Detail = "indications eventually positive but goal not achieved"
-				default:
-					continue
-				}
-				c.Safety = append(c.Safety, v)
-			}
-		}
-		for env := 0; env < envs; env++ {
-			if !slices.ContainsFunc(runs, func(rs []refOutcome) bool { return rs[env].achieved && rs[env].positive }) {
-				c.Viability = append(c.Viability, Violation{
-					Kind: "viability", Server: si, Env: env, Candidate: -1,
-					Detail: "no candidate earns lasting positive indications while achieving the goal",
-				})
+			c.Viable = c.Viable || r.achieved && r.positive
+			if r.err != nil || r.positive && !r.achieved {
+				c.Unsafe = append(c.Unsafe, i)
 			}
 		}
 		certs[si] = c
@@ -115,20 +89,23 @@ func (s *failingServer) Step(comm.Inbox) (comm.Outbox, error) {
 	return comm.Outbox{}, nil
 }
 
-// certCase is one Certify call the reference checks.
+// certCase is one certification, of every server in one env, that the
+// reference checks.
 type certCase struct {
 	name    string
 	g       goal.CompactGoal
+	env     int
 	sense   func() sensing.Sense
 	users   enumerate.Enumerator
 	servers []func() comm.Strategy
 	cfg     CertConfig
 }
 
-// certCases covers control over its 8 environments and printing over 2
-// documents; the stock, trusting and paranoid senses; horizons before and
-// after convergence; a class in which two candidates reach the goal with
-// each server; and a server whose every long run fails.
+// certCases covers control in each of its 8 environments and printing
+// with each of 2 documents; the stock, trusting and paranoid senses;
+// horizons before and after convergence; a class in which two candidates
+// reach the goal with each server; and a server whose every long run
+// fails.
 func certCases(t *testing.T) []certCase {
 	t.Helper()
 	failing := func() comm.Strategy { return &failingServer{} }
@@ -161,29 +138,33 @@ func certCases(t *testing.T) []certCase {
 
 	var cases []certCase
 	for _, rounds := range []int{12, 120} {
-		for _, s := range []struct {
-			name string
-			mk   func() sensing.Sense
-		}{
-			{"stock", func() sensing.Sense { return printing.Sense(0) }},
-			{"trusting", printing.TrustingSense},
-			{"paranoid", func() sensing.Sense { return printing.ParanoidSense(0) }},
-		} {
+		for env := 0; env < docs.EnvChoices(); env++ {
+			for _, s := range []struct {
+				name string
+				mk   func() sensing.Sense
+			}{
+				{"stock", func() sensing.Sense { return printing.Sense(0) }},
+				{"trusting", printing.TrustingSense},
+				{"paranoid", func() sensing.Sense { return printing.ParanoidSense(0) }},
+			} {
+				cases = append(cases, certCase{
+					fmt.Sprintf("printing/%s/%d/env%d", s.name, rounds, env), docs, env, s.mk,
+					printing.Enum(fam), printers, CertConfig{MaxRounds: rounds, Seed: 1},
+				})
+			}
 			cases = append(cases, certCase{
-				fmt.Sprintf("printing/%s/%d", s.name, rounds), docs, s.mk,
-				printing.Enum(fam), printers, CertConfig{MaxRounds: rounds, Seed: 1},
+				fmt.Sprintf("printing/twice/%d/env%d", rounds, env), docs, env, func() sensing.Sense { return printing.Sense(0) },
+				twice, printers, CertConfig{MaxRounds: rounds, Seed: 2},
 			})
 		}
-		cases = append(cases, certCase{
-			fmt.Sprintf("printing/twice/%d", rounds), docs, func() sensing.Sense { return printing.Sense(0) },
-			twice, printers, CertConfig{MaxRounds: rounds, Seed: 2},
-		})
 	}
 	for _, rounds := range []int{20, 200} {
-		cases = append(cases, certCase{
-			fmt.Sprintf("control/stock/%d", rounds), plant, func() sensing.Sense { return control.Sense(0) },
-			control.Enum(units), controllers, CertConfig{MaxRounds: rounds, Seed: 1},
-		})
+		for env := 0; env < plant.EnvChoices(); env++ {
+			cases = append(cases, certCase{
+				fmt.Sprintf("control/stock/%d/env%d", rounds, env), plant, env, func() sensing.Sense { return control.Sense(0) },
+				control.Enum(units), controllers, CertConfig{MaxRounds: rounds, Seed: 1},
+			})
+		}
 	}
 	return cases
 }
@@ -197,11 +178,11 @@ func TestWindowedRetentionMatchesFullRecording(t *testing.T) {
 	t.Parallel()
 
 	for _, tc := range certCases(t) {
-		want := refCertify(tc.g, tc.sense, tc.users, tc.servers, tc.cfg)
+		want := refCertify(tc.g, tc.env, tc.sense, tc.users, tc.servers, tc.cfg)
 		for _, parallel := range []int{1, 2} {
 			cfg := tc.cfg
 			cfg.Parallel = parallel
-			got := Certify(tc.g, tc.sense, tc.users, tc.servers, cfg)
+			got := certifyAll(tc.g, tc.env, tc.sense, tc.users, tc.servers, cfg)
 			if len(got) != len(want) {
 				t.Fatalf("%s at Parallel %d: %d certificates, want %d", tc.name, parallel, len(got), len(want))
 			}
@@ -215,21 +196,17 @@ func TestWindowedRetentionMatchesFullRecording(t *testing.T) {
 	}
 }
 
-// TestCertifyRunsEachPairingOnce pins the cost of a certification pass:
-// one Certify call starts exactly candidates × envs × servers trials. It
+// TestCertifyRunsEachPairingOnce pins the cost of certification: one
+// Certify call per server starts exactly candidates × servers trials. It
 // reads the engine's process-wide trial counter, so it does not run in
 // parallel with the package's other tests.
 func TestCertifyRunsEachPairingOnce(t *testing.T) {
 	trials := obs.Default().Counter("goalsweep_engine_trials_started_total",
 		"Trials handed to the batch engine.")
 	for _, tc := range certCases(t) {
-		envs := tc.cfg.Envs
-		if envs == 0 {
-			envs = tc.g.EnvChoices()
-		}
 		before := trials.Value()
-		Certify(tc.g, tc.sense, tc.users, tc.servers, tc.cfg)
-		if got, want := trials.Value()-before, int64(tc.users.Size()*envs*len(tc.servers)); got != want {
+		certifyAll(tc.g, tc.env, tc.sense, tc.users, tc.servers, tc.cfg)
+		if got, want := trials.Value()-before, int64(tc.users.Size()*len(tc.servers)); got != want {
 			t.Errorf("%s: %d trials started, want %d", tc.name, got, want)
 		}
 	}

@@ -2,7 +2,8 @@
 // series, summary statistics, and empirical certification of the theory's
 // semantic properties. Certify reads all three of Theorem 1's hypotheses —
 // helpfulness of servers, safety and viability of a sensing function — off
-// one run of each (candidate, env, server) pairing.
+// one run of each candidate with the server, in the world the caller
+// builds; goalsweep claims passes each sweep row's own.
 package harness
 
 import (

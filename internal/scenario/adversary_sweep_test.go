@@ -305,15 +305,17 @@ func TestFlatVsComposedCacheSharing(t *testing.T) {
 }
 
 // TestAdversarialSensingBounds pins the theory-side behavior under
-// adversarial servers. Helpful-class scenarios — a cooperative member
-// behind bounded corruption the sensing function can outwait — still
-// succeed on every trial; scenarios beyond the sensing bound (a server
-// that always suppresses progress, an obstinate server, an infeasible
-// generated machine) are pinned failing.
+// adversarial servers, as success counts and as each row's claims verdict.
+// Helpful-class scenarios — a cooperative member behind bounded corruption
+// the sensing function can outwait — still succeed on every trial, and
+// Theorem 1 applies and holds; scenarios beyond the sensing bound (a
+// server that always suppresses progress, an obstinate server, an
+// infeasible generated machine) are pinned failing, and outside the
+// theorem.
 func TestAdversarialSensingBounds(t *testing.T) {
 	t.Parallel()
 
-	sweepOne := func(t *testing.T, axes []Axis, seeds int) *Summary {
+	sweepOne := func(t *testing.T, axes []Axis, seeds int, verdict string) *Summary {
 		t.Helper()
 		m, err := NewMatrix(&Spec{Name: "pin", Axes: axes, Seeds: seeds, BaseSeed: 1})
 		if err != nil {
@@ -322,6 +324,15 @@ func TestAdversarialSensingBounds(t *testing.T) {
 		_, sum := collectStats(t, m, SweepConfig{Parallel: 2})
 		if sum.Errors != 0 {
 			t.Fatalf("pin sweep errored %d times", sum.Errors)
+		}
+		claims, err := m.Claims(nil, SweepConfig{Parallel: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range claims {
+			if c.Verdict != verdict {
+				t.Errorf("%s: claims verdict %s (%s), want %s", c.ID, c.Verdict, c.Why, verdict)
+			}
 		}
 		return sum
 	}
@@ -339,7 +350,7 @@ func TestAdversarialSensingBounds(t *testing.T) {
 			{Name: "mislead", Values: Floats(0.25)},
 			{Name: "drift", Values: Floats(0.25)},
 			{Name: "rounds", Values: Ints(800)},
-		}, 2)
+		}, 2, Holds)
 		if sum.Successes != sum.Trials {
 			t.Fatalf("helpful-class adversarial scenarios: %d/%d successes, want all",
 				sum.Successes, sum.Trials)
@@ -356,7 +367,7 @@ func TestAdversarialSensingBounds(t *testing.T) {
 			{Name: "server", Values: []string{"0"}},
 			{Name: "mislead", Values: Floats(1)},
 			{Name: "rounds", Values: Ints(400)},
-		}, 2)
+		}, 2, Outside)
 		if sum.Successes != 0 {
 			t.Fatalf("mislead=1 scenarios succeeded %d times", sum.Successes)
 		}
@@ -371,7 +382,7 @@ func TestAdversarialSensingBounds(t *testing.T) {
 			{Name: "byzantine", Values: Ints(4)},
 			{Name: "mislead", Values: Floats(0.25)},
 			{Name: "rounds", Values: Ints(400)},
-		}, 2)
+		}, 2, Outside)
 		if sum.Successes != 0 {
 			t.Fatalf("obstinate scenarios succeeded %d times", sum.Successes)
 		}
@@ -390,7 +401,7 @@ func TestAdversarialSensingBounds(t *testing.T) {
 			{Name: "server", Values: []string{"0", "-1"}},
 			{Name: "drift", Values: Floats(0, 0.25)},
 			{Name: "rounds", Values: Ints(400)},
-		}, 2)
+		}, 2, Outside)
 		if sum.Successes != 0 {
 			t.Fatalf("infeasible fsm machine succeeded %d times", sum.Successes)
 		}

@@ -16,6 +16,9 @@
 // online per-scenario aggregation — success rate, rounds-to-success
 // distribution, message overhead — so sweeps never hold per-trial results.
 // Sweep output is byte-identical at every parallelism level.
+// Matrix.Claims joins each swept row to Theorem 1: it certifies the
+// hypothesis on the row's own binding at each trial's seed and gives the
+// row a verdict (holds, late, outside or counterexample).
 //
 // # The trial-determinism contract
 //

@@ -305,6 +305,9 @@ func TestRegistryBindRejects(t *testing.T) {
 		{"treasure param", mk(
 			Axis{Name: "goal", Values: []string{"treasure"}},
 			Axis{Name: "param", Values: Ints(3)})},
+		{"empty class", mk(
+			Axis{Name: "goal", Values: []string{"printing"}},
+			Axis{Name: "class", Values: Ints(0)})},
 	}
 	for _, tc := range cases {
 		if _, err := reg.Bind(tc.sc); err == nil {

@@ -174,17 +174,11 @@ func Builtin() *Registry {
 		if err != nil {
 			return nil, err
 		}
-		return &Parts{
+		return dialectClass(&Parts{
 			Goal:  &printing.Goal{Paper: ax.Param},
 			Enum:  printing.Enum(fam),
 			Sense: func() sensing.Sense { return printing.Sense(ax.Patience) },
-			Member: func(i int) comm.Strategy {
-				return server.Dialected(&printing.Server{}, fam.Dialect(i))
-			},
-			Drift: func(i int, p float64) comm.Strategy {
-				return server.DriftingDialected(&printing.Server{}, fam, i, p)
-			},
-		}, nil
+		}, fam, func() comm.Strategy { return &printing.Server{} }), nil
 	})
 	r.Register("treasure", func(ax Axes) (*Parts, error) {
 		if err := fsmAxes("treasure", ax); err != nil {
@@ -212,17 +206,11 @@ func Builtin() *Registry {
 		if err != nil {
 			return nil, err
 		}
-		return &Parts{
+		return dialectClass(&Parts{
 			Goal:  &transfer.Goal{K: ax.Param},
 			Enum:  transfer.Enum(fam),
 			Sense: func() sensing.Sense { return transfer.Sense(ax.Patience) },
-			Member: func(i int) comm.Strategy {
-				return server.Dialected(&transfer.Server{}, fam.Dialect(i))
-			},
-			Drift: func(i int, p float64) comm.Strategy {
-				return server.DriftingDialected(&transfer.Server{}, fam, i, p)
-			},
-		}, nil
+		}, fam, func() comm.Strategy { return &transfer.Server{} }), nil
 	})
 	r.Register("control", func(ax Axes) (*Parts, error) {
 		if err := fsmAxes("control", ax); err != nil {
@@ -232,17 +220,11 @@ func Builtin() *Registry {
 		if err != nil {
 			return nil, err
 		}
-		return &Parts{
+		return dialectClass(&Parts{
 			Goal:  &control.Goal{Span: ax.Param},
 			Enum:  control.Enum(fam),
 			Sense: func() sensing.Sense { return control.Sense(ax.Patience) },
-			Member: func(i int) comm.Strategy {
-				return server.Dialected(&control.Server{}, fam.Dialect(i))
-			},
-			Drift: func(i int, p float64) comm.Strategy {
-				return server.DriftingDialected(&control.Server{}, fam, i, p)
-			},
-		}, nil
+		}, fam, func() comm.Strategy { return &control.Server{} }), nil
 	})
 	r.Register("fsm", func(ax Axes) (*Parts, error) {
 		if ax.Param != 0 {
@@ -271,23 +253,26 @@ func Builtin() *Registry {
 		if err != nil {
 			return nil, err
 		}
-		return &Parts{
+		return dialectClass(&Parts{
 			Goal:  g,
 			Enum:  g.Enum(fam),
 			Sense: func() sensing.Sense { return fsm.Sense(ax.Patience) },
-			Member: func(i int) comm.Strategy {
-				return server.Dialected(&fsm.Server{G: g}, fam.Dialect(i))
-			},
-			Drift: func(i int, p float64) comm.Strategy {
-				return server.DriftingDialected(&fsm.Server{G: g}, fam, i, p)
-			},
-		}, nil
+		}, fam, func() comm.Strategy { return &fsm.Server{G: g} }), nil
 	})
 	// Set last: Register resets the version. The fsm family's own version
 	// rides along so its semantic bumps invalidate exactly the cached
 	// aggregates that depend on generated-goal bindings.
 	r.version = builtinVersion + "+" + fsm.FamilyVersion
 	return r
+}
+
+// dialectClass completes a dialect goal's parts with its class: member i
+// is the native server speaking the family's i-th dialect, and its
+// drifting variant starts there.
+func dialectClass(p *Parts, fam *dialect.Family, native func() comm.Strategy) *Parts {
+	p.Member = func(i int) comm.Strategy { return server.Dialected(native(), fam.Dialect(i)) }
+	p.Drift = func(i int, prob float64) comm.Strategy { return server.DriftingDialected(native(), fam, i, prob) }
+	return p
 }
 
 // parseAxes extracts and validates the common axes of a scenario.

@@ -79,6 +79,15 @@ func (cfg SweepConfig) Effective(spec *Spec) (seeds, window int, baseSeed uint64
 	return seeds, window, baseSeed
 }
 
+// seedFn is the per-trial seed derivation of a sweep rooted at base:
+// SeedFn when set, else TrialSeed.
+func (cfg SweepConfig) seedFn(base uint64) func(sc *Scenario, trial int) uint64 {
+	if cfg.SeedFn != nil {
+		return cfg.SeedFn
+	}
+	return func(sc *Scenario, trial int) uint64 { return TrialSeed(base, sc, trial) }
+}
+
 // Dist summarizes a sample of rounds-to-success values.
 type Dist struct {
 	Mean   float64 `json:"mean"`
@@ -318,13 +327,9 @@ func (m *Matrix) Sweep(indices []int64, cfg SweepConfig) (*Summary, error) {
 		reg = Builtin()
 	}
 	seeds, window, base := cfg.Effective(m.spec)
-	seedFn := cfg.SeedFn
+	seedFn := cfg.seedFn(base)
 	cache := cfg.Cache
-	if seedFn == nil {
-		seedFn = func(sc *Scenario, trial int) uint64 {
-			return TrialSeed(base, sc, trial)
-		}
-	} else {
+	if cfg.SeedFn != nil {
 		// Cached aggregates are keyed by the default seed derivation; a
 		// custom SeedFn runs different trials, so the cache must not
 		// serve (or be fed) its results.

@@ -24,7 +24,8 @@ import (
 var ledger = flag.Bool("ledger", false, "run TestMutantLedger, which builds and tests every entry of mutants")
 
 // mutants is the ledger. A guard is a package directory from the module
-// root and a top-level test in that package.
+// root and a test in that package: a top-level test, or one subtest of it
+// ("TestX/sub"), for which the whole top-level test runs.
 var mutants = []struct {
 	name     string
 	file     string
@@ -36,14 +37,14 @@ var mutants = []struct {
 		file:   "internal/universal/universal.go",
 		old:    "if !u.sense.Observe(rv) {",
 		new:    "if !u.sense.Observe(rv) && false {",
-		guards: []string{"./internal/universal:TestCompactUserSwitchesExactlyOnNegatives", "./internal/scenario:TestSweepObstinateNeverSucceeds"},
+		guards: []string{"./internal/universal:TestCompactUserSwitchesExactlyOnNegatives", "./internal/scenario:TestSweepObstinateNeverSucceeds", "./cmd/goalsweep:TestClaimsGoldens/quick"},
 	},
 	{
 		name:   "printing's sensing always positive",
 		file:   "internal/goals/printing/printing.go",
 		old:    `v = parsed && task != "" && printed == task` + "\n",
 		new:    `v = parsed && task != "" && printed == task || true` + "\n",
-		guards: []string{"./internal/goals/printing:TestSenseSafety", "./internal/harness:TestCertifySafetyCompactAcceptsSafeSense"},
+		guards: []string{"./internal/goals/printing:TestSenseSafety", "./internal/harness:TestCertifySafetyCompactAcceptsSafeSense", "./cmd/goalsweep:TestClaimsGoldens/quick"},
 	},
 	{
 		name: "printing's verdict memo ignores its key",
@@ -52,7 +53,7 @@ var mutants = []struct {
 			"\t\t\tv = parsed && task != \"\" && printed == task\n\t\t\tverdict.Put(m, v)",
 		new: "v, ok := verdict.Get(\"\")\n\t\tif !ok {\n\t\t\ttask, printed, parsed := ParseWorldMsg(m)\n" +
 			"\t\t\tv = parsed && task != \"\" && printed == task\n\t\t\tverdict.Put(\"\", v)",
-		guards: []string{"./internal/harness:TestCertifyViabilityCompact", "./cmd/goalcert:TestCertGoldens"},
+		guards: []string{"./internal/harness:TestCertifyViabilityCompact", "./cmd/goalsweep:TestClaimsGoldens/quick"},
 	},
 	{
 		name:   "Result.Achieved off by one",
@@ -105,6 +106,59 @@ var mutants = []struct {
 		new:    "false {",
 		guards: []string{"./internal/scenario:TestRegistryBindRejects"},
 	},
+	{
+		name: "Bind applies Slow inside Misleading",
+		file: "internal/scenario/registry.go",
+		old: "\t\tif mislead > 0 {\n\t\t\ts = server.Misleading(s, mislead)\n\t\t}\n" +
+			"\t\tif slow > 0 {\n\t\t\ts = server.Slow(s, slow)\n\t\t}\n",
+		new: "\t\tif slow > 0 {\n\t\t\ts = server.Slow(s, slow)\n\t\t}\n" +
+			"\t\tif mislead > 0 {\n\t\t\ts = server.Misleading(s, mislead)\n\t\t}\n",
+		guards: []string{"./internal/scenario:TestBindWrapsServerInFixedOrder"},
+	},
+	{
+		name: "transfer's Server.memo ignores its key",
+		file: "internal/goals/transfer/transfer.go",
+		old: "m, ok := s.memo.Get(in.FromUser)\n\tif !ok {\n\t\tfields := strings.SplitN(rest, \" \", 2)\n" +
+			"\t\tif len(fields) != 2 {\n\t\t\treturn nil\n\t\t}\n" +
+			"\t\tif _, err := strconv.Atoi(fields[0]); err != nil {\n\t\t\treturn nil\n\t\t}\n" +
+			"\t\tm = comm.Outbox{\n\t\t\tToUser:  comm.Message(rspStored + \" \" + fields[0]),\n" +
+			"\t\t\tToWorld: comm.Message(\"REL \" + rest),\n\t\t}\n\t\ts.memo.Put(in.FromUser, m)",
+		new: "m, ok := s.memo.Get(\"\")\n\tif !ok {\n\t\tfields := strings.SplitN(rest, \" \", 2)\n" +
+			"\t\tif len(fields) != 2 {\n\t\t\treturn nil\n\t\t}\n" +
+			"\t\tif _, err := strconv.Atoi(fields[0]); err != nil {\n\t\t\treturn nil\n\t\t}\n" +
+			"\t\tm = comm.Outbox{\n\t\t\tToUser:  comm.Message(rspStored + \" \" + fields[0]),\n" +
+			"\t\t\tToWorld: comm.Message(\"REL \" + rest),\n\t\t}\n\t\ts.memo.Put(\"\", m)",
+		guards: []string{"./internal/goals/transfer:TestServerRelay"},
+	},
+	{
+		name: "delegation's Server.memo ignores its key",
+		file: "internal/goals/delegation/delegation.go",
+		old: "reply, ok := s.memo.Get(in.FromUser)\n\tif !ok {\n\t\tif ins, ok := ParseInstance(rest); ok {\n" +
+			"\t\t\tif mask, ok := ins.Solve(); ok {\n" +
+			"\t\t\t\treply = comm.Message(rspWitness + \" \" + strconv.FormatUint(mask, 10))\n" +
+			"\t\t\t}\n\t\t}\n\t\ts.memo.Put(in.FromUser, reply)",
+		new: "reply, ok := s.memo.Get(\"\")\n\tif !ok {\n\t\tif ins, ok := ParseInstance(rest); ok {\n" +
+			"\t\t\tif mask, ok := ins.Solve(); ok {\n" +
+			"\t\t\t\treply = comm.Message(rspWitness + \" \" + strconv.FormatUint(mask, 10))\n" +
+			"\t\t\t}\n\t\t}\n\t\ts.memo.Put(\"\", reply)",
+		guards: []string{"./internal/goals/delegation:TestServerSolvesOwnProtocol"},
+	},
+	{
+		name: "delegation's Candidate.solveCmd ignores its key",
+		file: "internal/goals/delegation/delegation.go",
+		old: "cmd, ok := c.solveCmd.Get(c.instance)\n\t\tif !ok {\n" +
+			"\t\t\tcmd = c.D.Encode(comm.Message(cmdSolve + \" \" + c.instance))\n\t\t\tc.solveCmd.Put(c.instance, cmd)",
+		new: "cmd, ok := c.solveCmd.Get(\"\")\n\t\tif !ok {\n" +
+			"\t\t\tcmd = c.D.Encode(comm.Message(cmdSolve + \" \" + c.instance))\n\t\t\tc.solveCmd.Put(\"\", cmd)",
+		guards: []string{"./internal/goals/delegation:TestCandidateAsksForEachAnnouncedInstance"},
+	},
+	{
+		name:   "claims skip the late rerun",
+		file:   "internal/scenario/claims.go",
+		old:    "var lateHorizons = []int{4, 16}",
+		new:    "var lateHorizons = []int{}",
+		guards: []string{"./cmd/goalsweep:TestClaimsGoldens/default"},
+	},
 }
 
 func TestMutantLedger(t *testing.T) {
@@ -139,10 +193,11 @@ func TestMutantLedger(t *testing.T) {
 			}
 
 			var pkgs, tests []string
-			guards := map[string]bool{} // "import/path Test"
+			guards := map[string]bool{} // "import/path Test[/subtest]"
 			for _, g := range m.guards {
 				pkg, test, _ := strings.Cut(g, ":")
-				pkgs, tests = append(pkgs, pkg), append(tests, test)
+				top, _, _ := strings.Cut(test, "/")
+				pkgs, tests = append(pkgs, pkg), append(tests, top)
 				guards["repro"+strings.TrimPrefix(pkg, ".")+" "+test] = true
 			}
 			goTest := func(args ...string) ([]byte, error) {
