@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/commtest"
 	"repro/internal/dialect"
 	"repro/internal/fst"
 	"repro/internal/goal"
@@ -82,7 +83,11 @@ func stockSetups(t testing.TB) []goalSetup {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsmGoal, err := fsm.New(fsmSp, fsmIdx)
+	fsmSpace, err := fsm.ParseSpace("2x2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsmGoal, err := fsmSpace.Goal(fsmIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,6 +564,135 @@ func TestSweepAllocsPerRound(t *testing.T) {
 					name, perRound, budget)
 			}
 		})
+	}
+}
+
+// familyAllocBudgets pins the per-scenario cost of sweeping the family
+// spec, whose scenarios are nearly all generated fsm goals, at the
+// sample of 1,000 that TestReportGoldens pins (sample seed 1):
+//
+//   - bind: Matrix.At plus Registry.Bind, through one registry as a sweep
+//     binds. Measured 30.4: the class memo builds each dialect family and
+//     fsm space once per registry, where every scenario rebuilt them before
+//     (77).
+//   - sweep: a whole sweep at Parallel 1, trials, fold and scenario hash
+//     included. Measured 78.0, where it was 143 before the memo, before a
+//     dialected server allocated its translation table only for a second
+//     distinct message and before Scenario.Hash stopped building a string
+//     per coordinate.
+//
+// Budgets carry ~1.3x slack; rebuilding one dialect family per scenario
+// adds about 15.
+var familyAllocBudgets = map[string]float64{
+	"bind":  40,
+	"sweep": 100,
+}
+
+// TestFamilyAllocsPerScenario gates allocation growth in binding and
+// sweeping the scenario-heavy family spec.
+func TestFamilyAllocsPerScenario(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are not meaningful under -race (the race runtime allocates)")
+	}
+	if testing.Short() {
+		t.Skip("allocation pins are not meaningful under -short")
+	}
+	spec, err := scenario.BuiltinSpec("family")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := scenario.NewMatrix(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := m.Sample(1000, 1)
+	for name, run := range map[string]func(){
+		"bind": func() {
+			reg := scenario.Builtin()
+			for _, i := range idx {
+				if _, err := reg.Bind(m.At(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
+		"sweep": func() {
+			if _, err := m.Sweep(idx, scenario.SweepConfig{Parallel: 1}); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run() // warm caches and pools outside the measurement
+			perScenario := testing.AllocsPerRun(3, run) / float64(len(idx))
+			t.Logf("family %s: %.1f allocs per scenario", name, perScenario)
+			if budget := familyAllocBudgets[name]; perScenario > budget {
+				t.Errorf("family %s allocates %.1f times per scenario, budget %.0f", name, perScenario, budget)
+			}
+		})
+	}
+}
+
+// pingDialect codes the one message "ping" as "gnip" and back, and
+// allocates nothing, so a run's allocations are the wrapper's own.
+type pingDialect struct{}
+
+func (pingDialect) ID() int                            { return 1 }
+func (pingDialect) Name() string                       { return "ping" }
+func (pingDialect) Encode(m comm.Message) comm.Message { return swapPing(m) }
+func (pingDialect) Decode(m comm.Message) comm.Message { return swapPing(m) }
+
+func swapPing(m comm.Message) comm.Message {
+	switch m {
+	case "ping":
+		return "gnip"
+	case "gnip":
+		return "ping"
+	}
+	return m
+}
+
+// TestDialectedOneCommandAllocatesNoTable pins a dialected server whose
+// user repeats one command, so that each direction translates one
+// message: both translations stay in the single-entry memos, and no
+// translation table is allocated. A fresh server then costs a 1,000-round
+// run one allocation more than the bare server it wraps (the wrapper);
+// the two tables it used to allocate cost at least two more.
+func TestDialectedOneCommandAllocatesNoTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins are not meaningful under -race (the race runtime allocates)")
+	}
+	if testing.Short() {
+		t.Skip("allocation pins are not meaningful under -short")
+	}
+	const rounds = 1000
+	outs := make([]comm.Outbox, rounds)
+	for i := range outs {
+		outs[i].ToServer = "gnip"
+	}
+	user, world, inner := &commtest.Script{Outs: outs}, &commtest.CountingWorld{}, &commtest.Echo{}
+	cfg := system.Config{MaxRounds: rounds, Seed: 1, Record: system.RecordOff}
+	measure := func(name string, srv func() comm.Strategy) float64 {
+		run := func() {
+			res, err := system.Run(user, srv(), world, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The user's 1,000 commands and the server's replies, which
+			// reach the user two rounds after each command.
+			if res.Messages != 2*rounds-2 {
+				t.Fatalf("%s: %d messages, want %d", name, res.Messages, 2*rounds-2)
+			}
+			system.ReleaseResult(res)
+		}
+		run()
+		allocs := testing.AllocsPerRun(5, run)
+		t.Logf("%s server: %.1f allocs per %d-round run", name, allocs, rounds)
+		return allocs
+	}
+	bare := measure("bare", func() comm.Strategy { return inner })
+	dialected := measure("dialected", func() comm.Strategy { return server.Dialected(inner, pingDialect{}) })
+	if extra := dialected - bare; extra > 1 {
+		t.Errorf("a fresh dialected server adds %.1f allocations to a run that translates one message each way, want 1 (the wrapper)", extra)
 	}
 }
 

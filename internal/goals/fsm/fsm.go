@@ -27,7 +27,6 @@ import (
 	"repro/internal/enumerate"
 	"repro/internal/fst"
 	"repro/internal/goal"
-	"repro/internal/msgbuf"
 	"repro/internal/sensing"
 	"repro/internal/xrand"
 )
@@ -48,37 +47,65 @@ const DefaultPatience = 12
 // dialects untouched.
 func Vocabulary() []string { return []string{"press", "PRESSED"} }
 
+// Space is the protocol of one machine space: its dimensions, its "NxAxB"
+// name and the messages every machine of the space shares. It never
+// changes once built, so one Space serves every goal of its space, on any
+// goroutine.
+type Space struct {
+	dims fst.Space
+	name string
+
+	runMsg  []comm.Message // world→user "RUN q<q>"
+	pressed []comm.Message // server→user "PRESSED <k>"
+	sym     []comm.Message // server→world "sym <k>"
+}
+
 // ParseSpace parses the "NxAxB" spelling of an fst.Space (states x inputs
-// x outputs), e.g. "2x3x2".
-func ParseSpace(s string) (fst.Space, error) {
+// x outputs), e.g. "2x3x2", and builds its protocol.
+func ParseSpace(s string) (*Space, error) {
 	parts := strings.Split(s, "x")
 	if len(parts) != 3 {
-		return fst.Space{}, fmt.Errorf("fsm: bad space %q: want NxAxB (e.g. 2x3x2)", s)
+		return nil, fmt.Errorf("fsm: bad space %q: want NxAxB (e.g. 2x3x2)", s)
 	}
 	dims := make([]int, 3)
 	for i, p := range parts {
 		v, err := strconv.Atoi(p)
 		if err != nil || v < 1 {
-			return fst.Space{}, fmt.Errorf("fsm: bad space %q: dimension %q is not a positive integer", s, p)
+			return nil, fmt.Errorf("fsm: bad space %q: dimension %q is not a positive integer", s, p)
 		}
 		dims[i] = v
 	}
-	return fst.Space{NumStates: dims[0], NumIn: dims[1], NumOut: dims[2]}, nil
+	return newSpace(fst.Space{NumStates: dims[0], NumIn: dims[1], NumOut: dims[2]}), nil
 }
 
-// FormatSpace renders a space in the "NxAxB" spelling ParseSpace reads.
-func FormatSpace(s fst.Space) string {
-	return fmt.Sprintf("%dx%dx%d", s.NumStates, s.NumIn, s.NumOut)
+// newSpace materializes a valid space's name and messages once, so the
+// round loop of every machine of the space only hands out shared strings.
+func newSpace(dims fst.Space) *Space {
+	sp := &Space{
+		dims: dims,
+		name: strconv.Itoa(dims.NumStates) + "x" + strconv.Itoa(dims.NumIn) + "x" + strconv.Itoa(dims.NumOut),
+	}
+	sp.runMsg = make([]comm.Message, dims.NumStates)
+	for q := range sp.runMsg {
+		sp.runMsg[q] = comm.Message("RUN q" + strconv.Itoa(q))
+	}
+	sp.pressed = make([]comm.Message, dims.NumIn)
+	sp.sym = make([]comm.Message, dims.NumIn)
+	for k := range sp.pressed {
+		sp.pressed[k] = comm.Message("PRESSED " + strconv.Itoa(k))
+		sp.sym[k] = comm.Message("sym " + strconv.Itoa(k))
+	}
+	return sp
 }
 
 // Goal is the compact panel goal for one machine of one space: a prefix is
 // acceptable iff the machine has emitted the target symbol. All machine
 // analysis (shortest-path policy, feasibility, forgiveness) happens once
 // at construction; worlds, servers and candidates share the precomputed
-// tables read-only, keeping the per-round path allocation-free.
+// tables and the space's messages read-only, keeping the per-round path
+// allocation-free.
 type Goal struct {
-	space  fst.Space
-	index  uint64
+	sp     *Space
 	target int
 	m      *fst.Machine
 
@@ -90,11 +117,8 @@ type Goal struct {
 	feasible  bool
 	forgiving bool
 
-	// Precomputed protocol messages, indexed by state/input/doneness.
-	runMsg  []comm.Message    // world→user "RUN q<q>"
-	snapMsg []comm.WorldState // snapshot per state<<1|done
-	pressed []comm.Message    // server→user "PRESSED <k>"
-	sym     []comm.Message    // server→world "sym <k>"
+	instance string            // "fsm/NxAxB#<index>"
+	snapMsg  []comm.WorldState // snapshot per state<<1|done
 }
 
 var (
@@ -102,24 +126,29 @@ var (
 	_ goal.Forgiving   = (*Goal)(nil)
 )
 
-// New builds the goal for machine `index` of `space`. The index must lie
-// below the space's size — wrapping it silently would let two different
-// axis values name the same referee and corrupt content-derived scenario
-// identity.
-func New(space fst.Space, index uint64) (*Goal, error) {
-	if !space.Valid() {
-		return nil, fmt.Errorf("fsm: invalid space %s", FormatSpace(space))
+// Goal builds the goal for machine `index` of the space. The index must
+// lie below the space's size — wrapping it silently would let two
+// different axis values name the same referee and corrupt content-derived
+// scenario identity.
+func (sp *Space) Goal(index uint64) (*Goal, error) {
+	if size := sp.dims.Size(); index >= size {
+		return nil, fmt.Errorf("fsm: machine index %d outside space %s of size %d", index, sp.name, size)
 	}
-	if size := space.Size(); index >= size {
-		return nil, fmt.Errorf("fsm: machine index %d outside space %s of size %d", index, FormatSpace(space), size)
-	}
-	m, err := space.Machine(index)
+	m, err := sp.dims.Machine(index)
 	if err != nil {
 		return nil, err
 	}
-	g := &Goal{space: space, index: index, target: space.NumOut - 1, m: m}
+	g := &Goal{sp: sp, target: sp.dims.NumOut - 1, m: m}
 	g.analyze()
-	g.precompute()
+	// Instance and snapshots share one per-machine prefix.
+	id := sp.name + "#" + strconv.FormatUint(index, 10)
+	g.instance = "fsm/" + id
+	g.snapMsg = make([]comm.WorldState, 2*sp.dims.NumStates)
+	for q := 0; q < sp.dims.NumStates; q++ {
+		qs := strconv.Itoa(q)
+		g.snapMsg[q<<1] = comm.WorldState("fsm=" + id + ";q=" + qs + ";done=0")
+		g.snapMsg[q<<1|1] = comm.WorldState("fsm=" + id + ";q=" + qs + ";done=1")
+	}
 	return g, nil
 }
 
@@ -129,7 +158,7 @@ func New(space fst.Space, index uint64) (*Goal, error) {
 // state and forgiveness (target reachable from every state reachable from
 // the initial one).
 func (g *Goal) analyze() {
-	n, a := g.space.NumStates, g.space.NumIn
+	n, a := g.sp.dims.NumStates, g.sp.dims.NumIn
 	const inf = 1 << 30
 	dist := make([]int, n)
 	g.policy = make([]int, n)
@@ -180,33 +209,12 @@ func (g *Goal) analyze() {
 	}
 }
 
-// precompute materializes every protocol message once, so the round loop
-// only ever hands out shared strings.
-func (g *Goal) precompute() {
-	n, a := g.space.NumStates, g.space.NumIn
-	g.runMsg = make([]comm.Message, n)
-	g.snapMsg = make([]comm.WorldState, 2*n)
-	for q := 0; q < n; q++ {
-		g.runMsg[q] = comm.Message("RUN q" + strconv.Itoa(q))
-		g.snapMsg[q<<1] = comm.WorldState(fmt.Sprintf("fsm=%s#%d;q=%d;done=0", FormatSpace(g.space), g.index, q))
-		g.snapMsg[q<<1|1] = comm.WorldState(fmt.Sprintf("fsm=%s#%d;q=%d;done=1", FormatSpace(g.space), g.index, q))
-	}
-	g.pressed = make([]comm.Message, a)
-	g.sym = make([]comm.Message, a)
-	for k := 0; k < a; k++ {
-		g.pressed[k] = comm.Message("PRESSED " + strconv.Itoa(k))
-		g.sym[k] = comm.Message("sym " + strconv.Itoa(k))
-	}
-}
-
 // Name implements goal.Goal. The name is the family name; a scenario's
 // space/machine axes carry the instance identity.
 func (*Goal) Name() string { return "fsm" }
 
 // Instance identifies the specific machine, e.g. "fsm/2x3x2#1729".
-func (g *Goal) Instance() string {
-	return fmt.Sprintf("fsm/%s#%d", FormatSpace(g.space), g.index)
-}
+func (g *Goal) Instance() string { return g.instance }
 
 // Feasible reports whether the target is emittable from the initial
 // state — whether any strategy can achieve the goal at all.
@@ -261,8 +269,8 @@ func (w *World) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(w, i
 // StepTo implements comm.StepperTo.
 func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if rest, ok := strings.CutPrefix(string(in.FromServer), "sym "); ok {
-		if k, err := strconv.Atoi(rest); err == nil && k >= 0 && k < w.g.space.NumIn {
-			cell := w.state*w.g.space.NumIn + k
+		if k, err := strconv.Atoi(rest); err == nil && k >= 0 && k < w.g.sp.dims.NumIn {
+			cell := w.state*w.g.sp.dims.NumIn + k
 			if w.g.m.Out[cell] == w.g.target {
 				w.done = true
 			}
@@ -272,7 +280,7 @@ func (w *World) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if w.done {
 		out.ToUser = "DONE"
 	} else {
-		out.ToUser = w.g.runMsg[w.state]
+		out.ToUser = w.g.sp.runMsg[w.state]
 	}
 	return nil
 }
@@ -290,7 +298,7 @@ func (w *World) Snapshot() comm.WorldState { return w.g.snapMsg[w.snapIdx()] }
 
 // Server is the honest native-protocol panel operator: on "press <k>" it
 // acknowledges the user and forwards the symbol to the panel. All replies
-// are the goal's precomputed strings.
+// are its space's precomputed strings.
 type Server struct {
 	G *Goal
 }
@@ -310,10 +318,10 @@ func (s *Server) StepTo(in comm.Inbox, out *comm.Outbox) error {
 		return nil
 	}
 	k, err := strconv.Atoi(rest)
-	if err != nil || k < 0 || k >= s.G.space.NumIn {
+	if err != nil || k < 0 || k >= s.G.sp.dims.NumIn {
 		return nil
 	}
-	out.ToUser, out.ToWorld = s.G.pressed[k], s.G.sym[k]
+	out.ToUser, out.ToWorld = s.G.sp.pressed[k], s.G.sp.sym[k]
 	return nil
 }
 
@@ -330,10 +338,11 @@ type Candidate struct {
 	state   int
 	done    bool
 
-	// cmd memoizes the encoded "press <k>" per input. Without it, a
-	// 1000-round run allocates 9 times instead of 3, over the steady-state
-	// budget of 4 that TestSteadyStateAllocBudgets holds fsm to.
-	cmd msgbuf.Table[int, comm.Message]
+	// cmd[k] memoizes the encoded "press <k>", one slot per input of the
+	// space, allocated at the first press. Without it, a 1000-round run
+	// allocates 9 times instead of 3, over the steady-state budget of 4
+	// that TestSteadyStateAllocBudgets holds fsm to.
+	cmd []comm.Message
 }
 
 var _ comm.StepperTo = (*Candidate)(nil)
@@ -352,7 +361,7 @@ func (c *Candidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
 		c.done = true
 	default:
 		if rest, ok := strings.CutPrefix(string(in.FromWorld), "RUN q"); ok {
-			if q, err := strconv.Atoi(rest); err == nil && q >= 0 && q < c.G.space.NumStates {
+			if q, err := strconv.Atoi(rest); err == nil && q >= 0 && q < c.G.sp.dims.NumStates {
 				c.state = q
 			}
 		}
@@ -364,10 +373,13 @@ func (c *Candidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
 	if k < 0 {
 		return nil
 	}
-	msg, ok := c.cmd.Get(k)
-	if !ok {
+	if c.cmd == nil {
+		c.cmd = make([]comm.Message, c.G.sp.dims.NumIn)
+	}
+	msg := c.cmd[k]
+	if msg == "" {
 		msg = c.D.Encode(comm.Message("press " + strconv.Itoa(k)))
-		c.cmd.Put(k, msg)
+		c.cmd[k] = msg
 	}
 	out.ToServer = msg
 	return nil

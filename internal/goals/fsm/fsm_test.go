@@ -21,11 +21,22 @@ func TestParseSpaceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp != (fst.Space{NumStates: 2, NumIn: 3, NumOut: 2}) {
-		t.Fatalf("parsed %+v", sp)
+	if sp.dims != (fst.Space{NumStates: 2, NumIn: 3, NumOut: 2}) {
+		t.Fatalf("parsed %+v", sp.dims)
 	}
-	if got := FormatSpace(sp); got != "2x3x2" {
-		t.Fatalf("round trip = %q", got)
+	if sp.name != "2x3x2" {
+		t.Fatalf("round trip = %q", sp.name)
+	}
+	// The space's messages are the protocol's, one per state and input.
+	if got := []comm.Message{sp.runMsg[1], sp.pressed[2], sp.sym[2]}; got[0] != "RUN q1" || got[1] != "PRESSED 2" || got[2] != "sym 2" {
+		t.Fatalf("space messages %q", got)
+	}
+	if len(sp.runMsg) != 2 || len(sp.pressed) != 3 || len(sp.sym) != 3 {
+		t.Fatalf("space holds %d state and %d, %d input messages", len(sp.runMsg), len(sp.pressed), len(sp.sym))
+	}
+	// A canonical spelling names the same space.
+	if sp, err := ParseSpace("02x3x02"); err != nil || sp.name != "2x3x2" {
+		t.Fatalf("ParseSpace(02x3x02) = %v, %v", sp, err)
 	}
 	for _, bad := range []string{"", "2x3", "2x3x2x2", "0x1x1", "ax1x1", "2x-1x2"} {
 		if _, err := ParseSpace(bad); err == nil {
@@ -34,16 +45,29 @@ func TestParseSpaceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewRejectsBadParams(t *testing.T) {
+func TestSpaceGoalRejectsBadIndex(t *testing.T) {
 	t.Parallel()
 
-	sp := fst.Space{NumStates: 2, NumIn: 2, NumOut: 2}
-	if _, err := New(sp, sp.Size()); err == nil {
+	sp, err := ParseSpace("2x2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Goal(sp.dims.Size()); err == nil {
 		t.Fatal("index == Size accepted")
 	}
-	if _, err := New(fst.Space{}, 0); err == nil {
-		t.Fatal("invalid space accepted")
+	if _, err := sp.Goal(sp.dims.Size() - 1); err != nil {
+		t.Fatalf("last index rejected: %v", err)
 	}
+}
+
+// newGoal builds machine idx of the space with the given dimensions.
+func newGoal(t *testing.T, dims fst.Space, idx uint64) *Goal {
+	t.Helper()
+	g, err := newSpace(dims).Goal(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // winnable returns the index (in 2x2x2) of a machine where pressing 1
@@ -69,10 +93,7 @@ func TestAnalysisComputesPolicyAndFlags(t *testing.T) {
 	t.Parallel()
 
 	sp, idx := winnable(t)
-	g, err := New(sp, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGoal(t, sp, idx)
 	if !g.Feasible() || !g.ForgivingGoal() {
 		t.Fatalf("winnable machine analyzed as feasible=%v forgiving=%v", g.Feasible(), g.ForgivingGoal())
 	}
@@ -86,10 +107,7 @@ func TestAnalysisComputesPolicyAndFlags(t *testing.T) {
 	// Machine 0 of any space maps every cell to (state 0, output 0):
 	// the target output 1 is never emitted — the canonical infeasible
 	// machine.
-	g0, err := New(sp, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g0 := newGoal(t, sp, 0)
 	if g0.Feasible() || g0.ForgivingGoal() {
 		t.Fatal("all-zero machine analyzed as feasible")
 	}
@@ -107,10 +125,7 @@ func TestCandidatePressesPolicyKeyPerState(t *testing.T) {
 	t.Parallel()
 
 	sp, idx := winnable(t)
-	g, err := New(sp, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGoal(t, sp, idx)
 	if g.policy[0] == g.policy[1] {
 		t.Fatalf("policy %v needs one key, not two", g.policy)
 	}
@@ -121,7 +136,7 @@ func TestCandidatePressesPolicyKeyPerState(t *testing.T) {
 		for _, states := range [][]int{{0, 1, 0}, {1, 0, 1}} {
 			c.Reset(xrand.New(1))
 			for _, q := range states {
-				out, err := c.Step(comm.Inbox{FromWorld: g.runMsg[q]})
+				out, err := c.Step(comm.Inbox{FromWorld: g.sp.runMsg[q]})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -144,10 +159,7 @@ func TestWorldRunsMachineAndLatchesDone(t *testing.T) {
 	t.Parallel()
 
 	sp, idx := winnable(t)
-	g, err := New(sp, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGoal(t, sp, idx)
 	w := g.NewWorld(goal.Env{}).(*World)
 	w.Reset(xrand.New(1))
 
@@ -210,10 +222,7 @@ func TestServerPanelProtocol(t *testing.T) {
 	t.Parallel()
 
 	sp, idx := winnable(t)
-	g, err := New(sp, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGoal(t, sp, idx)
 	s := &Server{G: g}
 	s.Reset(xrand.New(1))
 	tests := []struct {
@@ -256,10 +265,7 @@ func TestUniversalDrivesFeasibleMachines(t *testing.T) {
 	fam := family(t, 4)
 	tried, achieved := 0, 0
 	for idx := uint64(0); idx < 40 && tried < 6; idx++ {
-		g, err := New(sp, idx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := newGoal(t, sp, idx)
 		if !g.Feasible() || !g.ForgivingGoal() {
 			continue
 		}
@@ -291,10 +297,7 @@ func TestInfeasibleMachinePinnedFailing(t *testing.T) {
 	t.Parallel()
 
 	sp := fst.Space{NumStates: 2, NumIn: 2, NumOut: 2}
-	g, err := New(sp, 0) // all-zero machine: target unreachable
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGoal(t, sp, 0) // all-zero machine: target unreachable
 	fam := family(t, 4)
 	u, err := universal.NewCompactUser(g.Enum(fam), Sense(0))
 	if err != nil {

@@ -24,6 +24,7 @@ func TestTableRender(t *testing.T) {
 	}
 	tbl.AddRow("alpha", "1")
 	tbl.AddRow("b", "23456")
+	tbl.AddRow("gamma", "") // an empty last cell
 
 	var b strings.Builder
 	if err := tbl.Render(&b); err != nil {
@@ -33,6 +34,17 @@ func TestTableRender(t *testing.T) {
 	for _, want := range []string{"T0: demo", "name", "alpha", "23456", "note: just a test"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+	// Columns align, and no line ends in a space.
+	for _, want := range []string{"name   value\n", "alpha  1\n", "b      23456\n", "gamma\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing line %q:\n%s", want, out)
+		}
+	}
+	for i, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, " ") {
+			t.Errorf("line %d ends in a space: %q", i+1, line)
 		}
 	}
 }

@@ -54,13 +54,21 @@ func (t *Table) Render(w io.Writer) error {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s: %s ==\n", t.ID, t.Title)
+	// A row is padded up to its last non-empty cell, which ends the line:
+	// no line ends in spaces.
 	writeRow := func(cells []string) {
-		for i, cell := range cells {
+		last := len(cells) - 1
+		for last >= 0 && cells[last] == "" {
+			last--
+		}
+		for i, cell := range cells[:last+1] {
 			if i > 0 {
 				b.WriteString("  ")
 			}
 			b.WriteString(cell)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+			if i < last {
+				b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+			}
 		}
 		b.WriteByte('\n')
 	}

@@ -85,6 +85,9 @@ func (m *Memo1[K, V]) Get(k K) (V, bool) {
 	return zero, false
 }
 
+// Full reports whether the memo holds an entry.
+func (m *Memo1[K, V]) Full() bool { return m.ok }
+
 // Put stores v as the value for k, displacing any previous entry.
 func (m *Memo1[K, V]) Put(k K, v V) {
 	m.key, m.val, m.ok = k, v, true

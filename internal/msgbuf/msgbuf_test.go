@@ -4,10 +4,13 @@ import "testing"
 
 func TestMemo1(t *testing.T) {
 	var m Memo1[string, int]
-	if _, ok := m.Get("a"); ok {
-		t.Fatal("empty memo returned a hit")
+	if _, ok := m.Get("a"); ok || m.Full() {
+		t.Fatal("empty memo returned a hit or reports an entry")
 	}
 	m.Put("a", 1)
+	if !m.Full() {
+		t.Fatal("memo reports no entry after Put")
+	}
 	if v, ok := m.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = %d,%v after Put", v, ok)
 	}
@@ -19,8 +22,8 @@ func TestMemo1(t *testing.T) {
 		t.Fatalf("Get(b) = %d,%v", v, ok)
 	}
 	m.Reset()
-	if _, ok := m.Get("b"); ok {
-		t.Fatal("reset memo returned a hit")
+	if _, ok := m.Get("b"); ok || m.Full() {
+		t.Fatal("reset memo returned a hit or reports an entry")
 	}
 }
 

@@ -11,7 +11,9 @@
 // does not depend on axis order or position in the enumeration.
 //
 // A Registry maps a scenario's axis values to concrete parties (the
-// built-in registry covers the stock goals and server transforms), and
+// built-in registry covers the stock goals and server transforms, and
+// builds each server class once: every scenario it binds shares the
+// class's dialect family and fsm space), and
 // Matrix.Sweep streams scenarios through the batch execution engine with
 // online per-scenario aggregation — success rate, rounds-to-success
 // distribution, message overhead — so sweeps never hold per-trial results.

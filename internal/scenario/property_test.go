@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 // idSet expands a spec fully and returns every scenario ID.
@@ -116,6 +120,95 @@ func TestHashEncodingIsInjective(t *testing.T) {
 	ne := &Scenario{Values: []AxisValue{{Name: "a=b", Value: "x"}}}
 	if eq.Hash() == ne.Hash() {
 		t.Fatal("'=' in a value collides with '=' in a name")
+	}
+}
+
+// hashReference is the content hash as first written: one
+// "len(name):name=len(value):value" string per coordinate, sorted, each
+// folded with a trailing newline. Hash must agree with it bit for bit,
+// since every scenario ID, trial seed, cache key and golden derives from
+// the hash.
+func hashReference(values []AxisValue) uint64 {
+	keys := make([]string, len(values))
+	for i, av := range values {
+		keys[i] = fmt.Sprintf("%d:%s=%d:%s", len(av.Name), av.Name, len(av.Value), av.Value)
+	}
+	sort.Strings(keys)
+	h := uint64(offset64)
+	for _, k := range keys {
+		h = fnv1aLine(h, k)
+	}
+	return h
+}
+
+// TestHashMatchesReference holds Hash to hashReference on
+// TestHashEncodingIsInjective's separator cases, on the coordinates of
+// every builtin family-sample scenario kind and on random scenarios:
+// names and values built from separators and digits, of lengths on both
+// sides of each extra decimal digit of the length prefix ("1:" sorts after
+// "10:"), with repeated coordinates and more axes than Hash sorts on the
+// stack. A hash of up to 16 axes allocates nothing.
+func TestHashMatchesReference(t *testing.T) {
+	t.Parallel()
+
+	check := func(values []AxisValue) {
+		t.Helper()
+		sc := &Scenario{Values: values}
+		if got, want := sc.Hash(), hashReference(values); got != want {
+			t.Fatalf("Hash %016x, reference %016x, for %q", got, want, values)
+		}
+	}
+	check(nil)
+	check([]AxisValue{{Name: "a", Value: "x\n1:b=1:y"}})
+	check([]AxisValue{{Name: "a", Value: "x"}, {Name: "b", Value: "y"}})
+	check([]AxisValue{{Name: "a", Value: "x=b"}})
+	check([]AxisValue{{Name: "a=b", Value: "x"}})
+
+	r := xrand.New(5)
+	alphabet := []byte("ab:=\n019")
+	str := func() string {
+		n := r.Intn(4)
+		switch r.Intn(4) {
+		case 0:
+			n = 8 + r.Intn(4) // around the 9/10 boundary
+		case 1:
+			n = 98 + r.Intn(4) // around the 99/100 boundary
+		}
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for k := 0; k < 2000; k++ {
+		values := make([]AxisValue, r.Intn(24))
+		for i := range values {
+			if i > 0 && r.Intn(5) == 0 {
+				values[i] = values[r.Intn(i)] // a repeated coordinate
+				continue
+			}
+			values[i] = AxisValue{Name: str(), Value: str()}
+		}
+		check(values)
+	}
+
+	spec, err := BuiltinSpec("family")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMatrix(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range m.Sample(200, 1) {
+		check(m.At(i).Values)
+	}
+	sc := m.At(0)
+	if allocs := testing.AllocsPerRun(10, func() {
+		sc.hashOK = false
+		sc.Hash()
+	}); allocs != 0 {
+		t.Fatalf("hashing a %d-axis scenario allocates %.1f times", len(sc.Values), allocs)
 	}
 }
 

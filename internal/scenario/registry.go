@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/dialect"
@@ -102,8 +103,10 @@ type Parts struct {
 
 // Builder resolves the goal-specific parts of a scenario. A sweep binds
 // the next chunk's scenarios while the trials of earlier ones run, so a
-// builder must share no unsynchronized state with the parts it built
-// before.
+// builder must share no unsynchronized mutable state with the parts it
+// built before. It may share immutable data with them — a class's dialect
+// family, say — provided whatever it keeps to find that data again is
+// guarded, as Builtin's class memo is by its mutex.
 type Builder func(ax Axes) (*Parts, error)
 
 // Binding is a scenario resolved into executable parties plus the
@@ -156,8 +159,17 @@ const builtinVersion = "builtin/1"
 // treasure, transfer and control over their standard dialect classes and
 // stock sensing — plus the generated fsm goal family (one goal per
 // machine of a declared fst space, selected by the space/machine axes).
+//
+// The registry binds each class once: its builders share one classMemo,
+// so every scenario of a (goal, class) pair gets the same dialect family
+// and every fsm machine of a space the same space protocol, for as long
+// as the registry lives — one sweep, one claims run, one worker shard.
 func Builtin() *Registry {
 	r := NewRegistry()
+	memo := &classMemo{
+		families: make(map[string]map[int]*dialect.Family),
+		spaces:   make(map[string]*fsm.Space),
+	}
 	// The stock goals predate the generated-family axes; a spec that sets
 	// them on a stock goal is a mistake, not a default.
 	fsmAxes := func(name string, ax Axes) error {
@@ -170,7 +182,9 @@ func Builtin() *Registry {
 		if err := fsmAxes("printing", ax); err != nil {
 			return nil, err
 		}
-		fam, err := dialect.NewWordFamily(printing.Vocabulary(), ax.Class)
+		fam, err := memo.family("printing", ax.Class, func(n int) (*dialect.Family, error) {
+			return dialect.NewWordFamily(printing.Vocabulary(), n)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +216,9 @@ func Builtin() *Registry {
 		if err := fsmAxes("transfer", ax); err != nil {
 			return nil, err
 		}
-		fam, err := dialect.NewWordFamily(transfer.Vocabulary(), ax.Class)
+		fam, err := memo.family("transfer", ax.Class, func(n int) (*dialect.Family, error) {
+			return dialect.NewWordFamily(transfer.Vocabulary(), n)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +232,7 @@ func Builtin() *Registry {
 		if err := fsmAxes("control", ax); err != nil {
 			return nil, err
 		}
-		fam, err := control.NewUnitsFamily(ax.Class)
+		fam, err := memo.family("control", ax.Class, control.NewUnitsFamily)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +250,7 @@ func Builtin() *Registry {
 		if spaceStr == "" {
 			spaceStr = "2x2x2"
 		}
-		sp, err := fsm.ParseSpace(spaceStr)
+		sp, err := memo.space(spaceStr)
 		if err != nil {
 			return nil, err
 		}
@@ -245,11 +261,13 @@ func Builtin() *Registry {
 				return nil, fmt.Errorf("machine %q is not an unsigned integer", ax.Machine)
 			}
 		}
-		g, err := fsm.New(sp, idx)
+		g, err := sp.Goal(idx)
 		if err != nil {
 			return nil, err
 		}
-		fam, err := dialect.NewWordFamily(fsm.Vocabulary(), ax.Class)
+		fam, err := memo.family("fsm", ax.Class, func(n int) (*dialect.Family, error) {
+			return dialect.NewWordFamily(fsm.Vocabulary(), n)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -264,6 +282,56 @@ func Builtin() *Registry {
 	// aggregates that depend on generated-goal bindings.
 	r.version = builtinVersion + "+" + fsm.FamilyVersion
 	return r
+}
+
+// classMemo is the class data one Builtin registry has built: the dialect
+// family of each (goal, class) pair and the protocol of each fsm space,
+// keyed by its axis value. What it holds is never written again, so the
+// scenarios bound from it and all their trials share it; the mutex guards
+// the maps alone, because a sweep binds on its own goroutine while claims
+// and explain bind on the caller's. It grows with the distinct pairs and
+// spaces the registry's scenarios name, and goes with the registry.
+type classMemo struct {
+	mu       sync.Mutex
+	families map[string]map[int]*dialect.Family // by goal, then class
+	spaces   map[string]*fsm.Space
+}
+
+// family returns the goal's dialect family of the given class size,
+// building it with build on first use.
+func (c *classMemo) family(goal string, class int, build func(n int) (*dialect.Family, error)) (*dialect.Family, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	byClass := c.families[goal]
+	fam, ok := byClass[class]
+	if !ok {
+		var err error
+		if fam, err = build(class); err != nil {
+			return nil, err
+		}
+		if byClass == nil {
+			byClass = make(map[int]*dialect.Family)
+			c.families[goal] = byClass
+		}
+		byClass[class] = fam
+	}
+	return fam, nil
+}
+
+// space returns the fsm space the axis value spells, parsing it on first
+// use.
+func (c *classMemo) space(spelling string) (*fsm.Space, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sp, ok := c.spaces[spelling]
+	if !ok {
+		var err error
+		if sp, err = fsm.ParseSpace(spelling); err != nil {
+			return nil, err
+		}
+		c.spaces[spelling] = sp
+	}
+	return sp, nil
 }
 
 // dialectClass completes a dialect goal's parts with its class: member i

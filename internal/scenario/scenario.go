@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // AxisValue is one resolved (axis, value) coordinate of a scenario.
@@ -106,32 +108,64 @@ func fnv1aLine(h uint64, s string) uint64 {
 // or extend value lists. The length prefixes make the encoding injective:
 // names or values containing the separator characters cannot collide with
 // a different coordinate assignment.
-// The hash is memoized: the per-trial seed derivation calls Hash once
-// per trial, so only the first call pays for encoding and sorting.
+//
+// Each coordinate is encoded as "len(name):name=len(value):value" and the
+// encodings are folded, each with a trailing newline, in byte order. The
+// encodings are never built: Hash sorts the coordinates' indices with
+// compareCoords and folds each one's pieces, so its only allocation is the
+// index slice of a scenario with more than 16 axes. The hash is memoized:
+// the per-trial seed derivation calls Hash once per trial.
 func (sc *Scenario) Hash() uint64 {
 	if sc.hashOK {
 		return sc.hash
 	}
-	keys := make([]string, len(sc.Values))
-	var b []byte
-	for i, av := range sc.Values {
-		// "%d:%s=%d:%s" with the coordinate's lengths and strings.
-		b = strconv.AppendInt(b[:0], int64(len(av.Name)), 10)
-		b = append(b, ':')
-		b = append(b, av.Name...)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, int64(len(av.Value)), 10)
-		b = append(b, ':')
-		b = append(b, av.Value...)
-		keys[i] = string(b)
+	var stack [16]int
+	order := stack[:0]
+	if len(sc.Values) > len(stack) {
+		order = make([]int, 0, len(sc.Values))
 	}
-	sort.Strings(keys)
+	for i := range sc.Values {
+		order = append(order, i)
+	}
+	slices.SortFunc(order, func(i, j int) int { return compareCoords(&sc.Values[i], &sc.Values[j]) })
+	var digits [20]byte
 	h := uint64(offset64)
-	for _, k := range keys {
-		h = fnv1aLine(h, k)
+	for _, i := range order {
+		av := &sc.Values[i]
+		h = fnv1a(h, string(strconv.AppendInt(digits[:0], int64(len(av.Name)), 10)))
+		h = fnv1a(fnv1a(fnv1a(h, ":"), av.Name), "=")
+		h = fnv1a(h, string(strconv.AppendInt(digits[:0], int64(len(av.Value)), 10)))
+		h = fnv1aLine(fnv1a(h, ":"), av.Value)
 	}
 	sc.hash, sc.hashOK = h, true
 	return h
+}
+
+// compareCoords orders two coordinates as the byte order of their
+// encodings "len(name):name=len(value):value". Piece by piece that is the
+// length prefixes with their colons, then names of one length, then the
+// same for the values: a prefix such as "1:" sorts after "10:" because
+// ':' follows the digits.
+func compareCoords(a, b *AxisValue) int {
+	if c := compareLenPrefixes(len(a.Name), len(b.Name)); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	if c := compareLenPrefixes(len(a.Value), len(b.Value)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Value, b.Value)
+}
+
+// compareLenPrefixes compares the encodings' "<decimal length>:" pieces.
+func compareLenPrefixes(x, y int) int {
+	if x == y {
+		return 0
+	}
+	var bx, by [21]byte
+	return bytes.Compare(append(strconv.AppendInt(bx[:0], int64(x), 10), ':'), append(strconv.AppendInt(by[:0], int64(y), 10), ':'))
 }
 
 // ID is the scenario's stable content-derived identifier: the goal axis

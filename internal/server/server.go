@@ -63,10 +63,12 @@ type dialected struct {
 	// steady-state loop repeats (one equality compare, no map hash),
 	// backed by a capped table for the rest of the cycle. Silence never
 	// reaches either, so the L1 holds the command across the quiet
-	// rounds between retries. A universal user over a class of N
-	// dialects sends N distinct encodings; past the table's cap (N >
-	// 128, as in T1's N = 256 class) the rest are translated directly —
-	// correct, just unmemoized.
+	// rounds between retries. The table takes a translation only once
+	// the L1 has held a different message, so a direction that only
+	// ever sees one message allocates no map. A universal user over a
+	// class of N dialects sends N distinct encodings; past the table's
+	// cap (N > 128, as in T1's N = 256 class) the rest are translated
+	// directly — correct, just unmemoized.
 	dec1, enc1 msgbuf.Memo1[comm.Message, comm.Message]
 	dec, enc   msgbuf.Table[comm.Message, comm.Message]
 }
@@ -76,7 +78,9 @@ var _ comm.StepperTo = (*dialected)(nil)
 func (s *dialected) Reset(r *xrand.Rand) { s.inner.Reset(r) }
 
 // translate returns f(m), memoized in m1 (fast path) and t. Silence is
-// returned as is: every dialect maps it to itself.
+// returned as is: every dialect maps it to itself. The first message m1
+// holds is kept there alone; t starts with the second distinct one (the
+// first is translated again if it comes back).
 func translate(m1 *msgbuf.Memo1[comm.Message, comm.Message], t *msgbuf.Table[comm.Message, comm.Message], f func(comm.Message) comm.Message, m comm.Message) comm.Message {
 	if m.Empty() {
 		return m
@@ -87,7 +91,9 @@ func translate(m1 *msgbuf.Memo1[comm.Message, comm.Message], t *msgbuf.Table[com
 	v, ok := t.Get(m)
 	if !ok {
 		v = f(m)
-		t.Put(m, v)
+		if m1.Full() {
+			t.Put(m, v)
+		}
 	}
 	m1.Put(m, v)
 	return v

@@ -72,11 +72,55 @@ var mutants = []struct {
 	{
 		name: "fsm's Candidate.cmd ignores its key",
 		file: "internal/goals/fsm/fsm.go",
-		old: "msg, ok := c.cmd.Get(k)\n\tif !ok {\n" +
-			"\t\tmsg = c.D.Encode(comm.Message(\"press \" + strconv.Itoa(k)))\n\t\tc.cmd.Put(k, msg)",
-		new: "msg, ok := c.cmd.Get(0)\n\tif !ok {\n" +
-			"\t\tmsg = c.D.Encode(comm.Message(\"press \" + strconv.Itoa(k)))\n\t\tc.cmd.Put(0, msg)",
+		old: "msg := c.cmd[k]\n\tif msg == \"\" {\n" +
+			"\t\tmsg = c.D.Encode(comm.Message(\"press \" + strconv.Itoa(k)))\n\t\tc.cmd[k] = msg",
+		new: "msg := c.cmd[0]\n\tif msg == \"\" {\n" +
+			"\t\tmsg = c.D.Encode(comm.Message(\"press \" + strconv.Itoa(k)))\n\t\tc.cmd[0] = msg",
 		guards: []string{"./internal/goals/fsm:TestCandidatePressesPolicyKeyPerState", "./cmd/goalsweep:TestReportGoldens"},
+	},
+	{
+		// Get and Put keys both: a Get-only mutant just disables the
+		// memo, which is equivalent.
+		name: "the class memo ignores the class",
+		file: "internal/scenario/registry.go",
+		old: "fam, ok := byClass[class]\n\tif !ok {\n\t\tvar err error\n" +
+			"\t\tif fam, err = build(class); err != nil {\n\t\t\treturn nil, err\n\t\t}\n" +
+			"\t\tif byClass == nil {\n\t\t\tbyClass = make(map[int]*dialect.Family)\n\t\t\tc.families[goal] = byClass\n\t\t}\n" +
+			"\t\tbyClass[class] = fam",
+		new: "fam, ok := byClass[0]\n\tif !ok {\n\t\tvar err error\n" +
+			"\t\tif fam, err = build(class); err != nil {\n\t\t\treturn nil, err\n\t\t}\n" +
+			"\t\tif byClass == nil {\n\t\t\tbyClass = make(map[int]*dialect.Family)\n\t\t\tc.families[goal] = byClass\n\t\t}\n" +
+			"\t\tbyClass[0] = fam",
+		guards: []string{"./cmd/goalsweep:TestReportGoldens/default", "./internal/scenario:TestSharedRegistryBindsAsFreshOnes"},
+	},
+	{
+		name: "the class memo ignores the goal",
+		file: "internal/scenario/registry.go",
+		old: "byClass := c.families[goal]\n\tfam, ok := byClass[class]\n\tif !ok {\n\t\tvar err error\n" +
+			"\t\tif fam, err = build(class); err != nil {\n\t\t\treturn nil, err\n\t\t}\n" +
+			"\t\tif byClass == nil {\n\t\t\tbyClass = make(map[int]*dialect.Family)\n\t\t\tc.families[goal] = byClass",
+		new: "byClass := c.families[\"\"]\n\tfam, ok := byClass[class]\n\tif !ok {\n\t\tvar err error\n" +
+			"\t\tif fam, err = build(class); err != nil {\n\t\t\treturn nil, err\n\t\t}\n" +
+			"\t\tif byClass == nil {\n\t\t\tbyClass = make(map[int]*dialect.Family)\n\t\t\tc.families[\"\"] = byClass",
+		guards: []string{"./cmd/goalsweep:TestReportGoldens/default", "./internal/scenario:TestSharedRegistryBindsAsFreshOnes"},
+	},
+	{
+		name: "the fsm space memo ignores the space",
+		file: "internal/scenario/registry.go",
+		old: "sp, ok := c.spaces[spelling]\n\tif !ok {\n\t\tvar err error\n" +
+			"\t\tif sp, err = fsm.ParseSpace(spelling); err != nil {\n\t\t\treturn nil, err\n\t\t}\n" +
+			"\t\tc.spaces[spelling] = sp",
+		new: "sp, ok := c.spaces[\"\"]\n\tif !ok {\n\t\tvar err error\n" +
+			"\t\tif sp, err = fsm.ParseSpace(spelling); err != nil {\n\t\t\treturn nil, err\n\t\t}\n" +
+			"\t\tc.spaces[\"\"] = sp",
+		guards: []string{"./internal/scenario:TestSharedRegistryBindsAsFreshOnes"},
+	},
+	{
+		name:   "system.Run leaves one outbox field uncleared",
+		file:   "internal/system/system.go",
+		old:    "o.ToUser, o.ToServer, o.ToWorld = \"\", \"\", \"\"",
+		new:    "o.ToUser, o.ToServer = \"\", \"\"",
+		guards: []string{"./cmd/goalsweep:TestReportGoldens"},
 	},
 	{
 		name:   "the reach gate's read rule off",
