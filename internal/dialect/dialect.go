@@ -116,17 +116,41 @@ var _ Dialect = (*wordMap)(nil)
 func (d *wordMap) ID() int      { return d.id }
 func (d *wordMap) Name() string { return fmt.Sprintf("words#%d", d.id) }
 
+// mapTokens replaces every space-separated token of m that table maps,
+// empty tokens included. It returns m itself when no token changes, and
+// otherwise writes the translation into one strings.Builder, copying the
+// unchanged runs between replaced tokens whole.
 func mapTokens(m comm.Message, table map[string]string) comm.Message {
 	if m.Empty() {
 		return m
 	}
-	tokens := strings.Split(string(m), " ")
-	for i, tok := range tokens {
-		if repl, ok := table[tok]; ok {
-			tokens[i] = repl
+	s := string(m)
+	var b strings.Builder
+	changed := false
+	done := 0 // s[:done] has been written to b
+	for start := 0; start <= len(s); {
+		end := strings.IndexByte(s[start:], ' ')
+		if end < 0 {
+			end = len(s)
+		} else {
+			end += start
 		}
+		if repl, ok := table[s[start:end]]; ok && repl != s[start:end] {
+			if !changed {
+				b.Grow(len(s) + len(repl))
+				changed = true
+			}
+			b.WriteString(s[done:start])
+			b.WriteString(repl)
+			done = end
+		}
+		start = end + 1
 	}
-	return comm.Message(strings.Join(tokens, " "))
+	if !changed {
+		return m
+	}
+	b.WriteString(s[done:])
+	return comm.Message(b.String())
 }
 
 func (d *wordMap) Encode(m comm.Message) comm.Message { return mapTokens(m, d.swap) }

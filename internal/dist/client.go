@@ -115,7 +115,8 @@ func (cl *Client) callCtx(ctx context.Context) (context.Context, context.CancelF
 }
 
 // do issues one request and decodes the JSON response into out (skipped
-// when out is nil). Non-2xx responses become *RefusedError carrying the
+// when out is nil), or, when out is a *[]byte, reads the response into it
+// whole. Non-2xx responses become *RefusedError carrying the
 // coordinator's message; transport failures and short reads come back as
 // *TransportError.
 func (cl *Client) do(ctx context.Context, method, path string, body io.Reader, out any) error {
@@ -137,6 +138,12 @@ func (cl *Client) do(ctx context.Context, method, path string, body io.Reader, o
 		return httpError(method+" "+path, resp)
 	}
 	if out == nil {
+		return nil
+	}
+	if raw, ok := out.(*[]byte); ok {
+		if *raw, err = io.ReadAll(resp.Body); err != nil {
+			return &TransportError{Err: fmt.Errorf("dist: decode %s response: %w", path, err)}
+		}
 		return nil
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
@@ -169,7 +176,9 @@ func (cl *Client) CreateSweep(ctx context.Context, req SweepRequest) (*SweepResp
 // returned: an answer whose plan bytes equal the ones known was decoded
 // from carries known itself, and only a plan with other bytes is decoded.
 // Every lease of a job carries the same plan, which for a large space is
-// tens of kilobytes.
+// tens of kilobytes, so Lease reads the answer whole and matches the
+// known plan without scanning it (see cutPlan); any other answer is
+// decoded whole.
 func (cl *Client) Lease(ctx context.Context, job string, req LeaseRequest, known *Plan) (*LeaseResponse, error) {
 	req.Protocol = ProtocolVersion
 	body, err := json.Marshal(req)
@@ -180,30 +189,175 @@ func (cl *Client) Lease(ctx context.Context, job string, req LeaseRequest, known
 	if job != "" {
 		path = "/v1/sweeps/" + job + "/leases"
 	}
-	var wire struct {
-		LeaseResponse
-		Plan json.RawMessage `json:"plan,omitempty"` // shadows LeaseResponse.Plan
-	}
-	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(body), &wire); err != nil {
+	var answer []byte
+	if err := cl.do(ctx, http.MethodPost, path, bytes.NewReader(body), &answer); err != nil {
 		return nil, err
 	}
-	lease := &wire.LeaseResponse
+	lease, err := decodeLease(answer, known)
+	if err != nil {
+		// A response that stops mid-JSON is a cut or truncated wire, not
+		// a coordinator verdict: classify it retryable.
+		return nil, &TransportError{Err: fmt.Errorf("dist: decode %s response: %w", path, err)}
+	}
 	if lease.Protocol != ProtocolVersion {
 		return nil, fmt.Errorf("dist: coordinator speaks protocol %d, want %d", lease.Protocol, ProtocolVersion)
 	}
+	return lease, nil
+}
+
+// leaseWire is a lease answer with its plan left as bytes. It names an
+// unnamed struct type, which decode errors spell out.
+type leaseWire = struct {
+	LeaseResponse
+	Plan json.RawMessage `json:"plan,omitempty"` // shadows LeaseResponse.Plan
+}
+
+// decodeLease decodes a lease answer as json.Decoder reads its first
+// value. When the answer's plan member holds known's bytes, the answer is
+// decoded with that member cut out and carries known; otherwise it is
+// decoded whole, and its plan only when the bytes are not known's.
+func decodeLease(answer []byte, known *Plan) (*LeaseResponse, error) {
+	if known != nil {
+		if rest, ok := cutPlan(answer, known.wire); ok {
+			var w leaseWire
+			if json.NewDecoder(bytes.NewReader(rest)).Decode(&w) == nil && w.Plan == nil {
+				w.LeaseResponse.Plan = known
+				return &w.LeaseResponse, nil
+			}
+		}
+	}
+	var w leaseWire
+	if err := json.NewDecoder(bytes.NewReader(answer)).Decode(&w); err != nil {
+		return nil, err
+	}
+	lease := &w.LeaseResponse
 	switch {
-	case wire.Plan == nil:
-	case known != nil && bytes.Equal(wire.Plan, known.wire):
+	case w.Plan == nil:
+	case known != nil && bytes.Equal(w.Plan, known.wire):
 		lease.Plan = known
 	default:
-		if err := json.Unmarshal(wire.Plan, &lease.Plan); err != nil {
-			return nil, &TransportError{Err: fmt.Errorf("dist: decode %s response: %w", path, err)}
+		if err := json.Unmarshal(w.Plan, &lease.Plan); err != nil {
+			return nil, err
 		}
 		if lease.Plan != nil {
-			lease.Plan.wire = wire.Plan
+			lease.Plan.wire = w.Plan
 		}
 	}
 	return lease, nil
+}
+
+// cutPlan finds the plan member of the JSON object body and, when its
+// value begins with plan — one whole object, so the value is plan —
+// returns body without that member and one comma next to it. It walks
+// the object's members, skipping strings and nesting without decoding
+// them, and reports false when body's first value is not a whole object
+// with exactly one such member, or when another key is one encoding/json
+// could match to the plan field (it folds case and unquotes escapes).
+// Decoded, the rest gives every field but the plan as body does whenever
+// the rest decodes at all: it is then a valid object with the member cut
+// at a member boundary.
+func cutPlan(body, plan []byte) ([]byte, bool) {
+	if len(plan) == 0 {
+		return nil, false
+	}
+	i := skipSpace(body, 0)
+	if i == len(body) || body[i] != '{' {
+		return nil, false
+	}
+	depth := 0
+	key := false       // the next string is a member key
+	comma := -1        // the last comma between the object's members
+	from, to := -1, -1 // the plan member's bytes, with one comma
+	for i < len(body) {
+		switch c := body[i]; c {
+		case '"':
+			end := stringEnd(body, i)
+			if end < 0 {
+				return nil, false
+			}
+			if depth == 1 && key {
+				switch name := body[i+1 : end-1]; {
+				case string(name) == "plan":
+					if from >= 0 {
+						return nil, false
+					}
+					v := skipSpace(body, end)
+					if v == len(body) || body[v] != ':' {
+						return nil, false
+					}
+					v = skipSpace(body, v+1)
+					if !bytes.HasPrefix(body[v:], plan) {
+						return nil, false
+					}
+					end = v + len(plan)
+					from, to = comma, end
+					if comma < 0 {
+						// The first member takes the comma after it.
+						from = i
+						if n := skipSpace(body, end); n < len(body) && body[n] == ',' {
+							to = n + 1
+						}
+					}
+				case bytes.IndexByte(name, '\\') >= 0 || bytes.EqualFold(name, []byte("plan")):
+					return nil, false
+				}
+			}
+			key = false
+			i = end
+		case '{', '[':
+			depth++
+			key = c == '{'
+			i++
+		case '}', ']':
+			depth--
+			key = false
+			i++
+			if depth == 0 {
+				if from < 0 {
+					return nil, false
+				}
+				rest := make([]byte, 0, len(body)-(to-from))
+				return append(append(rest, body[:from]...), body[to:]...), true
+			}
+		case ',':
+			if depth == 1 {
+				comma = i
+			}
+			key = true
+			i++
+		default:
+			i++
+		}
+	}
+	return nil, false
+}
+
+// stringEnd returns the index just past the JSON string that starts at
+// body[i], or -1 when it does not end.
+func stringEnd(body []byte, i int) int {
+	for j := i + 1; j < len(body); j++ {
+		switch body[j] {
+		case '\\':
+			j++
+		case '"':
+			return j + 1
+		}
+	}
+	return -1
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(body []byte, i int) int {
+	for i < len(body) {
+		switch body[i] {
+		case ' ', '\t', '\n', '\r':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
 }
 
 // Renew extends one lease (POST /v1/leases/{lease}/renew).

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"sync"
@@ -497,7 +499,34 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, herr.msg, herr.code)
 		return
 	}
-	writeJSON(w, resp)
+	writeLease(w, resp)
+}
+
+// writeLease writes a lease answer, byte for byte what writeJSON writes,
+// but a grant's plan is copied from the bytes its job encoded once
+// (Plan.wire) instead of being encoded again.
+func writeLease(w http.ResponseWriter, resp LeaseResponse) {
+	if resp.Plan == nil || resp.Plan.wire == nil {
+		writeJSON(w, resp)
+		return
+	}
+	plan := resp.Plan.wire
+	resp.Plan = nil
+	head, _ := json.Marshal(resp) // strings and integers always encode
+	// The plan member comes last but for ttlMs, which is omitted when
+	// zero. A string json.Marshal writes escapes every quote in it, so
+	// the last `,"ttlMs":` is the member.
+	at := len(head) - 1
+	if resp.TTLMs != 0 {
+		at = bytes.LastIndex(head, []byte(`,"ttlMs":`))
+	}
+	body := make([]byte, 0, len(head)+len(`,"plan":`)+len(plan)+1)
+	body = append(body, head[:at]...)
+	body = append(body, `,"plan":`...)
+	body = append(body, plan...)
+	body = append(body, head[at:]...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(body, '\n'))
 }
 
 // leaseLocked is the lease state transition; it returns the response to
@@ -702,9 +731,21 @@ func (c *Coordinator) renewLocked(leaseID string) (RenewResponse, *httpErr) {
 // is still open — sweeps are deterministic, so a straggler's envelope is
 // byte-identical to the re-leased worker's — and submissions for an
 // already-completed shard are acknowledged idempotently and discarded.
+//
+// The body is read once, by ShardReader.Decode. A compact upload, as
+// workers send it, is read in one pass and is then json.Marshal of its
+// envelope without a spec, so its own bytes are what the job records;
+// any other body is decoded strictly, whose errors it answers with, and
+// encoded again without its spec.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	var sr scenario.ShardResult
-	if err := scenario.DecodeStrict(r.Body, &sr); err != nil {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		c.rejectSubmit("decode", err.Error())
+		http.Error(w, fmt.Sprintf("dist: decode shard result: %v", err), http.StatusUnprocessableEntity)
+		return
+	}
+	sr, compact, err := new(scenario.ShardReader).Decode(body)
+	if err != nil {
 		c.rejectSubmit("decode", err.Error())
 		http.Error(w, fmt.Sprintf("dist: decode shard result: %v", err), http.StatusUnprocessableEntity)
 		return
@@ -715,7 +756,11 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			http.StatusUnprocessableEntity)
 		return
 	}
-	ack, herr := c.submitLocked(r.PathValue("lease"), &sr)
+	bare := body
+	if !compact {
+		bare, _ = json.Marshal(sr) // a decoded envelope always encodes
+	}
+	ack, herr := c.submitLocked(r.PathValue("lease"), sr, bare)
 	if herr != nil {
 		http.Error(w, herr.msg, herr.code)
 		return
@@ -732,7 +777,9 @@ func (c *Coordinator) rejectSubmit(reason, detail string) {
 		obs.String("detail", detail))
 }
 
-func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (SubmitResponse, *httpErr) {
+// submitLocked checks and records one upload under a lease; bare is
+// json.Marshal of the upload, which carries no spec.
+func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult, bare []byte) (SubmitResponse, *httpErr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	li, ok := c.leases[leaseID]
@@ -777,11 +824,7 @@ func (c *Coordinator) submitLocked(leaseID string, sr *scenario.ShardResult) (Su
 			obs.String("job", j.id))
 		return SubmitResponse{Accepted: true, Done: j.complete()}, nil
 	}
-	data, err := j.record(sr)
-	if err != nil {
-		c.rejectSubmit("decode", err.Error())
-		return SubmitResponse{}, &httpErr{http.StatusUnprocessableEntity, err.Error()}
-	}
+	data := j.record(sr, bare)
 	if wi := c.workers[li.worker]; wi != nil {
 		wi.submitted++
 	}

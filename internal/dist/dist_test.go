@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -514,13 +515,15 @@ func TestSubmitValidation(t *testing.T) {
 
 // TestStoredEnvelopesCarryPlanSpec: every envelope the coordinator keeps
 // names the spec its job was planned with, whatever an upload or a state
-// file claims, and is encoded once. A forged spec is refused, and the
-// persisted shard-N.json, the SSE shard frames (published live and
-// replayed) and JobMerged's summary all carry the plan's spec: each
-// file's bytes are its frames' data, the compact encoding of the envelope
-// a full upload of the same shard would have made. A coordinator
-// restarted over the state dir replays the same bytes, also after a
-// state file's spec was edited.
+// file claims. A forged spec is refused, and the persisted shard-N.json,
+// the SSE shard frames (published live and replayed) and JobMerged's
+// summary all carry the plan's spec: each file's bytes are its frames'
+// data, json.Marshal of the envelope with the plan's spec. Shard 1 is
+// uploaded compact, as workers send it, which the coordinator reads in
+// one pass and records as its own bytes with the spec spliced in; shard
+// 2 is uploaded indented, which it decodes strictly and encodes again. A
+// coordinator restarted over the state dir replays the same bytes, also
+// after a state file's spec was edited.
 func TestStoredEnvelopesCarryPlanSpec(t *testing.T) {
 	t.Parallel()
 
@@ -557,7 +560,13 @@ func TestStoredEnvelopesCarryPlanSpec(t *testing.T) {
 			body := *sr
 			body.Spec = up.spec
 			var buf bytes.Buffer
-			if err := body.Write(&buf); err != nil {
+			if idx == 1 {
+				compact, err := json.Marshal(&body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf.Write(compact)
+			} else if err := body.Write(&buf); err != nil {
 				t.Fatal(err)
 			}
 			resp, err := client.Post("http://coordinator/v1/leases/"+lease.LeaseID+"/result", "application/json", &buf)
@@ -661,6 +670,76 @@ func TestStoredEnvelopesCarryPlanSpec(t *testing.T) {
 	}
 	if got, err := os.ReadFile(shardPath(1)); err != nil || !bytes.Equal(got, intact) {
 		t.Fatalf("the edited state file was not rewritten (%v):\n%.300s", err, got)
+	}
+}
+
+// TestLeaseAnswersMatchEncoder: every lease answer the coordinator writes
+// — two grants, wait, a speculative grant, done and idle — is byte for
+// byte what json.NewEncoder(w).Encode writes for the response it decodes
+// to, though a grant's plan is copied from the bytes its job encoded
+// once. It holds with a lease TTL of whole milliseconds and with one that
+// rounds to 0 ms, whose ttlMs member is omitted, and with a spec name
+// holding characters the encoder escapes.
+func TestLeaseAnswersMatchEncoder(t *testing.T) {
+	t.Parallel()
+
+	spec := quickSpec(t)
+	spec.Name = "quick <&> \u00e9"
+	plan, err := NewPlan(spec, scenario.Builtin().Version(), scenario.SweepConfig{}, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ttl := range []time.Duration{time.Minute, time.Microsecond} {
+		clock := newFakeClock()
+		coord := newBatch(t, plan, CoordinatorConfig{LeaseTTL: ttl, Now: clock.Now, SpeculateAfter: time.Nanosecond})
+		client := LoopbackClient(coord)
+		lease := func(path, worker, status string) *LeaseResponse {
+			t.Helper()
+			req, err := json.Marshal(LeaseRequest{Protocol: ProtocolVersion, Worker: worker})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Post("http://coordinator"+path, "application/json", bytes.NewReader(req))
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lr LeaseResponse
+			if err := json.Unmarshal(answer, &lr); err != nil {
+				t.Fatalf("ttl %v: %s answer %q: %v", ttl, status, answer, err)
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(lr); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(answer, want.Bytes()) {
+				t.Errorf("ttl %v: %s answer is\n%.300s\nthe encoder writes\n%.300s", ttl, status, answer, want.Bytes())
+			}
+			if lr.Status != status || (status == StatusLease && (lr.Plan == nil || lr.TTLMs != ttl.Milliseconds())) {
+				t.Fatalf("ttl %v: answer %+v, want status %s", ttl, lr, status)
+			}
+			return &lr
+		}
+		w := &Worker{Coordinator: "http://coordinator", Client: client}
+		grants := []*LeaseResponse{lease("/v1/leases", "a", StatusLease), lease("/v1/leases", "a", StatusLease)}
+		lease("/v1/leases", "a", StatusWait)
+		clock.Advance(10 * time.Nanosecond)
+		lease("/v1/leases", "b", StatusLease)
+		for _, g := range grants {
+			sr, err := w.runShard(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := loopbackAPI(coord).SubmitResult(context.Background(), g.LeaseID, sr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lease("/v1/sweeps/"+JobID(plan)+"/leases", "a", StatusDone)
+		lease("/v1/leases", "a", StatusIdle)
 	}
 }
 

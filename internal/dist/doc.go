@@ -42,13 +42,22 @@
 // re-lease is accepted idempotently rather than rejected: every writer
 // of a shard writes the same bytes.
 //
+// A job encodes its plan and its spec once, before it is published.
+// Every lease answer is written around the plan's bytes, byte for byte
+// what json.NewEncoder(w).Encode writes for it, and no envelope is
+// encoded with its spec: an upload is read once, in one pass when it is
+// the compact form json.Marshal gives it (ShardReader.Decode; workers'
+// uploads are) and strictly otherwise, and the envelope the job
+// keeps is the upload's own bytes — or, for a strictly read upload, its
+// json.Marshal — with the job's spec bytes in place of its null spec.
+//
 // Jobs are resumable. With a state directory configured the coordinator
-// persists each job's plan and every accepted envelope, the latter as the
-// compact JSON it encodes once per envelope and also streams as the
-// shard's SSE frame data; a restart rescans the directory, revalidates
-// each envelope exactly as a live submit would (ShardReader framing plus
-// fingerprint and shard coordinates, then the plan's spec attached), and
-// re-queues only the missing shards — completed work is never
+// persists each job's plan and every accepted envelope, the latter as
+// those compact bytes, which are also the shard's SSE frame data; a
+// restart rescans the directory, revalidates each envelope exactly as a
+// live submit would (ShardReader framing plus fingerprint and shard
+// coordinates, then the plan's spec attached, spliced in the same way),
+// and re-queues only the missing shards — completed work is never
 // re-executed.
 //
 // A Worker pulls a lease (job-agnostic by default, pinnable to one job),
@@ -61,7 +70,10 @@
 // the last plan it verified, with its matrix and scenario selection, and
 // while the next lease carries the same plan bytes it neither decodes
 // the plan again nor rebuilds them, so the fingerprint check holds for
-// every lease and only different bytes pay for it again. The
+// every lease and only different bytes pay for it again. Client.Lease
+// finds those bytes without scanning them: it walks the answer's
+// top-level members to the plan and compares the known plan's bytes
+// there, and any other answer takes the full decode. The
 // coordinator attaches its own plan's spec to every upload, so persisted
 // envelopes, SSE frames and merge inputs stay complete. When every shard
 // has been submitted the job's envelopes reassemble with MergeShards

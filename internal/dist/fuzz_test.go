@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -97,8 +100,9 @@ func validLeaseRequest(body []byte) bool {
 // the plan's spec is attached. It is a target of its own because every
 // input needs a live lease on a planned job. The seeds derive from a
 // real worker's upload, so they keep their roles when the registry
-// version moves: the upload itself, the same carrying a spec, cut in
-// half, and under a foreign fingerprint.
+// version moves: the upload itself, compact as workers send it and
+// indented, the same carrying a spec, cut in half, and under a foreign
+// fingerprint.
 func FuzzResultUpload(f *testing.F) {
 	spec, err := scenario.BuiltinSpec("quick")
 	if err != nil {
@@ -127,6 +131,11 @@ func FuzzResultUpload(f *testing.F) {
 	}
 	valid := upload(func(*scenario.ShardResult) {})
 	f.Add(valid)
+	compact, err := json.Marshal(sr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compact)
 	f.Add(upload(func(sr *scenario.ShardResult) { sr.Spec = spec }))
 	f.Add(valid[:len(valid)/2])
 	f.Add(upload(func(sr *scenario.ShardResult) { sr.Fingerprint = "0123456789abcdef" }))
@@ -214,7 +223,8 @@ func readEvents(stream []byte) ([]SweepEvent, error) {
 // Separately, the replay handleEvents writes for a finished job — n shard
 // envelopes carrying arbitrary strings, recorded as the accept path
 // records them, then the complete frame — must parse back frame for
-// frame, each shard frame's data being the encoding the recording made.
+// frame, each shard frame's data being the encoding the recording made,
+// which must be json.Marshal of the envelope with the job's spec.
 func FuzzSSEEvents(f *testing.F) {
 	f.Add([]byte("event: shard\nid: 1\ndata: {}\n\nevent: complete\nid: job\ndata: {}\n\n"), "quick", "00112233aabbccdd", uint8(1))
 	f.Add([]byte("data: x\n\n\n\nevent: complete\n"), "", "", uint8(0))
@@ -240,10 +250,19 @@ func FuzzSSEEvents(f *testing.F) {
 		var want []SweepEvent
 		for idx := 1; idx <= n; idx++ {
 			sr := &scenario.ShardResult{Version: scenario.ShardFormatVersion, Fingerprint: fingerprint,
-				Spec: spec, Shard: scenario.Shard{Index: idx, Count: n}}
-			data, err := j.record(sr)
+				Shard: scenario.Shard{Index: idx, Count: n}}
+			bare, err := json.Marshal(sr)
 			if err != nil {
 				t.Fatal(err)
+			}
+			sr.Spec = spec
+			full, err := json.Marshal(sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := j.record(sr, bare)
+			if !bytes.Equal(data, full) {
+				t.Fatalf("shard %d recorded as %q, want its encoding with the spec %q", idx, data, full)
 			}
 			want = append(want, SweepEvent{Type: EventShard, ID: strconv.Itoa(idx), Data: data})
 		}
@@ -318,6 +337,113 @@ func FuzzStateDirPlan(f *testing.F) {
 		if !os.IsNotExist(planErr) || corruptErr != nil || !bytes.Equal(corrupt, data) || healed != 1 || len(jobs) != 0 {
 			t.Fatalf("unusable plan %q not quarantined: plan file %v, quarantine %v, healed %d, jobs %+v",
 				data, planErr, corruptErr, healed, jobs)
+		}
+	})
+}
+
+// leaseReference is the decode Client.Lease must agree with: the whole
+// answer decoded as one value, its plan left as bytes, then the plan
+// decoded unless its bytes are known's.
+func leaseReference(body []byte, known *Plan) (*LeaseResponse, error) {
+	const path = "/v1/leases"
+	var wire struct {
+		LeaseResponse
+		Plan json.RawMessage `json:"plan,omitempty"` // shadows LeaseResponse.Plan
+	}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&wire); err != nil {
+		return nil, &TransportError{Err: fmt.Errorf("dist: decode %s response: %w", path, err)}
+	}
+	lease := &wire.LeaseResponse
+	if lease.Protocol != ProtocolVersion {
+		return nil, fmt.Errorf("dist: coordinator speaks protocol %d, want %d", lease.Protocol, ProtocolVersion)
+	}
+	switch {
+	case wire.Plan == nil:
+	case known != nil && bytes.Equal(wire.Plan, known.wire):
+		lease.Plan = known
+	default:
+		if err := json.Unmarshal(wire.Plan, &lease.Plan); err != nil {
+			return nil, &TransportError{Err: fmt.Errorf("dist: decode %s response: %w", path, err)}
+		}
+		if lease.Plan != nil {
+			lease.Plan.wire = wire.Plan
+		}
+	}
+	return lease, nil
+}
+
+// FuzzLeaseAnswer holds Client.Lease to the full decode it replaces. For
+// any answer body, with the plan of a coordinator's grant as the known
+// plan, Lease must return an equal LeaseResponse (the plan pointer
+// aside) and the same error as leaseReference. The seeds are the
+// coordinator's grant and variants of it: its plan with one byte
+// changed, the plan member nested in an unknown field, two plan members,
+// the plan's bytes inside a string, the plan member first, a key
+// encoding/json matches to the plan field in another spelling, and the
+// grant cut short.
+func FuzzLeaseAnswer(f *testing.F) {
+	spec, err := scenario.BuiltinSpec("quick")
+	if err != nil {
+		f.Fatal(err)
+	}
+	plan, err := NewPlan(spec, scenario.Builtin().Version(), scenario.SweepConfig{}, 2, 0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc, err := NewService(CoordinatorConfig{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	svc.mu.Lock()
+	_, _, err = svc.submitPlanLocked(plan)
+	svc.mu.Unlock()
+	if err != nil {
+		f.Fatal(err)
+	}
+	resp, err := LoopbackClient(svc).Post("http://coordinator/v1/leases", "application/json",
+		strings.NewReader(`{"protocol":2,"worker":"w"}`))
+	if err != nil {
+		f.Fatal(err)
+	}
+	grant, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	first, err := leaseReference(grant, nil)
+	if err != nil || first.Plan == nil {
+		f.Fatalf("the coordinator's grant %q decodes to (%+v, %v)", grant, first, err)
+	}
+	known := first.Plan
+	wire := known.wire
+	at := bytes.Index(grant, append([]byte(`,"plan":`), wire...))
+	if at < 0 {
+		f.Fatalf("the grant %q holds no plan member", grant)
+	}
+	head, tail := grant[:at], grant[at+len(`,"plan":`)+len(wire):]
+	join := func(parts ...string) []byte { return []byte(strings.Join(parts, "")) }
+	quoted, err := json.Marshal(string(wire))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(grant)
+	f.Add(bytes.Replace(grant, []byte(`"shards":2,`), []byte(`"shards":3,`), 1))
+	f.Add(join(string(head), `,"extra":{"plan":`, string(wire), `}`, string(tail)))
+	f.Add(join(`{"extra":{"plan":`, string(wire), `},`, string(grant[1:at]), string(tail)))
+	f.Add(join(string(head), `,"plan":`, string(wire), `,"plan":`, string(wire), string(tail)))
+	f.Add(join(string(head), `,"plan":`, string(wire), `,"plan":null`, string(tail)))
+	f.Add(join(string(head), `,"note":`, string(quoted), string(tail)))
+	f.Add(join(`{"plan":`, string(wire), `,`, string(grant[1:at]), string(tail)))
+	f.Add(join(string(head), `,"Plan":`, string(wire), string(tail)))
+	f.Add(join(string(head), ` , "plan" : `, string(wire), ` `, string(tail)))
+	f.Add(grant[:len(grant)/2])
+	f.Add(grant[:at+len(`,"plan":`)+len(wire)])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cl := NewClient("http://coordinator", &http.Client{Transport: streamTransport(body)})
+		got, err := cl.Lease(context.Background(), "", LeaseRequest{Worker: "w"}, known)
+		want, werr := leaseReference(body, known)
+		if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lease read %q as (%+v, %v), the full decode as (%+v, %v)", body, got, err, want, werr)
 		}
 	})
 }

@@ -40,10 +40,13 @@ type shardState struct {
 
 // job is one queued sweep: a plan, its shard states, the collected
 // envelopes, and the per-job accounting that used to be the whole
-// coordinator. All fields are guarded by the owning Coordinator's mutex.
+// coordinator. All fields are guarded by the owning Coordinator's mutex,
+// except plan and spec: they are written before the job is published
+// under that mutex and only read after, so they may be read without it.
 type job struct {
 	id   string
-	plan Plan
+	plan Plan   // plan.wire is its encoding, written into every lease answer
+	spec []byte // json.Marshal of plan.Spec, spliced into every kept envelope
 
 	shards  []shardState                  // index i-1 holds shard i/n
 	results map[int]*scenario.ShardResult // 1-based shard index -> envelope
@@ -53,10 +56,16 @@ type job struct {
 	subs    []chan []byte                 // live SSE subscribers (see events.go)
 }
 
+// newJob builds the job for plan and encodes the plan and its spec, once
+// for the job's life. A plan holds strings and integers only, so both
+// always encode.
 func newJob(plan Plan) *job {
+	plan.wire, _ = json.Marshal(&plan)
+	spec, _ := json.Marshal(plan.Spec)
 	return &job{
 		id:      JobID(plan),
 		plan:    plan,
+		spec:    spec,
 		shards:  make([]shardState, plan.Shards),
 		results: make(map[int]*scenario.ShardResult),
 		frames:  make(map[int][]byte),
@@ -67,19 +76,18 @@ func newJob(plan Plan) *job {
 func (j *job) complete() bool { return len(j.results) == j.plan.Shards }
 
 // record marks one shard done with its envelope, which carries the plan's
-// spec, and encodes the envelope once. It returns that encoding, compact
-// JSON: the shard's state file, and the data of its live SSE frame and of
-// every replay. The decoded envelope stays for JobMerged.
-func (j *job) record(sr *scenario.ShardResult) ([]byte, error) {
-	data, err := json.Marshal(sr)
-	if err != nil {
-		return nil, err
-	}
+// spec. bare is json.Marshal of the same envelope with a nil Spec; the
+// job's spec bytes take the place of its null, so no envelope is encoded
+// with its spec. record returns the result, json.Marshal of the envelope
+// as kept: the shard's state file, and the data of its live SSE frame and
+// of every replay. The decoded envelope stays for JobMerged.
+func (j *job) record(sr *scenario.ShardResult, bare []byte) []byte {
+	data := scenario.SpliceSpec(bare, j.spec)
 	idx := sr.Shard.Index
 	j.results[idx] = sr
 	j.frames[idx] = sseFrame(EventShard, strconv.Itoa(idx), data)
 	j.shards[idx-1].done = true
-	return data, nil
+	return data
 }
 
 // stateFile names the persisted artifact paths under one job's state
@@ -145,8 +153,9 @@ func (c *Coordinator) persistShardLocked(j *job, idx int, data []byte) {
 // re-queues only the missing shards. Every envelope revalidates through
 // a ShardReader plus the fingerprint and shard-coordinate checks a live
 // submit would pass, and gets the plan's spec attached, as a live submit
-// does, whatever spec its file names; a file whose bytes are not that
-// envelope's encoding is rewritten. Anything corrupt, truncated or
+// does, whatever spec its file names: it is encoded without its spec and
+// recorded with the job's spec bytes. A file whose bytes are not that
+// encoding is rewritten. Anything corrupt, truncated or
 // foreign is healed — the bad file is removed, the shard re-queues, and
 // the re-executed envelope overwrites it — instead of being left to trip
 // every future restart.
@@ -174,13 +183,10 @@ func (c *Coordinator) resumeShardsLocked(j *job) {
 			c.healEnvelopeLocked(j, idx, path, "envelope does not match the job's plan")
 			continue
 		}
+		sr.Spec = nil
+		bare, _ := json.Marshal(sr) // a decoded envelope always encodes
 		sr.Spec = j.plan.Spec
-		data, err := j.record(sr)
-		if err != nil {
-			c.healEnvelopeLocked(j, idx, path, err.Error())
-			continue
-		}
-		if !bytes.Equal(data, file) {
+		if data := j.record(sr, bare); !bytes.Equal(data, file) {
 			c.persistShardLocked(j, idx, data)
 		}
 		j.resumed++

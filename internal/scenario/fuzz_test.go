@@ -124,13 +124,50 @@ func decodeEnvelope(data []byte) (*ShardResult, error) {
 	return &sr, nil
 }
 
+// frameSeed is a compact envelope in the form a coordinator's frame
+// takes: rows with and without errors, an empty and a missing axis list,
+// a missing row, and floats in both of appendFloat's notations.
+func frameSeed(f *testing.F) []byte {
+	f.Helper()
+	axes := []AxisValue{{Name: "goal", Value: "treasure"}, {Name: "class", Value: "8"}}
+	sr := &ShardResult{
+		Version:     ShardFormatVersion,
+		Fingerprint: "00112233aabbccdd",
+		Spec:        &Spec{Name: "seed", Axes: []Axis{{Name: "goal", Values: []string{"treasure"}}}, Seeds: 3},
+		Shard:       Shard{Index: 2, Count: 3},
+		Scenarios: []*Stats{
+			{ID: "treasure-0000000000000001", Axes: axes, Trials: 3, Successes: 2, SuccessRate: 2.0 / 3,
+				Rounds: Dist{Mean: 12.5, P50: 12, P99: 13, Max: 13, Stddev: 0.5}, MeanExecutedRounds: 40,
+				ExecutedRounds: 120, MsgsPerRound: 1e-7, MeanSwitches: 2.5e21},
+			{ID: "treasure-0000000000000002", Axes: axes, Trials: 3, Errors: 1, FirstError: "step: no reply",
+				Successes: 0, ExecutedRounds: -1, MsgsPerRound: -0.25},
+			{ID: "treasure-0000000000000003", Axes: []AxisValue{}, Trials: 1},
+			{ID: "treasure-0000000000000004"},
+			nil,
+		},
+		Summary: &Summary{Spec: "seed", Scenarios: 5, Trials: 10, Errors: 1, Successes: 2, SuccessRate: 0.2,
+			TotalRounds: 119},
+	}
+	data, err := json.Marshal(sr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
 // FuzzReadShardResult feeds arbitrary bytes through the shard-envelope
 // decoder: never panic, and anything accepted must be exactly one JSON
 // value, validate, survive a write/read round trip, and keep rejecting
 // unknown fields. A fresh ShardReader, and one warmed on a valid
 // envelope, indented or compact, must give every input the same envelope
 // or the same error as a one-pass decode, and the warm reader must read
-// its warm-up envelope the same after.
+// its warm-up envelope the same after. Any input the one-pass reader,
+// readCompact, accepts in any of those states must be json.Marshal of
+// the envelope it returned. The seeds probe its form: numbers that
+// decode to the same value but do not re-encode to their own bytes,
+// strings it must leave to the strict decoder, reordered keys,
+// whitespace, a repeated spec key, the warm-up spec with one byte
+// changed at equal length, and trailing bytes.
 func FuzzReadShardResult(f *testing.F) {
 	valid := shardSeed(f)
 	f.Add(valid)
@@ -148,22 +185,51 @@ func FuzzReadShardResult(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(compact)
+	f.Add(frameSeed(f))
 	// A repeated spec key merges both objects in one decode.
 	f.Add(bytes.Replace(compact, []byte(`,"shard":`), []byte(`,"spec":{"name":"merged"},"shard":`), 1))
 	f.Add(bytes.Replace(compact, []byte(`"spec":{"name":"seed","axes":[{"name":"goal","values":["treasure"]}]}`),
 		[]byte(`"spec":null`), 1))
+	for _, edit := range [][2]string{
+		{`"trials":1,"successes"`, `"trials":007,"successes"`},
+		{`"successes":0,"successRate"`, `"successes":-0,"successRate"`},
+		{`"successRate":0,"roundsToSuccess"`, `"successRate":+1,"roundsToSuccess"`},
+		{`"successRate":0,"roundsToSuccess"`, `"successRate":1.0,"roundsToSuccess"`},
+		{`"successRate":0,"roundsToSuccess"`, `"successRate":1e2,"roundsToSuccess"`},
+		{`"id":"treasure-`, `"id":"\u0041treasure-`},
+		{`"id":"treasure-`, `"id":"<treasure-`},
+		{`"id":"treasure-`, `"id":"étreasure-`},
+		{`{"version":1,"fingerprint":"00112233aabbccdd",`, `{"fingerprint":"00112233aabbccdd","version":1,`},
+		{`"version":1,`, `"version": 1,`},
+		{`"spec":{"name":"seed"`, `"spec":{"name":"seee"`},
+	} {
+		f.Add(bytes.Replace(compact, []byte(edit[0]), []byte(edit[1]), 1))
+	}
+	f.Add(append(bytes.Clone(compact), '\n'))
+	f.Add(append(bytes.Clone(compact), ` {}`...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sr, err := decodeEnvelope(data)
 		cold, cerr := new(ShardReader).Read(bytes.NewReader(data))
 		if fmt.Sprint(cerr) != fmt.Sprint(err) || !reflect.DeepEqual(cold, sr) {
 			t.Fatalf("a fresh reader read %q as (%+v, %v), a one-pass decode as (%+v, %v)", data, cold, cerr, sr, err)
 		}
+		onePass := func(rd ShardReader) {
+			got, ok := rd.readCompact(data)
+			if !ok {
+				return
+			}
+			if enc, err := json.Marshal(got); err != nil || !bytes.Equal(enc, data) {
+				t.Fatalf("the one-pass reader accepted %q, but its envelope encodes as %q (%v)", data, enc, err)
+			}
+		}
+		onePass(ShardReader{})
 		for _, warmup := range [][]byte{valid, compact} {
 			var rd ShardReader
 			want, werr := rd.Read(bytes.NewReader(warmup))
 			if werr != nil {
 				t.Fatal(werr)
 			}
+			onePass(rd)
 			got, gerr := rd.Read(bytes.NewReader(data))
 			if fmt.Sprint(gerr) != fmt.Sprint(err) || !reflect.DeepEqual(got, sr) {
 				t.Fatalf("a warm reader read %q as (%+v, %v), a one-pass decode as (%+v, %v)", data, got, gerr, sr, err)

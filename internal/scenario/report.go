@@ -153,13 +153,12 @@ func appendSummary(b []byte, sum *Summary) []byte {
 	return append(b, "\n  }"...)
 }
 
-// appendString appends s as a JSON string. Printable ASCII other than the
-// quote, the backslash and the HTML characters encoding/json escapes is
-// copied as is; any other string is json.Marshal's, so escaping is the
-// standard library's own.
+// appendString appends s as a JSON string. A string without a byte that
+// needsEscape reports is copied as is; any other string is json.Marshal's,
+// so escaping is the standard library's own.
 func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+		if needsEscape(s[i]) {
 			q, _ := json.Marshal(s) // a string always encodes
 			return append(b, q...)
 		}
@@ -167,6 +166,13 @@ func appendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"')
+}
+
+// needsEscape reports the bytes appendString leaves to json.Marshal: all
+// but printable ASCII, and of that the quote, the backslash and the HTML
+// characters encoding/json escapes.
+func needsEscape(c byte) bool {
+	return c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&'
 }
 
 // appendFloat appends a finite float the way encoding/json's floatEncoder

@@ -162,16 +162,20 @@ func (sr *ShardResult) Write(w io.Writer) error {
 	return enc.Encode(sr)
 }
 
-// ShardReader reads the envelopes of one sweep. Every envelope of a sweep
-// carries the same spec, which for a large space is most of an envelope's
-// bytes (the family spec's 4,096-value machine axis), so the reader
-// decodes a spec only when its bytes differ from the previous envelope's
-// and otherwise shares that envelope's *Spec. Envelopes read by one
-// reader may therefore share their Spec, which callers must not modify.
-// The zero value is ready to use; a ShardReader is not safe for
-// concurrent use.
+// ShardReader reads the envelopes of one sweep. An envelope in the
+// compact form json.Marshal gives it — a worker's upload, a coordinator's
+// state file or SSE frame — is read in one pass; any other input, such as
+// the indented envelopes of goalsweep -shard i/n -json or a hand-edited
+// file, gets one DecodeStrict of the whole envelope, which stays the
+// reference. Every envelope of a sweep carries the same spec,
+// which for a large space is most of an envelope's bytes (the family
+// spec's 4,096-value machine axis), so the one-pass reader decodes a spec
+// only when its bytes differ from the last one it read and otherwise
+// shares that envelope's *Spec. Envelopes read by one reader may
+// therefore share their Spec, which callers must not modify. The zero
+// value is ready to use; a ShardReader is not safe for concurrent use.
 type ShardReader struct {
-	specJSON []byte // the spec bytes of the last envelope read
+	specJSON []byte // the bytes of the last spec the one-pass reader decoded
 	spec     *Spec  // their decoding
 }
 
@@ -188,61 +192,30 @@ func (rd *ShardReader) Read(r io.Reader) (*ShardResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: decode shard result: %w", err)
 	}
-	sr, specJSON, ok := rd.decode(data)
-	if !ok {
-		// The input is malformed, or repeats its spec key: decode it as
-		// one value, which gives the canonical error or merge.
-		sr = new(ShardResult)
-		if err := DecodeStrict(bytes.NewReader(data), sr); err != nil {
-			return nil, fmt.Errorf("scenario: decode shard result: %w", err)
-		}
+	sr, _, err := rd.Decode(data)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: decode shard result: %w", err)
 	}
 	if err := sr.Validate(); err != nil {
 		return nil, err
 	}
-	if ok {
-		rd.specJSON, rd.spec = specJSON, sr.Spec
-	}
 	return sr, nil
 }
 
-// decode reads an envelope with its spec left as bytes, then decodes the
-// spec only if those bytes differ from the previous envelope's. It
-// reports false for any input it cannot read this way.
-func (rd *ShardReader) decode(data []byte) (*ShardResult, []byte, bool) {
-	var w struct {
-		ShardResult
-		Spec rawSpec `json:"spec"` // shadows ShardResult.Spec
+// Decode decodes one envelope without validating it: in one pass when
+// data is in the compact form json.Marshal gives it, and otherwise with
+// one DecodeStrict of the whole envelope, whose error it returns.
+// compact reports the first case, in which data is json.Marshal of the
+// envelope returned.
+func (rd *ShardReader) Decode(data []byte) (sr *ShardResult, compact bool, err error) {
+	if sr, ok := rd.readCompact(data); ok {
+		return sr, true, nil
 	}
-	if DecodeStrict(bytes.NewReader(data), &w) != nil || w.Spec.n > 1 {
-		return nil, nil, false
+	sr = new(ShardResult)
+	if err := DecodeStrict(bytes.NewReader(data), sr); err != nil {
+		return nil, false, err
 	}
-	sr := &w.ShardResult
-	switch {
-	case w.Spec.n == 0:
-	case bytes.Equal(w.Spec.raw, rd.specJSON):
-		sr.Spec = rd.spec
-	default:
-		if DecodeStrict(bytes.NewReader(w.Spec.raw), &sr.Spec) != nil {
-			return nil, nil, false
-		}
-	}
-	return sr, w.Spec.raw, true
-}
-
-// rawSpec holds an envelope's spec value undecoded and counts how often
-// the key occurs: decoded as one value, a repeated spec key merges its
-// objects field by field, which the bytes of the last one alone do not
-// reproduce.
-type rawSpec struct {
-	raw []byte
-	n   int
-}
-
-func (s *rawSpec) UnmarshalJSON(b []byte) error {
-	s.raw = append(s.raw[:0], b...)
-	s.n++
-	return nil
+	return sr, false, nil
 }
 
 // Validate checks the envelope's framing: the format version, the shard

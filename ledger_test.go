@@ -197,6 +197,48 @@ var mutants = []struct {
 		guards: []string{"./internal/goals/delegation:TestCandidateAsksForEachAnnouncedInstance"},
 	},
 	{
+		name:   "the one-pass envelope reader takes an integer without re-encoding it",
+		file:   "internal/scenario/envelope.go",
+		old:    "if string(strconv.AppendInt(buf[:0], v, 10)) != string(tok) {",
+		new:    "if string(strconv.AppendInt(buf[:0], v, 10)) != string(tok) && false {",
+		guards: []string{"./internal/scenario:FuzzReadShardResult"},
+	},
+	{
+		name:   "the one-pass envelope reader takes a float without re-encoding it",
+		file:   "internal/scenario/envelope.go",
+		old:    "if err != nil || string(appendFloat(buf[:0], f)) != string(tok) {",
+		new:    "if err != nil || string(appendFloat(buf[:0], f)) != string(tok) && false {",
+		guards: []string{"./internal/scenario:FuzzReadShardResult"},
+	},
+	{
+		name:   "the one-pass envelope reader compares the spec by length only",
+		file:   "internal/scenario/envelope.go",
+		old:    "bytes.Equal(rest[:n], rd.specJSON)",
+		new:    "rest[n] == ','",
+		guards: []string{"./internal/scenario:FuzzReadShardResult"},
+	},
+	{
+		name:   "the coordinator splices the bytes of an upload the one-pass reader declined",
+		file:   "internal/dist/coordinator.go",
+		old:    "bare := body\n\tif !compact {\n",
+		new:    "bare := body\n\tif !compact && false {\n",
+		guards: []string{"./internal/dist:TestStoredEnvelopesCarryPlanSpec"},
+	},
+	{
+		name:   "Client.Lease matches the known plan at any depth",
+		file:   "internal/dist/client.go",
+		old:    "if depth == 1 && key {",
+		new:    "if key {",
+		guards: []string{"./internal/dist:FuzzLeaseAnswer"},
+	},
+	{
+		name:   "mapTokens drops the text after the last changed token",
+		file:   "internal/dialect/dialect.go",
+		old:    "\tb.WriteString(s[done:])\n",
+		new:    "\n",
+		guards: []string{"./internal/dialect:FuzzMapTokens"},
+	},
+	{
 		name:   "claims skip the late rerun",
 		file:   "internal/scenario/claims.go",
 		old:    "var lateHorizons = []int{4, 16}",
