@@ -406,17 +406,17 @@ func TestUniversalUserSteadyAllocs(t *testing.T) {
 
 // t1AllocBudgets pins Theorem 1's table (T1) at its largest class: one
 // 12,800-round execution (horizon 50N, N = 256) with parties built fresh
-// for the run, as T1 and sweep trials build them. Measured: 25 per
-// oracle run and 1,830 per universal run. A memory profile puts the
-// latter at ~5 per candidate the universal user tries (its construction,
-// RNG split, "PRINT <task>" and two-allocation word encoding: ~1,280 over
-// 256 candidates) plus the printer decoding each of those 256 commands
-// once (~520). Silence reaching a dialect past msgbuf.DefaultTableCap
-// distinct commands, or a printout that logs every sheet, adds
-// thousands. Budgets carry ~1.3x slack.
+// for the run, as T1 and sweep trials build them. Measured: 15, 18 and 18
+// per oracle run (servers 0, 200 and 255) and 1,060 per universal run,
+// about 4 per candidate the universal user tries. Under RecordVerdict,
+// which T1 runs, the universal run ends at round 1,278, after its last
+// switch, and allocates as much. Silence reaching a dialect past
+// msgbuf.DefaultTableCap distinct commands, or a printout that logs every
+// sheet, adds thousands. Budgets carry ~1.3x slack.
 var t1AllocBudgets = map[string]float64{
-	"oracle":    32,
-	"universal": 2400,
+	"oracle":            32,
+	"universal":         1400,
+	"universal/verdict": 1400,
 }
 
 // TestT1ShapedAllocs gates allocation growth in T1-shaped runs: long
@@ -435,12 +435,12 @@ func TestT1ShapedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &printing.Goal{}
-	measure := func(name string, srvIdx int, user func() comm.Strategy) {
+	measure := func(name string, srvIdx int, record system.RecordPolicy, user func() comm.Strategy) {
 		run := func() {
 			res, err := system.Run(user(),
 				server.Dialected(&printing.Server{}, fam.Dialect(srvIdx)),
 				g.NewWorld(goal.Env{Choice: srvIdx % g.EnvChoices()}),
-				system.Config{MaxRounds: 50 * n, Seed: 1, Record: system.RecordOff, Referee: g})
+				system.Config{MaxRounds: 50 * n, Seed: 1, Record: record, Referee: g})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,15 +457,17 @@ func TestT1ShapedAllocs(t *testing.T) {
 		}
 	}
 	for _, srvIdx := range []int{0, 200, n - 1} {
-		measure("oracle", srvIdx, func() comm.Strategy { return &printing.Candidate{D: fam.Dialect(srvIdx)} })
+		measure("oracle", srvIdx, system.RecordOff, func() comm.Strategy { return &printing.Candidate{D: fam.Dialect(srvIdx)} })
 	}
-	measure("universal", n-1, func() comm.Strategy {
+	universalUser := func() comm.Strategy {
 		u, err := universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return u
-	})
+	}
+	measure("universal", n-1, system.RecordOff, universalUser)
+	measure("universal/verdict", n-1, system.RecordVerdict, universalUser)
 }
 
 // TestMetricsInstrumentationAllocFree pins the ISSUE 7 acceptance

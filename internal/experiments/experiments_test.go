@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/system"
 )
 
 func TestEveryExperimentRendersQuick(t *testing.T) {
@@ -106,6 +108,58 @@ func TestT1Shape(t *testing.T) {
 	univMean := atof(t, cell(t, rows, 3, "8", "universal"))
 	if oracleMean >= univMean {
 		t.Fatalf("oracle mean %v !< universal mean %v", oracleMean, univMean)
+	}
+}
+
+// TestT1VerdictMatchesRecordOff holds T1's early stop to the full runs:
+// at N = 4, 16 and 64, every trial of every kind reaches the same verdict
+// and convergence round under RecordVerdict as under RecordOff, and a
+// verdict run that ended early ended at the round after its convergence
+// round (the first the printout's latch accepted).
+func TestT1VerdictMatchesRecordOff(t *testing.T) {
+	t.Parallel()
+
+	cfg := Config{Seed: 1}
+	for _, n := range []int{4, 16, 64} {
+		verdicts, err := t1Kinds(cfg, n, system.RecordVerdict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fulls, err := t1Kinds(cfg, n, system.RecordOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		early := 0
+		for k := range verdicts {
+			got, err := system.RunBatch(verdicts[k].trials, cfg.batch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := system.RunBatch(fulls[k].trials, cfg.batch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			horizon := verdicts[k].trials[0].Config.MaxRounds
+			for i := range got {
+				g, w := got[i], want[i]
+				if g.Achieved(10) != w.Achieved(10) || g.LastUnacceptable != w.LastUnacceptable {
+					t.Errorf("N=%d %s server %d: verdict run achieved %v at %d, full run %v at %d",
+						n, verdicts[k].name, i, g.Achieved(10), g.LastUnacceptable, w.Achieved(10), w.LastUnacceptable)
+				}
+				if g.Rounds < horizon {
+					early++
+					if g.Rounds != g.LastUnacceptable+1 {
+						t.Errorf("N=%d %s server %d: ended after %d rounds, converged at %d",
+							n, verdicts[k].name, i, g.Rounds, g.LastUnacceptable)
+					}
+				}
+				system.ReleaseResult(g)
+				system.ReleaseResult(w)
+			}
+		}
+		if early == 0 {
+			t.Errorf("N=%d: no verdict run ended early", n)
+		}
 	}
 }
 

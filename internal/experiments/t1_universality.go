@@ -33,50 +33,13 @@ func RunT1(cfg Config) (*harness.Report, error) {
 		},
 	}
 
-	g := &printing.Goal{}
 	for _, n := range sizes {
-		fam, err := dialect.NewWordFamily(printing.Vocabulary(), n)
+		kinds, err := t1Kinds(cfg, n, system.RecordVerdict)
 		if err != nil {
-			return nil, fmt.Errorf("T1: family size %d: %w", n, err)
+			return nil, err
 		}
-		horizon := 50 * n
-
-		type userKind struct {
-			name string
-			mk   func(serverIdx int) (comm.Strategy, error)
-		}
-		kinds := []userKind{
-			{"fixed(dialect 0)", func(int) (comm.Strategy, error) {
-				return &printing.Candidate{D: fam.Dialect(0)}, nil
-			}},
-			{"oracle", func(i int) (comm.Strategy, error) {
-				return &printing.Candidate{D: fam.Dialect(i)}, nil
-			}},
-			{"universal", func(int) (comm.Strategy, error) {
-				u, err := universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
-				return u, err
-			}},
-		}
-
 		for _, kind := range kinds {
-			mk := kind.mk
-			trials := make([]system.Trial, n)
-			for srvIdx := 0; srvIdx < n; srvIdx++ {
-				trials[srvIdx] = system.Trial{
-					User: func() (comm.Strategy, error) { return mk(srvIdx) },
-					Server: func() comm.Strategy {
-						return server.Dialected(&printing.Server{}, fam.Dialect(srvIdx))
-					},
-					World: func() goal.World {
-						return g.NewWorld(goal.Env{Choice: srvIdx % g.EnvChoices()})
-					},
-					Config: system.Config{
-						MaxRounds: horizon, Seed: cfg.seed(),
-						Record: system.RecordOff, Referee: g,
-					},
-				}
-			}
-			results, err := system.RunBatch(trials, cfg.batch())
+			results, err := system.RunBatch(kind.trials, cfg.batch())
 			if err != nil {
 				return nil, fmt.Errorf("T1: %s (N=%d): %w", kind.name, n, err)
 			}
@@ -100,4 +63,49 @@ func RunT1(cfg Config) (*harness.Report, error) {
 		}
 	}
 	return &harness.Report{Tables: []*harness.Table{tbl}}, nil
+}
+
+// t1Kind is one of T1's user kinds at one class size: its row label and
+// one trial per server of the class.
+type t1Kind struct {
+	name   string
+	trials []system.Trial
+}
+
+// t1Kinds builds T1's trials at class size n under the given record
+// policy. The table reads only each run's verdict, so it runs them under
+// RecordVerdict, which ends a run once the printout's latch is set.
+func t1Kinds(cfg Config, n int, record system.RecordPolicy) ([]t1Kind, error) {
+	fam, err := dialect.NewWordFamily(printing.Vocabulary(), n)
+	if err != nil {
+		return nil, fmt.Errorf("T1: family size %d: %w", n, err)
+	}
+	g := &printing.Goal{}
+	users := []func(serverIdx int) (comm.Strategy, error){
+		func(int) (comm.Strategy, error) { return &printing.Candidate{D: fam.Dialect(0)}, nil },
+		func(i int) (comm.Strategy, error) { return &printing.Candidate{D: fam.Dialect(i)}, nil },
+		func(int) (comm.Strategy, error) {
+			return universal.NewCompactUser(printing.Enum(fam), printing.Sense(0))
+		},
+	}
+	kinds := []t1Kind{{name: "fixed(dialect 0)"}, {name: "oracle"}, {name: "universal"}}
+	for k, mk := range users {
+		kinds[k].trials = make([]system.Trial, n)
+		for srvIdx := 0; srvIdx < n; srvIdx++ {
+			kinds[k].trials[srvIdx] = system.Trial{
+				User: func() (comm.Strategy, error) { return mk(srvIdx) },
+				Server: func() comm.Strategy {
+					return server.Dialected(&printing.Server{}, fam.Dialect(srvIdx))
+				},
+				World: func() goal.World {
+					return g.NewWorld(goal.Env{Choice: srvIdx % g.EnvChoices()})
+				},
+				Config: system.Config{
+					MaxRounds: 50 * n, Seed: cfg.seed(),
+					Record: record, Referee: g,
+				},
+			}
+		}
+	}
+	return kinds, nil
 }

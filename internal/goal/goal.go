@@ -104,6 +104,16 @@ type Forgiving interface {
 	ForgivingGoal() bool
 }
 
+// Absorbing marks compact goals whose acceptance is a latch. Contract:
+// once AcceptableWorld accepts a round's world, it accepts the world of
+// every later round of that run, whatever any party sends, so a
+// verdict-only run (system.RecordVerdict) may end at its first accepted
+// round. Declare it only with a test that tries to refute it.
+type Absorbing interface {
+	// AbsorbingGoal reports whether the goal's acceptance is a latch.
+	AbsorbingGoal() bool
+}
+
 // CompactAchieved evaluates a compact goal on a bounded horizon: the goal
 // counts as achieved if every prefix in the final window rounds is
 // acceptable, i.e. unacceptable prefixes stopped occurring at least window

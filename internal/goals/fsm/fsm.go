@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/dialect"
@@ -117,8 +118,11 @@ type Goal struct {
 	feasible  bool
 	forgiving bool
 
-	instance string            // "fsm/NxAxB#<index>"
-	snapMsg  []comm.WorldState // snapshot per state<<1|done
+	instance string // "fsm/NxAxB#<index>"
+	// snapMsg is the snapshot per state<<1|done, built on first use: a
+	// sweep never asks, and recorded runs on several workers may at once.
+	snapOnce sync.Once
+	snapMsg  []comm.WorldState
 }
 
 var (
@@ -140,16 +144,19 @@ func (sp *Space) Goal(index uint64) (*Goal, error) {
 	}
 	g := &Goal{sp: sp, target: sp.dims.NumOut - 1, m: m}
 	g.analyze()
-	// Instance and snapshots share one per-machine prefix.
-	id := sp.name + "#" + strconv.FormatUint(index, 10)
-	g.instance = "fsm/" + id
-	g.snapMsg = make([]comm.WorldState, 2*sp.dims.NumStates)
-	for q := 0; q < sp.dims.NumStates; q++ {
+	g.instance = "fsm/" + sp.name + "#" + strconv.FormatUint(index, 10)
+	return g, nil
+}
+
+// buildSnapshots fills snapMsg from the instance's "NxAxB#<index>" id.
+func (g *Goal) buildSnapshots() {
+	id := strings.TrimPrefix(g.instance, "fsm/")
+	g.snapMsg = make([]comm.WorldState, 2*g.sp.dims.NumStates)
+	for q := 0; q < g.sp.dims.NumStates; q++ {
 		qs := strconv.Itoa(q)
 		g.snapMsg[q<<1] = comm.WorldState("fsm=" + id + ";q=" + qs + ";done=0")
 		g.snapMsg[q<<1|1] = comm.WorldState("fsm=" + id + ";q=" + qs + ";done=1")
 	}
-	return g, nil
 }
 
 // analyze computes, per state, the shortest number of steps to emit the
@@ -294,7 +301,10 @@ func (w *World) snapIdx() int {
 }
 
 // Snapshot implements goal.World.
-func (w *World) Snapshot() comm.WorldState { return w.g.snapMsg[w.snapIdx()] }
+func (w *World) Snapshot() comm.WorldState {
+	w.g.snapOnce.Do(w.g.buildSnapshots)
+	return w.g.snapMsg[w.snapIdx()]
+}
 
 // Server is the honest native-protocol panel operator: on "press <k>" it
 // acknowledges the user and forwards the symbol to the panel. All replies

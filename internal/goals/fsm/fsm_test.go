@@ -1,7 +1,9 @@
 package fsm
 
 import (
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -216,6 +218,58 @@ func itoa(u uint64) string {
 		u /= 10
 	}
 	return string(b[i:])
+}
+
+// TestConcurrentSnapshotsMatchFreshGoal pins the snapshots a goal builds
+// on first use: workers whose worlds share one goal and ask for their
+// first snapshots at once all read, for every state and done flag, the
+// strings a fresh goal's world gives.
+func TestConcurrentSnapshotsMatchFreshGoal(t *testing.T) {
+	t.Parallel()
+
+	sp, err := ParseSpace("3x3x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const index = 1729
+	snapshots := func(g *Goal) []comm.WorldState {
+		w := g.NewWorld(goal.Env{}).(*World)
+		var out []comm.WorldState
+		for q := 0; q < sp.dims.NumStates; q++ {
+			for _, done := range []bool{false, true} {
+				w.state, w.done = q, done
+				out = append(out, w.Snapshot())
+			}
+		}
+		return out
+	}
+	fresh, err := sp.Goal(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshots(fresh)
+	if want[3] != "fsm=3x3x2#1729;q=1;done=1" {
+		t.Fatalf("snapshot of state 1, done: %q", want[3])
+	}
+	shared, err := sp.Goal(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]comm.WorldState, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = snapshots(shared)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !slices.Equal(got[i], want) {
+			t.Fatalf("worker %d read %q, a fresh goal %q", i, got[i], want)
+		}
+	}
 }
 
 func TestServerPanelProtocol(t *testing.T) {

@@ -17,9 +17,9 @@
 //     strategy i speaks dialect i; the universal user enumerates candidates
 //     under print-progress sensing.
 //
-// The goal is compact and forgiving: a prefix is acceptable iff the target
-// document has been printed, and any finite prefix can still be extended to
-// success by printing it now.
+// The goal is compact, forgiving and absorbing: a prefix is acceptable iff
+// the target document has been printed (which, once true, stays true), and
+// any finite prefix can still be extended to success by printing it now.
 package printing
 
 import (
@@ -72,6 +72,7 @@ type Goal struct {
 var (
 	_ goal.CompactGoal = (*Goal)(nil)
 	_ goal.Forgiving   = (*Goal)(nil)
+	_ goal.Absorbing   = (*Goal)(nil)
 )
 
 // DefaultDocs are the target documents used when none are configured.
@@ -120,6 +121,10 @@ func (g *Goal) AcceptableWorld(w goal.World) bool {
 // ForgivingGoal implements goal.Forgiving. The goal is forgiving only with
 // an unlimited paper tray.
 func (g *Goal) ForgivingGoal() bool { return g.Paper == 0 }
+
+// AbsorbingGoal implements goal.Absorbing: the printout's done flag is
+// only ever set, whatever the paper tray holds.
+func (g *Goal) AbsorbingGoal() bool { return true }
 
 // World is the printing environment. Each round it (re)announces the task
 // to the user along with the most recently printed document, and it

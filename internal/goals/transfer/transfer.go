@@ -227,6 +227,25 @@ func ParseStatus(m comm.Message) (k int, mask uint64, ok bool) {
 	return k, mask, true
 }
 
+// status is a parsed status announcement.
+type status struct {
+	k    int
+	mask uint64
+}
+
+// parseStatus is ParseStatus through a party's memo of the last
+// announcement it parsed: the world re-sends one cached status until a
+// chunk lands, so each is parsed once (usually a pointer-equal compare).
+func parseStatus(last *msgbuf.Memo1[comm.Message, status], m comm.Message) (k int, mask uint64, ok bool) {
+	if st, hit := last.Get(m); hit {
+		return st.k, st.mask, true
+	}
+	if k, mask, ok = ParseStatus(m); ok {
+		last.Put(m, status{k, mask})
+	}
+	return k, mask, ok
+}
+
 // Server is the storage relay's native protocol.
 //
 // Step is a pure function of the incoming command; the memo only spares
@@ -282,6 +301,7 @@ type Candidate struct {
 	mask uint64
 	next int
 	cmds []comm.Message // cached encoded "STORE <i> <data>" per chunk
+	ann  msgbuf.Memo1[comm.Message, status]
 }
 
 var _ comm.StepperTo = (*Candidate)(nil)
@@ -313,7 +333,7 @@ func (c *Candidate) Step(in comm.Inbox) (comm.Outbox, error) { return comm.Step(
 
 // StepTo implements comm.StepperTo.
 func (c *Candidate) StepTo(in comm.Inbox, out *comm.Outbox) error {
-	if k, mask, ok := ParseStatus(in.FromWorld); ok {
+	if k, mask, ok := parseStatus(&c.ann, in.FromWorld); ok {
 		c.k = k
 		c.mask = mask
 	}
@@ -359,6 +379,7 @@ type progressSense struct {
 	started  bool
 	lastHave int
 	idle     int
+	ann      msgbuf.Memo1[comm.Message, status]
 }
 
 var _ sensing.Sense = (*progressSense)(nil)
@@ -370,7 +391,7 @@ func (s *progressSense) Reset() {
 }
 
 func (s *progressSense) Observe(rv *comm.RoundView) bool {
-	k, mask, ok := ParseStatus(rv.In.FromWorld)
+	k, mask, ok := parseStatus(&s.ann, rv.In.FromWorld)
 	if !ok {
 		// No status yet: grace.
 		return true

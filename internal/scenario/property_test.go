@@ -147,7 +147,7 @@ func hashReference(values []AxisValue) uint64 {
 // names and values built from separators and digits, of lengths on both
 // sides of each extra decimal digit of the length prefix ("1:" sorts after
 // "10:"), with repeated coordinates and more axes than Hash sorts on the
-// stack. A hash of up to 16 axes allocates nothing.
+// stack.
 func TestHashMatchesReference(t *testing.T) {
 	t.Parallel()
 
@@ -202,6 +202,21 @@ func TestHashMatchesReference(t *testing.T) {
 	}
 	for _, i := range m.Sample(200, 1) {
 		check(m.At(i).Values)
+	}
+}
+
+// TestHashAllocatesNothing pins that a hash of up to 16 axes allocates
+// nothing. It is not parallel: testing.AllocsPerRun counts the
+// allocations of every goroutine, so the package's parallel tests would
+// show up in its count.
+func TestHashAllocatesNothing(t *testing.T) {
+	spec, err := BuiltinSpec("family")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMatrix(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sc := m.At(0)
 	if allocs := testing.AllocsPerRun(10, func() {

@@ -266,8 +266,9 @@ func TestReleaseResultRecyclesStorage(t *testing.T) {
 
 func TestRecordPolicyString(t *testing.T) {
 	cases := map[string]RecordPolicy{
-		"full": RecordFull,
-		"off":  RecordOff,
+		"full":    RecordFull,
+		"off":     RecordOff,
+		"verdict": RecordVerdict,
 	}
 	for want, p := range cases {
 		if got := p.String(); got != want {

@@ -14,7 +14,8 @@
 // RunBatch and RunEach fan independent Trial specs across a bounded worker
 // pool, delivering results in submission order so that parallel output is
 // identical to serial output. Config.Record selects whether an execution's
-// history and view are materialized (RecordFull) or not (RecordOff):
+// history and view are materialized (RecordFull) or not (RecordOff, and
+// RecordVerdict, which ends a run once an absorbing referee accepts):
 // compact trials are judged online by the engine itself, through
 // Config.Referee, and record nothing, and ReleaseResult recycles Result
 // storage across runs.
@@ -36,14 +37,16 @@ import (
 const DefaultMaxRounds = 1000
 
 // RecordPolicy selects how much of an execution the engine materializes
-// into the Result. The zero value is RecordFull, so existing call sites
-// keep complete histories and views by default.
+// into the Result, and whether a run its caller judges by the verdict
+// alone may end early. The zero value is RecordFull, so existing call
+// sites keep complete histories and views by default.
 //
-// Recording changes only what is stored, never how the parties execute:
-// the round hooks still observe every round, and Result.Rounds and
-// History.Len report the true execution length.
+// RecordFull and RecordOff change only what is stored, never how the
+// parties execute: the round hooks observe every round, and Result.Rounds
+// and History.Len report the true execution length. RecordVerdict stores
+// what RecordOff stores, and may also end the run before its horizon.
 type RecordPolicy struct {
-	off bool
+	off, verdict bool
 }
 
 // RecordFull keeps every round's world state and round view (the default).
@@ -54,8 +57,19 @@ var RecordFull = RecordPolicy{}
 // rounds).
 var RecordOff = RecordPolicy{off: true}
 
+// RecordVerdict keeps what RecordOff keeps, for a caller that reads only
+// the verdict (Result.Achieved and LastUnacceptable), and refuses the round
+// hooks. If Config.Referee is goal.Absorbing and the user is no
+// comm.Halter, the run ends after the first round the referee accepts, and
+// Achieved judges it on its horizon, as the full run would; otherwise the
+// run is a RecordOff run.
+var RecordVerdict = RecordPolicy{off: true, verdict: true}
+
 // String returns a human-readable policy name.
 func (p RecordPolicy) String() string {
+	if p.verdict {
+		return "verdict"
+	}
 	if p.off {
 		return "off"
 	}
@@ -85,7 +99,7 @@ type Config struct {
 
 	// OnRound, if non-nil, is invoked after every round with the round
 	// index (0-based), the user's view of the round, and the world
-	// snapshot — regardless of the Record policy. Setting OnRound forces
+	// snapshot (RecordVerdict refuses the hooks). Setting OnRound forces
 	// a snapshot per round even under RecordOff; callers that only need
 	// the live world should use OnRoundLive instead. A caller that needs
 	// only a compact verdict sets Referee and no hook.
@@ -127,6 +141,8 @@ type Result struct {
 	// world) over all rounds — what a recorded View would show.
 	Messages int
 
+	horizon int // the horizon of a RecordVerdict run that ended early, else 0
+
 	// frame is Run's scratch. It rides in the pooled Result because the
 	// outboxes are handed to the parties through an interface, which
 	// would move them to the heap on every run.
@@ -135,9 +151,11 @@ type Result struct {
 
 // Achieved reports whether every prefix in the final window rounds was
 // acceptable to Config.Referee; like goal.CompactAchieved it is false
-// unless 0 < window <= Rounds.
+// unless 0 < window <= Rounds. A RecordVerdict run that ended early is
+// judged on its horizon, where the full run would have ended.
 func (r *Result) Achieved(window int) bool {
-	return window > 0 && window <= r.Rounds && r.LastUnacceptable <= r.Rounds-window
+	n := max(r.Rounds, r.horizon)
+	return window > 0 && window <= n && r.LastUnacceptable <= n-window
 }
 
 // frame holds one run's message buffers and party shims. Each buffer
@@ -192,6 +210,7 @@ func ReleaseResult(res *Result) {
 	res.Halted = false
 	res.LastUnacceptable = 0
 	res.Messages = 0
+	res.horizon = 0
 	resultPool.Put(res)
 }
 
@@ -206,13 +225,17 @@ func silence(o *comm.Outbox) {
 	o.ToUser, o.ToServer, o.ToWorld = "", "", ""
 }
 
-// Run executes (user, server, world) for up to cfg.MaxRounds rounds or until
-// a halting user strategy halts. All three strategies are Reset with
-// independent deterministic streams derived from cfg.Seed before the first
-// round. A party's step error ends the run with a *RoundError.
+// Run executes (user, server, world) for up to cfg.MaxRounds rounds, until
+// a halting user strategy halts, or under RecordVerdict until an absorbing
+// referee accepts. All three strategies are Reset with independent
+// deterministic streams derived from cfg.Seed before the first round. A
+// party's step error ends the run with a *RoundError.
 func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, error) {
 	if user == nil || server == nil || world == nil {
 		return nil, errors.New("system: nil strategy")
+	}
+	if cfg.Record.verdict && (cfg.OnRound != nil || cfg.OnRoundLive != nil) {
+		return nil, errors.New("system: RecordVerdict takes no round hooks")
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
@@ -230,6 +253,10 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 	world.Reset(root.Split())
 
 	halter, _ := user.(comm.Halter)
+	// A verdict-only run may end at its first accepted round when the
+	// referee's acceptance is a latch and no halt could end it otherwise.
+	absorbing, _ := cfg.Referee.(goal.Absorbing)
+	stop := cfg.Record.verdict && halter == nil && absorbing != nil && absorbing.AbsorbingGoal()
 
 	res := acquireResult()
 	f := &res.frame
@@ -295,6 +322,9 @@ func Run(user, server comm.Strategy, world goal.World, cfg Config) (*Result, err
 		}
 		if cfg.Referee != nil && !cfg.Referee.AcceptableWorld(world) {
 			lastBad = round + 1
+		} else if stop {
+			res.horizon = maxRounds
+			break
 		}
 		if cfg.OnRound != nil {
 			cfg.OnRound(round, *view, state)

@@ -58,8 +58,8 @@ var mutants = []struct {
 	{
 		name:   "Result.Achieved off by one",
 		file:   "internal/system/system.go",
-		old:    "r.LastUnacceptable <= r.Rounds-window",
-		new:    "r.LastUnacceptable < r.Rounds-window",
+		old:    "r.LastUnacceptable <= n-window",
+		new:    "r.LastUnacceptable < n-window",
 		guards: []string{".:TestFastPathParity", "./internal/goal:TestCompactAchievedConsistentWithCounts", "./internal/system:TestLazySnapshotLiveHookStillSkips"},
 	},
 	{
@@ -237,6 +237,37 @@ var mutants = []struct {
 		old:    "\tb.WriteString(s[done:])\n",
 		new:    "\n",
 		guards: []string{"./internal/dialect:FuzzMapTokens"},
+	},
+	{
+		name:   "printing's latch clears on another document",
+		file:   "internal/goals/printing/printing.go",
+		old:    "if doc == w.target {\n\t\t\t\tw.done = true\n\t\t\t}",
+		new:    "w.done = doc == w.target",
+		guards: []string{"./internal/goal:TestAbsorbingGoalsLatch"},
+	},
+	{
+		name: "the engine ends a RecordVerdict run at its first accepted round without asking goal.Absorbing",
+		file: "internal/system/system.go",
+		old: "absorbing, _ := cfg.Referee.(goal.Absorbing)\n" +
+			"\tstop := cfg.Record.verdict && halter == nil && absorbing != nil && absorbing.AbsorbingGoal()",
+		new:    "stop := cfg.Record.verdict && halter == nil && cfg.Referee != nil",
+		guards: []string{"./internal/system:TestVerdictOfNonAbsorbingGoalIsRecordOffRun"},
+	},
+	{
+		name:   "Result.Achieved judges a run that ended early on its executed rounds",
+		file:   "internal/system/system.go",
+		old:    "n := max(r.Rounds, r.horizon)",
+		new:    "n := r.Rounds",
+		guards: []string{"./internal/experiments:TestT1VerdictMatchesRecordOff", "./internal/experiments:TestT1Shape"},
+	},
+	{
+		name: "transfer's announcement memo ignores its key",
+		file: "internal/goals/transfer/transfer.go",
+		old: "if st, hit := last.Get(m); hit {\n\t\treturn st.k, st.mask, true\n\t}\n" +
+			"\tif k, mask, ok = ParseStatus(m); ok {\n\t\tlast.Put(m, status{k, mask})",
+		new: "if st, hit := last.Get(\"\"); hit {\n\t\treturn st.k, st.mask, true\n\t}\n" +
+			"\tif k, mask, ok = ParseStatus(m); ok {\n\t\tlast.Put(\"\", status{k, mask})",
+		guards: []string{"./cmd/goalsweep:TestReportGoldens/default"},
 	},
 	{
 		name:   "claims skip the late rerun",
